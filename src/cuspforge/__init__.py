@@ -22,8 +22,8 @@ from .characteristic import (
 )
 from .chains import (
     ChainComplexData,
-    CohomologyBasis,
     HomologyResult,
+    Z2QuotientBasis,
     chain_complex_of,
     coboundary,
     cohomology_z2_basis,
@@ -49,7 +49,6 @@ from .filling import (
     is_simple,
     subdivide_cross_facets,
 )
-from .gf2 import GF2Matrix
 from .isomorphism import cubical_isomorphism, find_isomorphism, isomorphic
 from .lattice import (
     FaceLattice,

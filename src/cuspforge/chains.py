@@ -218,10 +218,6 @@ def homology(data: ChainComplexData) -> HomologyResult:
     return HomologyResult("Z", betti, torsion)
 
 
-def betti_z2(data: ChainComplexData) -> Tuple[int, ...]:
-    return homology(ChainComplexData("Z2", data.cell_keys, data.boundaries)).betti
-
-
 # ---------------------------------------------------------------------------
 # integral homology with explicit bases (for induced maps and certificates)
 # ---------------------------------------------------------------------------
@@ -300,59 +296,50 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
 # ---------------------------------------------------------------------------
 
 
-class CohomologyBasis:
-    """Basis of H^k(-; Z/2) with cocycle representatives.
+class Z2QuotientBasis:
+    """Basis of a Z/2 quotient space (co)cycles / (co)boundaries.
 
     Representatives are bitsets over the k-cells; ``coordinates`` writes
-    any cocycle of the same complex in this basis modulo coboundaries.
+    any (co)cycle of the same complex in this basis modulo the image.
+    Built by ``homology_z2_basis`` and ``cohomology_z2_basis``.
     """
 
-    def __init__(self, data: ChainComplexData, k: int):
+    def __init__(self, k: int, cycles: Sequence[int], image_rows: Sequence[int]):
         self.degree = k
-        n_k = data.size(k)
-        up_rows = data.gf2_rows(k + 1) if k + 1 <= data.top_dim else []
-        if up_rows:
-            cocycles = gf2.right_kernel_basis(up_rows, n_k)
-        else:
-            cocycles = gf2.identity_rows(n_k)
-        if 1 <= k <= data.top_dim:
-            image_rows = gf2.transpose_rows(data.gf2_rows(k), data.size(k - 1))
-        else:
-            image_rows = []
         self._pivots: Dict[int, Tuple[int, int]] = {}
         for row in image_rows:
-            row = self._reduce_tagged(row, 0)[0]
+            row = gf2.reduce_tagged(row, self._pivots)[0]
             if row:
                 self._pivots[gf2.lowbit(row)] = (row, 0)
         reps: List[int] = []
-        for vec in cocycles:
-            red, _ = self._reduce_tagged(vec, 0)
+        for vec in cycles:
+            red = gf2.reduce_tagged(vec, self._pivots)[0]
             if red:
-                # keep the reduced cocycle so coordinates() is dual to it
+                # keep the reduced vector so coordinates() is dual to it
                 self._pivots[gf2.lowbit(red)] = (red, 1 << len(reps))
                 reps.append(red)
         self.representatives = reps
         self.dimension = len(reps)
 
-    def _reduce_tagged(self, v: int, tag: int) -> Tuple[int, int]:
-        while v:
-            hit = self._pivots.get(gf2.lowbit(v))
-            if hit is None:
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
-        return v, tag
-
-    def coordinates(self, cocycle: int) -> int:
-        """Coefficient bitmask of a cocycle in this basis, mod coboundaries."""
-        red, tag = self._reduce_tagged(cocycle, 0)
+    def coordinates(self, cycle: int) -> int:
+        """Coefficient bitmask of a (co)cycle in this basis, mod the image."""
+        red, tag = gf2.reduce_tagged(cycle, self._pivots)
         if red:
-            raise ValidationError("vector is not a cocycle of this complex")
+            raise ValidationError("vector is not a (co)cycle of this complex")
         return tag
 
 
-def cohomology_z2_basis(data: ChainComplexData, k: int) -> CohomologyBasis:
-    return CohomologyBasis(data, k)
+def homology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
+    """H_k(-; Z/2): cycles of d_k modulo the image of d_{k+1}."""
+    cycles = gf2.left_kernel_basis(data.gf2_rows(k)) if k else gf2.identity_rows(data.size(0))
+    return Z2QuotientBasis(k, cycles, data.gf2_rows(k + 1))
+
+
+def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
+    """H^k(-; Z/2): the same quotient on the transposed boundary maps."""
+    cocycles = gf2.right_kernel_basis(data.gf2_rows(k + 1), data.size(k))
+    coboundaries = gf2.transpose_rows(data.gf2_rows(k), data.size(k - 1))
+    return Z2QuotientBasis(k, cocycles, coboundaries)
 
 
 def coboundary(data: ChainComplexData, phi: int, k: int) -> int:
@@ -374,6 +361,34 @@ def is_cocycle(data: ChainComplexData, phi: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _splittings(data: ChainComplexData, k: int, l: int) -> List[Tuple[int, int, int]]:
+    """(top cell, front cell, back cell) indices of the cubical cup product.
+
+    Each (k+l)-cell splits its support into a front set A (|A| = k) and
+    its complement; the front face freezes the complement at -1, the back
+    face freezes A at +1.  Only splittings with both faces present are
+    listed.
+    """
+    vertices = data.cell_keys[0] if data.cell_keys else ()
+    if not vertices or not isinstance(vertices[0][0], tuple):
+        raise ValidationError("cup products need cubical chain data")
+    if k + l > data.top_dim:
+        return []
+    idx_k = data._index[k]
+    idx_l = data._index[l]
+    out: List[Tuple[int, int, int]] = []
+    for c, (support, signs) in enumerate(data.cell_keys[k + l]):
+        for front in combinations(support, k):
+            fi = idx_k.get((front, signs))
+            back_signs = signs
+            for x in front:
+                back_signs |= 1 << x
+            bi = idx_l.get((tuple(x for x in support if x not in front), back_signs))
+            if fi is not None and bi is not None:
+                out.append((c, fi, bi))
+    return out
+
+
 def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:
     """Cochain-level cup product on a cube complex.
 
@@ -383,33 +398,17 @@ def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:
     the back face (A frozen at +1).  Satisfies the Leibniz rule; graded
     commutativity holds only after passing to cohomology classes.
     """
-    if not data.cell_keys or not isinstance(data.cell_keys[0][0], tuple) or len(data.cell_keys[0][0]) != 2:
-        raise ValidationError("cup products need cubical chain data")
+    splittings = _splittings(data, k, l)
     if k + l > data.top_dim:
         return 0
     if not is_cocycle(data, a, k):
         warnings.warn("cup factor of degree %d is not a cocycle" % k, stacklevel=2)
     if not is_cocycle(data, b, l):
         warnings.warn("cup factor of degree %d is not a cocycle" % l, stacklevel=2)
-    idx_k = data._index[k]
-    idx_l = data._index[l]
     out = 0
-    for c_i, (support, signs) in enumerate(data.cell_keys[k + l]):
-        total = 0
-        for front in combinations(support, k):
-            front_cell = (front, signs)
-            fi = idx_k.get(front_cell)
-            if fi is None or not (a >> fi) & 1:
-                continue
-            back_support = tuple(x for x in support if x not in front)
-            back_signs = signs
-            for x in front:
-                back_signs |= 1 << x
-            bi = idx_l.get((back_support, back_signs))
-            if bi is not None and (b >> bi) & 1:
-                total ^= 1
-        if total:
-            out |= 1 << c_i
+    for c, fi, bi in splittings:
+        if (a >> fi) & 1 and (b >> bi) & 1:
+            out ^= 1 << c
     return out
 
 
@@ -508,7 +507,7 @@ class RestrictionMap:
 
 
 def restriction_map_z2(
-    selection: SubcomplexSelection, k: int, parent_basis: Optional[CohomologyBasis] = None
+    selection: SubcomplexSelection, k: int, parent_basis: Optional[Z2QuotientBasis] = None
 ) -> RestrictionMap:
     """Matrix of the restriction H^k(X) -> H^k(A) over Z/2."""
     basis_x = parent_basis if parent_basis is not None else cohomology_z2_basis(selection.parent, k)
@@ -518,50 +517,6 @@ def restriction_map_z2(
         for rep in basis_x.representatives
     )
     return RestrictionMap(rows=rows, dim_domain=basis_x.dimension, dim_target=basis_a.dimension)
-
-
-class HomologyZ2Basis:
-    """Basis of H_k(-; Z/2) with cycle representatives and coordinates."""
-
-    def __init__(self, data: ChainComplexData, k: int):
-        self.degree = k
-        if 1 <= k <= data.top_dim:
-            cycles = gf2.left_kernel_basis(data.gf2_rows(k))
-        else:
-            cycles = gf2.identity_rows(data.size(k))
-        boundary_rows = data.gf2_rows(k + 1) if k + 1 <= data.top_dim else []
-        self._pivots: Dict[int, Tuple[int, int]] = {}
-        for row in boundary_rows:
-            row, _ = self._reduce_tagged(row, 0)
-            if row:
-                self._pivots[gf2.lowbit(row)] = (row, 0)
-        reps: List[int] = []
-        for vec in cycles:
-            red, _ = self._reduce_tagged(vec, 0)
-            if red:
-                self._pivots[gf2.lowbit(red)] = (red, 1 << len(reps))
-                reps.append(red)
-        self.representatives = reps
-        self.dimension = len(reps)
-
-    def _reduce_tagged(self, v: int, tag: int) -> Tuple[int, int]:
-        while v:
-            hit = self._pivots.get(gf2.lowbit(v))
-            if hit is None:
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
-        return v, tag
-
-    def coordinates(self, cycle: int) -> int:
-        red, tag = self._reduce_tagged(cycle, 0)
-        if red:
-            raise ValidationError("vector is not a cycle of this complex")
-        return tag
-
-
-def homology_z2_basis(data: ChainComplexData, k: int) -> HomologyZ2Basis:
-    return HomologyZ2Basis(data, k)
 
 
 def inclusion_free_h1_matrix(

@@ -17,6 +17,7 @@ from . import gf2
 from .chains import (
     ChainComplexData,
     SubcomplexSelection,
+    _splittings,
     chain_complex_of,
     cohomology_z2_basis,
     homology,
@@ -131,35 +132,22 @@ def intersection_form(data: ChainComplexData) -> Tuple[List[int], List[int]]:
     cells; class-level well-definedness holds because the arguments are
     cocycles and the complex is closed.
     """
-    basis = cohomology_z2_basis(data, 2)
-    reps = basis.representatives
+    splittings = _splittings(data, 2, 2)
+    reps = cohomology_z2_basis(data, 2).representatives
     b2 = len(reps)
-    idx2 = data._index[2]
-    splittings: List[Tuple[int, int]] = []
-    from itertools import combinations as _comb
-
-    for support, signs in data.cell_keys[4]:
-        for front in _comb(support, 2):
-            fi = idx2.get((front, signs))
-            back_support = tuple(x for x in support if x not in front)
-            back_signs = signs | (1 << front[0]) | (1 << front[1])
-            bi = idx2.get((back_support, back_signs))
-            if fi is not None and bi is not None:
-                splittings.append((fi, bi))
+    # bit-sliced: bit s of front[i] (back[i]) is reps[i] on splitting s's front (back) face
+    cols = gf2.transpose_rows(reps, data.size(2))
+    front = gf2.transpose_rows([cols[fi] for _, fi, _ in splittings], b2)
+    back = gf2.transpose_rows([cols[bi] for _, _, bi in splittings], b2)
     rows = [0] * b2
     diag = [0] * b2
     for i in range(b2):
-        a = reps[i]
         for j in range(i, b2):
-            b = reps[j]
-            total = 0
-            for fi, bi in splittings:
-                total ^= ((a >> fi) & 1) & ((b >> bi) & 1)
-            if total:
+            if (front[i] & back[j]).bit_count() & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            if i == j:
-                diag[i] = total
+                if i == j:
+                    diag[i] = 1
     return rows, diag
 
 

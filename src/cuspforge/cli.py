@@ -26,7 +26,9 @@ from .errors import CuspforgeError, ValidationError
 from .filling import (
     DiagonalChoice,
     FillingChoice,
+    auto_diagonals,
     dehn_fill,
+    resolve_choice,
     subdivide_cross_facets,
 )
 from .lattice import FaceLattice
@@ -69,7 +71,7 @@ def _cmd_gosset(args) -> int:
 
 def _parse_choice_spec(spec: str, P) -> FillingChoice:
     if spec == "auto":
-        return FillingChoice({frozenset(v): 0 for v in P.ideal_vertices})
+        return resolve_choice(P, "auto")
     mapping: Dict = {}
     verts = sorted(P.ideal_vertices, key=sorted)
     for item in spec.split(","):
@@ -93,7 +95,7 @@ def _cmd_subdivide(args) -> int:
     lattice = FaceLattice.from_json(_read(args.infile))
     G = ingest_gosset(lattice.to_json(), lattice.rank)
     if args.diagonals == "auto":
-        d = DiagonalChoice({i: 0 for i in G.cross_facet_ids()})
+        d = auto_diagonals(G)
     else:
         pair_index = {}
         for item in args.diagonals.split(","):

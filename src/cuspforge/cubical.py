@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from .errors import ValidationError, check_budget
 from .simplicial import SimplicialComplex, build_simplicial
@@ -97,15 +97,6 @@ class CubicalComplex:
 
     def vertices(self) -> Tuple[Cell, ...]:
         return self.cells_of_dim(0)
-
-    def faces_of_cell(self, cell: Cell) -> List[Cell]:
-        support, signs = cell
-        out = []
-        for i in support:
-            rest = tuple(x for x in support if x != i)
-            out.append((rest, signs))
-            out.append((rest, signs | (1 << i)))
-        return out
 
     def support_complex(self) -> SimplicialComplex:
         """Simplicial complex of the nonempty supports appearing in cells."""

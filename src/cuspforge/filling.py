@@ -14,9 +14,10 @@ from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .errors import ValidationError
+from .isomorphism import find_isomorphism
 from .lattice import FaceLattice, dualize
-from .polytopes import CROSS, GossetPolytope, IdealPolytope
-from .simplicial import SimplicialComplex, build_simplicial
+from .polytopes import CROSS, GossetPolytope, IdealPolytope, ideal_dual
+from .simplicial import SimplicialComplex, build_simplicial, octahedron_boundary
 
 VertexKey = FrozenSet[int]
 
@@ -44,11 +45,6 @@ class DehnFilling:
 
     lattice: FaceLattice
     filling_faces: Dict[VertexKey, FrozenSet[int]]
-
-
-def axis_count(P: IdealPolytope) -> int:
-    """Axes available at each ideal vertex (n-1 for cube links)."""
-    return P.n - 1
 
 
 def enumerate_filling_choices(P: IdealPolytope) -> Iterator[FillingChoice]:
@@ -106,9 +102,30 @@ def is_simple(P: FaceLattice) -> bool:
     return P.is_simple()
 
 
+def resolve_choice(P: IdealPolytope, spec) -> FillingChoice:
+    """A filling choice from a {vertex: axis index} mapping or "auto".
+
+    "auto" picks the cube filling (the one dual to the octahedron) in
+    dimension 3 and axis 0 at every ideal vertex otherwise.
+    """
+    if isinstance(spec, dict):
+        by_vertex = {frozenset(k): v for k, v in spec.items()}
+        return FillingChoice(by_vertex)
+    if spec != "auto":
+        raise ValidationError(f"unknown choice spec {spec!r}")
+    if P.n == 3:
+        # prefer a filling whose dual is the octahedron (the cube filling)
+        target = octahedron_boundary()
+        for c in enumerate_filling_choices(P):
+            filled = dehn_fill(P, c)
+            if find_isomorphism(dualize(filled.lattice), target) is not None:
+                return c
+    return FillingChoice({frozenset(v): 0 for v in P.ideal_vertices})
+
+
 def auto_diagonals(G: GossetPolytope) -> DiagonalChoice:
-    """Lexicographically least diagonal in every cross-polytope facet."""
-    return DiagonalChoice({i: 0 for i in G.cross_facet_ids()})
+    """The diagonals dual to the "auto" filling choice of G's ideal dual."""
+    return diagonals_from_filling(G, resolve_choice(ideal_dual(G), "auto"))
 
 
 def diagonals_from_filling(G: GossetPolytope, choice: FillingChoice) -> DiagonalChoice:

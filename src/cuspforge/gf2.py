@@ -17,49 +17,6 @@ def lowbit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class GF2Matrix:
-    """Immutable bit-packed matrix over GF(2)."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows: Sequence[int], ncols: int):
-        self.rows = list(rows)
-        self.ncols = ncols
-
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]]) -> "GF2Matrix":
-        ncols = len(entries[0]) if entries else 0
-        rows = []
-        for r in entries:
-            acc = 0
-            for j, v in enumerate(r):
-                if v & 1:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(rows, ncols)
-
-    def to_dense(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return len(reduce_rows(self.rows))
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(transpose_rows(self.rows, self.ncols), len(self.rows))
-
-    def mul_vector(self, x: int) -> int:
-        """Matrix times column vector: bit i of the result is <row_i, x>."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r & x).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-
 def reduce_rows(rows: Iterable[int]) -> Dict[int, int]:
     """Row reduce; returns {pivot column: reduced row}."""
     pivots: Dict[int, int] = {}
@@ -105,33 +62,38 @@ def rank_of_rows(rows: Iterable[int]) -> int:
     return len(reduce_rows(rows))
 
 
-def span_dimension(vectors: Iterable[int]) -> int:
-    return rank_of_rows(vectors)
+def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0) -> Tuple[int, int]:
+    """Reduce v against {pivot column: (row, tag)} (lowest-bit pivots).
+
+    Returns (residue, tag xor the tags of every row used), so a tag
+    records which combination of inputs the residue differs from v by.
+    """
+    while v:
+        hit = pivots.get(lowbit(v))
+        if hit is None:
+            break
+        v ^= hit[0]
+        tag ^= hit[1]
+    return v, tag
 
 
-def in_span(v: int, pivots: Dict[int, int]) -> bool:
-    return reduce_vector(v, pivots) == 0
-
-
-def left_kernel_basis(rows: Sequence[int]) -> List[int]:
-    """Basis of {x : sum of rows selected by x is 0}, one bitmask per vector."""
-    n = len(rows)
-    pivots: Dict[int, Tuple[int, int]] = {}  # pivot col -> (row, tag)
+def _tagged_pivots(rows: Sequence[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+    """Row reduce with tags (bit i = input row i): the pivots, and the tags
+    of the rows that reduced to zero."""
+    pivots: Dict[int, Tuple[int, int]] = {}
     kernel: List[int] = []
     for i, row in enumerate(rows):
-        tag = 1 << i
-        while row:
-            p = lowbit(row)
-            hit = pivots.get(p)
-            if hit is None:
-                break
-            row ^= hit[0]
-            tag ^= hit[1]
+        row, tag = reduce_tagged(row, pivots, 1 << i)
         if row:
             pivots[lowbit(row)] = (row, tag)
         else:
             kernel.append(tag)
-    return kernel
+    return pivots, kernel
+
+
+def left_kernel_basis(rows: Sequence[int]) -> List[int]:
+    """Basis of {x : sum of rows selected by x is 0}, one bitmask per vector."""
+    return _tagged_pivots(rows)[1]
 
 
 def right_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
@@ -141,39 +103,8 @@ def right_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
 
 def solve_rows(rows: Sequence[int], target: int) -> Optional[int]:
     """Find x (bitmask over rows) with xor of selected rows == target, or None."""
-    pivots: Dict[int, Tuple[int, int]] = {}
-    for i, row in enumerate(rows):
-        tag = 1 << i
-        while row:
-            p = lowbit(row)
-            hit = pivots.get(p)
-            if hit is None:
-                break
-            row ^= hit[0]
-            tag ^= hit[1]
-        if row:
-            pivots[lowbit(row)] = (row, tag)
-    x = 0
-    while target:
-        p = lowbit(target)
-        hit = pivots.get(p)
-        if hit is None:
-            return None
-        target ^= hit[0]
-        x ^= hit[1]
-    return x
-
-
-def quotient_basis(vectors: Sequence[int], subspace_rows: Sequence[int]) -> List[int]:
-    """Representatives of a basis of span(vectors) / span(subspace_rows)."""
-    pivots = reduce_rows(subspace_rows)
-    reps: List[int] = []
-    for v in vectors:
-        red = reduce_vector(v, pivots)
-        if red:
-            pivots[lowbit(red)] = red
-            reps.append(v)
-    return reps
+    residue, x = reduce_tagged(target, _tagged_pivots(rows)[0])
+    return None if residue else x
 
 
 def transpose_rows(rows: Sequence[int], ncols: int) -> List[int]:

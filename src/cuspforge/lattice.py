@@ -123,16 +123,6 @@ class FaceLattice:
         base = frozenset(facet_set)
         return [(k, s) for k, s in self.faces if s <= base]
 
-    def cofaces_of(self, facet_set: Iterable[int]) -> List[Face]:
-        """Faces below the given one (larger facet sets), itself included."""
-        base = frozenset(facet_set)
-        return [(k, s) for k, s in self.faces if s >= base]
-
-    def vertex_set_of(self, facet_set: Iterable[int]) -> FrozenSet[FrozenSet[int]]:
-        """Vertices of a face, as their facet sets (atomicity of the lattice)."""
-        base = frozenset(facet_set)
-        return frozenset(s for k, s in self.faces if k == 0 and s >= base)
-
     # -- structural checks -------------------------------------------------
 
     def lattice_check(self, max_pairs: Optional[int] = None) -> bool:
@@ -282,33 +272,6 @@ def faces_from_facet_vertex_sets(
                 raise ValidationError("face poset is not graded")
             dim[face] = ds.pop() + 1
     return sorted(dim.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
-
-
-def lattice_from_facet_vertex_sets(
-    rank: int,
-    facet_vertex_sets: Sequence[Iterable[int]],
-    ideal_vertex_ids: Iterable[int] = (),
-) -> FaceLattice:
-    """Build the facet-incidence lattice from facet vertex sets.
-
-    ``ideal_vertex_ids`` marks polytope vertices (by their vertex id in
-    the facet vertex sets) whose rank-0 faces should be tagged ideal.
-    """
-    facets = [frozenset(f) for f in facet_vertex_sets]
-    graded = faces_from_facet_vertex_sets(facets)
-    top_dim = max(d for _, d in graded)
-    if top_dim != rank - 1:
-        raise ValidationError(f"facet dimension {top_dim} does not match rank {rank}")
-    ideal = set(ideal_vertex_ids)
-    faces: List[Tuple[int, FrozenSet[int]]] = []
-    marks: Dict[FrozenSet[int], str] = {}
-    for vset, d in graded:
-        fs = frozenset(i for i, f in enumerate(facets) if vset <= f)
-        faces.append((d, fs))
-        if d == 0:
-            (v,) = vset
-            marks[fs] = IDEAL if v in ideal else REAL
-    return FaceLattice(rank, len(facets), faces, marks)
 
 
 # -- stock lattices ----------------------------------------------------------

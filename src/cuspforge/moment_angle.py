@@ -17,6 +17,7 @@ Three manifold models appear here:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -102,7 +103,7 @@ class Colouring:
             raise ValidationError("colouring size does not match the facet count")
         for _, s in lattice.faces:
             vecs = [self.vectors[i] for i in s]
-            if gf2.span_dimension(vecs) != len(vecs):
+            if gf2.rank_of_rows(vecs) != len(vecs):
                 return False
         return True
 
@@ -260,12 +261,6 @@ class QuotientCellComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(b) for d, b in enumerate(self.cells))
 
-    def rank_of_face(self, gid: int) -> int:
-        return self.dim if gid == self.top_id else self.lattice.faces[gid][0]
-
-    def facet_set_of(self, gid: int) -> FrozenSet[int]:
-        return frozenset() if gid == self.top_id else self.lattice.faces[gid][1]
-
     def to_chain_data(self, coeff: str = "Z2") -> ChainComplexData:
         index: List[Dict[Tuple[int, int], int]] = [
             {cell: i for i, cell in enumerate(bucket)} for bucket in self.cells
@@ -422,7 +417,7 @@ def cusp_census(P: IdealPolytope, colouring: Optional[Colouring] = None) -> Cusp
     total = 0
     for v in P.ideal_vertices:
         m_v = len(v)
-        span = gf2.span_dimension([colouring.vectors[i] for i in v])
+        span = gf2.rank_of_rows([colouring.vectors[i] for i in v])
         count = 1 << (colouring.k - span)
         entries.append(CuspEntry(
             vertex=tuple(sorted(v)),
@@ -437,6 +432,24 @@ def cusp_census(P: IdealPolytope, colouring: Optional[Colouring] = None) -> Cusp
 # ---------------------------------------------------------------------------
 # preimages of filling faces
 # ---------------------------------------------------------------------------
+
+
+def _component_roots(n: int, merges: Iterable[Tuple[int, int]]) -> List[int]:
+    """Union-find over 0..n-1: the class representative of each element
+    after merging every pair in ``merges``."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in merges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    return [find(i) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -467,30 +480,12 @@ def preimage_components(
     if not copies:
         raise ValidationError(f"no cells supported on {pair}")
     index = {c: i for i, c in enumerate(copies)}
-    parent = list(range(len(copies)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
+    merges = []
     for sup, signs in Zbar.cells_of_dim(3):
         if pair[0] in sup and pair[1] in sup:
             (extra,) = [x for x in sup if x not in pair]
-            a = index[(pair, signs)]
-            b = index[(pair, signs | (1 << extra))]
-            union(a, b)
-    sizes: Dict[int, int] = {}
-    for i in range(len(copies)):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    per = tuple(sorted(sizes.values()))
+            merges.append((index[(pair, signs)], index[(pair, signs | (1 << extra))]))
+    per = tuple(sorted(Counter(_component_roots(len(copies), merges)).values()))
     return PreimageReport(copies=len(copies), components=len(per), cells_per_component=per)
 
 
@@ -574,24 +569,12 @@ def truncated_quotient(
         top_dim = Q.dim - 1
         tops = cells[top_dim]
         index = {c: i for i, c in enumerate(tops)}
-        parent = list(range(len(tops)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-
         # two cube copies meet along each codim-1 boundary cell
         cube_gid = next(
             gid for gid, (k, s) in enumerate(trunc.lattice.faces)
             if k == Q.dim - 1 and s == frozenset({cid})
         )
+        merges = []
         for gid, rep in cells[top_dim - 1]:
             s = trunc.lattice.faces[gid][1]
             coloured = [x for x in s if Q.colours[x] is not None]
@@ -600,16 +583,17 @@ def truncated_quotient(
             lam = Q.colours[coloured[0]]
             a = index[(cube_gid, Q.rep_of(cube_gid, rep))]
             b = index[(cube_gid, Q.rep_of(cube_gid, rep ^ lam))]
-            union(a, b)
+            merges.append((a, b))
+        root_of = _component_roots(len(tops), merges)
         roots: Dict[int, int] = {}
-        for i in range(len(tops)):
-            roots.setdefault(find(i), len(roots))
+        for r in root_of:
+            roots.setdefault(r, len(roots))
         buckets: List[List[List[Tuple[int, int]]]] = [
             [[] for _ in range(top_dim + 1)] for _ in roots
         ]
         for d in range(top_dim + 1):
             for gid, rep in cells[d]:
-                comp = roots[find(index[(cube_gid, Q.rep_of(cube_gid, rep))])]
+                comp = roots[root_of[index[(cube_gid, Q.rep_of(cube_gid, rep))]]]
                 buckets[comp][d].append((gid, rep))
         for comp_id in range(len(roots)):
             components.append(CuspComponent(

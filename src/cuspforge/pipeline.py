@@ -30,15 +30,15 @@ from .cubical import CubicalComplex
 from .errors import CuspforgeError, ValidationError
 from .filling import (
     DehnFilling,
-    FillingChoice,
     dehn_fill,
     diagonals_from_filling,
     duality_check,
     enumerate_filling_choices,
+    resolve_choice,
     subdivide_cross_facets,
 )
 from .isomorphism import find_isomorphism
-from .lattice import cube_lattice, dualize, polygon_lattice
+from .lattice import cube_lattice, polygon_lattice
 from .moment_angle import (
     Colouring,
     CuspCensus,
@@ -48,7 +48,7 @@ from .moment_angle import (
     preimage_components,
     real_moment_angle,
 )
-from .polytopes import IdealPolytope, gosset, ideal_dual
+from .polytopes import gosset, ideal_dual
 from .simplicial import (
     boundary_of_simplex,
     cycle_complex,
@@ -106,22 +106,6 @@ def _write(outdir: Optional[str], name: str, payload: str, artifacts: Dict[str, 
     artifacts[name] = path
 
 
-def _resolve_choice(P: IdealPolytope, spec) -> FillingChoice:
-    if isinstance(spec, dict):
-        by_vertex = {frozenset(k): v for k, v in spec.items()}
-        return FillingChoice(by_vertex)
-    if spec != "auto":
-        raise ValidationError(f"unknown choice spec {spec!r}")
-    if P.n == 3:
-        # prefer a filling whose dual is the octahedron (the cube filling)
-        target = octahedron_boundary()
-        for c in enumerate_filling_choices(P):
-            filled = dehn_fill(P, c)
-            if find_isomorphism(dualize(filled.lattice), target) is not None:
-                return c
-    return FillingChoice({frozenset(v): 0 for v in P.ideal_vertices})
-
-
 def census_json(census) -> str:
     return json.dumps(
         {
@@ -172,7 +156,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.census_only:
         return PipelineResult(cfg, census, None, facts, artifacts)
 
-    choice = stage("choices", lambda: _resolve_choice(P, cfg.choices))
+    choice = stage("choices", lambda: resolve_choice(P, cfg.choices))
     filled: DehnFilling = stage("fill", lambda: dehn_fill(P, choice))
     _write(cfg.outdir, f"p{n}bar.json", filled.lattice.to_json(), artifacts)
     K = stage("subdivide", lambda: subdivide_cross_facets(G, diagonals_from_filling(G, choice)))
@@ -326,7 +310,7 @@ def _suite_census() -> List[Tuple[str, bool]]:
         census = cusp_census(P)
         out.append((f"census total for dimension {n} is {expected}",
                     census.total == expected))
-        choice = _resolve_choice(P, "auto")
+        choice = resolve_choice(P, "auto")
         filled = dehn_fill(P, choice)
         Z = colour_manifold(filled.lattice, Colouring.distinct(P.num_facets))
         pairs = list(filled.filling_faces.values())

@@ -71,13 +71,6 @@ class GossetPolytope:
     graded_faces: Optional[Tuple[Tuple[FrozenSet[int], int], ...]]
     vertex_coordinates: Optional[Tuple[Tuple[int, ...], ...]] = None
 
-    def vertex_facet_sets(self) -> List[FrozenSet[int]]:
-        out: List[set] = [set() for _ in range(self.num_vertices)]
-        for i, fv in enumerate(self.facet_vertex_sets):
-            for v in fv:
-                out[v].add(i)
-        return [frozenset(s) for s in out]
-
     def cross_facet_ids(self) -> List[int]:
         return [i for i, t in enumerate(self.facet_types) if t == CROSS]
 

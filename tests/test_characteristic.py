@@ -2,13 +2,20 @@
 
 import pytest
 
-from cuspforge.chains import chain_complex_of, subcomplex_selection
+from cuspforge.chains import (
+    chain_complex_of,
+    cohomology_z2_basis,
+    cup_product,
+    homology_z2_basis,
+    subcomplex_selection,
+)
 from cuspforge.characteristic import (
     BOUNDING,
     LIE,
     UNDETERMINED,
     bounding_filling_certificate,
     dirac_label,
+    intersection_form,
     lie_cusp_certificate,
     orientability,
     spin_obstruction,
@@ -78,6 +85,85 @@ def test_spin_obstruction_invariant_under_relabelling():
     a = spin_obstruction(t4)
     b = spin_obstruction(relabelled)
     assert a.vanishes == b.vanishes and a.b2 == b.b2
+
+
+def test_cup_products_refuse_non_cubical_cells():
+    # a non-distinct colouring gives polytopal cells keyed (face id, coset)
+    Q = colour_manifold(cube_lattice(4), Colouring(4, (1, 1, 2, 2, 4, 4, 8, 8)))
+    data = chain_complex_of(Q, "Z2")
+    with pytest.raises(ValidationError):
+        cup_product(data, 0, 0, 1, 1)
+    with pytest.raises(ValidationError):
+        spin_obstruction(Q, data)
+
+
+def _intersection_form_oracle(data):
+    """Reference form: every basis pair summed over every splitting, one bit at a time."""
+    basis = cohomology_z2_basis(data, 2)
+    reps = basis.representatives
+    b2 = len(reps)
+    idx2 = data._index[2]
+    splittings = []
+    from itertools import combinations as _comb
+
+    for support, signs in data.cell_keys[4]:
+        for front in _comb(support, 2):
+            fi = idx2.get((front, signs))
+            back_support = tuple(x for x in support if x not in front)
+            back_signs = signs | (1 << front[0]) | (1 << front[1])
+            bi = idx2.get((back_support, back_signs))
+            if fi is not None and bi is not None:
+                splittings.append((fi, bi))
+    rows = [0] * b2
+    diag = [0] * b2
+    for i in range(b2):
+        a = reps[i]
+        for j in range(i, b2):
+            b = reps[j]
+            total = 0
+            for fi, bi in splittings:
+                total ^= ((a >> fi) & 1) & ((b >> bi) & 1)
+            if total:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            if i == j:
+                diag[i] = total
+    return rows, diag
+
+
+def _join(A, B):
+    m = A.vertex_count
+    tops = [a + tuple(m + x for x in b) for a in A.facets for b in B.facets]
+    return build_simplicial(tops, m + B.vertex_count)
+
+
+@pytest.fixture(scope="module")
+def closed_4_manifolds():
+    t4 = colour_manifold(cube_lattice(4), Colouring.distinct(8))
+    # T^2 x (genus-5 surface), b2 = 22
+    t2_sigma5 = real_moment_angle(_join(cycle_complex(4), cycle_complex(5)))
+    out = {}
+    for name, Z in (("t4", t4), ("t2_sigma5", t2_sigma5)):
+        m = Z.ambient
+        out[name] = chain_complex_of(Z, "Z2")
+        out[name + "_relabelled"] = chain_complex_of(
+            Z.relabel({i: (5 * i + 1) % m for i in range(m)}), "Z2"
+        )
+    return out
+
+
+def test_bit_sliced_intersection_form_matches_pairwise_oracle(closed_4_manifolds):
+    for name, data in closed_4_manifolds.items():
+        rows, diag = intersection_form(data)
+        assert (rows, diag) == _intersection_form_oracle(data), name
+    assert len(intersection_form(closed_4_manifolds["t2_sigma5"])[0]) == 22
+
+
+def test_homology_and_cohomology_bases_agree_in_dimension(closed_4_manifolds):
+    for name, data in closed_4_manifolds.items():
+        for k in range(data.top_dim + 1):
+            h = homology_z2_basis(data, k).dimension
+            assert h == cohomology_z2_basis(data, k).dimension, (name, k)
 
 
 def test_spin_structure_counts():

@@ -1,9 +1,23 @@
 """Command-line interface: flows, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
 from cuspforge.cli import main
+from cuspforge.pipeline import PipelineConfig, run_pipeline
+
+# sha256 of every n=3 preset artifact: refactors must keep them byte-identical
+N3_ARTIFACT_SHA256 = {
+    "census.json": "99b1b81f3dbe51438458a396432f7493fffaa9e9ec499a93429277d8019b77c2",
+    "g3.json": "a8e71f2fbbcb1ad2793b4592eaebd72fef072e661649cbdb4adf080ff8f6fcb0",
+    "k2.json": "12a99d1a88cb06fc0862e57455fbad00bde21667e60f5b2d95a63187bd6c08ba",
+    "m3bar.json": "15b5275a4bd6ca1c6845fa2e5bdbcafe1b0da749482006b75ba5c9e4d5f7b28f",
+    "m3bar.rzk1": "73804cfab82cf6d7bc82b877412577b83d7802a0d44d292ca7278bc01a8bb5ab",
+    "p3.json": "b778c9609ff051dcaff4ecbc8a5b2de0c253e4bbc2e50b7540c045ed1135abf2",
+    "p3bar.json": "cbc82a4c97effb89cb21d11c7f4695e747645aecd264991b65b1ad86796df951",
+    "report.json": "aadc7a1a038364c4014769bcef9fdcf3359d3d5b20ce79ebd177359b35f41311",
+}
 
 
 def run(argv):
@@ -88,6 +102,27 @@ def test_pipeline_determinism(tmp_path):
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
         assert b1 == b2, f"artifact {name} differs between runs"
+
+
+def test_pipeline_n3_artifacts_match_recorded_digests(tmp_path):
+    result = run_pipeline(PipelineConfig(n=3, outdir=str(tmp_path)))
+    digests = {}
+    for name, path in result.artifacts.items():
+        with open(path, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == N3_ARTIFACT_SHA256
+
+
+def test_auto_fill_and_subdivide_match_the_pipeline(tmp_path):
+    outdir = tmp_path / "run"
+    assert run(["pipeline", "--n", "3", "--outdir", str(outdir)]) == 0
+    p3bar = tmp_path / "p3bar.json"
+    k2 = tmp_path / "k2.json"
+    assert run(["fill", "--in", str(outdir / "p3.json"), "--choices", "auto",
+                "--out", str(p3bar)]) == 0
+    assert run(["subdivide", "--in", str(outdir / "g3.json"), "--out", str(k2)]) == 0
+    assert p3bar.read_text() == (outdir / "p3bar.json").read_text()
+    assert k2.read_text() == (outdir / "k2.json").read_text()
 
 
 def test_every_artifact_roundtrips(tmp_path):

@@ -36,7 +36,7 @@ from .chains import (
     restriction_map_z2,
     subcomplex_selection,
 )
-from .cubical import CubicalComplex, link_of_vertex
+from .cubical import CubicalComplex
 from .errors import BudgetError, CertificateError, CuspforgeError, ValidationError
 from .filling import (
     DehnFilling,

@@ -22,7 +22,7 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology
 from .cubical import CubicalComplex
-from .errors import CuspforgeError, ValidationError
+from .errors import CuspforgeError, ValidationError, json_document
 from .filling import (
     DiagonalChoice,
     FillingChoice,
@@ -57,6 +57,16 @@ def _load_cubical(path: str) -> CubicalComplex:
         with open(path, "rb") as fh:
             return CubicalComplex.from_rzk1(fh.read())
     return CubicalComplex.from_json(_read(path))
+
+
+def _load_complex(path: str):
+    """A cubical complex (RZK1 or JSON) or a simplicial complex (JSON)."""
+    if path.endswith(".rzk1"):
+        return _load_cubical(path)
+    text = _read(path)
+    if json_document(text, "cubical", "simplicial")["type"] == "cubical":
+        return CubicalComplex.from_json(text)
+    return SimplicialComplex.from_json(text)
 
 
 def _cmd_gosset(args) -> int:
@@ -141,18 +151,7 @@ def _cmd_colour(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    text = _load_cubical(args.infile) if args.infile.endswith((".rzk1",)) else None
-    if text is None:
-        raw = _read(args.infile)
-        doc = json.loads(raw)
-        if doc.get("type") == "cubical":
-            X = CubicalComplex.from_json(raw)
-        elif doc.get("type") == "simplicial":
-            X = SimplicialComplex.from_json(raw)
-        else:
-            raise ValidationError("homology expects a simplicial or cubical document")
-    else:
-        X = text
+    X = _load_complex(args.infile)
     coeff = "Z2" if args.coeff.lower() in ("z2", "gf2") else "Z"
     result = homology(chain_complex_of(X, coeff))
     payload = {"betti": list(result.betti),

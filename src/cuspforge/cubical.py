@@ -12,19 +12,14 @@ import json
 import struct
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from .errors import ValidationError, check_budget
+from . import gf2
+from .errors import ValidationError, check_budget, json_document, json_int
 from .simplicial import SimplicialComplex, build_simplicial
 
 Cell = Tuple[Tuple[int, ...], int]
 
 RZK1_MAGIC = b"RZK1"
-
-
-def support_mask(support: Iterable[int]) -> int:
-    mask = 0
-    for i in support:
-        mask |= 1 << i
-    return mask
+RZK1_CELL = struct.Struct("<IQ")
 
 
 class CubicalComplex:
@@ -35,7 +30,6 @@ class CubicalComplex:
     def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
         if ambient < 0:
             raise ValidationError("ambient rank must be nonnegative")
-        full = (1 << ambient) - 1
         by_dim: Dict[int, Set[Cell]] = {}
         count = 0
         for support, signs in cells:
@@ -44,8 +38,7 @@ class CubicalComplex:
                 raise ValidationError(f"support {sup} outside ambient {ambient}")
             if len(set(sup)) != len(sup):
                 raise ValidationError(f"repeated index in support {sup}")
-            mask = support_mask(sup)
-            if signs & ~full or signs & mask:
+            if signs >> ambient or signs & gf2.vector_from_indices(sup):
                 raise ValidationError("sign bits overlap the support or exceed ambient")
             count += 1
             by_dim.setdefault(len(sup), set()).add((sup, signs))
@@ -100,27 +93,35 @@ class CubicalComplex:
 
     def support_complex(self) -> SimplicialComplex:
         """Simplicial complex of the nonempty supports appearing in cells."""
-        supports = {sup for sup in
-                    (c[0] for cs in self.cells.values() for c in cs) if sup}
-        maximal = [s for s in supports if not any(set(s) < set(t) for t in supports)]
-        if not maximal:
+        supports = {sup for d in range(1, self.dim + 1) for sup, _ in self.cells_of_dim(d)}
+        if not supports:
             raise ValidationError("complex has no positive-dimensional cells")
-        return build_simplicial(sorted(maximal), self.ambient)
+        return build_simplicial(sorted(supports), self.ambient)
+
+    def vertex_links(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
+        """Sign pattern of each vertex -> supports of the cells incident to it.
+
+        Cell (support, signs) is incident to the vertices signs | t for
+        every t inside the support, so one pass over the cells of every
+        positive dimension gives all labelled links, pure or not.  An
+        isolated vertex maps to the empty set.
+        """
+        found: Dict[int, Set[Tuple[int, ...]]] = {signs: set() for _, signs in self.vertices()}
+        for d in range(1, self.dim + 1):
+            for sup, signs in self.cells_of_dim(d):
+                for t in gf2.submasks(gf2.vector_from_indices(sup)):
+                    found[signs | t].add(sup)
+        return {v: frozenset(sups) for v, sups in found.items()}
 
     def link_of_vertex(self, vertex: Cell) -> SimplicialComplex:
         """Supports of the cells incident to a vertex, as a complex."""
         support, signs = vertex
         if support or vertex not in self._cell_set:
             raise ValidationError(f"{vertex} is not a vertex of the complex")
-        found = []
-        for d in range(1, self.dim + 1):
-            for sup, sg in self.cells_of_dim(d):
-                if signs & ~support_mask(sup) == sg:
-                    found.append(sup)
+        found = self.vertex_links()[signs]
         if not found:
             raise ValidationError("vertex is isolated; its link is empty")
-        maximal = [s for s in found if not any(set(s) < set(t) for t in found)]
-        return build_simplicial(sorted(maximal), self.ambient)
+        return build_simplicial(sorted(found), self.ambient)
 
     # -- symmetries ----------------------------------------------------------
 
@@ -146,10 +147,7 @@ class CubicalComplex:
         for cs in self.cells.values():
             for support, signs in cs:
                 sup = tuple(sorted(perm[i] for i in support))
-                sg = 0
-                for i in range(self.ambient):
-                    if i not in support and (signs >> i) & 1:
-                        sg |= 1 << perm[i]
+                sg = gf2.vector_from_indices(perm[i] for i in gf2.indices_of_vector(signs))
                 new_cells.append((sup, sg))
         return CubicalComplex(self.ambient, new_cells, validate=False)
 
@@ -166,11 +164,13 @@ class CubicalComplex:
 
     @classmethod
     def from_json(cls, text: str, budget: Optional[int] = None) -> "CubicalComplex":
-        data = json.loads(text)
-        if data.get("type") != "cubical":
-            raise ValidationError("not a cubical-complex document")
-        cells = [(tuple(sup), int(sg)) for sup, sg in data["cells"]]
-        return cls(int(data["ambient"]), cells, budget=budget)
+        data = json_document(text, "cubical")
+        try:
+            ambient = json_int(data["ambient"])
+            cells = [(tuple(map(json_int, sup)), json_int(sg)) for sup, sg in data["cells"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed cubical document: {exc!r}") from exc
+        return cls(ambient, cells, budget=budget)
 
     def to_rzk1(self) -> bytes:
         """Compact binary cell table: u32 support mask, u64 sign mask per cell."""
@@ -179,21 +179,25 @@ class CubicalComplex:
         out = [RZK1_MAGIC, struct.pack("<II", self.ambient, self.num_cells())]
         for d in range(self.dim + 1):
             for sup, sg in self.cells_of_dim(d):
-                out.append(struct.pack("<IQ", support_mask(sup), sg))
+                out.append(RZK1_CELL.pack(gf2.vector_from_indices(sup), sg))
         return b"".join(out)
 
     @classmethod
     def from_rzk1(cls, blob: bytes, budget: Optional[int] = None) -> "CubicalComplex":
+        """Read a cell table; its length must be exactly 12 + 12 * count."""
         if blob[:4] != RZK1_MAGIC:
             raise ValidationError("bad magic; not an RZK1 cell table")
+        if len(blob) < 12:
+            raise ValidationError("truncated RZK1 header")
         ambient, count = struct.unpack_from("<II", blob, 4)
-        cells = []
-        offset = 12
-        for _ in range(count):
-            mask, sg = struct.unpack_from("<IQ", blob, offset)
-            offset += 12
-            support = tuple(i for i in range(ambient) if (mask >> i) & 1)
-            cells.append((support, sg))
+        expected = 12 + RZK1_CELL.size * count
+        if len(blob) != expected:
+            raise ValidationError(
+                f"RZK1 table of {count} cells needs {expected} bytes, got {len(blob)}")
+        if ambient > 32:
+            raise ValidationError("RZK1 format caps the ambient rank at 32")
+        cells = [(tuple(gf2.indices_of_vector(mask)), sg)
+                 for mask, sg in RZK1_CELL.iter_unpack(blob[12:])]
         return cls(ambient, cells, budget=budget)
 
     def __eq__(self, other: object) -> bool:
@@ -209,17 +213,3 @@ class CubicalComplex:
     def __repr__(self) -> str:
         return f"CubicalComplex(ambient={self.ambient}, cells={self.num_cells()}, dim={self.dim})"
 
-
-def link_of_vertex(X, v) -> SimplicialComplex:
-    """Vertex link, for simplicial or cubical input.
-
-    Simplicial: the usual link.  Cubical: the complex of supports of the
-    cells incident to the vertex (pass the vertex cell or its sign int).
-    """
-    if isinstance(X, SimplicialComplex):
-        return X.link_of_vertex(v)
-    if isinstance(X, CubicalComplex):
-        if isinstance(v, int):
-            v = ((), v)
-        return X.link_of_vertex(v)
-    raise ValidationError(f"no link operation for {type(X).__name__}")

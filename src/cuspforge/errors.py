@@ -1,4 +1,4 @@
-"""Exception hierarchy and the cell-budget guard.
+"""Exception hierarchy, the cell-budget guard and the JSON document guard.
 
 Exit-code mapping used by the CLI: validation failures exit 2, budget
 overruns exit 3, certificate failures exit 4.
@@ -6,6 +6,7 @@ overruns exit 3, certificate failures exit 4.
 
 from __future__ import annotations
 
+import json
 import os
 
 DEFAULT_CELL_BUDGET = 1 << 22
@@ -57,3 +58,25 @@ def check_budget(n_cells: int, budget: int | None = None) -> None:
     cap = cell_budget(budget)
     if n_cells > cap:
         raise BudgetError(f"construction needs {n_cells} cells, budget is {cap}")
+
+
+def json_document(text: str, *kinds: str) -> dict:
+    """Parse a JSON object whose "type" is one of ``kinds``.
+
+    Bad JSON, a non-object or another type raises ValidationError, so
+    readers fail with exit code 2 instead of a traceback.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"not a JSON document: {exc}") from exc
+    if not isinstance(data, dict) or data.get("type") not in kinds:
+        raise ValidationError(f"not a {' or '.join(kinds)} document")
+    return data
+
+
+def json_int(value) -> int:
+    """A JSON integer field; floats, strings and booleans raise ValidationError."""
+    if type(value) is not int:
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return value

@@ -10,12 +10,12 @@ cross-polytope facet of the Gosset polytope along a chosen diagonal;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .errors import ValidationError
 from .isomorphism import find_isomorphism
-from .lattice import FaceLattice, dualize
+from .lattice import FaceLattice, cube_faces, dualize
 from .polytopes import CROSS, GossetPolytope, IdealPolytope, ideal_dual
 from .simplicial import SimplicialComplex, build_simplicial, octahedron_boundary
 
@@ -86,10 +86,7 @@ def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
         others = [axes[j] for j in range(len(axes)) if j != idx]
         filling_faces[v] = chosen
         faces.append((n - 2, chosen))
-        for t in range(1, len(others) + 1):
-            for picked_axes in combinations(others, t):
-                for signs in product(*picked_axes):
-                    faces.append((n - 2 - t, chosen | frozenset(signs)))
+        faces.extend((n - 2 - t, chosen | fs) for t, fs in cube_faces(others))
 
     lattice = FaceLattice(n, P.lattice.num_facets, faces)
     if not lattice.is_simple():

@@ -7,7 +7,7 @@ every routine is deterministic for a fixed input ordering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,6 +138,16 @@ def vector_from_indices(indices: Iterable[int]) -> int:
     for i in indices:
         acc |= 1 << i
     return acc
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every v with v & ~mask == 0, in increasing order from 0 to mask."""
+    v = 0
+    while True:
+        yield v
+        if v == mask:
+            return
+        v = (v - mask) & mask
 
 
 def indices_of_vector(v: int) -> List[int]:

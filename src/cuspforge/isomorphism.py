@@ -128,27 +128,11 @@ def cubical_isomorphism(Z1, Z2) -> Optional[Dict[int, int]]:
     if Z1.ambient != Z2.ambient or Z1.cell_counts() != Z2.cell_counts():
         return None
     m = Z1.ambient
-    K1 = Z1.support_complex()
-    K2 = Z2.support_complex()
-    cells2 = Z2.cell_set()
-    for iso in find_isomorphisms(K1, K2):
+    for iso in find_isomorphisms(Z1.support_complex(), Z2.support_complex()):
         perm = dict(iso)
         left = sorted(set(range(m)) - set(perm))
         right = sorted(set(range(m)) - set(perm.values()))
         perm.update(zip(left, right))
-        ok = True
-        for dim in range(Z1.dim + 1):
-            for support, signs in Z1.cells_of_dim(dim):
-                new_support = tuple(sorted(perm[i] for i in support))
-                new_signs = 0
-                for i in range(m):
-                    if i not in support and (signs >> i) & 1:
-                        new_signs |= 1 << perm[i]
-                if (new_support, new_signs) not in cells2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if Z1.relabel(perm) == Z2:
             return perm
     return None

@@ -11,10 +11,10 @@ and the whole polytope stay implicit.
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import ValidationError, json_document, json_int
 from .simplicial import SimplicialComplex, build_simplicial
 
 REAL = "real"
@@ -168,17 +168,19 @@ class FaceLattice:
 
     @classmethod
     def from_json(cls, text: str) -> "FaceLattice":
-        data = json.loads(text)
-        if data.get("type") != "face_lattice":
-            raise ValidationError("not a face-lattice document")
+        data = json_document(text, "face_lattice")
         faces = []
         marks: Dict[FrozenSet[int], str] = {}
-        for item in data["faces"]:
-            s = frozenset(item["facet_set"])
-            faces.append((int(item["rank"]), s))
-            if int(item["rank"]) == 0:
-                marks[s] = item.get("mark", REAL)
-        return cls(int(data["rank"]), int(data["facets"]), faces, marks)
+        try:
+            rank, num_facets = json_int(data["rank"]), json_int(data["facets"])
+            for item in data["faces"]:
+                k, s = json_int(item["rank"]), frozenset(map(json_int, item["facet_set"]))
+                faces.append((k, s))
+                if k == 0:
+                    marks[s] = item.get("mark", REAL)
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed face_lattice document: {exc!r}") from exc
+        return cls(rank, num_facets, faces, marks)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -286,18 +288,21 @@ def polygon_lattice(k: int) -> FaceLattice:
     return FaceLattice(2, k, faces)
 
 
+def cube_faces(axes: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, FrozenSet[int]]]:
+    """Every proper face of a cube whose opposite facet pairs are ``axes``,
+    as (codimension, set of the facets containing it)."""
+    for size in range(1, len(axes) + 1):
+        for chosen in combinations(axes, size):
+            for facets in product(*chosen):
+                yield size, frozenset(facets)
+
+
 def cube_lattice(n: int) -> FaceLattice:
     """Boundary lattice of the n-cube; facet 2i+b is the wall x_i = (-1)^(1-b)."""
     if n < 1:
         raise ValidationError("cube dimension must be positive")
-    faces: List[Tuple[int, Iterable[int]]] = []
-    axes = list(range(n))
-    for size in range(1, n + 1):
-        for chosen in combinations(axes, size):
-            for bits in range(1 << size):
-                fs = {2 * a + ((bits >> j) & 1) for j, a in enumerate(chosen)}
-                faces.append((n - size, fs))
-    return FaceLattice(n, 2 * n, faces)
+    axes = [(2 * a, 2 * a + 1) for a in range(n)]
+    return FaceLattice(n, 2 * n, [(n - c, fs) for c, fs in cube_faces(axes)])
 
 
 def simplex_lattice(n: int) -> FaceLattice:

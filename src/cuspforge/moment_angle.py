@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -27,9 +26,9 @@ from .chains import ChainComplexData, chain_complex_of, homology
 from .cubical import Cell, CubicalComplex
 from .errors import ValidationError, check_budget
 from .isomorphism import find_isomorphism
-from .lattice import FaceLattice
+from .lattice import FaceLattice, cube_faces
 from .polytopes import IdealPolytope
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, build_simplicial
 
 VertexKey = FrozenSet[int]
 
@@ -47,23 +46,20 @@ def moment_angle_cell_count(K: SimplicialComplex) -> int:
     return total
 
 
+def _cube_cells(supports: Iterable[Tuple[int, ...]], m: int) -> List[Cell]:
+    """The cells (sup, signs) of [-1,1]^m on the given supports: every
+    sign pattern off each support."""
+    full = (1 << m) - 1
+    return [(sup, signs) for sup in supports
+            for signs in gf2.submasks(full & ~gf2.vector_from_indices(sup))]
+
+
 def real_moment_angle(K: SimplicialComplex, budget: Optional[int] = None) -> CubicalComplex:
     """The cube subcomplex of [-1,1]^m with one cell (sigma, signs) per
     face sigma of K (empty face included) and sign pattern off sigma."""
     m = K.vertex_count
     check_budget(moment_angle_cell_count(K), budget)
-    supports: List[Tuple[int, ...]] = [()]
-    for k in range(K.dim + 1):
-        supports.extend(K.faces_of_dim(k))
-    cells: List[Cell] = []
-    for sup in supports:
-        rest = [i for i in range(m) if i not in sup]
-        for bits in range(1 << len(rest)):
-            signs = 0
-            for j, i in enumerate(rest):
-                if (bits >> j) & 1:
-                    signs |= 1 << i
-            cells.append((sup, signs))
+    cells = _cube_cells([()] + K.all_faces(), m)
     return CubicalComplex(m, cells, budget=budget, validate=False)
 
 
@@ -234,16 +230,8 @@ class QuotientCellComplex:
             bucket.sort()
 
     def _cells_of_face(self, gid: int) -> List[Tuple[int, int]]:
-        piv = self._pivots[gid]
-        free = [i for i in range(self.k) if i not in piv]
-        out = []
-        for bits in range(1 << len(free)):
-            rep = 0
-            for j, i in enumerate(free):
-                if (bits >> j) & 1:
-                    rep |= 1 << i
-            out.append((gid, rep))
-        return out
+        free = ((1 << self.k) - 1) & ~gf2.vector_from_indices(self._pivots[gid])
+        return [(gid, rep) for rep in gf2.submasks(free)]
 
     def rep_of(self, gid: int, g: int) -> int:
         return gf2.normal_form(g, self._pivots[gid])
@@ -311,17 +299,8 @@ def colour_manifold(P: FaceLattice, colouring: Colouring, budget: Optional[int] 
     for _, s in P.faces:
         total += 1 << (f - len(s))
     check_budget(total, budget)
-    cells: List[Cell] = []
     supports = [tuple(sorted(s)) for _, s in P.faces] + [()]
-    for sup in supports:
-        rest = [i for i in range(f) if i not in sup]
-        for bits in range(1 << len(rest)):
-            signs = 0
-            for j, i in enumerate(rest):
-                if (bits >> j) & 1:
-                    signs |= 1 << i
-            cells.append((sup, signs))
-    return CubicalComplex(f, cells, budget=budget)
+    return CubicalComplex(f, _cube_cells(supports, f), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +325,21 @@ class ManifoldReport:
 def manifold_check(Z: CubicalComplex, K: SimplicialComplex) -> ManifoldReport:
     """Check that every vertex link of Z is isomorphic to K and that K
     itself is a plausible sphere (pure, closed, connected, sphere Betti
-    numbers over Z/2)."""
+    numbers over Z/2).  Vertices with the same labelled link share one
+    isomorphism test."""
     failures: List[str] = []
     results = []
+    links = Z.vertex_links()
+    verdicts: Dict[FrozenSet[Tuple[int, ...]], bool] = {}
     for v in Z.vertices():
-        try:
-            link = Z.link_of_vertex(v)
-            ok = find_isomorphism(link, K) is not None
-        except ValidationError:
-            ok = False
+        link = links[v[1]]
+        if link not in verdicts:
+            try:
+                simplices = build_simplicial(sorted(link), Z.ambient)
+                verdicts[link] = find_isomorphism(simplices, K) is not None
+            except ValidationError:
+                verdicts[link] = False
+        ok = verdicts[link]
         results.append((v, ok))
         if not ok:
             failures.append(f"link mismatch at vertex {v}")
@@ -520,10 +505,7 @@ def truncate_ideal(P: IdealPolytope) -> TruncatedPolytope:
         trunc[v] = cid
         axes = P.axes_of(v)
         faces.append((n - 1, {cid}))
-        for size in range(1, len(axes) + 1):
-            for chosen in combinations(axes, size):
-                for signs in product(*chosen):
-                    faces.append((n - 1 - size, {cid} | set(signs)))
+        faces.extend((n - 1 - c, fs | {cid}) for c, fs in cube_faces(axes))
     lattice = FaceLattice(n, f + len(ideal), faces)
     if not lattice.is_simple():
         raise ValidationError("truncated lattice failed the simplicity check")

@@ -329,9 +329,8 @@ def _ridge_check(
                 r = fv - {v}
                 count[r] = count.get(r, 0) + 1
         else:
-            pairs = antipodal[i]
-            for bits in range(1 << len(pairs)):
-                r = frozenset(p[(bits >> j) & 1] for j, p in enumerate(pairs))
+            for ridge in product(*antipodal[i]):
+                r = frozenset(ridge)
                 count[r] = count.get(r, 0) + 1
     bad = [r for r, c in count.items() if c != 2]
     if bad:

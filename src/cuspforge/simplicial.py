@@ -11,7 +11,7 @@ import json
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import ValidationError, json_document, json_int
 
 
 class SimplicialComplex:
@@ -163,10 +163,13 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":
-        data = json.loads(text)
-        if data.get("type") != "simplicial":
-            raise ValidationError("not a simplicial-complex document")
-        return cls(int(data["vertices"]), [tuple(f) for f in data["facets"]])
+        data = json_document(text, "simplicial")
+        try:
+            vertex_count = json_int(data["vertices"])
+            facets = [tuple(map(json_int, f)) for f in data["facets"]]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed simplicial document: {exc!r}") from exc
+        return cls(vertex_count, facets)
 
 
 def build_simplicial(facet_list: Sequence[Iterable[int]], vertex_count: Optional[int] = None) -> SimplicialComplex:

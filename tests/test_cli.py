@@ -3,9 +3,14 @@
 import hashlib
 import json
 import os
+import struct
+
+import pytest
 
 from cuspforge.cli import main
+from cuspforge.moment_angle import real_moment_angle
 from cuspforge.pipeline import PipelineConfig, run_pipeline
+from cuspforge.simplicial import boundary_of_simplex
 
 # sha256 of every n=3 preset artifact: refactors must keep them byte-identical
 N3_ARTIFACT_SHA256 = {
@@ -157,6 +162,61 @@ def test_exit_code_validation_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type":"simplicial","vertices":2,"facets":[[0,5]]}')
     assert run(["rzk", "--in", str(bad)]) == 2
+
+
+def _or_last_mask(blob, bit):
+    mask, signs = struct.unpack_from("<IQ", blob, len(blob) - 12)
+    return blob[:-12] + struct.pack("<IQ", mask | bit, signs)
+
+
+RZK1_CUBE = real_moment_angle(boundary_of_simplex(2)).to_rzk1()  # ambient 3, 26 cells
+
+BAD_RZK1 = {
+    "short header": b"RZK1\0\0\0\0",
+    "truncated table": RZK1_CUBE[:-5],
+    "trailing bytes": RZK1_CUBE + b"\0",
+    "mask bit at ambient": _or_last_mask(RZK1_CUBE, 1 << 3),
+    "ambient above 32": b"RZK1" + struct.pack("<II", 33, 26) + RZK1_CUBE[12:],
+    # the length check must refuse this header before any per-cell work
+    "huge ambient, missing cells": b"RZK1" + struct.pack("<II", 0xFFFFFFFF, 1),
+}
+
+BAD_DOCUMENTS = [
+    ("homology", '{"type":"cubical"}'),
+    ("homology", '{"type":"simplicial"}'),
+    ("homology", '{"type":"cubical","ambient":1,"cells":[[[], "x"]]}'),
+    ("homology", '{"type":"simplicial","vertices":2,"facets":[["a"]]}'),
+    ("homology", '{"type":"simplicial","vertices":2,"facets":[[0, 1.5]]}'),
+    ("homology", '{"type":"cubical","ambient":"1","cells":[[[], 0]]}'),
+    ("homology", '{"type":"cubical","ambient":1,"cells":[[[], 0, 1]]}'),
+    ("homology", "[]"),
+    ("homology", '{"type":'),
+    ("homology", '{"type":"face_lattice"}'),
+    ("census", '{"type":"face_lattice"}'),
+    ("census", '{"type":"face_lattice","rank":2,"facets":3,"faces":["x"]}'),
+    ("census", '{"type":"face_lattice","rank":2,"facets":3,"faces":[{"rank":0}]}'),
+]
+
+
+def _assert_validation_exit(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[0])["code"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RZK1))
+def test_homology_rejects_malformed_rzk1(tmp_path, capsys, name):
+    bad = tmp_path / "bad.rzk1"
+    bad.write_bytes(BAD_RZK1[name])
+    _assert_validation_exit(["homology", "--in", str(bad)], capsys)
+
+
+@pytest.mark.parametrize("command,text", BAD_DOCUMENTS)
+def test_readers_reject_malformed_json(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    _assert_validation_exit([command, "--in", str(bad)], capsys)
 
 
 def test_exit_code_budget_error(tmp_path):

@@ -1,16 +1,69 @@
 """Cube subcomplexes: closure, symmetries, links, serialization."""
 
+import json
+
 import pytest
 
 from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, ValidationError
+from cuspforge.gf2 import vector_from_indices
 from cuspforge.isomorphism import find_isomorphism
-from cuspforge.moment_angle import moment_angle_cell_count, real_moment_angle
+from cuspforge.lattice import polygon_lattice
+from cuspforge.moment_angle import (
+    Colouring,
+    colour_manifold,
+    manifold_check,
+    moment_angle_cell_count,
+    real_moment_angle,
+)
 from cuspforge.simplicial import (
     boundary_of_simplex,
+    build_simplicial,
+    cycle_complex,
     octahedron_boundary,
     two_points,
 )
+
+
+def _link_by_scan(Z, vertex):
+    """Reference vertex link: one scan over every cell per vertex."""
+    support, signs = vertex
+    found = []
+    for d in range(1, Z.dim + 1):
+        for sup, sg in Z.cells_of_dim(d):
+            if signs & ~vector_from_indices(sup) == sg:
+                found.append(sup)
+    if not found:
+        raise ValidationError("vertex is isolated; its link is empty")
+    maximal = [s for s in found if not any(set(s) < set(t) for t in found)]
+    return build_simplicial(sorted(maximal), Z.ambient)
+
+
+def _verdict_by_scan(Z, vertex, K):
+    try:
+        return find_isomorphism(_link_by_scan(Z, vertex), K) is not None
+    except ValidationError:
+        return False
+
+
+def _t2_vertex_star():
+    """Closed star of one vertex of the distinct-coloured torus, read from
+    JSON: four squares whose vertex links are a 4-cycle, paths and edges."""
+    T2 = colour_manifold(polygon_lattice(4), Colouring.distinct(4))
+    signs = T2.vertices()[0][1]
+    incident = [(sup, sg) for d in range(1, T2.dim + 1) for sup, sg in T2.cells_of_dim(d)
+                if signs & ~vector_from_indices(sup) == sg]
+    star = [[list(tau), t] for d in range(T2.dim + 1) for tau, t in T2.cells_of_dim(d)
+            if any(set(tau) <= set(sup) and t & ~vector_from_indices(sup) == sg
+                   for sup, sg in incident)]
+    return CubicalComplex.from_json(json.dumps({"type": "cubical", "ambient": 4, "cells": star}))
+
+
+LINK_CASES = {
+    "disc": (real_moment_angle(build_simplicial([(0, 1)])), build_simplicial([(0, 1)])),
+    "3-torus": (real_moment_angle(octahedron_boundary()), octahedron_boundary()),
+    "torus vertex star": (_t2_vertex_star(), cycle_complex(4)),
+}
 
 
 def test_closure_validation():
@@ -75,6 +128,23 @@ def test_link_of_vertex_is_base_complex():
     Z = real_moment_angle(K)
     for v in Z.vertices():
         assert find_isomorphism(Z.link_of_vertex(v), K) is not None
+
+
+@pytest.mark.parametrize("name", sorted(LINK_CASES))
+def test_vertex_links_match_the_per_vertex_scan(name):
+    Z, K = LINK_CASES[name]
+    for v in Z.vertices():
+        assert Z.link_of_vertex(v) == _link_by_scan(Z, v)
+    expected = tuple((v, _verdict_by_scan(Z, v, K)) for v in Z.vertices())
+    assert manifold_check(Z, K).vertex_results == expected
+
+
+def test_vertex_star_has_differing_links():
+    Z, K = LINK_CASES["torus vertex star"]
+    assert Z.cell_counts() == (9, 12, 4)
+    verdicts = [ok for _, ok in manifold_check(Z, K).vertex_results]
+    assert verdicts.count(True) == 1
+    assert len({Z.link_of_vertex(v).f_vector() for v in Z.vertices()}) == 3
 
 
 def test_budget_enforced():

@@ -78,6 +78,15 @@ def test_normal_form_is_canonical_on_cosets():
     assert len(reps) == 1
 
 
+def test_submasks_walk_every_submask_once():
+    rng = random.Random(5)
+    for mask in [0, 1, 0b1011, 0b110100] + [rng.getrandbits(12) for _ in range(10)]:
+        subs = list(gf2.submasks(mask))
+        assert len(subs) == len(set(subs)) == 1 << bin(mask).count("1")
+        assert all(v & ~mask == 0 for v in subs)
+        assert 0 in subs and mask in subs
+
+
 def test_transpose_roundtrip():
     rng = random.Random(5)
     rows = [rng.getrandbits(300) for _ in range(77)]

@@ -1,11 +1,15 @@
 """Face lattices, duality, and the stock polytope lattices."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
 from cuspforge.errors import ValidationError
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import (
     FaceLattice,
+    cube_faces,
     cube_lattice,
     dualize,
     dualize_complex,
@@ -22,6 +26,16 @@ def test_cube_lattice_counts():
     assert C.euler_characteristic() == 2
     assert C.is_simple()
     assert C.lattice_check()
+
+
+def test_cube_faces_give_the_cube_f_vector():
+    for n in range(1, 6):
+        axes = [(2 * a, 2 * a + 1) for a in range(n)]
+        faces = list(cube_faces(axes))
+        assert len(set(fs for _, fs in faces)) == len(faces)
+        # an n-cube has C(n, k) 2^(n-k) faces of dimension k, i.e. codimension n-k
+        assert Counter(c for c, _ in faces) == {c: comb(n, c) << c for c in range(1, n + 1)}
+        assert all(len(fs) == c for c, fs in faces)
 
 
 def test_polygon_and_simplex():

@@ -17,9 +17,11 @@ from . import gf2
 from .cubical import CubicalComplex
 from .errors import BudgetError, ValidationError
 from .simplicial import SimplicialComplex
-from .snf import SNFResult, kernel_basis, smith_normal_form, solve
+from .snf import SNFResult, apply_matrix, smith_normal_form
 
 Entry = Tuple[int, int]  # (face index, incidence number)
+
+INTEGRAL_DENSE_LIMIT = 4_000_000  # matrix entries; beyond this use Z/2 or SNF directly
 
 
 @dataclass
@@ -37,6 +39,7 @@ class ChainComplexData:
     boundaries: List[Tuple[Tuple[Entry, ...], ...]]
     _index: List[Dict[Hashable, int]] = field(default_factory=list, repr=False)
     _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+    _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.coeff not in ("Z", "Z2"):
@@ -76,8 +79,15 @@ class ChainComplexData:
             self._gf2_rows[k] = rows
         return self._gf2_rows[k]
 
+    def check_dense(self, k: int) -> None:
+        """Refuse a dense d_k above INTEGRAL_DENSE_LIMIT entries."""
+        if self.size(k - 1) * self.size(k) > INTEGRAL_DENSE_LIMIT:
+            raise BudgetError(f"integral homology would densify a {self.size(k - 1)}x"
+                              f"{self.size(k)} matrix; use Z/2 coefficients at this scale")
+
     def dense_boundary(self, k: int) -> List[List[int]]:
         """Integer matrix of d_k, shape (n_{k-1}, n_k)."""
+        self.check_dense(k)
         n_rows = self.size(k - 1)
         n_cols = self.size(k)
         mat = [[0] * n_cols for _ in range(n_rows)]
@@ -86,6 +96,12 @@ class ChainComplexData:
                 for idx, coeff in entries:
                     mat[idx][j] += coeff
         return mat
+
+    def smith(self, k: int) -> SNFResult:
+        """Smith normal form of d_k, computed once: the one integral elimination of d_k."""
+        if k not in self._smith:
+            self._smith[k] = smith_normal_form(self.dense_boundary(k), self.size(k - 1), self.size(k))
+        return self._smith[k]
 
     def verify_dd_zero(self) -> None:
         for k in range(2, self.top_dim + 1):
@@ -185,42 +201,39 @@ class HomologyResult:
         return "; ".join(parts)
 
 
-INTEGRAL_DENSE_LIMIT = 4_000_000  # matrix entries; beyond this use Z/2 or SNF directly
-
-
 def homology(data: ChainComplexData) -> HomologyResult:
     """Betti numbers (and torsion over Z) from the boundary maps."""
     top = data.top_dim
+    degrees = range(1, top + 1)
     if data.coeff == "Z2":
-        ranks = [0] * (top + 2)
-        for k in range(1, top + 1):
-            ranks[k] = gf2.rank_of_rows(data.gf2_rows(k))
-        betti = tuple(data.size(k) - ranks[k] - ranks[k + 1] for k in range(top + 1))
-        return HomologyResult("Z2", betti, tuple(() for _ in range(top + 1)))
-    for k in range(1, top + 1):
-        if data.size(k - 1) * data.size(k) > INTEGRAL_DENSE_LIMIT:
-            raise BudgetError(
-                f"integral homology would densify a {data.size(k - 1)}x{data.size(k)} "
-                "matrix; use Z/2 coefficients at this scale"
-            )
-    snfs: List[Optional[SNFResult]] = [None] * (top + 2)
-    for k in range(1, top + 1):
-        snfs[k] = smith_normal_form(
-            data.dense_boundary(k), nrows=data.size(k - 1), ncols=data.size(k)
-        )
-    def rank(k):
-        return snfs[k].rank if snfs[k] is not None else 0
-    betti = tuple(data.size(k) - rank(k) - rank(k + 1) for k in range(top + 1))
-    torsion = tuple(
-        tuple(snfs[k + 1].invariant_factors()) if snfs[k + 1] is not None else ()
-        for k in range(top + 1)
-    )
-    return HomologyResult("Z", betti, torsion)
+        ranks = [gf2.rank_of_rows(data.gf2_rows(k)) for k in degrees]
+        torsion = tuple(() for _ in range(top + 1))
+    else:
+        for k in degrees:
+            data.check_dense(k)  # refuse before the first elimination
+        ranks = [data.smith(k).rank for k in degrees]
+        torsion = tuple(tuple(data.smith(k + 1).invariant_factors()) if k < top else ()
+                        for k in range(top + 1))
+    ranks = [0] + ranks + [0]
+    betti = tuple(data.size(k) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+    return HomologyResult(data.coeff, betti, torsion)
 
 
 # ---------------------------------------------------------------------------
 # integral homology with explicit bases (for induced maps and certificates)
 # ---------------------------------------------------------------------------
+
+
+def _cycle_coordinates(snf: SNFResult, chain: Sequence[int]) -> List[int]:
+    """Coordinates of a k-cycle in ``kernel_basis(snf)``, snf = SNF(d_k) = U D V:
+    x is a cycle exactly when the first rank entries of V x vanish, and the
+    rest are its coordinates over the trailing columns of V^{-1}."""
+    if len(chain) != snf.ncols:
+        raise ValidationError(f"chain has length {len(chain)}, expected {snf.ncols}")
+    vx = apply_matrix(snf.v, chain)
+    if any(vx[: snf.rank]):
+        raise ValidationError("vector is not an integral cycle")
+    return vx[snf.rank:]
 
 
 @dataclass
@@ -235,59 +248,43 @@ class IntegralHomologyBasis:
     free_rank: int
     torsion: Tuple[int, ...]
     free_generators: List[List[int]]
-    _cycle_snf: SNFResult
-    _uprime: List[List[int]]
-    _dprime: List[int]
-    _z: int
+    _boundary_snf: SNFResult
+    _quotient_rows: List[Tuple[int, List[int]]]  # (order, row of U'^{-1}) for orders != 1
 
     def project(self, cycle: Sequence[int]) -> Tuple[List[int], List[int]]:
-        y = solve(self._cycle_snf, list(cycle))
-        if y is None:
-            raise ValidationError("vector is not an integral cycle")
-        u = [sum(self._uprime[i][j] * y[j] for j in range(self._z)) for i in range(self._z)]
-        free = [u[i] for i in range(self._z) if self._dprime[i] == 0]
-        tors = [u[i] % self._dprime[i] for i in range(self._z) if self._dprime[i] not in (0, 1)]
-        return free, tors
+        y = _cycle_coordinates(self._boundary_snf, cycle)
+        coords = [(d, sum(a * b for a, b in zip(row, y) if b)) for d, row in self._quotient_rows]
+        return [c for d, c in coords if d == 0], [c % d for d, c in coords if d]
 
     def project_free(self, cycle: Sequence[int]) -> List[int]:
         return self.project(cycle)[0]
 
 
 def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyBasis:
+    """H_k over Z: the cycles of d_k (read off its SNF) modulo one relation
+    column per (k+1)-cell; the relations' SNF U' D' V' gives generator j
+    = kernel basis . U'[:, j], of order D'_j."""
+    snf = data.smith(k)
     n_k = data.size(k)
-    boundary_snf = smith_normal_form(data.dense_boundary(k), nrows=data.size(k - 1), ncols=n_k)
-    cycles = kernel_basis(boundary_snf)  # each of length n_k
-    z = len(cycles)
-    # columns are the cycle basis; relations express boundaries in it
-    K = [[cycles[j][i] for j in range(z)] for i in range(n_k)]
-    k_snf = smith_normal_form(K, nrows=n_k, ncols=z)
-    n_up = data.size(k + 1)
-    relations: List[List[int]] = [[0] * n_up for _ in range(z)]
-    if n_up:
-        up = data.dense_boundary(k + 1)
-        for j in range(n_up):
-            col = [up[i][j] for i in range(n_k)]
-            y = solve(k_snf, col)
-            if y is None:
-                raise ValidationError("boundary is not a cycle; dd != 0")
-            for i in range(z):
-                relations[i][j] = y[i]
-    r_snf = smith_normal_form(relations, nrows=z, ncols=n_up)
-    # quotient coordinates live in u = U'^{-1} y; generator j has order diag_j
-    dprime = list(r_snf.diag) + [0] * (z - len(r_snf.diag))
-    new_gens = [[sum(cycles[t][i] * r_snf.u[t][j] for t in range(z)) for i in range(n_k)]
-                for j in range(z)]
-    free_gens = [new_gens[j] for j in range(z) if dprime[j] == 0]
-    torsion = tuple(d for d in dprime if d not in (0, 1))
+    z = n_k - snf.rank
+    cols = []
+    for entries in data.boundaries[k + 1] if data.size(k + 1) else ():
+        col = [0] * n_k
+        for idx, coeff in entries:
+            col[idx] += coeff
+        cols.append(_cycle_coordinates(snf, col))
+    r_snf = smith_normal_form([[c[i] for c in cols] for i in range(z)], nrows=z, ncols=len(cols))
+    orders = list(r_snf.diag) + [0] * (z - len(r_snf.diag))
+    cycles = [row[snf.rank:] for row in snf.vinv]  # columns: kernel_basis(snf)
+    free_gens = [apply_matrix(cycles, [row[j] for row in r_snf.u])
+                 for j, d in enumerate(orders) if d == 0]
     return IntegralHomologyBasis(
         degree=k,
         free_rank=len(free_gens),
-        torsion=torsion,
+        torsion=tuple(d for d in orders if d not in (0, 1)),
         free_generators=free_gens,
-        _cycle_snf=k_snf,
-        _uprime=r_snf.uinv,
-        _dprime=dprime,
-        _z=z,
+        _boundary_snf=snf,
+        _quotient_rows=[(d, r_snf.uinv[i]) for i, d in enumerate(orders) if d != 1],
     )
 
 

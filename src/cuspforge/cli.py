@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Dict, Optional
 
@@ -22,7 +23,7 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology
 from .cubical import CubicalComplex
-from .errors import CuspforgeError, ValidationError, json_document
+from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget, json_document
 from .filling import (
     DiagonalChoice,
     FillingChoice,
@@ -38,9 +39,24 @@ from .polytopes import gosset, ideal_dual, ideal_polytope_from_lattice, ingest_g
 from .simplicial import SimplicialComplex
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read(path: str, mode: str = "r"):
+    """File contents; a missing, unreadable or non-UTF-8 file exits 2."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _spec_pairs(spec: str, what: str, bound: int, prefix: str = "") -> Dict[int, int]:
+    """Parse "<prefix>i:j,..." into {i: j} with 0 <= i < bound; anything else exits 2."""
+    pairs = {}
+    for item in spec.split(","):
+        m = re.fullmatch(prefix + r"(\d{1,9}):(\d{1,9})", item.strip(), re.ASCII)
+        if m is None or int(m[1]) >= bound:
+            raise ValidationError(f"bad {what} item {item!r}; expected {prefix}i:j, 0 <= i < {bound}")
+        pairs[int(m[1])] = int(m[2])
+    return pairs
 
 
 def _write_out(path: Optional[str], payload: str) -> None:
@@ -54,8 +70,7 @@ def _write_out(path: Optional[str], payload: str) -> None:
 
 def _load_cubical(path: str) -> CubicalComplex:
     if path.endswith(".rzk1"):
-        with open(path, "rb") as fh:
-            return CubicalComplex.from_rzk1(fh.read())
+        return CubicalComplex.from_rzk1(_read(path, "rb"))
     return CubicalComplex.from_json(_read(path))
 
 
@@ -82,14 +97,9 @@ def _cmd_gosset(args) -> int:
 def _parse_choice_spec(spec: str, P) -> FillingChoice:
     if spec == "auto":
         return resolve_choice(P, "auto")
-    mapping: Dict = {}
     verts = sorted(P.ideal_vertices, key=sorted)
-    for item in spec.split(","):
-        key, _, value = item.partition(":")
-        if not key.startswith("v"):
-            raise ValidationError(f"bad choice item {item!r}; expected v<index>:<axis>")
-        mapping[frozenset(verts[int(key[1:])])] = int(value)
-    return FillingChoice(mapping)
+    pairs = _spec_pairs(spec, "filling choice", len(verts), prefix="v")
+    return FillingChoice({frozenset(verts[i]): axis for i, axis in pairs.items()})
 
 
 def _cmd_fill(args) -> int:
@@ -107,11 +117,7 @@ def _cmd_subdivide(args) -> int:
     if args.diagonals == "auto":
         d = auto_diagonals(G)
     else:
-        pair_index = {}
-        for item in args.diagonals.split(","):
-            key, _, value = item.partition(":")
-            pair_index[int(key)] = int(value)
-        d = DiagonalChoice(pair_index)
+        d = DiagonalChoice(_spec_pairs(args.diagonals, "diagonal", len(G.facet_types)))
     K = subdivide_cross_facets(G, d)
     _write_out(args.out, K.to_json())
     return 0
@@ -130,13 +136,29 @@ def _cmd_rzk(args) -> int:
     return 0
 
 
+def _parse_colours(spec: str, budget: Optional[int]) -> Colouring:
+    """A JSON list of per-facet bit lists, e.g. [[0],[1],[0,1]]."""
+    try:
+        rows = json.loads(spec)
+    except (ValueError, RecursionError):
+        rows = None
+    if not rows or not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(b) is int and b >= 0 for b in r) for r in rows
+    ):
+        raise ValidationError("--colours must be a non-empty JSON list of lists of "
+                              "non-negative integers")
+    k = max((b for r in rows for b in r), default=-1) + 1
+    if k >= cell_budget(budget).bit_length():  # the quotient has at least 2^k cells
+        raise BudgetError(f"a rank-{k} colouring exceeds the cell budget")
+    return Colouring.from_bit_lists(k, rows)
+
+
 def _cmd_colour(args) -> int:
     lattice = FaceLattice.from_json(_read(args.infile))
     if args.colours == "distinct":
         colouring = Colouring.distinct(lattice.num_facets)
     else:
-        rows = json.loads(args.colours)
-        colouring = Colouring.from_bit_lists(max(max(r) for r in rows) + 1, rows)
+        colouring = _parse_colours(args.colours, args.budget)
     Z = colour_manifold(lattice, colouring, budget=args.budget)
     if isinstance(Z, CubicalComplex):
         _write_out(args.out, Z.to_json())

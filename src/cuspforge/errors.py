@@ -68,7 +68,7 @@ def json_document(text: str, *kinds: str) -> dict:
     """
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"not a JSON document: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") not in kinds:
         raise ValidationError(f"not a {' or '.join(kinds)} document")

@@ -23,7 +23,7 @@ class SNFResult:
 
     ``diag`` holds the invariant factors d_1 | d_2 | ... (nonnegative,
     zeros trailing).  ``uinv`` and ``vinv`` are the inverses of U and V,
-    kept so that linear systems can be solved without re-elimination.
+    kept so that coordinates can be read without re-elimination.
     """
 
     nrows: int
@@ -193,29 +193,6 @@ def kernel_basis(snf: SNFResult) -> List[List[int]]:
     n = snf.ncols
     r = snf.rank
     return [[snf.vinv[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def solve(snf: SNFResult, b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution of A x = b, or None if none exists."""
-    if len(b) != snf.nrows:
-        raise ValueError("rhs length mismatch")
-    c = apply_matrix(snf.uinv, b)
-    n = snf.ncols
-    y = [0] * n
-    for k in range(n):
-        d = snf.diag[k] if k < len(snf.diag) else 0
-        ck = c[k] if k < len(c) else 0
-        if d == 0:
-            if k < len(c) and ck != 0:
-                return None
-            continue
-        if ck % d:
-            return None
-        y[k] = ck // d
-    for k in range(n, snf.nrows):
-        if c[k] != 0:
-            return None
-    return apply_matrix(snf.vinv, y)
 
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:

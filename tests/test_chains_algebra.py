@@ -2,11 +2,15 @@
 
 import random
 import warnings
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
 from cuspforge import gf2
 from cuspforge.chains import (
+    INTEGRAL_DENSE_LIMIT,
+    ChainComplexData,
     chain_complex_of,
     coboundary,
     cohomology_z2_basis,
@@ -19,7 +23,7 @@ from cuspforge.chains import (
     restriction_map_z2,
     subcomplex_selection,
 )
-from cuspforge.errors import ValidationError
+from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.lattice import polygon_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.simplicial import (
@@ -28,7 +32,7 @@ from cuspforge.simplicial import (
     cycle_complex,
     octahedron_boundary,
 )
-from cuspforge.snf import smith_normal_form
+from cuspforge.snf import SNFResult, apply_matrix, kernel_basis, smith_normal_form
 
 
 def test_dd_zero_verified_on_build():
@@ -283,3 +287,198 @@ def test_integral_basis_projects_generators_to_unit_coords():
         assert tors == []
         assert free[j] in (1, -1)
         assert all(free[i] == 0 for i in range(len(free)) if i != j)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the integral basis built from a second SNF of the cycle matrix and
+# one solve per boundary column (the earlier implementation, kept verbatim)
+# ---------------------------------------------------------------------------
+
+
+def _solve(snf: SNFResult, b: Sequence[int]) -> Optional[List[int]]:
+    """One integer solution of A x = b, or None if none exists."""
+    if len(b) != snf.nrows:
+        raise ValueError("rhs length mismatch")
+    c = apply_matrix(snf.uinv, b)
+    n = snf.ncols
+    y = [0] * n
+    for k in range(n):
+        d = snf.diag[k] if k < len(snf.diag) else 0
+        ck = c[k] if k < len(c) else 0
+        if d == 0:
+            if k < len(c) and ck != 0:
+                return None
+            continue
+        if ck % d:
+            return None
+        y[k] = ck // d
+    for k in range(n, snf.nrows):
+        if c[k] != 0:
+            return None
+    return apply_matrix(snf.vinv, y)
+
+
+@dataclass
+class _OracleBasis:
+    degree: int
+    free_rank: int
+    torsion: Tuple[int, ...]
+    free_generators: List[List[int]]
+    _cycle_snf: SNFResult
+    _uprime: List[List[int]]
+    _dprime: List[int]
+    _z: int
+
+    def project(self, cycle: Sequence[int]) -> Tuple[List[int], List[int]]:
+        y = _solve(self._cycle_snf, list(cycle))
+        if y is None:
+            raise ValidationError("vector is not an integral cycle")
+        u = [sum(self._uprime[i][j] * y[j] for j in range(self._z)) for i in range(self._z)]
+        free = [u[i] for i in range(self._z) if self._dprime[i] == 0]
+        tors = [u[i] % self._dprime[i] for i in range(self._z) if self._dprime[i] not in (0, 1)]
+        return free, tors
+
+
+def _integral_basis_oracle(data, k: int) -> _OracleBasis:
+    n_k = data.size(k)
+    boundary_snf = smith_normal_form(data.dense_boundary(k), nrows=data.size(k - 1), ncols=n_k)
+    cycles = kernel_basis(boundary_snf)  # each of length n_k
+    z = len(cycles)
+    # columns are the cycle basis; relations express boundaries in it
+    K = [[cycles[j][i] for j in range(z)] for i in range(n_k)]
+    k_snf = smith_normal_form(K, nrows=n_k, ncols=z)
+    n_up = data.size(k + 1)
+    relations: List[List[int]] = [[0] * n_up for _ in range(z)]
+    if n_up:
+        up = data.dense_boundary(k + 1)
+        for j in range(n_up):
+            col = [up[i][j] for i in range(n_k)]
+            y = _solve(k_snf, col)
+            if y is None:
+                raise ValidationError("boundary is not a cycle; dd != 0")
+            for i in range(z):
+                relations[i][j] = y[i]
+    r_snf = smith_normal_form(relations, nrows=z, ncols=n_up)
+    # quotient coordinates live in u = U'^{-1} y; generator j has order diag_j
+    dprime = list(r_snf.diag) + [0] * (z - len(r_snf.diag))
+    new_gens = [[sum(cycles[t][i] * r_snf.u[t][j] for t in range(z)) for i in range(n_k)]
+                for j in range(z)]
+    free_gens = [new_gens[j] for j in range(z) if dprime[j] == 0]
+    torsion = tuple(d for d in dprime if d not in (0, 1))
+    return _OracleBasis(
+        degree=k,
+        free_rank=len(free_gens),
+        torsion=torsion,
+        free_generators=free_gens,
+        _cycle_snf=k_snf,
+        _uprime=r_snf.uinv,
+        _dprime=dprime,
+        _z=z,
+    )
+
+
+def _random_matrix(rng, m, n, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def test_snf_kernel_and_solve():
+    rng = random.Random(2)
+    for _ in range(25):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_matrix(rng, m, n, -4, 4)
+        res = smith_normal_form(a)
+        for vec in kernel_basis(res):
+            assert all(
+                sum(a[i][j] * vec[j] for j in range(n)) == 0 for i in range(m)
+            )
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)]
+        y = _solve(res, b)
+        assert y is not None
+        assert [sum(a[i][j] * y[j] for j in range(n)) for i in range(m)] == b
+
+
+def test_snf_detects_unsolvable():
+    res = smith_normal_form([[2]])
+    assert _solve(res, [1]) is None
+    assert _solve(res, [4]) == [2]
+
+
+INTEGRAL_FIXTURES = {
+    "klein bottle": lambda: colour_manifold(
+        polygon_lattice(4), Colouring(2, (0b01, 0b10, 0b11, 0b10))),
+    "moebius strip": mobius_strip_complex,
+    "torus": lambda: real_moment_angle(cycle_complex(4)),
+    "octahedral 3-torus": lambda: real_moment_angle(octahedron_boundary()),
+}
+
+
+def _random_cycles(data, k, rng, count=20):
+    """Seeded integral combinations of a kernel basis of d_k."""
+    cycles = kernel_basis(smith_normal_form(data.dense_boundary(k), data.size(k - 1), data.size(k)))
+    out = []
+    for _ in range(count):
+        x = [0] * data.size(k)
+        for c in cycles:
+            a = rng.randint(-3, 3)
+            x = [xi + a * ci for xi, ci in zip(x, c)]
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_FIXTURES))
+def test_integral_basis_matches_oracle(name):
+    data = chain_complex_of(INTEGRAL_FIXTURES[name](), "Z")
+    rng = random.Random(11)
+    for k in range(data.top_dim + 1):
+        hb = integral_homology_basis(data, k)
+        oracle = _integral_basis_oracle(data, k)
+        assert (hb.free_rank, hb.torsion) == (oracle.free_rank, oracle.torsion)
+        assert hb.free_generators == oracle.free_generators
+        for x in _random_cycles(data, k, rng):
+            assert hb.project(x) == oracle.project(x)
+    if name == "klein bottle":
+        assert integral_homology_basis(data, 1).torsion == (2,)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_FIXTURES))
+def test_project_refuses_non_cycles_and_wrong_lengths(name):
+    data = chain_complex_of(INTEGRAL_FIXTURES[name](), "Z")
+    hb = integral_homology_basis(data, 1)
+    n1 = data.size(1)
+    d1 = data.dense_boundary(1)
+    j = next(j for j in range(n1) if any(row[j] for row in d1))
+    with pytest.raises(ValidationError):
+        hb.project([int(i == j) for i in range(n1)])
+    for length in (n1 - 1, n1 + 1):
+        with pytest.raises(ValidationError):
+            hb.project([0] * length)
+
+
+def test_integral_consumers_refuse_over_the_dense_limit():
+    n = 2001
+    assert n * n > INTEGRAL_DENSE_LIMIT
+    data = ChainComplexData("Z", [tuple((i,) for i in range(n)), tuple((i, 0) for i in range(n))],
+                            [((),) * n, ((),) * n])
+    for consumer in (homology, lambda d: integral_homology_basis(d, 1)):
+        with pytest.raises(BudgetError) as info:
+            consumer(data)
+        assert info.value.exit_code == 3
+
+
+UC_FIXTURES = {
+    **INTEGRAL_FIXTURES,
+    "distinct-coloured square": lambda: colour_manifold(polygon_lattice(4), Colouring.distinct(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UC_FIXTURES))
+def test_universal_coefficients(name):
+    # b_k(Z/2) = b_k(Z) + t_k + t_{k-1}, t_k = number of even invariant factors of H_k(Z)
+    X = UC_FIXTURES[name]()
+    hz = homology(chain_complex_of(X, "Z"))
+    h2 = homology(chain_complex_of(X, "Z2"))
+    t = [sum(1 for d in factors if d % 2 == 0) for factors in hz.torsion] + [0]  # t[-1] = 0
+    assert all(h2.betti[k] == hz.betti[k] + t[k] + t[k - 1] for k in range(len(hz.betti)))
+    if name == "klein bottle":
+        assert (hz.betti, h2.betti) == ((1, 1, 0), (1, 2, 1))

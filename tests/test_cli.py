@@ -6,6 +6,8 @@ import os
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import text
 
 from cuspforge.cli import main
 from cuspforge.moment_angle import real_moment_angle
@@ -191,6 +193,7 @@ BAD_DOCUMENTS = [
     ("homology", '{"type":"cubical","ambient":1,"cells":[[[], 0, 1]]}'),
     ("homology", "[]"),
     ("homology", '{"type":'),
+    pytest.param("homology", "[" * 100000, id="homology-deeply nested"),
     ("homology", '{"type":"face_lattice"}'),
     ("census", '{"type":"face_lattice"}'),
     ("census", '{"type":"face_lattice","rank":2,"facets":3,"faces":["x"]}'),
@@ -217,6 +220,62 @@ def test_readers_reject_malformed_json(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     _assert_validation_exit([command, "--in", str(bad)], capsys)
+
+
+@pytest.fixture(scope="module")
+def p3_files(tmp_path_factory):
+    """g3.json, p3.json and the filled p3bar.json of the P^3 lattice."""
+    d = tmp_path_factory.mktemp("p3")
+    assert run(["gosset", "--n", "3", "--out", str(d / "g3.json")]) == 0
+    assert run(["gosset", "--n", "3", "--dual", "--out", str(d / "p3.json")]) == 0
+    assert run(["fill", "--in", str(d / "p3.json"), "--out", str(d / "p3bar.json")]) == 0
+    return d
+
+
+SPEC_OPTIONS = [("fill", "p3.json", "--choices"), ("subdivide", "g3.json", "--diagonals"),
+                ("colour", "p3bar.json", "--colours")]
+
+BAD_SPECS = [
+    ("fill", "p3.json", "--choices=v9:0"),
+    ("fill", "p3.json", "--choices=vx:0"),
+    ("fill", "p3.json", "--choices=v-1:0"),
+    ("fill", "p3.json", "--choices=v0:0,v1:1,v-1:0"),
+    ("subdivide", "g3.json", "--diagonals=a:b"),
+    ("subdivide", "g3.json", "--diagonals=1:0,2:0,3:0,9:0"),
+    ("colour", "p3bar.json", "--colours=[["),
+    ("colour", "p3bar.json", "--colours=[]"),
+    ("colour", "p3bar.json", '--colours=[["a"]]'),
+    ("colour", "p3bar.json", "--colours=[[0], [-1]]"),
+    ("homology", "missing.json", None),
+    ("census", ".", None),
+    ("fill", "missing.json", None),
+    ("spin-report", None, None),
+]
+
+
+@pytest.mark.parametrize("command,infile,option", BAD_SPECS)
+def test_cli_specs_and_unreadable_inputs_exit_2(p3_files, capsys, command, infile, option):
+    if command == "spin-report":
+        argv = [command, "--manifold", str(p3_files / "p3.json"),
+                "--filling", str(p3_files / "missing.rzk1")]
+    else:
+        argv = [command, "--in", str(p3_files / infile), "--out", str(p3_files / "out.json")]
+    _assert_validation_exit(argv + ([option] if option else []), capsys)
+
+
+def test_colour_rank_beyond_the_budget_exits_3(p3_files):
+    # refused from the bit index alone, before any 2^k-sized integer is built
+    argv = ["colour", "--in", str(p3_files / "p3bar.json"), "--colours=[[0], [999999999999]]"]
+    assert run(argv) == 3
+
+
+@pytest.mark.parametrize("command,infile,option", SPEC_OPTIONS)
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(spec=text())
+def test_cli_specs_fuzz(p3_files, command, infile, option, spec):
+    argv = [command, "--in", str(p3_files / infile), f"{option}={spec}",
+            "--out", str(p3_files / "fuzz.json")]
+    assert run(argv) in (0, 2, 3)
 
 
 def test_exit_code_budget_error(tmp_path):

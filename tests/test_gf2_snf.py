@@ -3,7 +3,7 @@
 import random
 
 from cuspforge import gf2
-from cuspforge.snf import det_bareiss, kernel_basis, smith_normal_form, solve
+from cuspforge.snf import det_bareiss, smith_normal_form
 
 
 def brute_rank_mod2(rows, ncols):
@@ -117,26 +117,3 @@ def test_snf_known_values():
     assert smith_normal_form([[2, 0], [0, 3]]).diag == [1, 6]
     assert smith_normal_form([[0, 0], [0, 0]]).diag == [0, 0]
     assert smith_normal_form([[4]]).diag == [4]
-
-
-def test_snf_kernel_and_solve():
-    rng = random.Random(2)
-    for _ in range(25):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_matrix(rng, m, n, -4, 4)
-        res = smith_normal_form(a)
-        for vec in kernel_basis(res):
-            assert all(
-                sum(a[i][j] * vec[j] for j in range(n)) == 0 for i in range(m)
-            )
-        x = [rng.randint(-3, 3) for _ in range(n)]
-        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)]
-        y = solve(res, b)
-        assert y is not None
-        assert [sum(a[i][j] * y[j] for j in range(n)) for i in range(m)] == b
-
-
-def test_snf_detects_unsolvable():
-    res = smith_normal_form([[2]])
-    assert solve(res, [1]) is None
-    assert solve(res, [4]) == [2]

@@ -13,6 +13,7 @@ root coordinates; the full reflection group is never materialized.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,6 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import gf2
 from .errors import ValidationError
 from .lattice import (
     IDEAL,
@@ -216,24 +218,26 @@ def _fundamental_weight_vector(roots: Sequence[Tuple[int, ...]], node: int) -> T
 
 
 def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Orbit of a vector under the simple reflections, by closure."""
+    """Orbit of a vector under the simple reflections, by closure.
+
+    Each round reflects the whole frontier in every simple root at once,
+    in int64.  Reflections preserve the norm, so entries and inner
+    products stay as small as the start's and the arithmetic is exact.
+    """
+    R = np.array(roots, dtype=np.int64)
     seen = {start}
-    frontier = [start]
-    while frontier:
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier):
+        D = frontier @ R.T
+        if (D % 4).any():
+            raise ValidationError("orbit vector left the reflection lattice")
         nxt = []
-        for x in frontier:
-            for a in roots:
-                d = _dot(x, a)
-                if d % 4:
-                    raise ValidationError("orbit vector left the reflection lattice")
-                if d == 0:
-                    continue
-                q = d // 4
-                y = tuple(x[t] - q * a[t] for t in range(8))
+        for j in range(len(R)):
+            for y in map(tuple, (frontier - np.outer(D[:, j] // 4, R[j])).tolist()):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        frontier = nxt
+        frontier = np.array(nxt, dtype=np.int64).reshape(-1, R.shape[1])
     return sorted(seen)
 
 
@@ -243,12 +247,9 @@ def _facets_by_maximization(
     V = np.array(vertices, dtype=np.int64)
     U = np.array(normals, dtype=np.int64)
     prod = V @ U.T
-    mx = prod.max(axis=0)
-    out = []
-    for j in range(len(normals)):
-        idx = np.nonzero(prod[:, j] == mx[j])[0]
-        out.append(frozenset(int(i) for i in idx))
-    return out
+    cols, rows = np.nonzero((prod == prod.max(axis=0)).T)
+    bounds = np.cumsum(np.bincount(cols, minlength=len(normals)))[:-1]
+    return [frozenset(idx.tolist()) for idx in np.split(rows, bounds)]
 
 
 def _orbit_facet_data(n: int):
@@ -280,14 +281,12 @@ def _orbit_facet_data(n: int):
 def _antipodal_pairs(
     facet_vertex_sets: Sequence[FrozenSet[int]],
     facet_types: Sequence[str],
-    num_vertices: int,
+    at: Sequence[int],
 ) -> List[Tuple[Tuple[int, int], ...]]:
     """Diagonals of each cross facet: vertex pairs whose only common facet
-    is that facet.  Validates the perfect-matching (cube-dual) structure."""
-    at: List[set] = [set() for _ in range(num_vertices)]
-    for i, fv in enumerate(facet_vertex_sets):
-        for v in fv:
-            at[v].add(i)
+    is that facet.  ``at[v]`` has bit i set when vertex v lies on facet i.
+    Validates the perfect-matching (cube-dual) structure."""
+    common: Dict[Tuple[int, int], int] = {}
     out: List[Tuple[Tuple[int, int], ...]] = []
     for i, (fv, kind) in enumerate(zip(facet_vertex_sets, facet_types)):
         if kind != CROSS:
@@ -296,10 +295,10 @@ def _antipodal_pairs(
         partner: Dict[int, int] = {}
         pairs = []
         for v, w in combinations(sorted(fv), 2):
-            common = len(at[v] & at[w])
-            if common < 1:
-                raise ValidationError("cross facet vertices share no facet")
-            if common == 1:
+            c = common.get((v, w))
+            if c is None:
+                c = common[v, w] = (at[v] & at[w]).bit_count()
+            if c == 1:
                 if v in partner or w in partner:
                     raise ValidationError(f"facet {i}: vertex in two antipodal pairs")
                 partner[v] = w
@@ -312,7 +311,6 @@ def _antipodal_pairs(
 
 
 def _ridge_check(
-    n: int,
     facet_vertex_sets: Sequence[FrozenSet[int]],
     facet_types: Sequence[str],
     antipodal: Sequence[Tuple[Tuple[int, int], ...]],
@@ -320,18 +318,19 @@ def _ridge_check(
     """Every ridge of every facet must be shared by exactly two facets.
 
     This is the completeness oracle for the facet list: a missing facet
-    would leave some ridge covered once.  Returns the ridge count.
+    would leave some ridge covered once.  Ridges are keyed by their
+    vertex bitmask.  Returns the ridge count.
     """
-    count: Dict[FrozenSet[int], int] = {}
-    for i, (fv, kind) in enumerate(zip(facet_vertex_sets, facet_types)):
+    count: Counter = Counter()
+    for fv, kind, pairs in zip(facet_vertex_sets, facet_types, antipodal):
         if kind == SIMPLEX:
-            for v in fv:
-                r = fv - {v}
-                count[r] = count.get(r, 0) + 1
+            mask = gf2.vector_from_indices(fv)
+            count.update([mask ^ (1 << v) for v in fv])
         else:
-            for ridge in product(*antipodal[i]):
-                r = frozenset(ridge)
-                count[r] = count.get(r, 0) + 1
+            masks = [0]
+            for v, w in pairs:
+                masks = [m | 1 << v for m in masks] + [m | 1 << w for m in masks]
+            count.update(masks)
     bad = [r for r, c in count.items() if c != 2]
     if bad:
         raise ValidationError(f"{len(bad)} ridges not shared by exactly two facets")
@@ -348,10 +347,14 @@ def _assemble(
     facets = sorted(facets, key=lambda ft: tuple(sorted(ft[0])))
     fv_sets = [f for f, _ in facets]
     types = [t for _, t in facets]
-    antipodal = _antipodal_pairs(fv_sets, types, num_vertices)
-    _ridge_check(n, fv_sets, types, antipodal)
-    covered = set().union(*fv_sets)
-    if covered != set(range(num_vertices)):
+    incident: List[List[int]] = [[] for _ in range(num_vertices)]
+    for i, f in enumerate(fv_sets):
+        for v in f:
+            incident[v].append(i)
+    at = [gf2.vector_from_indices(ids) for ids in incident]
+    antipodal = _antipodal_pairs(fv_sets, types, at)
+    _ridge_check(fv_sets, types, antipodal)
+    if not all(at):
         raise ValidationError("some vertex lies on no facet")
 
     graded: Optional[Tuple[Tuple[FrozenSet[int], int], ...]] = None
@@ -363,11 +366,7 @@ def _assemble(
             faces.append((d, fs))
         lattice = FaceLattice(n, len(fv_sets), faces)
     else:
-        at: List[set] = [set() for _ in range(num_vertices)]
-        for i, f in enumerate(fv_sets):
-            for v in f:
-                at[v].add(i)
-        faces = [(0, frozenset(s)) for s in at]
+        faces = [(0, frozenset(ids)) for ids in incident]
         faces += [(n - 1, frozenset({i})) for i in range(len(fv_sets))]
         lattice = FaceLattice(n, len(fv_sets), faces)
     return GossetPolytope(

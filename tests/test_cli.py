@@ -4,10 +4,11 @@ import hashlib
 import json
 import os
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import text
+from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 
 from cuspforge.cli import main
 from cuspforge.moment_angle import real_moment_angle
@@ -24,6 +25,13 @@ N3_ARTIFACT_SHA256 = {
     "p3.json": "b778c9609ff051dcaff4ecbc8a5b2de0c253e4bbc2e50b7540c045ed1135abf2",
     "p3bar.json": "cbc82a4c97effb89cb21d11c7f4695e747645aecd264991b65b1ad86796df951",
     "report.json": "aadc7a1a038364c4014769bcef9fdcf3359d3d5b20ce79ebd177359b35f41311",
+}
+
+# sha256 of the n=8 census preset artifacts (G^8, P^8 and the census)
+N8_CENSUS_ARTIFACT_SHA256 = {
+    "census.json": "e17264e6c9b70e36376561db22c27ca718834d1189491993fabe8ae3b41d5c7e",
+    "g8.json": "a1cdd340dc4ea7fdb7fe146114289b2968787301bdfad0b144e34b83457308f8",
+    "p8.json": "bc1c59b32b538ed869dbd3a283f98fe62f460ab723609139802f65b1b749e424",
 }
 
 
@@ -118,6 +126,13 @@ def test_pipeline_n3_artifacts_match_recorded_digests(tmp_path):
         with open(path, "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == N3_ARTIFACT_SHA256
+
+
+def test_pipeline_n8_census_artifacts_match_recorded_digests(tmp_path):
+    result = run_pipeline(PipelineConfig(n=8, census_only=True, outdir=str(tmp_path)))
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in result.artifacts.items()}
+    assert digests == N8_CENSUS_ARTIFACT_SHA256
 
 
 def test_auto_fill_and_subdivide_match_the_pipeline(tmp_path):
@@ -276,6 +291,35 @@ def test_cli_specs_fuzz(p3_files, command, infile, option, spec):
     argv = [command, "--in", str(p3_files / infile), f"{option}={spec}",
             "--out", str(p3_files / "fuzz.json")]
     assert run(argv) in (0, 2, 3)
+
+
+VALID_CUBE = {"cube.json": real_moment_angle(boundary_of_simplex(2)).to_json().encode(),
+              "cube.rzk1": RZK1_CUBE}
+
+# (kind, position, byte): positions wrap around the document's length
+BYTE_EDITS = lists(tuples(sampled_from(("flip", "insert", "delete")), integers(min_value=0),
+                          integers(1, 255)), max_size=8)
+
+
+def _edit(blob, edits):
+    data = bytearray(blob)
+    for kind, pos, byte in edits:
+        if kind == "insert":
+            data.insert(pos % (len(data) + 1), byte)
+        elif data and kind == "flip":
+            data[pos % len(data)] ^= byte
+        elif data:
+            del data[pos % len(data)]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CUBE))
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(edits=BYTE_EDITS)
+def test_cubical_readers_fuzz(tmp_path_factory, name, edits):
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_bytes(_edit(VALID_CUBE[name], edits))
+    assert run(["homology", "--in", str(path)]) in (0, 2)
 
 
 def test_exit_code_budget_error(tmp_path):

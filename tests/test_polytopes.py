@@ -1,13 +1,25 @@
 """Gosset generators against independent oracles, duals, abelianization."""
 
+import json
+from itertools import combinations, product
+from typing import Dict, FrozenSet, List, Sequence, Tuple
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from cuspforge import polytopes
+from cuspforge.cli import main
 from cuspforge.errors import ValidationError
+from cuspforge.gf2 import vector_from_indices
+from cuspforge.lattice import FaceLattice
 from cuspforge.polytopes import (
+    _E_ROOTS_2X,
+    _WEIGHT_NODES,
     CROSS,
     SIMPLEX,
+    _dot,
+    _fundamental_weight_vector,
     abelianization_rank,
     gosset,
     ideal_dual,
@@ -144,3 +156,180 @@ def test_e6_orbit_generator_structure():
     P = ideal_dual(G)
     assert len(P.ideal_vertices) == 27
     assert all(len(v) == 10 for v in P.ideal_vertices)
+
+
+def test_e7_orbit_generator_structure():
+    G = gosset(7)
+    assert G.num_vertices == 56
+    assert G.facet_types.count(SIMPLEX) == 576
+    assert G.facet_types.count(CROSS) == 126
+    P = ideal_dual(G)
+    assert len(P.ideal_vertices) == 126
+    assert P.num_facets == 56
+
+
+# Set-based assembly checks and the scalar orbit closure, kept as oracles
+# for the bitset and vectorised versions in cuspforge.polytopes.
+
+
+def _antipodal_oracle(
+    facet_vertex_sets: Sequence[FrozenSet[int]],
+    facet_types: Sequence[str],
+    num_vertices: int,
+) -> List[Tuple[Tuple[int, int], ...]]:
+    """Diagonals of each cross facet: vertex pairs whose only common facet
+    is that facet.  Validates the perfect-matching (cube-dual) structure."""
+    at: List[set] = [set() for _ in range(num_vertices)]
+    for i, fv in enumerate(facet_vertex_sets):
+        for v in fv:
+            at[v].add(i)
+    out: List[Tuple[Tuple[int, int], ...]] = []
+    for i, (fv, kind) in enumerate(zip(facet_vertex_sets, facet_types)):
+        if kind != CROSS:
+            out.append(())
+            continue
+        partner: Dict[int, int] = {}
+        pairs = []
+        for v, w in combinations(sorted(fv), 2):
+            common = len(at[v] & at[w])
+            if common < 1:
+                raise ValidationError("cross facet vertices share no facet")
+            if common == 1:
+                if v in partner or w in partner:
+                    raise ValidationError(f"facet {i}: vertex in two antipodal pairs")
+                partner[v] = w
+                partner[w] = v
+                pairs.append((v, w))
+        if len(partner) != len(fv):
+            raise ValidationError(f"facet {i}: antipodal pairs do not form a matching")
+        out.append(tuple(sorted(pairs)))
+    return out
+
+
+def _ridge_oracle(
+    n: int,
+    facet_vertex_sets: Sequence[FrozenSet[int]],
+    facet_types: Sequence[str],
+    antipodal: Sequence[Tuple[Tuple[int, int], ...]],
+) -> int:
+    """Every ridge of every facet must be shared by exactly two facets.
+
+    This is the completeness oracle for the facet list: a missing facet
+    would leave some ridge covered once.  Returns the ridge count.
+    """
+    count: Dict[FrozenSet[int], int] = {}
+    for i, (fv, kind) in enumerate(zip(facet_vertex_sets, facet_types)):
+        if kind == SIMPLEX:
+            for v in fv:
+                r = fv - {v}
+                count[r] = count.get(r, 0) + 1
+        else:
+            for ridge in product(*antipodal[i]):
+                r = frozenset(ridge)
+                count[r] = count.get(r, 0) + 1
+    bad = [r for r, c in count.items() if c != 2]
+    if bad:
+        raise ValidationError(f"{len(bad)} ridges not shared by exactly two facets")
+    return len(count)
+
+
+def _orbit_oracle(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Orbit of a vector under the simple reflections, by closure."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in roots:
+                d = _dot(x, a)
+                if d % 4:
+                    raise ValidationError("orbit vector left the reflection lattice")
+                if d == 0:
+                    continue
+                q = d // 4
+                y = tuple(x[t] - q * a[t] for t in range(8))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_bitset_assembly_checks_match_set_oracles(n):
+    G = gosset(n)
+    fv, types = G.facet_vertex_sets, G.facet_types
+    at = [vector_from_indices(i for i, f in enumerate(fv) if v in f)
+          for v in range(G.num_vertices)]
+    pairs = polytopes._antipodal_pairs(fv, types, at)
+    assert pairs == _antipodal_oracle(fv, types, G.num_vertices)
+    assert tuple(pairs) == G.antipodal_pairs
+    assert polytopes._ridge_check(fv, types, pairs) == _ridge_oracle(n, fv, types, pairs)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_vectorised_orbit_matches_scalar_closure(n):
+    roots = _E_ROOTS_2X[:n]
+    for node in _WEIGHT_NODES[n]:
+        start = _fundamental_weight_vector(roots, node)
+        orbit = polytopes.weyl_orbit(start, roots)
+        assert orbit == _orbit_oracle(start, roots)
+        assert all(type(x) is int for x in orbit[0])
+
+
+def test_orbit_off_the_reflection_lattice_is_refused():
+    start = (1, 0, 0, 0, 0, 0, 0, 0)
+    for closure in (polytopes.weyl_orbit, _orbit_oracle):
+        with pytest.raises(ValidationError, match="orbit vector left the reflection lattice"):
+            closure(start, _E_ROOTS_2X)
+
+
+def _g5_facets():
+    G = gosset(5)
+    return list(zip(G.facet_vertex_sets, G.facet_types))
+
+
+def _without_first(facets):
+    return facets[1:]
+
+
+def _without_last(facets):
+    return facets[:-1]
+
+
+def _cross_vertex_moved(facets):
+    f0, kind = facets[0]
+    assert kind == CROSS and max(f0) < 15
+    return [(f0 - {max(f0)} | {15}, kind)] + facets[1:]
+
+
+REFUSED_G5 = [
+    (_without_first, "16 ridges not shared by exactly two facets"),
+    (_without_last, "16 ridges not shared by exactly two facets"),
+    (_cross_vertex_moved, "facet 0: antipodal pairs do not form a matching"),
+]
+
+
+@pytest.mark.parametrize("mutate,message", REFUSED_G5)
+def test_assembly_refuses_broken_facet_lists(tmp_path, monkeypatch, capsys, mutate, message):
+    facets = mutate(_g5_facets())
+    with pytest.raises(ValidationError) as err:
+        polytopes._assemble(5, 16, facets, None, full_lattice=False)
+    assert str(err.value) == message
+    # the same facets as a face-lattice file: vertices by their facet sets
+    faces = [(0, frozenset(i for i, (f, _) in enumerate(facets) if v in f)) for v in range(16)]
+    faces += [(4, frozenset({i})) for i in range(len(facets))]
+    text = FaceLattice(5, len(facets), faces).to_json()
+    with pytest.raises(ValidationError) as err:
+        ingest_gosset(text, 5)
+    assert str(err.value) == message
+    (tmp_path / "gosset5.json").write_text(text)
+    monkeypatch.setenv("CUSPFORGE_DATA", str(tmp_path))
+    capsys.readouterr()
+    assert main(["gosset", "--n", "5", "--out", str(tmp_path / "g5.json")]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[0]) == {"code": 2, "error": message}
+
+
+def test_assembly_refuses_a_vertex_on_no_facet():
+    with pytest.raises(ValidationError, match="^some vertex lies on no facet$"):
+        polytopes._assemble(5, 17, _g5_facets(), None, full_lattice=False)

@@ -39,6 +39,7 @@ class ChainComplexData:
     boundaries: List[Tuple[Tuple[Entry, ...], ...]]
     _index: List[Dict[Hashable, int]] = field(default_factory=list, repr=False)
     _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+    _gf2_rank: Dict[int, int] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -78,6 +79,12 @@ class ChainComplexData:
                     rows.append(acc)
             self._gf2_rows[k] = rows
         return self._gf2_rows[k]
+
+    def gf2_rank(self, k: int) -> int:
+        """Rank of d_k over Z/2, computed once."""
+        if k not in self._gf2_rank:
+            self._gf2_rank[k] = gf2.rank_of_rows(self.gf2_rows(k))
+        return self._gf2_rank[k]
 
     def check_dense(self, k: int) -> None:
         """Refuse a dense d_k above INTEGRAL_DENSE_LIMIT entries."""
@@ -206,7 +213,7 @@ def homology(data: ChainComplexData) -> HomologyResult:
     top = data.top_dim
     degrees = range(1, top + 1)
     if data.coeff == "Z2":
-        ranks = [gf2.rank_of_rows(data.gf2_rows(k)) for k in degrees]
+        ranks = [data.gf2_rank(k) for k in degrees]
         torsion = tuple(() for _ in range(top + 1))
     else:
         for k in degrees:

@@ -191,7 +191,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     betti = stage("homology", lambda: homology(data_z2)).betti
     facts["filling_betti_z2"] = betti
 
-    orient = stage("orientability", lambda: orientability(Z))
+    orient = stage("orientability", lambda: orientability(Z, data_z2))
     wu: WuReport = stage("spin_obstruction", lambda: spin_obstruction(Z, data_z2))
     spin = stage("spin_structures", lambda: spin_structures(Z, data_z2, orient, wu))
     facts["filling_spin_structures"] = spin.structure_count

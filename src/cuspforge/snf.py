@@ -3,18 +3,52 @@
 Entries are Python ints, so there is no overflow to guard against; pivot
 selection by minimal absolute value keeps coefficient growth tame on the
 sparse incidence matrices this library produces.
+
+Work is skipped without changing a single move or entry: when step t
+starts, rows above t are finished (only their diagonal entry is
+non-zero), so column moves, all on columns >= t, touch rows t..m-1 only;
+a unit pivot divides every entry, so no divisibility scan follows it;
+and additions skip zero multiplicands.  The transforms start as
+identities and stay sparse, so they are held as rows of {column: entry},
+U and V^-1 transposed so that every move on them is a row move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .errors import ValidationError
 
 Matrix = List[List[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _add_dense(dst: List[int], src: Sequence[int], c: int) -> None:
+    """dst += c * src, over the non-zero entries of src."""
+    for k in compress(range(len(src)), src):
+        dst[k] += c * src[k]
+
+
+def _add_sparse(dst: Dict[int, int], src: Dict[int, int], c: int) -> None:
+    """dst += c * src on rows stored as {column: non-zero entry}; c != 0."""
+    for k, x in src.items():
+        y = dst[k] = dst.get(k, 0) + c * x
+        if not y:
+            del dst[k]
+
+
+def _dense(rows: List[Dict[int, int]], transpose: bool = False) -> Matrix:
+    """The square matrix of rows stored as {column: entry}, or its transpose."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, r in enumerate(rows):
+        for k, x in r.items():
+            if transpose:
+                out[k][i] = x
+            else:
+                out[i][k] = x
+    return out
 
 
 @dataclass
@@ -57,70 +91,58 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], nrows: int | None = None,
     m = nrows if nrows is not None else len(w)
     n = ncols if ncols is not None else (len(w[0]) if w else 0)
     if len(w) != m or any(len(r) != n for r in w):
-        raise ValueError("matrix shape mismatch")
+        raise ValidationError("matrix shape mismatch")
 
-    u = _identity(m)
-    uinv = _identity(m)
-    v = _identity(n)
-    vinv = _identity(n)
+    # sparse transforms, U and V^-1 transposed; t is the current step
+    u_t = [{i: 1} for i in range(m)]
+    uinv = [{i: 1} for i in range(m)]
+    v = [{i: 1} for i in range(n)]
+    vinv_t = [{i: 1} for i in range(n)]
+    t = 0
 
     # Elementary moves, each keeping A = U W V and the tracked inverses exact.
     def row_swap(i, j):
-        w[i], w[j] = w[j], w[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
+        for mat in (w, uinv, u_t):
+            mat[i], mat[j] = mat[j], mat[i]
 
     def col_swap(i, j):
-        for r in w:
+        for r in w[t:]:  # rows above t are finished
             r[i], r[j] = r[j], r[i]
-        for r in vinv:
-            r[i], r[j] = r[j], r[i]
-        v[i], v[j] = v[j], v[i]
+        for mat in (vinv_t, v):
+            mat[i], mat[j] = mat[j], mat[i]
 
     def row_add(src, dst, c):
         # w[dst] += c * w[src]
-        wd, ws = w[dst], w[src]
-        for k in range(n):
-            wd[k] += c * ws[k]
-        ud, us = uinv[dst], uinv[src]
-        for k in range(m):
-            ud[k] += c * us[k]
-        for r in u:
-            r[src] -= c * r[dst]
+        _add_dense(w[dst], w[src], c)
+        _add_sparse(uinv[dst], uinv[src], c)
+        _add_sparse(u_t[src], u_t[dst], -c)
 
     def col_add(src, dst, c):
-        # w[:,dst] += c * w[:,src]
-        for r in w:
+        # w[:,dst] += c * w[:,src], below the finished rows
+        rows = w[t:]
+        for r in compress(rows, map(itemgetter(src), rows)):
             r[dst] += c * r[src]
-        for r in vinv:
-            r[dst] += c * r[src]
-        vs, vd = v[src], v[dst]
-        for k in range(n):
-            vs[k] -= c * vd[k]
+        _add_sparse(vinv_t[dst], vinv_t[src], c)
+        _add_sparse(v[src], v[dst], -c)
 
     def row_negate(i):
         w[i] = [-x for x in w[i]]
-        uinv[i] = [-x for x in uinv[i]]
-        for r in u:
-            r[i] = -r[i]
+        for mat in (uinv, u_t):
+            mat[i] = {k: -x for k, x in mat[i].items()}
 
     def find_pivot(t: int) -> Optional[Tuple[int, int]]:
         best = None
         best_val = None
         for i in range(t, m):
             row = w[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0:
-                    ax = abs(x)
-                    if best_val is None or ax < best_val:
-                        best, best_val = (i, j), ax
-                        if ax == 1:
-                            return best
+            for j in compress(range(t, n), row[t:]):
+                ax = abs(row[j])
+                if best_val is None or ax < best_val:
+                    best, best_val = (i, j), ax
+                    if ax == 1:
+                        return best
         return best
 
-    t = 0
     limit = min(m, n)
     while t < limit:
         pos = find_pivot(t)
@@ -159,22 +181,17 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], nrows: int | None = None,
         if w[t][t] < 0:
             row_negate(t)
         # enforce divisibility: fold any non-multiple into row t and redo
-        offender = None
-        for i in range(t + 1, m):
-            row = w[i]
-            for j in range(t + 1, n):
-                if row[j] % w[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        p = w[t][t]
+        offender = None if p == 1 else next(
+            (i for i in range(t + 1, m) if any(x % p for x in w[i][t + 1:])), None)
         if offender is not None:
             row_add(offender, t, 1)
             continue
         t += 1
 
     diag = [w[k][k] for k in range(min(m, n))]
-    return SNFResult(nrows=m, ncols=n, diag=diag, u=u, v=v, uinv=uinv, vinv=vinv)
+    return SNFResult(nrows=m, ncols=n, diag=diag, u=_dense(u_t, True), v=_dense(v),
+                     uinv=_dense(uinv), vinv=_dense(vinv_t, True))
 
 
 def apply_matrix(mat: Matrix, vec: Sequence[int]) -> List[int]:
@@ -200,7 +217,7 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     a = [list(r) for r in matrix]
     n = len(a)
     if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
+        raise ValidationError("determinant needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):

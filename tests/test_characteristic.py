@@ -43,6 +43,12 @@ def test_orientability_standard_cases():
     assert not orientability(klein_complex()).orientable
 
 
+def test_orientability_reads_the_integral_incidences_of_z2_chain_data():
+    # the pipeline hands its Z/2-tagged chain data to orientability
+    for X in (real_moment_angle(octahedron_boundary()), klein_complex()):
+        assert orientability(X, chain_complex_of(X, "Z2")) == orientability(X)
+
+
 def test_orientability_rejects_non_closed():
     disc = real_moment_angle(build_simplicial([(0, 1)]))
     with pytest.raises(ValidationError):

@@ -1,9 +1,18 @@
 """Exact linear algebra kernels: GF(2) bitsets and integer Smith form."""
 
 import random
+from typing import Optional, Sequence, Tuple
+
+import pytest
 
 from cuspforge import gf2
-from cuspforge.snf import det_bareiss, smith_normal_form
+from cuspforge.chains import chain_complex_of, homology
+from cuspforge.errors import ValidationError
+from cuspforge.lattice import polygon_lattice
+from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle, truncated_quotient
+from cuspforge.polytopes import gosset, ideal_dual
+from cuspforge.simplicial import octahedron_boundary
+from cuspforge.snf import SNFResult, det_bareiss, smith_normal_form
 
 
 def brute_rank_mod2(rows, ncols):
@@ -117,3 +126,196 @@ def test_snf_known_values():
     assert smith_normal_form([[2, 0], [0, 3]]).diag == [1, 6]
     assert smith_normal_form([[0, 0], [0, 0]]).diag == [0, 0]
     assert smith_normal_form([[4]]).diag == [4]
+
+
+def test_snf_and_det_refuse_bad_shapes_with_validation_error():
+    for bad in (lambda: smith_normal_form([[1, 2], [3]]),
+                lambda: smith_normal_form([[1]], nrows=2),
+                lambda: smith_normal_form([[1, 2]], ncols=3),
+                lambda: det_bareiss([[1, 2]])):
+        with pytest.raises(ValidationError) as exc:
+            bad()
+        assert exc.value.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# oracle: the dense Smith normal form that the sparse one replaced, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _identity(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None) -> SNFResult:
+    """Compute the Smith normal form of an integer matrix.
+
+    Accepts an empty matrix if nrows/ncols are given explicitly.
+    """
+    w = [list(row) for row in matrix]
+    m = nrows if nrows is not None else len(w)
+    n = ncols if ncols is not None else (len(w[0]) if w else 0)
+    if len(w) != m or any(len(r) != n for r in w):
+        raise ValueError("matrix shape mismatch")
+
+    u = _identity(m)
+    uinv = _identity(m)
+    v = _identity(n)
+    vinv = _identity(n)
+
+    # Elementary moves, each keeping A = U W V and the tracked inverses exact.
+    def row_swap(i, j):
+        w[i], w[j] = w[j], w[i]
+        uinv[i], uinv[j] = uinv[j], uinv[i]
+        for r in u:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in w:
+            r[i], r[j] = r[j], r[i]
+        for r in vinv:
+            r[i], r[j] = r[j], r[i]
+        v[i], v[j] = v[j], v[i]
+
+    def row_add(src, dst, c):
+        # w[dst] += c * w[src]
+        wd, ws = w[dst], w[src]
+        for k in range(n):
+            wd[k] += c * ws[k]
+        ud, us = uinv[dst], uinv[src]
+        for k in range(m):
+            ud[k] += c * us[k]
+        for r in u:
+            r[src] -= c * r[dst]
+
+    def col_add(src, dst, c):
+        # w[:,dst] += c * w[:,src]
+        for r in w:
+            r[dst] += c * r[src]
+        for r in vinv:
+            r[dst] += c * r[src]
+        vs, vd = v[src], v[dst]
+        for k in range(n):
+            vs[k] -= c * vd[k]
+
+    def row_negate(i):
+        w[i] = [-x for x in w[i]]
+        uinv[i] = [-x for x in uinv[i]]
+        for r in u:
+            r[i] = -r[i]
+
+    def find_pivot(t: int) -> Optional[Tuple[int, int]]:
+        best = None
+        best_val = None
+        for i in range(t, m):
+            row = w[i]
+            for j in range(t, n):
+                x = row[j]
+                if x != 0:
+                    ax = abs(x)
+                    if best_val is None or ax < best_val:
+                        best, best_val = (i, j), ax
+                        if ax == 1:
+                            return best
+        return best
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        if pos != (t, t):
+            if pos[0] != t:
+                row_swap(t, pos[0])
+            if pos[1] != t:
+                col_swap(t, pos[1])
+        while True:
+            # clear column t below the pivot
+            dirty = False
+            for i in range(t + 1, m):
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    if q:
+                        row_add(t, i, -q)
+                    if w[i][t]:
+                        # remainder smaller than pivot: swap up and restart
+                        row_swap(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    if q:
+                        col_add(t, j, -q)
+                    if w[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            break
+        if w[t][t] < 0:
+            row_negate(t)
+        # enforce divisibility: fold any non-multiple into row t and redo
+        offender = None
+        for i in range(t + 1, m):
+            row = w[i]
+            for j in range(t + 1, n):
+                if row[j] % w[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(offender, t, 1)
+            continue
+        t += 1
+
+    diag = [w[k][k] for k in range(min(m, n))]
+    return SNFResult(nrows=m, ncols=n, diag=diag, u=u, v=v, uinv=uinv, vinv=vinv)
+
+
+def _assert_matches_oracle(matrix, nrows=None, ncols=None):
+    got = smith_normal_form(matrix, nrows, ncols)
+    want = _smith_oracle(matrix, nrows, ncols)
+    for name in ("nrows", "ncols", "diag", "u", "v", "uinv", "vinv"):
+        assert getattr(got, name) == getattr(want, name), name
+    return got
+
+
+def test_snf_transforms_match_oracle_on_small_and_edge_matrices():
+    rng = random.Random(20)
+    cases = [([[2, 0], [0, 3]],), ([[2, 4], [6, 8]],), ([[4]],), ([[0, 0, 0], [0, 0, 0]],),
+             ([[0] * 5 for _ in range(4)],), ([], 0, 3), ([[], [], []], 3, 0), ([], 0, 0)]
+    for _ in range(60):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        lo, hi = rng.choice([(-9, 9), (-1, 1), (0, 6)])
+        dense = random_matrix(rng, m, n, lo, hi)
+        sparse = [[x if rng.random() < 0.3 else 0 for x in row] for row in dense]
+        cases += [(dense,), (sparse,)]
+    non_unit = 0
+    for case in cases:
+        res = _assert_matches_oracle(*case)
+        non_unit += any(d > 1 for d in res.diag)
+    assert non_unit >= 10  # the divisibility fix-ups and non-unit pivots are exercised
+
+
+def test_snf_transforms_match_oracle_on_boundary_maps():
+    klein = colour_manifold(polygon_lattice(4), Colouring(2, (0b01, 0b10, 0b11, 0b10)))
+    data = chain_complex_of(klein, "Z")
+    assert _assert_matches_oracle(data.dense_boundary(2), data.size(1), data.size(2)).invariant_factors() == [2]
+    cusped = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    assert (cusped.size(2), cusped.size(3)) == (384, 64)
+    _assert_matches_oracle(cusped.dense_boundary(3), cusped.size(2), cusped.size(3))
+
+
+def test_second_z2_homology_runs_no_elimination(monkeypatch):
+    calls = []
+    rank = gf2.rank_of_rows
+    monkeypatch.setattr(gf2, "rank_of_rows", lambda rows: calls.append(1) or rank(rows))
+    data = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z2")
+    first = homology(data)
+    assert first.betti == (1, 3, 3, 1) and len(calls) == 3  # one per boundary map
+    assert homology(data) == first
+    assert len(calls) == 3

@@ -4,6 +4,11 @@ and inclusion-induced maps.
 One ``ChainComplexData`` carries integer incidence data for any of the
 cell-complex types in this library; GF(2) work reads the same data mod
 2 through bit-packed rows.  d(d(x)) = 0 is verified at build time.
+
+Each boundary map is eliminated once per coefficient ring and cached on
+the data: over Z one Smith normal form per d_k, over Z/2 one cleared
+reduction per coboundary map delta^k, which every Z/2 rank, cocycle
+basis and coboundary pivot is read from.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ class ChainComplexData:
     ``boundaries[k][i]`` lists (index into dimension k-1, coefficient)
     for the i-th k-cell; coefficients are always the integral incidence
     numbers, and the ``coeff`` tag records how downstream computations
-    should interpret them ("Z" or "Z2").
+    should interpret them ("Z" or "Z2").  Eliminations are cached beside
+    the data: ``smith(k)`` over Z, ``gf2_coreduction(k)`` over Z/2.
     """
 
     coeff: str
@@ -39,7 +45,7 @@ class ChainComplexData:
     boundaries: List[Tuple[Tuple[Entry, ...], ...]]
     _index: List[Dict[Hashable, int]] = field(default_factory=list, repr=False)
     _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
-    _gf2_rank: Dict[int, int] = field(default_factory=dict, repr=False)
+    _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -80,11 +86,35 @@ class ChainComplexData:
             self._gf2_rows[k] = rows
         return self._gf2_rows[k]
 
+    def gf2_corows(self, k: int) -> List[int]:
+        """Coboundary of each k-cell as a bitset over (k+1)-cells."""
+        rows = [0] * self.size(k)
+        if 0 <= k < self.top_dim:
+            for j, entries in enumerate(self.boundaries[k + 1]):
+                for idx, coeff in entries:
+                    if coeff & 1:
+                        rows[idx] ^= 1 << j
+        return rows
+
+    def gf2_coreduction(self, k: int) -> Tuple[Dict[int, int], List[int]]:
+        """The one Z/2 elimination of delta^k, computed once: the reduced
+        coboundaries {lowest bit: row} and a basis of the cocycles.
+
+        Rows at the pivots of degree k-1 are cleared (skipped): each is the
+        lowest bit of a coboundary b with delta(b) = 0, so its row is a sum
+        of rows of higher index.  The cocycles found are then supported off
+        every coboundary's lowest bit, so they are b_k classes independent
+        modulo the coboundaries.  Below degree 0 both are empty.
+        """
+        if k not in self._gf2_coreduction:
+            skip = self.gf2_coreduction(k - 1)[0] if k > 0 else {}
+            pivots, cocycles = gf2._tagged_pivots(self.gf2_corows(k), skip)
+            self._gf2_coreduction[k] = ({p: row for p, (row, _) in pivots.items()}, cocycles)
+        return self._gf2_coreduction[k]
+
     def gf2_rank(self, k: int) -> int:
-        """Rank of d_k over Z/2, computed once."""
-        if k not in self._gf2_rank:
-            self._gf2_rank[k] = gf2.rank_of_rows(self.gf2_rows(k))
-        return self._gf2_rank[k]
+        """Rank of d_k over Z/2, read off the reduction of delta^(k-1)."""
+        return len(self.gf2_coreduction(k - 1)[0])
 
     def check_dense(self, k: int) -> None:
         """Refuse a dense d_k above INTEGRAL_DENSE_LIMIT entries."""
@@ -340,10 +370,10 @@ def homology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
 
 
 def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
-    """H^k(-; Z/2): the same quotient on the transposed boundary maps."""
-    cocycles = gf2.right_kernel_basis(data.gf2_rows(k + 1), data.size(k))
-    coboundaries = gf2.transpose_rows(data.gf2_rows(k), data.size(k - 1))
-    return Z2QuotientBasis(k, cocycles, coboundaries)
+    """H^k(-; Z/2): cocycles modulo coboundaries, both read off the cached
+    reductions of delta^k and delta^(k-1)."""
+    coboundaries = data.gf2_coreduction(k - 1)[0].values()
+    return Z2QuotientBasis(k, data.gf2_coreduction(k)[1], coboundaries)
 
 
 def coboundary(data: ChainComplexData, phi: int, k: int) -> int:

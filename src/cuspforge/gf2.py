@@ -7,7 +7,7 @@ every routine is deterministic for a fixed input ordering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,12 +77,17 @@ def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0) -> T
     return v, tag
 
 
-def _tagged_pivots(rows: Sequence[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+def _tagged_pivots(
+    rows: Sequence[int], skip: Container[int] = ()
+) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
     """Row reduce with tags (bit i = input row i): the pivots, and the tags
-    of the rows that reduced to zero."""
+    of the rows that reduced to zero.  Rows whose index is in ``skip`` are
+    left out, as if absent."""
     pivots: Dict[int, Tuple[int, int]] = {}
     kernel: List[int] = []
     for i, row in enumerate(rows):
+        if i in skip:
+            continue
         row, tag = reduce_tagged(row, pivots, 1 << i)
         if row:
             pivots[lowbit(row)] = (row, tag)
@@ -94,11 +99,6 @@ def _tagged_pivots(rows: Sequence[int]) -> Tuple[Dict[int, Tuple[int, int]], Lis
 def left_kernel_basis(rows: Sequence[int]) -> List[int]:
     """Basis of {x : sum of rows selected by x is 0}, one bitmask per vector."""
     return _tagged_pivots(rows)[1]
-
-
-def right_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of {x : M x = 0} for the row-matrix M."""
-    return left_kernel_basis(transpose_rows(rows, ncols))
 
 
 def solve_rows(rows: Sequence[int], target: int) -> Optional[int]:

@@ -16,6 +16,7 @@ U and V^-1 transposed so that every move on them is a row move.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,7 +69,7 @@ class SNFResult:
     uinv: Matrix
     vinv: Matrix
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
 
@@ -195,13 +196,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], nrows: int | None = None,
 
 
 def apply_matrix(mat: Matrix, vec: Sequence[int]) -> List[int]:
+    """mat . vec, over the non-zero entries of vec and of each column it selects."""
     out = [0] * len(mat)
-    for k, x in enumerate(vec):
-        if x:
-            for i, row in enumerate(mat):
-                c = row[k]
-                if c:
-                    out[i] += c * x
+    rows = range(len(mat))
+    for k in compress(range(len(vec)), vec):
+        x = vec[k]
+        for i in compress(rows, map(itemgetter(k), mat)):
+            out[i] += mat[i][k] * x
     return out
 
 

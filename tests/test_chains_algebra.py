@@ -11,6 +11,8 @@ from cuspforge import gf2
 from cuspforge.chains import (
     INTEGRAL_DENSE_LIMIT,
     ChainComplexData,
+    Z2QuotientBasis,
+    _splittings,
     chain_complex_of,
     coboundary,
     cohomology_z2_basis,
@@ -23,9 +25,12 @@ from cuspforge.chains import (
     restriction_map_z2,
     subcomplex_selection,
 )
+from cuspforge.characteristic import intersection_form
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.lattice import polygon_lattice
-from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
+from cuspforge.filling import dehn_fill, enumerate_filling_choices
+from cuspforge.lattice import cube_lattice, polygon_lattice
+from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle, truncated_quotient
+from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import (
     boundary_of_simplex,
     build_simplicial,
@@ -482,3 +487,85 @@ def test_universal_coefficients(name):
     assert all(h2.betti[k] == hz.betti[k] + t[k] + t[k - 1] for k in range(len(hz.betti)))
     if name == "klein bottle":
         assert (hz.betti, h2.betti) == ((1, 1, 0), (1, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# oracle: Z/2 cohomology bases from a fresh right kernel of d_{k+1} and the
+# transposed d_k (the earlier implementation, kept verbatim)
+# ---------------------------------------------------------------------------
+
+
+def _right_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
+    """Basis of {x : M x = 0} for the row-matrix M."""
+    return gf2.left_kernel_basis(gf2.transpose_rows(rows, ncols))
+
+
+def _cohomology_basis_oracle(data: ChainComplexData, k: int) -> Z2QuotientBasis:
+    """H^k(-; Z/2): the same quotient on the transposed boundary maps."""
+    cocycles = _right_kernel_basis(data.gf2_rows(k + 1), data.size(k))
+    coboundaries = gf2.transpose_rows(data.gf2_rows(k), data.size(k - 1))
+    return Z2QuotientBasis(k, cocycles, coboundaries)
+
+
+def test_right_kernel_annihilated_by_matrix():
+    rng = random.Random(3)
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        for vec in _right_kernel_basis(rows, ncols):
+            assert all((r & vec).bit_count() % 2 == 0 for r in rows)
+
+
+def _filled_p4():
+    P = ideal_dual(gosset(4))
+    choice = next(enumerate_filling_choices(P))  # all zeros
+    return colour_manifold(dehn_fill(P, choice).lattice, Colouring.distinct(P.num_facets))
+
+
+COHOMOLOGY_FIXTURES = {
+    "RP^2": lambda: colour_manifold(polygon_lattice(3), Colouring(2, (0b01, 0b10, 0b11))),
+    "klein bottle": INTEGRAL_FIXTURES["klein bottle"],
+    "3-torus": INTEGRAL_FIXTURES["octahedral 3-torus"],
+    "4-torus": lambda: colour_manifold(cube_lattice(4), Colouring.distinct(8)),
+    "cusped P^3 quotient": lambda: truncated_quotient(ideal_dual(gosset(3))).quotient,
+    "filled P^4": _filled_p4,
+}
+
+
+def _pairing_matrix(data: ChainComplexData, reps: Sequence[int]) -> List[int]:
+    """Rows of <a u b, [M]> over degree-2 cochains, one splitting at a time."""
+    splittings = _splittings(data, 2, 2)
+
+    def faces(a, pick):
+        return gf2.vector_from_indices(s for s, split in enumerate(splittings) if (a >> split[pick]) & 1)
+
+    front = [faces(a, 1) for a in reps]
+    back = [faces(b, 2) for b in reps]
+    return [gf2.vector_from_indices(j for j, y in enumerate(back) if (x & y).bit_count() & 1)
+            for x in front]
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_FIXTURES))
+def test_cohomology_bases_match_oracle(name):
+    data = chain_complex_of(COHOMOLOGY_FIXTURES[name](), "Z2")
+    for k in range(data.top_dim + 1):
+        assert data.gf2_rank(k + 1) == gf2.rank_of_rows(data.gf2_rows(k + 1)), k
+        basis = cohomology_z2_basis(data, k)
+        oracle = _cohomology_basis_oracle(data, k)
+        assert basis.dimension == oracle.dimension, k
+        assert all(is_cocycle(data, rep, k) for rep in basis.representatives)
+        # the oracle's classes in the new basis: an invertible change of basis
+        a = [basis.coordinates(rep) for rep in oracle.representatives]
+        assert gf2.rank_of_rows(a) == basis.dimension, k
+        if k == 2 and data.top_dim == 4:
+            q_new = intersection_form(data)[0]
+            aq = [0] * len(a)
+            for i, row in enumerate(a):
+                for p in gf2.indices_of_vector(row):
+                    aq[i] ^= q_new[p]
+            congruent = [gf2.vector_from_indices(j for j, y in enumerate(a) if (x & y).bit_count() & 1)
+                         for x in aq]
+            assert _pairing_matrix(data, oracle.representatives) == congruent
+    if name == "filled P^4":
+        assert [data.gf2_rank(k) for k in range(1, 5)] == [1023, 4067, 4771, 1599]
+        assert [cohomology_z2_basis(data, k).dimension for k in range(5)] == [1, 30, 122, 30, 1]

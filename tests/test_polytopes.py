@@ -303,10 +303,19 @@ def _cross_vertex_moved(facets):
     return [(f0 - {max(f0)} | {15}, kind)] + facets[1:]
 
 
+def _edge_on_one_facet(facets):
+    # vertices 0 and 1 of cross facet 0 are not antipodal; dropping the
+    # other facets through edge 01 leaves 0 with two one-facet partners
+    f0, kind = facets[0]
+    assert kind == CROSS and {0, 1} <= f0
+    return facets[:1] + [(f, t) for f, t in facets[1:] if not {0, 1} <= f]
+
+
 REFUSED_G5 = [
     (_without_first, "16 ridges not shared by exactly two facets"),
     (_without_last, "16 ridges not shared by exactly two facets"),
     (_cross_vertex_moved, "facet 0: antipodal pairs do not form a matching"),
+    (_edge_on_one_facet, "facet 0: vertex in two antipodal pairs"),
 ]
 
 

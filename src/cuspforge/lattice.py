@@ -233,49 +233,6 @@ def dualize_complex(K: SimplicialComplex) -> FaceLattice:
     return FaceLattice(n, K.vertex_count, faces)
 
 
-# -- intersection-closure construction --------------------------------------
-
-
-def faces_from_facet_vertex_sets(
-    facet_vertex_sets: Sequence[Iterable[int]],
-) -> List[Tuple[FrozenSet[int], int]]:
-    """All faces of a polytope from its facet vertex sets, with dimensions.
-
-    Faces are generated by closing under intersection with facets;
-    dimensions are graded by longest chains from the vertices upward.
-    """
-    facets = [frozenset(f) for f in facet_vertex_sets]
-    store = set(facets)
-    frontier = list(facets)
-    while frontier:
-        nxt = []
-        for face in frontier:
-            for f in facets:
-                c = face & f
-                if c and c != face and c not in store:
-                    store.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    dim: Dict[FrozenSet[int], int] = {}
-    for face in sorted(store, key=lambda s: (len(s), tuple(sorted(s)))):
-        children = []
-        for f in facets:
-            c = face & f
-            if c and c != face and c in store:
-                children.append(c)
-        maximal = [c for c in children if not any(c < d for d in children)]
-        if not maximal:
-            if len(face) != 1:
-                raise ValidationError(f"minimal face {sorted(face)} is not a vertex")
-            dim[face] = 0
-        else:
-            ds = {dim[c] for c in maximal}
-            if len(ds) != 1:
-                raise ValidationError("face poset is not graded")
-            dim[face] = ds.pop() + 1
-    return sorted(dim.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
-
-
 # -- stock lattices ----------------------------------------------------------
 
 

@@ -8,28 +8,27 @@ fundamental-weight direction under the simple reflections by closure,
 then collect the vertices maximizing the inner product against each
 orbit vector.  All arithmetic is exact integer arithmetic on scaled
 root coordinates; the full reflection group is never materialized.
+
+Every facet list is checked on integer arrays of vertex indices: one
+count over packed vertex-pair keys finds the antipodal pairs of the
+cross facets, one sort of the sorted ridge rows checks that each ridge
+lies on exactly two facets, and the full face lattice is listed facet
+by facet from the vertex subsets that those checks prove to be faces.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd
+from itertools import chain, combinations, product
+from math import comb, gcd, isqrt
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gf2
 from .errors import ValidationError
-from .lattice import (
-    IDEAL,
-    REAL,
-    FaceLattice,
-    faces_from_facet_vertex_sets,
-)
+from .lattice import IDEAL, REAL, FaceLattice
 
 SIMPLEX = "simplex"
 CROSS = "cross"
@@ -221,35 +220,54 @@ def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List
     """Orbit of a vector under the simple reflections, by closure.
 
     Each round reflects the whole frontier in every simple root at once,
-    in int64.  Reflections preserve the norm, so entries and inner
-    products stay as small as the start's and the arithmetic is exact.
+    in int64.  Reflections preserve the norm, so every entry lies within
+    ``bound`` = isqrt(norm) of zero and the arithmetic is exact.  Shifted
+    by ``bound`` and read as digits in base 2 * bound + 1, a vector packs
+    into one int64 key that sorts like the vector; frontiers are
+    deduplicated on those keys.
     """
     R = np.array(roots, dtype=np.int64)
-    seen = {start}
+    bound = isqrt(_dot(start, start))
+    base, dim = 2 * bound + 1, R.shape[1]
+    if base**dim > np.iinfo(np.int64).max:
+        raise ValidationError("orbit vector too long for int64 keys")
+    place = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     frontier = np.array([start], dtype=np.int64)
+    parts, keys = [frontier], [(frontier + bound) @ place]
     while len(frontier):
         D = frontier @ R.T
         if (D % 4).any():
             raise ValidationError("orbit vector left the reflection lattice")
-        nxt = []
-        for j in range(len(R)):
-            for y in map(tuple, (frontier - np.outer(D[:, j] // 4, R[j])).tolist()):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = np.array(nxt, dtype=np.int64).reshape(-1, R.shape[1])
-    return sorted(seen)
+        Y = (frontier[:, None, :] - (D // 4)[:, :, None] * R).reshape(-1, dim)
+        k, first = np.unique((Y + bound) @ place, return_index=True)
+        # reflections are involutions: a frontier's images lie in the
+        # frontier, the one before it, or the next one
+        new = ~np.isin(k, np.concatenate(keys[-2:]))
+        frontier = Y[first[new]]
+        parts.append(frontier)
+        keys.append(k[new])
+    orbit = np.concatenate(parts)[np.argsort(np.concatenate(keys))]
+    return list(map(tuple, orbit.tolist()))
 
 
 def _facets_by_maximization(
     vertices: Sequence[Tuple[int, ...]], normals: Sequence[Tuple[int, ...]]
 ) -> List[FrozenSet[int]]:
+    """Vertex set of the face maximizing each normal.
+
+    By Cauchy-Schwarz every partial sum of an inner product is at most
+    |v||u| in size, so the products run in the smallest integer type
+    that holds that bound.
+    """
     V = np.array(vertices, dtype=np.int64)
     U = np.array(normals, dtype=np.int64)
-    prod = V @ U.T
+    bound = isqrt(int((V * V).sum(axis=1).max()) * int((U * U).sum(axis=1).max())) + 1
+    dt = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    prod = V.astype(dt) @ U.T.astype(dt)
     cols, rows = np.nonzero((prod == prod.max(axis=0)).T)
-    bounds = np.cumsum(np.bincount(cols, minlength=len(normals)))[:-1]
-    return [frozenset(idx.tolist()) for idx in np.split(rows, bounds)]
+    rows = rows.tolist()
+    ends = np.cumsum(np.bincount(cols, minlength=len(normals))).tolist()
+    return [frozenset(rows[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _orbit_facet_data(n: int):
@@ -276,37 +294,71 @@ def _orbit_facet_data(n: int):
 # ---------------------------------------------------------------------------
 # assembly and validation
 # ---------------------------------------------------------------------------
+#
+# The checks work on integer arrays: the facets of one type all have the
+# same size (n for simplices, 2(n-1) for cross-polytopes, as every caller
+# checks), so their sorted vertex indices form one matrix per type, held
+# in the smallest unsigned dtype that fits.
+
+
+def _vertex_rows(sets: Sequence[FrozenSet[int]], dtype) -> np.ndarray:
+    """Sorted vertex indices of equal-size sets, one row per set."""
+    width = len(sets[0]) if sets else 0
+    flat = np.fromiter(chain.from_iterable(sets), dtype, len(sets) * width)
+    return np.sort(flat.reshape(len(sets), width), axis=1)
+
+
+def _row_runs(R: np.ndarray, *minor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of R lexicographically (ties broken
+    by the ``minor`` keys) and the start of each run of equal rows in it."""
+    order = np.lexsort([*minor, *R.T[::-1]])
+    R = R[order]
+    fresh = np.ones(len(R), dtype=bool)
+    fresh[1:] = (R[1:] != R[:-1]).any(axis=1)
+    return order, np.flatnonzero(fresh)
 
 
 def _antipodal_pairs(
-    facet_vertex_sets: Sequence[FrozenSet[int]],
-    facet_types: Sequence[str],
-    at: Sequence[int],
+    facet_vertex_sets: Sequence[FrozenSet[int]], facet_types: Sequence[str]
 ) -> List[Tuple[Tuple[int, int], ...]]:
     """Diagonals of each cross facet: vertex pairs whose only common facet
-    is that facet.  ``at[v]`` has bit i set when vertex v lies on facet i.
-    Validates the perfect-matching (cube-dual) structure."""
-    common: Dict[Tuple[int, int], int] = {}
-    out: List[Tuple[Tuple[int, int], ...]] = []
-    for i, (fv, kind) in enumerate(zip(facet_vertex_sets, facet_types)):
-        if kind != CROSS:
-            out.append(())
-            continue
-        partner: Dict[int, int] = {}
-        pairs = []
-        for v, w in combinations(sorted(fv), 2):
-            c = common.get((v, w))
-            if c is None:
-                c = common[v, w] = (at[v] & at[w]).bit_count()
-            if c == 1:
-                if v in partner or w in partner:
-                    raise ValidationError(f"facet {i}: vertex in two antipodal pairs")
-                partner[v] = w
-                partner[w] = v
-                pairs.append((v, w))
-        if len(partner) != len(fv):
-            raise ValidationError(f"facet {i}: antipodal pairs do not form a matching")
-        out.append(tuple(sorted(pairs)))
+    is that facet.  Validates the perfect-matching (cube-dual) structure.
+
+    Each in-facet pair v < w is keyed v * nv + w, nv past the largest
+    vertex; one count of the keys of every facet gives each pair's number
+    of common facets.
+    """
+    cross = [i for i, t in enumerate(facet_types) if t == CROSS]
+    nv = 1 + max(map(max, facet_vertex_sets))
+    dt, kd = np.min_scalar_type(nv), np.min_scalar_type(nv * nv)
+
+    def pair_keys(rows: np.ndarray) -> np.ndarray:
+        a, b = np.triu_indices(rows.shape[1], 1)  # combinations order
+        return rows[:, a].astype(kd) * kd.type(nv) + rows[:, b]
+
+    C = _vertex_rows([facet_vertex_sets[i] for i in cross], dt)
+    S = _vertex_rows([f for f, t in zip(facet_vertex_sets, facet_types) if t != CROSS], dt)
+    keys = pair_keys(C)
+    distinct, counts = np.unique(
+        np.concatenate([keys.ravel(), pair_keys(S).ravel()]), return_counts=True
+    )
+    one = counts[np.searchsorted(distinct, keys)] == 1
+    a, b = np.triu_indices(C.shape[1], 1)
+    touch = np.zeros((len(a), C.shape[1]), dtype=np.uint8)
+    touch[np.arange(len(a)), a] = touch[np.arange(len(a)), b] = 1
+    degree = one @ touch  # antipodal pairs at each vertex of each cross facet
+    two = (degree > 1).any(axis=1)
+    bad = two | (degree == 0).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if two[k]:
+            raise ValidationError(f"facet {cross[k]}: vertex in two antipodal pairs")
+        raise ValidationError(f"facet {cross[k]}: antipodal pairs do not form a matching")
+    pairs = np.stack([C[:, a], C[:, b]], axis=2)[one]
+    pairs = pairs.reshape(len(C), C.shape[1] // 2, 2).tolist()
+    out: List[Tuple[Tuple[int, int], ...]] = [()] * len(facet_types)
+    for i, p in zip(cross, pairs):
+        out[i] = tuple(map(tuple, p))
     return out
 
 
@@ -318,23 +370,77 @@ def _ridge_check(
     """Every ridge of every facet must be shared by exactly two facets.
 
     This is the completeness oracle for the facet list: a missing facet
-    would leave some ridge covered once.  Ridges are keyed by their
-    vertex bitmask.  Returns the ridge count.
+    would leave some ridge covered once.  Each ridge becomes the row of
+    its sorted vertex indices, and one sort of the rows counts them.
+    Returns the ridge count.
     """
-    count: Counter = Counter()
-    for fv, kind, pairs in zip(facet_vertex_sets, facet_types, antipodal):
-        if kind == SIMPLEX:
-            mask = gf2.vector_from_indices(fv)
-            count.update([mask ^ (1 << v) for v in fv])
-        else:
-            masks = [0]
-            for v, w in pairs:
-                masks = [m | 1 << v for m in masks] + [m | 1 << w for m in masks]
-            count.update(masks)
-    bad = [r for r, c in count.items() if c != 2]
+    dt = np.min_scalar_type(max(map(max, facet_vertex_sets)))
+    S = _vertex_rows([f for f, t in zip(facet_vertex_sets, facet_types) if t == SIMPLEX], dt)
+    pairs = np.array([p for p, t in zip(antipodal, facet_types) if t == CROSS], dtype=dt)
+    m = S.shape[1]
+    drop = np.array([[j for j in range(m) if j != i] for i in range(m)], dtype=np.intp)
+    ridges = [S[:, drop].reshape(len(S) * m, m - 1)] if m else []
+    if len(pairs):
+        k = pairs.shape[1]
+        side = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        ridges.append(np.sort(pairs[:, np.arange(k), side], axis=2).reshape(-1, k))
+    R = np.concatenate(ridges)
+    _, starts = _row_runs(R)
+    bad = int(np.count_nonzero(np.diff(np.append(starts, len(R))) != 2))
     if bad:
-        raise ValidationError(f"{len(bad)} ridges not shared by exactly two facets")
-    return len(count)
+        raise ValidationError(f"{bad} ridges not shared by exactly two facets")
+    return len(starts)
+
+
+def _graded_faces(
+    n: int,
+    facet_vertex_sets: Sequence[FrozenSet[int]],
+    facet_types: Sequence[str],
+    antipodal: Sequence[Tuple[Tuple[int, int], ...]],
+) -> List[Tuple[FrozenSet[int], int, FrozenSet[int]]]:
+    """Every face as (vertex set, dimension, facets containing it), by
+    dimension and then sorted vertex tuple.
+
+    After the antipodal and ridge checks the faces (the intersections of
+    facets) are exactly the facets, the nonempty proper subsets of
+    simplex facets, and the nonempty subsets of cross facets that take at
+    most one vertex of each diagonal.  Such a subset of k vertices has
+    dimension k - 1, and its facets are the facets that list it.
+
+    Why, for distinct facets: no two facets share a diagonal, so no facet
+    holds another, an intersection of facets is listed, and a cross facet
+    through a listed set lists it.  If every facet through a listed set F
+    held some w outside F, a ridge through F avoiding w (through w's
+    partner, in a cross facet) would have a second facet holding F and w,
+    hence a whole facet or a diagonal of the first.  So F is an
+    intersection of facets, its faces are its subsets, and grading by
+    longest chains gives k - 1 without refusal.  If two facets share a
+    vertex set, no face lies on one of them alone and FaceLattice refuses
+    the lattice.
+    """
+    dt = np.min_scalar_type(max(map(max, facet_vertex_sets)))
+    simplex = np.array([i for i, t in enumerate(facet_types) if t == SIMPLEX], dtype=np.int64)
+    cross = np.array([i for i, t in enumerate(facet_types) if t == CROSS], dtype=np.int64)
+    S = _vertex_rows([facet_vertex_sets[i] for i in simplex], dt).reshape(-1, n)
+    P = np.array([antipodal[i] for i in cross], dtype=dt).reshape(-1, n - 1, 2)
+    out = []
+    for k in range(1, n):
+        pick = np.array(list(combinations(range(n), k)))
+        axes = np.repeat(np.array(list(combinations(range(n - 1), k))), 1 << k, axis=0)
+        side = np.tile(np.array(list(product((0, 1), repeat=k))), (len(axes) >> k, 1))
+        R = np.concatenate([S[:, pick].reshape(-1, k),
+                            np.sort(P[:, axes, side], axis=2).reshape(-1, k)])
+        owner = np.concatenate([np.repeat(simplex, len(pick)), np.repeat(cross, len(axes))])
+        order, starts = _row_runs(R, owner)
+        owner = owner[order].tolist()
+        ends = np.append(starts[1:], len(R)).tolist()
+        for row, a, b in zip(R[order[starts]].tolist(), starts.tolist(), ends):
+            out.append((frozenset(row), k - 1, frozenset(owner[a:b])))
+    listing: Dict[FrozenSet[int], List[int]] = {}
+    for i, f in enumerate(facet_vertex_sets):
+        listing.setdefault(f, []).append(i)
+    out += [(f, n - 1, frozenset(ids)) for f, ids in listing.items()]
+    return out
 
 
 def _assemble(
@@ -344,29 +450,37 @@ def _assemble(
     coords: Optional[Sequence[Tuple[int, ...]]],
     full_lattice: bool,
 ) -> GossetPolytope:
-    facets = sorted(facets, key=lambda ft: tuple(sorted(ft[0])))
+    """Sort, check and adopt a facet list.  Simplex facets must have n
+    vertices and cross facets 2(n-1), as every caller checks."""
+    dt = np.min_scalar_type(num_vertices)
+    # facets in order of their sorted vertex tuples: rows of v + 1, 0-padded
+    padded = np.zeros((len(facets), 2 * (n - 1)), dtype=dt)
+    for kind in (SIMPLEX, CROSS):
+        ids = [i for i, (_, t) in enumerate(facets) if t == kind]
+        rows = _vertex_rows([facets[i][0] for i in ids], dt)
+        padded[ids, : rows.shape[1]] = rows + 1
+    order = _row_runs(padded)[0]
+    facets = [facets[i] for i in order.tolist()]
     fv_sets = [f for f, _ in facets]
     types = [t for _, t in facets]
-    incident: List[List[int]] = [[] for _ in range(num_vertices)]
-    for i, f in enumerate(fv_sets):
-        for v in f:
-            incident[v].append(i)
-    at = [gf2.vector_from_indices(ids) for ids in incident]
-    antipodal = _antipodal_pairs(fv_sets, types, at)
+    padded = padded[order]
+    owner, col = np.nonzero(padded)
+    verts = padded[owner, col] - 1
+    counts = np.bincount(verts, minlength=num_vertices)
+    antipodal = _antipodal_pairs(fv_sets, types)
     _ridge_check(fv_sets, types, antipodal)
-    if not all(at):
+    if not counts.all():
         raise ValidationError("some vertex lies on no facet")
 
     graded: Optional[Tuple[Tuple[FrozenSet[int], int], ...]] = None
     if full_lattice:
-        graded = tuple(faces_from_facet_vertex_sets(fv_sets))
-        faces = []
-        for vset, d in graded:
-            fs = frozenset(i for i, f in enumerate(fv_sets) if vset <= f)
-            faces.append((d, fs))
-        lattice = FaceLattice(n, len(fv_sets), faces)
+        faces = _graded_faces(n, fv_sets, types, antipodal)
+        graded = tuple((vs, d) for vs, d, _ in faces)
+        lattice = FaceLattice(n, len(fv_sets), [(d, fs) for _, d, fs in faces])
     else:
-        faces = [(0, frozenset(ids)) for ids in incident]
+        owner = owner[np.argsort(verts, kind="stable")].tolist()
+        ends = np.cumsum(counts).tolist()
+        faces = [(0, frozenset(owner[a:b])) for a, b in zip([0] + ends, ends)]
         faces += [(n - 1, frozenset({i})) for i in range(len(fv_sets))]
         lattice = FaceLattice(n, len(fv_sets), faces)
     return GossetPolytope(

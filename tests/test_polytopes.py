@@ -2,7 +2,7 @@
 
 import json
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from scipy.spatial import ConvexHull
 from cuspforge import polytopes
 from cuspforge.cli import main
 from cuspforge.errors import ValidationError
-from cuspforge.gf2 import vector_from_indices
 from cuspforge.lattice import FaceLattice
 from cuspforge.polytopes import (
     _E_ROOTS_2X,
@@ -110,22 +109,32 @@ def test_lattice_property_spot_checks():
     assert gosset(5).lattice.lattice_check(max_pairs=4000)
 
 
-def test_ingestion_roundtrip(tmp_path):
+def _face_counts(lattice):
+    # the f-vector of a complete lattice; rank counts of a partial one
+    return tuple(sum(1 for k, _ in lattice.faces if k == r) for r in range(lattice.rank))
+
+
+@pytest.mark.parametrize("n, passes", [(4, 1), (8, 2)], ids=["4", "8"])
+def test_ingestion_roundtrip(tmp_path, n, passes):
     # serialization forgets vertex ids, so ingestion re-canonicalizes:
-    # invariants survive and one pass reaches a fixed point
-    G = gosset(4)
+    # invariants survive, and the JSON reaches a fixed point after one
+    # pass for G^4 and two for G^8 (vertex and facet orders settle in turn)
+    G = gosset(n)
     text = G.lattice.to_json()
-    H = ingest_gosset(text, 4)
+    H = ingest_gosset(text, n)
     assert sorted(H.facet_types) == sorted(G.facet_types)
-    assert H.lattice.f_vector() == G.lattice.f_vector()
+    assert _face_counts(H.lattice) == _face_counts(G.lattice)
+    assert H.lattice.is_complete() == G.lattice.is_complete() == (n <= 6)
     canonical = H.lattice.to_json()
-    assert ingest_gosset(canonical, 4).lattice.to_json() == canonical
+    for _ in range(passes - 1):
+        canonical = ingest_gosset(canonical, n).lattice.to_json()
+    assert ingest_gosset(canonical, n).lattice.to_json() == canonical
     # via the data directory hook
-    path = tmp_path / "gosset4.json"
+    path = tmp_path / f"gosset{n}.json"
     path.write_text(text)
-    H2 = gosset(4, data_dir=str(tmp_path))
+    H2 = gosset(n, data_dir=str(tmp_path))
     assert sorted(H2.facet_types) == sorted(G.facet_types)
-    assert H2.lattice.f_vector() == G.lattice.f_vector()
+    assert _face_counts(H2.lattice) == _face_counts(G.lattice)
 
 
 def test_ingestion_rejects_wrong_rank():
@@ -168,8 +177,16 @@ def test_e7_orbit_generator_structure():
     assert P.num_facets == 56
 
 
-# Set-based assembly checks and the scalar orbit closure, kept as oracles
-# for the bitset and vectorised versions in cuspforge.polytopes.
+def test_e7_full_lattice():
+    G = gosset(7, full_lattice=True)
+    assert G.lattice.f_vector() == (56, 756, 4032, 10080, 12096, 6048, 702)
+    assert [d for _, d in G.graded_faces] == sorted(len(v) - 1 if d < 6 else 6
+                                                    for v, d in G.graded_faces)
+
+
+# Set-based assembly checks, the scalar orbit closure and the face
+# closure by intersection, kept as oracles for the array versions in
+# cuspforge.polytopes.
 
 
 def _antipodal_oracle(
@@ -259,9 +276,7 @@ def _orbit_oracle(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> L
 def test_bitset_assembly_checks_match_set_oracles(n):
     G = gosset(n)
     fv, types = G.facet_vertex_sets, G.facet_types
-    at = [vector_from_indices(i for i, f in enumerate(fv) if v in f)
-          for v in range(G.num_vertices)]
-    pairs = polytopes._antipodal_pairs(fv, types, at)
+    pairs = polytopes._antipodal_pairs(fv, types)
     assert pairs == _antipodal_oracle(fv, types, G.num_vertices)
     assert tuple(pairs) == G.antipodal_pairs
     assert polytopes._ridge_check(fv, types, pairs) == _ridge_oracle(n, fv, types, pairs)
@@ -282,6 +297,75 @@ def test_orbit_off_the_reflection_lattice_is_refused():
     for closure in (polytopes.weyl_orbit, _orbit_oracle):
         with pytest.raises(ValidationError, match="orbit vector left the reflection lattice"):
             closure(start, _E_ROOTS_2X)
+
+
+def test_orbit_keys_refuse_entries_past_int64():
+    # 2 * 200 + 1 = 401 and 401^8 > 2^63: keys would collide
+    with pytest.raises(ValidationError, match="^orbit vector too long for int64 keys$"):
+        polytopes.weyl_orbit((200, 0, 0, 0, 0, 0, 0, 0), _E_ROOTS_2X)
+
+
+def faces_from_facet_vertex_sets(
+    facet_vertex_sets: Sequence[Iterable[int]],
+) -> List[Tuple[FrozenSet[int], int]]:
+    """All faces of a polytope from its facet vertex sets, with dimensions.
+
+    Faces are generated by closing under intersection with facets;
+    dimensions are graded by longest chains from the vertices upward.
+    """
+    facets = [frozenset(f) for f in facet_vertex_sets]
+    store = set(facets)
+    frontier = list(facets)
+    while frontier:
+        nxt = []
+        for face in frontier:
+            for f in facets:
+                c = face & f
+                if c and c != face and c not in store:
+                    store.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    dim: Dict[FrozenSet[int], int] = {}
+    for face in sorted(store, key=lambda s: (len(s), tuple(sorted(s)))):
+        children = []
+        for f in facets:
+            c = face & f
+            if c and c != face and c in store:
+                children.append(c)
+        maximal = [c for c in children if not any(c < d for d in children)]
+        if not maximal:
+            if len(face) != 1:
+                raise ValidationError(f"minimal face {sorted(face)} is not a vertex")
+            dim[face] = 0
+        else:
+            ds = {dim[c] for c in maximal}
+            if len(ds) != 1:
+                raise ValidationError("face poset is not graded")
+            dim[face] = ds.pop() + 1
+    return sorted(dim.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_listed_faces_match_intersection_closure(n):
+    G = gosset(n)
+    graded = faces_from_facet_vertex_sets(G.facet_vertex_sets)
+    assert G.graded_faces == tuple(graded)
+    fv = G.facet_vertex_sets
+    faces = [(d, frozenset(i for i, f in enumerate(fv) if vset <= f)) for vset, d in graded]
+    assert G.lattice == FaceLattice(n, len(fv), faces)
+
+
+def test_full_lattice_refuses_two_facets_on_one_vertex_set():
+    # an isolated pair of equal simplices passes the antipodal and ridge
+    # checks; no face lies on one of them alone
+    G = gosset(4)
+    pillow = frozenset(range(G.num_vertices, G.num_vertices + 4))
+    facets = list(zip(G.facet_vertex_sets, G.facet_types)) + [(pillow, SIMPLEX)] * 2
+    for full in (False, True):
+        with pytest.raises(ValidationError):
+            polytopes._assemble(4, G.num_vertices + 4, facets, None, full_lattice=full)
+    with pytest.raises(ValidationError, match="is not a vertex"):
+        faces_from_facet_vertex_sets([f for f, _ in facets])
 
 
 def _g5_facets():

@@ -8,7 +8,11 @@ cell-complex types in this library; GF(2) work reads the same data mod
 Each boundary map is eliminated once per coefficient ring and cached on
 the data: over Z one Smith normal form per d_k, over Z/2 one cleared
 reduction per coboundary map delta^k, which every Z/2 rank, cocycle
-basis and coboundary pivot is read from.
+basis and coboundary pivot is read from.  The Smith normal form is fed
+the incidences of d_k as sparse rows and builds its dense transforms
+only when they are read: integral homology reads none of them, an
+integral H_k basis reads V and V^-1 of d_k and U and U^-1 of its
+relation matrix, and is cached per degree as well.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .snf import SNFResult, apply_matrix, smith_normal_form
 
 Entry = Tuple[int, int]  # (face index, incidence number)
 
-INTEGRAL_DENSE_LIMIT = 4_000_000  # matrix entries; beyond this use Z/2 or SNF directly
+# Entries of d_k (n_{k-1} x n_k) above which integral work is refused.  The
+# elimination is sparse; the limit bounds the dense U and V built on read.
+INTEGRAL_DENSE_LIMIT = 4_000_000
 
 
 @dataclass
@@ -37,7 +43,8 @@ class ChainComplexData:
     for the i-th k-cell; coefficients are always the integral incidence
     numbers, and the ``coeff`` tag records how downstream computations
     should interpret them ("Z" or "Z2").  Eliminations are cached beside
-    the data: ``smith(k)`` over Z, ``gf2_coreduction(k)`` over Z/2.
+    the data: ``smith(k)`` over Z, ``gf2_coreduction(k)`` over Z/2, and
+    the integral H_k bases built on ``smith(k)``.
     """
 
     coeff: str
@@ -47,6 +54,7 @@ class ChainComplexData:
     _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
     _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
+    _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.coeff not in ("Z", "Z2"):
@@ -135,9 +143,18 @@ class ChainComplexData:
         return mat
 
     def smith(self, k: int) -> SNFResult:
-        """Smith normal form of d_k, computed once: the one integral elimination of d_k."""
+        """Smith normal form of d_k, computed once: the one integral
+        elimination of d_k, handed its incidences as sparse rows (one
+        {k-cell: incidence} per (k-1)-cell).  Its transforms are built only
+        when read, so ranks and torsion cost no dense matrix."""
         if k not in self._smith:
-            self._smith[k] = smith_normal_form(self.dense_boundary(k), self.size(k - 1), self.size(k))
+            self.check_dense(k)
+            rows: List[Dict[int, int]] = [{} for _ in range(self.size(k - 1))]
+            if 1 <= k <= self.top_dim:
+                for j, entries in enumerate(self.boundaries[k]):
+                    for idx, coeff in entries:
+                        rows[idx][j] = rows[idx].get(j, 0) + coeff
+            self._smith[k] = smith_normal_form(rows, self.size(k - 1), self.size(k))
         return self._smith[k]
 
     def verify_dd_zero(self) -> None:
@@ -300,7 +317,10 @@ class IntegralHomologyBasis:
 def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyBasis:
     """H_k over Z: the cycles of d_k (read off its SNF) modulo one relation
     column per (k+1)-cell; the relations' SNF U' D' V' gives generator j
-    = kernel basis . U'[:, j], of order D'_j."""
+    = kernel basis . U'[:, j], of order D'_j.  Computed once per degree
+    and cached on the data."""
+    if k in data._integral_bases:
+        return data._integral_bases[k]
     snf = data.smith(k)
     n_k = data.size(k)
     z = n_k - snf.rank
@@ -315,7 +335,7 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
     cycles = [row[snf.rank:] for row in snf.vinv]  # columns: kernel_basis(snf)
     free_gens = [apply_matrix(cycles, [row[j] for row in r_snf.u])
                  for j, d in enumerate(orders) if d == 0]
-    return IntegralHomologyBasis(
+    basis = data._integral_bases[k] = IntegralHomologyBasis(
         degree=k,
         free_rank=len(free_gens),
         torsion=tuple(d for d in orders if d not in (0, 1)),
@@ -323,6 +343,7 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
         _boundary_snf=snf,
         _quotient_rows=[(d, r_snf.uinv[i]) for i, d in enumerate(orders) if d != 1],
     )
+    return basis
 
 
 # ---------------------------------------------------------------------------

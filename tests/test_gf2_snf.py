@@ -4,9 +4,11 @@ import random
 from typing import Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import booleans, composite, floats, integers, permutations, randoms, sets
 
-from cuspforge import gf2
-from cuspforge.chains import chain_complex_of, homology
+from cuspforge import gf2, snf
+from cuspforge.chains import chain_complex_of, homology, integral_homology_basis, subcomplex_selection
 from cuspforge.errors import ValidationError
 from cuspforge.lattice import polygon_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle, truncated_quotient
@@ -278,10 +280,13 @@ def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, nco
     return SNFResult(nrows=m, ncols=n, diag=diag, u=u, v=v, uinv=uinv, vinv=vinv)
 
 
+SNF_FIELDS = ("nrows", "ncols", "diag", "u", "v", "uinv", "vinv")
+
+
 def _assert_matches_oracle(matrix, nrows=None, ncols=None):
     got = smith_normal_form(matrix, nrows, ncols)
     want = _smith_oracle(matrix, nrows, ncols)
-    for name in ("nrows", "ncols", "diag", "u", "v", "uinv", "vinv"):
+    for name in SNF_FIELDS:
         assert getattr(got, name) == getattr(want, name), name
     return got
 
@@ -307,9 +312,21 @@ def test_snf_transforms_match_oracle_on_boundary_maps():
     klein = colour_manifold(polygon_lattice(4), Colouring(2, (0b01, 0b10, 0b11, 0b10)))
     data = chain_complex_of(klein, "Z")
     assert _assert_matches_oracle(data.dense_boundary(2), data.size(1), data.size(2)).invariant_factors() == [2]
-    cusped = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    quotient = truncated_quotient(ideal_dual(gosset(3)))
+    cusped = chain_complex_of(quotient.quotient, "Z")
     assert (cusped.size(2), cusped.size(3)) == (384, 64)
     _assert_matches_oracle(cusped.dense_boundary(3), cusped.size(2), cusped.size(3))
+    # the sparse entry: ChainComplexData.smith hands d_k over as sparse rows
+    # (d_1 and d_2 of the full cusped quotient are left out: the oracle takes seconds)
+    t3 = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z")
+    cusp_torus = subcomplex_selection(cusped, quotient.components[0].keys_per_dim).data
+    assert cusp_torus.sizes() == (16, 32, 16)
+    cases = [(cusped, 3)] + [(d, k) for d in (t3, data, cusp_torus) for k in range(d.top_dim + 2)]
+    for d, k in cases:
+        want = _smith_oracle(d.dense_boundary(k), d.size(k - 1), d.size(k))
+        got = d.smith(k)
+        for name in SNF_FIELDS:
+            assert getattr(got, name) == getattr(want, name), (d.sizes(), k, name)
 
 
 def test_second_z2_homology_runs_no_elimination(monkeypatch):
@@ -321,3 +338,46 @@ def test_second_z2_homology_runs_no_elimination(monkeypatch):
     assert first.betti == (1, 3, 3, 1) and len(calls) == 3  # one per coboundary map
     assert homology(data) == first
     assert len(calls) == 3
+
+
+def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):
+    built = []
+    replay = snf._replay
+    monkeypatch.setattr(snf, "_replay", lambda moves, size: built.append(size) or replay(moves, size))
+    data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    assert data.sizes() == (208, 528, 384, 64)
+    assert homology(data).betti == (1, 12, 11, 0)
+    assert built == []  # ranks and torsion read the diagonal only
+    basis = integral_homology_basis(data, 1)
+    # V, V^-1 of d_1 (528 columns) and U, U^-1 of the 321 x 384 relation matrix
+    assert built == [528, 321]
+    d1 = data.smith(1)
+    assert (len(d1.v), len(d1.vinv)) == (528, 528) and built == [528, 321]  # V of d_1 was the one built
+    assert integral_homology_basis(data, 1) is basis
+    assert homology(data).betti == (1, 12, 11, 0)
+    assert built == [528, 321]  # a second call builds nothing
+
+
+@composite
+def integer_matrices(draw):
+    """Up to 9 x 9, entries -50..50 at a drawn density, some rows and
+    columns zeroed; rows dense lists or sparse dicts."""
+    m, n = draw(integers(0, 9)), draw(integers(0, 9))
+    density = draw(floats(0.1, 1.0))
+    rng = draw(randoms(use_true_random=False))
+    zero_rows, zero_cols = draw(sets(integers(0, 8), max_size=3)), draw(sets(integers(0, 8), max_size=3))
+    a = [[rng.randint(-50, 50) if i not in zero_rows and j not in zero_cols and rng.random() < density
+          else 0 for j in range(n)] for i in range(m)]
+    return a, m, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=integer_matrices(), sparse=booleans(), order=permutations(["u", "v", "uinv", "vinv"]))
+def test_snf_matches_oracle_on_random_integer_matrices(case, sparse, order):
+    a, m, n = case
+    rows = [{j: x for j, x in enumerate(r) if x} for r in a] if sparse else a
+    got = smith_normal_form(rows, m, n)
+    want = _smith_oracle(a, m, n)
+    for name in ("nrows", "ncols", "diag", *order, *order):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.rank == sum(1 for d in want.diag if d)

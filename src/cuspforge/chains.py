@@ -3,7 +3,10 @@ and inclusion-induced maps.
 
 One ``ChainComplexData`` carries integer incidence data for any of the
 cell-complex types in this library; GF(2) work reads the same data mod
-2 through bit-packed rows.  d(d(x)) = 0 is verified at build time.
+2 through bit-packed rows.  d(d(x)) = 0 is verified at build time by
+composing d_(k-1) d_k exactly in int64 arrays, one block of k-cells at a
+time: cubical data hands over its face tables and blocks along its
+support runs, other builders' incidence tuples are flattened once.
 
 Each boundary map is eliminated once per coefficient ring and cached on
 the data: over Z one Smith normal form per d_k, over Z/2 one cleared
@@ -22,6 +25,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import gf2
 from .cubical import CubicalComplex
 from .errors import BudgetError, ValidationError
@@ -33,6 +38,19 @@ Entry = Tuple[int, int]  # (face index, incidence number)
 # Entries of d_k (n_{k-1} x n_k) above which integral work is refused.  The
 # elimination is sparse; the limit bounds the dense U and V built on read.
 INTEGRAL_DENSE_LIMIT = 4_000_000
+
+# k-cells per block of the d(d) = 0 check for data without support runs
+DD_BLOCK_ROWS = 2048
+
+
+# d_k as flat arrays (ptr, faces, coeffs, blocks): the entries of k-cell i are
+# faces[ptr[i]:ptr[i+1]] with coeffs beside them; blocks are the row offsets
+# (0 first, n_k last) between which verify_dd_zero composes.
+IncidenceArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]
+
+
+def _max_abs(values: np.ndarray) -> int:
+    return max(abs(int(values.max())), abs(int(values.min()))) if values.size else 0
 
 
 @dataclass
@@ -55,6 +73,7 @@ class ChainComplexData:
     _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
     _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
+    _arrays: Dict[int, IncidenceArrays] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coeff not in ("Z", "Z2"):
@@ -157,15 +176,55 @@ class ChainComplexData:
             self._smith[k] = smith_normal_form(rows, self.size(k - 1), self.size(k))
         return self._smith[k]
 
+    def _incidence_arrays(self, k: int) -> IncidenceArrays:
+        """d_k (1 <= k <= top) as flat arrays: the ones the builder handed
+        over, else ``boundaries[k]`` flattened (and not kept)."""
+        if k in self._arrays:
+            return self._arrays[k]
+        rows = self.boundaries[k]
+        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=ptr[1:])
+        faces = np.fromiter((idx for row in rows for idx, _ in row), np.int64, int(ptr[-1]))
+        try:
+            coeffs = np.fromiter((c for row in rows for _, c in row), np.int64, int(ptr[-1]))
+        except OverflowError:
+            coeffs = np.array([c for row in rows for _, c in row], dtype=object)
+        blocks = list(range(0, len(rows), DD_BLOCK_ROWS)) + [len(rows)]
+        return ptr, faces, coeffs, blocks
+
     def verify_dd_zero(self) -> None:
+        """d_(k-1) d_k = 0 for every k, composed exactly one block of k-cells
+        at a time: each entry (face j, c) of a k-cell expands into c times
+        the entries of d_(k-1) on j, and the products are summed per
+        (k-cell, (k-2)-cell) after one sort.  Each d_k is flattened once."""
+        lower = self._incidence_arrays(1) if self.top_dim >= 2 else None
         for k in range(2, self.top_dim + 1):
-            for entries in self.boundaries[k]:
-                acc: Dict[int, int] = {}
-                for idx, coeff in entries:
-                    for idx2, coeff2 in self.boundaries[k - 1][idx]:
-                        acc[idx2] = acc.get(idx2, 0) + coeff * coeff2
-                if any(v != 0 for v in acc.values()):
+            upper = self._incidence_arrays(k)
+            ptr, faces, coeffs, blocks = upper
+            ptr1, faces1, coeffs1, _ = lower
+            widths = np.diff(ptr)
+            widths1 = np.diff(ptr1)
+            bound = (_max_abs(coeffs) * _max_abs(coeffs1)
+                     * int(widths.max(initial=0)) * int(widths1.max(initial=0)))
+            dtype = np.int64 if bound < 2 ** 63 else object
+            n_low = max(self.size(k - 2), 1)
+            for a, b in zip(blocks, blocks[1:]):
+                lo, hi = int(ptr[a]), int(ptr[b])
+                face = faces[lo:hi]
+                count = widths1[face]
+                first = ptr1[face]
+                # positions in d_(k-1) of the expanded entries, row by row
+                pos = np.arange(int(count.sum())) + np.repeat(first - (np.cumsum(count) - count), count)
+                cell = np.repeat(np.repeat(np.arange(b - a), widths[a:b]), count)
+                key = cell * n_low + faces1[pos]
+                value = (np.repeat(coeffs[lo:hi], count).astype(dtype, copy=False)
+                         * coeffs1[pos].astype(dtype, copy=False))
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+                if key.size and np.count_nonzero(np.add.reduceat(value[order], heads)):
                     raise ValidationError(f"dd != 0 in dimension {k}")
+            lower = upper
 
 
 def chain_complex_of(X, coeff: str = "Z2") -> ChainComplexData:
@@ -212,28 +271,28 @@ def _simplicial_chain_data(K: SimplicialComplex, coeff: str) -> ChainComplexData
 
 
 def _cubical_chain_data(Z: CubicalComplex, coeff: str) -> ChainComplexData:
-    cell_keys: List[Tuple] = []
-    boundaries: List[Tuple] = []
-    index_prev: Dict = {}
-    for k in range(Z.dim + 1):
-        cells = Z.cells_of_dim(k)
-        index_here = {c: i for i, c in enumerate(cells)}
-        rows = []
-        for support, signs in cells:
-            if k == 0:
-                rows.append(())
-            else:
-                entries = []
-                for pos, i in enumerate(support):
-                    rest = tuple(x for x in support if x != i)
-                    sign = (-1) ** pos
-                    entries.append((index_prev[(rest, signs | (1 << i))], sign))
-                    entries.append((index_prev[(rest, signs)], -sign))
-                rows.append(tuple(entries))
-        cell_keys.append(tuple(cells))
-        boundaries.append(tuple(rows))
-        index_prev = index_here
-    return ChainComplexData(coeff, cell_keys, boundaries)
+    """Rows read off ``Z.face_table(k)``: on the p-th axis of the support the
+    +1 face with sign (-1)^p, then the -1 face with the opposite sign.  The
+    (face, sign) entries are shared tuples over one list of index ints, and
+    the tables are handed to ``verify_dd_zero`` blocked by support runs."""
+    cell_keys = [Z.cells_of_dim(k) for k in range(Z.dim + 1)]
+    boundaries: List[Tuple] = [((),) * len(cell_keys[0])] if cell_keys else []
+    arrays: Dict[int, IncidenceArrays] = {}
+    index = list(range(max(map(len, cell_keys), default=0)))
+    for k in range(1, Z.dim + 1):
+        table = Z.face_table(k)
+        n_faces = len(cell_keys[k - 1])
+        signs = np.array([(-1) ** p * s for p in range(k) for s in (1, -1)], dtype=np.int64)
+        entries = {s: np.fromiter(((j, s) for j in index[:n_faces]), dtype=object, count=n_faces)
+                   for s in (1, -1)}
+        rows = np.empty(table.shape, dtype=object)
+        for col, s in enumerate(signs.tolist()):
+            rows[:, col] = entries[s][table[:, col]]
+        boundaries.append(tuple(map(tuple, rows.tolist())))
+        n = len(table)
+        arrays[k] = (np.arange(n + 1, dtype=np.int64) * 2 * k, table.reshape(-1), np.tile(signs, n),
+                     [start for _, start, _ in Z.support_runs(k)] + [n])
+    return ChainComplexData(coeff, cell_keys, boundaries, _arrays=arrays)
 
 
 # ---------------------------------------------------------------------------

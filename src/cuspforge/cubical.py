@@ -4,19 +4,37 @@ A cell is a pair (support, signs): the coordinates in ``support`` run
 over the whole interval, the rest are frozen at +1 or -1.  ``signs`` is
 an int whose bit i gives the frozen value of coordinate i (1 for +1);
 bits inside the support are kept at zero so keys are canonical.
+
+Cells of one dimension are sorted, so the cells of equal support form
+contiguous runs with their signs in increasing order.  ``support_runs(k)``
+holds each run as (support, first index, sorted sign array): int64 up to
+ambient 62, exact Python ints (dtype object) above.  The faces of a run
+on one axis all lie in the run of the smaller support, so
+``face_table(k)`` finds every face index of the k-cells with one sorted
+search per (support, axis).  The closure check, the cubical chain
+complex, its d(d) = 0 check and the vertex links all read these tables;
+they are cached on the complex and ignored by ``==``, ``hash`` and pickle.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from . import gf2
 from .errors import ValidationError, check_budget, json_document, json_int
 from .simplicial import SimplicialComplex, build_simplicial
 
 Cell = Tuple[Tuple[int, ...], int]
+Run = Tuple[Tuple[int, ...], int, np.ndarray]  # (support, first index, sorted signs)
+
+# sign masks of ambient rank up to this many bits (plus one set bit) fit in int64
+INT64_AMBIENT = 62
 
 RZK1_MAGIC = b"RZK1"
 RZK1_CELL = struct.Struct("<IQ")
@@ -25,7 +43,7 @@ RZK1_CELL = struct.Struct("<IQ")
 class CubicalComplex:
     """Immutable cube subcomplex, closed under the two face maps per axis."""
 
-    __slots__ = ("ambient", "cells", "_cell_set")
+    __slots__ = ("ambient", "cells", "_cell_set", "_runs", "_face_tables", "_links")
 
     def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
         if ambient < 0:
@@ -52,20 +70,70 @@ class CubicalComplex:
         )
         if len(self._cell_set) != count:
             raise ValidationError("duplicate cells")
+        self._clear_caches()
         if validate:
             self._check_closure()
 
+    def _clear_caches(self) -> None:
+        self._runs: Dict[int, List[Run]] = {}
+        self._face_tables: Dict[int, np.ndarray] = {}
+        self._links: Optional[Dict[int, FrozenSet[Tuple[int, ...]]]] = None
+
     def _check_closure(self) -> None:
-        for d, cs in self.cells.items():
-            if d == 0:
-                continue
-            for support, signs in cs:
-                for i in support:
-                    rest = tuple(x for x in support if x != i)
-                    if (rest, signs) not in self._cell_set:
-                        raise ValidationError(f"missing -1 face of {(support, signs)} at {i}")
-                    if (rest, signs | (1 << i)) not in self._cell_set:
-                        raise ValidationError(f"missing +1 face of {(support, signs)} at {i}")
+        """Every face table builds; the first missing face is reported in
+        cell order (dimension, cell, axis, then -1 before +1)."""
+        for d in range(1, self.dim + 1):
+            self.face_table(d)
+
+    # -- face index structure ----------------------------------------------
+
+    @property
+    def _sign_dtype(self):
+        return np.int64 if self.ambient <= INT64_AMBIENT else object
+
+    def support_runs(self, k: int) -> List[Run]:
+        """The k-cells grouped by support, in cell order: (support, index of
+        the run's first cell, its signs as a sorted array)."""
+        runs = self._runs.get(k)
+        if runs is None:
+            runs = []
+            start = 0
+            for sup, group in groupby(self.cells_of_dim(k), key=itemgetter(0)):
+                signs = np.array([sg for _, sg in group], dtype=self._sign_dtype)
+                runs.append((sup, start, signs))
+                start += len(signs)
+            self._runs[k] = runs
+        return runs
+
+    def face_table(self, k: int) -> np.ndarray:
+        """Face indices of the k-cells (k >= 1) into ``cells_of_dim(k - 1)``,
+        shape (n_k, 2k): column 2p holds the +1 face on the p-th axis of the
+        support, column 2p + 1 the -1 face.  Refuses a missing face."""
+        table = self._face_tables.get(k)
+        if table is not None:
+            return table
+        lower = {sup: (start, signs) for sup, start, signs in self.support_runs(k - 1)}
+        empty = (0, np.zeros(0, dtype=self._sign_dtype))
+        table = np.empty((len(self.cells_of_dim(k)), 2 * k), dtype=np.int64)
+        for sup, start, signs in self.support_runs(k):
+            rows = table[start:start + len(signs)]
+            found = np.empty(rows.shape, dtype=bool)
+            for p, i in enumerate(sup):
+                first, face_signs = lower.get(sup[:p] + sup[p + 1:], empty)
+                for col, target in ((2 * p, signs | (1 << i)), (2 * p + 1, signs)):
+                    pos = np.searchsorted(face_signs, target)
+                    hit = pos < len(face_signs)
+                    hit[hit] = face_signs[pos[hit]] == target[hit]
+                    rows[:, col] = first + pos
+                    found[:, col] = hit
+            if not found.all():
+                r = int(np.flatnonzero(~found.all(axis=1))[0])
+                p = int(np.flatnonzero(~found[r])[0]) // 2
+                side = "-1" if not found[r, 2 * p + 1] else "+1"
+                raise ValidationError(
+                    f"missing {side} face of {self.cells_of_dim(k)[start + r]} at {sup[p]}")
+        self._face_tables[k] = table
+        return table
 
     # -- queries -----------------------------------------------------------
 
@@ -101,24 +169,50 @@ class CubicalComplex:
     def vertex_links(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
         """Sign pattern of each vertex -> supports of the cells incident to it.
 
-        Cell (support, signs) is incident to the vertices signs | t for
-        every t inside the support, so one pass over the cells of every
-        positive dimension gives all labelled links, pure or not.  An
-        isolated vertex maps to the empty set.
+        The cells of a support run are incident to the vertices signs | t
+        for every t inside the support, so one pass over the runs of every
+        positive dimension gives all labelled links, pure or not.  Vertices
+        with equal links share one frozenset; an isolated vertex maps to
+        the empty set.
         """
-        found: Dict[int, Set[Tuple[int, ...]]] = {signs: set() for _, signs in self.vertices()}
-        for d in range(1, self.dim + 1):
-            for sup, signs in self.cells_of_dim(d):
-                for t in gf2.submasks(gf2.vector_from_indices(sup)):
-                    found[signs | t].add(sup)
-        return {v: frozenset(sups) for v, sups in found.items()}
+        return dict(self._link_map())
+
+    def _link_map(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
+        """The vertex links, computed on first use and cached."""
+        if self._links is not None:
+            return self._links
+        runs = [run for d in range(1, self.dim + 1) for run in self.support_runs(d)]
+        vertices = self.support_runs(0)[0][2] if self.vertices() else np.zeros(0, self._sign_dtype)
+        corner_runs = [np.zeros(0, dtype=np.int64)]
+        corner_vertices = [np.zeros(0, dtype=np.int64)]
+        for r, (sup, _, signs) in enumerate(runs):
+            t = np.array(list(gf2.submasks(gf2.vector_from_indices(sup))), dtype=signs.dtype)
+            corners = (signs[:, None] | t[None, :]).ravel()
+            idx = np.searchsorted(vertices, corners)
+            if not (idx < len(vertices)).all() or not (vertices[idx] == corners).all():
+                raise ValidationError(f"a vertex of a cell on support {sup} is missing")
+            corner_vertices.append(idx)
+            corner_runs.append(np.full(len(idx), r))
+        # run ids grouped by vertex, in run order within each vertex
+        vertex = np.concatenate(corner_vertices)
+        run_ids = np.concatenate(corner_runs)[np.argsort(vertex, kind="stable")]
+        ends = np.cumsum(np.bincount(vertex, minlength=len(vertices))).tolist()
+        shared: Dict[bytes, FrozenSet[Tuple[int, ...]]] = {}
+        self._links = {}
+        for (_, signs), begin, end in zip(self.vertices(), [0] + ends, ends):
+            ids = run_ids[begin:end]
+            link = shared.get(ids.tobytes())
+            if link is None:
+                link = shared[ids.tobytes()] = frozenset(runs[r][0] for r in ids.tolist())
+            self._links[signs] = link
+        return self._links
 
     def link_of_vertex(self, vertex: Cell) -> SimplicialComplex:
         """Supports of the cells incident to a vertex, as a complex."""
         support, signs = vertex
         if support or vertex not in self._cell_set:
             raise ValidationError(f"{vertex} is not a vertex of the complex")
-        found = self.vertex_links()[signs]
+        found = self._link_map()[signs]
         if not found:
             raise ValidationError("vertex is isolated; its link is empty")
         return build_simplicial(sorted(found), self.ambient)
@@ -199,6 +293,14 @@ class CubicalComplex:
         cells = [(tuple(gf2.indices_of_vector(mask)), sg)
                  for mask, sg in RZK1_CELL.iter_unpack(blob[12:])]
         return cls(ambient, cells, budget=budget)
+
+    def __getstate__(self):
+        return self.ambient, self.cells
+
+    def __setstate__(self, state) -> None:
+        self.ambient, self.cells = state
+        self._cell_set = frozenset(c for cs in self.cells.values() for c in cs)
+        self._clear_caches()
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from cuspforge import gf2
+from cuspforge import chains, gf2
 from cuspforge.chains import (
     INTEGRAL_DENSE_LIMIT,
     ChainComplexData,
@@ -46,6 +46,62 @@ def test_dd_zero_verified_on_build():
         Z = real_moment_angle(K) if K.vertex_count <= 6 else None
         if Z is not None:
             chain_complex_of(Z, "Z").verify_dd_zero()
+
+
+class _HandBuilt:
+    """A complex object supplying its own chain data through to_chain_data."""
+
+    def __init__(self, cell_keys, boundaries):
+        self.cell_keys = cell_keys
+        self.boundaries = boundaries
+
+    def to_chain_data(self, coeff):
+        return ChainComplexData(coeff, self.cell_keys, self.boundaries)
+
+
+def _tetrahedron(signs):
+    """The boundary of the 3-simplex plus one 3-cell on its four triangles,
+    with the given incidence numbers."""
+    sphere = chain_complex_of(boundary_of_simplex(3), "Z")
+    top = (tuple(enumerate(signs)),)
+    return _HandBuilt(sphere.cell_keys + [((0, 1, 2, 3),)], sphere.boundaries + [top])
+
+
+def _flip_last(data, k):
+    """The same chain data with the first incidence of the last k-cell negated."""
+    rows = list(data.boundaries[k])
+    (face, c), *rest = rows[-1]
+    rows[-1] = ((face, -c), *rest)
+    return _HandBuilt(data.cell_keys, data.boundaries[:k] + [tuple(rows)] + data.boundaries[k + 1:])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 2048])
+def test_dd_nonzero_is_refused(monkeypatch, block_rows):
+    monkeypatch.setattr(chains, "DD_BLOCK_ROWS", block_rows)
+    # the 3-simplex: triangles 012, 013, 023, 123 with signs -1, 1, -1, 1
+    assert chain_complex_of(_tetrahedron((-1, 1, -1, 1)), "Z").sizes() == (4, 6, 4, 1)
+    with pytest.raises(ValidationError, match=r"^dd != 0 in dimension 3$"):
+        chain_complex_of(_tetrahedron((1, 1, 1, 1)), "Z")
+    # a 2-cell bounded by one edge: d(d(f)) = d(e) = b - a
+    with pytest.raises(ValidationError, match=r"^dd != 0 in dimension 2$"):
+        chain_complex_of(_HandBuilt([("a", "b"), ("e",), ("f",)],
+                                    [((), ()), (((0, -1), (1, 1)),), (((0, 1),),)]), "Z2")
+    # the offending cell is the last one, in the last block
+    torus = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z")
+    for k in (2, 3):
+        with pytest.raises(ValidationError, match=rf"^dd != 0 in dimension {k}$"):
+            chain_complex_of(_flip_last(torus, k), "Z")
+
+
+@pytest.mark.parametrize("big", [1 << 32, 1 << 64])
+def test_dd_check_is_exact_beyond_int64(big):
+    # d(d(f)) = big^2 a: 2^64 a wraps to 0 in int64 products, 2^64 itself
+    # does not fit an int64 incidence
+    ok = _HandBuilt([("a",), ("e",), ("f",)], [((),), (((0, big),),), (((0, big), (0, -big)),)])
+    chain_complex_of(ok, "Z")
+    off = _HandBuilt([("a",), ("e",), ("f",)], [((),), (((0, big),),), (((0, big),),)])
+    with pytest.raises(ValidationError, match=r"^dd != 0 in dimension 2$"):
+        chain_complex_of(off, "Z")
 
 
 def test_triangle_boundary_rank():

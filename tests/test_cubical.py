@@ -1,12 +1,18 @@
 """Cube subcomplexes: closure, symmetries, links, serialization."""
 
 import json
+import pickle
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import composite, integers, lists, permutations, sampled_from
 
+from cuspforge import gf2
+from cuspforge.chains import ChainComplexData, chain_complex_of
 from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.gf2 import vector_from_indices
+from cuspforge.gf2 import submasks, vector_from_indices
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import polygon_lattice
 from cuspforge.moment_angle import (
@@ -37,6 +43,69 @@ def _link_by_scan(Z, vertex):
         raise ValidationError("vertex is isolated; its link is empty")
     maximal = [s for s in found if not any(set(s) < set(t) for t in found)]
     return build_simplicial(sorted(maximal), Z.ambient)
+
+
+# ---------------------------------------------------------------------------
+# per-cell oracles: the earlier implementations, kept verbatim
+# ---------------------------------------------------------------------------
+
+
+def _check_closure_oracle(Z):
+    for d, cs in Z.cells.items():
+        if d == 0:
+            continue
+        for support, signs in cs:
+            for i in support:
+                rest = tuple(x for x in support if x != i)
+                if (rest, signs) not in Z._cell_set:
+                    raise ValidationError(f"missing -1 face of {(support, signs)} at {i}")
+                if (rest, signs | (1 << i)) not in Z._cell_set:
+                    raise ValidationError(f"missing +1 face of {(support, signs)} at {i}")
+
+
+def _cubical_chain_data_oracle(Z, coeff):
+    cell_keys = []
+    boundaries = []
+    index_prev = {}
+    for k in range(Z.dim + 1):
+        cells = Z.cells_of_dim(k)
+        index_here = {c: i for i, c in enumerate(cells)}
+        rows = []
+        for support, signs in cells:
+            if k == 0:
+                rows.append(())
+            else:
+                entries = []
+                for pos, i in enumerate(support):
+                    rest = tuple(x for x in support if x != i)
+                    sign = (-1) ** pos
+                    entries.append((index_prev[(rest, signs | (1 << i))], sign))
+                    entries.append((index_prev[(rest, signs)], -sign))
+                rows.append(tuple(entries))
+        cell_keys.append(tuple(cells))
+        boundaries.append(tuple(rows))
+        index_prev = index_here
+    return ChainComplexData(coeff, cell_keys, boundaries)
+
+
+def _verify_dd_zero_oracle(data):
+    for k in range(2, data.top_dim + 1):
+        for entries in data.boundaries[k]:
+            acc = {}
+            for idx, coeff in entries:
+                for idx2, coeff2 in data.boundaries[k - 1][idx]:
+                    acc[idx2] = acc.get(idx2, 0) + coeff * coeff2
+            if any(v != 0 for v in acc.values()):
+                raise ValidationError(f"dd != 0 in dimension {k}")
+
+
+def _refusal(check, *args):
+    """The ValidationError message of a check, or None if it passes."""
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 def _verdict_by_scan(Z, vertex, K):
@@ -171,3 +240,124 @@ def test_relabel_permutes_structure():
     W = Z.relabel(perm)
     assert W.cell_counts() == Z.cell_counts()
     assert W == Z  # swapping a pair is a symmetry of the octahedron complex
+
+
+SQUARE = [((0, 1), 0), ((0,), 0), ((0,), 2), ((1,), 0), ((1,), 1),
+          ((), 0), ((), 1), ((), 2), ((), 3)]
+
+
+@pytest.mark.parametrize("deleted,message", [
+    # dimension first: the edge's missing corner before the square's missing edge
+    ([((), 3), ((1,), 1)], "missing +1 face of ((0,), 2) at 0"),
+    # then cell order: ((0,), 0) misses its +1 corner before ((0,), 2) its -1 corner
+    ([((), 1), ((), 2)], "missing +1 face of ((0,), 0) at 0"),
+    # then axis: the +1 face at axis 0 before the -1 face at axis 1
+    ([((1,), 1), ((0,), 0)], "missing +1 face of ((0, 1), 0) at 0"),
+    # then -1 before +1 on the same axis
+    ([((1,), 0), ((1,), 1)], "missing -1 face of ((0, 1), 0) at 0"),
+])
+def test_closure_names_the_first_of_two_missing_faces(deleted, message):
+    cells = [c for c in SQUARE if c not in deleted]
+    with pytest.raises(ValidationError) as exc:
+        CubicalComplex(2, cells)
+    assert str(exc.value) == message
+    assert _refusal(_check_closure_oracle, CubicalComplex(2, cells, validate=False)) == message
+
+
+def _closure(cells):
+    """Every face (sub, signs | t) of each cell: sub inside the support, t
+    a sign pattern on the axes the face drops."""
+    out = set()
+    for sup, signs in cells:
+        for r in range(len(sup) + 1):
+            for sub in combinations(sup, r):
+                dropped = vector_from_indices(x for x in sup if x not in sub)
+                out.update((sub, signs | t) for t in submasks(dropped))
+    return out
+
+
+@composite
+def closed_cube_complexes(draw):
+    """Closure of up to five random cells on at most six active axes; the
+    frozen signs of the other axes are one random pattern.  Ambient ranks
+    of 64 and more give sign masks beyond int64."""
+    ambient = draw(sampled_from((1, 2, 3, 4, 5, 6) * 3 + (63, 64, 70)))
+    axes = draw(permutations(range(ambient)))[:6]
+    base = draw(integers(0, (1 << ambient) - 1)) & ~vector_from_indices(axes)
+    cells = []
+    for _ in range(draw(integers(1, 5))):
+        sup = tuple(sorted(draw(lists(sampled_from(axes), unique=True, max_size=4))))
+        frozen = draw(lists(sampled_from(axes), unique=True))
+        cells.append((sup, base | (vector_from_indices(set(frozen)) & ~vector_from_indices(sup))))
+    return ambient, sorted(_closure(cells))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(complex_=closed_cube_complexes(), pick=integers(min_value=0))
+def test_face_tables_match_the_per_cell_oracles(complex_, pick):
+    ambient, cells = complex_
+    Z = CubicalComplex(ambient, cells)
+
+    data = chain_complex_of(Z, "Z")
+    oracle = _cubical_chain_data_oracle(Z, "Z")
+    assert data.cell_keys == oracle.cell_keys
+    assert data.boundaries == oracle.boundaries
+    _verify_dd_zero_oracle(data)
+    if data.top_dim >= 2:
+        # one flipped incidence: the flattened check and the oracle agree
+        k = data.top_dim
+        row = pick % data.size(k)
+        bad = list(data.boundaries[k])
+        bad[row] = ((bad[row][0][0], -bad[row][0][1]),) + bad[row][1:]
+        broken = ChainComplexData("Z", data.cell_keys, data.boundaries[:k] + [tuple(bad)])
+        assert _refusal(broken.verify_dd_zero) == _refusal(_verify_dd_zero_oracle, broken)
+        assert _refusal(broken.verify_dd_zero) == f"dd != 0 in dimension {k}"
+
+    links = Z.vertex_links()
+    assert list(links) == [signs for _, signs in Z.vertices()]
+    for v in Z.vertices():
+        scan = {sup for d in range(1, Z.dim + 1) for sup, sg in Z.cells_of_dim(d)
+                if v[1] & ~vector_from_indices(sup) == sg}
+        assert links[v[1]] == frozenset(scan)
+        if scan:
+            assert Z.link_of_vertex(v) == _link_by_scan(Z, v)
+        else:
+            with pytest.raises(ValidationError):
+                _link_by_scan(Z, v)
+            with pytest.raises(ValidationError):
+                Z.link_of_vertex(v)
+
+    rest = cells[:pick % len(cells)] + cells[pick % len(cells) + 1:]
+    expected = _refusal(_check_closure_oracle, CubicalComplex(ambient, rest, validate=False))
+    assert _refusal(CubicalComplex, ambient, rest) == expected
+
+
+def test_links_are_computed_once(monkeypatch):
+    Z = real_moment_angle(octahedron_boundary())
+    masks = []
+    original = gf2.submasks
+    monkeypatch.setattr(gf2, "submasks", lambda mask: masks.append(mask) or original(mask))
+    Z.link_of_vertex(Z.vertices()[0])
+    # one pass: one submask enumeration per support run of positive dimension
+    assert len(masks) == sum(len(Z.support_runs(d)) for d in range(1, Z.dim + 1)) == 26
+    for v in Z.vertices():
+        assert find_isomorphism(Z.link_of_vertex(v), octahedron_boundary()) is not None
+    assert len({id(link) for link in Z.vertex_links().values()}) == 1
+    assert len(masks) == 26
+
+
+def test_caches_stay_out_of_equality_hash_and_pickle():
+    Z = real_moment_angle(octahedron_boundary())
+    blob = pickle.dumps(Z)
+    digest = hash(Z)
+    fresh = CubicalComplex(Z.ambient, Z.cell_set(), validate=False)
+    links = Z.vertex_links()
+    tables = [Z.face_table(k) for k in range(1, Z.dim + 1)]
+    assert pickle.dumps(Z) == blob
+    assert hash(Z) == digest == hash(fresh)
+    assert Z == fresh
+    W = pickle.loads(blob)
+    assert W == Z and hash(W) == digest
+    assert W._links is None and not W._face_tables and not W._runs
+    assert W.vertex_links() == links
+    assert all((W.face_table(k) == t).all() for k, t in enumerate(tables, 1))

@@ -12,10 +12,11 @@ Each boundary map is eliminated once per coefficient ring and cached on
 the data: over Z one Smith normal form per d_k, over Z/2 one cleared
 reduction per coboundary map delta^k, which every Z/2 rank, cocycle
 basis and coboundary pivot is read from.  The Smith normal form is fed
-the incidences of d_k as sparse rows and builds its dense transforms
-only when they are read: integral homology reads none of them, an
-integral H_k basis reads V and V^-1 of d_k and U and U^-1 of its
-relation matrix, and is cached per degree as well.
+the incidences of d_k as sparse rows and keeps its transforms as move
+logs, which are replayed on the sparse blocks that need them and never
+built: integral homology replays none, an integral H_k basis puts all
+of d_(k+1) through V of d_k in one replay, and is cached per degree as
+well.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from . import gf2
 from .cubical import CubicalComplex
 from .errors import BudgetError, ValidationError
 from .simplicial import SimplicialComplex
-from .snf import SNFResult, apply_matrix, smith_normal_form
+from .snf import SNFResult, smith_normal_form
 
 Entry = Tuple[int, int]  # (face index, incidence number)
 
-# Entries of d_k (n_{k-1} x n_k) above which integral work is refused.  The
-# elimination is sparse; the limit bounds the dense U and V built on read.
+# Entries of d_k (n_{k-1} x n_k) above which integral work is refused.  Nothing
+# dense is built: the limit is a shape stand-in for the elimination's fill-in
+# and move logs, which it does not measure.
 INTEGRAL_DENSE_LIMIT = 4_000_000
 
 # k-cells per block of the d(d) = 0 check for data without support runs
@@ -144,36 +146,29 @@ class ChainComplexData:
         return len(self.gf2_coreduction(k - 1)[0])
 
     def check_dense(self, k: int) -> None:
-        """Refuse a dense d_k above INTEGRAL_DENSE_LIMIT entries."""
+        """Refuse integral work on a d_k above INTEGRAL_DENSE_LIMIT entries."""
         if self.size(k - 1) * self.size(k) > INTEGRAL_DENSE_LIMIT:
-            raise BudgetError(f"integral homology would densify a {self.size(k - 1)}x"
-                              f"{self.size(k)} matrix; use Z/2 coefficients at this scale")
+            raise BudgetError(f"integral homology refuses a {self.size(k - 1)}x{self.size(k)} "
+                              f"boundary matrix (over {INTEGRAL_DENSE_LIMIT} entries); "
+                              "use Z/2 coefficients at this scale")
 
-    def dense_boundary(self, k: int) -> List[List[int]]:
-        """Integer matrix of d_k, shape (n_{k-1}, n_k)."""
-        self.check_dense(k)
-        n_rows = self.size(k - 1)
-        n_cols = self.size(k)
-        mat = [[0] * n_cols for _ in range(n_rows)]
+    def _sparse_rows(self, k: int) -> List[Dict[int, int]]:
+        """d_k as sparse rows, one {k-cell: incidence} per (k-1)-cell
+        (empty rows outside 1 <= k <= top)."""
+        rows: List[Dict[int, int]] = [{} for _ in range(self.size(k - 1))]
         if 1 <= k <= self.top_dim:
             for j, entries in enumerate(self.boundaries[k]):
                 for idx, coeff in entries:
-                    mat[idx][j] += coeff
-        return mat
+                    rows[idx][j] = rows[idx].get(j, 0) + coeff
+        return rows
 
     def smith(self, k: int) -> SNFResult:
         """Smith normal form of d_k, computed once: the one integral
-        elimination of d_k, handed its incidences as sparse rows (one
-        {k-cell: incidence} per (k-1)-cell).  Its transforms are built only
-        when read, so ranks and torsion cost no dense matrix."""
+        elimination of d_k, handed its incidences as sparse rows.  Its
+        transforms stay move logs, so ranks and torsion replay nothing."""
         if k not in self._smith:
             self.check_dense(k)
-            rows: List[Dict[int, int]] = [{} for _ in range(self.size(k - 1))]
-            if 1 <= k <= self.top_dim:
-                for j, entries in enumerate(self.boundaries[k]):
-                    for idx, coeff in entries:
-                        rows[idx][j] = rows[idx].get(j, 0) + coeff
-            self._smith[k] = smith_normal_form(rows, self.size(k - 1), self.size(k))
+            self._smith[k] = smith_normal_form(self._sparse_rows(k), self.size(k - 1), self.size(k))
         return self._smith[k]
 
     def _incidence_arrays(self, k: int) -> IncidenceArrays:
@@ -191,6 +186,17 @@ class ChainComplexData:
             coeffs = np.array([c for row in rows for _, c in row], dtype=object)
         blocks = list(range(0, len(rows), DD_BLOCK_ROWS)) + [len(rows)]
         return ptr, faces, coeffs, blocks
+
+    def _check_closed(self) -> None:
+        """Refuse a complex with a ridge that does not lie in exactly two top
+        cells, counting non-zero incidences only: one count over the faces
+        of d_top."""
+        n = self.top_dim
+        _, faces, coeffs, _ = self._incidence_arrays(n)
+        hits = np.bincount(faces[coeffs != 0], minlength=self.size(n - 1))
+        bad = np.flatnonzero(hits != 2)
+        if bad.size:
+            raise ValidationError(f"complex is not closed: ridge {bad[0]} lies in {hits[bad[0]]} top cells")
 
     def verify_dd_zero(self) -> None:
         """d_(k-1) d_k = 0 for every k, composed exactly one block of k-cells
@@ -337,18 +343,6 @@ def homology(data: ChainComplexData) -> HomologyResult:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_coordinates(snf: SNFResult, chain: Sequence[int]) -> List[int]:
-    """Coordinates of a k-cycle in ``kernel_basis(snf)``, snf = SNF(d_k) = U D V:
-    x is a cycle exactly when the first rank entries of V x vanish, and the
-    rest are its coordinates over the trailing columns of V^{-1}."""
-    if len(chain) != snf.ncols:
-        raise ValidationError(f"chain has length {len(chain)}, expected {snf.ncols}")
-    vx = apply_matrix(snf.v, chain)
-    if any(vx[: snf.rank]):
-        raise ValidationError("vector is not an integral cycle")
-    return vx[snf.rank:]
-
-
 @dataclass
 class IntegralHomologyBasis:
     """H_k over Z with cycle representatives and a projection map.
@@ -361,46 +355,63 @@ class IntegralHomologyBasis:
     free_rank: int
     torsion: Tuple[int, ...]
     free_generators: List[List[int]]
-    _boundary_snf: SNFResult
-    _quotient_rows: List[Tuple[int, List[int]]]  # (order, row of U'^{-1}) for orders != 1
+    _boundary_snf: SNFResult  # SNF(d_k) = U D V
+    _relation_snf: SNFResult  # SNF of the relations = U' D' V'
+    _quotient: List[Tuple[int, int]]  # (row of U'^-1 y, its order) for orders != 1
 
     def project(self, cycle: Sequence[int]) -> Tuple[List[int], List[int]]:
-        y = _cycle_coordinates(self._boundary_snf, cycle)
-        coords = [(d, sum(a * b for a, b in zip(row, y) if b)) for d, row in self._quotient_rows]
-        return [c for d, c in coords if d == 0], [c % d for d, c in coords if d]
+        return self._project([cycle])[0]
 
-    def project_free(self, cycle: Sequence[int]) -> List[int]:
-        return self.project(cycle)[0]
+    def _project(self, cycles: Sequence[Sequence[int]]) -> List[Tuple[List[int], List[int]]]:
+        """(free coords, torsion coords) of each cycle, by two replays for
+        the batch: x is a cycle exactly when the first rank entries of V x
+        vanish, the rest are y, and U'^-1 y holds its quotient coordinates."""
+        snf = self._boundary_snf
+        rows: List[Dict[int, int]] = [{} for _ in range(snf.ncols)]
+        for c, cycle in enumerate(cycles):
+            if len(cycle) != snf.ncols:
+                raise ValidationError(f"chain has length {len(cycle)}, expected {snf.ncols}")
+            for i, x in enumerate(cycle):
+                if x:
+                    rows[i][c] = x
+        rows = snf._replay("v", rows)
+        if any(rows[: snf.rank]):
+            raise ValidationError("vector is not an integral cycle")
+        coords = self._relation_snf._replay("uinv", rows[snf.rank:])
+        return [([coords[i].get(c, 0) for i, d in self._quotient if d == 0],
+                 [coords[i].get(c, 0) % d for i, d in self._quotient if d])
+                for c in range(len(cycles))]
 
 
 def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyBasis:
-    """H_k over Z: the cycles of d_k (read off its SNF) modulo one relation
-    column per (k+1)-cell; the relations' SNF U' D' V' gives generator j
-    = kernel basis . U'[:, j], of order D'_j.  Computed once per degree
-    and cached on the data."""
+    """H_k over Z: the cycles of d_k = U D V are V^-1 (0 + y), and the
+    relations, one column per (k+1)-cell, are the tail of V d_(k+1), whose
+    first rank rows vanish.  The relations' SNF U' D' V' gives generator j
+    = V^-1 (0 + U' e_j), of order D'_j.  Three replays, with no dense
+    matrix: V on d_(k+1), U' on the free unit columns, V^-1 on those.
+    Computed once per degree and cached on the data."""
     if k in data._integral_bases:
         return data._integral_bases[k]
     snf = data.smith(k)
-    n_k = data.size(k)
-    z = n_k - snf.rank
-    cols = []
-    for entries in data.boundaries[k + 1] if data.size(k + 1) else ():
-        col = [0] * n_k
-        for idx, coeff in entries:
-            col[idx] += coeff
-        cols.append(_cycle_coordinates(snf, col))
-    r_snf = smith_normal_form([[c[i] for c in cols] for i in range(z)], nrows=z, ncols=len(cols))
+    r, z = snf.rank, data.size(k) - snf.rank
+    relations = snf._replay("v", data._sparse_rows(k + 1))
+    if any(relations[:r]):
+        raise ValidationError(f"dd != 0 in dimension {k + 1}")
+    r_snf = smith_normal_form(relations[r:], z, data.size(k + 1))
     orders = list(r_snf.diag) + [0] * (z - len(r_snf.diag))
-    cycles = [row[snf.rank:] for row in snf.vinv]  # columns: kernel_basis(snf)
-    free_gens = [apply_matrix(cycles, [row[j] for row in r_snf.u])
-                 for j, d in enumerate(orders) if d == 0]
+    free = [j for j, d in enumerate(orders) if d == 0]
+    units: List[Dict[int, int]] = [{} for _ in range(z)]
+    for f, j in enumerate(free):
+        units[j][f] = 1
+    gens = snf._replay("vinv", [{} for _ in range(r)] + r_snf._replay("u", units))
     basis = data._integral_bases[k] = IntegralHomologyBasis(
         degree=k,
-        free_rank=len(free_gens),
+        free_rank=len(free),
         torsion=tuple(d for d in orders if d not in (0, 1)),
-        free_generators=free_gens,
+        free_generators=[[row.get(f, 0) for row in gens] for f in range(len(free))],
         _boundary_snf=snf,
-        _quotient_rows=[(d, r_snf.uinv[i]) for i, d in enumerate(orders) if d != 1],
+        _relation_snf=r_snf,
+        _quotient=[(i, d) for i, d in enumerate(orders) if d != 1],
     )
     return basis
 
@@ -642,7 +653,7 @@ def inclusion_free_h1_matrix(
     free generators in X's free coordinates."""
     ha = integral_homology_basis(selection.data, k)
     hx = parent_basis if parent_basis is not None else integral_homology_basis(selection.parent, k)
-    cols = [hx.project_free(selection.scatter_chain(g, k)) for g in ha.free_generators]
+    cols = [free for free, _ in hx._project([selection.scatter_chain(g, k) for g in ha.free_generators])]
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(hx.free_rank)]
     return matrix, ha, hx
 

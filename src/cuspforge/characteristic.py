@@ -64,18 +64,13 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
     n = data.top_dim
     if n < 1:
         raise ValidationError("orientability needs positive dimension")
+    data._check_closed()
     n_top = data.size(n)
     cofaces: Dict[int, List[Tuple[int, int]]] = {}
     for c, entries in enumerate(data.boundaries[n]):
         for idx, coeff in entries:
             if coeff:
                 cofaces.setdefault(idx, []).append((c, coeff))
-    for idx in range(data.size(n - 1)):
-        hits = cofaces.get(idx, [])
-        if len(hits) != 2:
-            raise ValidationError(
-                f"complex is not closed: ridge {idx} lies in {len(hits)} top cells"
-            )
     sign = [0] * n_top
     orientable = True
     for seed in range(n_top):
@@ -154,6 +149,8 @@ def intersection_form(data: ChainComplexData) -> Tuple[List[int], List[int]]:
 def spin_obstruction(Z, data: Optional[ChainComplexData] = None) -> WuReport:
     """w2 = 0 test for closed orientable complexes of dimension <= 4.
 
+    A complex that is not closed (a ridge outside exactly two top cells)
+    is refused with ``ValidationError``, in the words of ``orientability``.
     Dimensions 2 and 3 are forced (orientable surfaces and orientable
     3-manifolds carry spin structures).  Dimension 4 computes the mod-2
     intersection form and checks evenness; the characteristic-vector
@@ -165,6 +162,8 @@ def spin_obstruction(Z, data: Optional[ChainComplexData] = None) -> WuReport:
     if data is None:
         data = chain_complex_of(Z, "Z2")
     n = data.top_dim
+    if n >= 1:
+        data._check_closed()
     if n == 2:
         even = data.euler_characteristic() % 2 == 0
         return WuReport(even, "Euler characteristic parity", 2)

@@ -15,23 +15,22 @@ and a pivot that does not divide every entry left has the first
 offending row folded into its row; a unit pivot divides every entry, so
 no divisibility scan follows it.
 
-The transforms are not tracked during the elimination.  Row moves and
-column moves go to two logs; U and U^-1 are built on the first read of
-either by replaying the row log on identities, V and V^-1 by replaying
-the column log.  ``diag``, ``rank`` and the invariant factors need no
-replay.
+The transforms are not tracked during the elimination, and are never
+built.  Row moves and column moves go to two logs, which are the only
+form of U, U^-1, V and V^-1: a transform is applied to a block of
+sparse rows by replaying its log on them (``SNFResult._replay``), at a
+cost of the moves plus the fill-in, with no n x n object.  ``diag``,
+``rank`` and the invariant factors need no replay.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress, islice
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError
 
-Matrix = List[List[int]]
 # A logged move: (i, j) swaps i and j, (src, dst, c) adds c times src to
 # dst, (i,) negates i.
 Move = Tuple[int, ...]
@@ -45,97 +44,23 @@ def _add_sparse(dst: Dict[int, int], src: Dict[int, int], c: int) -> None:
             del dst[k]
 
 
-def _dense(rows: List[Dict[int, int]], transpose: bool = False) -> Matrix:
-    """The square matrix of rows stored as {column: entry}, or its transpose."""
-    out = [[0] * len(rows) for _ in rows]
-    for i, r in enumerate(rows):
-        for k, x in r.items():
-            if transpose:
-                out[k][i] = x
-            else:
-                out[i][k] = x
-    return out
-
-
-def _replay(moves: Sequence[Move], size: int) -> Tuple[List[Dict[int, int]], List[Dict[int, int]]]:
-    """Replay logged moves on two size x size identities, as sparse rows.
-
-    ``same`` takes each move as a row move, ``other`` the transposed
-    inverse of each move, so a row log gives (U^-1, U^T) and a column log
-    gives ((V^-1)^T, V).
-    """
-    same = [{i: 1} for i in range(size)]
-    other = [{i: 1} for i in range(size)]
-    for move in moves:
-        if len(move) == 3:
-            src, dst, c = move
-            _add_sparse(same[dst], same[src], c)
-            _add_sparse(other[src], other[dst], -c)
-        elif len(move) == 2:
-            i, j = move
-            for mat in (same, other):
-                mat[i], mat[j] = mat[j], mat[i]
-        else:
-            i, = move
-            for mat in (same, other):
-                mat[i] = {k: -x for k, x in mat[i].items()}
-    return same, other
-
-
 class SNFResult:
     """Decomposition A = U D V with U, V unimodular and D diagonal.
 
     ``diag`` holds the invariant factors d_1 | d_2 | ... (nonnegative,
-    zeros trailing).  ``uinv`` and ``vinv`` are the inverses of U and V,
-    kept so that coordinates can be read without re-elimination.
-
-    ``smith_normal_form`` hands over its row and column move logs instead
-    of the transforms: the first read of ``u`` or ``uinv`` builds both by
-    one replay of the row log, the first read of ``v`` or ``vinv`` both by
-    one replay of the column log.  Given directly, as in
-    ``SNFResult(nrows=..., ncols=..., diag=..., u=..., v=..., uinv=...,
-    vinv=...)``, the transforms are kept as given.
+    zeros trailing); ``rank`` and the invariant factors read it alone.
+    U, U^-1, V and V^-1 exist only as the row and column move logs that
+    ``smith_normal_form`` hands over, and are applied to sparse blocks by
+    ``_replay``.
     """
 
     def __init__(self, nrows: int, ncols: int, diag: List[int],
-                 u: Optional[Matrix] = None, v: Optional[Matrix] = None,
-                 uinv: Optional[Matrix] = None, vinv: Optional[Matrix] = None,
                  row_moves: Sequence[Move] = (), col_moves: Sequence[Move] = ()):
         self.nrows = nrows
         self.ncols = ncols
         self.diag = diag
         self._row_moves = row_moves
         self._col_moves = col_moves
-        if u is not None:
-            self._row_transforms = (u, uinv)
-        if v is not None:
-            self._col_transforms = (v, vinv)
-
-    @cached_property
-    def _row_transforms(self) -> Tuple[Matrix, Matrix]:
-        uinv, u_t = _replay(self._row_moves, self.nrows)
-        return _dense(u_t, True), _dense(uinv)
-
-    @cached_property
-    def _col_transforms(self) -> Tuple[Matrix, Matrix]:
-        vinv_t, v = _replay(self._col_moves, self.ncols)
-        return _dense(v), _dense(vinv_t, True)
-
-    @property
-    def u(self) -> Matrix:
-        return self._row_transforms[0]
-
-    @property
-    def uinv(self) -> Matrix:
-        return self._row_transforms[1]
-
-    @property
-    def v(self) -> Matrix:
-        return self._col_transforms[0]
-
-    @property
-    def vinv(self) -> Matrix:
-        return self._col_transforms[1]
 
     @cached_property
     def rank(self) -> int:
@@ -144,11 +69,37 @@ class SNFResult:
     def invariant_factors(self) -> List[int]:
         return [d for d in self.diag if d not in (0, 1)]
 
-    def reconstruct(self) -> Matrix:
-        m, n = self.nrows, self.ncols
-        d = self.diag
-        ud = [[self.u[i][k] * d[k] if k < len(d) else 0 for k in range(n)] for i in range(m)]
-        return [[sum(ud[i][k] * self.v[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
+    def _replay(self, transform: str, rows: List[Dict[int, int]]) -> List[Dict[int, int]]:
+        """T B for T = ``transform`` ("u", "uinv", "v" or "vinv") and B given
+        by its sparse rows {column: entry}, one per column of T; B is
+        overwritten and returned.
+
+        With R_i the logged row moves and C_j the column moves,
+        U^-1 = R_p ... R_1 and V^-1 = C_1 ... C_q.  So U^-1 B applies the
+        row log forwards and U B undoes it backwards.  A column move is the
+        transpose of the same row move, so V B applies the column log
+        forwards with each add transposed and undone, V^-1 B backwards with
+        each add transposed.  A move whose source row of B is empty changes
+        nothing and is skipped, so the cost is O(moves + fill).
+        """
+        moves = self._row_moves if transform in ("u", "uinv") else self._col_moves
+        forwards = transform in ("uinv", "v")
+        transposed = transform in ("v", "vinv")
+        sign = 1 if forwards != transposed else -1
+        for move in moves if forwards else reversed(moves):
+            if len(move) == 3:
+                src, dst, c = move
+                if transposed:
+                    src, dst = dst, src
+                if rows[src]:
+                    _add_sparse(rows[dst], rows[src], sign * c)
+            elif len(move) == 2:
+                i, j = move
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                i, = move
+                rows[i] = {k: -x for k, x in rows[i].items()}
+        return rows
 
 
 def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
@@ -294,46 +245,3 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
 
     diag = [rows[k].get(k, 0) for k in range(limit)]
     return SNFResult(nrows=m, ncols=n, diag=diag, row_moves=row_moves, col_moves=col_moves)
-
-
-def apply_matrix(mat: Matrix, vec: Sequence[int]) -> List[int]:
-    """mat . vec, over the non-zero entries of vec and of each column it selects."""
-    out = [0] * len(mat)
-    rows = range(len(mat))
-    for k in compress(range(len(vec)), vec):
-        x = vec[k]
-        for i in compress(rows, map(itemgetter(k), mat)):
-            out[i] += mat[i][k] * x
-    return out
-
-
-def kernel_basis(snf: SNFResult) -> List[List[int]]:
-    """Integer basis of {x : A x = 0}: the trailing columns of V^{-1}."""
-    n = snf.ncols
-    r = snf.rank
-    return [[snf.vinv[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free elimination (square input)."""
-    a = [list(r) for r in matrix]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValidationError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

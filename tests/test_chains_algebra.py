@@ -37,7 +37,9 @@ from cuspforge.simplicial import (
     cycle_complex,
     octahedron_boundary,
 )
-from cuspforge.snf import SNFResult, apply_matrix, kernel_basis, smith_normal_form
+from cuspforge.snf import smith_normal_form
+
+from dense_oracles import DenseSNF, apply_matrix, dense_boundary, dense_snf, kernel_basis
 
 
 def test_dd_zero_verified_on_build():
@@ -167,7 +169,7 @@ def test_klein_bottle_invariant_factor_two():
     # independent row-reduction oracle for the boundary matrix over Z
     Q = colour_manifold(polygon_lattice(4), Colouring(2, (0b01, 0b10, 0b11, 0b10)))
     data = chain_complex_of(Q, "Z")
-    d2 = data.dense_boundary(2)
+    d2 = dense_boundary(data, 2)
     snf = smith_normal_form(d2)
     assert 2 in snf.invariant_factors()
     hz = homology(data)
@@ -356,7 +358,7 @@ def test_integral_basis_projects_generators_to_unit_coords():
 # ---------------------------------------------------------------------------
 
 
-def _solve(snf: SNFResult, b: Sequence[int]) -> Optional[List[int]]:
+def _solve(snf: DenseSNF, b: Sequence[int]) -> Optional[List[int]]:
     """One integer solution of A x = b, or None if none exists."""
     if len(b) != snf.nrows:
         raise ValueError("rhs length mismatch")
@@ -385,7 +387,7 @@ class _OracleBasis:
     free_rank: int
     torsion: Tuple[int, ...]
     free_generators: List[List[int]]
-    _cycle_snf: SNFResult
+    _cycle_snf: DenseSNF
     _uprime: List[List[int]]
     _dprime: List[int]
     _z: int
@@ -402,16 +404,16 @@ class _OracleBasis:
 
 def _integral_basis_oracle(data, k: int) -> _OracleBasis:
     n_k = data.size(k)
-    boundary_snf = smith_normal_form(data.dense_boundary(k), nrows=data.size(k - 1), ncols=n_k)
+    boundary_snf = dense_snf(smith_normal_form(dense_boundary(data, k), nrows=data.size(k - 1), ncols=n_k))
     cycles = kernel_basis(boundary_snf)  # each of length n_k
     z = len(cycles)
     # columns are the cycle basis; relations express boundaries in it
     K = [[cycles[j][i] for j in range(z)] for i in range(n_k)]
-    k_snf = smith_normal_form(K, nrows=n_k, ncols=z)
+    k_snf = dense_snf(smith_normal_form(K, nrows=n_k, ncols=z))
     n_up = data.size(k + 1)
     relations: List[List[int]] = [[0] * n_up for _ in range(z)]
     if n_up:
-        up = data.dense_boundary(k + 1)
+        up = dense_boundary(data, k + 1)
         for j in range(n_up):
             col = [up[i][j] for i in range(n_k)]
             y = _solve(k_snf, col)
@@ -419,7 +421,7 @@ def _integral_basis_oracle(data, k: int) -> _OracleBasis:
                 raise ValidationError("boundary is not a cycle; dd != 0")
             for i in range(z):
                 relations[i][j] = y[i]
-    r_snf = smith_normal_form(relations, nrows=z, ncols=n_up)
+    r_snf = dense_snf(smith_normal_form(relations, nrows=z, ncols=n_up))
     # quotient coordinates live in u = U'^{-1} y; generator j has order diag_j
     dprime = list(r_snf.diag) + [0] * (z - len(r_snf.diag))
     new_gens = [[sum(cycles[t][i] * r_snf.u[t][j] for t in range(z)) for i in range(n_k)]
@@ -447,7 +449,7 @@ def test_snf_kernel_and_solve():
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = _random_matrix(rng, m, n, -4, 4)
-        res = smith_normal_form(a)
+        res = dense_snf(smith_normal_form(a))
         for vec in kernel_basis(res):
             assert all(
                 sum(a[i][j] * vec[j] for j in range(n)) == 0 for i in range(m)
@@ -460,7 +462,7 @@ def test_snf_kernel_and_solve():
 
 
 def test_snf_detects_unsolvable():
-    res = smith_normal_form([[2]])
+    res = dense_snf(smith_normal_form([[2]]))
     assert _solve(res, [1]) is None
     assert _solve(res, [4]) == [2]
 
@@ -476,7 +478,7 @@ INTEGRAL_FIXTURES = {
 
 def _random_cycles(data, k, rng, count=20):
     """Seeded integral combinations of a kernel basis of d_k."""
-    cycles = kernel_basis(smith_normal_form(data.dense_boundary(k), data.size(k - 1), data.size(k)))
+    cycles = kernel_basis(dense_snf(smith_normal_form(dense_boundary(data, k), data.size(k - 1), data.size(k))))
     out = []
     for _ in range(count):
         x = [0] * data.size(k)
@@ -507,7 +509,7 @@ def test_project_refuses_non_cycles_and_wrong_lengths(name):
     data = chain_complex_of(INTEGRAL_FIXTURES[name](), "Z")
     hb = integral_homology_basis(data, 1)
     n1 = data.size(1)
-    d1 = data.dense_boundary(1)
+    d1 = dense_boundary(data, 1)
     j = next(j for j in range(n1) if any(row[j] for row in d1))
     with pytest.raises(ValidationError):
         hb.project([int(i == j) for i in range(n1)])

@@ -24,7 +24,8 @@ from cuspforge.characteristic import (
 )
 from cuspforge.errors import CertificateError, ValidationError
 from cuspforge.lattice import cube_lattice, polygon_lattice
-from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
+from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle, truncated_quotient
+from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import (
     boundary_of_simplex,
     build_simplicial,
@@ -82,6 +83,21 @@ def test_spin_obstruction_by_dimension():
     wu5 = spin_obstruction(t5)
     assert wu5.vanishes is None
     assert "not computed" in wu5.provenance
+
+
+def test_spin_obstruction_refuses_non_closed_complexes():
+    # the cusped P^3 quotient has boundary tori: orientability and the spin
+    # obstruction refuse it in the same words
+    quotient = truncated_quotient(ideal_dual(gosset(3))).quotient
+    data = chain_complex_of(quotient, "Z2")
+    for check in (orientability, spin_obstruction):
+        with pytest.raises(ValidationError) as refusal:
+            check(quotient, data)
+        assert str(refusal.value) == "complex is not closed: ridge 192 lies in 1 top cells"
+        assert refusal.value.exit_code == 2
+    disc = real_moment_angle(build_simplicial([(0, 1)]))
+    with pytest.raises(ValidationError, match="^complex is not closed: "):
+        spin_obstruction(disc)
 
 
 def test_spin_obstruction_invariant_under_relabelling():

@@ -4,17 +4,21 @@ import random
 from typing import Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import booleans, composite, floats, integers, permutations, randoms, sets
 
-from cuspforge import gf2, snf
-from cuspforge.chains import chain_complex_of, homology, integral_homology_basis, subcomplex_selection
+from cuspforge import gf2
+from cuspforge.chains import (
+    chain_complex_of, homology, inclusion_free_h1_matrix, integral_homology_basis, subcomplex_selection,
+)
 from cuspforge.errors import ValidationError
 from cuspforge.lattice import polygon_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle, truncated_quotient
 from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import octahedron_boundary
-from cuspforge.snf import SNFResult, apply_matrix, det_bareiss, smith_normal_form
+from cuspforge.snf import SNFResult, smith_normal_form
+
+from dense_oracles import DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, logged_transforms
 
 
 def brute_rank_mod2(rows, ncols):
@@ -105,7 +109,7 @@ def test_snf_reconstructs_and_is_unimodular():
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n)
-        res = smith_normal_form(a)
+        res = dense_snf(smith_normal_form(a))
         assert res.reconstruct() == a
         assert abs(det_bareiss(res.u)) == 1
         assert abs(det_bareiss(res.v)) == 1
@@ -151,7 +155,7 @@ def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None) -> SNFResult:
+def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None) -> DenseSNF:
     """Compute the Smith normal form of an integer matrix.
 
     Accepts an empty matrix if nrows/ncols are given explicitly.
@@ -277,14 +281,14 @@ def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, nco
         t += 1
 
     diag = [w[k][k] for k in range(min(m, n))]
-    return SNFResult(nrows=m, ncols=n, diag=diag, u=u, v=v, uinv=uinv, vinv=vinv)
+    return DenseSNF(nrows=m, ncols=n, diag=diag, u=u, v=v, uinv=uinv, vinv=vinv)
 
 
 SNF_FIELDS = ("nrows", "ncols", "diag", "u", "v", "uinv", "vinv")
 
 
 def _assert_matches_oracle(matrix, nrows=None, ncols=None):
-    got = smith_normal_form(matrix, nrows, ncols)
+    got = dense_snf(smith_normal_form(matrix, nrows, ncols))
     want = _smith_oracle(matrix, nrows, ncols)
     for name in SNF_FIELDS:
         assert getattr(got, name) == getattr(want, name), name
@@ -311,11 +315,11 @@ def test_snf_transforms_match_oracle_on_small_and_edge_matrices():
 def test_snf_transforms_match_oracle_on_boundary_maps():
     klein = colour_manifold(polygon_lattice(4), Colouring(2, (0b01, 0b10, 0b11, 0b10)))
     data = chain_complex_of(klein, "Z")
-    assert _assert_matches_oracle(data.dense_boundary(2), data.size(1), data.size(2)).invariant_factors() == [2]
+    assert _assert_matches_oracle(dense_boundary(data, 2), data.size(1), data.size(2)).invariant_factors() == [2]
     quotient = truncated_quotient(ideal_dual(gosset(3)))
     cusped = chain_complex_of(quotient.quotient, "Z")
     assert (cusped.size(2), cusped.size(3)) == (384, 64)
-    _assert_matches_oracle(cusped.dense_boundary(3), cusped.size(2), cusped.size(3))
+    _assert_matches_oracle(dense_boundary(cusped, 3), cusped.size(2), cusped.size(3))
     # the sparse entry: ChainComplexData.smith hands d_k over as sparse rows
     # (d_1 and d_2 of the full cusped quotient are left out: the oracle takes seconds)
     t3 = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z")
@@ -323,8 +327,8 @@ def test_snf_transforms_match_oracle_on_boundary_maps():
     assert cusp_torus.sizes() == (16, 32, 16)
     cases = [(cusped, 3)] + [(d, k) for d in (t3, data, cusp_torus) for k in range(d.top_dim + 2)]
     for d, k in cases:
-        want = _smith_oracle(d.dense_boundary(k), d.size(k - 1), d.size(k))
-        got = d.smith(k)
+        want = _smith_oracle(dense_boundary(d, k), d.size(k - 1), d.size(k))
+        got = dense_snf(d.smith(k))
         for name in SNF_FIELDS:
             assert getattr(got, name) == getattr(want, name), (d.sizes(), k, name)
 
@@ -341,21 +345,35 @@ def test_second_z2_homology_runs_no_elimination(monkeypatch):
 
 
 def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):
-    built = []
-    replay = snf._replay
-    monkeypatch.setattr(snf, "_replay", lambda moves, size: built.append(size) or replay(moves, size))
-    data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    replayed = []
+    replay = SNFResult._replay
+    monkeypatch.setattr(SNFResult, "_replay",
+                        lambda self, transform, rows: replayed.append(transform) or replay(self, transform, rows))
+    quotient = truncated_quotient(ideal_dual(gosset(3)))
+    data = chain_complex_of(quotient.quotient, "Z")
     assert data.sizes() == (208, 528, 384, 64)
     assert homology(data).betti == (1, 12, 11, 0)
-    assert built == []  # ranks and torsion read the diagonal only
+    assert replayed == []  # ranks and torsion read the diagonal only
     basis = integral_homology_basis(data, 1)
-    # V, V^-1 of d_1 (528 columns) and U, U^-1 of the 321 x 384 relation matrix
-    assert built == [528, 321]
-    d1 = data.smith(1)
-    assert (len(d1.v), len(d1.vinv)) == (528, 528) and built == [528, 321]  # V of d_1 was the one built
+    # V of d_1 on the relations, U' on the free unit columns, V^-1 on the generators
+    assert replayed == ["v", "u", "vinv"]
     assert integral_homology_basis(data, 1) is basis
     assert homology(data).betti == (1, 12, 11, 0)
-    assert built == [528, 321]  # a second call builds nothing
+    assert replayed == ["v", "u", "vinv"]  # a second call replays nothing
+    for g in basis.free_generators[:3]:
+        replayed.clear()
+        basis.project(g)
+        assert replayed == ["v", "uinv"]
+    # one projection per selection, however many generators A has: a cusp
+    # torus (2), a single vertex (0) and the whole complex (12)
+    selections = [subcomplex_selection(data, quotient.components[0].keys_per_dim),
+                  subcomplex_selection(data, [data.cell_keys[0][:1]]),
+                  subcomplex_selection(data, data.cell_keys)]
+    for sel, rank in zip(selections, (2, 0, 12)):
+        assert integral_homology_basis(sel.data, 1).free_rank == rank
+        replayed.clear()
+        inclusion_free_h1_matrix(sel, 1, parent_basis=basis)
+        assert replayed == ["v", "uinv"]
 
 
 @composite
@@ -376,8 +394,57 @@ def integer_matrices(draw):
 def test_snf_matches_oracle_on_random_integer_matrices(case, sparse, order):
     a, m, n = case
     rows = [{j: x for j, x in enumerate(r) if x} for r in a] if sparse else a
-    got = smith_normal_form(rows, m, n)
+    res = smith_normal_form(rows, m, n)
+    got = dense_snf(res)
     want = _smith_oracle(a, m, n)
     for name in ("nrows", "ncols", "diag", *order, *order):
         assert getattr(got, name) == getattr(want, name), name
-    assert got.rank == sum(1 for d in want.diag if d)
+    assert res.rank == sum(1 for d in want.diag if d)
+
+
+# ---------------------------------------------------------------------------
+# the replay of the move logs against the dense oracle's transforms
+# ---------------------------------------------------------------------------
+
+
+def _check_replay(a, m, n, rng) -> SNFResult:
+    """Each of U, U^-1, V, V^-1 replayed on a sparse random block B equals
+    the oracle's dense product T B, the inverses cancel, and replay on
+    identity rows agrees with the former two-identity replay."""
+    res = smith_normal_form(a, m, n)
+    want = _smith_oracle(a, m, n)
+    for name, size in (("u", m), ("uinv", m), ("v", n), ("vinv", n)):
+        width = rng.randint(0, 4)
+        block = [{j: x for j in range(width) if rng.random() < 0.4 and (x := rng.randint(-5, 5))}
+                 for _ in range(size)]
+        product = [[sum(row[k] * block[k].get(j, 0) for k in range(size)) for j in range(width)]
+                   for row in getattr(want, name)]
+        got = res._replay(name, [dict(r) for r in block])
+        assert [[r.get(j, 0) for j in range(width)] for r in got] == product, name
+    for t, inv, size in (("u", "uinv", m), ("v", "vinv", n)):
+        eye = [{i: 1} for i in range(size)]
+        assert res._replay(t, res._replay(inv, [dict(r) for r in eye])) == eye
+        assert res._replay(inv, res._replay(t, [dict(r) for r in eye])) == eye
+    dense = dense_snf(res)
+    assert logged_transforms(res) == {name: getattr(dense, name) for name in ("u", "uinv", "v", "vinv")}
+    return res
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=integer_matrices(), rng=randoms(use_true_random=False))
+def test_replay_applies_each_transform_as_the_dense_product(case, rng):
+    _check_replay(*case, rng)
+
+
+def test_replay_covers_swaps_negations_and_non_unit_pivots():
+    rng = random.Random(3)
+    cases = [[[2, 4], [6, 8]], [[0, 3], [-1, 0]], [[0, 0, -2], [0, 4, 6]], [[6, 10, 15]], [[-4]]]
+    cases += [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -6, 6) for _ in range(30)]
+    kinds = {"row swap": 0, "column swap": 0, "negation": 0, "non-unit pivot": 0}
+    for a in cases:
+        res = _check_replay(a, len(a), len(a[0]), rng)
+        kinds["row swap"] += sum(len(move) == 2 for move in res._row_moves)
+        kinds["column swap"] += sum(len(move) == 2 for move in res._col_moves)
+        kinds["negation"] += sum(len(move) == 1 for move in res._row_moves)
+        kinds["non-unit pivot"] += any(d > 1 for d in res.diag)
+    assert all(count >= 5 for count in kinds.values()), kinds

@@ -4,7 +4,7 @@ import random
 from typing import Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis.strategies import booleans, composite, floats, integers, permutations, randoms, sets
 
 from cuspforge import gf2

@@ -2,11 +2,13 @@
 and inclusion-induced maps.
 
 One ``ChainComplexData`` carries integer incidence data for any of the
-cell-complex types in this library; GF(2) work reads the same data mod
-2 through bit-packed rows.  d(d(x)) = 0 is verified at build time by
-composing d_(k-1) d_k exactly in int64 arrays, one block of k-cells at a
-time: cubical data hands over its face tables and blocks along its
-support runs, other builders' incidence tuples are flattened once.
+cell-complex types in this library, each d_k once, as a flat CSR triple
+of arrays: the cubical builder reads it off its face tables, the others
+pass per-cell entry lists through one converter, and subcomplexes
+reindex their parent's arrays.  Every reader works on the arrays: GF(2)
+work reads them mod 2 as bit-packed rows, and d(d(x)) = 0 is verified at
+build time by composing d_(k-1) d_k exactly in int64 arrays, a fixed
+block of k-cells at a time.
 
 Each boundary map is eliminated once per coefficient ring and cached on
 the data: over Z one Smith normal form per d_k, over Z/2 one cleared
@@ -34,54 +36,92 @@ from .errors import BudgetError, ValidationError
 from .simplicial import SimplicialComplex
 from .snf import SNFResult, smith_normal_form
 
-Entry = Tuple[int, int]  # (face index, incidence number)
+# d_k as (ptr, faces, coeffs), see ChainComplexData
+Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Entries of d_k (n_{k-1} x n_k) above which integral work is refused.  Nothing
 # dense is built: the limit is a shape stand-in for the elimination's fill-in
 # and move logs, which it does not measure.
 INTEGRAL_DENSE_LIMIT = 4_000_000
 
-# k-cells per block of the d(d) = 0 check for data without support runs
+# k-cells per block of the d(d) = 0 check
 DD_BLOCK_ROWS = 2048
-
-
-# d_k as flat arrays (ptr, faces, coeffs, blocks): the entries of k-cell i are
-# faces[ptr[i]:ptr[i+1]] with coeffs beside them; blocks are the row offsets
-# (0 first, n_k last) between which verify_dd_zero composes.
-IncidenceArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]
 
 
 def _max_abs(values: np.ndarray) -> int:
     return max(abs(int(values.max())), abs(int(values.min()))) if values.size else 0
 
 
-@dataclass
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    return np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> List[int]:
+    """n bitsets: bit b of bitset i is set when the pair (i, b) occurs an odd
+    number of times."""
+    out = [0] * n
+    for i, b in zip(owner.tolist(), bit.tolist()):
+        out[i] ^= 1 << b
+    return out
+
+
+@dataclass(eq=False)
 class ChainComplexData:
     """Ordered cell bases and boundary maps of a finite complex.
 
-    ``boundaries[k][i]`` lists (index into dimension k-1, coefficient)
-    for the i-th k-cell; coefficients are always the integral incidence
-    numbers, and the ``coeff`` tag records how downstream computations
-    should interpret them ("Z" or "Z2").  Eliminations are cached beside
-    the data: ``smith(k)`` over Z, ``gf2_coreduction(k)`` over Z/2, and
-    the integral H_k bases built on ``smith(k)``.
+    ``incidences[k]`` is d_k as a CSR triple ``(ptr, faces, coeffs)``:
+    k-cell i has the (k-1)-cells ``faces[ptr[i]:ptr[i+1]]``, with the
+    integral incidence numbers ``coeffs`` beside them (int64, or Python
+    ints in an object array past int64; d_0 has none).  The ``coeff`` tag
+    records how downstream computations should interpret them ("Z" or
+    "Z2").  Eliminations are cached beside the data: ``smith(k)`` over Z,
+    ``gf2_coreduction(k)`` over Z/2, and the integral H_k bases built on
+    ``smith(k)``.
     """
 
     coeff: str
     cell_keys: List[Tuple[Hashable, ...]]
-    boundaries: List[Tuple[Tuple[Entry, ...], ...]]
+    incidences: List[Incidence]
     _index: List[Dict[Hashable, int]] = field(default_factory=list, repr=False)
     _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
     _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
     _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
-    _arrays: Dict[int, IncidenceArrays] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coeff not in ("Z", "Z2"):
             raise ValidationError("coefficients must be 'Z' or 'Z2'")
+        if len(self.incidences) != len(self.cell_keys):
+            raise ValidationError(f"{len(self.incidences)} boundary maps for "
+                                  f"{len(self.cell_keys)} cell dimensions")
+        for k, (ptr, faces, coeffs) in enumerate(self.incidences):
+            if (len(ptr) != self.size(k) + 1 or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
+                    or not ptr[-1] == len(faces) == len(coeffs)):
+                raise ValidationError(f"d_{k} needs one row per {k}-cell: "
+                                      f"got {len(ptr) - 1} for {self.size(k)}")
+            if faces.size and (faces.min() < 0 or faces.max() >= self.size(k - 1)):
+                raise ValidationError(f"d_{k} names a face outside the "
+                                      f"{self.size(k - 1)} ({k - 1})-cells")
         if not self._index:
             self._index = [{key: i for i, key in enumerate(keys)} for keys in self.cell_keys]
+
+    @classmethod
+    def from_entries(cls, coeff: str, cell_keys: List[Tuple[Hashable, ...]],
+                     entries: Sequence[Sequence[Sequence[Tuple[int, int]]]]) -> ChainComplexData:
+        """Chain data from per-cell entry lists: ``entries[k][i]`` lists the
+        (face index, incidence number) pairs of the i-th k-cell.  The one
+        converter from entries to arrays."""
+        incidences = []
+        for rows in entries:
+            ptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)))))
+            faces = np.fromiter((idx for row in rows for idx, _ in row), np.int64, int(ptr[-1]))
+            try:
+                coeffs = np.fromiter((c for row in rows for _, c in row), np.int64, int(ptr[-1]))
+            except OverflowError:
+                coeffs = np.array([c for row in rows for _, c in row], dtype=object)
+            incidences.append((ptr, faces, coeffs))
+        return cls(coeff, cell_keys, incidences)
 
     @property
     def top_dim(self) -> int:
@@ -101,29 +141,33 @@ class ChainComplexData:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.sizes()))
 
+    def _entries(self, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d_k entry by entry: the k-cell, face and incidence of each entry,
+        in row order (empty outside 0 <= k <= top)."""
+        if not 0 <= k <= self.top_dim:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty
+        ptr, faces, coeffs = self.incidences[k]
+        return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), faces, coeffs
+
+    def _odd_bitsets(self, k: int, by_face: bool) -> List[int]:
+        """d_k mod 2 as bitsets: one per k-cell over the (k-1)-cells, or with
+        ``by_face`` one per (k-1)-cell over the k-cells."""
+        cells, faces, coeffs = self._entries(k)
+        odd = coeffs & 1 != 0
+        if by_face:
+            return _bitsets(faces[odd], cells[odd], self.size(k - 1))
+        return _bitsets(cells[odd], faces[odd], self.size(k))
+
     def gf2_rows(self, k: int) -> List[int]:
         """Boundary of each k-cell as a bitset over (k-1)-cells."""
         if k not in self._gf2_rows:
-            rows = []
-            if 1 <= k <= self.top_dim:
-                for entries in self.boundaries[k]:
-                    acc = 0
-                    for idx, coeff in entries:
-                        if coeff & 1:
-                            acc ^= 1 << idx
-                    rows.append(acc)
-            self._gf2_rows[k] = rows
+            self._gf2_rows[k] = self._odd_bitsets(k, by_face=False)
         return self._gf2_rows[k]
 
     def gf2_corows(self, k: int) -> List[int]:
         """Coboundary of each k-cell as a bitset over (k+1)-cells."""
-        rows = [0] * self.size(k)
-        if 0 <= k < self.top_dim:
-            for j, entries in enumerate(self.boundaries[k + 1]):
-                for idx, coeff in entries:
-                    if coeff & 1:
-                        rows[idx] ^= 1 << j
-        return rows
+        return self._odd_bitsets(k + 1, by_face=True)
 
     def gf2_coreduction(self, k: int) -> Tuple[Dict[int, int], List[int]]:
         """The one Z/2 elimination of delta^k, computed once: the reduced
@@ -156,10 +200,8 @@ class ChainComplexData:
         """d_k as sparse rows, one {k-cell: incidence} per (k-1)-cell
         (empty rows outside 1 <= k <= top)."""
         rows: List[Dict[int, int]] = [{} for _ in range(self.size(k - 1))]
-        if 1 <= k <= self.top_dim:
-            for j, entries in enumerate(self.boundaries[k]):
-                for idx, coeff in entries:
-                    rows[idx][j] = rows[idx].get(j, 0) + coeff
+        for j, idx, coeff in zip(*(a.tolist() for a in self._entries(k))):
+            rows[idx][j] = rows[idx].get(j, 0) + coeff
         return rows
 
     def smith(self, k: int) -> SNFResult:
@@ -171,56 +213,38 @@ class ChainComplexData:
             self._smith[k] = smith_normal_form(self._sparse_rows(k), self.size(k - 1), self.size(k))
         return self._smith[k]
 
-    def _incidence_arrays(self, k: int) -> IncidenceArrays:
-        """d_k (1 <= k <= top) as flat arrays: the ones the builder handed
-        over, else ``boundaries[k]`` flattened (and not kept)."""
-        if k in self._arrays:
-            return self._arrays[k]
-        rows = self.boundaries[k]
-        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=ptr[1:])
-        faces = np.fromiter((idx for row in rows for idx, _ in row), np.int64, int(ptr[-1]))
-        try:
-            coeffs = np.fromiter((c for row in rows for _, c in row), np.int64, int(ptr[-1]))
-        except OverflowError:
-            coeffs = np.array([c for row in rows for _, c in row], dtype=object)
-        blocks = list(range(0, len(rows), DD_BLOCK_ROWS)) + [len(rows)]
-        return ptr, faces, coeffs, blocks
-
     def _check_closed(self) -> None:
         """Refuse a complex with a ridge that does not lie in exactly two top
         cells, counting non-zero incidences only: one count over the faces
         of d_top."""
         n = self.top_dim
-        _, faces, coeffs, _ = self._incidence_arrays(n)
+        _, faces, coeffs = self.incidences[n]
         hits = np.bincount(faces[coeffs != 0], minlength=self.size(n - 1))
         bad = np.flatnonzero(hits != 2)
         if bad.size:
             raise ValidationError(f"complex is not closed: ridge {bad[0]} lies in {hits[bad[0]]} top cells")
 
     def verify_dd_zero(self) -> None:
-        """d_(k-1) d_k = 0 for every k, composed exactly one block of k-cells
+        """d_(k-1) d_k = 0 for every k, composed exactly DD_BLOCK_ROWS k-cells
         at a time: each entry (face j, c) of a k-cell expands into c times
         the entries of d_(k-1) on j, and the products are summed per
-        (k-cell, (k-2)-cell) after one sort.  Each d_k is flattened once."""
-        lower = self._incidence_arrays(1) if self.top_dim >= 2 else None
+        (k-cell, (k-2)-cell) after one sort."""
         for k in range(2, self.top_dim + 1):
-            upper = self._incidence_arrays(k)
-            ptr, faces, coeffs, blocks = upper
-            ptr1, faces1, coeffs1, _ = lower
+            ptr, faces, coeffs = self.incidences[k]
+            ptr1, faces1, coeffs1 = self.incidences[k - 1]
             widths = np.diff(ptr)
             widths1 = np.diff(ptr1)
             bound = (_max_abs(coeffs) * _max_abs(coeffs1)
                      * int(widths.max(initial=0)) * int(widths1.max(initial=0)))
             dtype = np.int64 if bound < 2 ** 63 else object
             n_low = max(self.size(k - 2), 1)
-            for a, b in zip(blocks, blocks[1:]):
+            for a in range(0, self.size(k), DD_BLOCK_ROWS):
+                b = min(a + DD_BLOCK_ROWS, self.size(k))
                 lo, hi = int(ptr[a]), int(ptr[b])
                 face = faces[lo:hi]
                 count = widths1[face]
-                first = ptr1[face]
                 # positions in d_(k-1) of the expanded entries, row by row
-                pos = np.arange(int(count.sum())) + np.repeat(first - (np.cumsum(count) - count), count)
+                pos = _spans(ptr1[face], count)
                 cell = np.repeat(np.repeat(np.arange(b - a), widths[a:b]), count)
                 key = cell * n_low + faces1[pos]
                 value = (np.repeat(coeffs[lo:hi], count).astype(dtype, copy=False)
@@ -230,7 +254,6 @@ class ChainComplexData:
                 heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
                 if key.size and np.count_nonzero(np.add.reduceat(value[order], heads)):
                     raise ValidationError(f"dd != 0 in dimension {k}")
-            lower = upper
 
 
 def chain_complex_of(X, coeff: str = "Z2") -> ChainComplexData:
@@ -255,50 +278,29 @@ def chain_complex_of(X, coeff: str = "Z2") -> ChainComplexData:
 
 def _simplicial_chain_data(K: SimplicialComplex, coeff: str) -> ChainComplexData:
     cell_keys: List[Tuple] = []
-    boundaries: List[Tuple] = []
+    entries: List[List[Tuple]] = []
     index_prev: Dict = {}
     for k in range(K.dim + 1):
         faces = K.faces_of_dim(k)
-        index_here = {f: i for i, f in enumerate(faces)}
-        rows = []
-        for f in faces:
-            if k == 0:
-                rows.append(())
-            else:
-                entries = []
-                for j in range(len(f)):
-                    sub = f[:j] + f[j + 1:]
-                    entries.append((index_prev[sub], (-1) ** j))
-                rows.append(tuple(entries))
+        entries.append([[(index_prev[f[:j] + f[j + 1:]], (-1) ** j) for j in range(len(f))] if k else []
+                        for f in faces])
         cell_keys.append(tuple(faces))
-        boundaries.append(tuple(rows))
-        index_prev = index_here
-    return ChainComplexData(coeff, cell_keys, boundaries)
+        index_prev = {f: i for i, f in enumerate(faces)}
+    return ChainComplexData.from_entries(coeff, cell_keys, entries)
 
 
 def _cubical_chain_data(Z: CubicalComplex, coeff: str) -> ChainComplexData:
-    """Rows read off ``Z.face_table(k)``: on the p-th axis of the support the
-    +1 face with sign (-1)^p, then the -1 face with the opposite sign.  The
-    (face, sign) entries are shared tuples over one list of index ints, and
-    the tables are handed to ``verify_dd_zero`` blocked by support runs."""
+    """d_k read off ``Z.face_table(k)``: on the p-th axis of the support the
+    +1 face with sign (-1)^p, then the -1 face with the opposite sign."""
     cell_keys = [Z.cells_of_dim(k) for k in range(Z.dim + 1)]
-    boundaries: List[Tuple] = [((),) * len(cell_keys[0])] if cell_keys else []
-    arrays: Dict[int, IncidenceArrays] = {}
-    index = list(range(max(map(len, cell_keys), default=0)))
+    empty = np.zeros(0, dtype=np.int64)
+    incidences = [(np.zeros(len(cell_keys[0]) + 1, dtype=np.int64), empty, empty)] if cell_keys else []
     for k in range(1, Z.dim + 1):
-        table = Z.face_table(k)
-        n_faces = len(cell_keys[k - 1])
+        n = len(cell_keys[k])
         signs = np.array([(-1) ** p * s for p in range(k) for s in (1, -1)], dtype=np.int64)
-        entries = {s: np.fromiter(((j, s) for j in index[:n_faces]), dtype=object, count=n_faces)
-                   for s in (1, -1)}
-        rows = np.empty(table.shape, dtype=object)
-        for col, s in enumerate(signs.tolist()):
-            rows[:, col] = entries[s][table[:, col]]
-        boundaries.append(tuple(map(tuple, rows.tolist())))
-        n = len(table)
-        arrays[k] = (np.arange(n + 1, dtype=np.int64) * 2 * k, table.reshape(-1), np.tile(signs, n),
-                     [start for _, start, _ in Z.support_runs(k)] + [n])
-    return ChainComplexData(coeff, cell_keys, boundaries, _arrays=arrays)
+        incidences.append((np.arange(n + 1, dtype=np.int64) * 2 * k, Z.face_table(k).reshape(-1),
+                           np.tile(signs, n)))
+    return ChainComplexData(coeff, cell_keys, incidences)
 
 
 # ---------------------------------------------------------------------------
@@ -577,35 +579,30 @@ class SubcomplexSelection:
 
 
 def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequence[Hashable]]) -> SubcomplexSelection:
-    """Validate closure of a cell selection and reindex its chain data."""
-    top = len(keys_per_dim) - 1
+    """Validate closure of a cell selection and reindex its chain data: the
+    parent's rows of d_k are gathered, and their faces sent through one
+    lookup array (parent index -> sub index, -1 off the selection)."""
     indices: List[List[int]] = []
-    chosen_sets: List[set] = []
-    for k in range(top + 1):
-        idx = sorted(parent.index_of(k, key) for key in keys_per_dim[k])
-        if len(set(idx)) != len(keys_per_dim[k]):
+    for k, keys in enumerate(keys_per_dim):
+        idx = sorted(parent.index_of(k, key) for key in keys)
+        if len(set(idx)) != len(keys):
             raise ValidationError("repeated cell in subcomplex selection")
         indices.append(idx)
-        chosen_sets.append(set(idx))
-    sub_index: List[Dict[int, int]] = [
-        {par: i for i, par in enumerate(indices[k])} for k in range(top + 1)
-    ]
-    cell_keys = []
-    boundaries = []
-    for k in range(top + 1):
-        keys = tuple(parent.cell_keys[k][par] for par in indices[k])
-        rows = []
-        for par in indices[k]:
-            entries = []
-            for idx, coeff in parent.boundaries[k][par]:
-                if k > 0 and idx not in chosen_sets[k - 1]:
-                    raise ValidationError("selection is not closed under faces")
-                if k > 0:
-                    entries.append((sub_index[k - 1][idx], coeff))
-            rows.append(tuple(entries))
-        cell_keys.append(keys)
-        boundaries.append(tuple(rows))
-    data = ChainComplexData(parent.coeff, cell_keys, boundaries)
+    incidences = []
+    lookup = np.zeros(0, dtype=np.int64)  # no cells below degree 0
+    for k, idx in enumerate(indices):
+        ptr, faces, coeffs = parent.incidences[k]
+        rows = np.array(idx, dtype=np.int64)
+        counts = ptr[rows + 1] - ptr[rows]
+        pos = _spans(ptr[rows], counts)
+        sub_faces = lookup[faces[pos]]
+        if np.any(sub_faces < 0):
+            raise ValidationError("selection is not closed under faces")
+        incidences.append((np.concatenate(([0], np.cumsum(counts))), sub_faces, coeffs[pos]))
+        lookup = np.full(parent.size(k), -1, dtype=np.int64)
+        lookup[rows] = np.arange(len(idx))
+    cell_keys = [tuple(parent.cell_keys[k][i] for i in idx) for k, idx in enumerate(indices)]
+    data = ChainComplexData(parent.coeff, cell_keys, incidences)
     return SubcomplexSelection(parent=parent, indices=indices, data=data)
 
 

@@ -20,7 +20,6 @@ from .chains import (
     _splittings,
     chain_complex_of,
     cohomology_z2_basis,
-    homology,
     inclusion_free_h1_matrix,
     restriction_map_z2,
 )
@@ -55,9 +54,10 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
     """w1 = 0 test: the top integral homology is Z.
 
     Builds the orientation class directly: propagate compatible signs
-    across the two top cells at each ridge and verify the signed sum of
-    boundaries vanishes exactly.  Equivalent to rank arguments on the
-    Smith normal form of the top boundary, but linear-time.
+    across the two top cells at each ridge and verify that the signed sum
+    of their incidences vanishes exactly at every ridge.  Equivalent to
+    rank arguments on the Smith normal form of the top boundary, but
+    linear-time.
     """
     if data is None:
         data = chain_complex_of(X, "Z")
@@ -66,11 +66,18 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
         raise ValidationError("orientability needs positive dimension")
     data._check_closed()
     n_top = data.size(n)
-    cofaces: Dict[int, List[Tuple[int, int]]] = {}
-    for c, entries in enumerate(data.boundaries[n]):
-        for idx, coeff in entries:
-            if coeff:
-                cofaces.setdefault(idx, []).append((c, coeff))
+    cells, faces, coeffs = data._entries(n)
+    live = coeffs != 0
+    cells, coeffs = cells[live].tolist(), coeffs[live].tolist()
+    # each ridge has exactly two non-zero incidences: adjacent after one stable sort
+    order = faces[live].argsort(kind="stable").tolist()
+    pairs = list(zip(order[::2], order[1::2]))
+    partner = [0] * len(order)
+    rows: List[List[int]] = [[] for _ in range(n_top)]
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    for e, c in enumerate(cells):
+        rows[c].append(e)
     sign = [0] * n_top
     orientable = True
     for seed in range(n_top):
@@ -80,23 +87,16 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
         stack = [seed]
         while stack and orientable:
             c1 = stack.pop()
-            for idx, coeff1 in data.boundaries[n][c1]:
-                (a, sa), (b, sb) = cofaces[idx]
-                c2, coeff2 = (b, sb) if a == c1 else (a, sa)
-                want = -sign[c1] * coeff1 * coeff2
+            for e in rows[c1]:
+                c2 = cells[partner[e]]
+                want = -sign[c1] * coeffs[e] * coeffs[partner[e]]
                 if sign[c2] == 0:
                     sign[c2] = want
                     stack.append(c2)
                 elif sign[c2] != want:
                     orientable = False
                     break
-    if not orientable:
-        return OrientabilityResult(False, n_top, None)
-    total: Dict[int, int] = {}
-    for c, entries in enumerate(data.boundaries[n]):
-        for idx, coeff in entries:
-            total[idx] = total.get(idx, 0) + sign[c] * coeff
-    if any(v != 0 for v in total.values()):
+    if not orientable or any(sign[cells[a]] * coeffs[a] + sign[cells[b]] * coeffs[b] for a, b in pairs):
         return OrientabilityResult(False, n_top, None)
     return OrientabilityResult(True, n_top, tuple(sign))
 
@@ -204,17 +204,17 @@ def spin_structures(Z, data: Optional[ChainComplexData] = None,
                     orient: Optional[OrientabilityResult] = None,
                     wu: Optional[WuReport] = None) -> SpinStructureSet:
     """Count spin structures: 2^(dim H^1(M; Z/2)) once w1 = w2 = 0."""
+    if data is None:
+        data = chain_complex_of(Z, "Z2")
     if orient is None:
-        orient = orientability(Z)
+        orient = orientability(Z, data)
     if not orient.orientable:
         raise CertificateError("spin structures requested on a non-orientable complex")
     if wu is None:
         wu = spin_obstruction(Z, data)
     if wu.vanishes is not True:
         raise CertificateError("spin structures requested without a vanished obstruction")
-    if data is None or data.coeff != "Z2":
-        data = chain_complex_of(Z, "Z2")
-    b1 = homology(data).betti[1] if data.top_dim >= 1 else 0
+    b1 = len(data.gf2_coreduction(1)[1])  # the Z/2 cocycle basis of degree 1, whatever the tag
     return SpinStructureSet(True, 1 << b1, b1)
 
 

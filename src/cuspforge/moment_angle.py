@@ -253,20 +253,11 @@ class QuotientCellComplex:
         index: List[Dict[Tuple[int, int], int]] = [
             {cell: i for i, cell in enumerate(bucket)} for bucket in self.cells
         ]
-        boundaries: List[Tuple] = []
-        for d, bucket in enumerate(self.cells):
-            rows = []
-            for gid, rep in bucket:
-                if d == 0:
-                    rows.append(())
-                    continue
-                entries = []
-                for child in self._children[gid]:
-                    child_rep = self.rep_of(child, rep)
-                    entries.append((index[d - 1][(child, child_rep)], self._incidence[(gid, child)]))
-                rows.append(tuple(entries))
-            boundaries.append(tuple(rows))
-        return ChainComplexData(coeff, [tuple(b) for b in self.cells], boundaries)
+        entries = [[[(index[d - 1][(child, self.rep_of(child, rep))], self._incidence[(gid, child)])
+                     for child in self._children[gid]] if d else []
+                    for gid, rep in bucket]
+                   for d, bucket in enumerate(self.cells)]
+        return ChainComplexData.from_entries(coeff, [tuple(b) for b in self.cells], entries)
 
     def cells_over_facet(self, facet: int) -> List[List[Tuple[int, int]]]:
         """Cells whose face lies in the given facet, per dimension."""

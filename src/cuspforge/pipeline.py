@@ -187,7 +187,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     stage("manifold_check", check_manifold)
 
-    data_z2 = chain_complex_of(Z, "Z2")
+    data_z2 = stage("chain_complex", lambda: chain_complex_of(Z, "Z2"))
     betti = stage("homology", lambda: homology(data_z2)).betti
     facts["filling_betti_z2"] = betti
 

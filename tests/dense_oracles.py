@@ -12,6 +12,12 @@ with dense matrices built here:
 * ``apply_matrix``, ``kernel_basis``, ``det_bareiss``, ``reconstruct``
   and ``dense_boundary`` are the dense helpers the library dropped, kept
   verbatim.
+
+The chain data keeps each boundary map as flat arrays.  ``entry_rows``
+reads them back as per-cell (face, incidence) tuples, the form the
+builders once stored, and the per-entry readers the library replaced
+(Z/2 rows and corows, sparse rows, subcomplex reindexing) are kept here
+on that form, verbatim, as oracles.
 """
 
 from __future__ import annotations
@@ -170,7 +176,155 @@ def dense_boundary(data, k: int) -> Matrix:
     n_cols = data.size(k)
     mat = [[0] * n_cols for _ in range(n_rows)]
     if 1 <= k <= data.top_dim:
-        for j, entries in enumerate(data.boundaries[k]):
+        for j, entries in enumerate(entry_rows(data)[k]):
             for idx, coeff in entries:
                 mat[idx][j] += coeff
     return mat
+
+
+# ---------------------------------------------------------------------------
+# per-entry oracles of the chain data
+# ---------------------------------------------------------------------------
+
+
+Entries = Tuple[Tuple[Tuple[int, int], ...], ...]  # per cell, (face index, incidence)
+
+
+def entry_rows(data) -> List[Entries]:
+    """Every d_k of the chain data as per-cell (face, incidence) tuples."""
+    out = []
+    for ptr, faces, coeffs in data.incidences:
+        pairs = list(zip(faces.tolist(), coeffs.tolist()))
+        out.append(tuple(tuple(pairs[a:b]) for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())))
+    return out
+
+
+def simplicial_entry_oracle(K) -> Tuple[List[Tuple], List[Entries]]:
+    """Cell keys and per-cell entries of a simplicial complex: on the j-th
+    vertex of a sorted simplex, the face without it, with sign (-1)^j."""
+    cell_keys: List[Tuple] = []
+    out: List[Entries] = []
+    index_prev: Dict = {}
+    for k in range(K.dim + 1):
+        faces = K.faces_of_dim(k)
+        out.append(tuple(tuple((index_prev[f[:j] + f[j + 1:]], (-1) ** j) for j in range(len(f))) if k else ()
+                         for f in faces))
+        cell_keys.append(tuple(faces))
+        index_prev = {f: i for i, f in enumerate(faces)}
+    return cell_keys, out
+
+
+def cubical_entry_oracle(Z) -> Tuple[List[Tuple], List[Entries]]:
+    """Cell keys and per-cell entries of a cube complex: on the p-th axis of
+    the support the +1 face with sign (-1)^p, then the -1 face."""
+    cell_keys: List[Tuple] = []
+    out: List[Entries] = []
+    index_prev: Dict = {}
+    for k in range(Z.dim + 1):
+        cells = Z.cells_of_dim(k)
+        rows = []
+        for support, signs in cells:
+            entries = []
+            for pos, i in enumerate(support):
+                rest = tuple(x for x in support if x != i)
+                entries.append((index_prev[(rest, signs | (1 << i))], (-1) ** pos))
+                entries.append((index_prev[(rest, signs)], -(-1) ** pos))
+            rows.append(tuple(entries))
+        cell_keys.append(tuple(cells))
+        out.append(tuple(rows))
+        index_prev = {c: i for i, c in enumerate(cells)}
+    return cell_keys, out
+
+
+def quotient_entry_oracle(Q) -> Tuple[List[Tuple], List[Entries]]:
+    """Cell keys and per-cell entries of a quotient cell complex: each child
+    face at its representative, with the lattice incidence."""
+    index = [{cell: i for i, cell in enumerate(bucket)} for bucket in Q.cells]
+    out: List[Entries] = []
+    for d, bucket in enumerate(Q.cells):
+        rows = []
+        for gid, rep in bucket:
+            entries = []
+            for child in Q._children[gid] if d else ():
+                entries.append((index[d - 1][(child, Q.rep_of(child, rep))], Q._incidence[(gid, child)]))
+            rows.append(tuple(entries))
+        out.append(tuple(rows))
+    return [tuple(b) for b in Q.cells], out
+
+
+def verify_dd_zero_oracle(data) -> None:
+    """d_(k-1) d_k = 0, composed cell by cell."""
+    boundaries = entry_rows(data)
+    for k in range(2, data.top_dim + 1):
+        for entries in boundaries[k]:
+            acc: Dict[int, int] = {}
+            for idx, coeff in entries:
+                for idx2, coeff2 in boundaries[k - 1][idx]:
+                    acc[idx2] = acc.get(idx2, 0) + coeff * coeff2
+            if any(v != 0 for v in acc.values()):
+                raise ValidationError(f"dd != 0 in dimension {k}")
+
+
+def gf2_rows_oracle(rows: Entries) -> List[int]:
+    """Boundary of each cell as a bitset over its faces."""
+    out = []
+    for entries in rows:
+        acc = 0
+        for idx, coeff in entries:
+            if coeff & 1:
+                acc ^= 1 << idx
+        out.append(acc)
+    return out
+
+
+def gf2_corows_oracle(rows: Entries, n_faces: int) -> List[int]:
+    """Coboundary of each face as a bitset over the cells."""
+    out = [0] * n_faces
+    for j, entries in enumerate(rows):
+        for idx, coeff in entries:
+            if coeff & 1:
+                out[idx] ^= 1 << j
+    return out
+
+
+def sparse_rows_oracle(rows: Entries, n_faces: int) -> List[Dict[int, int]]:
+    """One {cell: incidence} per face."""
+    out: List[Dict[int, int]] = [{} for _ in range(n_faces)]
+    for j, entries in enumerate(rows):
+        for idx, coeff in entries:
+            out[idx][j] = out[idx].get(j, 0) + coeff
+    return out
+
+
+def subcomplex_oracle(parent, keys_per_dim) -> Tuple[List[List[int]], List[Tuple], List[Entries]]:
+    """Indices, cell keys and per-cell entries of a closed selection,
+    reindexed entry by entry."""
+    top = len(keys_per_dim) - 1
+    boundaries = entry_rows(parent)
+    indices: List[List[int]] = []
+    chosen_sets: List[set] = []
+    for k in range(top + 1):
+        idx = sorted(parent.index_of(k, key) for key in keys_per_dim[k])
+        if len(set(idx)) != len(keys_per_dim[k]):
+            raise ValidationError("repeated cell in subcomplex selection")
+        indices.append(idx)
+        chosen_sets.append(set(idx))
+    sub_index: List[Dict[int, int]] = [
+        {par: i for i, par in enumerate(indices[k])} for k in range(top + 1)
+    ]
+    cell_keys = []
+    out = []
+    for k in range(top + 1):
+        keys = tuple(parent.cell_keys[k][par] for par in indices[k])
+        rows = []
+        for par in indices[k]:
+            entries = []
+            for idx, coeff in boundaries[k][par]:
+                if k > 0 and idx not in chosen_sets[k - 1]:
+                    raise ValidationError("selection is not closed under faces")
+                if k > 0:
+                    entries.append((sub_index[k - 1][idx], coeff))
+            rows.append(tuple(entries))
+        cell_keys.append(keys)
+        out.append(tuple(rows))
+    return indices, cell_keys, out

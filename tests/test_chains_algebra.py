@@ -39,7 +39,22 @@ from cuspforge.simplicial import (
 )
 from cuspforge.snf import smith_normal_form
 
-from dense_oracles import DenseSNF, apply_matrix, dense_boundary, dense_snf, kernel_basis
+from dense_oracles import (
+    DenseSNF,
+    apply_matrix,
+    cubical_entry_oracle,
+    dense_boundary,
+    dense_snf,
+    entry_rows,
+    gf2_corows_oracle,
+    gf2_rows_oracle,
+    kernel_basis,
+    quotient_entry_oracle,
+    simplicial_entry_oracle,
+    sparse_rows_oracle,
+    subcomplex_oracle,
+    verify_dd_zero_oracle,
+)
 
 
 def test_dd_zero_verified_on_build():
@@ -58,7 +73,7 @@ class _HandBuilt:
         self.boundaries = boundaries
 
     def to_chain_data(self, coeff):
-        return ChainComplexData(coeff, self.cell_keys, self.boundaries)
+        return ChainComplexData.from_entries(coeff, self.cell_keys, self.boundaries)
 
 
 def _tetrahedron(signs):
@@ -66,15 +81,16 @@ def _tetrahedron(signs):
     with the given incidence numbers."""
     sphere = chain_complex_of(boundary_of_simplex(3), "Z")
     top = (tuple(enumerate(signs)),)
-    return _HandBuilt(sphere.cell_keys + [((0, 1, 2, 3),)], sphere.boundaries + [top])
+    return _HandBuilt(sphere.cell_keys + [((0, 1, 2, 3),)], entry_rows(sphere) + [top])
 
 
 def _flip_last(data, k):
     """The same chain data with the first incidence of the last k-cell negated."""
-    rows = list(data.boundaries[k])
+    boundaries = entry_rows(data)
+    rows = list(boundaries[k])
     (face, c), *rest = rows[-1]
     rows[-1] = ((face, -c), *rest)
-    return _HandBuilt(data.cell_keys, data.boundaries[:k] + [tuple(rows)] + data.boundaries[k + 1:])
+    return _HandBuilt(data.cell_keys, boundaries[:k] + [tuple(rows)] + boundaries[k + 1:])
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 2048])
@@ -93,6 +109,21 @@ def test_dd_nonzero_is_refused(monkeypatch, block_rows):
     for k in (2, 3):
         with pytest.raises(ValidationError, match=rf"^dd != 0 in dimension {k}$"):
             chain_complex_of(_flip_last(torus, k), "Z")
+
+
+@pytest.mark.parametrize("name, complex_, message", [
+    ("face index past the faces", _HandBuilt([("a", "b"), ("e",)], [((), ()), (((0, -1), (2, 1)),)]),
+     r"^d_1 names a face outside the 2 \(0\)-cells$"),
+    ("negative face index", _HandBuilt([("a", "b"), ("e",)], [((), ()), (((0, -1), (-1, 1)),)]),
+     r"^d_1 names a face outside the 2 \(0\)-cells$"),
+    ("fewer rows than cells", _HandBuilt([("a", "b"), ("e", "f")], [((), ()), (((0, -1), (1, 1)),)]),
+     r"^d_1 needs one row per 1-cell: got 1 for 2$"),
+])
+def test_malformed_chain_data_is_refused(name, complex_, message):
+    for coeff in ("Z", "Z2"):
+        with pytest.raises(ValidationError, match=message) as info:
+            chain_complex_of(complex_, coeff)
+        assert info.value.exit_code == 2, name
 
 
 @pytest.mark.parametrize("big", [1 << 32, 1 << 64])
@@ -270,8 +301,14 @@ def test_restriction_identity_and_point():
 def test_selection_must_be_closed():
     Z = real_moment_angle(cycle_complex(4))
     data = chain_complex_of(Z, "Z2")
-    with pytest.raises(ValidationError):
-        subcomplex_selection(data, [[], [data.cell_keys[1][0]]])
+    vertex, edge = data.cell_keys[0][0], data.cell_keys[1][0]
+    for keys, message in (([[], [edge]], "selection is not closed under faces"),
+                          ([[vertex, vertex]], "repeated cell in subcomplex selection"),
+                          ([[vertex], [edge, edge]], "repeated cell in subcomplex selection")):
+        for select in (subcomplex_selection, subcomplex_oracle):
+            with pytest.raises(ValidationError, match=f"^{message}$") as info:
+                select(data, keys)
+            assert info.value.exit_code == 2
 
 
 def mobius_strip_complex():
@@ -521,8 +558,8 @@ def test_project_refuses_non_cycles_and_wrong_lengths(name):
 def test_integral_consumers_refuse_over_the_dense_limit():
     n = 2001
     assert n * n > INTEGRAL_DENSE_LIMIT
-    data = ChainComplexData("Z", [tuple((i,) for i in range(n)), tuple((i, 0) for i in range(n))],
-                            [((),) * n, ((),) * n])
+    data = ChainComplexData.from_entries("Z", [tuple((i,) for i in range(n)), tuple((i, 0) for i in range(n))],
+                                         [((),) * n, ((),) * n])
     for consumer in (homology, lambda d: integral_homology_basis(d, 1)):
         with pytest.raises(BudgetError) as info:
             consumer(data)
@@ -627,3 +664,76 @@ def test_cohomology_bases_match_oracle(name):
     if name == "filled P^4":
         assert [data.gf2_rank(k) for k in range(1, 5)] == [1023, 4067, 4771, 1599]
         assert [cohomology_z2_basis(data, k).dimension for k in range(5)] == [1, 30, 122, 30, 1]
+
+
+# ---------------------------------------------------------------------------
+# one incidence form: the arrays against the per-cell entry oracles
+# ---------------------------------------------------------------------------
+
+
+def _permuted_p3_quotient(seed):
+    P = ideal_dual(gosset(3))
+    perm = list(range(P.num_facets))
+    random.Random(seed).shuffle(perm)
+    return truncated_quotient(P, Colouring(P.num_facets, tuple(1 << p for p in perm))).quotient
+
+
+ENTRY_FIXTURES = {
+    "3-simplex boundary": (lambda: boundary_of_simplex(3), simplicial_entry_oracle),
+    "octahedron": (octahedron_boundary, simplicial_entry_oracle),
+    "moebius strip": (mobius_strip_complex, simplicial_entry_oracle),
+    "5-cycle": (lambda: cycle_complex(5), simplicial_entry_oracle),
+    "torus": (INTEGRAL_FIXTURES["torus"], cubical_entry_oracle),
+    "4-torus": (COHOMOLOGY_FIXTURES["4-torus"], cubical_entry_oracle),
+    "klein bottle": (INTEGRAL_FIXTURES["klein bottle"], quotient_entry_oracle),
+    "RP^2": (COHOMOLOGY_FIXTURES["RP^2"], quotient_entry_oracle),
+    "cusped P^3 quotient": (COHOMOLOGY_FIXTURES["cusped P^3 quotient"], quotient_entry_oracle),
+    "cusped P^3 quotient, colours shuffled": (lambda: _permuted_p3_quotient(1), quotient_entry_oracle),
+    # RP^2 on two vertices, its 2-cell running twice around a + b: repeated entries
+    "RP^2, repeated entries": (lambda: _HandBuilt([("v", "w"), ("a", "b"), ("f",)], [
+        ((), ()), (((0, -1), (1, 1)), ((1, -1), (0, 1))), (((0, 1), (1, 1), (0, 1), (1, 1)),)]),
+        lambda X: (X.cell_keys, X.boundaries)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_FIXTURES))
+def test_builders_and_readers_match_the_per_cell_entry_oracles(name):
+    build, oracle = ENTRY_FIXTURES[name]
+    X = build()
+    data = chain_complex_of(X, "Z")
+    cell_keys, entries = oracle(X)
+    assert data.cell_keys == cell_keys
+    assert entry_rows(data) == entries
+    verify_dd_zero_oracle(data)
+    top = data.top_dim
+    for k in range(-1, top + 2):
+        rows = entries[k] if 0 <= k <= top else ()
+        upper = entries[k + 1] if 0 <= k + 1 <= top else ()
+        assert data.gf2_rows(k) == gf2_rows_oracle(rows), k
+        assert data.gf2_corows(k) == gf2_corows_oracle(upper, data.size(k)), k
+        # the same entries in the same insertion order, which the elimination sees
+        assert ([list(r.items()) for r in data._sparse_rows(k)]
+                == [list(r.items()) for r in sparse_rows_oracle(rows, data.size(k - 1))]), k
+    if top >= 2:
+        # one flipped incidence: the array check and the oracle agree
+        bad = list(entries[top])
+        bad[-1] = ((bad[-1][0][0], -bad[-1][0][1]),) + bad[-1][1:]
+        broken = ChainComplexData.from_entries("Z", data.cell_keys, entries[:top] + [tuple(bad)])
+        with pytest.raises(ValidationError, match=rf"^dd != 0 in dimension {top}$"):
+            broken.verify_dd_zero()
+        with pytest.raises(ValidationError, match=rf"^dd != 0 in dimension {top}$"):
+            verify_dd_zero_oracle(broken)
+
+
+def test_cusp_selections_match_the_per_entry_reindex():
+    cusped = truncated_quotient(ideal_dual(gosset(3)))
+    for coeff in ("Z", "Z2"):
+        mdata = chain_complex_of(cusped.quotient, coeff)
+        assert len(cusped.components) == 12
+        for comp in cusped.components:
+            sel = subcomplex_selection(mdata, comp.keys_per_dim)
+            indices, cell_keys, entries = subcomplex_oracle(mdata, comp.keys_per_dim)
+            assert sel.indices == indices
+            assert sel.data.cell_keys == cell_keys
+            assert entry_rows(sel.data) == entries
+            assert sel.data.coeff == coeff

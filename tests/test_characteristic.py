@@ -6,6 +6,7 @@ from cuspforge.chains import (
     chain_complex_of,
     cohomology_z2_basis,
     cup_product,
+    homology,
     homology_z2_basis,
     subcomplex_selection,
 )
@@ -193,6 +194,29 @@ def test_spin_structure_counts():
     assert spin_structures(t3).structure_count == 8
     s2 = real_moment_angle(boundary_of_simplex(2))
     assert spin_structures(s2).structure_count == 1
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2"])
+def test_spin_structures_read_given_data_whatever_its_tag(monkeypatch, tag):
+    from cuspforge import characteristic
+
+    builds = []
+
+    def counting(X, coeff="Z2"):
+        builds.append(coeff)
+        return chain_complex_of(X, coeff)
+
+    monkeypatch.setattr(characteristic, "chain_complex_of", counting)
+    for X, count in ((real_moment_angle(octahedron_boundary()), 8),
+                     (colour_manifold(cube_lattice(4), Colouring.distinct(8)), 16)):
+        data = chain_complex_of(X, tag)
+        b1 = homology(chain_complex_of(X, "Z2")).betti[1]
+        spin = spin_structures(X, data)
+        assert builds == []
+        assert spin.b1_mod2 == b1 and spin.structure_count == count == 1 << b1
+    # without data the complex is built once, for every reader
+    assert spin_structures(real_moment_angle(octahedron_boundary())).structure_count == 8
+    assert builds == ["Z2"]
 
 
 def test_spin_structures_require_orientability():

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 
+from cuspforge import pipeline
 from cuspforge.cli import main
+from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.moment_angle import real_moment_angle
-from cuspforge.pipeline import PipelineConfig, run_pipeline
+from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex
 
 # sha256 of every n=3 preset artifact: refactors must keep them byte-identical
@@ -126,6 +128,19 @@ def test_pipeline_n3_artifacts_match_recorded_digests(tmp_path):
         with open(path, "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == N3_ARTIFACT_SHA256
+
+
+@pytest.mark.parametrize("error", [ValidationError, BudgetError])
+def test_chain_complex_build_is_a_named_stage(monkeypatch, error):
+    def failing_build(X, coeff="Z2"):
+        raise error("build refused")
+
+    monkeypatch.setattr(pipeline, "chain_complex_of", failing_build)
+    with pytest.raises(StageError) as info:
+        run_pipeline(PipelineConfig(n=3))
+    assert info.value.stage == "chain_complex"
+    assert info.value.exit_code == error.exit_code
+    assert isinstance(info.value.__cause__, error)
 
 
 def test_pipeline_n8_census_artifacts_match_recorded_digests(tmp_path):

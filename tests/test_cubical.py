@@ -30,6 +30,8 @@ from cuspforge.simplicial import (
     two_points,
 )
 
+from dense_oracles import cubical_entry_oracle, entry_rows, verify_dd_zero_oracle
+
 
 def _link_by_scan(Z, vertex):
     """Reference vertex link: one scan over every cell per vertex."""
@@ -61,42 +63,6 @@ def _check_closure_oracle(Z):
                     raise ValidationError(f"missing -1 face of {(support, signs)} at {i}")
                 if (rest, signs | (1 << i)) not in Z._cell_set:
                     raise ValidationError(f"missing +1 face of {(support, signs)} at {i}")
-
-
-def _cubical_chain_data_oracle(Z, coeff):
-    cell_keys = []
-    boundaries = []
-    index_prev = {}
-    for k in range(Z.dim + 1):
-        cells = Z.cells_of_dim(k)
-        index_here = {c: i for i, c in enumerate(cells)}
-        rows = []
-        for support, signs in cells:
-            if k == 0:
-                rows.append(())
-            else:
-                entries = []
-                for pos, i in enumerate(support):
-                    rest = tuple(x for x in support if x != i)
-                    sign = (-1) ** pos
-                    entries.append((index_prev[(rest, signs | (1 << i))], sign))
-                    entries.append((index_prev[(rest, signs)], -sign))
-                rows.append(tuple(entries))
-        cell_keys.append(tuple(cells))
-        boundaries.append(tuple(rows))
-        index_prev = index_here
-    return ChainComplexData(coeff, cell_keys, boundaries)
-
-
-def _verify_dd_zero_oracle(data):
-    for k in range(2, data.top_dim + 1):
-        for entries in data.boundaries[k]:
-            acc = {}
-            for idx, coeff in entries:
-                for idx2, coeff2 in data.boundaries[k - 1][idx]:
-                    acc[idx2] = acc.get(idx2, 0) + coeff * coeff2
-            if any(v != 0 for v in acc.values()):
-                raise ValidationError(f"dd != 0 in dimension {k}")
 
 
 def _refusal(check, *args):
@@ -299,18 +265,19 @@ def test_face_tables_match_the_per_cell_oracles(complex_, pick):
     Z = CubicalComplex(ambient, cells)
 
     data = chain_complex_of(Z, "Z")
-    oracle = _cubical_chain_data_oracle(Z, "Z")
-    assert data.cell_keys == oracle.cell_keys
-    assert data.boundaries == oracle.boundaries
-    _verify_dd_zero_oracle(data)
+    cell_keys, entries = cubical_entry_oracle(Z)
+    assert data.cell_keys == cell_keys
+    assert entry_rows(data) == entries
+    verify_dd_zero_oracle(data)
     if data.top_dim >= 2:
         # one flipped incidence: the flattened check and the oracle agree
         k = data.top_dim
         row = pick % data.size(k)
-        bad = list(data.boundaries[k])
+        boundaries = entry_rows(data)
+        bad = list(boundaries[k])
         bad[row] = ((bad[row][0][0], -bad[row][0][1]),) + bad[row][1:]
-        broken = ChainComplexData("Z", data.cell_keys, data.boundaries[:k] + [tuple(bad)])
-        assert _refusal(broken.verify_dd_zero) == _refusal(_verify_dd_zero_oracle, broken)
+        broken = ChainComplexData.from_entries("Z", data.cell_keys, boundaries[:k] + [tuple(bad)])
+        assert _refusal(broken.verify_dd_zero) == _refusal(verify_dd_zero_oracle, broken)
         assert _refusal(broken.verify_dd_zero) == f"dd != 0 in dimension {k}"
 
     links = Z.vertex_links()

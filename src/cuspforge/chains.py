@@ -428,21 +428,20 @@ class Z2QuotientBasis:
 
     Representatives are bitsets over the k-cells; ``coordinates`` writes
     any (co)cycle of the same complex in this basis modulo the image.
+    The image comes in reduced, as pivot rows of the one GF(2) elimination.
     Built by ``homology_z2_basis`` and ``cohomology_z2_basis``.
     """
 
-    def __init__(self, k: int, cycles: Sequence[int], image_rows: Sequence[int]):
+    def __init__(self, k: int, cycles: Sequence[int], image: Dict[int, int]):
         self.degree = k
-        self._pivots: Dict[int, Tuple[int, int]] = {}
-        for row in image_rows:
-            row = gf2.reduce_tagged(row, self._pivots)[0]
-            if row:
-                self._pivots[gf2.lowbit(row)] = (row, 0)
+        # the image as reduced rows {lowest bit: row}, tagged 0; each cycle
+        # left non-zero by it and the earlier representatives is the next
+        # representative, tagged by its place so coordinates() is dual to it
+        self._pivots: Dict[int, Tuple[int, int]] = {p: (row, 0) for p, row in image.items()}
         reps: List[int] = []
         for vec in cycles:
             red = gf2.reduce_tagged(vec, self._pivots)[0]
             if red:
-                # keep the reduced vector so coordinates() is dual to it
                 self._pivots[gf2.lowbit(red)] = (red, 1 << len(reps))
                 reps.append(red)
         self.representatives = reps
@@ -458,15 +457,14 @@ class Z2QuotientBasis:
 
 def homology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
     """H_k(-; Z/2): cycles of d_k modulo the image of d_{k+1}."""
-    cycles = gf2.left_kernel_basis(data.gf2_rows(k)) if k else gf2.identity_rows(data.size(0))
-    return Z2QuotientBasis(k, cycles, data.gf2_rows(k + 1))
+    image = {p: row for p, (row, _) in gf2._tagged_pivots(data.gf2_rows(k + 1))[0].items()}
+    return Z2QuotientBasis(k, gf2._tagged_pivots(data.gf2_rows(k))[1], image)
 
 
 def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
     """H^k(-; Z/2): cocycles modulo coboundaries, both read off the cached
     reductions of delta^k and delta^(k-1)."""
-    coboundaries = data.gf2_coreduction(k - 1)[0].values()
-    return Z2QuotientBasis(k, data.gf2_coreduction(k)[1], coboundaries)
+    return Z2QuotientBasis(k, data.gf2_coreduction(k)[1], data.gf2_coreduction(k - 1)[0])
 
 
 def coboundary(data: ChainComplexData, phi: int, k: int) -> int:
@@ -582,9 +580,14 @@ def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequen
     """Validate closure of a cell selection and reindex its chain data: the
     parent's rows of d_k are gathered, and their faces sent through one
     lookup array (parent index -> sub index, -1 off the selection)."""
+    if len(keys_per_dim) > parent.top_dim + 1:
+        raise ValidationError("selection has more degrees than the complex")
     indices: List[List[int]] = []
     for k, keys in enumerate(keys_per_dim):
-        idx = sorted(parent.index_of(k, key) for key in keys)
+        try:
+            idx = sorted(parent.index_of(k, key) for key in keys)
+        except KeyError:
+            raise ValidationError("selection names a cell that is not in the complex") from None
         if len(set(idx)) != len(keys):
             raise ValidationError("repeated cell in subcomplex selection")
         indices.append(idx)

@@ -176,11 +176,13 @@ def spin_obstruction(Z, data: Optional[ChainComplexData] = None) -> WuReport:
         raise ValidationError("spin obstruction defined for dimensions 2, 3, 4")
     rows, diag = intersection_form(data)
     b2 = len(rows)
-    if gf2.rank_of_rows(rows) != b2:
+    # one elimination of the Gram rows gives the rank and solves for Wu
+    pivots = gf2._tagged_pivots(rows)[0]
+    if len(pivots) != b2:
         raise ValidationError("intersection form is degenerate; not a closed manifold?")
     diag_bits = gf2.vector_from_indices(i for i, d in enumerate(diag) if d)
-    wu = gf2.solve_rows(rows, diag_bits)
-    if wu is None:
+    residue, wu = gf2.reduce_tagged(diag_bits, pivots)
+    if residue:
         raise ValidationError("characteristic-vector equation unsolvable")
     vanishes = diag_bits == 0
     provenance = "even intersection form" if vanishes else "odd intersection form"

@@ -196,7 +196,7 @@ def _cmd_spin_report(args) -> int:
     census = cusp_census(P)
     Z = _load_cubical(args.filling)
     data = chain_complex_of(Z, "Z2")
-    orient = orientability(Z)
+    orient = orientability(Z, data)
     wu = spin_obstruction(Z, data)
     spin = spin_structures(Z, data, orient, wu)
     cusp_ids = [f"v{e.vertex}#{i}" for e in census.entries for i in range(e.components)]

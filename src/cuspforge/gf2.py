@@ -1,13 +1,17 @@
 """GF(2) linear algebra on int bitsets.
 
 A matrix is a list of rows; each row is a Python int whose bit j is the
-entry in column j.  Pivots are always chosen at the lowest set bit, so
-every routine is deterministic for a fixed input ordering.
+entry in column j.  One elimination builds every set of pivots:
+``_tagged_pivots`` reduces the rows in order at their lowest set bit, and
+tags each reduced row with the input rows it sums.  Ranks are its pivot
+counts, kernels its zero rows' tags, a solve is one ``reduce_tagged``
+against its pivots, and a coset representative one ``normal_form`` sweep
+over them.  Every routine is deterministic for a fixed input ordering.
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -15,51 +19,6 @@ import numpy as np
 def lowbit(x: int) -> int:
     """Index of the lowest set bit (x must be nonzero)."""
     return (x & -x).bit_length() - 1
-
-
-def reduce_rows(rows: Iterable[int]) -> Dict[int, int]:
-    """Row reduce; returns {pivot column: reduced row}."""
-    pivots: Dict[int, int] = {}
-    for row in rows:
-        row = reduce_vector(row, pivots)
-        if row:
-            pivots[lowbit(row)] = row
-    return pivots
-
-
-def reduce_vector(v: int, pivots: Dict[int, int]) -> int:
-    """Reduce v against a pivot dict (lowest-bit pivots)."""
-    while v:
-        p = lowbit(v)
-        row = pivots.get(p)
-        if row is None:
-            return v
-        v ^= row
-    return v
-
-
-def rref_pivots(pivots: Dict[int, int]) -> Dict[int, int]:
-    """Inter-reduce pivot rows so each pivot bit appears in one row only."""
-    out: Dict[int, int] = {}
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for q in sorted(out):
-            if q != p and (row >> q) & 1:
-                row ^= out[q]
-        out[p] = row
-    return out
-
-
-def normal_form(v: int, rref: Dict[int, int]) -> int:
-    """Canonical representative of v modulo the row space (rref rows)."""
-    for q in rref:
-        if (v >> q) & 1:
-            v ^= rref[q]
-    return v
-
-
-def rank_of_rows(rows: Iterable[int]) -> int:
-    return len(reduce_rows(rows))
 
 
 def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0) -> Tuple[int, int]:
@@ -78,11 +37,11 @@ def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0) -> T
 
 
 def _tagged_pivots(
-    rows: Sequence[int], skip: Container[int] = ()
+    rows: Iterable[int], skip: Container[int] = ()
 ) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
-    """Row reduce with tags (bit i = input row i): the pivots, and the tags
-    of the rows that reduced to zero.  Rows whose index is in ``skip`` are
-    left out, as if absent."""
+    """Row reduce with tags (bit i = input row i): the pivots, in input
+    order, and the tags of the rows that reduced to zero.  Rows whose index
+    is in ``skip`` are left out, as if absent."""
     pivots: Dict[int, Tuple[int, int]] = {}
     kernel: List[int] = []
     for i, row in enumerate(rows):
@@ -96,41 +55,33 @@ def _tagged_pivots(
     return pivots, kernel
 
 
-def left_kernel_basis(rows: Sequence[int]) -> List[int]:
-    """Basis of {x : sum of rows selected by x is 0}, one bitmask per vector."""
-    return _tagged_pivots(rows)[1]
+def rank_of_rows(rows: Iterable[int]) -> int:
+    return len(_tagged_pivots(rows)[0])
 
 
-def solve_rows(rows: Sequence[int], target: int) -> Optional[int]:
-    """Find x (bitmask over rows) with xor of selected rows == target, or None."""
-    residue, x = reduce_tagged(target, _tagged_pivots(rows)[0])
-    return None if residue else x
+def normal_form(v: int, pivots: Dict[int, int]) -> int:
+    """Canonical representative of v modulo the span of {pivot column: row}.
+
+    One sweep in increasing column order clears each pivot column of v,
+    and no row touches a column below its own pivot.  The pivot columns
+    of a span do not depend on which basis was reduced, so neither does
+    the result.
+    """
+    for q in sorted(pivots):
+        if (v >> q) & 1:
+            v ^= pivots[q]
+    return v
 
 
 def transpose_rows(rows: Sequence[int], ncols: int) -> List[int]:
-    """Transpose a bit-row matrix; numpy-packed for anything non-tiny."""
-    nrows = len(rows)
-    if nrows == 0 or ncols == 0:
-        return [0] * ncols
-    if nrows * ncols <= 4096:
-        out = [0] * ncols
-        for i, r in enumerate(rows):
-            while r:
-                j = lowbit(r)
-                out[j] |= 1 << i
-                r &= r - 1
-        return out
+    """Transpose a bit-row matrix through numpy's bit packing."""
     nbytes = (ncols + 7) // 8
     buf = np.frombuffer(
         b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
-    ).reshape(nrows, nbytes)
+    ).reshape(len(rows), nbytes)
     bits = np.unpackbits(buf, axis=1, bitorder="little")[:, :ncols]
     packed = np.packbits(bits.T, axis=1, bitorder="little")
     return [int.from_bytes(packed[j].tobytes(), "little") for j in range(ncols)]
-
-
-def identity_rows(n: int) -> List[int]:
-    return [1 << i for i in range(n)]
 
 
 def vector_from_indices(indices: Iterable[int]) -> int:

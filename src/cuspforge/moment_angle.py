@@ -209,15 +209,15 @@ class QuotientCellComplex:
         self.k = k
         self.top_id = len(lattice.faces)
         self._children, self._incidence = _lattice_incidences(lattice)
-        # colour-span pivots per face id, fully inter-reduced for canonical reps
+        # colour-span pivots per face id, for canonical reps
         self._pivots: List[Dict[int, int]] = []
         total = 0
         for _, s in lattice.faces:
             vecs = [colours[i] for i in s if colours[i] is not None]
-            piv = gf2.reduce_rows(vecs)
+            piv = {p: row for p, (row, _) in gf2._tagged_pivots(vecs)[0].items()}
             if len(piv) != len(vecs):
                 raise ValidationError("improper colouring: dependent colours at a face")
-            self._pivots.append(gf2.rref_pivots(piv))
+            self._pivots.append(piv)
             total += 1 << (k - len(piv))
         self._pivots.append({})  # top face: no facets contain it
         total += 1 << k

@@ -68,11 +68,10 @@ class StageError(CuspforgeError):
 
 @dataclass
 class PipelineConfig:
-    """Preset parameters: dimension, choice seeds, colour mode, budget."""
+    """Preset parameters: dimension, choice seeds, budget."""
 
     n: int
     choices: str | Dict[Tuple[int, ...], int] = "auto"
-    colour_mode: str = "distinct"
     budget: Optional[int] = None
     outdir: Optional[str] = None
     census_only: bool = False
@@ -82,8 +81,6 @@ class PipelineConfig:
             raise ValidationError("pipeline dimension must be 3..8")
         if self.n >= 5:
             self.census_only = True
-        if self.colour_mode != "distinct":
-            raise ValidationError("pipeline presets run with distinct colours")
 
 
 @dataclass

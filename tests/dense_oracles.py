@@ -18,6 +18,11 @@ reads them back as per-cell (face, incidence) tuples, the form the
 builders once stored, and the per-entry readers the library replaced
 (Z/2 rows and corows, sparse rows, subcomplex reindexing) are kept here
 on that form, verbatim, as oracles.
+
+The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
+replaced are kept verbatim at the end: the untagged elimination, the
+rref pass with its coset representative, the kernel, solve and identity
+helpers, and the per-bit transpose of small matrices.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from cuspforge import gf2
 from cuspforge.errors import ValidationError
 from cuspforge.snf import Move, SNFResult, _add_sparse
 
@@ -300,10 +306,14 @@ def subcomplex_oracle(parent, keys_per_dim) -> Tuple[List[List[int]], List[Tuple
     """Indices, cell keys and per-cell entries of a closed selection,
     reindexed entry by entry."""
     top = len(keys_per_dim) - 1
+    if top > parent.top_dim:
+        raise ValidationError("selection has more degrees than the complex")
     boundaries = entry_rows(parent)
     indices: List[List[int]] = []
     chosen_sets: List[set] = []
     for k in range(top + 1):
+        if any(key not in parent.cell_keys[k] for key in keys_per_dim[k]):
+            raise ValidationError("selection names a cell that is not in the complex")
         idx = sorted(parent.index_of(k, key) for key in keys_per_dim[k])
         if len(set(idx)) != len(keys_per_dim[k]):
             raise ValidationError("repeated cell in subcomplex selection")
@@ -328,3 +338,75 @@ def subcomplex_oracle(parent, keys_per_dim) -> Tuple[List[List[int]], List[Tuple
         cell_keys.append(keys)
         out.append(tuple(rows))
     return indices, cell_keys, out
+
+
+# ---------------------------------------------------------------------------
+# GF(2): the helpers the one tagged elimination replaced
+# ---------------------------------------------------------------------------
+
+
+def reduce_rows(rows: Iterable[int]) -> Dict[int, int]:
+    """Row reduce; returns {pivot column: reduced row}."""
+    pivots: Dict[int, int] = {}
+    for row in rows:
+        row = reduce_vector(row, pivots)
+        if row:
+            pivots[gf2.lowbit(row)] = row
+    return pivots
+
+
+def reduce_vector(v: int, pivots: Dict[int, int]) -> int:
+    """Reduce v against a pivot dict (lowest-bit pivots)."""
+    while v:
+        p = gf2.lowbit(v)
+        row = pivots.get(p)
+        if row is None:
+            return v
+        v ^= row
+    return v
+
+
+def rref_pivots(pivots: Dict[int, int]) -> Dict[int, int]:
+    """Inter-reduce pivot rows so each pivot bit appears in one row only."""
+    out: Dict[int, int] = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for q in sorted(out):
+            if q != p and (row >> q) & 1:
+                row ^= out[q]
+        out[p] = row
+    return out
+
+
+def rref_normal_form(v: int, rref: Dict[int, int]) -> int:
+    """Canonical representative of v modulo the row space (rref rows)."""
+    for q in rref:
+        if (v >> q) & 1:
+            v ^= rref[q]
+    return v
+
+
+def left_kernel_basis(rows: Sequence[int]) -> List[int]:
+    """Basis of {x : sum of rows selected by x is 0}, one bitmask per vector."""
+    return gf2._tagged_pivots(rows)[1]
+
+
+def solve_rows(rows: Sequence[int], target: int) -> Optional[int]:
+    """Find x (bitmask over rows) with xor of selected rows == target, or None."""
+    residue, x = gf2.reduce_tagged(target, gf2._tagged_pivots(rows)[0])
+    return None if residue else x
+
+
+def identity_rows(n: int) -> List[int]:
+    return [1 << i for i in range(n)]
+
+
+def transpose_rows_by_bits(rows: Sequence[int], ncols: int) -> List[int]:
+    """Transpose a bit-row matrix one set bit at a time."""
+    out = [0] * ncols
+    for i, r in enumerate(rows):
+        while r:
+            j = gf2.lowbit(r)
+            out[j] |= 1 << i
+            r &= r - 1
+    return out

@@ -49,8 +49,11 @@ from dense_oracles import (
     gf2_corows_oracle,
     gf2_rows_oracle,
     kernel_basis,
+    left_kernel_basis,
     quotient_entry_oracle,
+    reduce_rows,
     simplicial_entry_oracle,
+    solve_rows,
     sparse_rows_oracle,
     subcomplex_oracle,
     verify_dd_zero_oracle,
@@ -267,7 +270,7 @@ def test_graded_commutativity_up_to_coboundary():
     for a in basis.representatives:
         for b in basis.representatives:
             diff = cup_product(data, a, b, 1, 1) ^ cup_product(data, b, a, 1, 1)
-            assert gf2.solve_rows(image_rows, diff) is not None
+            assert solve_rows(image_rows, diff) is not None
 
 
 def test_noncocycle_cup_warns():
@@ -304,7 +307,10 @@ def test_selection_must_be_closed():
     vertex, edge = data.cell_keys[0][0], data.cell_keys[1][0]
     for keys, message in (([[], [edge]], "selection is not closed under faces"),
                           ([[vertex, vertex]], "repeated cell in subcomplex selection"),
-                          ([[vertex], [edge, edge]], "repeated cell in subcomplex selection")):
+                          ([[vertex], [edge, edge]], "repeated cell in subcomplex selection"),
+                          ([[("x",)]], "selection names a cell that is not in the complex"),
+                          ([[vertex], [vertex]], "selection names a cell that is not in the complex"),
+                          ([[]] * (data.top_dim + 2), "selection has more degrees than the complex")):
         for select in (subcomplex_selection, subcomplex_oracle):
             with pytest.raises(ValidationError, match=f"^{message}$") as info:
                 select(data, keys)
@@ -592,14 +598,14 @@ def test_universal_coefficients(name):
 
 def _right_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
     """Basis of {x : M x = 0} for the row-matrix M."""
-    return gf2.left_kernel_basis(gf2.transpose_rows(rows, ncols))
+    return left_kernel_basis(gf2.transpose_rows(rows, ncols))
 
 
 def _cohomology_basis_oracle(data: ChainComplexData, k: int) -> Z2QuotientBasis:
     """H^k(-; Z/2): the same quotient on the transposed boundary maps."""
     cocycles = _right_kernel_basis(data.gf2_rows(k + 1), data.size(k))
     coboundaries = gf2.transpose_rows(data.gf2_rows(k), data.size(k - 1))
-    return Z2QuotientBasis(k, cocycles, coboundaries)
+    return Z2QuotientBasis(k, cocycles, reduce_rows(coboundaries))
 
 
 def test_right_kernel_annihilated_by_matrix():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 
-from cuspforge import pipeline
+from cuspforge import characteristic, cli, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.moment_angle import real_moment_angle
@@ -35,6 +35,9 @@ N8_CENSUS_ARTIFACT_SHA256 = {
     "g8.json": "a1cdd340dc4ea7fdb7fe146114289b2968787301bdfad0b144e34b83457308f8",
     "p8.json": "bc1c59b32b538ed869dbd3a283f98fe62f460ab723609139802f65b1b749e424",
 }
+
+# sha256 of `spin-report` on P^3 with the n=3 preset's filling
+SPIN_REPORT_SHA256 = "d41c73e31700f8663872858416aa9786d4e6b30c4efc3af59a9d10e407f108a1"
 
 
 def run(argv):
@@ -108,6 +111,22 @@ def test_census_and_spin_report(tmp_path, capsys):
     assert len(report["cusps"]) == 12
     assert all(c["label"] == "Bounding" for c in report["cusps"])
     assert report["structure_count"] == "8"
+
+
+def test_spin_report_builds_one_chain_complex(tmp_path, monkeypatch):
+    p3 = tmp_path / "p3.json"
+    run(["gosset", "--n", "3", "--dual", "--out", str(p3)])
+    run_pipeline(PipelineConfig(n=3, outdir=str(tmp_path / "run")))
+    builds = []
+    for module in (cli, characteristic):
+        monkeypatch.setattr(module, "chain_complex_of",
+                            lambda X, coeff="Z2", _build=module.chain_complex_of: builds.append(coeff) or _build(X, coeff))
+    report_path = tmp_path / "report.json"
+    assert run(["spin-report", "--manifold", str(p3),
+                "--filling", str(tmp_path / "run" / "m3bar.json"),
+                "--out", str(report_path)]) == 0
+    assert builds == ["Z2"]  # orientability reads the same Z/2 chain data
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == SPIN_REPORT_SHA256
 
 
 def test_pipeline_determinism(tmp_path):

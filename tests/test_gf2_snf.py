@@ -9,16 +9,23 @@ from hypothesis.strategies import booleans, composite, floats, integers, permuta
 
 from cuspforge import gf2
 from cuspforge.chains import (
-    chain_complex_of, homology, inclusion_free_h1_matrix, integral_homology_basis, subcomplex_selection,
+    chain_complex_of, cohomology_z2_basis, homology, homology_z2_basis, inclusion_free_h1_matrix,
+    integral_homology_basis, subcomplex_selection,
 )
+from cuspforge.characteristic import spin_obstruction
 from cuspforge.errors import ValidationError
-from cuspforge.lattice import polygon_lattice
-from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle, truncated_quotient
+from cuspforge.lattice import cube_lattice, polygon_lattice
+from cuspforge.moment_angle import (
+    Colouring, QuotientCellComplex, colour_manifold, real_moment_angle, truncated_quotient,
+)
 from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import octahedron_boundary
 from cuspforge.snf import SNFResult, smith_normal_form
 
-from dense_oracles import DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, logged_transforms
+from dense_oracles import (
+    DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, left_kernel_basis, logged_transforms,
+    reduce_rows, rref_normal_form, rref_pivots, solve_rows, transpose_rows_by_bits,
+)
 
 
 def brute_rank_mod2(rows, ncols):
@@ -49,7 +56,7 @@ def test_left_kernel_annihilates_rows():
     for _ in range(20):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-        kern = gf2.left_kernel_basis(rows)
+        kern = left_kernel_basis(rows)
         assert len(kern) == nrows - gf2.rank_of_rows(rows)
         for combo in kern:
             acc = 0
@@ -67,7 +74,7 @@ def test_solve_rows_finds_combination():
         target = 0
         for i in gf2.indices_of_vector(picks):
             target ^= rows[i]
-        x = gf2.solve_rows(rows, target)
+        x = solve_rows(rows, target)
         assert x is not None
         acc = 0
         for i in gf2.indices_of_vector(x):
@@ -77,11 +84,12 @@ def test_solve_rows_finds_combination():
 
 def test_normal_form_is_canonical_on_cosets():
     rows = [0b0111, 0b1100]
-    piv = gf2.rref_pivots(gf2.reduce_rows(rows))
+    piv = {p: row for p, (row, _) in gf2._tagged_pivots(rows)[0].items()}
     v = 0b1010
     reps = {gf2.normal_form(v ^ combo, piv)
             for combo in (0, rows[0], rows[1], rows[0] ^ rows[1])}
     assert len(reps) == 1
+    assert reps == {rref_normal_form(v, rref_pivots(reduce_rows(rows)))}
 
 
 def test_submasks_walk_every_submask_once():
@@ -98,6 +106,65 @@ def test_transpose_roundtrip():
     rows = [rng.getrandbits(300) for _ in range(77)]
     back = gf2.transpose_rows(gf2.transpose_rows(rows, 300), 77)
     assert back == rows
+
+
+def _xor_of(rows, mask):
+    acc = 0
+    for i in gf2.indices_of_vector(mask):
+        acc ^= rows[i]
+    return acc
+
+
+@composite
+def gf2_spans(draw):
+    """Rows spanning a subspace of any rank from 0 to full, at widths up to
+    130 bits: a basis with distinct lowest bits, mixed unitriangularly and
+    padded with dependent rows, in shuffled order."""
+    width = draw(integers(1, 130))
+    rank = draw(integers(0, width))
+    rng = draw(randoms(use_true_random=False))
+    basis = [(1 << col) | (rng.getrandbits(width) >> (col + 1) << (col + 1))
+             for col in rng.sample(range(width), rank)]
+    rows = [_xor_of(basis, rng.getrandbits(i) | (1 << i)) for i in range(rank)]
+    rows += [_xor_of(basis, rng.getrandbits(rank)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return width, rank, rows, rng
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=gf2_spans(), nrows=integers(0, 100), ncols=integers(0, 100))
+def test_one_elimination_matches_the_oracles(case, nrows, ncols):
+    width, rank, rows, rng = case
+    pivots, _ = gf2._tagged_pivots(rows)
+    assert len(pivots) == gf2.rank_of_rows(rows) == rank
+    # coset representatives: every vector of a coset (64 of them past 2^6)
+    # has the rref oracle's normal form
+    rref = rref_pivots(reduce_rows(rows))
+    untagged = {p: row for p, (row, _) in pivots.items()}
+    v = rng.getrandbits(width)
+    want = rref_normal_form(v, rref)
+    combos = range(1 << len(rows)) if len(rows) <= 6 else [rng.getrandbits(len(rows)) for _ in range(64)]
+    for combo in combos:
+        assert gf2.normal_form(v ^ _xor_of(rows, combo), untagged) == want
+    # rank, kernel tags and solve against every combination of a few rows
+    small = [_xor_of(rows, rng.getrandbits(len(rows))) for _ in range(rng.randint(0, 9))]
+    sums = {}
+    for x in range(1 << len(small)):
+        sums.setdefault(_xor_of(small, x), x)
+    pivots, kernel = gf2._tagged_pivots(small)
+    assert len(pivots) == brute_rank_mod2(small, width)
+    assert len(kernel) == len(small) - len(pivots) == brute_rank_mod2(kernel, len(small))
+    assert all(_xor_of(small, tag) == 0 for tag in kernel)
+    for target in (rng.getrandbits(width), _xor_of(small, rng.getrandbits(len(small)))):
+        residue, x = gf2.reduce_tagged(target, pivots)
+        assert (residue == 0) == (target in sums)
+        if not residue:
+            assert _xor_of(small, x) == target
+    # transposes on shapes both sides of 4096 entries (the old small-matrix cut-over)
+    matrix = [rng.getrandbits(ncols) for _ in range(nrows)]
+    columns = gf2.transpose_rows(matrix, ncols)
+    assert columns == transpose_rows_by_bits(matrix, ncols)
+    assert gf2.transpose_rows(columns, nrows) == matrix
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -342,6 +409,27 @@ def test_second_z2_homology_runs_no_elimination(monkeypatch):
     assert first.betti == (1, 3, 3, 1) and len(calls) == 3  # one per coboundary map
     assert homology(data) == first
     assert len(calls) == 3
+
+
+def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
+    calls = []
+    reduce = gf2._tagged_pivots
+    monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: calls.append(1) or reduce(*a))
+
+    def count(read):
+        calls.clear()
+        read()
+        return len(calls)
+
+    assert count(lambda: gf2.rank_of_rows([0b011, 0b110, 0b101])) == 1
+    cube = cube_lattice(3)
+    assert count(lambda: QuotientCellComplex(cube, (1, 1, 2, 2, 4, 4), 3)) == len(cube.faces)
+    t4 = colour_manifold(cube_lattice(4), Colouring.distinct(8))
+    data = chain_complex_of(t4, "Z2")
+    assert count(lambda: cohomology_z2_basis(data, 2)) == 3  # delta^0, delta^1, delta^2
+    # the Gram rows: rank and Wu class from one elimination, H^2 read off the cache
+    assert count(lambda: spin_obstruction(t4, data)) == 1
+    assert count(lambda: homology_z2_basis(data, 2)) == 2  # cycles of d_2, image of d_3
 
 
 def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):

@@ -76,8 +76,8 @@ class ChainComplexData:
     ints in an object array past int64; d_0 has none).  The ``coeff`` tag
     records how downstream computations should interpret them ("Z" or
     "Z2").  Eliminations are cached beside the data: ``smith(k)`` over Z,
-    ``gf2_coreduction(k)`` over Z/2, and the integral H_k bases built on
-    ``smith(k)``.
+    ``gf2_coreduction(k)`` and ``gf2_reduction(k)`` over Z/2, and the
+    integral H_k bases built on ``smith(k)``.
     """
 
     coeff: str
@@ -86,6 +86,7 @@ class ChainComplexData:
     _index: List[Dict[Hashable, int]] = field(default_factory=list, repr=False)
     _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
     _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
+    _gf2_reduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
     _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
 
@@ -181,9 +182,16 @@ class ChainComplexData:
         """
         if k not in self._gf2_coreduction:
             skip = self.gf2_coreduction(k - 1)[0] if k > 0 else {}
-            pivots, cocycles = gf2._tagged_pivots(self.gf2_corows(k), skip)
-            self._gf2_coreduction[k] = ({p: row for p, (row, _) in pivots.items()}, cocycles)
+            self._gf2_coreduction[k] = gf2.pivot_rows(self.gf2_corows(k), skip)
         return self._gf2_coreduction[k]
+
+    def gf2_reduction(self, k: int) -> Tuple[Dict[int, int], List[int]]:
+        """The one Z/2 elimination of d_k's rows, computed once: the reduced
+        boundaries {lowest bit: row} and the kernel tags, a basis of the
+        k-cycles over the k-cells."""
+        if k not in self._gf2_reduction:
+            self._gf2_reduction[k] = gf2.pivot_rows(self.gf2_rows(k))
+        return self._gf2_reduction[k]
 
     def gf2_rank(self, k: int) -> int:
         """Rank of d_k over Z/2, read off the reduction of delta^(k-1)."""
@@ -456,9 +464,9 @@ class Z2QuotientBasis:
 
 
 def homology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
-    """H_k(-; Z/2): cycles of d_k modulo the image of d_{k+1}."""
-    image = {p: row for p, (row, _) in gf2._tagged_pivots(data.gf2_rows(k + 1))[0].items()}
-    return Z2QuotientBasis(k, gf2._tagged_pivots(data.gf2_rows(k))[1], image)
+    """H_k(-; Z/2): cycles of d_k modulo the image of d_{k+1}, both read off
+    the cached reductions of d_k and d_(k+1)."""
+    return Z2QuotientBasis(k, data.gf2_reduction(k)[1], data.gf2_reduction(k + 1)[0])
 
 
 def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:

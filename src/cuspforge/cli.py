@@ -193,13 +193,12 @@ def _cmd_census(args) -> int:
 def _cmd_spin_report(args) -> int:
     lattice = FaceLattice.from_json(_read(args.manifold))
     P = ideal_polytope_from_lattice(lattice)
-    census = cusp_census(P)
+    cusp_ids = cusp_census(P).cusp_ids()
     Z = _load_cubical(args.filling)
     data = chain_complex_of(Z, "Z2")
     orient = orientability(Z, data)
     wu = spin_obstruction(Z, data)
     spin = spin_structures(Z, data, orient, wu)
-    cusp_ids = [f"v{e.vertex}#{i}" for e in census.entries for i in range(e.components)]
     labels = bounding_filling_certificate(cusp_ids, orient, wu)
     report = SpinReport(
         spinnable=True,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ValidationError
 from .isomorphism import find_isomorphism
@@ -55,6 +55,28 @@ def enumerate_filling_choices(P: IdealPolytope) -> Iterator[FillingChoice]:
         yield FillingChoice(dict(zip(verts, combo)))
 
 
+def replace_ideal_vertices(
+    P: IdealPolytope, num_facets: int,
+    cubes: Sequence[Tuple[FrozenSet[int], Sequence[Tuple[int, int]]]], name: str,
+) -> FaceLattice:
+    """P's lattice with every ideal vertex dropped and, per (base, axes) in
+    ``cubes``, the face on the facet set ``base`` added with the faces of
+    the cube spanned by ``axes`` below it.  The result must be simple, so
+    a face in j facets has rank n - j."""
+    n = P.lattice.rank
+    ideal = set(P.ideal_vertices)
+    faces: List[Tuple[int, Iterable[int]]] = [
+        (k, s) for k, s in P.lattice.faces if not (k == 0 and s in ideal)
+    ]
+    for base, axes in cubes:
+        faces.append((n - len(base), base))
+        faces.extend((n - len(base) - t, base | fs) for t, fs in cube_faces(axes))
+    lattice = FaceLattice(n, num_facets, faces)
+    if not lattice.is_simple():
+        raise ValidationError(f"{name} lattice failed the simplicity check")
+    return lattice
+
+
 def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     """Replace every ideal vertex of P^n with an (n-2)-cube face.
 
@@ -64,33 +86,20 @@ def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     """
     if not P.lattice.is_complete():
         raise ValidationError("dehn_fill needs a complete face lattice")
-    n = P.lattice.rank
-    ideal = set(P.ideal_vertices)
-    for v in ideal:
+    verts = sorted(P.ideal_vertices, key=sorted)
+    for v in verts:
         if frozenset(v) not in choice.axis_index:
             raise ValidationError(f"missing filling choice at ideal vertex {sorted(v)}")
-
-    faces: List[Tuple[int, FrozenSet[int]]] = []
-    for k, s in P.lattice.faces:
-        if k == 0 and s in ideal:
-            continue
-        faces.append((k, s))
-
     filling_faces: Dict[VertexKey, FrozenSet[int]] = {}
-    for v in sorted(ideal, key=sorted):
+    cubes = []
+    for v in verts:
         axes = P.axes_of(v)
         idx = choice.axis_of(v)
         if not 0 <= idx < len(axes):
             raise ValidationError(f"axis index {idx} out of range at {sorted(v)}")
-        chosen = frozenset(axes[idx])
-        others = [axes[j] for j in range(len(axes)) if j != idx]
-        filling_faces[v] = chosen
-        faces.append((n - 2, chosen))
-        faces.extend((n - 2 - t, chosen | fs) for t, fs in cube_faces(others))
-
-    lattice = FaceLattice(n, P.lattice.num_facets, faces)
-    if not lattice.is_simple():
-        raise ValidationError("filled lattice failed the simplicity check")
+        filling_faces[v] = frozenset(axes[idx])
+        cubes.append((filling_faces[v], axes[:idx] + axes[idx + 1:]))
+    lattice = replace_ideal_vertices(P, P.lattice.num_facets, cubes, "filled")
     return DehnFilling(lattice=lattice, filling_faces=filling_faces)
 
 

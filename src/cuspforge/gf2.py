@@ -55,6 +55,13 @@ def _tagged_pivots(
     return pivots, kernel
 
 
+def pivot_rows(rows: Iterable[int], skip: Container[int] = ()) -> Tuple[Dict[int, int], List[int]]:
+    """``_tagged_pivots`` with the pivots' tags dropped: {pivot column: row}
+    and the kernel tags."""
+    pivots, kernel = _tagged_pivots(rows, skip)
+    return {p: row for p, (row, _) in pivots.items()}, kernel
+
+
 def rank_of_rows(rows: Iterable[int]) -> int:
     return len(_tagged_pivots(rows)[0])
 

@@ -13,6 +13,13 @@ Three manifold models appear here:
 * ``truncated_quotient(P, colouring)``: the compact cusped model, the
   colouring quotient of the vertex-truncated polytope with uncoloured
   truncation facets; its boundary components are the cusp tori.
+
+Cusps are cosets: the cusps over an ideal vertex v are the cosets of
+(Z/2)^k modulo the span of the colours on v's facets.  ``cusp_census``
+counts them, and ``truncated_quotient`` puts each boundary cell on the
+torus of its coset representative.  The union-find of
+``preimage_components`` counts the same cusps independently, as the
+components of the filling cubes' preimages in the filled manifold.
 """
 
 from __future__ import annotations
@@ -24,9 +31,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from . import gf2
 from .chains import ChainComplexData, chain_complex_of, homology
 from .cubical import Cell, CubicalComplex
-from .errors import ValidationError, check_budget
+from .errors import BudgetError, ValidationError, cell_budget, check_budget
 from .isomorphism import find_isomorphism
-from .lattice import FaceLattice, cube_faces
+from .filling import replace_ideal_vertices
+from .lattice import FaceLattice
 from .polytopes import IdealPolytope
 from .simplicial import SimplicialComplex, build_simplicial
 
@@ -46,21 +54,21 @@ def moment_angle_cell_count(K: SimplicialComplex) -> int:
     return total
 
 
-def _cube_cells(supports: Iterable[Tuple[int, ...]], m: int) -> List[Cell]:
-    """The cells (sup, signs) of [-1,1]^m on the given supports: every
-    sign pattern off each support."""
+def _cube_complex(m: int, supports: Sequence[Tuple[int, ...]], budget: Optional[int]) -> CubicalComplex:
+    """The cells (sup, signs) of [-1,1]^m on the given supports, every sign
+    pattern off each support.  Their count meets the budget before any
+    cell is listed."""
+    check_budget(sum(1 << (m - len(sup)) for sup in supports), budget)
     full = (1 << m) - 1
-    return [(sup, signs) for sup in supports
-            for signs in gf2.submasks(full & ~gf2.vector_from_indices(sup))]
+    return CubicalComplex(m, [(sup, signs) for sup in supports
+                              for signs in gf2.submasks(full & ~gf2.vector_from_indices(sup))],
+                          budget=budget)
 
 
 def real_moment_angle(K: SimplicialComplex, budget: Optional[int] = None) -> CubicalComplex:
     """The cube subcomplex of [-1,1]^m with one cell (sigma, signs) per
     face sigma of K (empty face included) and sign pattern off sigma."""
-    m = K.vertex_count
-    check_budget(moment_angle_cell_count(K), budget)
-    cells = _cube_cells([()] + K.all_faces(), m)
-    return CubicalComplex(m, cells, budget=budget, validate=False)
+    return _cube_complex(K.vertex_count, [()] + K.all_faces(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +222,7 @@ class QuotientCellComplex:
         total = 0
         for _, s in lattice.faces:
             vecs = [colours[i] for i in s if colours[i] is not None]
-            piv = {p: row for p, (row, _) in gf2._tagged_pivots(vecs)[0].items()}
+            piv = gf2.pivot_rows(vecs)[0]
             if len(piv) != len(vecs):
                 raise ValidationError("improper colouring: dependent colours at a face")
             self._pivots.append(piv)
@@ -259,39 +267,25 @@ class QuotientCellComplex:
                    for d, bucket in enumerate(self.cells)]
         return ChainComplexData.from_entries(coeff, [tuple(b) for b in self.cells], entries)
 
-    def cells_over_facet(self, facet: int) -> List[List[Tuple[int, int]]]:
-        """Cells whose face lies in the given facet, per dimension."""
-        out: List[List[Tuple[int, int]]] = [[] for _ in range(self.dim + 1)]
-        for d, bucket in enumerate(self.cells):
-            for gid, rep in bucket:
-                if gid != self.top_id and facet in self.lattice.faces[gid][1]:
-                    out[d].append((gid, rep))
-        return out
-
 
 def colour_manifold(P: FaceLattice, colouring: Colouring, budget: Optional[int] = None):
     """Closed manifold complex from a properly coloured simple polytope.
 
     Distinct standard colours give the dual cube complex: one cell per
     (face, coset of the facet-coordinate subspace), written as
-    (support, signs) inside [-1,1]^f.  Other colourings return the
-    polytopal ``QuotientCellComplex``.
+    (support, signs) inside [-1,1]^f; they are proper on any simple
+    polytope.  Other colourings return the polytopal
+    ``QuotientCellComplex``, which checks the polytope and the colouring.
     """
+    if len(colouring.vectors) != P.num_facets:
+        raise ValidationError("colouring size does not match the facet count")
+    if not colouring.is_distinct_standard():
+        return QuotientCellComplex(P, colouring.vectors, colouring.k, budget=budget)
     if not P.is_simple():
         raise ValidationError("colouring quotients need a simple polytope")
     if not P.is_complete():
         raise ValidationError("colouring quotients need a complete lattice")
-    if not colouring.proper_for(P):
-        raise ValidationError("improper colouring")
-    if not colouring.is_distinct_standard():
-        return QuotientCellComplex(P, colouring.vectors, colouring.k, budget=budget)
-    f = P.num_facets
-    total = 1 << f
-    for _, s in P.faces:
-        total += 1 << (f - len(s))
-    check_budget(total, budget)
-    supports = [tuple(sorted(s)) for _, s in P.faces] + [()]
-    return CubicalComplex(f, _cube_cells(supports, f), budget=budget)
+    return _cube_complex(P.num_facets, [tuple(sorted(s)) for _, s in P.faces] + [()], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +374,14 @@ class CuspCensus:
         digits = len(str(self.total)) - 1
         lead = str(self.total)[:3]
         return f"{lead[0]}.{lead[1:]}e{digits}"
+
+    def cusp_ids(self, budget: Optional[int] = None) -> List[str]:
+        """One id ``v<vertex>#<i>`` per cusp.  A total over the cell budget
+        is refused before any id is built."""
+        cap = cell_budget(budget)
+        if self.total > cap:
+            raise BudgetError(f"listing {self.total} cusps exceeds the cell budget {cap}")
+        return [f"v{e.vertex}#{i}" for e in self.entries for i in range(e.components)]
 
 
 def cusp_census(P: IdealPolytope, colouring: Optional[Colouring] = None) -> CuspCensus:
@@ -482,24 +484,11 @@ class TruncatedPolytope:
 def truncate_ideal(P: IdealPolytope) -> TruncatedPolytope:
     if not P.lattice.is_complete():
         raise ValidationError("truncation needs a complete lattice")
-    n = P.lattice.rank
     f = P.lattice.num_facets
-    ideal = set(P.ideal_vertices)
-    faces: List[Tuple[int, Iterable[int]]] = []
-    for k, s in P.lattice.faces:
-        if k == 0 and s in ideal:
-            continue
-        faces.append((k, s))
-    trunc: Dict[VertexKey, int] = {}
-    for t, v in enumerate(sorted(ideal, key=sorted)):
-        cid = f + t
-        trunc[v] = cid
-        axes = P.axes_of(v)
-        faces.append((n - 1, {cid}))
-        faces.extend((n - 1 - c, fs | {cid}) for c, fs in cube_faces(axes))
-    lattice = FaceLattice(n, f + len(ideal), faces)
-    if not lattice.is_simple():
-        raise ValidationError("truncated lattice failed the simplicity check")
+    verts = sorted(P.ideal_vertices, key=sorted)
+    trunc = {v: f + t for t, v in enumerate(verts)}
+    cubes = [(frozenset({trunc[v]}), P.axes_of(v)) for v in verts]
+    lattice = replace_ideal_vertices(P, f + len(verts), cubes, "truncated")
     return TruncatedPolytope(lattice=lattice, truncation_facet=trunc)
 
 
@@ -523,54 +512,37 @@ class CuspedComplex:
 def truncated_quotient(
     P: IdealPolytope, colouring: Optional[Colouring] = None, budget: Optional[int] = None
 ) -> CuspedComplex:
-    """Colouring quotient of the truncated polytope.
+    """Colouring quotient of the truncated polytope, with its cusp tori.
 
     Original facets keep their colours; truncation facets are left
-    uncoloured, so the quotient is a manifold with boundary and the
-    boundary components over each truncation facet are the cusp
-    cross-sections.
+    uncoloured, so the quotient is a manifold with boundary.  Over the
+    truncation facet of an ideal vertex v lie the 2^k copies of v's cube
+    link, glued along the colours of v's facets: the cusps over v are the
+    cosets of (Z/2)^k modulo their span, as ``cusp_census`` counts them.
+    So one pass puts each boundary cell (face, rep) on the torus
+    ``gf2.normal_form(rep, span)``.  Tori are listed by vertex, then by
+    their first top cell.
     """
     if colouring is None:
         colouring = Colouring.distinct(P.num_facets)
     trunc = truncate_ideal(P)
     colours: List[Optional[int]] = list(colouring.vectors) + [None] * len(trunc.truncation_facet)
     Q = QuotientCellComplex(trunc.lattice, colours, colouring.k, budget=budget)
-    components: List[CuspComponent] = []
-    for v in sorted(trunc.truncation_facet, key=sorted):
-        cid = trunc.truncation_facet[v]
-        cells = Q.cells_over_facet(cid)
-        top_dim = Q.dim - 1
-        tops = cells[top_dim]
-        index = {c: i for i, c in enumerate(tops)}
-        # two cube copies meet along each codim-1 boundary cell
-        cube_gid = next(
-            gid for gid, (k, s) in enumerate(trunc.lattice.faces)
-            if k == Q.dim - 1 and s == frozenset({cid})
-        )
-        merges = []
-        for gid, rep in cells[top_dim - 1]:
-            s = trunc.lattice.faces[gid][1]
-            coloured = [x for x in s if Q.colours[x] is not None]
-            if len(coloured) != 1:
-                continue
-            lam = Q.colours[coloured[0]]
-            a = index[(cube_gid, Q.rep_of(cube_gid, rep))]
-            b = index[(cube_gid, Q.rep_of(cube_gid, rep ^ lam))]
-            merges.append((a, b))
-        root_of = _component_roots(len(tops), merges)
-        roots: Dict[int, int] = {}
-        for r in root_of:
-            roots.setdefault(r, len(roots))
-        buckets: List[List[List[Tuple[int, int]]]] = [
-            [[] for _ in range(top_dim + 1)] for _ in roots
-        ]
-        for d in range(top_dim + 1):
-            for gid, rep in cells[d]:
-                comp = roots[root_of[index[(cube_gid, Q.rep_of(cube_gid, rep))]]]
-                buckets[comp][d].append((gid, rep))
-        for comp_id in range(len(roots)):
-            components.append(CuspComponent(
-                ideal_vertex=tuple(sorted(v)),
-                keys_per_dim=tuple(tuple(sorted(b)) for b in buckets[comp_id]),
-            ))
-    return CuspedComplex(quotient=Q, truncated=trunc, components=tuple(components))
+    # truncation facet -> (its ideal vertex, the colour span there)
+    over = {cid: (v, gf2.pivot_rows([colours[i] for i in v])[0])
+            for v, cid in trunc.truncation_facet.items()}
+    face_over = [next((over[x] for x in s if x in over), None) for _, s in trunc.lattice.faces]
+    tori: Dict[Tuple[VertexKey, int], List[List[Tuple[int, int]]]] = {}
+    for d, bucket in enumerate(Q.cells[:-1]):
+        for gid, rep in bucket:
+            hit = face_over[gid]
+            if hit is not None:
+                key = (hit[0], gf2.normal_form(rep, hit[1]))
+                if key not in tori:
+                    tori[key] = [[] for _ in Q.cells[:-1]]
+                tori[key][d].append((gid, rep))
+    order = sorted(tori, key=lambda key: (sorted(key[0]), tori[key][-1][0]))
+    components = tuple(CuspComponent(ideal_vertex=tuple(sorted(key[0])),
+                                     keys_per_dim=tuple(map(tuple, tori[key])))
+                       for key in order)
+    return CuspedComplex(quotient=Q, truncated=trunc, components=components)

@@ -210,12 +210,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     stage("preimage_check", check_preimages)
 
-    cusp_ids = [
-        f"v{e.vertex}#{i}" for e in census.entries for i in range(e.components)
-    ]
     labels = stage(
         "bounding_certificate",
-        lambda: bounding_filling_certificate(cusp_ids, orient, wu),
+        lambda: bounding_filling_certificate(census.cusp_ids(cfg.budget), orient, wu),
     )
     label_values = [c.label for c in labels]
     report = SpinReport(

@@ -20,9 +20,16 @@ builders once stored, and the per-entry readers the library replaced
 on that form, verbatim, as oracles.
 
 The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
-replaced are kept verbatim at the end: the untagged elimination, the
-rref pass with its coset representative, the kernel, solve and identity
-helpers, and the per-bit transpose of small matrices.
+replaced are kept verbatim: the untagged elimination, the rref pass with
+its coset representative, the kernel, solve and identity helpers, and the
+per-bit transpose of small matrices.
+
+The library finds each cusp torus of the cusped model as a coset of the
+colour span at its ideal vertex, and fills or truncates an ideal vertex
+through one lattice rewrite.  The parent forms are kept verbatim at the
+end: the cusp grouping that rescans the quotient per truncation facet and
+joins cube copies with a union-find, and the separate ``dehn_fill`` and
+``truncate_ideal`` rewrites.
 """
 
 from __future__ import annotations
@@ -31,10 +38,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from cuspforge import gf2
 from cuspforge.errors import ValidationError
+from cuspforge.filling import DehnFilling, FillingChoice
+from cuspforge.lattice import FaceLattice, cube_faces
+from cuspforge.moment_angle import (
+    CuspComponent, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
+)
+from cuspforge.polytopes import IdealPolytope
 from cuspforge.snf import Move, SNFResult, _add_sparse
 
 Matrix = List[List[int]]
@@ -410,3 +423,122 @@ def transpose_rows_by_bits(rows: Sequence[int], ncols: int) -> List[int]:
             out[j] |= 1 << i
             r &= r - 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# cusps and ideal vertices: the per-facet grouping and the two rewrites
+# ---------------------------------------------------------------------------
+
+
+def cells_over_facet(Q: QuotientCellComplex, facet: int) -> List[List[Tuple[int, int]]]:
+    """Cells whose face lies in the given facet, per dimension."""
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(Q.dim + 1)]
+    for d, bucket in enumerate(Q.cells):
+        for gid, rep in bucket:
+            if gid != Q.top_id and facet in Q.lattice.faces[gid][1]:
+                out[d].append((gid, rep))
+    return out
+
+
+def cusp_components_oracle(Q: QuotientCellComplex, trunc: TruncatedPolytope) -> Tuple[CuspComponent, ...]:
+    """The cusp tori of a truncated quotient: per truncation facet, the cube
+    copies over it joined along the codimension-1 cells with one coloured
+    facet, by union-find."""
+    components: List[CuspComponent] = []
+    for v in sorted(trunc.truncation_facet, key=sorted):
+        cid = trunc.truncation_facet[v]
+        cells = cells_over_facet(Q, cid)
+        top_dim = Q.dim - 1
+        tops = cells[top_dim]
+        index = {c: i for i, c in enumerate(tops)}
+        # two cube copies meet along each codim-1 boundary cell
+        cube_gid = next(
+            gid for gid, (k, s) in enumerate(trunc.lattice.faces)
+            if k == Q.dim - 1 and s == frozenset({cid})
+        )
+        merges = []
+        for gid, rep in cells[top_dim - 1]:
+            s = trunc.lattice.faces[gid][1]
+            coloured = [x for x in s if Q.colours[x] is not None]
+            if len(coloured) != 1:
+                continue
+            lam = Q.colours[coloured[0]]
+            a = index[(cube_gid, Q.rep_of(cube_gid, rep))]
+            b = index[(cube_gid, Q.rep_of(cube_gid, rep ^ lam))]
+            merges.append((a, b))
+        root_of = _component_roots(len(tops), merges)
+        roots: Dict[int, int] = {}
+        for r in root_of:
+            roots.setdefault(r, len(roots))
+        buckets: List[List[List[Tuple[int, int]]]] = [
+            [[] for _ in range(top_dim + 1)] for _ in roots
+        ]
+        for d in range(top_dim + 1):
+            for gid, rep in cells[d]:
+                comp = roots[root_of[index[(cube_gid, Q.rep_of(cube_gid, rep))]]]
+                buckets[comp][d].append((gid, rep))
+        for comp_id in range(len(roots)):
+            components.append(CuspComponent(
+                ideal_vertex=tuple(sorted(v)),
+                keys_per_dim=tuple(tuple(sorted(b)) for b in buckets[comp_id]),
+            ))
+    return tuple(components)
+
+
+def dehn_fill_oracle(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
+    """Replace every ideal vertex of P^n with an (n-2)-cube face."""
+    if not P.lattice.is_complete():
+        raise ValidationError("dehn_fill needs a complete face lattice")
+    n = P.lattice.rank
+    ideal = set(P.ideal_vertices)
+    for v in ideal:
+        if frozenset(v) not in choice.axis_index:
+            raise ValidationError(f"missing filling choice at ideal vertex {sorted(v)}")
+
+    faces: List[Tuple[int, FrozenSet[int]]] = []
+    for k, s in P.lattice.faces:
+        if k == 0 and s in ideal:
+            continue
+        faces.append((k, s))
+
+    filling_faces: Dict[VertexKey, FrozenSet[int]] = {}
+    for v in sorted(ideal, key=sorted):
+        axes = P.axes_of(v)
+        idx = choice.axis_of(v)
+        if not 0 <= idx < len(axes):
+            raise ValidationError(f"axis index {idx} out of range at {sorted(v)}")
+        chosen = frozenset(axes[idx])
+        others = [axes[j] for j in range(len(axes)) if j != idx]
+        filling_faces[v] = chosen
+        faces.append((n - 2, chosen))
+        faces.extend((n - 2 - t, chosen | fs) for t, fs in cube_faces(others))
+
+    lattice = FaceLattice(n, P.lattice.num_facets, faces)
+    if not lattice.is_simple():
+        raise ValidationError("filled lattice failed the simplicity check")
+    return DehnFilling(lattice=lattice, filling_faces=filling_faces)
+
+
+def truncate_ideal_oracle(P: IdealPolytope) -> TruncatedPolytope:
+    """Cut every ideal vertex off by a new cube facet."""
+    if not P.lattice.is_complete():
+        raise ValidationError("truncation needs a complete lattice")
+    n = P.lattice.rank
+    f = P.lattice.num_facets
+    ideal = set(P.ideal_vertices)
+    faces: List[Tuple[int, Iterable[int]]] = []
+    for k, s in P.lattice.faces:
+        if k == 0 and s in ideal:
+            continue
+        faces.append((k, s))
+    trunc: Dict[VertexKey, int] = {}
+    for t, v in enumerate(sorted(ideal, key=sorted)):
+        cid = f + t
+        trunc[v] = cid
+        axes = P.axes_of(v)
+        faces.append((n - 1, {cid}))
+        faces.extend((n - 1 - c, fs | {cid}) for c, fs in cube_faces(axes))
+    lattice = FaceLattice(n, f + len(ideal), faces)
+    if not lattice.is_simple():
+        raise ValidationError("truncated lattice failed the simplicity check")
+    return TruncatedPolytope(lattice=lattice, truncation_facet=trunc)

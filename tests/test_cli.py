@@ -13,7 +13,8 @@ from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 from cuspforge import characteristic, cli, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.moment_angle import real_moment_angle
+from cuspforge.lattice import polygon_lattice
+from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex
 
@@ -127,6 +128,19 @@ def test_spin_report_builds_one_chain_complex(tmp_path, monkeypatch):
                 "--out", str(report_path)]) == 0
     assert builds == ["Z2"]  # orientability reads the same Z/2 chain data
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == SPIN_REPORT_SHA256
+
+
+def test_spin_report_refuses_more_cusps_than_the_budget(tmp_path, capsys):
+    # P^8 has 2160 * 2^226 cusps: refused before any cusp id is built
+    p8 = tmp_path / "p8.json"
+    run(["gosset", "--n", "8", "--dual", "--out", str(p8)])
+    square = tmp_path / "t2.json"
+    square.write_text(colour_manifold(polygon_lattice(4), Colouring.distinct(4)).to_json())
+    capsys.readouterr()
+    assert run(["spin-report", "--manifold", str(p8), "--filling", str(square)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[0])["code"] == 3
 
 
 def test_pipeline_determinism(tmp_path):

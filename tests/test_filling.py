@@ -1,7 +1,8 @@
 """Dehn filling, cross-facet subdivision, and the duality consistency check."""
 
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -19,6 +20,7 @@ from cuspforge.filling import (
 )
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import dualize
+from cuspforge.moment_angle import truncate_ideal
 from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import octahedron_boundary
 
@@ -61,11 +63,26 @@ def test_filling_preserves_untouched_faces_and_adds_cubes():
 
 def test_missing_and_invalid_choices_rejected():
     P = ideal_dual(gosset(3))
-    with pytest.raises(ValidationError):
-        dehn_fill(P, FillingChoice({}))
+    first = sorted(P.ideal_vertices, key=sorted)[0]
+    with pytest.raises(ValidationError, match=re.escape(f"missing filling choice at ideal vertex {sorted(first)}")):
+        dehn_fill(P, FillingChoice({}))  # the first missing vertex in sorted order
     bad = FillingChoice({frozenset(v): 99 for v in P.ideal_vertices})
     with pytest.raises(ValidationError):
         dehn_fill(P, bad)
+
+
+@pytest.mark.parametrize("n, count", [(3, 8), (4, 16)])
+def test_one_rewrite_fills_and_truncates_as_the_separate_rewrites_did(n, count):
+    from dense_oracles import dehn_fill_oracle, truncate_ideal_oracle
+
+    P = ideal_dual(gosset(n))
+    for choice in islice(enumerate_filling_choices(P), count):
+        filled, want = dehn_fill(P, choice), dehn_fill_oracle(P, choice)
+        assert filled.lattice.to_json() == want.lattice.to_json()
+        assert filled.filling_faces == want.filling_faces
+    trunc, want = truncate_ideal(P), truncate_ideal_oracle(P)
+    assert trunc.lattice.to_json() == want.lattice.to_json()
+    assert trunc.truncation_facet == want.truncation_facet
 
 
 def cross_subdivision_tops(G, facet_id, pair_idx):

@@ -9,7 +9,7 @@ from hypothesis.strategies import booleans, composite, floats, integers, permuta
 
 from cuspforge import gf2
 from cuspforge.chains import (
-    chain_complex_of, cohomology_z2_basis, homology, homology_z2_basis, inclusion_free_h1_matrix,
+    chain_complex_of, cohomology_z2_basis, homology, homology_z2_basis, inclusion_free_h1_matrix, induced_map,
     integral_homology_basis, subcomplex_selection,
 )
 from cuspforge.characteristic import spin_obstruction
@@ -430,6 +430,19 @@ def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
     # the Gram rows: rank and Wu class from one elimination, H^2 read off the cache
     assert count(lambda: spin_obstruction(t4, data)) == 1
     assert count(lambda: homology_z2_basis(data, 2)) == 2  # cycles of d_2, image of d_3
+
+
+def test_induced_maps_on_one_parent_eliminate_its_boundaries_once(monkeypatch):
+    cusped = truncated_quotient(ideal_dual(gosset(3)))
+    parent = chain_complex_of(cusped.quotient, "Z2")
+    first, second = (subcomplex_selection(parent, c.keys_per_dim) for c in cusped.components[:2])
+    seen = []
+    reduce = gf2._tagged_pivots
+    monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: seen.append(a[0]) or reduce(*a))
+    maps = [induced_map(sel, 1, "Z2") for sel in (first, second)]
+    parent_rows = [parent.gf2_rows(k) for k in (1, 2)]
+    assert [sum(rows is r for r in seen) for rows in parent_rows] == [1, 1]  # d_1, d_2 once each
+    assert all(m.inclusion_domain == 2 and m.inclusion_target == 12 for m in maps)
 
 
 def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):

@@ -1,9 +1,14 @@
 """Moment-angle and colouring constructions, censuses, preimages, cusps."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis.strategies import integers, just, lists, tuples
+
+from cuspforge import moment_angle
 from cuspforge.chains import chain_complex_of, homology
-from cuspforge.errors import ValidationError
+from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices
 from cuspforge.isomorphism import cubical_isomorphism
 from cuspforge.lattice import cube_lattice, polygon_lattice
@@ -52,6 +57,28 @@ def test_colouring_validation():
     assert not bad.proper_for(sq)
     with pytest.raises(ValidationError):
         colour_manifold(sq, bad)
+    with pytest.raises(ValidationError, match="colouring size"):
+        colour_manifold(sq, Colouring.distinct(3))
+
+
+def test_real_moment_angle_checks_closure_once_and_keeps_the_tables():
+    Z = real_moment_angle(octahedron_boundary())
+    tables = dict(Z._face_tables)
+    assert sorted(tables) == [1, 2, 3]  # the closure check built every table
+    chain_complex_of(Z, "Z2")
+    assert all(Z.face_table(k) is tables[k] for k in tables)
+
+
+def test_p5_colouring_refuses_before_listing_cells(monkeypatch):
+    P = ideal_dual(gosset(5))
+    filled = dehn_fill(P, next(enumerate_filling_choices(P)))
+
+    def no_cells(*args, **kwargs):
+        raise AssertionError("cells listed before the budget check")
+
+    monkeypatch.setattr(moment_angle, "CubicalComplex", no_cells)
+    with pytest.raises(BudgetError, match="5046272 cells"):
+        colour_manifold(filled.lattice, Colouring.distinct(P.num_facets))
 
 
 def test_distinct_coloured_cube_is_t3():
@@ -111,6 +138,15 @@ def test_census_symbolic_p8():
     assert census.total == 2160 * 2 ** 226
     assert all(e.incident_facets == 14 for e in census.entries)
     assert census.magnitude() == "2.32e71"
+
+
+def test_cusp_ids_list_one_id_per_cusp_within_the_budget():
+    census = cusp_census(ideal_dual(gosset(3)))
+    ids = census.cusp_ids(budget=12)
+    assert len(ids) == len(set(ids)) == 12
+    assert ids[:2] == ["v(0, 1, 3, 4)#0", "v(0, 1, 3, 4)#1"]
+    with pytest.raises(BudgetError, match="12 cusps"):
+        census.cusp_ids(budget=11)
 
 
 def test_census_with_non_distinct_colouring():
@@ -217,3 +253,50 @@ def test_proposition_isomorphism_holds_even_after_relabelling():
     assert cubical_isomorphism(Z1, Z2) is not None
     shuffled = Z2.relabel({5: 0, 0: 5, 1: 1, 2: 2, 3: 3, 4: 4})
     assert cubical_isomorphism(Z1, shuffled) is not None
+
+
+# ---------------------------------------------------------------------------
+# cusps are cosets of the colour span at each ideal vertex
+# ---------------------------------------------------------------------------
+
+
+def _assert_cusps_are_cosets(P, colouring, cusped):
+    from dense_oracles import cusp_components_oracle
+
+    oracle = cusp_components_oracle(cusped.quotient, cusped.truncated)
+    assert cusped.components == oracle
+    assert len(cusped.components) == cusp_census(P, colouring).total
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(integers(3, 5).flatmap(
+    lambda k: tuples(just(k), lists(integers(1, (1 << k) - 1), min_size=6, max_size=6))))
+def test_cusp_tori_are_the_union_find_components_on_random_colourings(drawn):
+    k, vectors = drawn
+    P = ideal_dual(gosset(3))
+    colouring = Colouring(k, tuple(vectors))
+    try:
+        cusped = truncated_quotient(P, colouring)
+    except ValidationError:  # improper at some face of the truncated polytope
+        assume(False)
+    _assert_cusps_are_cosets(P, colouring, cusped)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_p4_cusp_tori_are_the_union_find_components(seed):
+    P = ideal_dual(gosset(4))
+    perm = list(range(P.num_facets))
+    if seed:
+        random.Random(seed).shuffle(perm)
+    colouring = Colouring(P.num_facets, tuple(1 << p for p in perm))
+    _assert_cusps_are_cosets(P, colouring, truncated_quotient(P, colouring))
+
+
+def test_truncated_quotient_needs_no_union_find(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("union-find called")
+
+    monkeypatch.setattr(moment_angle, "_component_roots", refuse)
+    cusped = truncated_quotient(ideal_dual(gosset(3)))
+    assert len(cusped.components) == 12
+    assert all(c.keys_per_dim and len(c.keys_per_dim[-1]) == 16 for c in cusped.components)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,8 +104,6 @@ class ChainComplexData:
             if faces.size and (faces.min() < 0 or faces.max() >= self.size(k - 1)):
                 raise ValidationError(f"d_{k} names a face outside the "
                                       f"{self.size(k - 1)} ({k - 1})-cells")
-        if not self._index:
-            self._index = [{key: i for i, key in enumerate(keys)} for keys in self.cell_keys]
 
     @classmethod
     def from_entries(cls, coeff: str, cell_keys: List[Tuple[Hashable, ...]],
@@ -137,6 +135,9 @@ class ChainComplexData:
         return tuple(len(keys) for keys in self.cell_keys)
 
     def index_of(self, k: int, key: Hashable) -> int:
+        """Position of a k-cell key; the key index is built on first use."""
+        if not self._index:
+            self._index = [{key: i for i, key in enumerate(keys)} for keys in self.cell_keys]
         return self._index[k][key]
 
     def euler_characteristic(self) -> int:
@@ -499,27 +500,32 @@ def _splittings(data: ChainComplexData, k: int, l: int) -> List[Tuple[int, int, 
 
     Each (k+l)-cell splits its support into a front set A (|A| = k) and
     its complement; the front face freezes the complement at -1, the back
-    face freezes A at +1.  Only splittings with both faces present are
-    listed.
+    face freezes A at +1.  Both are read off the rows of d, each a cube's
+    face-table row (+1 face, then -1 face, per axis of the support),
+    dropping positions highest first so that the lower ones stay put.
     """
     vertices = data.cell_keys[0] if data.cell_keys else ()
     if not vertices or not isinstance(vertices[0][0], tuple):
         raise ValidationError("cup products need cubical chain data")
-    if k + l > data.top_dim:
+    j = k + l
+    if j > data.top_dim:
         return []
-    idx_k = data._index[k]
-    idx_l = data._index[l]
-    out: List[Tuple[int, int, int]] = []
-    for c, (support, signs) in enumerate(data.cell_keys[k + l]):
-        for front in combinations(support, k):
-            fi = idx_k.get((front, signs))
-            back_signs = signs
-            for x in front:
-                back_signs |= 1 << x
-            bi = idx_l.get((tuple(x for x in support if x not in front), back_signs))
-            if fi is not None and bi is not None:
-                out.append((c, fi, bi))
-    return out
+    rows: Dict[int, np.ndarray] = {}
+    for d in range(1, j + 1):
+        ptr, faces, _ = data.incidences[d]
+        if not np.array_equal(ptr, np.arange(len(ptr)) * 2 * d):
+            raise ValidationError("cup products need cubical chain data")
+        rows[d] = faces.reshape(-1, 2 * d)
+
+    def face(drop: Iterable[int], column: int) -> np.ndarray:
+        cells = np.arange(data.size(j))
+        for d, p in zip(range(j, 0, -1), sorted(drop, reverse=True)):
+            cells = rows[d][cells, 2 * p + column]
+        return cells
+
+    splits = [(face(set(range(j)) - set(front), 1), face(front, 0)) for front in combinations(range(j), k)]
+    fronts, backs = (np.stack(side, axis=1).ravel().tolist() for side in zip(*splits))
+    return list(zip(np.repeat(np.arange(data.size(j)), len(splits)).tolist(), fronts, backs))
 
 
 def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:

@@ -5,24 +5,26 @@ over the whole interval, the rest are frozen at +1 or -1.  ``signs`` is
 an int whose bit i gives the frozen value of coordinate i (1 for +1);
 bits inside the support are kept at zero so keys are canonical.
 
-Cells of one dimension are sorted, so the cells of equal support form
-contiguous runs with their signs in increasing order.  ``support_runs(k)``
-holds each run as (support, first index, sorted sign array): int64 up to
-ambient 62, exact Python ints (dtype object) above.  The faces of a run
-on one axis all lie in the run of the smaller support, so
-``face_table(k)`` finds every face index of the k-cells with one sorted
-search per (support, axis).  The closure check, the cubical chain
-complex, its d(d) = 0 check and the vertex links all read these tables;
-they are cached on the complex and ignored by ``==``, ``hash`` and pickle.
+The support runs are the only cell store.  The constructor groups the
+cells by sorted support, and each support becomes one run: (support,
+index of its first cell, sorted sign array), int64 up to ambient 62 and
+exact Python ints (dtype object) above; every input check runs once per
+run.  Cells of one dimension are ordered by support, then signs.  The
+faces of a run on one axis all lie in the run of the smaller support,
+so ``face_table(k)`` finds every face index of the k-cells with one
+sorted search per (support, axis), and it is the one routine that finds
+cube faces: the closure check, the cubical chain complex (and through
+its rows the cup-product splittings), the preimage merges and the
+vertex links all read it.  The tables, the links and the per-cell view
+``cells_of_dim`` are cached on the complex and ignored by ``==``,
+``hash`` and pickle, which read the runs.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from itertools import groupby
-from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,39 +45,42 @@ RZK1_CELL = struct.Struct("<IQ")
 class CubicalComplex:
     """Immutable cube subcomplex, closed under the two face maps per axis."""
 
-    __slots__ = ("ambient", "cells", "_cell_set", "_runs", "_face_tables", "_links")
+    __slots__ = ("ambient", "_runs", "_cells", "_face_tables", "_links")
 
     def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
         if ambient < 0:
             raise ValidationError("ambient rank must be nonnegative")
-        by_dim: Dict[int, Set[Cell]] = {}
-        count = 0
+        self.ambient = ambient
+        given: Dict[Tuple[int, ...], List[int]] = {}
         for support, signs in cells:
-            sup = tuple(sorted(support))
+            given.setdefault(tuple(support), []).append(signs)
+        by_support: Dict[Tuple[int, ...], List[int]] = {}
+        for support, signs in given.items():
+            by_support.setdefault(tuple(sorted(support)), []).extend(signs)
+        self._runs: Dict[int, List[Run]] = {}
+        for sup in sorted(by_support, key=lambda s: (len(s), s)):
             if sup and (sup[0] < 0 or sup[-1] >= ambient):
                 raise ValidationError(f"support {sup} outside ambient {ambient}")
             if len(set(sup)) != len(sup):
                 raise ValidationError(f"repeated index in support {sup}")
-            if signs >> ambient or signs & gf2.vector_from_indices(sup):
+            try:
+                signs = np.sort(np.array(by_support[sup], dtype=self._sign_dtype))
+            except OverflowError:  # beyond int64, so beyond an ambient rank of 62
+                signs = None
+            if signs is None or (signs >> ambient).any() or (signs & gf2.vector_from_indices(sup)).any():
                 raise ValidationError("sign bits overlap the support or exceed ambient")
-            count += 1
-            by_dim.setdefault(len(sup), set()).add((sup, signs))
-        check_budget(count, budget)
-        self.ambient = ambient
-        self.cells: Dict[int, Tuple[Cell, ...]] = {
-            d: tuple(sorted(cs)) for d, cs in sorted(by_dim.items())
-        }
-        self._cell_set: FrozenSet[Cell] = frozenset(
-            c for cs in self.cells.values() for c in cs
-        )
-        if len(self._cell_set) != count:
-            raise ValidationError("duplicate cells")
+            runs = self._runs.setdefault(len(sup), [])
+            runs.append((sup, runs[-1][1] + len(runs[-1][2]) if runs else 0, signs))
+        check_budget(sum(len(signs) for signs in by_support.values()), budget)
+        for runs in self._runs.values():
+            if any((signs[1:] == signs[:-1]).any() for _, _, signs in runs):
+                raise ValidationError("duplicate cells")
         self._clear_caches()
         if validate:
             self._check_closure()
 
     def _clear_caches(self) -> None:
-        self._runs: Dict[int, List[Run]] = {}
+        self._cells: Dict[int, Tuple[Cell, ...]] = {}
         self._face_tables: Dict[int, np.ndarray] = {}
         self._links: Optional[Dict[int, FrozenSet[Tuple[int, ...]]]] = None
 
@@ -94,16 +99,7 @@ class CubicalComplex:
     def support_runs(self, k: int) -> List[Run]:
         """The k-cells grouped by support, in cell order: (support, index of
         the run's first cell, its signs as a sorted array)."""
-        runs = self._runs.get(k)
-        if runs is None:
-            runs = []
-            start = 0
-            for sup, group in groupby(self.cells_of_dim(k), key=itemgetter(0)):
-                signs = np.array([sg for _, sg in group], dtype=self._sign_dtype)
-                runs.append((sup, start, signs))
-                start += len(signs)
-            self._runs[k] = runs
-        return runs
+        return self._runs.get(k, [])
 
     def face_table(self, k: int) -> np.ndarray:
         """Face indices of the k-cells (k >= 1) into ``cells_of_dim(k - 1)``,
@@ -130,8 +126,7 @@ class CubicalComplex:
                 r = int(np.flatnonzero(~found.all(axis=1))[0])
                 p = int(np.flatnonzero(~found[r])[0]) // 2
                 side = "-1" if not found[r, 2 * p + 1] else "+1"
-                raise ValidationError(
-                    f"missing {side} face of {self.cells_of_dim(k)[start + r]} at {sup[p]}")
+                raise ValidationError(f"missing {side} face of {(sup, int(signs[r]))} at {sup[p]}")
         self._face_tables[k] = table
         return table
 
@@ -139,19 +134,25 @@ class CubicalComplex:
 
     @property
     def dim(self) -> int:
-        return max(self.cells) if self.cells else -1
+        return max(self._runs) if self._runs else -1
 
     def cells_of_dim(self, d: int) -> Tuple[Cell, ...]:
-        return self.cells.get(d, ())
+        """The d-cells in order, as (support, signs) pairs: a view of the
+        runs, built on first use and cached."""
+        cells = self._cells.get(d)
+        if cells is None:
+            cells = self._cells[d] = tuple((sup, sg) for sup, _, signs in self.support_runs(d)
+                                           for sg in signs.tolist())
+        return cells
 
     def cell_set(self) -> FrozenSet[Cell]:
-        return self._cell_set
+        return frozenset(c for d in range(self.dim + 1) for c in self.cells_of_dim(d))
 
     def num_cells(self) -> int:
-        return len(self._cell_set)
+        return sum(self.cell_counts())
 
     def cell_counts(self) -> Tuple[int, ...]:
-        return tuple(len(self.cells_of_dim(d)) for d in range(self.dim + 1))
+        return tuple(sum(len(signs) for _, _, signs in self.support_runs(d)) for d in range(self.dim + 1))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.cell_counts()))
@@ -161,10 +162,10 @@ class CubicalComplex:
 
     def support_complex(self) -> SimplicialComplex:
         """Simplicial complex of the nonempty supports appearing in cells."""
-        supports = {sup for d in range(1, self.dim + 1) for sup, _ in self.cells_of_dim(d)}
+        supports = [sup for d in range(1, self.dim + 1) for sup, _, _ in self.support_runs(d)]
         if not supports:
             raise ValidationError("complex has no positive-dimensional cells")
-        return build_simplicial(sorted(supports), self.ambient)
+        return build_simplicial(supports, self.ambient)
 
     def vertex_links(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
         """Sign pattern of each vertex -> supports of the cells incident to it.
@@ -182,7 +183,7 @@ class CubicalComplex:
         if self._links is not None:
             return self._links
         runs = [run for d in range(1, self.dim + 1) for run in self.support_runs(d)]
-        vertices = self.support_runs(0)[0][2] if self.vertices() else np.zeros(0, self._sign_dtype)
+        vertices = self.support_runs(0)[0][2] if self.support_runs(0) else np.zeros(0, self._sign_dtype)
         corner_runs = [np.zeros(0, dtype=np.int64)]
         corner_vertices = [np.zeros(0, dtype=np.int64)]
         for r, (sup, _, signs) in enumerate(runs):
@@ -199,7 +200,7 @@ class CubicalComplex:
         ends = np.cumsum(np.bincount(vertex, minlength=len(vertices))).tolist()
         shared: Dict[bytes, FrozenSet[Tuple[int, ...]]] = {}
         self._links = {}
-        for (_, signs), begin, end in zip(self.vertices(), [0] + ends, ends):
+        for signs, begin, end in zip(vertices.tolist(), [0] + ends, ends):
             ids = run_ids[begin:end]
             link = shared.get(ids.tobytes())
             if link is None:
@@ -210,9 +211,9 @@ class CubicalComplex:
     def link_of_vertex(self, vertex: Cell) -> SimplicialComplex:
         """Supports of the cells incident to a vertex, as a complex."""
         support, signs = vertex
-        if support or vertex not in self._cell_set:
+        found = None if support else self._link_map().get(signs)
+        if found is None:
             raise ValidationError(f"{vertex} is not a vertex of the complex")
-        found = self._link_map()[signs]
         if not found:
             raise ValidationError("vertex is isolated; its link is empty")
         return build_simplicial(sorted(found), self.ambient)
@@ -224,25 +225,17 @@ class CubicalComplex:
         if not (0 <= axis < self.ambient):
             raise ValidationError("axis out of range")
         bit = 1 << axis
-        new_cells = []
-        for cs in self.cells.values():
-            for support, signs in cs:
-                if axis in support:
-                    new_cells.append((support, signs))
-                else:
-                    new_cells.append((support, signs ^ bit))
-        return CubicalComplex(self.ambient, new_cells, validate=False)
+        return CubicalComplex(self.ambient, [
+            (sup, sg) for d in range(self.dim + 1) for sup, _, signs in self.support_runs(d)
+            for sg in (signs if axis in sup else signs ^ bit).tolist()], validate=False)
 
     def relabel(self, perm: Dict[int, int]) -> "CubicalComplex":
         """Image under a permutation of the ambient coordinates."""
         if sorted(perm) != list(range(self.ambient)) or sorted(perm.values()) != list(range(self.ambient)):
             raise ValidationError("relabel needs a permutation of the ambient axes")
-        new_cells = []
-        for cs in self.cells.values():
-            for support, signs in cs:
-                sup = tuple(sorted(perm[i] for i in support))
-                sg = gf2.vector_from_indices(perm[i] for i in gf2.indices_of_vector(signs))
-                new_cells.append((sup, sg))
+        new_cells = [(tuple(perm[i] for i in sup),
+                      gf2.vector_from_indices(perm[i] for i in gf2.indices_of_vector(signs)))
+                     for d in range(self.dim + 1) for sup, signs in self.cells_of_dim(d)]
         return CubicalComplex(self.ambient, new_cells, validate=False)
 
     # -- io --------------------------------------------------------------------
@@ -295,22 +288,22 @@ class CubicalComplex:
         return cls(ambient, cells, budget=budget)
 
     def __getstate__(self):
-        return self.ambient, self.cells
+        return self.ambient, self._runs
 
     def __setstate__(self, state) -> None:
-        self.ambient, self.cells = state
-        self._cell_set = frozenset(c for cs in self.cells.values() for c in cs)
+        self.ambient, self._runs = state
         self._clear_caches()
 
+    def _key(self):
+        """The runs by value, as ``==`` and ``hash`` read them."""
+        return self.ambient, tuple((sup, tuple(signs.tolist())) for runs in self._runs.values()
+                                   for sup, _, signs in runs)
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CubicalComplex)
-            and self.ambient == other.ambient
-            and self._cell_set == other._cell_set
-        )
+        return isinstance(other, CubicalComplex) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self._cell_set))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"CubicalComplex(ambient={self.ambient}, cells={self.num_cells()}, dim={self.dim})"

@@ -46,14 +46,6 @@ VertexKey = FrozenSet[int]
 # ---------------------------------------------------------------------------
 
 
-def moment_angle_cell_count(K: SimplicialComplex) -> int:
-    m = K.vertex_count
-    total = 1 << m
-    for k in range(K.dim + 1):
-        total += len(K.faces_of_dim(k)) * (1 << (m - k - 1))
-    return total
-
-
 def _cube_complex(m: int, supports: Sequence[Tuple[int, ...]], budget: Optional[int]) -> CubicalComplex:
     """The cells (sup, signs) of [-1,1]^m on the given supports, every sign
     pattern off each support.  Their count meets the budget before any
@@ -100,16 +92,6 @@ class Colouring:
         return self.k == len(self.vectors) and all(
             v == 1 << i for i, v in enumerate(self.vectors)
         )
-
-    def proper_for(self, lattice: FaceLattice) -> bool:
-        """Colours of the facets at every face are linearly independent."""
-        if len(self.vectors) != lattice.num_facets:
-            raise ValidationError("colouring size does not match the facet count")
-        for _, s in lattice.faces:
-            vecs = [self.vectors[i] for i in s]
-            if gf2.rank_of_rows(vecs) != len(vecs):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +427,26 @@ def preimage_components(
     """Connected components of the preimage of a filling cube.
 
     The copies of the rank-(n-2) face with facet pair {F1, F2} are the
-    cells supported on that pair; two copies are merged when they bound
-    a common cell supported on the pair plus one more facet.  Union-find
-    over exactly these codimension-0/1 incidences.
+    run of cells supported on that pair; two copies are merged when they
+    are the -1 and +1 faces of a cell supported on the pair plus one more
+    facet, on that facet's axis, as its face table gives them.
+    Union-find over exactly these codimension-0/1 incidences.
     """
     pair = tuple(sorted(filling_pair))
     if len(pair) != 2:
         raise ValidationError("a filling face is named by its two facets")
     if filling_faces is not None and frozenset(pair) not in {frozenset(p) for p in filling_faces}:
         raise ValidationError(f"{pair} is not a filling face")
-    copies = [c for c in Zbar.cells_of_dim(2) if c[0] == pair]
-    if not copies:
+    run = next((run for run in Zbar.support_runs(2) if run[0] == pair), None)
+    if run is None:
         raise ValidationError(f"no cells supported on {pair}")
-    index = {c: i for i, c in enumerate(copies)}
+    _, first, copies = run
     merges = []
-    for sup, signs in Zbar.cells_of_dim(3):
+    for sup, start, signs in Zbar.support_runs(3):
         if pair[0] in sup and pair[1] in sup:
-            (extra,) = [x for x in sup if x not in pair]
-            merges.append((index[(pair, signs)], index[(pair, signs | (1 << extra))]))
+            (p,) = [p for p, x in enumerate(sup) if x not in pair]
+            faces = Zbar.face_table(3)[start:start + len(signs), [2 * p + 1, 2 * p]] - first
+            merges.extend(faces.tolist())
     per = tuple(sorted(Counter(_component_roots(len(copies), merges)).values()))
     return PreimageReport(copies=len(copies), components=len(per), cells_per_component=per)
 

@@ -36,13 +36,17 @@ class SimplicialComplex:
             if fs[0] < 0 or fs[-1] >= vertex_count:
                 raise ValidationError(f"facet {fs} out of range for {vertex_count} vertices")
             cleaned.append(fs)
-        # drop facets contained in others, then deduplicate
-        maximal = [
-            f for f in cleaned
-            if not any(set(f) < set(g) for g in cleaned)
-        ]
+        # deduplicate, then drop each facet inside a strictly larger one,
+        # which contains the facet's rarest vertex
+        distinct = {f: frozenset(f) for f in cleaned}
+        containing: Dict[int, List[Tuple[int, ...]]] = {}
+        for f in distinct:
+            for v in f:
+                containing.setdefault(v, []).append(f)
+        maximal = [f for f, fs in distinct.items() if not any(
+            len(g) > len(f) and fs < distinct[g] for g in min(map(containing.get, f), key=len))]
         self.vertex_count = vertex_count
-        self.facets: Tuple[Tuple[int, ...], ...] = tuple(sorted(set(maximal)))
+        self.facets: Tuple[Tuple[int, ...], ...] = tuple(sorted(maximal))
         by_dim: Dict[int, set] = {}
         for f in self.facets:
             for k in range(1, len(f) + 1):

@@ -30,22 +30,35 @@ through one lattice rewrite.  The parent forms are kept verbatim at the
 end: the cusp grouping that rescans the quotient per truncation facet and
 joins cube copies with a union-find, and the separate ``dehn_fill`` and
 ``truncate_ideal`` rewrites.
+
+A cube complex keeps its cells as support runs only, and every cube face
+is read off its face tables.  The parent forms are kept verbatim as
+well: ``CubicalCellsOracle`` holds the per-cell constructor (a dict of
+sorted cell tuples and their frozenset) with the face tables it derived
+from them, ``splittings_oracle`` finds the cup-product faces by key
+lookup, and ``preimage_components_oracle`` scans the cells for copies
+and merges.  ``maximal_facets_oracle`` is the quadratic maximality
+filter of the simplicial constructor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress, groupby
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from cuspforge import gf2
-from cuspforge.errors import ValidationError
+from cuspforge.cubical import INT64_AMBIENT, Cell, CubicalComplex, Run
+from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
 from cuspforge.lattice import FaceLattice, cube_faces
 from cuspforge.moment_angle import (
-    CuspComponent, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
+    CuspComponent, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
 )
 from cuspforge.polytopes import IdealPolytope
 from cuspforge.snf import Move, SNFResult, _add_sparse
@@ -542,3 +555,180 @@ def truncate_ideal_oracle(P: IdealPolytope) -> TruncatedPolytope:
     if not lattice.is_simple():
         raise ValidationError("truncated lattice failed the simplicity check")
     return TruncatedPolytope(lattice=lattice, truncation_facet=trunc)
+
+
+# ---------------------------------------------------------------------------
+# cube complexes: the per-cell store, key-lookup splittings, per-cell scans
+# ---------------------------------------------------------------------------
+
+
+class CubicalCellsOracle:
+    """The per-cell cube-complex store: its constructor, cell view and face
+    tables, verbatim; serialisation is the library's, read off the view."""
+
+    def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
+        if ambient < 0:
+            raise ValidationError("ambient rank must be nonnegative")
+        by_dim: Dict[int, Set[Cell]] = {}
+        count = 0
+        for support, signs in cells:
+            sup = tuple(sorted(support))
+            if sup and (sup[0] < 0 or sup[-1] >= ambient):
+                raise ValidationError(f"support {sup} outside ambient {ambient}")
+            if len(set(sup)) != len(sup):
+                raise ValidationError(f"repeated index in support {sup}")
+            if signs >> ambient or signs & gf2.vector_from_indices(sup):
+                raise ValidationError("sign bits overlap the support or exceed ambient")
+            count += 1
+            by_dim.setdefault(len(sup), set()).add((sup, signs))
+        check_budget(count, budget)
+        self.ambient = ambient
+        self.cells: Dict[int, Tuple[Cell, ...]] = {
+            d: tuple(sorted(cs)) for d, cs in sorted(by_dim.items())
+        }
+        self._cell_set: FrozenSet[Cell] = frozenset(
+            c for cs in self.cells.values() for c in cs
+        )
+        if len(self._cell_set) != count:
+            raise ValidationError("duplicate cells")
+        self._clear_caches()
+        if validate:
+            self._check_closure()
+
+    def _clear_caches(self) -> None:
+        self._runs: Dict[int, List[Run]] = {}
+        self._face_tables: Dict[int, np.ndarray] = {}
+
+    def _check_closure(self) -> None:
+        """Every face table builds; the first missing face is reported in
+        cell order (dimension, cell, axis, then -1 before +1)."""
+        for d in range(1, self.dim + 1):
+            self.face_table(d)
+
+    @property
+    def _sign_dtype(self):
+        return np.int64 if self.ambient <= INT64_AMBIENT else object
+
+    def support_runs(self, k: int) -> List[Run]:
+        """The k-cells grouped by support, in cell order: (support, index of
+        the run's first cell, its signs as a sorted array)."""
+        runs = self._runs.get(k)
+        if runs is None:
+            runs = []
+            start = 0
+            for sup, group in groupby(self.cells_of_dim(k), key=itemgetter(0)):
+                signs = np.array([sg for _, sg in group], dtype=self._sign_dtype)
+                runs.append((sup, start, signs))
+                start += len(signs)
+            self._runs[k] = runs
+        return runs
+
+    def face_table(self, k: int) -> np.ndarray:
+        """Face indices of the k-cells (k >= 1) into ``cells_of_dim(k - 1)``,
+        shape (n_k, 2k): column 2p holds the +1 face on the p-th axis of the
+        support, column 2p + 1 the -1 face.  Refuses a missing face."""
+        table = self._face_tables.get(k)
+        if table is not None:
+            return table
+        lower = {sup: (start, signs) for sup, start, signs in self.support_runs(k - 1)}
+        empty = (0, np.zeros(0, dtype=self._sign_dtype))
+        table = np.empty((len(self.cells_of_dim(k)), 2 * k), dtype=np.int64)
+        for sup, start, signs in self.support_runs(k):
+            rows = table[start:start + len(signs)]
+            found = np.empty(rows.shape, dtype=bool)
+            for p, i in enumerate(sup):
+                first, face_signs = lower.get(sup[:p] + sup[p + 1:], empty)
+                for col, target in ((2 * p, signs | (1 << i)), (2 * p + 1, signs)):
+                    pos = np.searchsorted(face_signs, target)
+                    hit = pos < len(face_signs)
+                    hit[hit] = face_signs[pos[hit]] == target[hit]
+                    rows[:, col] = first + pos
+                    found[:, col] = hit
+            if not found.all():
+                r = int(np.flatnonzero(~found.all(axis=1))[0])
+                p = int(np.flatnonzero(~found[r])[0]) // 2
+                side = "-1" if not found[r, 2 * p + 1] else "+1"
+                raise ValidationError(
+                    f"missing {side} face of {self.cells_of_dim(k)[start + r]} at {sup[p]}")
+        self._face_tables[k] = table
+        return table
+
+    @property
+    def dim(self) -> int:
+        return max(self.cells) if self.cells else -1
+
+    def cells_of_dim(self, d: int) -> Tuple[Cell, ...]:
+        return self.cells.get(d, ())
+
+    def num_cells(self) -> int:
+        return len(self._cell_set)
+
+    to_json = CubicalComplex.to_json
+    to_rzk1 = CubicalComplex.to_rzk1
+
+
+def splittings_oracle(data, k: int, l: int) -> List[Tuple[int, int, int]]:
+    """(top cell, front cell, back cell) indices of the cubical cup product.
+
+    Each (k+l)-cell splits its support into a front set A (|A| = k) and
+    its complement; the front face freezes the complement at -1, the back
+    face freezes A at +1.  Only splittings with both faces present are
+    listed.
+    """
+    vertices = data.cell_keys[0] if data.cell_keys else ()
+    if not vertices or not isinstance(vertices[0][0], tuple):
+        raise ValidationError("cup products need cubical chain data")
+    if k + l > data.top_dim:
+        return []
+    idx_k = {key: i for i, key in enumerate(data.cell_keys[k])}
+    idx_l = {key: i for i, key in enumerate(data.cell_keys[l])}
+    out: List[Tuple[int, int, int]] = []
+    for c, (support, signs) in enumerate(data.cell_keys[k + l]):
+        for front in combinations(support, k):
+            fi = idx_k.get((front, signs))
+            back_signs = signs
+            for x in front:
+                back_signs |= 1 << x
+            bi = idx_l.get((tuple(x for x in support if x not in front), back_signs))
+            if fi is not None and bi is not None:
+                out.append((c, fi, bi))
+    return out
+
+
+def preimage_components_oracle(
+    Zbar,
+    filling_pair: Iterable[int],
+    filling_faces: Optional[Iterable[FrozenSet[int]]] = None,
+) -> PreimageReport:
+    """Connected components of the preimage of a filling cube.
+
+    The copies of the rank-(n-2) face with facet pair {F1, F2} are the
+    cells supported on that pair; two copies are merged when they bound
+    a common cell supported on the pair plus one more facet.  Union-find
+    over exactly these codimension-0/1 incidences.
+    """
+    pair = tuple(sorted(filling_pair))
+    if len(pair) != 2:
+        raise ValidationError("a filling face is named by its two facets")
+    if filling_faces is not None and frozenset(pair) not in {frozenset(p) for p in filling_faces}:
+        raise ValidationError(f"{pair} is not a filling face")
+    copies = [c for c in Zbar.cells_of_dim(2) if c[0] == pair]
+    if not copies:
+        raise ValidationError(f"no cells supported on {pair}")
+    index = {c: i for i, c in enumerate(copies)}
+    merges = []
+    for sup, signs in Zbar.cells_of_dim(3):
+        if pair[0] in sup and pair[1] in sup:
+            (extra,) = [x for x in sup if x not in pair]
+            merges.append((index[(pair, signs)], index[(pair, signs | (1 << extra))]))
+    per = tuple(sorted(Counter(_component_roots(len(copies), merges)).values()))
+    return PreimageReport(copies=len(copies), components=len(per), cells_per_component=per)
+
+
+def maximal_facets_oracle(cleaned: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
+    """The sorted, deduplicated facets contained in no other facet."""
+    maximal = [
+        f for f in cleaned
+        if not any(set(f) < set(g) for g in cleaned)
+    ]
+    return tuple(sorted(set(maximal)))

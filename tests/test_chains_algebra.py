@@ -5,6 +5,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 
 from cuspforge import chains, gf2
@@ -26,6 +27,7 @@ from cuspforge.chains import (
     subcomplex_selection,
 )
 from cuspforge.characteristic import intersection_form
+from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices
 from cuspforge.lattice import cube_lattice, polygon_lattice
@@ -55,6 +57,7 @@ from dense_oracles import (
     simplicial_entry_oracle,
     solve_rows,
     sparse_rows_oracle,
+    splittings_oracle,
     subcomplex_oracle,
     verify_dd_zero_oracle,
 )
@@ -670,6 +673,57 @@ def test_cohomology_bases_match_oracle(name):
     if name == "filled P^4":
         assert [data.gf2_rank(k) for k in range(1, 5)] == [1023, 4067, 4771, 1599]
         assert [cohomology_z2_basis(data, k).dimension for k in range(5)] == [1, 30, 122, 30, 1]
+
+
+def _refusal_or_splittings(splittings, data, k, l):
+    try:
+        return splittings(data, k, l)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_splittings_match_oracle(data):
+    for k in range(data.top_dim + 1):
+        for l in range(data.top_dim + 1 - k):
+            assert (_refusal_or_splittings(_splittings, data, k, l)
+                    == _refusal_or_splittings(splittings_oracle, data, k, l)), (k, l)
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_FIXTURES))
+def test_splittings_read_off_the_face_tables_match_the_key_lookups(name):
+    X = COHOMOLOGY_FIXTURES[name]()
+    data = chain_complex_of(X, "Z2")
+    _assert_splittings_match_oracle(data)
+    if isinstance(X, CubicalComplex):
+        assert len(_splittings(data, 1, 1)) == 2 * data.size(2)
+    else:
+        with pytest.raises(ValidationError, match="cup products need cubical chain data"):
+            _splittings(data, 1, 1)
+
+
+def test_splittings_on_a_subtorus_selection_match_the_key_lookups():
+    # the 2-torus over the 4-cycle {0, 2, 1, 3} of the octahedron, with the
+    # signs of axes 4 and 5 frozen at (+1, -1): a closed selection
+    data = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z2")
+    keys = [[(sup, sg) for sup, sg in data.cell_keys[k]
+             if set(sup) <= {0, 1, 2, 3} and (sg >> 4) & 3 == 0b01] for k in range(3)]
+    sub = subcomplex_selection(data, keys).data
+    assert sub.sizes() == (16, 32, 16)
+    _assert_splittings_match_oracle(sub)
+    assert len(_splittings(sub, 1, 1)) == 2 * 16
+
+
+def test_splittings_refuse_rows_that_are_not_cubical():
+    data = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z2")
+    ptr, faces, coeffs = data.incidences[2]
+    # the same keys with each square's last face dropped
+    keep = np.ones(len(faces), dtype=bool)
+    keep[ptr[1:] - 1] = False
+    short = ChainComplexData("Z2", data.cell_keys, data.incidences[:2] + [
+        (ptr - np.arange(len(ptr)), faces[keep], coeffs[keep])] + data.incidences[3:])
+    with pytest.raises(ValidationError, match="cup products need cubical chain data"):
+        _splittings(short, 1, 1)
+    assert _splittings(short, 0, 1) == splittings_oracle(data, 0, 1)
 
 
 # ---------------------------------------------------------------------------

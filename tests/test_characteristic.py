@@ -125,7 +125,7 @@ def _intersection_form_oracle(data):
     basis = cohomology_z2_basis(data, 2)
     reps = basis.representatives
     b2 = len(reps)
-    idx2 = data._index[2]
+    idx2 = {key: i for i, key in enumerate(data.cell_keys[2])}
     splittings = []
     from itertools import combinations as _comb
 

@@ -254,6 +254,8 @@ BAD_DOCUMENTS = [
     ("homology", '{"type":"simplicial","vertices":2,"facets":[[0, 1.5]]}'),
     ("homology", '{"type":"cubical","ambient":"1","cells":[[[], 0]]}'),
     ("homology", '{"type":"cubical","ambient":1,"cells":[[[], 0, 1]]}'),
+    # a sign of 2^70 at ambient 3: past int64, refused as a sign fault
+    ("homology", '{"type":"cubical","ambient":3,"cells":[[[], 1180591620717411303424]]}'),
     ("homology", "[]"),
     ("homology", '{"type":'),
     pytest.param("homology", "[" * 100000, id="homology-deeply nested"),

@@ -4,14 +4,15 @@ import json
 import pickle
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import composite, integers, lists, permutations, sampled_from
+from hypothesis.strategies import composite, integers, lists, permutations, randoms, sampled_from
 
 from cuspforge import gf2
 from cuspforge.chains import ChainComplexData, chain_complex_of
 from cuspforge.cubical import CubicalComplex
-from cuspforge.errors import BudgetError, ValidationError
+from cuspforge.errors import BudgetError, CuspforgeError, ValidationError
 from cuspforge.gf2 import submasks, vector_from_indices
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import polygon_lattice
@@ -19,7 +20,6 @@ from cuspforge.moment_angle import (
     Colouring,
     colour_manifold,
     manifold_check,
-    moment_angle_cell_count,
     real_moment_angle,
 )
 from cuspforge.simplicial import (
@@ -30,7 +30,7 @@ from cuspforge.simplicial import (
     two_points,
 )
 
-from dense_oracles import cubical_entry_oracle, entry_rows, verify_dd_zero_oracle
+from dense_oracles import CubicalCellsOracle, cubical_entry_oracle, entry_rows, verify_dd_zero_oracle
 
 
 def _link_by_scan(Z, vertex):
@@ -53,15 +53,14 @@ def _link_by_scan(Z, vertex):
 
 
 def _check_closure_oracle(Z):
-    for d, cs in Z.cells.items():
-        if d == 0:
-            continue
-        for support, signs in cs:
+    cell_set = Z.cell_set()
+    for d in range(1, Z.dim + 1):
+        for support, signs in Z.cells_of_dim(d):
             for i in support:
                 rest = tuple(x for x in support if x != i)
-                if (rest, signs) not in Z._cell_set:
+                if (rest, signs) not in cell_set:
                     raise ValidationError(f"missing -1 face of {(support, signs)} at {i}")
-                if (rest, signs | (1 << i)) not in Z._cell_set:
+                if (rest, signs | (1 << i)) not in cell_set:
                     raise ValidationError(f"missing +1 face of {(support, signs)} at {i}")
 
 
@@ -129,7 +128,7 @@ def test_cell_count_formula():
         expected = 1 << m
         for k in range(K.dim + 1):
             expected += len(K.faces_of_dim(k)) * (1 << (m - k - 1))
-        assert Z.num_cells() == expected == moment_angle_cell_count(K)
+        assert Z.num_cells() == expected
 
 
 def test_euler_characteristic_formula():
@@ -325,6 +324,86 @@ def test_caches_stay_out_of_equality_hash_and_pickle():
     assert Z == fresh
     W = pickle.loads(blob)
     assert W == Z and hash(W) == digest
-    assert W._links is None and not W._face_tables and not W._runs
+    assert W._links is None and not W._face_tables and not W._cells
     assert W.vertex_links() == links
     assert all((W.face_table(k) == t).all() for k, t in enumerate(tables, 1))
+
+
+# ---------------------------------------------------------------------------
+# the support runs against the per-cell constructor
+# ---------------------------------------------------------------------------
+
+
+def _outcome(build, *args, **kwargs):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return build(*args, **kwargs)
+    except CuspforgeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(complex_=closed_cube_complexes(), rng=randoms(use_true_random=False))
+def test_runs_match_the_per_cell_constructor(complex_, rng):
+    ambient, cells = complex_
+    rng.shuffle(cells)
+    Z = CubicalComplex(ambient, cells)
+    oracle = CubicalCellsOracle(ambient, cells)
+    assert Z.dim == oracle.dim and Z.num_cells() == oracle.num_cells()
+    assert [Z.cells_of_dim(d) for d in range(-1, Z.dim + 2)] == [
+        oracle.cells_of_dim(d) for d in range(-1, Z.dim + 2)]
+    assert Z.cell_counts() == tuple(len(oracle.cells_of_dim(d)) for d in range(Z.dim + 1))
+    assert Z.cell_set() == oracle._cell_set
+    for k in range(1, Z.dim + 1):
+        assert np.array_equal(Z.face_table(k), oracle.face_table(k))
+    assert Z.to_json() == oracle.to_json()
+    assert _outcome(Z.to_rzk1) == _outcome(oracle.to_rzk1)
+    assert CubicalComplex.from_json(Z.to_json()) == Z
+    assert hash(CubicalComplex(ambient, reversed(cells))) == hash(Z)
+
+
+def _add(*extra):
+    return lambda ambient, cells: (cells + list(extra), None)
+
+
+# one fault each; every one is refused before the closure check
+FAULTS = {
+    "support past ambient": lambda ambient, cells: (cells + [((ambient,), 0)], None),
+    "negative support": _add(((-1,), 0)),
+    "repeated index": _add(((0, 0), 0)),
+    "sign on the support": _add(((0,), 1)),
+    "sign past ambient": lambda ambient, cells: (cells + [((), 1 << ambient)], None),
+    "sign past int64": _add(((), 1 << 70)),
+    "negative sign": _add(((), -1)),
+    "duplicate": lambda ambient, cells: (cells + [cells[-1]], None),
+    "duplicate, reversed support": lambda ambient, cells: (
+        cells + [(tuple(reversed(cells[-1][0])), cells[-1][1])], None),
+    "budget": lambda ambient, cells: (cells, len(cells) - 1),
+}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(complex_=closed_cube_complexes(), fault=sampled_from(sorted(FAULTS)),
+       second=sampled_from(sorted(FAULTS)), rng=randoms(use_true_random=False))
+def test_refusals_match_the_per_cell_constructor(complex_, fault, second, rng):
+    ambient, cells = complex_
+    cells, budget = FAULTS[fault](ambient, cells)
+    rng.shuffle(cells)
+    refusal = _outcome(CubicalComplex, ambient, cells, budget=budget)
+    assert refusal == _outcome(CubicalCellsOracle, ambient, cells, budget=budget)
+    assert isinstance(refusal, tuple)
+    # a second fault: both still refuse, perhaps naming a different one
+    more, budget2 = FAULTS[second](ambient, cells)
+    budget = budget if budget2 is None else budget2
+    with pytest.raises(CuspforgeError):
+        CubicalComplex(ambient, more, budget=budget)
+    with pytest.raises(CuspforgeError):
+        CubicalCellsOracle(ambient, more, budget=budget)
+
+
+def test_a_sign_past_int64_is_a_validation_error():
+    text = json.dumps({"type": "cubical", "ambient": 3, "cells": [[[], 1 << 70]]})
+    with pytest.raises(ValidationError, match="sign bits overlap the support or exceed ambient"):
+        CubicalComplex.from_json(text)
+    with pytest.raises(ValidationError, match="sign bits overlap the support or exceed ambient"):
+        CubicalComplex(62, [((), 0), ((), 1 << 63)])

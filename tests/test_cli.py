@@ -265,6 +265,30 @@ BAD_DOCUMENTS = [
     ("census", '{"type":"face_lattice","rank":2,"facets":3,"faces":[{"rank":0}]}'),
 ]
 
+# a square's faces, then one fault each; fill and subdivide must refuse them
+SQUARE_FACES = ('{"rank":0,"facet_set":[0,1]},{"rank":0,"facet_set":[1,2]},{"rank":0,"facet_set":[2,3]},'
+                '{"rank":0,"facet_set":[0,3]},{"rank":1,"facet_set":[0]},{"rank":1,"facet_set":[1]},'
+                '{"rank":1,"facet_set":[2]},{"rank":1,"facet_set":[3]}')
+BAD_LATTICE_FACES = [
+    '{"rank":0,"facet_set":[0,1]}',
+    '{"rank":1,"facet_set":[0,1]}',
+    '{"rank":0,"facet_set":[]}',
+    '{"rank":0,"facet_set":[0,1180591620717411303424]}',
+    '{"rank":1180591620717411303424,"facet_set":[0,2]}',
+    '{"rank":0,"facet_set":[0,2],"mark":"bogus"}',
+    '{"rank":0,"facet_set":[0,2],"mark":[1]}',
+    '{"rank":0,"facet_set":5}',
+]
+BAD_DOCUMENTS += [
+    (command, f'{{"type":"face_lattice","rank":2,"facets":4,"faces":[{SQUARE_FACES},{extra}]}}')
+    for command in ("fill", "subdivide") for extra in BAD_LATTICE_FACES
+]
+BAD_DOCUMENTS += [
+    (command, f'{{"type":"face_lattice","rank":{rank},"facets":{facets},"faces":[{SQUARE_FACES}]}}')
+    for command in ("fill", "subdivide")
+    for rank, facets in ((2, 1180591620717411303424), (1180591620717411303424, 4), (2, 3))
+]
+
 
 def _assert_validation_exit(argv, capsys):
     assert run(argv) == 2

@@ -1,13 +1,22 @@
 """Face lattices, duality, and the stock polytope lattices."""
 
+import json
+import pickle
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import booleans, composite, permutations, randoms, sampled_from
 
+from cuspforge import filling, lattice
 from cuspforge.errors import ValidationError
+from cuspforge.filling import dehn_fill, enumerate_filling_choices
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import (
+    IDEAL,
+    REAL,
     FaceLattice,
     cube_faces,
     cube_lattice,
@@ -16,8 +25,11 @@ from cuspforge.lattice import (
     polygon_lattice,
     simplex_lattice,
 )
-from cuspforge.polytopes import gosset, ideal_dual
+from cuspforge.moment_angle import cusp_census
+from cuspforge.polytopes import CROSS, gosset, ideal_dual
 from cuspforge.simplicial import build_simplicial, octahedron_boundary
+
+from dense_oracles import FaceLatticeOracle, faces_containing_oracle
 
 
 def test_cube_lattice_counts():
@@ -113,3 +125,228 @@ def test_euler_relation_for_generated_lattices():
         assert G.lattice.euler_characteristic() == 1 - (-1) ** n
         P = ideal_dual(G)
         assert P.lattice.euler_characteristic() == 1 - (-1) ** n
+
+
+# -- the array store against the per-face constructor --------------------
+
+
+def assert_matches_oracle(L, O):
+    assert L.rank == O.rank and L.num_facets == O.num_facets
+    assert L.faces == O.faces
+    assert L.marks == O.marks
+    assert L._index == O._index
+    assert L.to_json() == O.to_json()
+
+
+def gosset_oracle(G):
+    """G's lattice as the per-face producer listed it: each vertex by the
+    facets through it (partial), or each listed face by the facets that
+    hold its vertex set (full)."""
+    fv = G.facet_vertex_sets
+    if G.graded_faces is None:
+        at = [set() for _ in range(G.num_vertices)]
+        for i, f in enumerate(fv):
+            for v in f:
+                at[v].add(i)
+        faces = [(0, s) for s in at] + [(G.n - 1, {i}) for i in range(len(fv))]
+    else:
+        faces = [(d, frozenset(i for i, f in enumerate(fv) if vs <= f)) for vs, d in G.graded_faces]
+    return FaceLatticeOracle(G.n, len(fv), faces)
+
+
+def dual_oracle(G):
+    """P's lattice as the per-face producer listed it, marked by a dict
+    keyed by facet vertex sets."""
+    n = G.n
+    if G.graded_faces is None:
+        faces = [(0, fv) for fv in G.facet_vertex_sets]
+        faces += [(n - 1, frozenset({v})) for v in range(G.num_vertices)]
+    else:
+        faces = [(n - 1 - d, vs) for vs, d in G.graded_faces]
+    marks = {fv: IDEAL if kind == CROSS else REAL for fv, kind in zip(G.facet_vertex_sets, G.facet_types)}
+    return FaceLatticeOracle(n, G.num_vertices, faces, marks)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_gosset_and_dual_lattices_match_the_per_face_constructor(n):
+    G = gosset(n)
+    P = ideal_dual(G)
+    assert_matches_oracle(G.lattice, gosset_oracle(G))
+    assert_matches_oracle(P.lattice, dual_oracle(G))
+
+
+def test_census_path_builds_no_per_face_view():
+    G = gosset(8)
+    P = ideal_dual(G)
+    cusp_census(P)
+    G.lattice.to_json()
+    P.lattice.to_json()
+    for L in (G.lattice, P.lattice):
+        assert L._face_view is None and L._index_view is None and L._incidence_view is None
+
+
+@pytest.fixture
+def twin(monkeypatch):
+    """Every FaceLattice built by the constructor in ``lattice`` and
+    ``filling`` is checked against the per-face constructor on the same
+    input; returns the list of checked lattices."""
+    checked = []
+
+    def build(rank, num_facets, faces, marks=None):
+        faces = list(faces)
+        L = FaceLattice(rank, num_facets, faces, marks)
+        assert_matches_oracle(L, FaceLatticeOracle(rank, num_facets, faces, marks))
+        checked.append(L)
+        return L
+
+    monkeypatch.setattr(lattice, "FaceLattice", build)
+    monkeypatch.setattr(filling, "FaceLattice", build)
+    return checked
+
+
+def test_stock_lattices_match_the_per_face_constructor(twin):
+    for n in range(1, 6):
+        cube_lattice(n)
+        simplex_lattice(n)
+    for k in range(3, 9):
+        polygon_lattice(k)
+    assert len(twin) == 16
+
+
+@pytest.mark.parametrize("n, count", [(3, 8), (4, 243)])
+def test_every_filled_lattice_matches_the_per_face_constructor(twin, n, count):
+    P = ideal_dual(gosset(n))
+    for choice in enumerate_filling_choices(P):
+        dehn_fill(P, choice)
+    assert len(twin) == count
+
+
+STOCK = [cube_lattice(n) for n in (1, 2, 3, 4)] + [simplex_lattice(n) for n in (1, 2, 3, 4)]
+STOCK += [polygon_lattice(k) for k in (3, 5, 7)] + [ideal_dual(gosset(3)).lattice]
+
+
+@composite
+def relabelled_lattices(draw):
+    """A stock lattice with its facets relabelled, its faces shuffled and
+    some faces given as lists with a repeated index; returns the
+    constructor's arguments."""
+    L = draw(sampled_from(STOCK))
+    perm = draw(permutations(range(L.num_facets)))
+    faces = [(k, [perm[i] for i in sorted(s)]) for k, s in L.faces]
+    faces = [(k, fs + fs[:1]) if draw(booleans()) else (k, fs) for k, fs in faces]
+    draw(randoms(use_true_random=False)).shuffle(faces)
+    marks = {frozenset(perm[i] for i in s): IDEAL for s in L.ideal_vertices()}
+    return L.rank, L.num_facets, faces, marks
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(args=relabelled_lattices())
+def test_relabelled_lattices_match_the_per_face_constructor(args):
+    L = FaceLattice(*args)
+    assert_matches_oracle(L, FaceLatticeOracle(*args))
+    assert FaceLattice.from_arrays(L.rank, L.num_facets, L._ranks, L._ptr, L._facets, L._ideal) == L
+
+
+def test_nested_rows_sort_as_tuples_and_marks_stay_at_rank_0():
+    # no check refuses nested facet sets in one rank; a prefix sorts first
+    faces = [(k, set(s)) for k, s in polygon_lattice(4).faces] + [(0, {0, 1, 2}), (0, {0, 3, 1})]
+    marks = {frozenset(s): IDEAL for _, s in faces}
+    O = FaceLatticeOracle(2, 4, faces, marks)
+    assert_matches_oracle(FaceLattice(2, 4, faces, marks), O)
+    L = FaceLattice(2, 4, faces)
+    flagged = FaceLattice.from_arrays(2, 4, L._ranks, L._ptr, L._facets, np.ones(len(faces), dtype=bool))
+    assert_matches_oracle(flagged, O)
+
+
+# -- refusals: one fault, the per-face constructor's message ---------------
+
+SQUARE = [(k, set(s)) for k, s in polygon_lattice(4).faces]
+CUBE = [(k, set(s)) for k, s in cube_lattice(3).faces]
+
+ONE_FAULT = {
+    "rank not positive": (0, 4, SQUARE, None),
+    "rank past int64": (1 << 70, 4, SQUARE, None),
+    "facet count not positive": (2, 0, SQUARE, None),
+    "face rank too high": (2, 4, SQUARE + [(2, {0, 2})], None),
+    "face rank negative": (2, 4, SQUARE + [(-1, {0, 2})], None),
+    "face rank past int64": (2, 4, SQUARE + [(1 << 70, {0, 2})], None),
+    "empty face": (2, 4, SQUARE + [(0, set())], None),
+    "facet index too high": (2, 4, SQUARE + [(0, {0, 9})], None),
+    "facet index negative": (2, 4, SQUARE + [(0, {-1, 2})], None),
+    "facet index past int64": (2, 4, SQUARE + [(0, {0, 1 << 70})], None),
+    "duplicate within a rank": (2, 4, SQUARE + [(0, [1, 0])], None),
+    "duplicate across ranks": (3, 6, CUBE + [(1, {0, 2, 4})], None),
+    "missing singleton": (2, 3, [(0, {0, 1}), (1, {0}), (1, {1})], None),
+    "non-singleton facet face": (2, 4, SQUARE + [(1, {0, 2})], None),
+    "more facets than faces": (3, 50, CUBE, None),
+    "unknown mark": (2, 4, SQUARE, {frozenset({0, 1}): "bogus"}),
+    "unknown mark off the lattice": (2, 4, SQUARE, {frozenset({0, 2}): 7}),
+}
+
+
+def refusal(build, args):
+    with pytest.raises(ValidationError) as err:
+        build(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_FAULT))
+def test_one_fault_gets_the_per_face_message(name):
+    args = ONE_FAULT[name]
+    assert refusal(FaceLattice, args) == refusal(FaceLatticeOracle, args)
+
+
+def test_a_repeated_index_collapses():
+    args = (2, 4, [(k, sorted(s) * 2) for k, s in SQUARE], {frozenset({0, 1}): IDEAL})
+    L = FaceLattice(*args)
+    assert_matches_oracle(L, FaceLatticeOracle(*args))
+    assert L.faces == polygon_lattice(4).faces and L.ideal_vertices() == [frozenset({0, 1})]
+
+
+def test_from_json_refuses_an_unknown_mark():
+    doc = json.loads(polygon_lattice(4).to_json())
+    doc["faces"][0]["mark"] = ["bogus"]
+    with pytest.raises(ValidationError) as err:
+        FaceLattice.from_json(json.dumps(doc))
+    faces = [(f["rank"], f["facet_set"]) for f in doc["faces"]]
+    marks = {frozenset(doc["faces"][0]["facet_set"]): ["bogus"]}
+    assert str(err.value) == refusal(FaceLatticeOracle, (2, 4, faces, marks))
+    doc["faces"][0]["mark"] = IDEAL
+    doc["faces"][-1]["mark"] = "bogus"  # marks off rank 0 are not read
+    assert FaceLattice.from_json(json.dumps(doc)).ideal_vertices() == [frozenset(doc["faces"][0]["facet_set"])]
+
+
+# -- views: lookups, and kept out of the lattice's state -------------------
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_faces_containing_matches_the_scan(n):
+    G = gosset(n)
+    for L in (G.lattice, ideal_dual(G).lattice):
+        probes = [s for k, s in L.faces if k <= 1 or n <= 5]
+        probes += [frozenset(), frozenset(range(L.num_facets)), frozenset({0, -1, L.num_facets})]
+        for s in probes:
+            assert L.faces_containing(s) == faces_containing_oracle(L, s)
+
+
+def test_views_stay_out_of_equality_hash_and_pickles():
+    for L in (cube_lattice(3), ideal_dual(gosset(4)).lattice):
+        blob, h = pickle.dumps(L), hash(L)
+        L.faces, L._index, L.faces_containing(next(iter(L.faces))[1])
+        assert L._face_view is not None and L._incidence_view is not None
+        assert pickle.dumps(L) == blob and hash(L) == h
+        M = FaceLattice.from_json(L.to_json())
+        assert M._face_view is None and M == L and hash(M) == h
+        back = pickle.loads(blob)
+        assert back == L and hash(back) == h and back.to_json() == L.to_json()
+    assert cube_lattice(3) != cube_lattice(4)
+    P = ideal_dual(gosset(3)).lattice
+    unmarked = FaceLattice(P.rank, P.num_facets, P.faces)
+    assert unmarked != P and unmarked.faces == P.faces
+
+
+def test_g8_lattice_pickles_without_views():
+    L = gosset(8).lattice
+    back = pickle.loads(pickle.dumps(L))
+    assert back == L and hash(back) == hash(L)
+    assert back._face_view is None and back._index_view is None and back._incidence_view is None

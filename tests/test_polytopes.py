@@ -1,5 +1,6 @@
 """Gosset generators against independent oracles, duals, abelianization."""
 
+import hashlib
 import json
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
@@ -175,6 +176,27 @@ def test_e7_orbit_generator_structure():
     P = ideal_dual(G)
     assert len(P.ideal_vertices) == 126
     assert P.num_facets == 56
+
+
+# sha256 of ideal_dual(gosset(7, full_lattice=True)): its lattice JSON and
+# the JSON of its sorted ideal vertices, axes and facet adjacency
+E7_FULL_DUAL_SHA256 = {
+    "lattice": "3c413bb8a8bdc1ec17067cdaee800476e440864029f34fc1de811ffb693379fb",
+    "ideal_vertices": "fc7d5c5fe050b7693ce79c331251d2c6ec183dfdf1cb98d474b583627cfb76aa",
+    "axes": "7b48da1443d639c267a2e8815f68291d293d1752c9d1fbcccb70c88107f8a754",
+    "facet_adjacency": "5870146564fec0a6e23cfe3984f7cc2fedb4944b3e3ca60ec433a48476e168cc",
+}
+
+
+def test_ideal_dual_of_the_full_e7_lattice_keeps_its_output():
+    P = ideal_dual(gosset(7, full_lattice=True))
+    docs = {
+        "lattice": P.lattice.to_json(),
+        "ideal_vertices": json.dumps([sorted(v) for v in P.ideal_vertices]),
+        "axes": json.dumps(sorted([sorted(v), [list(p) for p in a]] for v, a in P.axes.items())),
+        "facet_adjacency": json.dumps(sorted(sorted(s) for s in P.facet_adjacency)),
+    }
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in docs.items()} == E7_FULL_DUAL_SHA256
 
 
 def test_e7_full_lattice():

@@ -178,6 +178,12 @@ class FaceLattice:
         lo, hi = np.searchsorted(self._ranks, [k, k + 1]).tolist()
         return self._sets(lo, hi)
 
+    def rows_of_rank(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The faces of rank k as arrays (ptr, facets): face i's facets are
+        ``facets[ptr[i]:ptr[i + 1]]``, ascending."""
+        lo, hi = np.searchsorted(self._ranks, [k, k + 1])
+        return self._ptr[lo:hi + 1] - self._ptr[lo], self._facets[self._ptr[lo]:self._ptr[hi]]
+
     def vertex_faces(self) -> List[FrozenSet[int]]:
         return self.faces_of_rank(0)
 

@@ -3,17 +3,23 @@ reflection-group abelianization data.
 
 G^3, G^4, G^5 are built from explicit integer coordinates (triangular
 prism, rectified 4-simplex, 5-demicube).  For n in {6,7,8} the facets
-are located by the weight-orbit method: enumerate the orbit of a
-fundamental-weight direction under the simple reflections by closure,
-then collect the vertices maximizing the inner product against each
-orbit vector.  All arithmetic is exact integer arithmetic on scaled
-root coordinates; the full reflection group is never materialized.
+come from Wythoff's construction: the facets of one type are the orbit
+of one seed facet under the reflection group.  The vertices are the
+orbit of a fundamental weight, and each simple reflection permutes
+them.  One closure enumerates the orbit of another fundamental weight, a
+facet normal, and carries each normal's facet along as a row of vertex
+indices: reflecting a normal maps its row through that reflection's
+vertex permutation.  Only the seed facet is found by maximizing an inner
+product.  All arithmetic is exact integer arithmetic on scaled root
+coordinates; the full reflection group is never materialized.
 
-Every facet list is checked on integer arrays of vertex indices: one
-count over packed vertex-pair keys finds the antipodal pairs of the
-cross facets, one sort of the sorted ridge rows checks that each ridge
-lies on exactly two facets, and the full face lattice is listed facet
-by facet from the vertex subsets that those checks prove to be faces.
+From the generator to the ideal dual a facet list is two integer arrays
+of sorted vertex indices, simplex rows n wide and cross rows 2(n-1)
+wide.  One count over packed vertex-pair keys finds the antipodal pairs
+of the cross facets, one sort of packed ridge keys checks that each
+ridge lies on exactly two facets, and the full face lattice is listed as
+one row array per dimension from the vertex subsets that those checks
+prove to be faces.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product, repeat
 from math import comb, gcd, isqrt
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,34 +56,107 @@ _E_ROOTS_2X: Tuple[Tuple[int, ...], ...] = (
 # (vertex node, cross-facet node, simplex-facet node), 1-based Bourbaki.
 _WEIGHT_NODES = {6: (1, 6, 2), 7: (7, 1, 2), 8: (8, 1, 2)}
 
+# (vertices, simplex facets, cross facets) of G^n.
+_GOSSET_COUNTS = {3: (6, 2, 3), 4: (10, 5, 5), 5: (16, 16, 10), 6: (27, 72, 27),
+                  7: (56, 576, 126), 8: (240, 17280, 2160)}
+
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
 class GossetPolytope:
-    """Combinatorics of G^n: facet vertex sets, facet types, face lattice.
+    """Combinatorics of G^n: facet rows, facet types, face lattice.
 
-    ``antipodal_pairs[i]`` lists the diagonals of cross-polytope facet i
-    (empty tuple for simplex facets).  ``graded_faces`` carries every
-    face as a vertex set with its dimension when the lattice is complete.
+    Facets are numbered in order of their sorted vertex tuples, and
+    ``cross[i]`` says whether facet i is a cross-polytope.  The rows of
+    ``simplex_rows`` and ``cross_rows`` are the sorted vertex indices of
+    the simplex and of the cross facets, each in facet order, and
+    ``pair_rows[j]`` lists the diagonals of cross facet j, sorted.  On a
+    complete lattice ``face_rows[d]`` holds the sorted vertex rows of the
+    d-faces for d < n - 1, in sorted order.
+
+    The per-facet views ``facet_vertex_sets``, ``facet_types``,
+    ``antipodal_pairs`` (an empty tuple for a simplex facet) and
+    ``graded_faces`` (every face as a vertex set with its dimension, or
+    None when the lattice is partial) are built on first read and kept
+    out of ``==``, ``hash`` and pickles.
     """
 
-    n: int
-    num_vertices: int
-    facet_vertex_sets: Tuple[FrozenSet[int], ...]
-    facet_types: Tuple[str, ...]
-    antipodal_pairs: Tuple[Tuple[Tuple[int, int], ...], ...]
-    lattice: FaceLattice
-    graded_faces: Optional[Tuple[Tuple[FrozenSet[int], int], ...]]
-    vertex_coordinates: Optional[Tuple[Tuple[int, ...], ...]] = None
+    __slots__ = ("n", "num_vertices", "cross", "simplex_rows", "cross_rows", "pair_rows",
+                 "lattice", "face_rows", "vertex_coordinates", "_views")
+
+    def __init__(self, n: int, num_vertices: int, cross: np.ndarray, simplex_rows: np.ndarray,
+                 cross_rows: np.ndarray, pair_rows: np.ndarray, lattice: FaceLattice,
+                 face_rows: Optional[Tuple[np.ndarray, ...]] = None,
+                 vertex_coordinates: Optional[Tuple[Tuple[int, ...], ...]] = None):
+        self.n, self.num_vertices, self.cross = n, num_vertices, cross
+        self.simplex_rows, self.cross_rows, self.pair_rows = simplex_rows, cross_rows, pair_rows
+        self.lattice, self.face_rows, self.vertex_coordinates = lattice, face_rows, vertex_coordinates
+        self._views: Dict[str, tuple] = {}
 
     def cross_facet_ids(self) -> List[int]:
-        return [i for i, t in enumerate(self.facet_types) if t == CROSS]
+        return np.flatnonzero(self.cross).tolist()
 
     def simplex_facet_ids(self) -> List[int]:
-        return [i for i, t in enumerate(self.facet_types) if t == SIMPLEX]
+        return np.flatnonzero(~self.cross).tolist()
+
+    # -- views, built on first read ------------------------------------------
+
+    def _view(self, name: str, build: Callable[[], tuple]) -> tuple:
+        if name not in self._views:
+            self._views[name] = build()
+        return self._views[name]
+
+    def _per_facet(self, simplex_items, cross_items) -> tuple:
+        """One item per facet, from the items of the simplex facets and of
+        the cross facets, each in facet order."""
+        out = [None] * len(self.cross)
+        for ids, items in ((self.simplex_facet_ids(), simplex_items), (self.cross_facet_ids(), cross_items)):
+            for i, item in zip(ids, items):
+                out[i] = item
+        return tuple(out)
+
+    @property
+    def facet_vertex_sets(self) -> Tuple[FrozenSet[int], ...]:
+        return self._view("facet_vertex_sets", lambda: self._per_facet(
+            map(frozenset, self.simplex_rows.tolist()), map(frozenset, self.cross_rows.tolist())))
+
+    @property
+    def facet_types(self) -> Tuple[str, ...]:
+        return self._view("facet_types", lambda: tuple((SIMPLEX, CROSS)[c] for c in self.cross.tolist()))
+
+    @property
+    def antipodal_pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        return self._view("antipodal_pairs", lambda: self._per_facet(
+            repeat(()), (tuple(map(tuple, p)) for p in self.pair_rows.tolist())))
+
+    @property
+    def graded_faces(self) -> Optional[Tuple[Tuple[FrozenSet[int], int], ...]]:
+        if self.face_rows is None:
+            return None
+        return self._view("graded_faces", lambda: tuple(
+            (frozenset(row), d) for d, rows in enumerate(self.face_rows) for row in rows.tolist()
+        ) + tuple((f, self.n - 1) for f in self.facet_vertex_sets))
+
+    # -- value semantics: the stored fields, never the views ---------------
+
+    def _key(self):
+        rows = (self.cross, self.simplex_rows, self.cross_rows, self.pair_rows, *(self.face_rows or ()))
+        return (self.n, self.num_vertices, self.lattice, self.vertex_coordinates,
+                tuple(r.tobytes() for r in rows))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GossetPolytope) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
 
 @dataclass(frozen=True)
@@ -129,60 +208,38 @@ def abelianization_rank(R: RACGData) -> int:
 # ---------------------------------------------------------------------------
 # built-in constructions, n = 3, 4, 5
 # ---------------------------------------------------------------------------
+#
+# Each returns the vertex coordinates and the sorted vertex tuples of the
+# simplex facets and of the cross facets.
 
 
 def _prism_data():
     coords = [(0, 0, 0), (4, 0, 0), (2, 3, 0), (0, 0, 3), (4, 0, 3), (2, 3, 3)]
-    facets = [
-        (frozenset({0, 1, 2}), SIMPLEX),
-        (frozenset({3, 4, 5}), SIMPLEX),
-        (frozenset({0, 1, 3, 4}), CROSS),
-        (frozenset({1, 2, 4, 5}), CROSS),
-        (frozenset({0, 2, 3, 5}), CROSS),
-    ]
-    return coords, facets
+    return coords, [(0, 1, 2), (3, 4, 5)], [(0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5)]
 
 
 def _rectified_simplex_data():
     pairs = sorted(combinations(range(5), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    coords = []
-    for p in pairs:
-        v = [0] * 5
-        v[p[0]] = 1
-        v[p[1]] = 1
-        coords.append(tuple(v))
-    facets = []
-    for i in range(5):
-        facets.append((frozenset(index[p] for p in pairs if i in p), SIMPLEX))
-    for i in range(5):
-        facets.append((frozenset(index[p] for p in pairs if i not in p), CROSS))
-    return coords, facets
+    coords = [tuple(int(i in p) for i in range(5)) for p in pairs]
+    simplices = [tuple(j for j, p in enumerate(pairs) if i in p) for i in range(5)]
+    crosses = [tuple(j for j, p in enumerate(pairs) if i not in p) for i in range(5)]
+    return coords, simplices, crosses
 
 
 def _demicube_data():
     coords = sorted(v for v in product((-1, 1), repeat=5) if v.count(-1) % 2 == 0)
-    index = {v: i for i, v in enumerate(coords)}
-    facets = []
-    for axis in range(5):
-        for s in (-1, 1):
-            facets.append((frozenset(i for v, i in index.items() if v[axis] == s), CROSS))
-    for odd in product((-1, 1), repeat=5):
-        if odd.count(-1) % 2 == 0:
-            continue
-        members = set()
-        for v, i in index.items():
-            if sum(1 for a, b in zip(v, odd) if a != b) == 1:
-                members.add(i)
-        facets.append((frozenset(members), SIMPLEX))
-    return coords, facets
+    crosses = [tuple(i for i, v in enumerate(coords) if v[axis] == s)
+               for axis in range(5) for s in (-1, 1)]
+    simplices = [tuple(i for i, v in enumerate(coords) if sum(a != b for a, b in zip(v, odd)) == 1)
+                 for odd in product((-1, 1), repeat=5) if odd.count(-1) % 2]
+    return coords, simplices, crosses
 
 
 _BUILTIN = {3: _prism_data, 4: _rectified_simplex_data, 5: _demicube_data}
 
 
 # ---------------------------------------------------------------------------
-# weight-orbit generator, n = 6, 7, 8
+# Wythoff generator, n = 6, 7, 8
 # ---------------------------------------------------------------------------
 
 
@@ -217,96 +274,119 @@ def _fundamental_weight_vector(roots: Sequence[Tuple[int, ...]], node: int) -> T
     return tuple(int(x * denom) for x in weight)
 
 
-def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Orbit of a vector under the simple reflections, by closure.
+
+
+def _key_places(bound: int, dim: int) -> np.ndarray:
+    """Place values that pack a vector of ``dim`` entries in [-bound,
+    bound], shifted by ``bound`` and read as digits in base 2 * bound + 1,
+    into one int64 key that sorts like the vector."""
+    base = 2 * bound + 1
+    if base**dim > np.iinfo(np.int64).max:
+        raise ValidationError("orbit vector too long for int64 keys")
+    return base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+
+def _reflections(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Every row of X reflected in every simple root: row i * len(R) + j
+    is X[i] reflected in R[j], that is X[i] - <X[i], R[j]> / 4 * R[j]
+    (the roots have norm^2 8)."""
+    D = X @ R.T
+    if (D % 4).any():
+        raise ValidationError("orbit vector left the reflection lattice")
+    return (X[:, None, :] - (D // 4)[:, :, None] * R).reshape(-1, X.shape[1])
+
+
+def _orbit(start: Sequence[int], R: np.ndarray, seed: Sequence[int] = (),
+           perms: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """The orbit of ``start`` under the simple reflections ``R``, by
+    closure, as int64 rows in key order, and the row that each orbit
+    vector carries: ``seed`` at ``start``, taken through ``perms[j]`` by
+    reflection j (an empty row without ``perms``).
 
     Each round reflects the whole frontier in every simple root at once,
     in int64.  Reflections preserve the norm, so every entry lies within
-    ``bound`` = isqrt(norm) of zero and the arithmetic is exact.  Shifted
-    by ``bound`` and read as digits in base 2 * bound + 1, a vector packs
-    into one int64 key that sorts like the vector; frontiers are
-    deduplicated on those keys.
+    ``bound`` = isqrt(norm) of zero, the arithmetic is exact, and the
+    frontiers are deduplicated on packed keys.
     """
-    R = np.array(roots, dtype=np.int64)
     bound = isqrt(_dot(start, start))
-    base, dim = 2 * bound + 1, R.shape[1]
-    if base**dim > np.iinfo(np.int64).max:
-        raise ValidationError("orbit vector too long for int64 keys")
-    place = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    place = _key_places(bound, R.shape[1])
     frontier = np.array([start], dtype=np.int64)
-    parts, keys = [frontier], [(frontier + bound) @ place]
+    carried = np.array([seed], dtype=np.intp)
+    parts, rows, keys = [frontier], [carried], [(frontier + bound) @ place]
     while len(frontier):
-        D = frontier @ R.T
-        if (D % 4).any():
-            raise ValidationError("orbit vector left the reflection lattice")
-        Y = (frontier[:, None, :] - (D // 4)[:, :, None] * R).reshape(-1, dim)
+        Y = _reflections(frontier, R)
         k, first = np.unique((Y + bound) @ place, return_index=True)
         # reflections are involutions: a frontier's images lie in the
         # frontier, the one before it, or the next one
         new = ~np.isin(k, np.concatenate(keys[-2:]))
+        src, root = np.divmod(first[new], len(R))
         frontier = Y[first[new]]
+        carried = carried[src] if perms is None else perms[root[:, None], carried[src]]
         parts.append(frontier)
+        rows.append(carried)
         keys.append(k[new])
-    orbit = np.concatenate(parts)[np.argsort(np.concatenate(keys))]
+    order = np.argsort(np.concatenate(keys))
+    return np.concatenate(parts)[order], np.concatenate(rows)[order]
+
+
+def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Orbit of a vector under the simple reflections, by closure, sorted."""
+    orbit, _ = _orbit(start, np.array(roots, dtype=np.int64))
     return list(map(tuple, orbit.tolist()))
 
 
-def _facets_by_maximization(
-    vertices: Sequence[Tuple[int, ...]], normals: Sequence[Tuple[int, ...]]
-) -> List[FrozenSet[int]]:
-    """Vertex set of the face maximizing each normal.
+def _reflection_perms(V: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``perms[j][i]`` is the index in V of V[i] reflected in R[j]: found
+    by key lookup among the packed keys of V and checked entry by entry.
+    A vertex set that the reflections do not map onto itself is refused."""
+    bound = int(np.abs(V).max())
+    place = _key_places(bound, V.shape[1])
+    keys = (V + bound) @ place
+    order = np.argsort(keys)
+    Y = _reflections(V, R)
+    at = order[np.searchsorted(keys[order], (Y + bound) @ place).clip(max=len(V) - 1)]
+    if not np.array_equal(V[at], Y):
+        raise ValidationError("vertex set not closed under the reflections")
+    return at.reshape(len(V), len(R)).T
 
-    By Cauchy-Schwarz every partial sum of an inner product is at most
-    |v||u| in size, so the products run in the smallest integer type
-    that holds that bound.
+
+def _orbit_facet_rows(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices of G^n (n in 6..8) and its simplex and cross rows.
+
+    A facet type is the orbit of one facet normal, a fundamental weight;
+    the seed facet, the vertices maximizing the inner product with it, is
+    carried through the closure as a row of vertex indices.
     """
-    V = np.array(vertices, dtype=np.int64)
-    U = np.array(normals, dtype=np.int64)
-    bound = isqrt(int((V * V).sum(axis=1).max()) * int((U * U).sum(axis=1).max())) + 1
-    dt = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    prod = V.astype(dt) @ U.T.astype(dt)
-    cols, rows = np.nonzero((prod == prod.max(axis=0)).T)
-    rows = rows.tolist()
-    ends = np.cumsum(np.bincount(cols, minlength=len(normals))).tolist()
-    return [frozenset(rows[a:b]) for a, b in zip([0] + ends, ends)]
-
-
-def _orbit_facet_data(n: int):
     roots = _E_ROOTS_2X[:n]
+    R = np.array(roots, dtype=np.int64)
     v_node, c_node, s_node = _WEIGHT_NODES[n]
-    vertices = weyl_orbit(_fundamental_weight_vector(roots, v_node), roots)
-    facets: List[Tuple[FrozenSet[int], str]] = []
+    V, _ = _orbit(_fundamental_weight_vector(roots, v_node), R)
+    perms = _reflection_perms(V, R)
+    rows: Dict[int, List[np.ndarray]] = {n: [], 2 * (n - 1): []}
     for node in (c_node, s_node):
-        normals = weyl_orbit(_fundamental_weight_vector(roots, node), roots)
-        for fv in _facets_by_maximization(vertices, normals):
-            if len(fv) == n:
-                facets.append((fv, SIMPLEX))
-            elif len(fv) == 2 * (n - 1):
-                facets.append((fv, CROSS))
-            else:
-                raise ValidationError(
-                    f"weight-orbit facet has {len(fv)} vertices; expected {n} or {2 * (n - 1)}"
-                )
-    if len({fv for fv, _ in facets}) != len(facets):
+        normal = _fundamental_weight_vector(roots, node)
+        height = V @ np.array(normal, dtype=np.int64)
+        seed = np.flatnonzero(height == height.max())
+        if len(seed) not in rows:
+            raise ValidationError(
+                f"weight-orbit facet has {len(seed)} vertices; expected {n} or {2 * (n - 1)}"
+            )
+        rows[len(seed)].append(_orbit(normal, R, seed, perms)[1])
+    dt = np.min_scalar_type(len(V))
+    S, C = (np.sort(np.concatenate(r), axis=1).astype(dt) if r else np.empty((0, w), dt)
+            for w, r in rows.items())
+    if any(len(_row_runs(F)[1]) < len(F) for F in (S, C)):
         raise ValidationError("duplicate facets from distinct orbit normals")
-    return [tuple(v) for v in vertices], facets
+    return V, S, C
 
 
 # ---------------------------------------------------------------------------
 # assembly and validation
 # ---------------------------------------------------------------------------
 #
-# The checks work on integer arrays: the facets of one type all have the
-# same size (n for simplices, 2(n-1) for cross-polytopes, as every caller
-# checks), so their sorted vertex indices form one matrix per type, held
-# in the smallest unsigned dtype that fits.
-
-
-def _vertex_rows(sets: Sequence[FrozenSet[int]], dtype) -> np.ndarray:
-    """Sorted vertex indices of equal-size sets, one row per set."""
-    width = len(sets[0]) if sets else 0
-    flat = np.fromiter(chain.from_iterable(sets), dtype, len(sets) * width)
-    return np.sort(flat.reshape(len(sets), width), axis=1)
+# The checks work on the two row arrays: simplex facets have n vertices
+# and cross facets 2(n-1), as every caller checks, and the rows hold their
+# sorted vertex indices in the smallest unsigned dtype that fits.
 
 
 def _row_runs(R: np.ndarray, *minor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -319,31 +399,27 @@ def _row_runs(R: np.ndarray, *minor: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return order, np.flatnonzero(fresh)
 
 
-def _antipodal_pairs(
-    facet_vertex_sets: Sequence[FrozenSet[int]], facet_types: Sequence[str]
-) -> List[Tuple[Tuple[int, int], ...]]:
+def _antipodal_pairs(simplex_rows: np.ndarray, cross_rows: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Diagonals of each cross facet: vertex pairs whose only common facet
-    is that facet.  Validates the perfect-matching (cube-dual) structure.
+    is that facet, one row of n - 1 sorted pairs per cross facet.
+    Validates the perfect-matching (cube-dual) structure; refusals name
+    the facet by its index among all facets, ``cross`` marking the cross
+    facets.
 
     Each in-facet pair v < w is keyed v * nv + w, nv past the largest
     vertex; one count of the keys of every facet gives each pair's number
     of common facets.
     """
-    cross = [i for i, t in enumerate(facet_types) if t == CROSS]
-    nv = 1 + max(map(max, facet_vertex_sets))
-    dt, kd = np.min_scalar_type(nv), np.min_scalar_type(nv * nv)
+    C = cross_rows
+    nv = 1 + max(int(simplex_rows.max(initial=0)), int(C.max(initial=0)))
 
     def pair_keys(rows: np.ndarray) -> np.ndarray:
         a, b = np.triu_indices(rows.shape[1], 1)  # combinations order
-        return rows[:, a].astype(kd) * kd.type(nv) + rows[:, b]
+        return rows[:, a].astype(np.intp) * nv + rows[:, b]
 
-    C = _vertex_rows([facet_vertex_sets[i] for i in cross], dt)
-    S = _vertex_rows([f for f, t in zip(facet_vertex_sets, facet_types) if t != CROSS], dt)
     keys = pair_keys(C)
-    distinct, counts = np.unique(
-        np.concatenate([keys.ravel(), pair_keys(S).ravel()]), return_counts=True
-    )
-    one = counts[np.searchsorted(distinct, keys)] == 1
+    counts = np.bincount(np.concatenate([keys.ravel(), pair_keys(simplex_rows).ravel()]))
+    one = counts[keys] == 1
     a, b = np.triu_indices(C.shape[1], 1)
     touch = np.zeros((len(a), C.shape[1]), dtype=np.uint8)
     touch[np.arange(len(a)), a] = touch[np.arange(len(a)), b] = 1
@@ -352,55 +428,61 @@ def _antipodal_pairs(
     bad = two | (degree == 0).any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
+        facet = np.flatnonzero(cross)[k]
         if two[k]:
-            raise ValidationError(f"facet {cross[k]}: vertex in two antipodal pairs")
-        raise ValidationError(f"facet {cross[k]}: antipodal pairs do not form a matching")
-    pairs = np.stack([C[:, a], C[:, b]], axis=2)[one]
-    pairs = pairs.reshape(len(C), C.shape[1] // 2, 2).tolist()
-    out: List[Tuple[Tuple[int, int], ...]] = [()] * len(facet_types)
-    for i, p in zip(cross, pairs):
-        out[i] = tuple(map(tuple, p))
-    return out
+            raise ValidationError(f"facet {facet}: vertex in two antipodal pairs")
+        raise ValidationError(f"facet {facet}: antipodal pairs do not form a matching")
+    return np.stack([C[:, a], C[:, b]], axis=2)[one].reshape(len(C), C.shape[1] // 2, 2)
 
 
-def _ridge_check(
-    facet_vertex_sets: Sequence[FrozenSet[int]],
-    facet_types: Sequence[str],
-    antipodal: Sequence[Tuple[Tuple[int, int], ...]],
-) -> int:
+def _ridge_check(simplex_rows: np.ndarray, pair_rows: np.ndarray) -> int:
     """Every ridge of every facet must be shared by exactly two facets.
 
     This is the completeness oracle for the facet list: a missing facet
-    would leave some ridge covered once.  Each ridge becomes the row of
-    its sorted vertex indices, and one sort of the rows counts them.
-    Returns the ridge count.
+    would leave some ridge covered once.  A simplex facet's ridges drop
+    one vertex; a cross facet's take one vertex of each diagonal, sorted
+    by an odd-even transposition network on the columns.  Each ridge's
+    sorted vertices pack by Horner's rule, one column at a time, into one
+    int64 key below nv^(n-1), nv past the largest vertex, and one sort of
+    the keys counts the facets on each ridge.  Returns the ridge count.
     """
-    dt = np.min_scalar_type(max(map(max, facet_vertex_sets)))
-    S = _vertex_rows([f for f, t in zip(facet_vertex_sets, facet_types) if t == SIMPLEX], dt)
-    pairs = np.array([p for p, t in zip(antipodal, facet_types) if t == CROSS], dtype=dt)
-    m = S.shape[1]
-    drop = np.array([[j for j in range(m) if j != i] for i in range(m)], dtype=np.intp)
-    ridges = [S[:, drop].reshape(len(S) * m, m - 1)] if m else []
-    if len(pairs):
-        k = pairs.shape[1]
+    S, P = simplex_rows, pair_rows
+    k = S.shape[1] - 1
+    nv = 1 + max(int(S.max(initial=0)), int(P.max(initial=0)))
+    if nv**k > np.iinfo(np.int64).max:
+        raise ValidationError("ridge rows too long for int64 keys")
+
+    def pack(cols: List[np.ndarray]) -> np.ndarray:
+        key = np.zeros(len(cols[0]), dtype=np.int64)
+        for col in cols:
+            key *= nv
+            key += col
+        return key
+
+    keys = [pack([S[:, j] for j in range(k + 1) if j != i]) for i in range(k + 1)]
+    if len(P):
         side = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-        ridges.append(np.sort(pairs[:, np.arange(k), side], axis=2).reshape(-1, k))
-    R = np.concatenate(ridges)
-    _, starts = _row_runs(R)
-    bad = int(np.count_nonzero(np.diff(np.append(starts, len(R))) != 2))
+        cols = [P[:, i, side[:, i]].ravel() for i in range(k)]
+        for r in range(k):
+            for i in range(r % 2, k - 1, 2):
+                cols[i], cols[i + 1] = np.minimum(cols[i], cols[i + 1]), np.maximum(cols[i], cols[i + 1])
+        keys.append(pack(cols))
+    keys = np.sort(np.concatenate(keys))
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(fresh)
+    bad = int(np.count_nonzero(np.diff(np.append(starts, len(keys))) != 2))
     if bad:
         raise ValidationError(f"{bad} ridges not shared by exactly two facets")
     return len(starts)
 
 
 def _graded_faces(
-    n: int,
-    facet_vertex_sets: Sequence[FrozenSet[int]],
-    facet_types: Sequence[str],
-    antipodal: Sequence[Tuple[Tuple[int, int], ...]],
-) -> List[Tuple[FrozenSet[int], int, FrozenSet[int]]]:
-    """Every face as (vertex set, dimension, facets containing it), by
-    dimension and then sorted vertex tuple.
+    n: int, simplex_rows: np.ndarray, pair_rows: np.ndarray, cross: np.ndarray
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+    """The faces of dimension d < n - 1, one array each per dimension: the
+    sorted vertex rows of the d-faces in sorted order, and the widths and
+    flat ids of their facet rows, the facets that hold each face.
 
     After the antipodal and ridge checks the faces (the intersections of
     facets) are exactly the facets, the nonempty proper subsets of
@@ -419,81 +501,74 @@ def _graded_faces(
     vertex set, no face lies on one of them alone and FaceLattice refuses
     the lattice.
     """
-    dt = np.min_scalar_type(max(map(max, facet_vertex_sets)))
-    simplex = np.array([i for i, t in enumerate(facet_types) if t == SIMPLEX], dtype=np.int64)
-    cross = np.array([i for i, t in enumerate(facet_types) if t == CROSS], dtype=np.int64)
-    S = _vertex_rows([facet_vertex_sets[i] for i in simplex], dt).reshape(-1, n)
-    P = np.array([antipodal[i] for i in cross], dtype=dt).reshape(-1, n - 1, 2)
-    out = []
+    simplex, cross_ids = np.flatnonzero(~cross), np.flatnonzero(cross)
+    rows, widths, owners = [], [], []
     for k in range(1, n):
         pick = np.array(list(combinations(range(n), k)))
         axes = np.repeat(np.array(list(combinations(range(n - 1), k))), 1 << k, axis=0)
         side = np.tile(np.array(list(product((0, 1), repeat=k))), (len(axes) >> k, 1))
-        R = np.concatenate([S[:, pick].reshape(-1, k),
-                            np.sort(P[:, axes, side], axis=2).reshape(-1, k)])
-        owner = np.concatenate([np.repeat(simplex, len(pick)), np.repeat(cross, len(axes))])
+        R = np.concatenate([simplex_rows[:, pick].reshape(-1, k),
+                            np.sort(pair_rows[:, axes, side], axis=2).reshape(-1, k)])
+        owner = np.concatenate([np.repeat(simplex, len(pick)), np.repeat(cross_ids, len(axes))])
         order, starts = _row_runs(R, owner)
-        owner = owner[order].tolist()
-        ends = np.append(starts[1:], len(R)).tolist()
-        for row, a, b in zip(R[order[starts]].tolist(), starts.tolist(), ends):
-            out.append((frozenset(row), k - 1, frozenset(owner[a:b])))
-    listing: Dict[FrozenSet[int], List[int]] = {}
-    for i, f in enumerate(facet_vertex_sets):
-        listing.setdefault(f, []).append(i)
-    out += [(f, n - 1, frozenset(ids)) for f, ids in listing.items()]
-    return out
+        rows.append(R[order[starts]])
+        widths.append(np.diff(np.append(starts, len(R))))
+        owners.append(owner[order])
+    return rows, widths, owners
 
 
 def _assemble(
     n: int,
     num_vertices: int,
-    facets: List[Tuple[FrozenSet[int], str]],
-    coords: Optional[Sequence[Tuple[int, ...]]],
+    simplex_rows: np.ndarray,
+    cross_rows: np.ndarray,
+    coords: Optional[Sequence[Sequence[int]]],
     full_lattice: bool,
 ) -> GossetPolytope:
-    """Sort, check and adopt a facet list.  Simplex facets must have n
-    vertices and cross facets 2(n-1), as every caller checks."""
+    """Sort, check and adopt a facet list given as sorted vertex rows, n
+    wide for the simplex facets and 2(n-1) wide for the cross facets."""
     dt = np.min_scalar_type(num_vertices)
+    S, C = simplex_rows.astype(dt, copy=False), cross_rows.astype(dt, copy=False)
+    ns = len(S)
     # facets in order of their sorted vertex tuples: rows of v + 1, 0-padded
-    padded = np.zeros((len(facets), 2 * (n - 1)), dtype=dt)
-    for kind in (SIMPLEX, CROSS):
-        ids = [i for i, (_, t) in enumerate(facets) if t == kind]
-        rows = _vertex_rows([facets[i][0] for i in ids], dt)
-        padded[ids, : rows.shape[1]] = rows + 1
-    order = _row_runs(padded)[0]
-    facets = [facets[i] for i in order.tolist()]
-    fv_sets = [f for f, _ in facets]
-    types = [t for _, t in facets]
+    padded = np.zeros((ns + len(C), 2 * (n - 1)), dtype=dt)
+    padded[:ns, :n] = S
+    padded[ns:] = C
+    padded[:ns, :n] += 1
+    padded[ns:] += 1
+    order, starts = _row_runs(padded)
+    cross = order >= ns
+    S, C = S[order[~cross]], C[order[cross] - ns]
     padded = padded[order]
     owner, col = np.nonzero(padded)
     verts = padded[owner, col] - 1
     counts = np.bincount(verts, minlength=num_vertices)
-    antipodal = _antipodal_pairs(fv_sets, types)
-    _ridge_check(fv_sets, types, antipodal)
+    pairs = _antipodal_pairs(S, C, cross)
+    _ridge_check(S, pairs)
     if not counts.all():
         raise ValidationError("some vertex lies on no facet")
 
-    graded: Optional[Tuple[Tuple[FrozenSet[int], int], ...]] = None
+    nf = len(order)
+    face_rows = None
     if full_lattice:
-        faces = _graded_faces(n, fv_sets, types, antipodal)
-        graded = tuple((vs, d) for vs, d, _ in faces)
-        lattice = FaceLattice(n, len(fv_sets), [(d, fs) for _, d, fs in faces])
+        face_rows, widths, owners = _graded_faces(n, S, pairs, cross)
+        # the facets last, one face per vertex set: a facet set {i, j} if
+        # facets i and j share one
+        widths.append(np.diff(np.append(starts, nf)))
+        owners.append(np.arange(nf))
+        ranks = np.repeat(np.arange(n), [len(w) for w in widths])
+        lattice = FaceLattice.from_arrays(n, nf, ranks, np.cumsum(np.concatenate([[0], *widths])),
+                                          np.concatenate(owners))
+        face_rows = tuple(face_rows)
     else:  # each vertex's facets, in order, then the facet singletons
-        nf = len(fv_sets)
         lattice = FaceLattice.from_arrays(
             n, nf, np.repeat([0, n - 1], [num_vertices, nf]),
             np.cumsum(np.concatenate(([0], counts, np.ones(nf, dtype=counts.dtype)))),
             np.concatenate((owner[np.argsort(verts, kind="stable")], np.arange(nf))),
         )
     return GossetPolytope(
-        n=n,
-        num_vertices=num_vertices,
-        facet_vertex_sets=tuple(fv_sets),
-        facet_types=tuple(types),
-        antipodal_pairs=tuple(antipodal),
-        lattice=lattice,
-        graded_faces=graded,
-        vertex_coordinates=tuple(tuple(c) for c in coords) if coords else None,
+        n, num_vertices, cross, S, C, pairs, lattice, face_rows,
+        tuple(tuple(c) for c in coords) if coords else None,
     )
 
 
@@ -517,34 +592,41 @@ def gosset(n: int, full_lattice: Optional[bool] = None, data_dir: Optional[str] 
             with open(path, "r", encoding="utf-8") as fh:
                 return ingest_gosset(fh.read(), n)
     if n in _BUILTIN:
-        coords, facets = _BUILTIN[n]()
-        return _assemble(n, len(coords), facets, coords, full_lattice=True)
-    vertices, facets = _orbit_facet_data(n)
-    return _assemble(n, len(vertices), facets, vertices, full_lattice=full_lattice)
+        coords, simplices, crosses = _BUILTIN[n]()
+        dt = np.min_scalar_type(len(coords))
+        return _assemble(n, len(coords), np.array(simplices, dtype=dt), np.array(crosses, dtype=dt),
+                         coords, full_lattice=True)
+    V, S, C = _orbit_facet_rows(n)
+    return _assemble(n, len(V), S, C, V.tolist(), full_lattice=full_lattice)
 
 
 def ingest_gosset(text: str, n: int) -> GossetPolytope:
-    """Validate and adopt an externally computed face-lattice file for G^n."""
+    """Validate and adopt an externally computed face-lattice file for G^n.
+
+    The vertices, read by the facets through them, must lie on simplex
+    facets of n vertices and cross facets of 2(n-1), and their numbers
+    must be G^n's."""
+    if n not in _GOSSET_COUNTS:
+        raise ValidationError("gosset polytopes exist for 3 <= n <= 8 only")
     lat = FaceLattice.from_json(text)
     if lat.rank != n:
         raise ValidationError(f"ingested lattice has rank {lat.rank}, expected {n}")
-    vertex_sets = lat.vertex_faces()  # vertices encoded by their facet sets
-    num_vertices = len(vertex_sets)
-    order = {s: i for i, s in enumerate(vertex_sets)}
-    fv_sets: List[set] = [set() for _ in range(lat.num_facets)]
-    for s, v in order.items():
-        for f in s:
-            fv_sets[f].add(v)
-    facets = []
-    for f in fv_sets:
-        size = len(f)
-        if size == n:
-            facets.append((frozenset(f), SIMPLEX))
-        elif size == 2 * (n - 1):
-            facets.append((frozenset(f), CROSS))
-        else:
-            raise ValidationError(f"ingested facet has {size} vertices; expected {n} or {2 * (n - 1)}")
-    return _assemble(n, num_vertices, facets, None, full_lattice=lat.is_complete())
+    ptr, facets = lat.rows_of_rank(0)
+    num_vertices = len(ptr) - 1
+    sizes = np.bincount(facets, minlength=lat.num_facets)
+    bad = (sizes != n) & (sizes != 2 * (n - 1))
+    if bad.any():
+        size = sizes[np.argmax(bad)]
+        raise ValidationError(f"ingested facet has {size} vertices; expected {n} or {2 * (n - 1)}")
+    found = (num_vertices, int(np.count_nonzero(sizes == n)), int(np.count_nonzero(sizes != n)))
+    if found != _GOSSET_COUNTS[n]:
+        raise ValidationError("ingested lattice has {} vertices, {} simplex and {} cross facets; "
+                              "G^{} has {}, {} and {}".format(*found, n, *_GOSSET_COUNTS[n]))
+    # each facet's vertices, ascending: the vertex of each incidence, by facet
+    verts = np.repeat(np.arange(num_vertices), np.diff(ptr))[np.argsort(facets, kind="stable")]
+    start = np.cumsum(sizes) - sizes
+    S, C = (verts[start[sizes == w][:, None] + np.arange(w)] for w in (n, 2 * (n - 1)))
+    return _assemble(n, num_vertices, S, C, None, full_lattice=lat.is_complete())
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +637,22 @@ def ingest_gosset(text: str, n: int) -> GossetPolytope:
 def ideal_dual(G: GossetPolytope) -> IdealPolytope:
     """P^n: the dual with cross-polytope facets of G^n read as ideal vertices.
 
-    The lattice is built from row arrays of G-vertex indices: the vertices
-    of P are G's simplex facets and, marked ideal, its cross facets; the
-    other faces are G's vertices as facet singletons or, on a full
-    lattice, G's lower faces, one array per dimension.
+    The lattice is built from G's row arrays: the vertices of P are G's
+    simplex facets and, marked ideal, its cross facets; the other faces
+    are G's vertices as facet singletons or, on a full lattice, G's lower
+    faces, one array per dimension.  The cross rows are sorted, so the
+    ideal vertices come out in order.
     """
     n = G.n
-    ideal = []
-    axes: Dict[FrozenSet[int], Tuple[Tuple[int, int], ...]] = {}
-    for i, (fv, kind) in enumerate(zip(G.facet_vertex_sets, G.facet_types)):
-        if kind == CROSS:
-            if len(fv) != 2 * (n - 1):
-                raise ValidationError("ideal vertex without a cube link")
-            ideal.append(fv)
-            axes[fv] = G.antipodal_pairs[i]
-    dt = np.min_scalar_type(G.num_vertices)
-    simplices = [fv for fv, kind in zip(G.facet_vertex_sets, G.facet_types) if kind != CROSS]
-    blocks = [(0, _vertex_rows(simplices, dt), False), (0, _vertex_rows(ideal, dt), True)]
-    if G.graded_faces is None:
+    if G.cross_rows.shape[1] != 2 * (n - 1):
+        raise ValidationError("ideal vertex without a cube link")
+    ideal = list(map(frozenset, G.cross_rows.tolist()))
+    axes = dict(zip(ideal, (tuple(map(tuple, p)) for p in G.pair_rows.tolist())))
+    blocks = [(0, G.simplex_rows, False), (0, G.cross_rows, True)]
+    if G.face_rows is None:
         blocks.append((n - 1, np.arange(G.num_vertices).reshape(-1, 1), False))
     else:
-        by_dim: Dict[int, List[FrozenSet[int]]] = {d: [] for d in range(n - 1)}
-        for vs, d in G.graded_faces:
-            if d < n - 1:
-                by_dim[d].append(vs)
-        blocks += [(n - 1 - d, _vertex_rows(vsets, dt).reshape(len(vsets), d + 1), False)
-                   for d, vsets in by_dim.items()]
+        blocks += [(n - 1 - d, rows, False) for d, rows in enumerate(G.face_rows)]
     sizes = [len(rows) for _, rows, _ in blocks]
     widths = np.repeat([rows.shape[1] for _, rows, _ in blocks], sizes)
     lattice = FaceLattice.from_arrays(
@@ -596,7 +668,7 @@ def ideal_dual(G: GossetPolytope) -> IdealPolytope:
     return IdealPolytope(
         n=n,
         lattice=lattice,
-        ideal_vertices=tuple(sorted(ideal, key=sorted)),
+        ideal_vertices=tuple(ideal),
         axes=axes,
         facet_adjacency=adjacency,
     )

@@ -45,6 +45,11 @@ once per face.  ``FaceLatticeOracle`` keeps the parent's constructor
 (frozenset faces, a sort key per face, a mark per face and the facet-set
 index) and its JSON writer verbatim, and ``faces_containing_oracle`` the
 scan of every face that the incidence lookup replaced.
+
+The Gosset generator carries each facet's vertex row through the orbit
+closure of its normal.  The route it replaced, one orbit of normals and
+then the vertices maximizing each normal, is kept verbatim as
+``orbit_facet_data`` and ``facets_by_maximization``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, groupby
+from math import isqrt
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -67,7 +73,9 @@ from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, cube_faces
 from cuspforge.moment_angle import (
     CuspComponent, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
 )
-from cuspforge.polytopes import IdealPolytope
+from cuspforge.polytopes import (
+    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _fundamental_weight_vector, weyl_orbit,
+)
 from cuspforge.snf import Move, SNFResult, _add_sparse
 
 Matrix = List[List[int]]
@@ -804,3 +812,44 @@ def faces_containing_oracle(lattice: FaceLattice, facet_set: Iterable[int]) -> L
     """Faces above the given one, itself included, by a scan of every face."""
     base = frozenset(facet_set)
     return [(k, s) for k, s in lattice.faces if s <= base]
+
+
+def facets_by_maximization(
+    vertices: Sequence[Tuple[int, ...]], normals: Sequence[Tuple[int, ...]]
+) -> List[FrozenSet[int]]:
+    """Vertex set of the face maximizing each normal.
+
+    By Cauchy-Schwarz every partial sum of an inner product is at most
+    |v||u| in size, so the products run in the smallest integer type
+    that holds that bound.
+    """
+    V = np.array(vertices, dtype=np.int64)
+    U = np.array(normals, dtype=np.int64)
+    bound = isqrt(int((V * V).sum(axis=1).max()) * int((U * U).sum(axis=1).max())) + 1
+    dt = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    prod = V.astype(dt) @ U.T.astype(dt)
+    cols, rows = np.nonzero((prod == prod.max(axis=0)).T)
+    rows = rows.tolist()
+    ends = np.cumsum(np.bincount(cols, minlength=len(normals))).tolist()
+    return [frozenset(rows[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def orbit_facet_data(n: int):
+    roots = _E_ROOTS_2X[:n]
+    v_node, c_node, s_node = _WEIGHT_NODES[n]
+    vertices = weyl_orbit(_fundamental_weight_vector(roots, v_node), roots)
+    facets: List[Tuple[FrozenSet[int], str]] = []
+    for node in (c_node, s_node):
+        normals = weyl_orbit(_fundamental_weight_vector(roots, node), roots)
+        for fv in facets_by_maximization(vertices, normals):
+            if len(fv) == n:
+                facets.append((fv, SIMPLEX))
+            elif len(fv) == 2 * (n - 1):
+                facets.append((fv, CROSS))
+            else:
+                raise ValidationError(
+                    f"weight-orbit facet has {len(fv)} vertices; expected {n} or {2 * (n - 1)}"
+                )
+    if len({fv for fv, _ in facets}) != len(facets):
+        raise ValidationError("duplicate facets from distinct orbit normals")
+    return [tuple(v) for v in vertices], facets

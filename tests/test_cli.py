@@ -13,7 +13,7 @@ from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 from cuspforge import characteristic, cli, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.lattice import polygon_lattice
+from cuspforge.lattice import polygon_lattice, simplex_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex
@@ -432,3 +432,12 @@ def test_gosset_env_budget_smoke(tmp_path, monkeypatch):
     run(["gosset", "--n", "3", "--out", str(g3)])
     run(["subdivide", "--in", str(g3), "--out", str(k2)])
     assert run(["rzk", "--in", str(k2)]) == 3
+
+
+def test_pipeline_refuses_a_data_lattice_that_is_not_gosset(tmp_path, monkeypatch, capsys):
+    # the tetrahedron has rank 3 but not G^3's vertex and facet counts
+    (tmp_path / "gosset3.json").write_text(simplex_lattice(3).to_json())
+    monkeypatch.setenv("CUSPFORGE_DATA", str(tmp_path))
+    capsys.readouterr()
+    _assert_validation_exit(["pipeline", "--n", "3", "--outdir", str(tmp_path / "out")], capsys)
+    assert not (tmp_path / "out" / "p3.json").exists()

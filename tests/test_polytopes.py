@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from cuspforge import polytopes
+from cuspforge import PipelineConfig, pipeline, polytopes, run_pipeline
 from cuspforge.cli import main
 from cuspforge.errors import ValidationError
-from cuspforge.lattice import FaceLattice
+from cuspforge.lattice import IDEAL, REAL, FaceLattice, simplex_lattice
 from cuspforge.polytopes import (
     _E_ROOTS_2X,
     _WEIGHT_NODES,
@@ -27,6 +28,8 @@ from cuspforge.polytopes import (
     ingest_gosset,
     racg_data,
 )
+
+from dense_oracles import FaceLatticeOracle, orbit_facet_data
 
 
 def hull_facets(points):
@@ -297,10 +300,13 @@ def _orbit_oracle(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> L
 def test_bitset_assembly_checks_match_set_oracles(n):
     G = gosset(n)
     fv, types = G.facet_vertex_sets, G.facet_types
-    pairs = polytopes._antipodal_pairs(fv, types)
+    rows = polytopes._antipodal_pairs(G.simplex_rows, G.cross_rows, G.cross)
+    pairs = [()] * len(types)
+    for i, p in zip(G.cross_facet_ids(), rows.tolist()):
+        pairs[i] = tuple(map(tuple, p))
     assert pairs == _antipodal_oracle(fv, types, G.num_vertices)
     assert tuple(pairs) == G.antipodal_pairs
-    assert polytopes._ridge_check(fv, types, pairs) == _ridge_oracle(n, fv, types, pairs)
+    assert polytopes._ridge_check(G.simplex_rows, rows) == _ridge_oracle(n, fv, types, pairs)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -376,6 +382,13 @@ def test_listed_faces_match_intersection_closure(n):
     assert G.lattice == FaceLattice(n, len(fv), faces)
 
 
+def _assemble_sets(n, num_vertices, facets, full_lattice):
+    """``polytopes._assemble`` on (vertex set, type) pairs."""
+    S, C = (np.array([sorted(f) for f, t in facets if t == kind], dtype=np.int64).reshape(-1, width)
+            for kind, width in ((SIMPLEX, n), (CROSS, 2 * (n - 1))))
+    return polytopes._assemble(n, num_vertices, S, C, None, full_lattice=full_lattice)
+
+
 def test_full_lattice_refuses_two_facets_on_one_vertex_set():
     # an isolated pair of equal simplices passes the antipodal and ridge
     # checks; no face lies on one of them alone
@@ -384,7 +397,7 @@ def test_full_lattice_refuses_two_facets_on_one_vertex_set():
     facets = list(zip(G.facet_vertex_sets, G.facet_types)) + [(pillow, SIMPLEX)] * 2
     for full in (False, True):
         with pytest.raises(ValidationError):
-            polytopes._assemble(4, G.num_vertices + 4, facets, None, full_lattice=full)
+            _assemble_sets(4, G.num_vertices + 4, facets, full)
     with pytest.raises(ValidationError, match="is not a vertex"):
         faces_from_facet_vertex_sets([f for f, _ in facets])
 
@@ -416,6 +429,11 @@ def _edge_on_one_facet(facets):
     return facets[:1] + [(f, t) for f, t in facets[1:] if not {0, 1} <= f]
 
 
+def _counts_message(simplices, crosses):
+    return (f"ingested lattice has 16 vertices, {simplices} simplex and {crosses} cross facets; "
+            "G^5 has 16, 16 and 10")
+
+
 REFUSED_G5 = [
     (_without_first, "16 ridges not shared by exactly two facets"),
     (_without_last, "16 ridges not shared by exactly two facets"),
@@ -423,17 +441,25 @@ REFUSED_G5 = [
     (_edge_on_one_facet, "facet 0: vertex in two antipodal pairs"),
 ]
 
+# ingestion refuses a facet list without G^5's counts before the assembly
+INGESTED_G5 = {
+    _without_first: _counts_message(16, 9),
+    _without_last: _counts_message(16, 9),
+    _edge_on_one_facet: _counts_message(14, 8),
+}
+
 
 @pytest.mark.parametrize("mutate,message", REFUSED_G5)
 def test_assembly_refuses_broken_facet_lists(tmp_path, monkeypatch, capsys, mutate, message):
     facets = mutate(_g5_facets())
     with pytest.raises(ValidationError) as err:
-        polytopes._assemble(5, 16, facets, None, full_lattice=False)
+        _assemble_sets(5, 16, facets, False)
     assert str(err.value) == message
     # the same facets as a face-lattice file: vertices by their facet sets
     faces = [(0, frozenset(i for i, (f, _) in enumerate(facets) if v in f)) for v in range(16)]
     faces += [(4, frozenset({i})) for i in range(len(facets))]
     text = FaceLattice(5, len(facets), faces).to_json()
+    message = INGESTED_G5.get(mutate, message)
     with pytest.raises(ValidationError) as err:
         ingest_gosset(text, 5)
     assert str(err.value) == message
@@ -446,4 +472,112 @@ def test_assembly_refuses_broken_facet_lists(tmp_path, monkeypatch, capsys, muta
 
 def test_assembly_refuses_a_vertex_on_no_facet():
     with pytest.raises(ValidationError, match="^some vertex lies on no facet$"):
-        polytopes._assemble(5, 17, _g5_facets(), None, full_lattice=False)
+        _assemble_sets(5, 17, _g5_facets(), False)
+
+
+# -- the Wythoff generator against the maximization route ------------------
+
+
+def _facet_lattices_oracle(n, facets, num_vertices):
+    """G's and P's lattice documents from a facet list in canonical order,
+    through the per-face constructor: each vertex by the facets through it
+    (partial) or each face of the intersection closure by the facets that
+    hold it (full), and P's faces dual to G's."""
+    fv = [f for f, _ in facets]
+    marks = {f: IDEAL if kind == CROSS else REAL for f, kind in facets}
+    if n <= 6:
+        graded = faces_from_facet_vertex_sets(fv)
+        g_faces = [(d, frozenset(i for i, f in enumerate(fv) if vs <= f)) for vs, d in graded]
+        p_faces = [(n - 1 - d, vs) for vs, d in graded]
+    else:
+        g_faces = [(0, frozenset(i for i, f in enumerate(fv) if v in f)) for v in range(num_vertices)]
+        g_faces += [(n - 1, {i}) for i in range(len(fv))]
+        p_faces = [(0, f) for f in fv] + [(n - 1, {v}) for v in range(num_vertices)]
+    return (FaceLatticeOracle(n, len(fv), g_faces).to_json(),
+            FaceLatticeOracle(n, num_vertices, p_faces, marks).to_json())
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_wythoff_facets_match_the_maximization_route(n):
+    vertices, facets = orbit_facet_data(n)
+    facets.sort(key=lambda ft: sorted(ft[0]))
+    fv, types = [f for f, _ in facets], [t for _, t in facets]
+    G = gosset(n)
+    assert G.vertex_coordinates == tuple(vertices)
+    assert G.facet_types == tuple(types)
+    assert G.facet_vertex_sets == tuple(fv)
+    assert G.simplex_rows.tolist() == [sorted(f) for f, t in facets if t == SIMPLEX]
+    assert G.cross_rows.tolist() == [sorted(f) for f, t in facets if t == CROSS]
+    assert G.antipodal_pairs == tuple(_antipodal_oracle(fv, types, len(vertices)))
+    P = ideal_dual(G)
+    assert P.ideal_vertices == tuple(sorted((f for f, t in facets if t == CROSS), key=sorted))
+    assert P.axes == {f: p for f, p in zip(fv, G.antipodal_pairs) if p}
+    assert (G.lattice.to_json(), P.lattice.to_json()) == _facet_lattices_oracle(n, facets, len(vertices))
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ((1, 6, 3), "weight-orbit facet has 2 vertices; expected 6 or 10"),
+    ((1, 6, 6), "duplicate facets from distinct orbit normals"),
+])
+def test_generator_refusals_match_the_maximization_route(monkeypatch, nodes, message):
+    # a wrong node gives faces of another size, a repeated one each facet twice
+    monkeypatch.setitem(_WEIGHT_NODES, 6, nodes)
+    for generate in (gosset, orbit_facet_data):
+        with pytest.raises(ValidationError) as err:
+            generate(6)
+        assert str(err.value) == message
+
+
+def test_reflection_permutations_refuse_a_vertex_set_not_closed():
+    roots = _E_ROOTS_2X[:6]
+    R = np.array(roots)
+    V = np.array(polytopes.weyl_orbit(_fundamental_weight_vector(roots, 1), roots))
+    perms = polytopes._reflection_perms(V, R)
+    assert all(sorted(p) == list(range(len(V))) for p in perms.tolist())
+    assert (np.take_along_axis(perms, perms, axis=1) == np.arange(len(V))).all()  # involutions
+    with pytest.raises(ValidationError, match="^vertex set not closed under the reflections$"):
+        polytopes._reflection_perms(V[1:], R)
+
+
+def test_ridge_keys_refuse_rows_past_int64():
+    # 1001^7 > 2^63: keys of 7-vertex ridges over 1001 vertices would wrap
+    S = np.array([[0, 1, 2, 3, 4, 5, 6, 1000]])
+    with pytest.raises(ValidationError, match="^ridge rows too long for int64 keys$"):
+        polytopes._ridge_check(S, np.zeros((0, 7, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_gosset_views_stay_out_of_equality_hash_and_pickles(n):
+    G = gosset(n)
+    blob, h = pickle.dumps(G), hash(G)
+    assert not G._views
+    G.facet_vertex_sets, G.facet_types, G.antipodal_pairs, G.graded_faces
+    assert G._views
+    assert pickle.dumps(G) == blob and hash(G) == h
+    back = pickle.loads(blob)
+    assert not back._views and back == G and hash(back) == h
+    assert back.facet_vertex_sets == G.facet_vertex_sets and back.graded_faces == G.graded_faces
+    assert gosset(n) == G and G != gosset(n + 1)
+
+
+def test_census_pipeline_builds_no_per_facet_view(tmp_path, monkeypatch):
+    built = []
+
+    def spy(n):
+        built.append(gosset(n))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "gosset", spy)
+    run_pipeline(PipelineConfig(n=8, census_only=True, outdir=str(tmp_path)))
+    (G,) = built
+    assert "facet_vertex_sets" not in G._views and not G._views
+
+
+def test_ingestion_refuses_a_lattice_with_other_counts():
+    for n in range(3, 8):
+        ingest_gosset(gosset(n).lattice.to_json(), n)
+    message = r"^ingested lattice has 4 vertices, 4 simplex and 0 cross facets; G\^3 has 6, 2 and 3$"
+    with pytest.raises(ValidationError, match=message):
+        ingest_gosset(simplex_lattice(3).to_json(), 3)
+    with pytest.raises(ValidationError, match="^gosset polytopes exist for 3 <= n <= 8 only$"):
+        ingest_gosset(simplex_lattice(9).to_json(), 9)

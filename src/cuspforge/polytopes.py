@@ -153,6 +153,7 @@ class GossetPolytope:
         return hash(self._key())
 
     def __getstate__(self):
+        # every slot but the views, in the order __init__ takes them
         return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
     def __setstate__(self, state) -> None:
@@ -532,10 +533,8 @@ def _assemble(
     ns = len(S)
     # facets in order of their sorted vertex tuples: rows of v + 1, 0-padded
     padded = np.zeros((ns + len(C), 2 * (n - 1)), dtype=dt)
-    padded[:ns, :n] = S
-    padded[ns:] = C
-    padded[:ns, :n] += 1
-    padded[ns:] += 1
+    padded[:ns, :n] = S + 1
+    padded[ns:] = C + 1
     order, starts = _row_runs(padded)
     cross = order >= ns
     S, C = S[order[~cross]], C[order[cross] - ns]

@@ -46,7 +46,6 @@ from .filling import (
     diagonals_from_filling,
     duality_check,
     enumerate_filling_choices,
-    is_simple,
     subdivide_cross_facets,
 )
 from .isomorphism import cubical_isomorphism, find_isomorphism, isomorphic

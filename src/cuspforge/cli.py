@@ -35,7 +35,7 @@ from .filling import (
 from .lattice import FaceLattice
 from .moment_angle import Colouring, colour_manifold, cusp_census, real_moment_angle
 from .pipeline import PipelineConfig, census_json, run_pipeline, verify
-from .polytopes import gosset, ideal_dual, ideal_polytope_from_lattice, ingest_gosset
+from .polytopes import gosset, gosset_from_lattice, ideal_dual, ideal_polytope_from_lattice
 from .simplicial import SimplicialComplex
 
 
@@ -113,7 +113,7 @@ def _cmd_fill(args) -> int:
 
 def _cmd_subdivide(args) -> int:
     lattice = FaceLattice.from_json(_read(args.infile))
-    G = ingest_gosset(lattice.to_json(), lattice.rank)
+    G = gosset_from_lattice(lattice)
     if args.diagonals == "auto":
         d = auto_diagonals(G)
     else:

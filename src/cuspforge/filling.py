@@ -103,11 +103,6 @@ def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     return DehnFilling(lattice=lattice, filling_faces=filling_faces)
 
 
-def is_simple(P: FaceLattice) -> bool:
-    """Each rank-(n-k) face lies in exactly k facets."""
-    return P.is_simple()
-
-
 def resolve_choice(P: IdealPolytope, spec) -> FillingChoice:
     """A filling choice from a {vertex: axis index} mapping or "auto".
 

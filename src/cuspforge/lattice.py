@@ -14,9 +14,10 @@ one ideal flag per face.  Producers that hold rows hand them over as
 arrays (``FaceLattice.from_arrays``); the constructor converts (rank,
 facet set) pairs to the same arrays, and both end in one check that runs
 each test once over the arrays.  The JSON document is written from the
-arrays.  The per-face views ``faces`` and the facet-set index, and the
-facet-to-face incidence that serves ``faces_containing``, are built on
-first use and kept out of ``==``, ``hash`` and pickles.
+arrays.  Readers take the rows of one rank (``rows_of_rank``) or every
+face at once; no face is looked up by its facet set.  The per-face view
+``faces`` is built on first use and kept out of ``==``, ``hash`` and
+pickles.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class FaceLattice:
     distinguishes.
     """
 
-    __slots__ = ("rank", "num_facets", "_ranks", "_ptr", "_facets", "_ideal",
-                 "_face_view", "_index_view", "_incidence_view")
+    __slots__ = ("rank", "num_facets", "_ranks", "_ptr", "_facets", "_ideal", "_face_view")
 
     def __init__(
         self,
@@ -132,8 +132,6 @@ class FaceLattice:
 
     def _clear_caches(self) -> None:
         self._face_view: Optional[Tuple[Face, ...]] = None
-        self._index_view: Optional[Dict[FrozenSet[int], int]] = None
-        self._incidence_view: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- views -------------------------------------------------------------
 
@@ -154,24 +152,6 @@ class FaceLattice:
     def marks(self) -> Tuple[str, ...]:
         return tuple(map((REAL, IDEAL).__getitem__, self._ideal.tolist()))
 
-    @property
-    def _index(self) -> Dict[FrozenSet[int], int]:
-        """Position of each facet set; built on first use."""
-        if self._index_view is None:
-            self._index_view = {s: i for i, (_, s) in enumerate(self.faces)}
-        return self._index_view
-
-    @property
-    def _incidence(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Facet to face incidence as (ptr, ids): the faces on facet f are
-        ``ids[ptr[f]:ptr[f + 1]]``, ascending; built on first use."""
-        if self._incidence_view is None:
-            order = np.argsort(self._facets, kind="stable")
-            owner = np.repeat(np.arange(len(self._ranks)), np.diff(self._ptr))
-            ptr = np.concatenate(([0], np.cumsum(np.bincount(self._facets, minlength=self.num_facets))))
-            self._incidence_view = ptr, owner[order]
-        return self._incidence_view
-
     # -- queries ---------------------------------------------------------
 
     def faces_of_rank(self, k: int) -> List[FrozenSet[int]]:
@@ -187,18 +167,9 @@ class FaceLattice:
     def vertex_faces(self) -> List[FrozenSet[int]]:
         return self.faces_of_rank(0)
 
-    def mark_of(self, facet_set: FrozenSet[int]) -> str:
-        return IDEAL if self._ideal[self._index[frozenset(facet_set)]] else REAL
-
     def ideal_vertices(self) -> List[FrozenSet[int]]:
         flat, ptr = self._facets.tolist(), self._ptr.tolist()
         return [frozenset(flat[ptr[i]:ptr[i + 1]]) for i in np.flatnonzero(self._ideal).tolist()]
-
-    def rank_of(self, facet_set: Iterable[int]) -> int:
-        return int(self._ranks[self._index[frozenset(facet_set)]])
-
-    def has_face(self, facet_set: Iterable[int]) -> bool:
-        return frozenset(facet_set) in self._index
 
     def ranks_present(self) -> List[int]:
         return self._ranks[np.flatnonzero(np.diff(self._ranks, prepend=-1))].tolist()
@@ -218,18 +189,6 @@ class FaceLattice:
     def is_simple(self) -> bool:
         """True iff each rank-(n-k) face lies in exactly k facets."""
         return bool((np.diff(self._ptr) == self.rank - self._ranks).all())
-
-    def faces_containing(self, facet_set: Iterable[int]) -> List[Face]:
-        """Faces above the given one (smaller facet sets), itself included:
-        the faces that the incidence lists of the given facets name once
-        for each of their own facets."""
-        ptr, ids = self._incidence
-        base = [f for f in set(facet_set) if 0 <= f < self.num_facets]
-        if not base:
-            return []
-        hits = np.bincount(np.concatenate([ids[ptr[f]:ptr[f + 1]] for f in base]))
-        faces = self.faces
-        return [faces[i] for i in np.flatnonzero(hits == np.diff(self._ptr[:len(hits) + 1])).tolist()]
 
     # -- structural checks -------------------------------------------------
 

@@ -25,17 +25,16 @@ prove to be faces.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product, repeat
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import FaceLattice
+from .lattice import IDEAL, FaceLattice
 
 SIMPLEX = "simplex"
 CROSS = "cross"
@@ -600,16 +599,22 @@ def gosset(n: int, full_lattice: Optional[bool] = None, data_dir: Optional[str] 
 
 
 def ingest_gosset(text: str, n: int) -> GossetPolytope:
-    """Validate and adopt an externally computed face-lattice file for G^n.
+    """Validate and adopt an externally computed face-lattice file for G^n."""
+    lat = FaceLattice.from_json(text)
+    if lat.rank != n:
+        raise ValidationError(f"ingested lattice has rank {lat.rank}, expected {n}")
+    return gosset_from_lattice(lat)
+
+
+def gosset_from_lattice(lat: FaceLattice) -> GossetPolytope:
+    """Read G^n from its face lattice, n its rank.
 
     The vertices, read by the facets through them, must lie on simplex
     facets of n vertices and cross facets of 2(n-1), and their numbers
     must be G^n's."""
+    n = lat.rank
     if n not in _GOSSET_COUNTS:
         raise ValidationError("gosset polytopes exist for 3 <= n <= 8 only")
-    lat = FaceLattice.from_json(text)
-    if lat.rank != n:
-        raise ValidationError(f"ingested lattice has rank {lat.rank}, expected {n}")
     ptr, facets = lat.rows_of_rank(0)
     num_vertices = len(ptr) - 1
     sizes = np.bincount(facets, minlength=lat.num_facets)
@@ -663,7 +668,6 @@ def ideal_dual(G: GossetPolytope) -> IdealPolytope:
     adjacency = None
     if lattice.is_complete():
         adjacency = frozenset(lattice.faces_of_rank(n - 2))
-        _validate_links(lattice, set(ideal))
     return IdealPolytope(
         n=n,
         lattice=lattice,
@@ -674,57 +678,28 @@ def ideal_dual(G: GossetPolytope) -> IdealPolytope:
 
 
 def ideal_polytope_from_lattice(lattice: FaceLattice) -> IdealPolytope:
-    """Rebuild an IdealPolytope from a marked face-lattice document.
+    """Read P^n from a marked face-lattice document.
 
-    On complete lattices the cube-link axes at an ideal vertex are the
-    facet pairs that span no face: opposite cube facets meet only at the
-    vertex itself.  Partial lattices keep the census data but no axes.
+    The vertex rows of P are the facet rows of G: an ideal vertex, 2(n-1)
+    facets wide, is a cross facet and a real vertex, n wide, a simplex
+    facet.  They pass the checks of a generated facet list (antipodal
+    matching, ridges, vertex coverage), and the lattice is refused unless
+    it is the ideal dual of the G they assemble, which is returned.
     """
     n = lattice.rank
-    ideal = [s for s in lattice.ideal_vertices()]
-    axes: Dict[FrozenSet[int], Tuple[Tuple[int, int], ...]] = {}
-    adjacency = None
-    if lattice.is_complete():
-        for v in ideal:
-            if len(v) != 2 * (n - 1):
-                raise ValidationError("ideal vertex has wrong facet count")
-            partner: Dict[int, int] = {}
-            pairs = []
-            for a, b in combinations(sorted(v), 2):
-                if not lattice.has_face({a, b}):
-                    if a in partner or b in partner:
-                        raise ValidationError("ideal vertex link is not a cube")
-                    partner[a] = b
-                    partner[b] = a
-                    pairs.append((a, b))
-            if len(partner) != len(v):
-                raise ValidationError("ideal vertex link is not a cube")
-            axes[v] = tuple(sorted(pairs))
-        adjacency = frozenset(lattice.faces_of_rank(n - 2))
-        _validate_links(lattice, set(ideal))
-    return IdealPolytope(
-        n=n,
-        lattice=lattice,
-        ideal_vertices=tuple(sorted(ideal, key=sorted)),
-        axes=axes,
-        facet_adjacency=adjacency,
-    )
-
-
-def _validate_links(lattice: FaceLattice, ideal: set) -> None:
-    """Cube links at ideal vertices, simplex links at real ones."""
-    n = lattice.rank
-    for s in lattice.vertex_faces():
-        above = [fs for k, fs in lattice.faces_containing(s) if fs != s]
-        if s in ideal:
-            if len(s) != 2 * (n - 1):
-                raise ValidationError("ideal vertex has wrong facet count")
-            sizes = Counter(map(len, above))
-            for k in range(1, n):
-                if sizes[n - k] != comb(n - 1, n - k) * (1 << (n - k)):
-                    raise ValidationError("ideal vertex link is not a cube")
-        else:
-            if len(s) != n:
-                raise ValidationError("real vertex is not simple")
-            if len(above) != (1 << n) - 2:
-                raise ValidationError("real vertex link is not a simplex")
+    if n not in _GOSSET_COUNTS:
+        raise ValidationError("ideal polytopes P^n exist for 3 <= n <= 8 only")
+    ptr, facets = lattice.rows_of_rank(0)
+    widths = np.diff(ptr)
+    ideal = np.array([m == IDEAL for m in lattice.marks[:len(widths)]], dtype=bool)  # vertices come first
+    if (widths[ideal] != 2 * (n - 1)).any():
+        raise ValidationError("ideal vertex has wrong facet count")
+    if (widths[~ideal] != n).any():
+        raise ValidationError("real vertex is not simple")
+    at_ideal = np.repeat(ideal, widths)
+    G = _assemble(n, lattice.num_facets, facets[~at_ideal].reshape(-1, n),
+                  facets[at_ideal].reshape(-1, 2 * (n - 1)), None, full_lattice=lattice.is_complete())
+    P = ideal_dual(G)
+    if P.lattice != lattice:
+        raise ValidationError("lattice is not the ideal dual of its vertex rows")
+    return P

@@ -43,8 +43,12 @@ filter of the simplicial constructor.
 A face lattice is one store of flat arrays, checked, ordered and written
 once per face.  ``FaceLatticeOracle`` keeps the parent's constructor
 (frozenset faces, a sort key per face, a mark per face and the facet-set
-index) and its JSON writer verbatim, and ``faces_containing_oracle`` the
-scan of every face that the incidence lookup replaced.
+index) and its JSON writer verbatim.
+
+Both readers of P^n end in ``ideal_dual``, whose antipodal and ridge
+checks prove the vertex links.  ``validate_links_oracle`` is the second
+link check they ran before, on the lattice alone: each vertex's link
+counted through a facet-to-face incidence.
 
 The Gosset generator carries each facet's vertex row through the orbit
 closure of its normal.  The route it replaced, one orbit of normals and
@@ -59,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, groupby
-from math import isqrt
+from math import comb, isqrt
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -808,10 +812,31 @@ class FaceLatticeOracle:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def faces_containing_oracle(lattice: FaceLattice, facet_set: Iterable[int]) -> List[Face]:
-    """Faces above the given one, itself included, by a scan of every face."""
-    base = frozenset(facet_set)
-    return [(k, s) for k, s in lattice.faces if s <= base]
+def validate_links_oracle(lattice: FaceLattice, ideal: set) -> None:
+    """Cube links at ideal vertices, simplex links at real ones."""
+    n = lattice.rank
+    # facet to face incidence: the faces on facet f are ids[ptr[f]:ptr[f + 1]]
+    order = np.argsort(lattice._facets, kind="stable")
+    widths = np.diff(lattice._ptr)
+    ids = np.repeat(np.arange(len(widths)), widths)[order]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(lattice._facets, minlength=lattice.num_facets))))
+    faces = lattice.faces
+    for s in lattice.vertex_faces():
+        # the faces above s, itself included, are named once for each of their facets
+        hits = np.bincount(np.concatenate([ids[ptr[f]:ptr[f + 1]] for f in s]), minlength=len(widths))
+        above = [faces[i][1] for i in np.flatnonzero(hits == widths).tolist() if faces[i][1] != s]
+        if s in ideal:
+            if len(s) != 2 * (n - 1):
+                raise ValidationError("ideal vertex has wrong facet count")
+            sizes = Counter(map(len, above))
+            for k in range(1, n):
+                if sizes[n - k] != comb(n - 1, n - k) * (1 << (n - k)):
+                    raise ValidationError("ideal vertex link is not a cube")
+        else:
+            if len(s) != n:
+                raise ValidationError("real vertex is not simple")
+            if len(above) != (1 << n) - 2:
+                raise ValidationError("real vertex link is not a simplex")
 
 
 def facets_by_maximization(

@@ -99,7 +99,7 @@ def test_criterion_01_bipyramid_and_cube_filling():
     G = gosset(3)
     P = ideal_dual(G)
     assert P.num_facets == 6
-    marks = [P.lattice.mark_of(s) for s in P.lattice.vertex_faces()]
+    marks = [m for (k, _), m in zip(P.lattice.faces, P.lattice.marks) if k == 0]
     assert marks.count(IDEAL) == 3 and marks.count(REAL) == 2
     target = octahedron_boundary()
     cubes = 0

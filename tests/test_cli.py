@@ -13,7 +13,7 @@ from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 from cuspforge import characteristic, cli, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.lattice import polygon_lattice, simplex_lattice
+from cuspforge.lattice import FaceLattice, polygon_lattice, simplex_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex
@@ -263,6 +263,9 @@ BAD_DOCUMENTS = [
     ("census", '{"type":"face_lattice"}'),
     ("census", '{"type":"face_lattice","rank":2,"facets":3,"faces":["x"]}'),
     ("census", '{"type":"face_lattice","rank":2,"facets":3,"faces":[{"rank":0}]}'),
+    # a rank-1 lattice: no P^n has it
+    ("census", '{"type":"face_lattice","rank":1,"facets":2,"faces":[{"rank":0,"facet_set":[0]},'
+               '{"rank":0,"facet_set":[1]}]}'),
 ]
 
 # a square's faces, then one fault each; fill and subdivide must refuse them
@@ -394,6 +397,36 @@ def test_cubical_readers_fuzz(tmp_path_factory, name, edits):
     path = tmp_path_factory.mktemp("fuzz") / name
     path.write_bytes(_edit(VALID_CUBE[name], edits))
     assert run(["homology", "--in", str(path)]) in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["census", "fill"])
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(edits=BYTE_EDITS)
+def test_face_lattice_readers_fuzz(p3_files, command, edits):
+    path = p3_files / "edited.json"
+    path.write_bytes(_edit((p3_files / "p3.json").read_bytes(), edits))
+    assert run([command, "--in", str(path), "--out", str(p3_files / "edited-out.json")]) in (0, 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_face_lattice_readers_refuse_every_face_deletion(tmp_path, capsys, n):
+    # a lattice missing a vertex, or any other face, is not P^n
+    p = tmp_path / "p.json"
+    assert run(["gosset", "--n", str(n), "--dual", "--out", str(p)]) == 0
+    doc = json.loads(p.read_text())
+    bad = tmp_path / "bad.json"
+    parsed = 0
+    for i in range(len(doc["faces"])):
+        text = json.dumps({**doc, "faces": doc["faces"][:i] + doc["faces"][i + 1:]})
+        try:
+            FaceLattice.from_json(text)
+        except ValidationError:
+            continue
+        parsed += 1
+        bad.write_text(text)
+        for command in ("census", "fill"):
+            _assert_validation_exit([command, "--in", str(bad), "--out", str(tmp_path / "out.json")], capsys)
+    assert parsed == len(doc["faces"]) - doc["facets"]  # all but the facet singletons parse
 
 
 def test_exit_code_budget_error(tmp_path):

@@ -29,7 +29,7 @@ from cuspforge.moment_angle import cusp_census
 from cuspforge.polytopes import CROSS, gosset, ideal_dual
 from cuspforge.simplicial import build_simplicial, octahedron_boundary
 
-from dense_oracles import FaceLatticeOracle, faces_containing_oracle
+from dense_oracles import FaceLatticeOracle
 
 
 def test_cube_lattice_counts():
@@ -134,7 +134,6 @@ def assert_matches_oracle(L, O):
     assert L.rank == O.rank and L.num_facets == O.num_facets
     assert L.faces == O.faces
     assert L.marks == O.marks
-    assert L._index == O._index
     assert L.to_json() == O.to_json()
 
 
@@ -182,7 +181,7 @@ def test_census_path_builds_no_per_face_view():
     G.lattice.to_json()
     P.lattice.to_json()
     for L in (G.lattice, P.lattice):
-        assert L._face_view is None and L._index_view is None and L._incidence_view is None
+        assert L._face_view is None
 
 
 @pytest.fixture
@@ -319,21 +318,11 @@ def test_from_json_refuses_an_unknown_mark():
 # -- views: lookups, and kept out of the lattice's state -------------------
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_faces_containing_matches_the_scan(n):
-    G = gosset(n)
-    for L in (G.lattice, ideal_dual(G).lattice):
-        probes = [s for k, s in L.faces if k <= 1 or n <= 5]
-        probes += [frozenset(), frozenset(range(L.num_facets)), frozenset({0, -1, L.num_facets})]
-        for s in probes:
-            assert L.faces_containing(s) == faces_containing_oracle(L, s)
-
-
 def test_views_stay_out_of_equality_hash_and_pickles():
     for L in (cube_lattice(3), ideal_dual(gosset(4)).lattice):
         blob, h = pickle.dumps(L), hash(L)
-        L.faces, L._index, L.faces_containing(next(iter(L.faces))[1])
-        assert L._face_view is not None and L._incidence_view is not None
+        L.faces
+        assert L._face_view is not None
         assert pickle.dumps(L) == blob and hash(L) == h
         M = FaceLattice.from_json(L.to_json())
         assert M._face_view is None and M == L and hash(M) == h
@@ -349,4 +338,4 @@ def test_g8_lattice_pickles_without_views():
     L = gosset(8).lattice
     back = pickle.loads(pickle.dumps(L))
     assert back == L and hash(back) == hash(L)
-    assert back._face_view is None and back._index_view is None and back._incidence_view is None
+    assert back._face_view is None

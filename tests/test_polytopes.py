@@ -29,7 +29,7 @@ from cuspforge.polytopes import (
     racg_data,
 )
 
-from dense_oracles import FaceLatticeOracle, orbit_facet_data
+from dense_oracles import FaceLatticeOracle, orbit_facet_data, validate_links_oracle
 
 
 def hull_facets(points):
@@ -153,11 +153,17 @@ def test_gosset_range_errors():
         gosset(9)
 
 
-def test_ideal_polytope_from_lattice_matches_generator():
-    P = ideal_dual(gosset(3))
-    Q = ideal_polytope_from_lattice(P.lattice)
-    assert Q.ideal_vertices == P.ideal_vertices
-    assert {v: Q.axes_of(v) for v in Q.ideal_vertices} == dict(P.axes)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_ideal_polytope_from_lattice_matches_generator(n):
+    P = ideal_dual(gosset(n))
+    assert ideal_polytope_from_lattice(P.lattice) == P
+
+
+@pytest.mark.parametrize("n,full", [(3, None), (4, None), (5, None), (6, None), (7, True)])
+def test_dual_vertex_links_pass_the_link_oracle(n, full):
+    P = ideal_dual(gosset(n, full_lattice=full))
+    validate_links_oracle(P.lattice, set(P.ideal_vertices))
+    assert ideal_polytope_from_lattice(P.lattice) == P
 
 
 def test_e6_orbit_generator_structure():

@@ -1,16 +1,21 @@
 """Integer Smith normal form with unimodular transforms.
 
-Entries are Python ints, so there is no overflow to guard against; pivot
-selection by minimal absolute value keeps coefficient growth tame on the
-sparse incidence matrices this library produces.
+Entries are Python ints (an entry or column index of any other type is
+refused, numpy integers are converted), so there is no overflow to guard
+against.
 
 The working matrix is held sparse: rows of {column: non-zero entry},
 plus for each column the set of rows where it is non-zero, so a move
 touches only the entries it changes and a scan skips zero rows.  When
 step t starts, rows and columns above t are finished (only their
 diagonal entry is non-zero), so every entry left lies in rows and
-columns >= t.  The pivot is the first entry of least absolute value in
-row-major order, column t is cleared below it, then row t right of it,
+columns >= t.  The pivot limits fill-in (Markowitz): among the rows
+>= t holding a unit, the shortest, ties to the lower row, and in it the
+unit whose column has the fewest non-zeros, ties to the lower column.
+The rows are found through a lazy heap of (length, row), pushed by each
+move that changes a row, so no step rescans every row.  With no unit
+left, the pivot is the first entry of least absolute value in row-major
+order.  Column t is cleared below the pivot, then row t right of it,
 and a pivot that does not divide every entry left has the first
 offending row folded into its row; a unit pivot divides every entry, so
 no divisibility scan follows it.
@@ -26,7 +31,9 @@ cost of the moves plus the fill-in, with no n x n object.  ``diag``,
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, islice
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress, islice
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError
@@ -118,6 +125,14 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
         raise ValidationError("sparse rows need ncols")
     else:
         n = len(matrix[0]) if matrix else 0
+    # the types of every entry and column index, zeros included
+    types = set(map(type, chain.from_iterable(r.values() if isinstance(r, dict) else r for r in matrix)))
+    types.update(map(type, chain.from_iterable(r for r in matrix if isinstance(r, dict))))
+    if not types <= {int}:
+        if not all(issubclass(ty, Integral) for ty in types):
+            raise ValidationError("matrix entries and column indices must be integers")
+        matrix = [{int(j): int(x) for j, x in r.items()} if isinstance(r, dict) else [int(x) for x in r]
+                  for r in matrix]
     rows: List[Dict[int, int]] = []
     for r in matrix:
         if isinstance(r, dict):
@@ -137,6 +152,9 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
     row_moves: List[Move] = []
     col_moves: List[Move] = []
     t = 0  # the current step
+    # (length, row) of every row as last changed; stale entries are skipped
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapify(heap)
 
     # Elementary moves on the working matrix, each logged.
     def row_swap(i, j):
@@ -145,6 +163,8 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
             cols[k] ^= {i, j}
         rows[i], rows[j] = rj, ri
         row_moves.append((i, j))
+        if ri:  # i is t: see find_pivot
+            heappush(heap, (len(ri), j))
 
     def col_swap(i, j):
         ci, cj = cols[i], cols[j]
@@ -170,6 +190,8 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
                 del d[k]
                 cols[k].remove(dst)
         row_moves.append((src, dst, c))
+        if d:
+            heappush(heap, (len(d), dst))
 
     def col_add(src, dst, c):
         # column dst += c * column src
@@ -183,6 +205,8 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
             else:
                 del row[dst]
                 col.remove(r)
+            if r != t and row:  # row t: see find_pivot
+                heappush(heap, (len(row), r))
         col_moves.append((src, dst, c))
 
     def row_negate(i):
@@ -190,13 +214,22 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
         row_moves.append((i,))
 
     def find_pivot() -> Optional[Tuple[int, int]]:
-        best = None
-        for i in compress(range(t, m), islice(rows, t, None)):
-            ax, j = min((abs(x), j) for j, x in rows[i].items())
-            if ax == 1:
-                return i, j
-            if best is None or ax < best[0]:
-                best = (ax, i, j)
+        # The least heap entry that is current (row >= t, length unchanged)
+        # and whose row holds a unit.  Each move that changes a row other
+        # than t pushes it, so an entry whose row holds no unit is dropped;
+        # row t is finished by its step or reopened by the fold's row_add,
+        # which pushes it.
+        while heap:
+            length, i = heap[0]
+            row = rows[i]
+            if i >= t and length == len(row):
+                unit = min(((len(cols[j]), j) for j, x in row.items() if x == 1 or x == -1), default=None)
+                if unit is not None:
+                    return i, unit[1]
+            heappop(heap)
+        # no unit left: the first entry of least absolute value, row-major
+        best = min(((abs(x), i, j) for i in compress(range(t, m), islice(rows, t, None))
+                    for j, x in rows[i].items()), default=None)
         return None if best is None else best[1:]
 
     limit = min(m, n)

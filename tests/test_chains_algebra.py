@@ -675,6 +675,24 @@ def test_cohomology_bases_match_oracle(name):
         assert [cohomology_z2_basis(data, k).dimension for k in range(5)] == [1, 30, 122, 30, 1]
 
 
+def test_integral_homology_of_the_filled_p4_manifold():
+    """H_*(-; Z) of the filled 4-manifold of the n=4 preset (axis 0 at
+    every cusp), by one Smith normal form per d_k on its sparse rows:
+    homology(Z) still refuses it at INTEGRAL_DENSE_LIMIT.  The Betti
+    numbers are the Z/2 ones and there is no torsion, so
+    H_* = (Z, Z^30, Z^122, Z^30, Z)."""
+    X = _filled_p4()
+    data = chain_complex_of(X, "Z")
+    with pytest.raises(BudgetError):
+        homology(data)
+    snfs = [smith_normal_form(data._sparse_rows(k), data.size(k - 1), data.size(k)) for k in range(1, 5)]
+    ranks = [0] + [snf.rank for snf in snfs] + [0]
+    assert ranks[1:5] == [1023, 4067, 4771, 1599]
+    betti = tuple(data.size(k) - ranks[k] - ranks[k + 1] for k in range(5))
+    assert betti == homology(chain_complex_of(X, "Z2")).betti == (1, 30, 122, 30, 1)
+    assert all(snf.invariant_factors() == [] for snf in snfs)
+
+
 def _refusal_or_splittings(splittings, data, k, l):
     try:
         return splittings(data, k, l)

@@ -1,8 +1,10 @@
 """Exact linear algebra kernels: GF(2) bitsets and integer Smith form."""
 
 import random
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import booleans, composite, floats, integers, permutations, randoms, sets
@@ -213,8 +215,33 @@ def test_snf_and_det_refuse_bad_shapes_with_validation_error():
         assert exc.value.exit_code == 2
 
 
+@pytest.mark.parametrize("matrix, ncols", [
+    ([[0.5, 1]], None),  # a float entry (read as the diagonal [0.5] before)
+    ([[1, 0.0]], None),  # a float zero
+    ([{0: 1.5}], 1),  # a float entry of a sparse row (diagonal [1.5] before)
+    ([{"a": 1}], 2),  # a column key that is not an integer (a bare TypeError before)
+    ([{0.0: 1}], 1),
+    ([[Fraction(1)]], None),
+])
+def test_snf_refuses_entries_and_columns_that_are_not_integers(matrix, ncols):
+    with pytest.raises(ValidationError, match="must be integers") as exc:
+        smith_normal_form(matrix, ncols=ncols)
+    assert exc.value.exit_code == 2
+
+
+def test_snf_reads_numpy_integers_as_python_ints():
+    dense = smith_normal_form(np.array([[2, 0], [0, 3]], dtype=np.int64))
+    sparse = smith_normal_form([{np.int64(0): np.int32(2)}, {1: np.int64(3)}], ncols=2)
+    for res in (dense, sparse):
+        assert res.diag == [1, 6]
+        assert all(type(d) is int for d in res.diag)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the dense Smith normal form that the sparse one replaced, verbatim
+# but for its pivot choice, which is a parameter: ``fewest_nonzeros_pivot``
+# (the sparse rule, by a dense scan) or ``first_least_pivot`` (the rule the
+# dense form had)
 # ---------------------------------------------------------------------------
 
 
@@ -222,7 +249,38 @@ def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None) -> DenseSNF:
+def first_least_pivot(w, t: int, m: int, n: int) -> Optional[Tuple[int, int]]:
+    """The first entry of least absolute value in rows and columns >= t,
+    in row-major order."""
+    best = None
+    best_val = None
+    for i in range(t, m):
+        row = w[i]
+        for j in range(t, n):
+            x = row[j]
+            if x != 0:
+                ax = abs(x)
+                if best_val is None or ax < best_val:
+                    best, best_val = (i, j), ax
+                    if ax == 1:
+                        return best
+    return best
+
+
+def fewest_nonzeros_pivot(w, t: int, m: int, n: int) -> Optional[Tuple[int, int]]:
+    """Among rows >= t holding a unit, the one with the fewest non-zeros,
+    ties to the lower row; in it the unit whose column has the fewest
+    non-zeros, ties to the lower column.  With no unit, first_least_pivot."""
+    units = [i for i in range(t, m) if any(abs(x) == 1 for x in w[i])]
+    if not units:
+        return first_least_pivot(w, t, m, n)
+    i = min(units, key=lambda r: (sum(1 for x in w[r] if x), r))
+    j = min((c for c in range(n) if abs(w[i][c]) == 1), key=lambda c: (sum(1 for r in w if r[c]), c))
+    return i, j
+
+
+def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None,
+                  pivot=fewest_nonzeros_pivot) -> DenseSNF:
     """Compute the Smith normal form of an integer matrix.
 
     Accepts an empty matrix if nrows/ncols are given explicitly.
@@ -280,19 +338,7 @@ def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, nco
             r[i] = -r[i]
 
     def find_pivot(t: int) -> Optional[Tuple[int, int]]:
-        best = None
-        best_val = None
-        for i in range(t, m):
-            row = w[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0:
-                    ax = abs(x)
-                    if best_val is None or ax < best_val:
-                        best, best_val = (i, j), ax
-                        if ax == 1:
-                            return best
-        return best
+        return pivot(w, t, m, n)
 
     t = 0
     limit = min(m, n)
@@ -354,9 +400,17 @@ def _smith_oracle(matrix: Sequence[Sequence[int]], nrows: int | None = None, nco
 SNF_FIELDS = ("nrows", "ncols", "diag", "u", "v", "uinv", "vinv")
 
 
+def _oracle_with_both_rules(matrix, nrows=None, ncols=None) -> DenseSNF:
+    """The oracle under the sparse rule, after checking that the former
+    rule reaches the same diagonal (invariant factors are unique)."""
+    want = _smith_oracle(matrix, nrows, ncols)
+    assert _smith_oracle(matrix, nrows, ncols, first_least_pivot).diag == want.diag
+    return want
+
+
 def _assert_matches_oracle(matrix, nrows=None, ncols=None):
     got = dense_snf(smith_normal_form(matrix, nrows, ncols))
-    want = _smith_oracle(matrix, nrows, ncols)
+    want = _oracle_with_both_rules(matrix, nrows, ncols)
     for name in SNF_FIELDS:
         assert getattr(got, name) == getattr(want, name), name
     return got
@@ -394,10 +448,19 @@ def test_snf_transforms_match_oracle_on_boundary_maps():
     assert cusp_torus.sizes() == (16, 32, 16)
     cases = [(cusped, 3)] + [(d, k) for d in (t3, data, cusp_torus) for k in range(d.top_dim + 2)]
     for d, k in cases:
-        want = _smith_oracle(dense_boundary(d, k), d.size(k - 1), d.size(k))
+        want = _oracle_with_both_rules(dense_boundary(d, k), d.size(k - 1), d.size(k))
         got = dense_snf(d.smith(k))
         for name in SNF_FIELDS:
             assert getattr(got, name) == getattr(want, name), (d.sizes(), k, name)
+
+
+def test_unit_pivots_limit_fill_on_the_cusped_quotient():
+    """The moves of the three eliminations of the cusped P^3 quotient (the
+    pivot rule alone fixes them): 6010 with the fewest-non-zeros unit pivot,
+    18813 with the first unit in row-major order."""
+    data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    moves = sum(len(data.smith(k)._row_moves) + len(data.smith(k)._col_moves) for k in (1, 2, 3))
+    assert moves <= 7000
 
 
 def test_second_z2_homology_runs_no_elimination(monkeypatch):
@@ -490,17 +553,32 @@ def integer_matrices(draw):
     return a, m, n
 
 
+@composite
+def incidence_matrices(draw):
+    """Up to 9 x 9 with entries in {-1, 0, 1}, shaped like a boundary map:
+    each column (a cell) has up to four non-zero entries (its faces), so
+    the unit rule, not the least-entry fallback, picks most pivots."""
+    m, n = draw(integers(0, 9)), draw(integers(0, 9))
+    rng = draw(randoms(use_true_random=False))
+    a = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), rng.randint(0, min(m, 4))):
+            a[i][j] = rng.choice((-1, 1))
+    return a, m, n
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(case=integer_matrices(), sparse=booleans(), order=permutations(["u", "v", "uinv", "vinv"]))
-def test_snf_matches_oracle_on_random_integer_matrices(case, sparse, order):
-    a, m, n = case
-    rows = [{j: x for j, x in enumerate(r) if x} for r in a] if sparse else a
-    res = smith_normal_form(rows, m, n)
-    got = dense_snf(res)
-    want = _smith_oracle(a, m, n)
-    for name in ("nrows", "ncols", "diag", *order, *order):
-        assert getattr(got, name) == getattr(want, name), name
-    assert res.rank == sum(1 for d in want.diag if d)
+@given(case=integer_matrices(), unit_case=incidence_matrices(), sparse=booleans(),
+       order=permutations(["u", "v", "uinv", "vinv"]))
+def test_snf_matches_oracle_on_random_integer_matrices(case, unit_case, sparse, order):
+    for a, m, n in (case, unit_case):
+        rows = [{j: x for j, x in enumerate(r) if x} for r in a] if sparse else a
+        res = smith_normal_form(rows, m, n)
+        got = dense_snf(res)
+        want = _oracle_with_both_rules(a, m, n)
+        for name in ("nrows", "ncols", "diag", *order, *order):
+            assert getattr(got, name) == getattr(want, name), name
+        assert res.rank == sum(1 for d in want.diag if d)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +591,7 @@ def _check_replay(a, m, n, rng) -> SNFResult:
     the oracle's dense product T B, the inverses cancel, and replay on
     identity rows agrees with the former two-identity replay."""
     res = smith_normal_form(a, m, n)
-    want = _smith_oracle(a, m, n)
+    want = _oracle_with_both_rules(a, m, n)
     for name, size in (("u", m), ("uinv", m), ("v", n), ("vinv", n)):
         width = rng.randint(0, 4)
         block = [{j: x for j in range(width) if rng.random() < 0.4 and (x := rng.randint(-5, 5))}
@@ -532,9 +610,10 @@ def _check_replay(a, m, n, rng) -> SNFResult:
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(case=integer_matrices(), rng=randoms(use_true_random=False))
-def test_replay_applies_each_transform_as_the_dense_product(case, rng):
+@given(case=integer_matrices(), unit_case=incidence_matrices(), rng=randoms(use_true_random=False))
+def test_replay_applies_each_transform_as_the_dense_product(case, unit_case, rng):
     _check_replay(*case, rng)
+    _check_replay(*unit_case, rng)
 
 
 def test_replay_covers_swaps_negations_and_non_unit_pivots():

@@ -19,6 +19,10 @@ logs, which are replayed on the sparse blocks that need them and never
 built: integral homology replays none, an integral H_k basis puts all
 of d_(k+1) through V of d_k in one replay, and is cached per degree as
 well.
+
+``propagate_signs`` is the one sign propagation: it orients a closed
+pseudomanifold given as (top cell, ridge, incidence) triples, for
+``orientability`` and for the incidence numbers of colour quotients.
 """
 
 from __future__ import annotations
@@ -223,15 +227,10 @@ class ChainComplexData:
         return self._smith[k]
 
     def _check_closed(self) -> None:
-        """Refuse a complex with a ridge that does not lie in exactly two top
-        cells, counting non-zero incidences only: one count over the faces
-        of d_top."""
-        n = self.top_dim
-        _, faces, coeffs = self.incidences[n]
-        hits = np.bincount(faces[coeffs != 0], minlength=self.size(n - 1))
-        bad = np.flatnonzero(hits != 2)
-        if bad.size:
-            raise ValidationError(f"complex is not closed: ridge {bad[0]} lies in {hits[bad[0]]} top cells")
+        """Refuse a ridge outside exactly two top cells: the count of
+        ``propagate_signs`` over the non-zero entries of d_top."""
+        _, faces, coeffs = self.incidences[self.top_dim]
+        _refuse_open(faces[coeffs != 0], self.size(self.top_dim - 1))
 
     def verify_dd_zero(self) -> None:
         """d_(k-1) d_k = 0 for every k, composed exactly DD_BLOCK_ROWS k-cells
@@ -263,6 +262,53 @@ class ChainComplexData:
                 heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
                 if key.size and np.count_nonzero(np.add.reduceat(value[order], heads)):
                     raise ValidationError(f"dd != 0 in dimension {k}")
+
+
+def _refuse_open(ridges: np.ndarray, n_ridges: int) -> None:
+    """Refuse a ridge that does not occur exactly twice in ``ridges``."""
+    hits = np.bincount(ridges, minlength=n_ridges)
+    bad = np.flatnonzero(hits != 2)
+    if bad.size:
+        raise ValidationError(f"complex is not closed: ridge {bad[0]} lies in {hits[bad[0]]} top cells")
+
+
+def propagate_signs(cells: np.ndarray, ridges: np.ndarray, coeffs: np.ndarray,
+                    n_cells: int, n_ridges: int) -> Tuple[Optional[List[int]], int]:
+    """The one sign propagation over a closed pseudomanifold given as flat
+    (top cell, ridge, incidence) triples.  Zero incidences are dropped; a
+    ridge that does not hold exactly two of the rest is refused.  Each
+    component is seeded +1 at its lowest cell, and a sign s crosses a ridge
+    with incidences c_1 (its side) and c_2 as -s c_1 c_2.  Returns the signs,
+    or None once a cell is reached with two signs, and the components seeded.
+    """
+    live = coeffs != 0
+    # masked copies die at once: held beside the lists below, they stay resident
+    _refuse_open(ridges[live], n_ridges)
+    cell_of, coeff = cells[live].tolist(), coeffs[live].tolist()
+    # each ridge holds exactly two entries: adjacent after one stable sort
+    order = ridges[live].argsort(kind="stable").tolist()
+    partner = [0] * len(order)
+    for a, b in zip(order[::2], order[1::2]):
+        partner[a], partner[b] = b, a
+    rows: List[List[int]] = [[] for _ in range(n_cells)]
+    for e, c in enumerate(cell_of):
+        rows[c].append(e)
+    sign = [0] * n_cells
+    components = 0
+    for seed in (c for c in range(n_cells) if not sign[c]):
+        components += 1
+        sign[seed], stack = 1, [seed]
+        while stack:
+            c1 = stack.pop()
+            for e in rows[c1]:
+                c2 = cell_of[partner[e]]
+                want = -sign[c1] * coeff[e] * coeff[partner[e]]
+                if sign[c2] == 0:
+                    sign[c2] = want
+                    stack.append(c2)
+                elif sign[c2] != want:
+                    return None, components
+    return sign, components
 
 
 def chain_complex_of(X, coeff: str = "Z2") -> ChainComplexData:

@@ -1,5 +1,8 @@
 """Orientability, the spin obstruction, and cusp spin-type certificates.
 
+Orientability is ``chains.propagate_signs`` over the top boundary map,
+certified by the signed incidences cancelling at every ridge.
+
 The two cusp labels are certificate-based: a cusp is Bounding when the
 filled-in closed manifold is verified spinnable (a spin structure there
 restricts and extends over the filling solid tori), and Lie-achievable
@@ -21,6 +24,7 @@ from .chains import (
     chain_complex_of,
     cohomology_z2_basis,
     inclusion_free_h1_matrix,
+    propagate_signs,
     restriction_map_z2,
 )
 from .errors import CertificateError, ValidationError
@@ -53,52 +57,25 @@ class OrientabilityResult:
 def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityResult:
     """w1 = 0 test: the top integral homology is Z.
 
-    Builds the orientation class directly: propagate compatible signs
-    across the two top cells at each ridge and verify that the signed sum
-    of their incidences vanishes exactly at every ridge.  Equivalent to
-    rank arguments on the Smith normal form of the top boundary, but
-    linear-time.
+    ``propagate_signs`` over d_top refuses a complex that is not closed and
+    signs the top cells; the signed incidences must then cancel exactly at
+    every ridge.  Linear-time, unlike rank arguments on the Smith form.
     """
     if data is None:
         data = chain_complex_of(X, "Z")
     n = data.top_dim
     if n < 1:
         raise ValidationError("orientability needs positive dimension")
-    data._check_closed()
     n_top = data.size(n)
     cells, faces, coeffs = data._entries(n)
-    live = coeffs != 0
-    cells, coeffs = cells[live].tolist(), coeffs[live].tolist()
-    # each ridge has exactly two non-zero incidences: adjacent after one stable sort
-    order = faces[live].argsort(kind="stable").tolist()
-    pairs = list(zip(order[::2], order[1::2]))
-    partner = [0] * len(order)
-    rows: List[List[int]] = [[] for _ in range(n_top)]
-    for a, b in pairs:
-        partner[a], partner[b] = b, a
-    for e, c in enumerate(cells):
-        rows[c].append(e)
-    sign = [0] * n_top
-    orientable = True
-    for seed in range(n_top):
-        if sign[seed]:
-            continue
-        sign[seed] = 1
-        stack = [seed]
-        while stack and orientable:
-            c1 = stack.pop()
-            for e in rows[c1]:
-                c2 = cells[partner[e]]
-                want = -sign[c1] * coeffs[e] * coeffs[partner[e]]
-                if sign[c2] == 0:
-                    sign[c2] = want
-                    stack.append(c2)
-                elif sign[c2] != want:
-                    orientable = False
-                    break
-    if not orientable or any(sign[cells[a]] * coeffs[a] + sign[cells[b]] * coeffs[b] for a, b in pairs):
-        return OrientabilityResult(False, n_top, None)
-    return OrientabilityResult(True, n_top, tuple(sign))
+    sign, _ = propagate_signs(cells, faces, coeffs, n_top, data.size(n - 1))
+    if sign is not None:
+        boundary = [0] * data.size(n - 1)
+        for c, f, x in zip(cells.tolist(), faces.tolist(), coeffs.tolist()):
+            boundary[f] += sign[c] * x
+        if not any(boundary):
+            return OrientabilityResult(True, n_top, tuple(sign))
+    return OrientabilityResult(False, n_top, None)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def _cmd_colour(args) -> int:
 
 def _cmd_homology(args) -> int:
     X = _load_complex(args.infile)
-    coeff = "Z2" if args.coeff.lower() in ("z2", "gf2") else "Z"
+    coeff = "Z2" if args.coeff == "z2" else "Z"
     result = homology(chain_complex_of(X, coeff))
     payload = {"betti": list(result.betti),
                "torsion": [list(t) for t in result.torsion]}

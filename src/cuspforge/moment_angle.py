@@ -9,7 +9,8 @@ Three manifold models appear here:
   the dual cube complex in (support, signs) form, cell-for-cell
   comparable with a real moment-angle complex; a general colouring
   yields the polytopal quotient cell structure (``QuotientCellComplex``)
-  of the same manifold.
+  of the same manifold, its incidence numbers signed by one
+  ``chains.propagate_signs`` per face rank.
 * ``truncated_quotient(P, colouring)``: the compact cusped model, the
   colouring quotient of the vertex-truncated polytope with uncoloured
   truncation facets; its boundary components are the cusp tori.
@@ -28,8 +29,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import gf2
-from .chains import ChainComplexData, chain_complex_of, homology
+from .chains import ChainComplexData, chain_complex_of, homology, propagate_signs
 from .cubical import Cell, CubicalComplex
 from .errors import BudgetError, ValidationError, cell_budget, check_budget
 from .isomorphism import find_isomorphism
@@ -100,75 +103,45 @@ class Colouring:
 
 
 def _lattice_incidences(lattice: FaceLattice) -> Tuple[Dict[int, List[int]], Dict[Tuple[int, int], int]]:
-    """Children and incidence numbers of a complete simple lattice.
-
-    The top face gets id len(faces).  Signs are fixed bottom-up by
-    propagation around each face's boundary sphere, so that the signed
-    boundary of a boundary vanishes.
+    """Children and incidence numbers of a complete simple lattice; the top
+    face gets id len(faces).  An edge runs from its first endpoint (-1) to
+    its second (+1).  The signs of rank k >= 2 come from one
+    ``propagate_signs`` over the boundaries of all rank-k faces side by
+    side: cells (face, child) in that order, so each face's first child is
+    seeded +1, and ridges (face, grandchild).
     """
-    if not lattice.is_complete():
-        raise ValidationError("incidence numbers need a complete lattice")
     n = lattice.rank
-    faces = list(lattice.faces)
+    faces = lattice.faces
     top_id = len(faces)
     by_set = {s: i for i, (k, s) in enumerate(faces)}
     children: Dict[int, List[int]] = {}
     for gid, (k, s) in enumerate(faces):
-        if k == 0:
-            children[gid] = []
-            continue
-        kids = []
-        for x in range(lattice.num_facets):
-            if x not in s:
-                t = s | {x}
-                j = by_set.get(frozenset(t))
-                if j is not None and faces[j][0] == k - 1:
-                    kids.append(j)
-        children[gid] = sorted(kids)
+        kids = [by_set.get(s | {x}) for x in range(lattice.num_facets) if x not in s] if k else []
+        children[gid] = sorted(j for j in kids if j is not None and faces[j][0] == k - 1)
     children[top_id] = sorted(by_set[frozenset({i})] for i in range(lattice.num_facets))
-
+    by_rank = [[gid for gid, (r, _) in enumerate(faces) if r == k] for k in range(n)] + [[top_id]]
     incidence: Dict[Tuple[int, int], int] = {}
-
-    def rank_of(gid: int) -> int:
-        return n if gid == top_id else faces[gid][0]
-
-    order = sorted(children, key=rank_of)
-    for gid in order:
-        k = rank_of(gid)
-        kids = children[gid]
-        if k == 0:
-            continue
-        if k == 1:
-            if len(kids) != 2:
-                raise ValidationError("edge without exactly two endpoints")
-            incidence[(gid, kids[0])] = -1
-            incidence[(gid, kids[1])] = 1
-            continue
-        # grandchild -> the two children it lies in
-        shared: Dict[int, List[int]] = {}
-        for c in kids:
-            for gc in children[c]:
-                shared.setdefault(gc, []).append(c)
-        for gc, cs in shared.items():
-            if len(cs) != 2:
-                raise ValidationError("boundary of a face is not a pseudomanifold")
-        sign: Dict[int, int] = {kids[0]: 1}
-        queue = [kids[0]]
-        while queue:
-            c1 = queue.pop()
-            for gc in children[c1]:
-                c2 = [c for c in shared[gc] if c != c1][0]
-                want = -sign[c1] * incidence[(c1, gc)] * incidence[(c2, gc)]
-                if c2 in sign:
-                    if sign[c2] != want:
-                        raise ValidationError("inconsistent orientation on a face boundary")
-                else:
-                    sign[c2] = want
-                    queue.append(c2)
-        if len(sign) != len(kids):
+    for gid in by_rank[1]:
+        if len(children[gid]) != 2:
+            raise ValidationError("edge without exactly two endpoints")
+        first, second = children[gid]
+        incidence[(gid, first)], incidence[(gid, second)] = -1, 1
+    for k in range(2, n + 1):
+        cells = [(gid, c) for gid in by_rank[k] for c in children[gid]]
+        ridge_ids: Dict[Tuple[int, int], int] = {}
+        triples = [(i, ridge_ids.setdefault((gid, gc), len(ridge_ids)), incidence[(c, gc)])
+                   for i, (gid, c) in enumerate(cells) for gc in children[c]]
+        cell, ridge, coeff = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        try:
+            signs, components = propagate_signs(cell, ridge, coeff, len(cells), len(ridge_ids))
+        except ValidationError:
+            raise ValidationError("boundary of a face is not a pseudomanifold") from None
+        if signs is None:
+            raise ValidationError("inconsistent orientation on a face boundary")
+        # one component per face, and none without a boundary
+        if components != len(by_rank[k]) or not all(children[gid] for gid in by_rank[k]):
             raise ValidationError("face boundary is not connected")
-        for c, s in sign.items():
-            incidence[(gid, c)] = s
+        incidence.update(zip(cells, signs))
     return children, incidence
 
 
@@ -353,9 +326,10 @@ class CuspCensus:
     total: int
 
     def magnitude(self) -> str:
-        digits = len(str(self.total)) - 1
-        lead = str(self.total)[:3]
-        return f"{lead[0]}.{lead[1:]}e{digits}"
+        """The total to three digits, truncated: "2.32e71", "1.0e1", "3e0"."""
+        digits = str(self.total)
+        lead = f"{digits[0]}.{digits[1:3]}" if len(digits) > 1 else digits
+        return f"{lead}e{len(digits) - 1}"
 
     def cusp_ids(self, budget: Optional[int] = None) -> List[str]:
         """One id ``v<vertex>#<i>`` per cusp.  A total over the cell budget

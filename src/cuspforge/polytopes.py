@@ -593,7 +593,7 @@ def gosset(n: int, full_lattice: Optional[bool] = None, data_dir: Optional[str] 
         coords, simplices, crosses = _BUILTIN[n]()
         dt = np.min_scalar_type(len(coords))
         return _assemble(n, len(coords), np.array(simplices, dtype=dt), np.array(crosses, dtype=dt),
-                         coords, full_lattice=True)
+                         coords, full_lattice=full_lattice)
     V, S, C = _orbit_facet_rows(n)
     return _assemble(n, len(V), S, C, V.tolist(), full_lattice=full_lattice)
 

@@ -54,6 +54,11 @@ The Gosset generator carries each facet's vertex row through the orbit
 closure of its normal.  The route it replaced, one orbit of normals and
 then the vertices maximizing each normal, is kept verbatim as
 ``orbit_facet_data`` and ``facets_by_maximization``.
+
+The quotient's incidence numbers come from one sign propagation per rank
+of the lattice, on the disjoint union of the boundaries of the faces of
+that rank.  ``lattice_incidences_oracle`` is the parent's walk, which
+orients one face boundary at a time, kept verbatim.
 """
 
 from __future__ import annotations
@@ -878,3 +883,76 @@ def orbit_facet_data(n: int):
     if len({fv for fv, _ in facets}) != len(facets):
         raise ValidationError("duplicate facets from distinct orbit normals")
     return [tuple(v) for v in vertices], facets
+
+
+def lattice_incidences_oracle(lattice: FaceLattice) -> Tuple[Dict[int, List[int]], Dict[Tuple[int, int], int]]:
+    """Children and incidence numbers of a complete simple lattice.
+
+    The top face gets id len(faces).  Signs are fixed bottom-up by
+    propagation around each face's boundary sphere, so that the signed
+    boundary of a boundary vanishes.
+    """
+    if not lattice.is_complete():
+        raise ValidationError("incidence numbers need a complete lattice")
+    n = lattice.rank
+    faces = list(lattice.faces)
+    top_id = len(faces)
+    by_set = {s: i for i, (k, s) in enumerate(faces)}
+    children: Dict[int, List[int]] = {}
+    for gid, (k, s) in enumerate(faces):
+        if k == 0:
+            children[gid] = []
+            continue
+        kids = []
+        for x in range(lattice.num_facets):
+            if x not in s:
+                t = s | {x}
+                j = by_set.get(frozenset(t))
+                if j is not None and faces[j][0] == k - 1:
+                    kids.append(j)
+        children[gid] = sorted(kids)
+    children[top_id] = sorted(by_set[frozenset({i})] for i in range(lattice.num_facets))
+
+    incidence: Dict[Tuple[int, int], int] = {}
+
+    def rank_of(gid: int) -> int:
+        return n if gid == top_id else faces[gid][0]
+
+    order = sorted(children, key=rank_of)
+    for gid in order:
+        k = rank_of(gid)
+        kids = children[gid]
+        if k == 0:
+            continue
+        if k == 1:
+            if len(kids) != 2:
+                raise ValidationError("edge without exactly two endpoints")
+            incidence[(gid, kids[0])] = -1
+            incidence[(gid, kids[1])] = 1
+            continue
+        # grandchild -> the two children it lies in
+        shared: Dict[int, List[int]] = {}
+        for c in kids:
+            for gc in children[c]:
+                shared.setdefault(gc, []).append(c)
+        for gc, cs in shared.items():
+            if len(cs) != 2:
+                raise ValidationError("boundary of a face is not a pseudomanifold")
+        sign: Dict[int, int] = {kids[0]: 1}
+        queue = [kids[0]]
+        while queue:
+            c1 = queue.pop()
+            for gc in children[c1]:
+                c2 = [c for c in shared[gc] if c != c1][0]
+                want = -sign[c1] * incidence[(c1, gc)] * incidence[(c2, gc)]
+                if c2 in sign:
+                    if sign[c2] != want:
+                        raise ValidationError("inconsistent orientation on a face boundary")
+                else:
+                    sign[c2] = want
+                    queue.append(c2)
+        if len(sign) != len(kids):
+            raise ValidationError("face boundary is not connected")
+        for c, s in sign.items():
+            incidence[(gid, c)] = s
+    return children, incidence

@@ -13,7 +13,7 @@ from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 from cuspforge import characteristic, cli, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.lattice import FaceLattice, polygon_lattice, simplex_lattice
+from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice, simplex_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex
@@ -427,6 +427,17 @@ def test_face_lattice_readers_refuse_every_face_deletion(tmp_path, capsys, n):
         for command in ("census", "fill"):
             _assert_validation_exit([command, "--in", str(bad), "--out", str(tmp_path / "out.json")], capsys)
     assert parsed == len(doc["faces"]) - doc["facets"]  # all but the facet singletons parse
+
+
+def test_colour_refuses_a_face_boundary_that_is_not_a_pseudomanifold(tmp_path, capsys):
+    # the 3-cube without its edge {0, 2}: facet 0's boundary holds vertex {0, 2, 4} once
+    lattice = FaceLattice(3, 6, [(k, s) for k, s in cube_lattice(3).faces if s != {0, 2}])
+    path = tmp_path / "cube.json"
+    path.write_text(lattice.to_json())
+    assert run(["colour", "--in", str(path), "--colours", "[[0],[0],[1],[1],[2],[2]]"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"code": 2, "error": "boundary of a face is not a pseudomanifold"}
 
 
 def test_exit_code_budget_error(tmp_path):

@@ -2,19 +2,22 @@
 
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import integers, just, lists, tuples
 
-from cuspforge import moment_angle
-from cuspforge.chains import chain_complex_of, homology
+from cuspforge import characteristic, moment_angle
+from cuspforge.chains import chain_complex_of, homology, propagate_signs
+from cuspforge.characteristic import orientability
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices, resolve_choice
 from cuspforge.isomorphism import cubical_isomorphism
-from cuspforge.lattice import cube_lattice, polygon_lattice
+from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice
 from cuspforge.moment_angle import (
     Colouring,
+    QuotientCellComplex,
     colour_manifold,
     cusp_census,
     manifold_check,
@@ -140,6 +143,14 @@ def test_census_symbolic_p8():
     assert census.magnitude() == "2.32e71"
 
 
+def test_census_magnitude_has_no_empty_fraction():
+    census = cusp_census(ideal_dual(gosset(3)), Colouring(2, (1, 2, 3, 1, 2, 3)))
+    assert census.total == 3 and census.magnitude() == "3e0"
+    twelve = cusp_census(ideal_dual(gosset(3)))
+    assert twelve.total == 12 and twelve.magnitude() == "1.2e1"  # two digits and up: as before
+    assert cusp_census(ideal_dual(gosset(4))).magnitude() == "8.0e1"
+
+
 def test_cusp_ids_list_one_id_per_cusp_within_the_budget():
     census = cusp_census(ideal_dual(gosset(3)))
     ids = census.cusp_ids(budget=12)
@@ -254,8 +265,6 @@ def test_quotient_matches_moment_angle_in_dimension_4():
 
 
 def test_orientability_agrees_with_top_integral_homology():
-    from cuspforge.characteristic import orientability
-
     cases = [
         (real_moment_angle(boundary_of_simplex(2)), True),
         (colour_manifold(polygon_lattice(4), Colouring.distinct(4)), True),
@@ -267,6 +276,94 @@ def test_orientability_agrees_with_top_integral_homology():
         assert orientability(Z, data).orientable == expect
         h = homology(data)
         assert (h.betti[-1] == 1) == expect  # H_top = Z exactly when orientable
+
+
+# ---------------------------------------------------------------------------
+# incidence numbers of the quotient cells
+# ---------------------------------------------------------------------------
+
+# the 6-vertex real projective plane
+RP2_TRIANGLES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5))
+
+
+def dual_lattice(rank, tops):
+    """The simple lattice dual to a pure complex: one face of rank
+    ``rank - |s|`` per non-empty simplex s of the top simplices ``tops``."""
+    simplices = sorted({c for t in tops for r in range(1, len(t) + 1) for c in combinations(t, r)})
+    return FaceLattice(rank, 1 + max(map(max, tops)), [(rank - len(s), s) for s in simplices])
+
+
+def cube_without(face):
+    """The 3-cube's lattice with one face, named by its facet set, left out."""
+    return FaceLattice(3, 6, [(k, s) for k, s in cube_lattice(3).faces if s != frozenset(face)])
+
+
+@pytest.mark.parametrize("lattice,message", [
+    (dual_lattice(3, RP2_TRIANGLES), "inconsistent orientation on a face boundary"),
+    (dual_lattice(2, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))), "face boundary is not connected"),
+    (cube_without({0, 2}), "boundary of a face is not a pseudomanifold"),
+    (cube_without({0, 2, 4}), "edge without exactly two endpoints"),
+    # a tetrahedron's dual on facets 2..5, and facets 0 and 1 with empty boundaries
+    (dual_lattice(3, ((2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5), (0,), (1,))), "face boundary is not connected"),
+], ids=["rp2-dual", "two-triangles-dual", "cube-without-edge", "cube-without-vertex", "empty-facets"])
+def test_quotient_refuses_face_boundaries_that_do_not_orient(lattice, message):
+    assert lattice.is_complete() and lattice.is_simple() and lattice.num_facets == 6
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        QuotientCellComplex(lattice, (1, 1, 2, 2, 4, 4), 3)
+
+
+def _permuted_colouring(f, seed):
+    perm = list(range(f))
+    if seed:
+        random.Random(seed).shuffle(perm)
+    return Colouring(f, tuple(1 << p for p in perm))
+
+
+def _assert_incidences_match_oracle(Q):
+    from dense_oracles import lattice_incidences_oracle
+
+    children, incidence = lattice_incidences_oracle(Q.lattice)
+    assert Q._children == children
+    assert Q._incidence == incidence
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cube_incidences_match_the_per_face_walk(n):
+    _assert_incidences_match_oracle(
+        QuotientCellComplex(cube_lattice(n), tuple(1 << (i // 2) for i in range(2 * n)), n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_filled_incidences_match_the_per_face_walk(n):
+    P = ideal_dual(gosset(n))
+    filled = dehn_fill(P, resolve_choice(P, "auto")).lattice
+    _assert_incidences_match_oracle(QuotientCellComplex(filled, Colouring.distinct(P.num_facets).vectors,
+                                                        P.num_facets))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_truncated_incidences_match_the_per_face_walk(n, seed):
+    P = ideal_dual(gosset(n))
+    _assert_incidences_match_oracle(truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient)
+
+
+def test_every_orientation_reaches_the_one_sign_propagation(monkeypatch):
+    calls = []
+    for module in (characteristic, moment_angle):
+        monkeypatch.setattr(module, "propagate_signs", lambda *a: calls.append(1) or propagate_signs(*a))
+
+    def count(read):
+        calls.clear()
+        read()
+        return len(calls)
+
+    cube = cube_lattice(3)
+    assert count(lambda: QuotientCellComplex(cube, (1, 1, 2, 2, 4, 4), 3)) == 2  # ranks 2 and 3
+    t3 = colour_manifold(cube, Colouring.distinct(6))
+    data = chain_complex_of(t3, "Z")
+    assert count(lambda: orientability(t3, data)) == 1
 
 
 def test_proposition_isomorphism_holds_even_after_relabelling():
@@ -314,10 +411,7 @@ def test_cusp_tori_are_the_union_find_components_on_random_colourings(drawn):
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_p4_cusp_tori_are_the_union_find_components(seed):
     P = ideal_dual(gosset(4))
-    perm = list(range(P.num_facets))
-    if seed:
-        random.Random(seed).shuffle(perm)
-    colouring = Colouring(P.num_facets, tuple(1 << p for p in perm))
+    colouring = _permuted_colouring(P.num_facets, seed)
     _assert_cusps_are_cosets(P, colouring, truncated_quotient(P, colouring))
 
 

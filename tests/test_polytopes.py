@@ -153,6 +153,16 @@ def test_gosset_range_errors():
         gosset(9)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_builtin_gosset_honours_a_partial_lattice(n):
+    partial, full = gosset(n, full_lattice=False), gosset(n)
+    assert full.lattice.is_complete() and gosset(n, full_lattice=True).lattice == full.lattice
+    assert partial.lattice.ranks_present() == [0, n - 1]  # vertices and facets only
+    for k in (0, n - 1):
+        assert partial.lattice.faces_of_rank(k) == full.lattice.faces_of_rank(k)
+    assert ideal_dual(partial).ideal_vertices == ideal_dual(full).ideal_vertices
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_ideal_polytope_from_lattice_matches_generator(n):
     P = ideal_dual(gosset(n))

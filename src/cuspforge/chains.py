@@ -10,15 +10,17 @@ work reads them mod 2 as bit-packed rows, and d(d(x)) = 0 is verified at
 build time by composing d_(k-1) d_k exactly in int64 arrays, a fixed
 block of k-cells at a time.
 
-Each boundary map is eliminated once per coefficient ring and cached on
-the data: over Z one Smith normal form per d_k, over Z/2 one cleared
-reduction per coboundary map delta^k, which every Z/2 rank, cocycle
-basis and coboundary pivot is read from.  The Smith normal form is fed
-the incidences of d_k as sparse rows and keeps its transforms as move
-logs, which are replayed on the sparse blocks that need them and never
-built: integral homology replays none, an integral H_k basis puts all
-of d_(k+1) through V of d_k in one replay, and is cached per degree as
-well.
+Each degree is eliminated once per coefficient ring and cached on the
+data: over Z one Smith normal form per degree, chained through the cycle
+coordinates, over Z/2 one cleared reduction per coboundary map delta^k,
+which every Z/2 rank, cocycle basis and coboundary pivot is read from.
+The Smith normal form of degree k is fed the relations of d_k, its
+sparse rows put through V of degree k-1 with the rows on the boundaries
+of degree k-1 dropped, and keeps its transforms as move logs, which are
+replayed on the sparse blocks that need them and never built: integral
+homology replays V once per degree from 2 up, an integral H_k basis reads
+the eliminations of degrees k and k+1 and runs none of its own, and is
+cached per degree as well.
 
 ``propagate_signs`` is the one sign propagation: it orients a closed
 pseudomanifold given as (top cell, ridge, incidence) triples, for
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,8 +83,9 @@ class ChainComplexData:
     ints in an object array past int64; d_0 has none).  The ``coeff`` tag
     records how downstream computations should interpret them ("Z" or
     "Z2").  Eliminations are cached beside the data: ``smith(k)`` over Z,
+    one per degree, each on the relations left by the one below,
     ``gf2_coreduction(k)`` and ``gf2_reduction(k)`` over Z/2, and the
-    integral H_k bases built on ``smith(k)``.
+    integral H_k bases built on ``smith(k)`` and ``smith(k + 1)``.
     """
 
     coeff: str
@@ -218,12 +222,27 @@ class ChainComplexData:
         return rows
 
     def smith(self, k: int) -> SNFResult:
-        """Smith normal form of d_k, computed once: the one integral
-        elimination of d_k, handed its incidences as sparse rows.  Its
-        transforms stay move logs, so ranks and torsion replay nothing."""
+        """The one integral elimination of degree k, computed once.
+
+        For k <= 1 it is the Smith normal form of d_k, handed its incidences
+        as sparse rows.  Above, with smith(k-1) = U D V of rank r, the rows
+        of V d_k on the r boundary coordinates vanish (d d = 0, refused
+        otherwise) and the rest are the relations R_k, so smith(k) is the
+        SNF U_k D_k V_k of R_k and d_k = V^-1 diag(I, U_k) [0; D_k] V_k: it
+        has d_k's rank and invariant factors, and V_k gives its cycles.
+        Each degree is checked against INTEGRAL_DENSE_LIMIT before any
+        elimination below it runs.
+        """
         if k not in self._smith:
             self.check_dense(k)
-            self._smith[k] = smith_normal_form(self._sparse_rows(k), self.size(k - 1), self.size(k))
+            below = self.smith(k - 1) if k > 1 else None
+            rows = self._sparse_rows(k)
+            if below is not None:
+                rows = below._replay("v", rows)
+                if any(rows[:below.rank]):
+                    raise ValidationError(f"dd != 0 in dimension {k}")
+                rows = rows[below.rank:]
+            self._smith[k] = smith_normal_form(rows, len(rows), self.size(k))
         return self._smith[k]
 
     def _check_closed(self) -> None:
@@ -378,7 +397,9 @@ class HomologyResult:
 
 
 def homology(data: ChainComplexData) -> HomologyResult:
-    """Betti numbers (and torsion over Z) from the boundary maps."""
+    """Betti numbers (and torsion over Z) from the boundary maps: over Z the
+    rank and invariant factors of d_k are those of ``smith(k)``, read off
+    its diagonal."""
     top = data.top_dim
     degrees = range(1, top + 1)
     if data.coeff == "Z2":
@@ -412,49 +433,67 @@ class IntegralHomologyBasis:
     free_rank: int
     torsion: Tuple[int, ...]
     free_generators: List[List[int]]
-    _boundary_snf: SNFResult  # SNF(d_k) = U D V
-    _relation_snf: SNFResult  # SNF of the relations = U' D' V'
+    _boundary: Tuple[List[int], List[int], List[int]]  # d_k as CSR lists
+    _boundary_snf: SNFResult  # smith(k) = U D V
+    _relation_snf: SNFResult  # smith(k + 1) = U' D' V', on the relations
     _quotient: List[Tuple[int, int]]  # (row of U'^-1 y, its order) for orders != 1
 
     def project(self, cycle: Sequence[int]) -> Tuple[List[int], List[int]]:
         return self._project([cycle])[0]
 
+    @cached_property
+    def _covectors(self) -> List[Dict[int, int]]:
+        """The coordinate functionals, held by k-cell: entry c of row j is
+        the value on cell j of the covector of ``_quotient[c]``, row i of
+        U'^-1 P V with P dropping the first rank entries.  Built once, as
+        V^T P^T (U'^-1)^T on the unit vectors: two transposed replays."""
+        units: List[Dict[int, int]] = [{} for _ in range(self._relation_snf.nrows)]
+        for c, (i, _) in enumerate(self._quotient):
+            units[i][c] = 1
+        tail = self._relation_snf._replay("uinvT", units)
+        return self._boundary_snf._replay("vT", [{} for _ in range(self._boundary_snf.rank)] + tail)
+
     def _project(self, cycles: Sequence[Sequence[int]]) -> List[Tuple[List[int], List[int]]]:
-        """(free coords, torsion coords) of each cycle, by two replays for
-        the batch: x is a cycle exactly when the first rank entries of V x
-        vanish, the rest are y, and U'^-1 y holds its quotient coordinates."""
-        snf = self._boundary_snf
-        rows: List[Dict[int, int]] = [{} for _ in range(snf.ncols)]
-        for c, cycle in enumerate(cycles):
-            if len(cycle) != snf.ncols:
-                raise ValidationError(f"chain has length {len(cycle)}, expected {snf.ncols}")
-            for i, x in enumerate(cycle):
-                if x:
-                    rows[i][c] = x
-        rows = snf._replay("v", rows)
-        if any(rows[: snf.rank]):
-            raise ValidationError("vector is not an integral cycle")
-        coords = self._relation_snf._replay("uinv", rows[snf.rank:])
-        return [([coords[i].get(c, 0) for i, d in self._quotient if d == 0],
-                 [coords[i].get(c, 0) % d for i, d in self._quotient if d])
-                for c in range(len(cycles))]
+        """(free coords, torsion coords) of each cycle: d_k x = 0 is checked
+        exactly on the incidences, then each coordinate is the sparse dot
+        product of x with its covector, over the non-zero entries of x,
+        taken mod its order on a torsion coordinate."""
+        ptr, faces, coeffs = self._boundary
+        n = len(ptr) - 1
+        covectors = self._covectors
+        out = []
+        for cycle in cycles:
+            if len(cycle) != n:
+                raise ValidationError(f"chain has length {len(cycle)}, expected {n}")
+            support = list(compress(range(n), cycle))
+            image: Dict[int, int] = {}
+            for j in support:
+                for p in range(ptr[j], ptr[j + 1]):
+                    image[faces[p]] = image.get(faces[p], 0) + coeffs[p] * cycle[j]
+            if any(image.values()):
+                raise ValidationError("vector is not an integral cycle")
+            coords = [0] * len(self._quotient)
+            for j in support:
+                for c, x in covectors[j].items():
+                    coords[c] += x * cycle[j]
+            out.append(([y for y, (_, d) in zip(coords, self._quotient) if d == 0],
+                        [y % d for y, (_, d) in zip(coords, self._quotient) if d]))
+        return out
 
 
 def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyBasis:
-    """H_k over Z: the cycles of d_k = U D V are V^-1 (0 + y), and the
-    relations, one column per (k+1)-cell, are the tail of V d_(k+1), whose
-    first rank rows vanish.  The relations' SNF U' D' V' gives generator j
-    = V^-1 (0 + U' e_j), of order D'_j.  Three replays, with no dense
-    matrix: V on d_(k+1), U' on the free unit columns, V^-1 on those.
-    Computed once per degree and cached on the data."""
+    """H_k over Z from the eliminations of degrees k and k+1, with none of
+    its own: the cycles of smith(k) = U D V are V^-1 (0 + y), and
+    smith(k+1) = U' D' V' is the SNF of the relations, so generator j is
+    V^-1 (0 + U' e_j), of order D'_j.  Two replays, with no dense matrix:
+    U' on the free unit columns, V^-1 on those.  Both eliminations are
+    checked against INTEGRAL_DENSE_LIMIT, down from d_(k+1), before either
+    runs.  Computed once per degree and cached on the data."""
     if k in data._integral_bases:
         return data._integral_bases[k]
+    r_snf = data.smith(k + 1)
     snf = data.smith(k)
     r, z = snf.rank, data.size(k) - snf.rank
-    relations = snf._replay("v", data._sparse_rows(k + 1))
-    if any(relations[:r]):
-        raise ValidationError(f"dd != 0 in dimension {k + 1}")
-    r_snf = smith_normal_form(relations[r:], z, data.size(k + 1))
     orders = list(r_snf.diag) + [0] * (z - len(r_snf.diag))
     free = [j for j, d in enumerate(orders) if d == 0]
     units: List[Dict[int, int]] = [{} for _ in range(z)]
@@ -466,6 +505,8 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
         free_rank=len(free),
         torsion=tuple(d for d in orders if d not in (0, 1)),
         free_generators=[[row.get(f, 0) for row in gens] for f in range(len(free))],
+        _boundary=(tuple(a.tolist() for a in data.incidences[k]) if 0 <= k <= data.top_dim
+                   else ([0], [], [])),
         _boundary_snf=snf,
         _relation_snf=r_snf,
         _quotient=[(i, d) for i, d in enumerate(orders) if d != 1],

@@ -261,9 +261,10 @@ def lie_cusp_certificate(
     if spinnable is False:
         raise CertificateError("Lie certificate needs a spinnable ambient manifold")
     rmap = restriction_map_z2(selection, 1, parent_basis=parent_basis)
+    rank = rmap.rank()  # one elimination: onto exactly when it is the target's dimension
     return LieCertificate(
-        ok=rmap.is_surjective(),
-        restriction_rank=rmap.rank(),
+        ok=rank == rmap.dim_target,
+        restriction_rank=rank,
         target_dim=rmap.dim_target,
         matrix_rows=rmap.rows,
     )

@@ -24,8 +24,12 @@ The transforms are not tracked during the elimination, and are never
 built.  Row moves and column moves go to two logs, which are the only
 form of U, U^-1, V and V^-1: a transform is applied to a block of
 sparse rows by replaying its log on them (``SNFResult._replay``), at a
-cost of the moves plus the fill-in, with no n x n object.  ``diag``,
-``rank`` and the invariant factors need no replay.
+cost of the moves plus the fill-in, with no n x n object.  The same
+replay, run backwards or forwards with each add transposed, applies the
+transposes U^T, (U^-1)^T, V^T and (V^-1)^T, so rows of a product of
+transforms are read off by replaying the transposes, in reverse order, on
+unit vectors.  ``diag``, ``rank`` and the invariant factors need no
+replay.
 """
 
 from __future__ import annotations
@@ -77,21 +81,27 @@ class SNFResult:
         return [d for d in self.diag if d not in (0, 1)]
 
     def _replay(self, transform: str, rows: List[Dict[int, int]]) -> List[Dict[int, int]]:
-        """T B for T = ``transform`` ("u", "uinv", "v" or "vinv") and B given
-        by its sparse rows {column: entry}, one per column of T; B is
-        overwritten and returned.
+        """T B for T = ``transform`` ("u", "uinv", "v" or "vinv", or the
+        transpose of one, named with a trailing "T": "uinvT" is (U^-1)^T)
+        and B given by its sparse rows {column: entry}, one per column of T;
+        B is overwritten and returned.
 
         With R_i the logged row moves and C_j the column moves,
         U^-1 = R_p ... R_1 and V^-1 = C_1 ... C_q.  So U^-1 B applies the
         row log forwards and U B undoes it backwards.  A column move is the
         transpose of the same row move, so V B applies the column log
         forwards with each add transposed and undone, V^-1 B backwards with
-        each add transposed.  A move whose source row of B is empty changes
-        nothing and is skipped, so the cost is O(moves + fill).
+        each add transposed.  A transpose reverses the product and
+        transposes each move, so it flips both the direction and the
+        transposition (a swap and a negation are their own transposes).  A
+        move whose source row of B is empty changes nothing and is skipped,
+        so the cost is O(moves + fill).
         """
-        moves = self._row_moves if transform in ("u", "uinv") else self._col_moves
-        forwards = transform in ("uinv", "v")
-        transposed = transform in ("v", "vinv")
+        base = transform.removesuffix("T")
+        flip = base != transform
+        moves = self._row_moves if base in ("u", "uinv") else self._col_moves
+        forwards = (base in ("uinv", "v")) != flip
+        transposed = (base in ("v", "vinv")) != flip
         sign = 1 if forwards != transposed else -1
         for move in moves if forwards else reversed(moves):
             if len(move) == 3:

@@ -11,7 +11,12 @@ with dense matrices built here:
   verbatim as a second, independent reading of the logs;
 * ``apply_matrix``, ``kernel_basis``, ``det_bareiss``, ``reconstruct``
   and ``dense_boundary`` are the dense helpers the library dropped, kept
-  verbatim.
+  verbatim; ``matmul`` and ``relation_rows`` build the relations R_k, the
+  rows of V d_k past the rank of the degree below, on which the library
+  chains its elimination of degree k;
+* ``replay_project`` is the projection of an integral H_k basis the
+  library ran before it cached its covectors: V of degree k and U'^-1 of
+  degree k+1 replayed on each batch of cycles, kept verbatim.
 
 The chain data keeps each boundary map as flat arrays.  ``entry_rows``
 reads them back as per-cell (face, incidence) tuples, the form the
@@ -223,6 +228,49 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def matmul(a: Matrix, b: Matrix, ncols: int) -> Matrix:
+    """a . b, over the non-zero entries of a and of each row of b it selects;
+    b has ncols columns (and a may have no rows)."""
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for k in compress(range(len(row)), row):
+            x, brow = row[k], b[k]
+            for j in compress(range(ncols), brow):
+                acc[j] += x * brow[j]
+        out.append(acc)
+    return out
+
+
+def relation_rows(below: DenseSNF, boundary: Matrix, ncols: int) -> Matrix:
+    """R_k: the rows of V d_k past the rank of ``below`` = U D V, the SNF of
+    degree k-1; the rows up to the rank must vanish (d d = 0)."""
+    rows = matmul(below.v, boundary, ncols)
+    assert not any(map(any, rows[:below.rank])), "dd != 0"
+    return rows[below.rank:]
+
+
+def replay_project(basis, cycles: Sequence[Sequence[int]]) -> List[Tuple[List[int], List[int]]]:
+    """(free coords, torsion coords) of each cycle, by two replays for
+    the batch: x is a cycle exactly when the first rank entries of V x
+    vanish, the rest are y, and U'^-1 y holds its quotient coordinates."""
+    snf = basis._boundary_snf
+    rows: List[Dict[int, int]] = [{} for _ in range(snf.ncols)]
+    for c, cycle in enumerate(cycles):
+        if len(cycle) != snf.ncols:
+            raise ValidationError(f"chain has length {len(cycle)}, expected {snf.ncols}")
+        for i, x in enumerate(cycle):
+            if x:
+                rows[i][c] = x
+    rows = snf._replay("v", rows)
+    if any(rows[: snf.rank]):
+        raise ValidationError("vector is not an integral cycle")
+    coords = basis._relation_snf._replay("uinv", rows[snf.rank:])
+    return [([coords[i].get(c, 0) for i, d in basis._quotient if d == 0],
+             [coords[i].get(c, 0) % d for i, d in basis._quotient if d])
+            for c in range(len(cycles))]
 
 
 def dense_boundary(data, k: int) -> Matrix:

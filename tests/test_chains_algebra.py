@@ -52,6 +52,8 @@ from dense_oracles import (
     gf2_rows_oracle,
     kernel_basis,
     left_kernel_basis,
+    relation_rows,
+    replay_project,
     quotient_entry_oracle,
     reduce_rows,
     simplicial_entry_oracle,
@@ -448,9 +450,19 @@ class _OracleBasis:
         return free, tors
 
 
+def _chained_snf(data, k: int) -> DenseSNF:
+    """The SNF of d_k for k <= 1, and above of the relations R_k, the rows of
+    V d_k past the rank of this SNF one degree down: the chain of
+    eliminations that the library caches as ``smith(k)``."""
+    rows = dense_boundary(data, k)
+    if k > 1:
+        rows = relation_rows(_chained_snf(data, k - 1), rows, data.size(k))
+    return dense_snf(smith_normal_form(rows, nrows=len(rows), ncols=data.size(k)))
+
+
 def _integral_basis_oracle(data, k: int) -> _OracleBasis:
     n_k = data.size(k)
-    boundary_snf = dense_snf(smith_normal_form(dense_boundary(data, k), nrows=data.size(k - 1), ncols=n_k))
+    boundary_snf = _chained_snf(data, k)  # its kernel is the cycles of d_k
     cycles = kernel_basis(boundary_snf)  # each of length n_k
     z = len(cycles)
     # columns are the cycle basis; relations express boundaries in it
@@ -550,18 +562,89 @@ def test_integral_basis_matches_oracle(name):
         assert integral_homology_basis(data, 1).torsion == (2,)
 
 
+def _cycles_and_boundaries(data, k, hb, rng, count=10):
+    """Seeded integral cycles of d_k: sums of the free generators and of a
+    kernel basis (which reaches the torsion classes), plus boundaries of
+    (k+1)-cells; and the boundaries alone."""
+    kernel = kernel_basis(dense_snf(smith_normal_form(dense_boundary(data, k), data.size(k - 1), data.size(k))))
+    up = dense_boundary(data, k + 1)
+    columns = [[row[j] for row in up] for j in range(data.size(k + 1))]
+    cycles, boundaries = [], []
+    for _ in range(count):
+        x, b = [0] * data.size(k), [0] * data.size(k)
+        for c in hb.free_generators + kernel:
+            a = rng.randint(-3, 3)
+            x = [xi + a * ci for xi, ci in zip(x, c)]
+        for c in rng.sample(columns, min(len(columns), 4)):
+            a = rng.randint(-3, 3)
+            b = [bi + a * ci for bi, ci in zip(b, c)]
+        cycles.append([xi + bi for xi, bi in zip(x, b)])
+        boundaries.append(b)
+    return cycles, boundaries
+
+
+def _assert_projection_matches_replay(data, k, hb, rng):
+    cycles, boundaries = _cycles_and_boundaries(data, k, hb, rng)
+    assert hb._project(cycles) == replay_project(hb, cycles)
+    zero = ([0] * hb.free_rank, [0] * len(hb.torsion))
+    assert hb._project(boundaries) == replay_project(hb, boundaries) == [zero] * len(boundaries)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_FIXTURES))
+def test_covector_projection_matches_the_replay(name):
+    data = chain_complex_of(INTEGRAL_FIXTURES[name](), "Z")
+    rng = random.Random(5)
+    for k in range(data.top_dim + 1):
+        _assert_projection_matches_replay(data, k, integral_homology_basis(data, k), rng)
+    if name == "klein bottle":
+        hb = integral_homology_basis(data, 1)
+        assert hb.torsion == (2,)
+        # the torsion coordinate is reached, and taken mod 2
+        cycles = _cycles_and_boundaries(data, 1, hb, rng)[0]
+        assert {t for _, (t,) in hb._project(cycles)} == {0, 1}
+
+
+def test_covector_projection_matches_the_replay_on_the_cusp_tori():
+    cusped = truncated_quotient(ideal_dual(gosset(3)))
+    parent = chain_complex_of(cusped.quotient, "Z")
+    ph1 = integral_homology_basis(parent, 1)
+    boundaries = dense_boundary(parent, 2)
+    rng = random.Random(8)
+    assert len(cusped.components) == 12
+    for comp in cusped.components:
+        sel = subcomplex_selection(parent, comp.keys_per_dim)
+        for k in range(sel.data.top_dim + 1):
+            _assert_projection_matches_replay(sel.data, k, integral_homology_basis(sel.data, k), rng)
+        # the torus cycles in the parent, plus parent generators and boundaries
+        torus = integral_homology_basis(sel.data, 1).free_generators
+        assert len(torus) == 2
+        cycles = []
+        for _ in range(4):
+            x = [0] * parent.size(1)
+            for g in [sel.scatter_chain(t, 1) for t in torus] + ph1.free_generators[:3]:
+                a = rng.randint(-3, 3)
+                x = [xi + a * gi for xi, gi in zip(x, g)]
+            for j in rng.sample(range(parent.size(2)), 3):
+                x = [xi + row[j] for xi, row in zip(x, boundaries)]
+            cycles.append(x)
+        assert ph1._project(cycles) == replay_project(ph1, cycles)
+
+
 @pytest.mark.parametrize("name", sorted(INTEGRAL_FIXTURES))
 def test_project_refuses_non_cycles_and_wrong_lengths(name):
     data = chain_complex_of(INTEGRAL_FIXTURES[name](), "Z")
-    hb = integral_homology_basis(data, 1)
-    n1 = data.size(1)
-    d1 = dense_boundary(data, 1)
-    j = next(j for j in range(n1) if any(row[j] for row in d1))
-    with pytest.raises(ValidationError):
-        hb.project([int(i == j) for i in range(n1)])
-    for length in (n1 - 1, n1 + 1):
-        with pytest.raises(ValidationError):
-            hb.project([0] * length)
+    for k in range(data.top_dim + 1):
+        hb = integral_homology_basis(data, k)
+        n = data.size(k)
+        d = dense_boundary(data, k)
+        for j in (j for j in range(n) if any(row[j] for row in d)):
+            for project in (hb.project, lambda x: replay_project(hb, [x])):
+                with pytest.raises(ValidationError, match="^vector is not an integral cycle$"):
+                    project([int(i == j) for i in range(n)])
+        for length in (n - 1, n + 1):
+            for project in (hb.project, lambda x: replay_project(hb, [x])):
+                with pytest.raises(ValidationError, match=f"^chain has length {length}, expected {n}$"):
+                    project([0] * length)
 
 
 def test_integral_consumers_refuse_over_the_dense_limit():
@@ -573,6 +656,33 @@ def test_integral_consumers_refuse_over_the_dense_limit():
         with pytest.raises(BudgetError) as info:
             consumer(data)
         assert info.value.exit_code == 3
+
+
+def test_integral_bases_refuse_over_the_dense_limit_before_eliminating():
+    """H_k reads the eliminations of degrees k and k+1, each chained on the
+    ones below, so d_(k+1) and d_(k-1) are checked too, before any runs."""
+    n = 2001
+
+    def empty(sizes):
+        keys = [tuple((i, k) for i in range(size)) for k, size in enumerate(sizes)]
+        return ChainComplexData.from_entries("Z", keys, [((),) * size for size in sizes])
+
+    for sizes in ((1, 1, n, n), (n, n, 1, 1)):
+        data = empty(sizes)  # d_(k+1), then d_(k-1), is 2001 x 2001 for k = 2
+        with pytest.raises(BudgetError) as info:
+            integral_homology_basis(data, 2)
+        assert info.value.exit_code == 3 and not data._smith
+    # H_1 reads d_1 and d_2 only
+    assert integral_homology_basis(empty((1, 1, n, n)), 1).free_rank == 1
+
+
+def test_integral_eliminations_refuse_dd_nonzero():
+    # chain data built without the d(d) check: a 2-cell bounded by one edge
+    for consumer in (homology, lambda d: integral_homology_basis(d, 1)):
+        data = ChainComplexData.from_entries("Z", [(("a",), ("b",)), (("e",),), (("f",),)],
+                                             [((), ()), (((0, -1), (1, 1)),), (((0, 1),),)])
+        with pytest.raises(ValidationError, match=r"^dd != 0 in dimension 2$"):
+            consumer(data)
 
 
 UC_FIXTURES = {

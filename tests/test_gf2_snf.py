@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import booleans, composite, floats, integers, permutations, randoms, sets
 
-from cuspforge import gf2
+from cuspforge import chains, gf2
 from cuspforge.chains import (
     chain_complex_of, cohomology_z2_basis, homology, homology_z2_basis, inclusion_free_h1_matrix, induced_map,
     integral_homology_basis, subcomplex_selection,
@@ -25,8 +25,8 @@ from cuspforge.simplicial import octahedron_boundary
 from cuspforge.snf import SNFResult, smith_normal_form
 
 from dense_oracles import (
-    DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, left_kernel_basis, logged_transforms,
-    reduce_rows, rref_normal_form, rref_pivots, solve_rows, transpose_rows_by_bits,
+    DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, left_kernel_basis, logged_transforms, matmul,
+    reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, transpose_rows_by_bits,
 )
 
 
@@ -441,26 +441,65 @@ def test_snf_transforms_match_oracle_on_boundary_maps():
     cusped = chain_complex_of(quotient.quotient, "Z")
     assert (cusped.size(2), cusped.size(3)) == (384, 64)
     _assert_matches_oracle(dense_boundary(cusped, 3), cusped.size(2), cusped.size(3))
-    # the sparse entry: ChainComplexData.smith hands d_k over as sparse rows
-    # (d_1 and d_2 of the full cusped quotient are left out: the oracle takes seconds)
+    # the sparse entry: ChainComplexData.smith(k) hands d_k (k <= 1) or the
+    # relations R_k over as sparse rows, each degree chained on the one below
     t3 = chain_complex_of(real_moment_angle(octahedron_boundary()), "Z")
     cusp_torus = subcomplex_selection(cusped, quotient.components[0].keys_per_dim).data
     assert cusp_torus.sizes() == (16, 32, 16)
-    cases = [(cusped, 3)] + [(d, k) for d in (t3, data, cusp_torus) for k in range(d.top_dim + 2)]
-    for d, k in cases:
-        want = _oracle_with_both_rules(dense_boundary(d, k), d.size(k - 1), d.size(k))
-        got = dense_snf(d.smith(k))
-        for name in SNF_FIELDS:
-            assert getattr(got, name) == getattr(want, name), (d.sizes(), k, name)
+    for d in (t3, data, cusp_torus):
+        below = None
+        for k in range(d.top_dim + 2):
+            below = _check_chained_smith(d, k, below)
+    # degree 3 of the full cusped quotient, chained on the library's degree 2
+    # (d_1 and d_2 are left out: the oracle takes seconds on them)
+    assert _check_chained_smith(cusped, 3, dense_snf(cusped.smith(2))).nrows == 384 - 309
+
+
+def _check_chained_smith(d, k: int, below: Optional[DenseSNF]) -> DenseSNF:
+    """``d.smith(k)`` against the dense oracle SNF of d_k (with no degree
+    below) or of R_k, the rows of V d_k past the rank of ``below`` = U D V,
+    the oracle of degree k-1; then densely d_k = V^-1 diag(I, U_k) [0; D_k]
+    V_k.  Returns the oracle of degree k."""
+    boundary = dense_boundary(d, k)
+    rows = boundary if below is None else relation_rows(below, boundary, d.size(k))
+    want = _oracle_with_both_rules(rows, len(rows), d.size(k))
+    got = dense_snf(d.smith(k))
+    for name in SNF_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (d.sizes(), k, name)
+    assert (got.rank, got.invariant_factors()) == (want.rank, want.invariant_factors())
+    if below is not None:
+        # diag(I, U_k) [0; D_k] V_k is [0; U_k D_k V_k]
+        lifted = [[0] * d.size(k) for _ in range(below.rank)] + got.reconstruct()
+        assert matmul(below.vinv, lifted, d.size(k)) == boundary, (d.sizes(), k)
+    return want
 
 
 def test_unit_pivots_limit_fill_on_the_cusped_quotient():
     """The moves of the three eliminations of the cusped P^3 quotient (the
-    pivot rule alone fixes them): 6010 with the fewest-non-zeros unit pivot,
+    pivot rule and the chaining alone fix them): 4082 with the
+    fewest-non-zeros unit pivot on d_1 and then on the relations of d_2 and
+    d_3.  Eliminating each d_k on its own took 6010 with that pivot and
     18813 with the first unit in row-major order."""
     data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
     moves = sum(len(data.smith(k)._row_moves) + len(data.smith(k)._col_moves) for k in (1, 2, 3))
-    assert moves <= 7000
+    assert moves <= 4500
+
+
+def test_one_integral_elimination_per_degree(monkeypatch):
+    """homology(Z) and the H_k bases of every degree share the eliminations:
+    one per d_1 .. d_top, plus the empty relations of the top degree."""
+    calls = []
+    eliminate = chains.smith_normal_form
+    monkeypatch.setattr(chains, "smith_normal_form", lambda *a: calls.append(a[1:]) or eliminate(*a))
+    data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    top = data.top_dim
+    assert homology(data).betti == (1, 12, 11, 0)
+    assert len(calls) == top
+    bases = [integral_homology_basis(data, k) for k in range(1, top + 1)]
+    assert [b.free_rank for b in bases] == [12, 11, 0]
+    assert len(calls) == top + 1
+    # d_1 itself, then the relations: each as many rows as the cycles below
+    assert calls == [(208, 528), (528 - 207, 384), (384 - 309, 64), (64 - 64, 0)]
 
 
 def test_second_z2_homology_runs_no_elimination(monkeypatch):
@@ -517,19 +556,24 @@ def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):
     data = chain_complex_of(quotient.quotient, "Z")
     assert data.sizes() == (208, 528, 384, 64)
     assert homology(data).betti == (1, 12, 11, 0)
-    assert replayed == []  # ranks and torsion read the diagonal only
+    # V of degrees 1 and 2 on the rows of d_2 and d_3, which the eliminations
+    # of degrees 2 and 3 take; ranks and torsion read the diagonals only
+    assert replayed == ["v", "v"]
     basis = integral_homology_basis(data, 1)
-    # V of d_1 on the relations, U' on the free unit columns, V^-1 on the generators
-    assert replayed == ["v", "u", "vinv"]
+    # U' on the free unit columns, V^-1 on the generators; no elimination
+    assert replayed == ["v", "v", "u", "vinv"]
     assert integral_homology_basis(data, 1) is basis
     assert homology(data).betti == (1, 12, 11, 0)
-    assert replayed == ["v", "u", "vinv"]  # a second call replays nothing
+    assert replayed == ["v", "v", "u", "vinv"]  # a second call replays nothing
+    replayed.clear()
+    basis.project(basis.free_generators[0])
+    assert replayed == ["uinvT", "vT"]  # the covectors, built once
     for g in basis.free_generators[:3]:
         replayed.clear()
         basis.project(g)
-        assert replayed == ["v", "uinv"]
-    # one projection per selection, however many generators A has: a cusp
-    # torus (2), a single vertex (0) and the whole complex (12)
+        assert replayed == []
+    # no replay per selection, however many generators A has: a cusp torus
+    # (2), a single vertex (0) and the whole complex (12)
     selections = [subcomplex_selection(data, quotient.components[0].keys_per_dim),
                   subcomplex_selection(data, [data.cell_keys[0][:1]]),
                   subcomplex_selection(data, data.cell_keys)]
@@ -537,7 +581,7 @@ def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):
         assert integral_homology_basis(sel.data, 1).free_rank == rank
         replayed.clear()
         inclusion_free_h1_matrix(sel, 1, parent_basis=basis)
-        assert replayed == ["v", "uinv"]
+        assert replayed == []
 
 
 @composite
@@ -587,19 +631,22 @@ def test_snf_matches_oracle_on_random_integer_matrices(case, unit_case, sparse, 
 
 
 def _check_replay(a, m, n, rng) -> SNFResult:
-    """Each of U, U^-1, V, V^-1 replayed on a sparse random block B equals
-    the oracle's dense product T B, the inverses cancel, and replay on
-    identity rows agrees with the former two-identity replay."""
+    """Each of U, U^-1, V, V^-1 and their transposes replayed on a sparse
+    random block B equals the oracle's dense product T B, the inverses
+    cancel, and replay on identity rows agrees with the former two-identity
+    replay."""
     res = smith_normal_form(a, m, n)
     want = _oracle_with_both_rules(a, m, n)
     for name, size in (("u", m), ("uinv", m), ("v", n), ("vinv", n)):
-        width = rng.randint(0, 4)
-        block = [{j: x for j in range(width) if rng.random() < 0.4 and (x := rng.randint(-5, 5))}
-                 for _ in range(size)]
-        product = [[sum(row[k] * block[k].get(j, 0) for k in range(size)) for j in range(width)]
-                   for row in getattr(want, name)]
-        got = res._replay(name, [dict(r) for r in block])
-        assert [[r.get(j, 0) for j in range(width)] for r in got] == product, name
+        dense = getattr(want, name)
+        for transform, matrix in ((name, dense), (name + "T", [list(col) for col in zip(*dense)])):
+            width = rng.randint(0, 4)
+            block = [{j: x for j in range(width) if rng.random() < 0.4 and (x := rng.randint(-5, 5))}
+                     for _ in range(size)]
+            product = [[sum(row[k] * block[k].get(j, 0) for k in range(size)) for j in range(width)]
+                       for row in matrix]
+            got = res._replay(transform, [dict(r) for r in block])
+            assert [[r.get(j, 0) for j in range(width)] for r in got] == product, transform
     for t, inv, size in (("u", "uinv", m), ("v", "vinv", n)):
         eye = [{i: 1} for i in range(size)]
         assert res._replay(t, res._replay(inv, [dict(r) for r in eye])) == eye

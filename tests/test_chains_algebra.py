@@ -52,10 +52,10 @@ from dense_oracles import (
     gf2_rows_oracle,
     kernel_basis,
     left_kernel_basis,
-    relation_rows,
-    replay_project,
     quotient_entry_oracle,
     reduce_rows,
+    relation_rows,
+    replay_project,
     simplicial_entry_oracle,
     solve_rows,
     sparse_rows_oracle,

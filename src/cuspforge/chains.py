@@ -20,7 +20,8 @@ of degree k-1 dropped, and keeps its transforms as move logs, which are
 replayed on the sparse blocks that need them and never built: integral
 homology replays V once per degree from 2 up, an integral H_k basis reads
 the eliminations of degrees k and k+1 and runs none of its own, and is
-cached per degree as well.
+cached per degree as well.  The one integral budget check is in
+``smith_normal_form``, on the entries each elimination holds as it runs.
 
 ``propagate_signs`` is the one sign propagation: it orients a closed
 pseudomanifold given as (top cell, ridge, incidence) triples, for
@@ -39,17 +40,12 @@ import numpy as np
 
 from . import gf2
 from .cubical import CubicalComplex
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .simplicial import SimplicialComplex
 from .snf import SNFResult, smith_normal_form
 
 # d_k as (ptr, faces, coeffs), see ChainComplexData
 Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-# Entries of d_k (n_{k-1} x n_k) above which integral work is refused.  Nothing
-# dense is built: the limit is a shape stand-in for the elimination's fill-in
-# and move logs, which it does not measure.
-INTEGRAL_DENSE_LIMIT = 4_000_000
 
 # k-cells per block of the d(d) = 0 check
 DD_BLOCK_ROWS = 2048
@@ -206,13 +202,6 @@ class ChainComplexData:
         """Rank of d_k over Z/2, read off the reduction of delta^(k-1)."""
         return len(self.gf2_coreduction(k - 1)[0])
 
-    def check_dense(self, k: int) -> None:
-        """Refuse integral work on a d_k above INTEGRAL_DENSE_LIMIT entries."""
-        if self.size(k - 1) * self.size(k) > INTEGRAL_DENSE_LIMIT:
-            raise BudgetError(f"integral homology refuses a {self.size(k - 1)}x{self.size(k)} "
-                              f"boundary matrix (over {INTEGRAL_DENSE_LIMIT} entries); "
-                              "use Z/2 coefficients at this scale")
-
     def _sparse_rows(self, k: int) -> List[Dict[int, int]]:
         """d_k as sparse rows, one {k-cell: incidence} per (k-1)-cell
         (empty rows outside 1 <= k <= top)."""
@@ -230,11 +219,8 @@ class ChainComplexData:
         otherwise) and the rest are the relations R_k, so smith(k) is the
         SNF U_k D_k V_k of R_k and d_k = V^-1 diag(I, U_k) [0; D_k] V_k: it
         has d_k's rank and invariant factors, and V_k gives its cycles.
-        Each degree is checked against INTEGRAL_DENSE_LIMIT before any
-        elimination below it runs.
         """
         if k not in self._smith:
-            self.check_dense(k)
             below = self.smith(k - 1) if k > 1 else None
             rows = self._sparse_rows(k)
             if below is not None:
@@ -406,8 +392,6 @@ def homology(data: ChainComplexData) -> HomologyResult:
         ranks = [data.gf2_rank(k) for k in degrees]
         torsion = tuple(() for _ in range(top + 1))
     else:
-        for k in degrees:
-            data.check_dense(k)  # refuse before the first elimination
         ranks = [data.smith(k).rank for k in degrees]
         torsion = tuple(tuple(data.smith(k + 1).invariant_factors()) if k < top else ()
                         for k in range(top + 1))
@@ -486,9 +470,8 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
     its own: the cycles of smith(k) = U D V are V^-1 (0 + y), and
     smith(k+1) = U' D' V' is the SNF of the relations, so generator j is
     V^-1 (0 + U' e_j), of order D'_j.  Two replays, with no dense matrix:
-    U' on the free unit columns, V^-1 on those.  Both eliminations are
-    checked against INTEGRAL_DENSE_LIMIT, down from d_(k+1), before either
-    runs.  Computed once per degree and cached on the data."""
+    U' on the free unit columns, V^-1 on those.  Computed once per degree
+    and cached on the data."""
     if k in data._integral_bases:
         return data._integral_bases[k]
     r_snf = data.smith(k + 1)
@@ -724,9 +707,6 @@ class RestrictionMap:
 
     def rank(self) -> int:
         return gf2.rank_of_rows(self.rows)
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.dim_target
 
     def dense(self) -> List[List[int]]:
         return [[(r >> j) & 1 for j in range(self.dim_target)] for r in self.rows]

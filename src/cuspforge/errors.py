@@ -25,7 +25,7 @@ class ValidationError(CuspforgeError):
 
 
 class BudgetError(CuspforgeError):
-    """An explicit construction would exceed the configured cell budget."""
+    """A construction, or what an integral elimination holds, would exceed the cell budget."""
 
     exit_code = 3
 
@@ -37,7 +37,8 @@ class CertificateError(CuspforgeError):
 
 
 def cell_budget(override: int | None = None) -> int:
-    """Resolve the cell cap: explicit argument, else CUSPFORGE_BUDGET, else default."""
+    """The cap on cells and on the non-zeros plus logged moves an integral
+    elimination holds: explicit argument, else CUSPFORGE_BUDGET, else default."""
     if override is not None:
         if override <= 0:
             raise ValidationError("cell budget must be positive")

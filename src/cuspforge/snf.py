@@ -30,6 +30,10 @@ transposes U^T, (U^-1)^T, V^T and (V^-1)^T, so rows of a product of
 transforms are read off by replaying the transposes, in reverse order, on
 unit vectors.  ``diag``, ``rank`` and the invariant factors need no
 replay.
+
+Before each pivot step, what the elimination holds (working non-zeros,
+tracked by the length change of the row or column each add writes, plus
+both logs) is checked against ``errors.cell_budget()``: BudgetError above.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from itertools import chain, compress, islice
 from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError, cell_budget
 
 # A logged move: (i, j) swaps i and j, (src, dst, c) adds c times src to
 # dst, (i,) negates i.
@@ -161,6 +165,8 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
             cols[j].add(i)
     row_moves: List[Move] = []
     col_moves: List[Move] = []
+    cap = cell_budget()
+    nnz = sum(map(len, rows))
     t = 0  # the current step
     # (length, row) of every row as last changed; stale entries are skipped
     heap = [(len(r), i) for i, r in enumerate(rows) if r]
@@ -190,7 +196,9 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
 
     def row_add(src, dst, c):
         # row dst += c * row src
+        nonlocal nnz
         d = rows[dst]
+        nnz -= len(d)
         for k, x in rows[src].items():
             y = d.get(k, 0) + c * x
             if y:
@@ -199,13 +207,16 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
             else:
                 del d[k]
                 cols[k].remove(dst)
+        nnz += len(d)
         row_moves.append((src, dst, c))
         if d:
             heappush(heap, (len(d), dst))
 
     def col_add(src, dst, c):
         # column dst += c * column src
+        nonlocal nnz
         col = cols[dst]
+        nnz -= len(col)
         for r in cols[src]:
             row = rows[r]
             y = row.get(dst, 0) + c * row[src]
@@ -217,6 +228,7 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
                 col.remove(r)
             if r != t and row:  # row t: see find_pivot
                 heappush(heap, (len(row), r))
+        nnz += len(col)
         col_moves.append((src, dst, c))
 
     def row_negate(i):
@@ -244,6 +256,10 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
 
     limit = min(m, n)
     while t < limit:
+        held = nnz + len(row_moves) + len(col_moves)
+        if held > cap:
+            raise BudgetError(f"integral elimination holds {held} entries (non-zeros and moves), "
+                              f"budget is {cap}; use Z/2 coefficients at this scale")
         pos = find_pivot()
         if pos is None:
             break

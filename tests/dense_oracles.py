@@ -94,6 +94,9 @@ from cuspforge.snf import Move, SNFResult, _add_sparse
 
 Matrix = List[List[int]]
 
+# Entries of d_k (n_(k-1) x n_k) above which dense_boundary refuses to build it
+DENSE_BOUNDARY_LIMIT = 4_000_000
+
 
 @dataclass
 class DenseSNF:
@@ -274,10 +277,12 @@ def replay_project(basis, cycles: Sequence[Sequence[int]]) -> List[Tuple[List[in
 
 
 def dense_boundary(data, k: int) -> Matrix:
-    """Integer matrix of d_k, shape (n_{k-1}, n_k)."""
-    data.check_dense(k)
+    """Integer matrix of d_k, shape (n_{k-1}, n_k), refused above
+    DENSE_BOUNDARY_LIMIT entries: the only dense matrix the tests build."""
     n_rows = data.size(k - 1)
     n_cols = data.size(k)
+    if n_rows * n_cols > DENSE_BOUNDARY_LIMIT:
+        raise ValueError(f"dense_boundary refuses a {n_rows}x{n_cols} d_{k}")
     mat = [[0] * n_cols for _ in range(n_rows)]
     if 1 <= k <= data.top_dim:
         for j, entries in enumerate(entry_rows(data)[k]):

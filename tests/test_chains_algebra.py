@@ -10,7 +10,6 @@ import pytest
 
 from cuspforge import chains, gf2
 from cuspforge.chains import (
-    INTEGRAL_DENSE_LIMIT,
     ChainComplexData,
     Z2QuotientBasis,
     _splittings,
@@ -355,7 +354,7 @@ def test_induced_map_both_directions():
                 keys[d].append((sup, sg))
     sel = subcomplex_selection(data, keys)
     maps = induced_map(sel, 1, "Z2")
-    assert maps.restriction.is_surjective()
+    assert maps.restriction.rank() == maps.restriction.dim_target
     assert maps.inclusion_domain == 2 and maps.inclusion_target == 3
     assert gf2.rank_of_rows(maps.inclusion_rows) == 2  # injective over Z/2
     dataz = chain_complex_of(Z, "Z")
@@ -647,33 +646,26 @@ def test_project_refuses_non_cycles_and_wrong_lengths(name):
                     project([0] * length)
 
 
-def test_integral_consumers_refuse_over_the_dense_limit():
+def test_integral_eliminations_refuse_over_the_budget_on_what_they_hold(monkeypatch):
+    """The budget caps what an integral elimination holds (non-zeros and
+    logged moves), checked as it runs, not the shape of d_k: d_1 of the
+    cusped P^3 quotient (208 x 528, 1056 non-zeros) is refused under a
+    budget of 1000, and no elimination of that degree is kept."""
+    cusped = truncated_quotient(ideal_dual(gosset(3))).quotient  # 1184 cells
+    monkeypatch.setenv("CUSPFORGE_BUDGET", "1000")
+    for consumer in (homology, lambda d: integral_homology_basis(d, 1)):
+        data = chain_complex_of(cusped, "Z")
+        with pytest.raises(BudgetError, match=r"^integral elimination holds 1056 entries "
+                                              r"\(non-zeros and moves\), budget is 1000; use Z/2") as info:
+            consumer(data)
+        assert info.value.exit_code == 3 and 1 not in data._smith
+    monkeypatch.delenv("CUSPFORGE_BUDGET")
+    # 2001 x 2001 zero maps, refused by shape before: nothing to hold
     n = 2001
-    assert n * n > INTEGRAL_DENSE_LIMIT
     data = ChainComplexData.from_entries("Z", [tuple((i,) for i in range(n)), tuple((i, 0) for i in range(n))],
                                          [((),) * n, ((),) * n])
-    for consumer in (homology, lambda d: integral_homology_basis(d, 1)):
-        with pytest.raises(BudgetError) as info:
-            consumer(data)
-        assert info.value.exit_code == 3
-
-
-def test_integral_bases_refuse_over_the_dense_limit_before_eliminating():
-    """H_k reads the eliminations of degrees k and k+1, each chained on the
-    ones below, so d_(k+1) and d_(k-1) are checked too, before any runs."""
-    n = 2001
-
-    def empty(sizes):
-        keys = [tuple((i, k) for i in range(size)) for k, size in enumerate(sizes)]
-        return ChainComplexData.from_entries("Z", keys, [((),) * size for size in sizes])
-
-    for sizes in ((1, 1, n, n), (n, n, 1, 1)):
-        data = empty(sizes)  # d_(k+1), then d_(k-1), is 2001 x 2001 for k = 2
-        with pytest.raises(BudgetError) as info:
-            integral_homology_basis(data, 2)
-        assert info.value.exit_code == 3 and not data._smith
-    # H_1 reads d_1 and d_2 only
-    assert integral_homology_basis(empty((1, 1, n, n)), 1).free_rank == 1
+    assert homology(data).betti == (n, n)
+    assert integral_homology_basis(data, 1).free_rank == n
 
 
 def test_integral_eliminations_refuse_dd_nonzero():
@@ -787,20 +779,14 @@ def test_cohomology_bases_match_oracle(name):
 
 def test_integral_homology_of_the_filled_p4_manifold():
     """H_*(-; Z) of the filled 4-manifold of the n=4 preset (axis 0 at
-    every cusp), by one Smith normal form per d_k on its sparse rows:
-    homology(Z) still refuses it at INTEGRAL_DENSE_LIMIT.  The Betti
-    numbers are the Z/2 ones and there is no torsion, so
-    H_* = (Z, Z^30, Z^122, Z^30, Z)."""
+    every cusp) through homology(Z): the Betti numbers are the Z/2 ones and
+    there is no torsion, so H_* = (Z, Z^30, Z^122, Z^30, Z)."""
     X = _filled_p4()
     data = chain_complex_of(X, "Z")
-    with pytest.raises(BudgetError):
-        homology(data)
-    snfs = [smith_normal_form(data._sparse_rows(k), data.size(k - 1), data.size(k)) for k in range(1, 5)]
-    ranks = [0] + [snf.rank for snf in snfs] + [0]
-    assert ranks[1:5] == [1023, 4067, 4771, 1599]
-    betti = tuple(data.size(k) - ranks[k] - ranks[k + 1] for k in range(5))
-    assert betti == homology(chain_complex_of(X, "Z2")).betti == (1, 30, 122, 30, 1)
-    assert all(snf.invariant_factors() == [] for snf in snfs)
+    result = homology(data)
+    assert [data.smith(k).rank for k in range(1, 5)] == [1023, 4067, 4771, 1599]
+    assert result.betti == homology(chain_complex_of(X, "Z2")).betti == (1, 30, 122, 30, 1)
+    assert result.torsion == ((),) * 5
 
 
 def _refusal_or_splittings(splittings, data, k, l):

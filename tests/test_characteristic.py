@@ -8,6 +8,7 @@ from cuspforge.chains import (
     cup_product,
     homology,
     homology_z2_basis,
+    integral_homology_basis,
     subcomplex_selection,
 )
 from cuspforge.characteristic import (
@@ -246,6 +247,25 @@ def test_summand_and_lie_on_subtorus_of_t3():
     assert cert.invariant_factors == (1, 1)
     lie = lie_cusp_certificate(sel)
     assert lie.ok and lie.target_dim == 2
+
+
+def test_every_cusp_of_the_cusped_p4_quotient_is_a_lie_summand():
+    """The cusped P^4 quotient (distinct colours) through the public API:
+    H_*(Z) = (Z, Z^55, Z^197, Z^79, 0), and each of its 80 cusp 3-tori
+    injects into H_1 as a summand (invariant factors 1, 1, 1) whose Z/2
+    cohomology restriction is onto (rank 3 of 3)."""
+    cusped = truncated_quotient(ideal_dual(gosset(4)))
+    data = chain_complex_of(cusped.quotient, "Z")
+    result = homology(data)
+    assert result.betti == (1, 55, 197, 79, 0) and result.torsion == ((),) * 5
+    ph1, pcoh = integral_homology_basis(data, 1), cohomology_z2_basis(data, 1)
+    assert len(cusped.components) == 80
+    for comp in cusped.components:
+        sel = subcomplex_selection(data, comp.keys_per_dim)
+        cert = summand_certificate(sel, expected_rank=3, parent_basis=ph1)
+        assert cert.ok and cert.invariant_factors == (1, 1, 1)
+        lie = lie_cusp_certificate(sel, parent_basis=pcoh)
+        assert lie.ok and (lie.restriction_rank, lie.target_dim) == (3, 3)
 
 
 def test_summand_fails_on_mobius_boundary():

@@ -16,7 +16,7 @@ from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice, simplex_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
-from cuspforge.simplicial import boundary_of_simplex
+from cuspforge.simplicial import boundary_of_simplex, octahedron_boundary
 
 # sha256 of every n=3 preset artifact: refactors must keep them byte-identical
 N3_ARTIFACT_SHA256 = {
@@ -446,6 +446,23 @@ def test_exit_code_budget_error(tmp_path):
     run(["gosset", "--n", "5", "--out", str(g5)])
     run(["subdivide", "--in", str(g5), "--out", str(k4)])
     assert run(["rzk", "--in", str(k4), "--budget", "1000"]) == 3
+
+
+def test_integral_homology_over_the_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # the 3-torus has 512 cells, under the budget; its integral eliminations
+    # hold more, so Z refuses while Z/2 still answers
+    t3 = tmp_path / "t3.json"
+    t3.write_text(real_moment_angle(octahedron_boundary()).to_json())
+    monkeypatch.setenv("CUSPFORGE_BUDGET", "600")
+    capsys.readouterr()
+    assert run(["homology", "--in", str(t3), "--coeff", "z"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = json.loads(err.splitlines()[0])
+    assert line["code"] == 3 and line["error"].startswith("integral elimination holds ")
+    assert line["error"].endswith(", budget is 600; use Z/2 coefficients at this scale")
+    assert run(["homology", "--in", str(t3), "--coeff", "z2"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == [1, 3, 3, 1]
 
 
 def test_exit_code_certificate_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact linear algebra kernels: GF(2) bitsets and integer Smith form."""
 
 import random
+import re
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -15,7 +16,7 @@ from cuspforge.chains import (
     integral_homology_basis, subcomplex_selection,
 )
 from cuspforge.characteristic import spin_obstruction
-from cuspforge.errors import ValidationError
+from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.lattice import cube_lattice, polygon_lattice
 from cuspforge.moment_angle import (
     Colouring, QuotientCellComplex, colour_manifold, real_moment_angle, truncated_quotient,
@@ -483,6 +484,62 @@ def test_unit_pivots_limit_fill_on_the_cusped_quotient():
     data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
     moves = sum(len(data.smith(k)._row_moves) + len(data.smith(k)._col_moves) for k in (1, 2, 3))
     assert moves <= 4500
+
+
+def _held_at_refusal(matrix, budget, monkeypatch) -> Optional[int]:
+    """The entries the elimination reports holding when it refuses under
+    ``budget``, or None when it runs to the end."""
+    monkeypatch.setenv("CUSPFORGE_BUDGET", str(budget))
+    try:
+        smith_normal_form(matrix)
+    except BudgetError as exc:
+        assert exc.exit_code == 3
+        return int(re.match(r"^integral elimination holds (\d+) entries \(non-zeros and moves\), "
+                            rf"budget is {budget}; use Z/2 coefficients at this scale$", str(exc))[1])
+    finally:
+        monkeypatch.delenv("CUSPFORGE_BUDGET")
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_snf_budget_counts_the_non_zeros_and_moves_it_holds(monkeypatch, seed):
+    """A rank-deficient matrix's last budget check comes when no pivot is
+    left, and sees its rank non-zeros (the diagonal) plus every logged move,
+    so one entry less is refused.  Raising the budget to each refused count
+    climbs to the peak, under which the elimination runs to the result it
+    has with no budget, move for move."""
+    rng = random.Random(seed)
+    left, right = ([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)] for r, c in ((7, 4), (4, 9)))
+    matrix = [[2 * sum(a * b for a, b in zip(row, col)) + (i == j == 0) for j, col in enumerate(zip(*right))]
+              for i, row in enumerate(left)]
+    free = smith_normal_form(matrix)
+    last = free.rank + len(free._row_moves) + len(free._col_moves)
+    assert 0 < free.rank < 7 and last > 1
+    held = _held_at_refusal(matrix, last - 1, monkeypatch)
+    assert held >= last
+    while (higher := _held_at_refusal(matrix, held, monkeypatch)) is not None:
+        assert higher > held
+        held = higher
+    monkeypatch.setenv("CUSPFORGE_BUDGET", str(held))
+    got = smith_normal_form(matrix)
+    assert (got.diag, got._row_moves, got._col_moves) == (free.diag, free._row_moves, free._col_moves)
+
+
+def test_integral_budget_pins_the_peak_of_the_cusped_quotient(monkeypatch):
+    """The three eliminations of the cusped P^3 quotient hold at most 2467
+    entries (non-zeros plus logged moves) at a pivot step: a budget one
+    below is refused at that count, and at it homology(Z) and the H_1
+    basis are those of the default budget."""
+    quotient = truncated_quotient(ideal_dual(gosset(3))).quotient
+    want = chain_complex_of(quotient, "Z")
+    want_homology, want_h1 = homology(want), integral_homology_basis(want, 1).free_generators
+    monkeypatch.setenv("CUSPFORGE_BUDGET", "2466")
+    with pytest.raises(BudgetError, match=r"^integral elimination holds 2467 entries "):
+        homology(chain_complex_of(quotient, "Z"))
+    monkeypatch.setenv("CUSPFORGE_BUDGET", "2467")
+    data = chain_complex_of(quotient, "Z")
+    assert homology(data) == want_homology
+    assert integral_homology_basis(data, 1).free_generators == want_h1
 
 
 def test_one_integral_elimination_per_degree(monkeypatch):

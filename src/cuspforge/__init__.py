@@ -29,8 +29,6 @@ from .chains import (
     cohomology_z2_basis,
     cup_product,
     homology,
-    homology_z2_basis,
-    induced_map,
     integral_homology_basis,
     pair_with_fundamental_class,
     restriction_map_z2,

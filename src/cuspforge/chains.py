@@ -6,14 +6,16 @@ cell-complex types in this library, each d_k once, as a flat CSR triple
 of arrays: the cubical builder reads it off its face tables, the others
 pass per-cell entry lists through one converter, and subcomplexes
 reindex their parent's arrays.  Every reader works on the arrays: GF(2)
-work reads them mod 2 as bit-packed rows, and d(d(x)) = 0 is verified at
-build time by composing d_(k-1) d_k exactly in int64 arrays, a fixed
-block of k-cells at a time.
+work reads them mod 2 as bit-packed coboundary rows, ``coboundary``
+reads the odd entries directly, and d(d(x)) = 0 is verified at build
+time by composing d_(k-1) d_k exactly in int64 arrays, a fixed block of
+k-cells at a time.
 
 Each degree is eliminated once per coefficient ring and cached on the
 data: over Z one Smith normal form per degree, chained through the cycle
 coordinates, over Z/2 one cleared reduction per coboundary map delta^k,
-which every Z/2 rank, cocycle basis and coboundary pivot is read from.
+the only Z/2 elimination of chain data, which every Z/2 rank, cocycle
+basis, restriction map and coboundary pivot is read from.
 The Smith normal form of degree k is fed the relations of d_k, its
 sparse rows put through V of degree k-1 with the rows on the boundaries
 of degree k-1 dropped, and keeps its transforms as move logs, which are
@@ -60,15 +62,6 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
-def _bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> List[int]:
-    """n bitsets: bit b of bitset i is set when the pair (i, b) occurs an odd
-    number of times."""
-    out = [0] * n
-    for i, b in zip(owner.tolist(), bit.tolist()):
-        out[i] ^= 1 << b
-    return out
-
-
 @dataclass(eq=False)
 class ChainComplexData:
     """Ordered cell bases and boundary maps of a finite complex.
@@ -80,17 +73,15 @@ class ChainComplexData:
     records how downstream computations should interpret them ("Z" or
     "Z2").  Eliminations are cached beside the data: ``smith(k)`` over Z,
     one per degree, each on the relations left by the one below,
-    ``gf2_coreduction(k)`` and ``gf2_reduction(k)`` over Z/2, and the
-    integral H_k bases built on ``smith(k)`` and ``smith(k + 1)``.
+    ``gf2_coreduction(k)`` over Z/2, and the integral H_k bases built on
+    ``smith(k)`` and ``smith(k + 1)``.
     """
 
     coeff: str
     cell_keys: List[Tuple[Hashable, ...]]
     incidences: List[Incidence]
     _index: List[Dict[Hashable, int]] = field(default_factory=list, repr=False)
-    _gf2_rows: Dict[int, List[int]] = field(default_factory=dict, repr=False)
     _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
-    _gf2_reduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
     _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
 
@@ -156,24 +147,16 @@ class ChainComplexData:
         ptr, faces, coeffs = self.incidences[k]
         return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), faces, coeffs
 
-    def _odd_bitsets(self, k: int, by_face: bool) -> List[int]:
-        """d_k mod 2 as bitsets: one per k-cell over the (k-1)-cells, or with
-        ``by_face`` one per (k-1)-cell over the k-cells."""
-        cells, faces, coeffs = self._entries(k)
-        odd = coeffs & 1 != 0
-        if by_face:
-            return _bitsets(faces[odd], cells[odd], self.size(k - 1))
-        return _bitsets(cells[odd], faces[odd], self.size(k))
-
-    def gf2_rows(self, k: int) -> List[int]:
-        """Boundary of each k-cell as a bitset over (k-1)-cells."""
-        if k not in self._gf2_rows:
-            self._gf2_rows[k] = self._odd_bitsets(k, by_face=False)
-        return self._gf2_rows[k]
-
     def gf2_corows(self, k: int) -> List[int]:
-        """Coboundary of each k-cell as a bitset over (k+1)-cells."""
-        return self._odd_bitsets(k + 1, by_face=True)
+        """Coboundary of each k-cell as a bitset over (k+1)-cells: bit i of
+        row j is set when (k+1)-cell i has an odd number of odd entries on j.
+        The one Z/2 form of the chain data."""
+        cells, faces, coeffs = self._entries(k + 1)
+        odd = coeffs & 1 != 0
+        out = [0] * self.size(k)
+        for j, i in zip(faces[odd].tolist(), cells[odd].tolist()):
+            out[j] ^= 1 << i
+        return out
 
     def gf2_coreduction(self, k: int) -> Tuple[Dict[int, int], List[int]]:
         """The one Z/2 elimination of delta^k, computed once: the reduced
@@ -189,14 +172,6 @@ class ChainComplexData:
             skip = self.gf2_coreduction(k - 1)[0] if k > 0 else {}
             self._gf2_coreduction[k] = gf2.pivot_rows(self.gf2_corows(k), skip)
         return self._gf2_coreduction[k]
-
-    def gf2_reduction(self, k: int) -> Tuple[Dict[int, int], List[int]]:
-        """The one Z/2 elimination of d_k's rows, computed once: the reduced
-        boundaries {lowest bit: row} and the kernel tags, a basis of the
-        k-cycles over the k-cells."""
-        if k not in self._gf2_reduction:
-            self._gf2_reduction[k] = gf2.pivot_rows(self.gf2_rows(k))
-        return self._gf2_reduction[k]
 
     def gf2_rank(self, k: int) -> int:
         """Rank of d_k over Z/2, read off the reduction of delta^(k-1)."""
@@ -401,7 +376,7 @@ def homology(data: ChainComplexData) -> HomologyResult:
 
 
 # ---------------------------------------------------------------------------
-# integral homology with explicit bases (for induced maps and certificates)
+# integral homology with explicit bases (for inclusions and certificates)
 # ---------------------------------------------------------------------------
 
 
@@ -503,12 +478,12 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
 
 
 class Z2QuotientBasis:
-    """Basis of a Z/2 quotient space (co)cycles / (co)boundaries.
+    """Basis of a Z/2 quotient space cocycles / coboundaries.
 
     Representatives are bitsets over the k-cells; ``coordinates`` writes
-    any (co)cycle of the same complex in this basis modulo the image.
+    any cocycle of the same complex in this basis modulo the image.
     The image comes in reduced, as pivot rows of the one GF(2) elimination.
-    Built by ``homology_z2_basis`` and ``cohomology_z2_basis``.
+    Built by ``cohomology_z2_basis``.
     """
 
     def __init__(self, k: int, cycles: Sequence[int], image: Dict[int, int]):
@@ -527,17 +502,11 @@ class Z2QuotientBasis:
         self.dimension = len(reps)
 
     def coordinates(self, cycle: int) -> int:
-        """Coefficient bitmask of a (co)cycle in this basis, mod the image."""
+        """Coefficient bitmask of a cocycle in this basis, mod the image."""
         red, tag = gf2.reduce_tagged(cycle, self._pivots)
         if red:
             raise ValidationError("vector is not a (co)cycle of this complex")
         return tag
-
-
-def homology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
-    """H_k(-; Z/2): cycles of d_k modulo the image of d_{k+1}, both read off
-    the cached reductions of d_k and d_(k+1)."""
-    return Z2QuotientBasis(k, data.gf2_reduction(k)[1], data.gf2_reduction(k + 1)[0])
 
 
 def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
@@ -547,13 +516,15 @@ def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
 
 
 def coboundary(data: ChainComplexData, phi: int, k: int) -> int:
-    """delta(phi) as a bitset over (k+1)-cells."""
-    out = 0
-    if k + 1 <= data.top_dim:
-        for i, row in enumerate(data.gf2_rows(k + 1)):
-            if (row & phi).bit_count() & 1:
-                out |= 1 << i
-    return out
+    """delta(phi) as a bitset over (k+1)-cells, read off d_(k+1)'s
+    incidences: bit i is the parity of the odd entries of (k+1)-cell i on
+    the k-cells in phi.  Bits of phi at or above n_k are ignored."""
+    n = data.size(k)
+    cells, faces, coeffs = data._entries(k + 1)
+    held = np.unpackbits(np.frombuffer((phi & ((1 << n) - 1)).to_bytes(-(-n // 8), "little"), np.uint8),
+                         bitorder="little")
+    parity = np.bincount(cells[(coeffs & 1 != 0) & (held[faces] != 0)], minlength=data.size(k + 1)) & 1
+    return int.from_bytes(np.packbits(parity.astype(np.uint8), bitorder="little").tobytes(), "little")
 
 
 def is_cocycle(data: ChainComplexData, phi: int, k: int) -> bool:
@@ -628,7 +599,7 @@ def pair_with_fundamental_class(data: ChainComplexData, phi: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcomplexes and induced maps
+# subcomplexes and the maps their inclusions induce
 # ---------------------------------------------------------------------------
 
 
@@ -708,9 +679,6 @@ class RestrictionMap:
     def rank(self) -> int:
         return gf2.rank_of_rows(self.rows)
 
-    def dense(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.dim_target)] for r in self.rows]
-
 
 def restriction_map_z2(
     selection: SubcomplexSelection, k: int, parent_basis: Optional[Z2QuotientBasis] = None
@@ -738,61 +706,3 @@ def inclusion_free_h1_matrix(
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(hx.free_rank)]
     return matrix, ha, hx
 
-
-@dataclass(frozen=True)
-class InducedMaps:
-    """Both directions of an inclusion A <= X in degree k.
-
-    ``restriction`` is H^k(X) -> H^k(A); ``inclusion_rows[i]`` is the
-    image of the i-th H_k(A) basis vector in H_k(X) coordinates (Z/2
-    coefficient bitmasks, or integer free-part rows over Z).
-    """
-
-    coeff: str
-    degree: int
-    restriction: Optional[RestrictionMap]
-    inclusion_rows: Tuple = ()
-    inclusion_domain: int = 0
-    inclusion_target: int = 0
-
-
-def induced_map(selection: SubcomplexSelection, k: int, coeff: str = "Z2") -> InducedMaps:
-    """Matrices of the maps induced by a subcomplex inclusion.
-
-    Over Z/2 both the cohomology restriction and the homology inclusion
-    are computed; over Z the inclusion acts on the free parts (the
-    carrier of the summand certificate) and restriction is omitted.
-    """
-    if coeff == "Z2":
-        restriction = restriction_map_z2(selection, k)
-        hx = homology_z2_basis(selection.parent, k)
-        ha = homology_z2_basis(selection.data, k)
-        rows = []
-        for rep in ha.representatives:
-            vec = 0
-            for sub_i, par_i in enumerate(selection.indices[k] if k < len(selection.indices) else []):
-                if (rep >> sub_i) & 1:
-                    vec |= 1 << par_i
-            rows.append(hx.coordinates(vec))
-        return InducedMaps(
-            coeff="Z2",
-            degree=k,
-            restriction=restriction,
-            inclusion_rows=tuple(rows),
-            inclusion_domain=ha.dimension,
-            inclusion_target=hx.dimension,
-        )
-    if coeff != "Z":
-        raise ValidationError("coefficients must be 'Z' or 'Z2'")
-    matrix, ha_z, hx_z = inclusion_free_h1_matrix(selection, k)
-    rows = tuple(
-        tuple(matrix[i][j] for i in range(hx_z.free_rank)) for j in range(ha_z.free_rank)
-    )
-    return InducedMaps(
-        coeff="Z",
-        degree=k,
-        restriction=None,
-        inclusion_rows=rows,
-        inclusion_domain=ha_z.free_rank,
-        inclusion_target=hx_z.free_rank,
-    )

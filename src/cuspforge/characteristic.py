@@ -1,7 +1,9 @@
 """Orientability, the spin obstruction, and cusp spin-type certificates.
 
-Orientability is ``chains.propagate_signs`` over the top boundary map,
-certified by the signed incidences cancelling at every ridge.
+Orientability is ``chains.propagate_signs`` over the top boundary map.
+The propagation checks each ridge from both sides, which forces its two
+incidences to be +-1 and the signed ones to cancel there, so the signs
+it returns are an orientation with no further check.
 
 The two cusp labels are certificate-based: a cusp is Bounding when the
 filled-in closed manifold is verified spinnable (a spin structure there
@@ -58,8 +60,11 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
     """w1 = 0 test: the top integral homology is Z.
 
     ``propagate_signs`` over d_top refuses a complex that is not closed and
-    signs the top cells; the signed incidences must then cancel exactly at
-    every ridge.  Linear-time, unlike rank arguments on the Smith form.
+    signs the top cells.  A ridge with incidences a (cell c) and b (cell c')
+    is checked from both sides, s' = -s a b and s = -s' a b, so (a b)^2 = 1
+    and s a + s' b = 0: the signed top boundary vanishes exactly once the
+    propagation completes.  Linear-time, unlike rank arguments on the
+    Smith form.
     """
     if data is None:
         data = chain_complex_of(X, "Z")
@@ -69,13 +74,7 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
     n_top = data.size(n)
     cells, faces, coeffs = data._entries(n)
     sign, _ = propagate_signs(cells, faces, coeffs, n_top, data.size(n - 1))
-    if sign is not None:
-        boundary = [0] * data.size(n - 1)
-        for c, f, x in zip(cells.tolist(), faces.tolist(), coeffs.tolist()):
-            boundary[f] += sign[c] * x
-        if not any(boundary):
-            return OrientabilityResult(True, n_top, tuple(sign))
-    return OrientabilityResult(False, n_top, None)
+    return OrientabilityResult(sign is not None, n_top, None if sign is None else tuple(sign))
 
 
 # ---------------------------------------------------------------------------

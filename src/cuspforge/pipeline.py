@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .characteristic import (
     SpinReport,
@@ -92,14 +92,22 @@ class PipelineResult:
     artifacts: Dict[str, str] = field(default_factory=dict)
 
 
-def _write(outdir: Optional[str], name: str, payload: str, artifacts: Dict[str, str]) -> None:
+def _write(outdir: Optional[str], name: str, render: Callable[[], str | bytes],
+           artifacts: Dict[str, str]) -> None:
+    """Write ``render()`` to ``outdir/name``: text with a trailing newline,
+    bytes as they are.  Without an outdir nothing is rendered."""
     if outdir is None:
         return
+    payload = render()
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        fh.write("\n")
+    if isinstance(payload, bytes):
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+            fh.write("\n")
     artifacts[name] = path
 
 
@@ -141,11 +149,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     n = cfg.n
     G = stage("gosset", lambda: gosset(n))
-    _write(cfg.outdir, f"g{n}.json", G.lattice.to_json(), artifacts)
+    _write(cfg.outdir, f"g{n}.json", G.lattice.to_json, artifacts)
     P = stage("dual", lambda: ideal_dual(G))
-    _write(cfg.outdir, f"p{n}.json", P.lattice.to_json(), artifacts)
+    _write(cfg.outdir, f"p{n}.json", P.lattice.to_json, artifacts)
     census = stage("census", lambda: cusp_census(P))
-    _write(cfg.outdir, "census.json", census_json(census), artifacts)
+    _write(cfg.outdir, "census.json", lambda: census_json(census), artifacts)
     facts["cusp_total"] = census.total
     facts["facets"] = P.num_facets
     facts["ideal_vertices"] = len(P.ideal_vertices)
@@ -155,9 +163,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     choice = stage("choices", lambda: resolve_choice(P, cfg.choices))
     filled: DehnFilling = stage("fill", lambda: dehn_fill(P, choice))
-    _write(cfg.outdir, f"p{n}bar.json", filled.lattice.to_json(), artifacts)
+    _write(cfg.outdir, f"p{n}bar.json", filled.lattice.to_json, artifacts)
     K = stage("subdivide", lambda: subdivide_cross_facets(G, diagonals_from_filling(G, choice)))
-    _write(cfg.outdir, f"k{n - 1}.json", K.to_json(), artifacts)
+    _write(cfg.outdir, f"k{n - 1}.json", K.to_json, artifacts)
 
     def check_duality():
         if not duality_check(filled.lattice, K):
@@ -168,12 +176,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     colouring = Colouring.distinct(P.num_facets)
     Z = stage("colour", lambda: colour_manifold(filled.lattice, colouring, budget=cfg.budget))
-    _write(cfg.outdir, f"m{n}bar.json", Z.to_json(), artifacts)
-    if cfg.outdir is not None and Z.ambient <= 32:
-        path = os.path.join(cfg.outdir, f"m{n}bar.rzk1")
-        with open(path, "wb") as fh:
-            fh.write(Z.to_rzk1())
-        artifacts[f"m{n}bar.rzk1"] = path
+    _write(cfg.outdir, f"m{n}bar.json", Z.to_json, artifacts)
+    if Z.ambient <= 32:
+        _write(cfg.outdir, f"m{n}bar.rzk1", Z.to_rzk1, artifacts)
     facts["filled_cells"] = Z.num_cells()
 
     def check_manifold():
@@ -227,7 +232,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "w2": wu.provenance,
         },
     )
-    _write(cfg.outdir, "report.json", report.to_json(), artifacts)
+    _write(cfg.outdir, "report.json", report.to_json, artifacts)
     return PipelineResult(cfg, census, report, facts, artifacts)
 
 

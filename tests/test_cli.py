@@ -163,6 +163,26 @@ def test_pipeline_n3_artifacts_match_recorded_digests(tmp_path):
     assert digests == N3_ARTIFACT_SHA256
 
 
+def test_pipeline_without_outdir_serializes_nothing(tmp_path, monkeypatch):
+    from cuspforge.characteristic import SpinReport
+    from cuspforge.cubical import CubicalComplex
+    from cuspforge.simplicial import SimplicialComplex
+
+    written = run_pipeline(PipelineConfig(n=3, outdir=str(tmp_path)))
+    assert sorted(written.artifacts) == sorted(N3_ARTIFACT_SHA256)
+
+    def refuse(*args):
+        raise AssertionError("serialized without an outdir")
+
+    for owner, attr in ((FaceLattice, "to_json"), (CubicalComplex, "to_json"), (CubicalComplex, "to_rzk1"),
+                        (SimplicialComplex, "to_json"), (SpinReport, "to_json"), (pipeline, "census_json")):
+        monkeypatch.setattr(owner, attr, refuse)
+    result = run_pipeline(PipelineConfig(n=3))
+    assert result.artifacts == {}
+    assert result.facts == written.facts
+    assert result.report == written.report
+
+
 @pytest.mark.parametrize("error", [ValidationError, BudgetError])
 def test_chain_complex_build_is_a_named_stage(monkeypatch, error):
     def failing_build(X, coeff="Z2"):

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -12,10 +13,10 @@ from hypothesis.strategies import booleans, composite, floats, integers, permuta
 
 from cuspforge import chains, gf2
 from cuspforge.chains import (
-    chain_complex_of, cohomology_z2_basis, homology, homology_z2_basis, inclusion_free_h1_matrix, induced_map,
-    integral_homology_basis, subcomplex_selection,
+    ChainComplexData, chain_complex_of, cohomology_z2_basis, homology, inclusion_free_h1_matrix,
+    integral_homology_basis, restriction_map_z2, subcomplex_selection,
 )
-from cuspforge.characteristic import spin_obstruction
+from cuspforge.characteristic import spin_obstruction, spin_structures
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.lattice import cube_lattice, polygon_lattice
 from cuspforge.moment_angle import (
@@ -570,10 +571,19 @@ def test_second_z2_homology_runs_no_elimination(monkeypatch):
     assert len(calls) == 3
 
 
+def _coordinate_subtorus_keys(Z, axes):
+    """Cells of the coordinate subtorus on ``axes``, the other coordinates
+    frozen at +1."""
+    frozen = [i for i in range(Z.ambient) if i not in axes]
+    return [[(sup, sg) for sup, sg in Z.cells_of_dim(d)
+             if set(sup) <= set(axes) and all((sg >> i) & 1 for i in frozen)]
+            for d in range(len(axes) // 2 + 1)]
+
+
 def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
     calls = []
     reduce = gf2._tagged_pivots
-    monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: calls.append(1) or reduce(*a))
+    monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: calls.append(a[0]) or reduce(*a))
 
     def count(read):
         calls.clear()
@@ -588,20 +598,40 @@ def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
     assert count(lambda: cohomology_z2_basis(data, 2)) == 3  # delta^0, delta^1, delta^2
     # the Gram rows: rank and Wu class from one elimination, H^2 read off the cache
     assert count(lambda: spin_obstruction(t4, data)) == 1
-    assert count(lambda: homology_z2_basis(data, 2)) == 2  # cycles of d_2, image of d_3
+
+    # every Z/2 reader of one fresh chain data, together: the parent's
+    # coboundary rows of each degree are eliminated once
+    data = chain_complex_of(t4, "Z2")
+    top = data.top_dim
+    selections = [subcomplex_selection(data, _coordinate_subtorus_keys(t4, axes))
+                  for axes in ((0, 1, 2, 3), (4, 5, 6, 7))]
+    calls.clear()
+    assert homology(data).betti == (1, 4, 6, 4, 1)
+    assert [cohomology_z2_basis(data, k).dimension for k in range(top + 1)] == [1, 4, 6, 4, 1]
+    assert spin_structures(t4, data).structure_count == 16
+    assert spin_obstruction(t4, data).vanishes is True
+    assert [restriction_map_z2(sel, 1).rank() for sel in selections] == [2, 2]
+    assert [sum(rows == data.gf2_corows(k) for rows in calls) for k in range(top + 1)] == [1] * (top + 1)
+    # and the chain data keeps no other Z/2 form or elimination
+    assert {f.name for f in fields(ChainComplexData) if f.name.startswith("_")} == {
+        "_index", "_gf2_coreduction", "_smith", "_integral_bases"}
+    assert set(data._gf2_coreduction) == set(range(-1, top + 1))
 
 
 def test_induced_maps_on_one_parent_eliminate_its_boundaries_once(monkeypatch):
+    """Restrictions to two cusp tori of one parent: the parent's delta^0 and
+    delta^1 are eliminated once each, and the second restriction reads them
+    off the cache."""
     cusped = truncated_quotient(ideal_dual(gosset(3)))
     parent = chain_complex_of(cusped.quotient, "Z2")
     first, second = (subcomplex_selection(parent, c.keys_per_dim) for c in cusped.components[:2])
     seen = []
     reduce = gf2._tagged_pivots
     monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: seen.append(a[0]) or reduce(*a))
-    maps = [induced_map(sel, 1, "Z2") for sel in (first, second)]
-    parent_rows = [parent.gf2_rows(k) for k in (1, 2)]
-    assert [sum(rows is r for r in seen) for rows in parent_rows] == [1, 1]  # d_1, d_2 once each
-    assert all(m.inclusion_domain == 2 and m.inclusion_target == 12 for m in maps)
+    maps = [restriction_map_z2(sel, 1) for sel in (first, second)]
+    parent_rows = [parent.gf2_corows(k) for k in (0, 1)]
+    assert [sum(rows == r for r in seen) for rows in parent_rows] == [1, 1]  # delta^0, delta^1 once each
+    assert all((m.dim_domain, m.dim_target, m.rank()) == (12, 2, 2) for m in maps)
 
 
 def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):

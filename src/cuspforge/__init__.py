@@ -46,12 +46,11 @@ from .filling import (
     enumerate_filling_choices,
     subdivide_cross_facets,
 )
-from .isomorphism import cubical_isomorphism, find_isomorphism, isomorphic
+from .isomorphism import cubical_isomorphism, find_isomorphism
 from .lattice import (
     FaceLattice,
     cube_lattice,
     dualize,
-    dualize_complex,
     polygon_lattice,
     simplex_lattice,
 )

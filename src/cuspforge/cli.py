@@ -23,7 +23,7 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology
 from .cubical import CubicalComplex
-from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget, json_document
+from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget, json_document, read_file
 from .filling import (
     DiagonalChoice,
     FillingChoice,
@@ -37,15 +37,6 @@ from .moment_angle import Colouring, colour_manifold, cusp_census, real_moment_a
 from .pipeline import PipelineConfig, census_json, run_pipeline, verify
 from .polytopes import gosset, gosset_from_lattice, ideal_dual, ideal_polytope_from_lattice
 from .simplicial import SimplicialComplex
-
-
-def _read(path: str, mode: str = "r"):
-    """File contents; a missing, unreadable or non-UTF-8 file exits 2."""
-    try:
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _spec_pairs(spec: str, what: str, bound: int, prefix: str = "") -> Dict[int, int]:
@@ -70,15 +61,15 @@ def _write_out(path: Optional[str], payload: str) -> None:
 
 def _load_cubical(path: str) -> CubicalComplex:
     if path.endswith(".rzk1"):
-        return CubicalComplex.from_rzk1(_read(path, "rb"))
-    return CubicalComplex.from_json(_read(path))
+        return CubicalComplex.from_rzk1(read_file(path, "rb"))
+    return CubicalComplex.from_json(read_file(path))
 
 
 def _load_complex(path: str):
     """A cubical complex (RZK1 or JSON) or a simplicial complex (JSON)."""
     if path.endswith(".rzk1"):
         return _load_cubical(path)
-    text = _read(path)
+    text = read_file(path)
     if json_document(text, "cubical", "simplicial")["type"] == "cubical":
         return CubicalComplex.from_json(text)
     return SimplicialComplex.from_json(text)
@@ -103,7 +94,7 @@ def _parse_choice_spec(spec: str, P) -> FillingChoice:
 
 
 def _cmd_fill(args) -> int:
-    lattice = FaceLattice.from_json(_read(args.infile))
+    lattice = FaceLattice.from_json(read_file(args.infile))
     P = ideal_polytope_from_lattice(lattice)
     choice = _parse_choice_spec(args.choices, P)
     filled = dehn_fill(P, choice)
@@ -112,7 +103,7 @@ def _cmd_fill(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
-    lattice = FaceLattice.from_json(_read(args.infile))
+    lattice = FaceLattice.from_json(read_file(args.infile))
     G = gosset_from_lattice(lattice)
     if args.diagonals == "auto":
         d = auto_diagonals(G)
@@ -124,7 +115,7 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_rzk(args) -> int:
-    K = SimplicialComplex.from_json(_read(args.infile))
+    K = SimplicialComplex.from_json(read_file(args.infile))
     Z = real_moment_angle(K, budget=args.budget)
     if args.binary:
         if args.out is None or args.out == "-":
@@ -154,7 +145,7 @@ def _parse_colours(spec: str, budget: Optional[int]) -> Colouring:
 
 
 def _cmd_colour(args) -> int:
-    lattice = FaceLattice.from_json(_read(args.infile))
+    lattice = FaceLattice.from_json(read_file(args.infile))
     if args.colours == "distinct":
         colouring = Colouring.distinct(lattice.num_facets)
     else:
@@ -183,7 +174,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    lattice = FaceLattice.from_json(_read(args.infile))
+    lattice = FaceLattice.from_json(read_file(args.infile))
     P = ideal_polytope_from_lattice(lattice)
     census = cusp_census(P)
     _write_out(args.out, census_json(census))
@@ -191,7 +182,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_spin_report(args) -> int:
-    lattice = FaceLattice.from_json(_read(args.manifold))
+    lattice = FaceLattice.from_json(read_file(args.manifold))
     P = ideal_polytope_from_lattice(lattice)
     cusp_ids = cusp_census(P).cusp_ids()
     Z = _load_cubical(args.filling)

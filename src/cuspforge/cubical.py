@@ -17,7 +17,8 @@ cube faces: the closure check, the cubical chain complex (and through
 its rows the cup-product splittings), the preimage merges and the
 vertex links all read it.  The tables, the links and the per-cell view
 ``cells_of_dim`` are cached on the complex and ignored by ``==``,
-``hash`` and pickle, which read the runs.
+``hash`` and pickle, which read the runs.  ``relabel`` permutes the
+ambient axes; it is the image ``isomorphism.cubical_isomorphism`` checks.
 """
 
 from __future__ import annotations
@@ -219,15 +220,6 @@ class CubicalComplex:
         return build_simplicial(sorted(found), self.ambient)
 
     # -- symmetries ----------------------------------------------------------
-
-    def sign_flip(self, axis: int) -> "CubicalComplex":
-        """Image under the reflection of coordinate ``axis``."""
-        if not (0 <= axis < self.ambient):
-            raise ValidationError("axis out of range")
-        bit = 1 << axis
-        return CubicalComplex(self.ambient, [
-            (sup, sg) for d in range(self.dim + 1) for sup, _, signs in self.support_runs(d)
-            for sg in (signs if axis in sup else signs ^ bit).tolist()], validate=False)
 
     def relabel(self, perm: Dict[int, int]) -> "CubicalComplex":
         """Image under a permutation of the ambient coordinates."""

@@ -1,4 +1,4 @@
-"""Exception hierarchy, the cell-budget guard and the JSON document guard.
+"""Exception hierarchy, the cell-budget guard and the file and JSON guards.
 
 Exit-code mapping used by the CLI: validation failures exit 2, budget
 overruns exit 3, certificate failures exit 4.
@@ -59,6 +59,15 @@ def check_budget(n_cells: int, budget: int | None = None) -> None:
     cap = cell_budget(budget)
     if n_cells > cap:
         raise BudgetError(f"construction needs {n_cells} cells, budget is {cap}")
+
+
+def read_file(path: str, mode: str = "r"):
+    """File contents; a missing, unreadable or non-UTF-8 path raises ValidationError."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def json_document(text: str, *kinds: str) -> dict:

@@ -114,10 +114,6 @@ def find_isomorphism(A: SimplicialComplex, B: SimplicialComplex) -> Optional[Dic
     return None
 
 
-def isomorphic(A: SimplicialComplex, B: SimplicialComplex) -> bool:
-    return find_isomorphism(A, B) is not None
-
-
 def cubical_isomorphism(Z1, Z2) -> Optional[Dict[int, int]]:
     """Ambient-coordinate permutation identifying two cube subcomplexes.
 

@@ -18,6 +18,10 @@ arrays.  Readers take the rows of one rank (``rows_of_rank``) or every
 face at once; no face is looked up by its facet set.  The per-face view
 ``faces`` is built on first use and kept out of ``==``, ``hash`` and
 pickles.
+
+Duality runs one way: ``dualize`` reads the dual simplicial complex of a
+simple lattice off its vertex rows.  Meets and joins of face pairs are
+not checked here: that O(F^3) check is a test oracle.
 """
 
 from __future__ import annotations
@@ -190,35 +194,6 @@ class FaceLattice:
         """True iff each rank-(n-k) face lies in exactly k facets."""
         return bool((np.diff(self._ptr) == self.rank - self._ranks).all())
 
-    # -- structural checks -------------------------------------------------
-
-    def lattice_check(self, max_pairs: Optional[int] = None) -> bool:
-        """Meets and joins exist for face pairs (with bottom/top adjoined).
-
-        Checks all pairs by default; ``max_pairs`` samples deterministically
-        for large instances.
-        """
-        sets = [s for _, s in self.faces]
-        all_f = frozenset(range(self.num_facets))
-        universe = sets + [all_f, frozenset()]
-        pairs = list(combinations(range(len(sets)), 2))
-        if max_pairs is not None and len(pairs) > max_pairs:
-            step = max(1, len(pairs) // max_pairs)
-            pairs = pairs[::step][:max_pairs]
-        for ia, ib in pairs:
-            a, b = sets[ia], sets[ib]
-            union = a | b
-            lower = [s for s in universe if s >= union]
-            meet = min(lower, key=len, default=None)
-            if meet is None or any(not (meet <= s) for s in lower):
-                return False
-            inter = a & b
-            upper = [s for s in universe if s <= inter]
-            join = max(upper, key=len)
-            if any(not (join >= s) for s in upper):
-                return False
-        return True
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -359,22 +334,6 @@ def dualize(P: FaceLattice) -> SimplicialComplex:
         if not K.has_face(tuple(sorted(s))):
             raise ValidationError(f"face {sorted(s)} has no dual simplex")
     return K
-
-
-def dualize_complex(K: SimplicialComplex) -> FaceLattice:
-    """Inverse of :func:`dualize` on closed pseudo-manifold spheres."""
-    if not K.is_pure():
-        raise ValidationError("dual lattice needs a pure complex")
-    if not K.is_closed_pseudomanifold():
-        raise ValidationError("dual lattice needs a closed pseudo-manifold")
-    n = K.dim + 1
-    if len(K.vertices()) != K.vertex_count:
-        raise ValidationError("complex has unused vertex slots")
-    faces = []
-    for d in range(K.dim + 1):
-        for tau in K.faces_of_dim(d):
-            faces.append((n - 1 - d, frozenset(tau)))
-    return FaceLattice(n, K.vertex_count, faces)
 
 
 # -- stock lattices ----------------------------------------------------------

@@ -13,14 +13,16 @@ Three manifold models appear here:
   ``chains.propagate_signs`` per face rank.
 * ``truncated_quotient(P, colouring)``: the compact cusped model, the
   colouring quotient of the vertex-truncated polytope with uncoloured
-  truncation facets; its boundary components are the cusp tori.
+  truncation facets; its boundary components are the cusp sections,
+  closed flat manifolds that need not be tori.
 
 Cusps are cosets: the cusps over an ideal vertex v are the cosets of
 (Z/2)^k modulo the span of the colours on v's facets.  ``cusp_census``
-counts them, and ``truncated_quotient`` puts each boundary cell on the
-torus of its coset representative.  The union-find of
-``preimage_components`` counts the same cusps independently, as the
-components of the filling cubes' preimages in the filled manifold.
+counts them and names each section a torus or not, and
+``truncated_quotient`` puts each boundary cell on the section of its
+coset representative.  The union-find of ``preimage_components`` counts
+the same cusps independently, as the components of the filling cubes'
+preimages in the filled manifold.
 """
 
 from __future__ import annotations
@@ -264,9 +266,10 @@ class ManifoldReport:
 
 def manifold_check(Z: CubicalComplex, K: SimplicialComplex) -> ManifoldReport:
     """Check that every vertex link of Z is isomorphic to K and that K
-    itself is a plausible sphere (pure, closed, connected, sphere Betti
-    numbers over Z/2).  Vertices with the same labelled link share one
-    isomorphism test."""
+    itself is a plausible sphere: pure, closed (dimension >= 1 and
+    ``ChainComplexData._check_closed``), connected (b_0 = 1) and with sphere
+    Betti numbers, all read off K's one Z/2 chain complex.  Vertices with
+    the same labelled link share one isomorphism test."""
     failures: List[str] = []
     results = []
     links = Z.vertex_links()
@@ -285,11 +288,16 @@ def manifold_check(Z: CubicalComplex, K: SimplicialComplex) -> ManifoldReport:
             failures.append(f"link mismatch at vertex {v}")
     links_match = all(ok for _, ok in results)
     pure = K.is_pure()
-    closed = K.is_closed_pseudomanifold()
-    connected = K.is_connected()
-    d = K.dim
-    expect = tuple([1] + [0] * (d - 1) + [1]) if d >= 1 else (2,)
-    sphere_betti = homology(chain_complex_of(K, "Z2")).betti == expect
+    data = chain_complex_of(K, "Z2")
+    betti = homology(data).betti
+    closed = pure and K.dim >= 1
+    if closed:
+        try:
+            data._check_closed()
+        except ValidationError:
+            closed = False
+    connected = betti[0] == 1
+    sphere_betti = betti == ((1,) + (0,) * (K.dim - 1) + (1,) if K.dim >= 1 else (2,))
     for name, ok in (("pure", pure), ("closed", closed), ("connected", connected),
                      ("sphere betti", sphere_betti)):
         if not ok:
@@ -342,22 +350,29 @@ class CuspCensus:
 
 def cusp_census(P: IdealPolytope, colouring: Optional[Colouring] = None) -> CuspCensus:
     """Cusp count of the coloured quotient: one cusp per coset of the
-    colour span at each ideal vertex.  Totals are exact integers."""
+    colour span at each ideal vertex.  Totals are exact integers.  A cusp
+    section is a flat (n-1)-manifold, a torus iff b_1 = n-1 (Bieberbach): iff
+    the colour span at v exceeds that of the axis sums lambda_a + lambda_b,
+    (a, b) in ``P.axes_of(v)``, by n-1, as it does for independent colours."""
     if colouring is None:
         colouring = Colouring.distinct(P.num_facets)
     if len(colouring.vectors) != P.num_facets:
         raise ValidationError("colouring size does not match the facet count")
+    colours = colouring.vectors
+    names = {True: f"{P.n - 1}-torus", False: f"flat {P.n - 1}-manifold, not a torus"}
     entries = []
     total = 0
     for v in P.ideal_vertices:
         m_v = len(v)
-        span = gf2.rank_of_rows([colouring.vectors[i] for i in v])
+        span = gf2.rank_of_rows([colours[i] for i in v])
+        torus = span == m_v or span - gf2.rank_of_rows(
+            [colours[a] ^ colours[b] for a, b in P.axes_of(v)]) == P.n - 1
         count = 1 << (colouring.k - span)
         entries.append(CuspEntry(
             vertex=tuple(sorted(v)),
             incident_facets=m_v,
             components=count,
-            section=f"{P.n - 1}-torus",
+            section=names[torus],
         ))
         total += count
     return CuspCensus(entries=tuple(entries), total=total)
@@ -452,7 +467,7 @@ def truncate_ideal(P: IdealPolytope) -> TruncatedPolytope:
 
 @dataclass
 class CuspComponent:
-    """One boundary torus of the cusped model, as a cell selection."""
+    """One cusp section of the cusped model, as a cell selection."""
 
     ideal_vertex: Tuple[int, ...]
     keys_per_dim: Tuple[Tuple[Tuple[int, int], ...], ...]
@@ -460,7 +475,7 @@ class CuspComponent:
 
 @dataclass
 class CuspedComplex:
-    """Compact cusped manifold model with its boundary tori."""
+    """Compact cusped manifold model with its cusp sections."""
 
     quotient: QuotientCellComplex
     truncated: TruncatedPolytope
@@ -470,16 +485,17 @@ class CuspedComplex:
 def truncated_quotient(
     P: IdealPolytope, colouring: Optional[Colouring] = None, budget: Optional[int] = None
 ) -> CuspedComplex:
-    """Colouring quotient of the truncated polytope, with its cusp tori.
+    """Colouring quotient of the truncated polytope, with its cusp sections.
 
     Original facets keep their colours; truncation facets are left
     uncoloured, so the quotient is a manifold with boundary.  Over the
     truncation facet of an ideal vertex v lie the 2^k copies of v's cube
     link, glued along the colours of v's facets: the cusps over v are the
     cosets of (Z/2)^k modulo their span, as ``cusp_census`` counts them.
-    So one pass puts each boundary cell (face, rep) on the torus
-    ``gf2.normal_form(rep, span)``.  Tori are listed by vertex, then by
-    their first top cell.
+    So one pass puts each boundary cell (face, rep) on the section
+    ``gf2.normal_form(rep, span)``, a closed flat manifold that is a torus
+    only where ``cusp_census`` says so.  Sections are listed by vertex,
+    then by their first top cell.
     """
     if colouring is None:
         colouring = Colouring.distinct(P.num_facets)

@@ -33,7 +33,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_file
 from .lattice import IDEAL, FaceLattice
 
 SIMPLEX = "simplex"
@@ -172,7 +172,6 @@ class IdealPolytope:
     lattice: FaceLattice
     ideal_vertices: Tuple[FrozenSet[int], ...]
     axes: Dict[FrozenSet[int], Tuple[Tuple[int, int], ...]]
-    facet_adjacency: Optional[FrozenSet[FrozenSet[int]]] = None
 
     @property
     def num_facets(self) -> int:
@@ -192,7 +191,10 @@ class RACGData:
 
 
 def racg_data(P: IdealPolytope) -> RACGData:
-    return RACGData(P.num_facets, P.facet_adjacency)
+    """Facets commute where they meet, at the rank n-2 faces of a complete
+    lattice; a partial lattice gives None."""
+    complete = P.lattice.is_complete()
+    return RACGData(P.num_facets, frozenset(P.lattice.faces_of_rank(P.n - 2)) if complete else None)
 
 
 def abelianization_rank(R: RACGData) -> int:
@@ -327,12 +329,6 @@ def _orbit(start: Sequence[int], R: np.ndarray, seed: Sequence[int] = (),
         keys.append(k[new])
     order = np.argsort(np.concatenate(keys))
     return np.concatenate(parts)[order], np.concatenate(rows)[order]
-
-
-def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Orbit of a vector under the simple reflections, by closure, sorted."""
-    orbit, _ = _orbit(start, np.array(roots, dtype=np.int64))
-    return list(map(tuple, orbit.tolist()))
 
 
 def _reflection_perms(V: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -570,25 +566,24 @@ def _assemble(
     )
 
 
-def gosset(n: int, full_lattice: Optional[bool] = None, data_dir: Optional[str] = None) -> GossetPolytope:
+def gosset(n: int, full_lattice: Optional[bool] = None) -> GossetPolytope:
     """The Gosset polytope G^n for 3 <= n <= 8.
 
     ``full_lattice`` defaults to True for n <= 6; for n in {7, 8} only
     vertices and facets are materialized unless it is forced on.  If a
     pre-computed lattice file ``gosset{n}.json`` exists under
-    ``data_dir`` (or $CUSPFORGE_DATA), it is ingested and validated
-    instead of running the generator.
+    $CUSPFORGE_DATA, it is ingested and validated instead of running the
+    generator; a path there that cannot be read as UTF-8 text is refused.
     """
     if not 3 <= n <= 8:
         raise ValidationError("gosset polytopes exist for 3 <= n <= 8 only")
     if full_lattice is None:
         full_lattice = n <= 6
-    directory = data_dir if data_dir is not None else os.environ.get("CUSPFORGE_DATA")
+    directory = os.environ.get("CUSPFORGE_DATA")
     if directory:
         path = os.path.join(directory, f"gosset{n}.json")
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return ingest_gosset(fh.read(), n)
+            return ingest_gosset(read_file(path), n)
     if n in _BUILTIN:
         coords, simplices, crosses = _BUILTIN[n]()
         dt = np.min_scalar_type(len(coords))
@@ -665,16 +660,7 @@ def ideal_dual(G: GossetPolytope) -> IdealPolytope:
         np.concatenate([rows.ravel() for _, rows, _ in blocks]),
         np.repeat([mark for _, _, mark in blocks], sizes),
     )
-    adjacency = None
-    if lattice.is_complete():
-        adjacency = frozenset(lattice.faces_of_rank(n - 2))
-    return IdealPolytope(
-        n=n,
-        lattice=lattice,
-        ideal_vertices=tuple(ideal),
-        axes=axes,
-        facet_adjacency=adjacency,
-    )
+    return IdealPolytope(n=n, lattice=lattice, ideal_vertices=tuple(ideal), axes=axes)
 
 
 def ideal_polytope_from_lattice(lattice: FaceLattice) -> IdealPolytope:

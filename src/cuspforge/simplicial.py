@@ -3,6 +3,8 @@
 A complex is stored by its inclusion-maximal faces (facets) over vertices
 0..vertex_count-1; all lower faces are generated by downward closure and
 kept in sorted order so that derived data is reproducible byte for byte.
+Connectedness and closedness are read off the chain complex
+(``chains.chain_complex_of``), as b_0 and the ridge count of d_top.
 """
 
 from __future__ import annotations
@@ -88,33 +90,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return all(len(f) == self.dim + 1 for f in self.facets)
 
-    def is_closed_pseudomanifold(self) -> bool:
-        """Pure, and every ridge lies in exactly two facets."""
-        if not self.is_pure() or self.dim < 1:
-            return False
-        count: Dict[Tuple[int, ...], int] = {}
-        for f in self.facets:
-            for r in combinations(f, len(f) - 1):
-                count[r] = count.get(r, 0) + 1
-        return all(c == 2 for c in count.values())
-
-    def is_connected(self) -> bool:
-        verts = self.vertices()
-        if not verts:
-            return True
-        adj: Dict[int, set] = {v: set() for v in verts}
-        for e in self.faces_of_dim(1):
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
-
     # -- derived complexes ---------------------------------------------
 
     def link_of_vertex(self, v: int) -> "SimplicialComplex":
@@ -138,10 +113,6 @@ class SimplicialComplex:
         if not faces:
             return None
         return SimplicialComplex(self.vertex_count, faces)
-
-    def relabel(self, mapping: Dict[int, int], vertex_count: Optional[int] = None) -> "SimplicialComplex":
-        m = vertex_count if vertex_count is not None else self.vertex_count
-        return SimplicialComplex(m, [tuple(mapping[x] for x in f) for f in self.facets])
 
     # -- equality and io -----------------------------------------------
 

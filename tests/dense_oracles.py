@@ -64,6 +64,13 @@ The quotient's incidence numbers come from one sign propagation per rank
 of the lattice, on the disjoint union of the boundaries of the faces of
 that rank.  ``lattice_incidences_oracle`` is the parent's walk, which
 orients one face boundary at a time, kept verbatim.
+
+``manifold_check`` reads closedness and connectedness of the link target
+off its chain complex.  The ridge count over a dict and the depth-first
+search over the 1-skeleton it ran before are kept verbatim as
+``closed_pseudomanifold_oracle`` and ``connected_oracle``, and the
+O(F^3) meet and join check of face lattices as ``lattice_check_oracle``.
+``weyl_orbit`` lists the orbit closure of ``polytopes._orbit`` as tuples.
 """
 
 from __future__ import annotations
@@ -88,8 +95,9 @@ from cuspforge.moment_angle import (
     CuspComponent, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
 )
 from cuspforge.polytopes import (
-    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _fundamental_weight_vector, weyl_orbit,
+    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _fundamental_weight_vector, _orbit,
 )
+from cuspforge.simplicial import SimplicialComplex
 from cuspforge.snf import Move, SNFResult, _add_sparse
 
 Matrix = List[List[int]]
@@ -917,6 +925,12 @@ def facets_by_maximization(
     return [frozenset(rows[a:b]) for a, b in zip([0] + ends, ends)]
 
 
+def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Orbit of a vector under the simple reflections, by closure, sorted."""
+    orbit, _ = _orbit(start, np.array(roots, dtype=np.int64))
+    return list(map(tuple, orbit.tolist()))
+
+
 def orbit_facet_data(n: int):
     roots = _E_ROOTS_2X[:n]
     v_node, c_node, s_node = _WEIGHT_NODES[n]
@@ -1009,3 +1023,65 @@ def lattice_incidences_oracle(lattice: FaceLattice) -> Tuple[Dict[int, List[int]
         for c, s in sign.items():
             incidence[(gid, c)] = s
     return children, incidence
+
+
+# ---------------------------------------------------------------------------
+# sphere checks of a simplicial complex and the lattice property, verbatim
+# ---------------------------------------------------------------------------
+
+
+def closed_pseudomanifold_oracle(K: SimplicialComplex) -> bool:
+    """Pure, and every ridge lies in exactly two facets."""
+    if not K.is_pure() or K.dim < 1:
+        return False
+    count: Dict[Tuple[int, ...], int] = {}
+    for f in K.facets:
+        for r in combinations(f, len(f) - 1):
+            count[r] = count.get(r, 0) + 1
+    return all(c == 2 for c in count.values())
+
+
+def connected_oracle(K: SimplicialComplex) -> bool:
+    verts = K.vertices()
+    if not verts:
+        return True
+    adj: Dict[int, set] = {v: set() for v in verts}
+    for e in K.faces_of_dim(1):
+        adj[e[0]].add(e[1])
+        adj[e[1]].add(e[0])
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
+
+
+def lattice_check_oracle(L: FaceLattice, max_pairs: Optional[int] = None) -> bool:
+    """Meets and joins exist for face pairs (with bottom/top adjoined).
+
+    Checks all pairs by default; ``max_pairs`` samples deterministically
+    for large instances.
+    """
+    sets = [s for _, s in L.faces]
+    all_f = frozenset(range(L.num_facets))
+    universe = sets + [all_f, frozenset()]
+    pairs = list(combinations(range(len(sets)), 2))
+    if max_pairs is not None and len(pairs) > max_pairs:
+        step = max(1, len(pairs) // max_pairs)
+        pairs = pairs[::step][:max_pairs]
+    for ia, ib in pairs:
+        a, b = sets[ia], sets[ib]
+        union = a | b
+        lower = [s for s in universe if s >= union]
+        meet = min(lower, key=len, default=None)
+        if meet is None or any(not (meet <= s) for s in lower):
+            return False
+        inter = a & b
+        upper = [s for s in universe if s <= inter]
+        join = max(upper, key=len)
+        if any(not (join >= s) for s in upper):
+            return False
+    return True

@@ -468,6 +468,23 @@ def test_exit_code_budget_error(tmp_path):
     assert run(["rzk", "--in", str(k4), "--budget", "1000"]) == 3
 
 
+@pytest.mark.parametrize("kind", ["not utf-8", "directory"])
+def test_unreadable_gosset_data_file_exits_2(tmp_path, monkeypatch, capsys, kind):
+    path = tmp_path / "gosset3.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"type": "face_lattice", "\xff\xfe"}')
+    monkeypatch.setenv("CUSPFORGE_DATA", str(tmp_path))
+    capsys.readouterr()
+    _assert_validation_exit(["gosset", "--n", "3"], capsys)
+    assert run(["pipeline", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = json.loads(err.splitlines()[0])
+    assert line["code"] == 2 and line["error"].startswith(f"stage gosset: cannot read {path}")
+
+
 def test_integral_homology_over_the_budget_exits_3(tmp_path, monkeypatch, capsys):
     # the 3-torus has 512 cells, under the budget; its integral eliminations
     # hold more, so Z refuses while Z/2 still answers

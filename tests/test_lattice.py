@@ -21,15 +21,20 @@ from cuspforge.lattice import (
     cube_faces,
     cube_lattice,
     dualize,
-    dualize_complex,
     polygon_lattice,
     simplex_lattice,
 )
 from cuspforge.moment_angle import cusp_census
 from cuspforge.polytopes import CROSS, gosset, ideal_dual
-from cuspforge.simplicial import build_simplicial, octahedron_boundary
+from cuspforge.simplicial import (
+    boundary_of_simplex,
+    build_simplicial,
+    cross_polytope_boundary,
+    cycle_complex,
+    octahedron_boundary,
+)
 
-from dense_oracles import FaceLatticeOracle
+from dense_oracles import FaceLatticeOracle, lattice_check_oracle
 
 
 def test_cube_lattice_counts():
@@ -37,7 +42,7 @@ def test_cube_lattice_counts():
     assert C.f_vector() == (8, 12, 6)
     assert C.euler_characteristic() == 2
     assert C.is_simple()
-    assert C.lattice_check()
+    assert lattice_check_oracle(C)
 
 
 def test_cube_faces_give_the_cube_f_vector():
@@ -56,7 +61,7 @@ def test_polygon_and_simplex():
     assert P.is_simple()
     S = simplex_lattice(3)
     assert S.f_vector() == (4, 6, 4)
-    assert S.lattice_check()
+    assert lattice_check_oracle(S)
 
 
 def test_cube_dualizes_to_octahedron():
@@ -79,11 +84,10 @@ def test_prism_dualizes_to_bipyramid_complex():
 
 
 def test_dualize_roundtrip_identity():
-    for lat in (cube_lattice(3), cube_lattice(4), polygon_lattice(6), simplex_lattice(3)):
-        K = dualize(lat)
-        back = dualize_complex(K)
-        assert back.faces == lat.faces
-        assert dualize(back) == K
+    assert dualize(cube_lattice(3)) == cross_polytope_boundary(3)
+    assert dualize(cube_lattice(4)) == cross_polytope_boundary(4)
+    assert dualize(polygon_lattice(6)) == cycle_complex(6)
+    assert dualize(simplex_lattice(3)) == boundary_of_simplex(3)
 
 
 def test_dualize_requires_simple():
@@ -91,12 +95,6 @@ def test_dualize_requires_simple():
     assert not P.lattice.is_simple()
     with pytest.raises(ValidationError):
         dualize(P.lattice)
-
-
-def test_dualize_complex_requires_closed():
-    path = build_simplicial([(0, 1), (1, 2)])
-    with pytest.raises(ValidationError):
-        dualize_complex(path)
 
 
 def test_bipyramid_simplicity_fails_exactly_at_ideal_vertices():

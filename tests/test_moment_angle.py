@@ -2,14 +2,14 @@
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import integers, just, lists, tuples
 
-from cuspforge import characteristic, moment_angle
-from cuspforge.chains import chain_complex_of, homology, propagate_signs
+from cuspforge import characteristic, gf2, moment_angle
+from cuspforge.chains import chain_complex_of, homology, propagate_signs, subcomplex_selection
 from cuspforge.characteristic import orientability
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices, resolve_choice
@@ -29,9 +29,12 @@ from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import (
     build_simplicial,
     boundary_of_simplex,
+    cycle_complex,
     octahedron_boundary,
     two_points,
 )
+
+from dense_oracles import closed_pseudomanifold_oracle, connected_oracle
 
 
 def test_two_points_give_the_square_boundary():
@@ -382,8 +385,86 @@ def test_proposition_isomorphism_holds_even_after_relabelling():
 
 
 # ---------------------------------------------------------------------------
+# the link target's sphere properties, read off its chain complex
+# ---------------------------------------------------------------------------
+
+
+LINK_TARGETS = {
+    # name: (complex, (pure, closed, connected, sphere betti))
+    "two points": (two_points, (True, False, False, True)),
+    "path": (lambda: build_simplicial([(0, 1), (1, 2)]), (True, False, True, False)),
+    "triangle with a pendant edge": (lambda: build_simplicial([(0, 1, 2), (2, 3)]),
+                                     (False, False, True, False)),
+    "two disjoint circles": (lambda: build_simplicial([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                             (True, True, False, False)),
+    "octahedron": (octahedron_boundary, (True, True, True, True)),
+    "4-cycle": (lambda: cycle_complex(4), (True, True, True, True)),
+    "two tetrahedron boundaries on a vertex": (
+        lambda: build_simplicial([f for base in ((0, 1, 2, 3), (3, 4, 5, 6)) for f in combinations(base, 3)]),
+        (True, True, True, False)),
+    "three triangles on one edge": (lambda: build_simplicial([(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+                                    (True, False, True, False)),
+}
+
+
+@pytest.mark.parametrize("name", list(LINK_TARGETS))
+def test_manifold_check_target_properties_match_the_oracles(name):
+    build, expected = LINK_TARGETS[name]
+    K = build()
+    report = manifold_check(real_moment_angle(K), K)
+    found = (report.target_pure, report.target_closed, report.target_connected, report.target_sphere_betti)
+    assert found == expected
+    assert report.target_closed == closed_pseudomanifold_oracle(K)
+    assert report.target_connected == connected_oracle(K)
+    d = K.dim
+    sphere = (1,) + (0,) * (d - 1) + (1,) if d >= 1 else (2,)
+    assert report.target_sphere_betti == (homology(chain_complex_of(K, "Z")).betti == sphere)
+    assert report.links_match
+    assert report.passed == all(expected)
+
+
+# ---------------------------------------------------------------------------
 # cusps are cosets of the colour span at each ideal vertex
 # ---------------------------------------------------------------------------
+
+
+def _section_labels(P, colouring):
+    """(census label, the name b_1 over Z gives) per cusp section of the
+    truncated quotient, or None for a colouring it refuses."""
+    try:
+        cusped = truncated_quotient(P, colouring)
+    except ValidationError:
+        return None
+    data = chain_complex_of(cusped.quotient, "Z")
+    label = {e.vertex: e.section for e in cusp_census(P, colouring).entries}
+    names = {True: f"{P.n - 1}-torus", False: f"flat {P.n - 1}-manifold, not a torus"}
+    return [(label[c.ideal_vertex],
+             names[homology(subcomplex_selection(data, c.keys_per_dim).data).betti[1] == P.n - 1])
+            for c in cusped.components]
+
+
+def test_cusp_sections_are_tori_exactly_when_b1_is_n_minus_1():
+    P3, P4 = ideal_dual(gosset(3)), ideal_dual(gosset(4))
+    drawn = [(P3, Colouring(3, vec))
+             for vec in random.Random(0).sample(list(product(range(1, 8), repeat=6)), 300)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        drawn.append((P4, Colouring(5, tuple(rng.randrange(1, 32) for _ in range(P4.num_facets)))))
+    pairs = [pair for P, colouring in drawn for pair in _section_labels(P, colouring) or ()]
+    assert all(label == name for label, name in pairs)
+    # the sample holds tori and other flat manifolds (Klein bottles and their kin) in both dimensions
+    assert {name for _, name in pairs} == {"2-torus", "flat 2-manifold, not a torus",
+                                           "3-torus", "flat 3-manifold, not a torus"}
+
+
+def test_distinct_census_ranks_each_ideal_vertex_once(monkeypatch):
+    P = ideal_dual(gosset(4))
+    calls = []
+    rank = gf2.rank_of_rows
+    monkeypatch.setattr(gf2, "rank_of_rows", lambda rows: calls.append(rows) or rank(rows))
+    census = cusp_census(P)
+    assert len(calls) == len(P.ideal_vertices) == len(census.entries)
+    assert {e.section for e in census.entries} == {"3-torus"}
 
 
 def _assert_cusps_are_cosets(P, colouring, cusped):

@@ -29,7 +29,9 @@ from cuspforge.polytopes import (
     racg_data,
 )
 
-from dense_oracles import FaceLatticeOracle, orbit_facet_data, validate_links_oracle
+from dense_oracles import (
+    FaceLatticeOracle, lattice_check_oracle, orbit_facet_data, validate_links_oracle, weyl_orbit,
+)
 
 
 def hull_facets(points):
@@ -108,9 +110,9 @@ def test_abelianization_ranks():
 
 
 def test_lattice_property_spot_checks():
-    assert gosset(3).lattice.lattice_check()
-    assert gosset(4).lattice.lattice_check()
-    assert gosset(5).lattice.lattice_check(max_pairs=4000)
+    assert lattice_check_oracle(gosset(3).lattice)
+    assert lattice_check_oracle(gosset(4).lattice)
+    assert lattice_check_oracle(gosset(5).lattice, max_pairs=4000)
 
 
 def _face_counts(lattice):
@@ -119,7 +121,7 @@ def _face_counts(lattice):
 
 
 @pytest.mark.parametrize("n, passes", [(4, 1), (8, 2)], ids=["4", "8"])
-def test_ingestion_roundtrip(tmp_path, n, passes):
+def test_ingestion_roundtrip(tmp_path, monkeypatch, n, passes):
     # serialization forgets vertex ids, so ingestion re-canonicalizes:
     # invariants survive, and the JSON reaches a fixed point after one
     # pass for G^4 and two for G^8 (vertex and facet orders settle in turn)
@@ -136,7 +138,8 @@ def test_ingestion_roundtrip(tmp_path, n, passes):
     # via the data directory hook
     path = tmp_path / f"gosset{n}.json"
     path.write_text(text)
-    H2 = gosset(n, data_dir=str(tmp_path))
+    monkeypatch.setenv("CUSPFORGE_DATA", str(tmp_path))
+    H2 = gosset(n)
     assert sorted(H2.facet_types) == sorted(G.facet_types)
     assert _face_counts(H2.lattice) == _face_counts(G.lattice)
 
@@ -197,8 +200,9 @@ def test_e7_orbit_generator_structure():
     assert P.num_facets == 56
 
 
-# sha256 of ideal_dual(gosset(7, full_lattice=True)): its lattice JSON and
-# the JSON of its sorted ideal vertices, axes and facet adjacency
+# sha256 of ideal_dual(gosset(7, full_lattice=True)): its lattice JSON, the
+# JSON of its sorted ideal vertices and axes, and of the commuting pairs of
+# its reflection group (the facet adjacency)
 E7_FULL_DUAL_SHA256 = {
     "lattice": "3c413bb8a8bdc1ec17067cdaee800476e440864029f34fc1de811ffb693379fb",
     "ideal_vertices": "fc7d5c5fe050b7693ce79c331251d2c6ec183dfdf1cb98d474b583627cfb76aa",
@@ -213,7 +217,7 @@ def test_ideal_dual_of_the_full_e7_lattice_keeps_its_output():
         "lattice": P.lattice.to_json(),
         "ideal_vertices": json.dumps([sorted(v) for v in P.ideal_vertices]),
         "axes": json.dumps(sorted([sorted(v), [list(p) for p in a]] for v, a in P.axes.items())),
-        "facet_adjacency": json.dumps(sorted(sorted(s) for s in P.facet_adjacency)),
+        "facet_adjacency": json.dumps(sorted(sorted(s) for s in racg_data(P).commuting_pairs)),
     }
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in docs.items()} == E7_FULL_DUAL_SHA256
 
@@ -330,14 +334,14 @@ def test_vectorised_orbit_matches_scalar_closure(n):
     roots = _E_ROOTS_2X[:n]
     for node in _WEIGHT_NODES[n]:
         start = _fundamental_weight_vector(roots, node)
-        orbit = polytopes.weyl_orbit(start, roots)
+        orbit = weyl_orbit(start, roots)
         assert orbit == _orbit_oracle(start, roots)
         assert all(type(x) is int for x in orbit[0])
 
 
 def test_orbit_off_the_reflection_lattice_is_refused():
     start = (1, 0, 0, 0, 0, 0, 0, 0)
-    for closure in (polytopes.weyl_orbit, _orbit_oracle):
+    for closure in (weyl_orbit, _orbit_oracle):
         with pytest.raises(ValidationError, match="orbit vector left the reflection lattice"):
             closure(start, _E_ROOTS_2X)
 
@@ -345,7 +349,7 @@ def test_orbit_off_the_reflection_lattice_is_refused():
 def test_orbit_keys_refuse_entries_past_int64():
     # 2 * 200 + 1 = 401 and 401^8 > 2^63: keys would collide
     with pytest.raises(ValidationError, match="^orbit vector too long for int64 keys$"):
-        polytopes.weyl_orbit((200, 0, 0, 0, 0, 0, 0, 0), _E_ROOTS_2X)
+        weyl_orbit((200, 0, 0, 0, 0, 0, 0, 0), _E_ROOTS_2X)
 
 
 def faces_from_facet_vertex_sets(
@@ -547,7 +551,7 @@ def test_generator_refusals_match_the_maximization_route(monkeypatch, nodes, mes
 def test_reflection_permutations_refuse_a_vertex_set_not_closed():
     roots = _E_ROOTS_2X[:6]
     R = np.array(roots)
-    V = np.array(polytopes.weyl_orbit(_fundamental_weight_vector(roots, 1), roots))
+    V = np.array(weyl_orbit(_fundamental_weight_vector(roots, 1), roots))
     perms = polytopes._reflection_perms(V, R)
     assert all(sorted(p) == list(range(len(V))) for p in perms.tolist())
     assert (np.take_along_axis(perms, perms, axis=1) == np.arange(len(V))).all()  # involutions

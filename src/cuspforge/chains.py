@@ -73,8 +73,9 @@ class ChainComplexData:
     records how downstream computations should interpret them ("Z" or
     "Z2").  Eliminations are cached beside the data: ``smith(k)`` over Z,
     one per degree, each on the relations left by the one below,
-    ``gf2_coreduction(k)`` over Z/2, and the integral H_k bases built on
-    ``smith(k)`` and ``smith(k + 1)``.
+    ``gf2_coreduction(k)`` over Z/2, the integral H_k bases built on
+    ``smith(k)`` and ``smith(k + 1)``, and the ``OrientabilityResult`` of
+    ``characteristic.orientability``.
     """
 
     coeff: str
@@ -84,6 +85,7 @@ class ChainComplexData:
     _gf2_coreduction: Dict[int, Tuple[Dict[int, int], List[int]]] = field(default_factory=dict, repr=False)
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
     _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
+    _orientability: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.coeff not in ("Z", "Z2"):

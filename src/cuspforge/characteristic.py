@@ -64,17 +64,21 @@ def orientability(X, data: Optional[ChainComplexData] = None) -> OrientabilityRe
     is checked from both sides, s' = -s a b and s = -s' a b, so (a b)^2 = 1
     and s a + s' b = 0: the signed top boundary vanishes exactly once the
     propagation completes.  Linear-time, unlike rank arguments on the
-    Smith form.
+    Smith form.  The result is kept on ``data``, so the spin obstruction
+    reads it without a second propagation.
     """
     if data is None:
         data = chain_complex_of(X, "Z")
-    n = data.top_dim
-    if n < 1:
-        raise ValidationError("orientability needs positive dimension")
-    n_top = data.size(n)
-    cells, faces, coeffs = data._entries(n)
-    sign, _ = propagate_signs(cells, faces, coeffs, n_top, data.size(n - 1))
-    return OrientabilityResult(sign is not None, n_top, None if sign is None else tuple(sign))
+    if data._orientability is None:
+        n = data.top_dim
+        if n < 1:
+            raise ValidationError("orientability needs positive dimension")
+        n_top = data.size(n)
+        cells, faces, coeffs = data._entries(n)
+        sign, _ = propagate_signs(cells, faces, coeffs, n_top, data.size(n - 1))
+        data._orientability = OrientabilityResult(sign is not None, n_top,
+                                                  None if sign is None else tuple(sign))
+    return data._orientability
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +131,9 @@ def spin_obstruction(Z, data: Optional[ChainComplexData] = None) -> WuReport:
 
     A complex that is not closed (a ridge outside exactly two top cells)
     is refused with ``ValidationError``, in the words of ``orientability``.
-    Dimensions 2 and 3 are forced (orientable surfaces and orientable
+    Dimension 2 reads w2 as the Euler characteristic mod 2.  Dimensions 3
+    and 4 find v2, and w2 = v2 + w1^2, so a complex that is not orientable
+    is refused with ``ValidationError``.  Dimension 3 is forced (orientable
     3-manifolds carry spin structures).  Dimension 4 computes the mod-2
     intersection form and checks evenness; the characteristic-vector
     equation Q v = diag(Q) is solved as the degree-2 Wu class.
@@ -138,7 +144,11 @@ def spin_obstruction(Z, data: Optional[ChainComplexData] = None) -> WuReport:
     if data is None:
         data = chain_complex_of(Z, "Z2")
     n = data.top_dim
-    if n >= 1:
+    if n in (3, 4):
+        if not orientability(Z, data):
+            raise ValidationError(f"spin obstruction in dimension {n} needs an orientable complex; "
+                                  "this one is not orientable")
+    elif n >= 1:
         data._check_closed()
     if n == 2:
         even = data.euler_characteristic() % 2 == 0

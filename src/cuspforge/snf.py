@@ -9,16 +9,18 @@ plus for each column the set of rows where it is non-zero, so a move
 touches only the entries it changes and a scan skips zero rows.  When
 step t starts, rows and columns above t are finished (only their
 diagonal entry is non-zero), so every entry left lies in rows and
-columns >= t.  The pivot limits fill-in (Markowitz): among the rows
->= t holding a unit, the shortest, ties to the lower row, and in it the
-unit whose column has the fewest non-zeros, ties to the lower column.
-The rows are found through a lazy heap of (length, row), pushed by each
-move that changes a row, so no step rescans every row.  With no unit
-left, the pivot is the first entry of least absolute value in row-major
-order.  Column t is cleared below the pivot, then row t right of it,
-and a pivot that does not divide every entry left has the first
-offending row folded into its row; a unit pivot divides every entry, so
-no divisibility scan follows it.
+columns >= t.  The pivot limits fill-in (Markowitz), one rule for
+units and non-units: an entry of least absolute value, in the shortest
+row >= t holding one, ties to the lower row, and in it the entry of that
+value whose column has the fewest non-zeros, ties to the lower column.
+The rows are found through a lazy heap of (bound, length, row): each
+move that changes a row pushes it with bound 1, a lower bound on any
+non-zero, and a row that comes to the top with its least entry above
+its bound is pushed back with that value, so no step rescans every row.
+Column t is cleared below the pivot, then row t right of it, and a pivot
+that does not divide every entry left has the first offending row folded
+into its row; a unit pivot divides every entry, so no divisibility scan
+follows it.
 
 The transforms are not tracked during the elimination, and are never
 built.  Row moves and column moves go to two logs, which are the only
@@ -39,7 +41,7 @@ both logs) is checked against ``errors.cell_budget()``: BudgetError above.
 from __future__ import annotations
 
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, compress, islice
 from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -168,8 +170,8 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
     cap = cell_budget()
     nnz = sum(map(len, rows))
     t = 0  # the current step
-    # (length, row) of every row as last changed; stale entries are skipped
-    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    # (bound, length, row) of every row as last changed; stale entries are skipped
+    heap = [(1, len(r), i) for i, r in enumerate(rows) if r]
     heapify(heap)
 
     # Elementary moves on the working matrix, each logged.
@@ -180,7 +182,7 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
         rows[i], rows[j] = rj, ri
         row_moves.append((i, j))
         if ri:  # i is t: see find_pivot
-            heappush(heap, (len(ri), j))
+            heappush(heap, (1, len(ri), j))
 
     def col_swap(i, j):
         ci, cj = cols[i], cols[j]
@@ -210,7 +212,7 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
         nnz += len(d)
         row_moves.append((src, dst, c))
         if d:
-            heappush(heap, (len(d), dst))
+            heappush(heap, (1, len(d), dst))
 
     def col_add(src, dst, c):
         # column dst += c * column src
@@ -227,7 +229,7 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
                 del row[dst]
                 col.remove(r)
             if r != t and row:  # row t: see find_pivot
-                heappush(heap, (len(row), r))
+                heappush(heap, (1, len(row), r))
         nnz += len(col)
         col_moves.append((src, dst, c))
 
@@ -236,23 +238,24 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
         row_moves.append((i,))
 
     def find_pivot() -> Optional[Tuple[int, int]]:
-        # The least heap entry that is current (row >= t, length unchanged)
-        # and whose row holds a unit.  Each move that changes a row other
-        # than t pushes it, so an entry whose row holds no unit is dropped;
-        # row t is finished by its step or reopened by the fold's row_add,
-        # which pushes it.
+        # The least current heap entry (row >= t, length unchanged) whose
+        # bound is its row's least |entry|.  Each move that changes a row
+        # other than t pushes it with bound 1, so every row keeps a current
+        # entry bounded by its least |entry|: an entry raised to that value
+        # tops the heap only after every row with a lesser entry, or an
+        # equal one in a shorter or lower row.  Row t is finished by its
+        # step or reopened by the fold's row_add, which pushes it.
         while heap:
-            length, i = heap[0]
+            bound, length, i = heap[0]
             row = rows[i]
-            if i >= t and length == len(row):
-                unit = min(((len(cols[j]), j) for j, x in row.items() if x == 1 or x == -1), default=None)
-                if unit is not None:
-                    return i, unit[1]
-            heappop(heap)
-        # no unit left: the first entry of least absolute value, row-major
-        best = min(((abs(x), i, j) for i in compress(range(t, m), islice(rows, t, None))
-                    for j, x in rows[i].items()), default=None)
-        return None if best is None else best[1:]
+            if i < t or length != len(row):
+                heappop(heap)
+                continue
+            least = min(map(abs, row.values()))
+            if least == bound:
+                return i, min((len(cols[j]), j) for j, x in row.items() if abs(x) == least)[1]
+            heapreplace(heap, (least, length, i))
+        return None
 
     limit = min(m, n)
     while t < limit:

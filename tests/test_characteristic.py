@@ -133,6 +133,22 @@ def test_spin_obstruction_refuses_non_closed_complexes():
         spin_obstruction(disc)
 
 
+def test_spin_obstruction_refuses_non_orientable_complexes():
+    # w2 = v2 + w1^2: in dimensions 3 and 4 the obstruction finds v2 alone.
+    # RP^2 x S^1 is closed with H_1 = Z + Z/2 and not spin; K x T^2 is 4-dimensional
+    rp2_s1 = colour_manifold(gosset(3).lattice, Colouring(3, (4, 1, 2, 3, 4)))
+    assert homology(chain_complex_of(rp2_s1, "Z")).torsion[1] == (2,)
+    klein_t2 = colour_manifold(cube_lattice(4), Colouring(4, (1, 3, 2, 2, 4, 4, 8, 8)))
+    for X, n in ((rp2_s1, 3), (klein_t2, 4)):
+        data = chain_complex_of(X, "Z2")
+        with pytest.raises(ValidationError) as refusal:
+            spin_obstruction(X, data)
+        assert str(refusal.value) == (f"spin obstruction in dimension {n} needs an orientable complex; "
+                                      "this one is not orientable")
+        assert refusal.value.exit_code == 2
+        assert data._orientability == orientability(X) and not data._orientability.orientable
+
+
 def test_spin_obstruction_invariant_under_relabelling():
     t4 = colour_manifold(cube_lattice(4), Colouring.distinct(8))
     perm = {i: (i + 2) % 8 for i in range(8)}

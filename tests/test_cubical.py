@@ -142,26 +142,32 @@ def test_euler_characteristic_formula():
     assert Z.euler_characteristic() == chi == 0
 
 
+def _flip(cell, axis):
+    """Image of one cell under the reflection of coordinate ``axis``."""
+    sup, signs = cell
+    return sup, signs if axis in sup else signs ^ (1 << axis)
+
+
 def _sign_flip(Z, axis):
     """Image under the reflection of coordinate ``axis``."""
-    bit = 1 << axis
-    return CubicalComplex(Z.ambient, [(sup, signs if axis in sup else signs ^ bit)
-                                      for d in range(Z.dim + 1) for sup, signs in Z.cells_of_dim(d)])
+    return CubicalComplex(Z.ambient, [_flip(cell, axis) for d in range(Z.dim + 1) for cell in Z.cells_of_dim(d)])
 
 
 def test_sign_flips_are_automorphisms_and_transitive():
     Z = real_moment_angle(octahedron_boundary())
     for axis in range(6):
         assert _sign_flip(Z, axis) == Z
-    # flips act transitively on vertices: any sign pattern is reachable
+    # flips act transitively on vertices: the flips of the axes where a
+    # vertex's signs differ from start's carry start to it
     start = ((), 0)
-    target = ((), 0b101011)
-    W = Z
-    for i in range(6):
-        if (target[1] >> i) & 1:
-            W = _sign_flip(W, i)
-    assert W == Z
-    assert target in Z.cell_set()
+    vertices = list(Z.cells_of_dim(0))
+    assert len(vertices) == 64 and start in vertices
+    for target in vertices:
+        v = start
+        for axis in range(6):
+            if (target[1] ^ start[1]) >> axis & 1:
+                v = _flip(v, axis)
+        assert v == target
 
 
 def test_link_of_vertex_is_base_complex():

@@ -270,14 +270,16 @@ def first_least_pivot(w, t: int, m: int, n: int) -> Optional[Tuple[int, int]]:
 
 
 def fewest_nonzeros_pivot(w, t: int, m: int, n: int) -> Optional[Tuple[int, int]]:
-    """Among rows >= t holding a unit, the one with the fewest non-zeros,
-    ties to the lower row; in it the unit whose column has the fewest
-    non-zeros, ties to the lower column.  With no unit, first_least_pivot."""
-    units = [i for i in range(t, m) if any(abs(x) == 1 for x in w[i])]
-    if not units:
-        return first_least_pivot(w, t, m, n)
-    i = min(units, key=lambda r: (sum(1 for x in w[r] if x), r))
-    j = min((c for c in range(n) if abs(w[i][c]) == 1), key=lambda c: (sum(1 for r in w if r[c]), c))
+    """An entry of least absolute value in rows >= t: among the rows
+    holding one, the one with the fewest non-zeros, ties to the lower row;
+    in it the entry of that value whose column has the fewest non-zeros,
+    ties to the lower column."""
+    least = min((abs(x) for r in w[t:m] for x in r if x), default=None)
+    if least is None:
+        return None
+    holding = [i for i in range(t, m) if least in map(abs, w[i])]
+    i = min(holding, key=lambda r: (sum(1 for x in w[r] if x), r))
+    j = min((c for c in range(n) if abs(w[i][c]) == least), key=lambda c: (sum(1 for r in w if r[c]), c))
     return i, j
 
 
@@ -487,6 +489,21 @@ def test_unit_pivots_limit_fill_on_the_cusped_quotient():
     assert moves <= 4500
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_non_unit_pivots_limit_fill_on_the_doubled_cusped_quotient(k):
+    """2 d_k has no unit, and the one pivot rule scales with it: its
+    elimination makes exactly the moves of d_k's own (2091, 3290 and 629
+    for k = 1, 2, 3), where the first least entry in row-major order made
+    9930, 7367 and 1516."""
+    data = chain_complex_of(truncated_quotient(ideal_dual(gosset(3))).quotient, "Z")
+    rows = data._sparse_rows(k)
+    plain = smith_normal_form(rows, len(rows), data.size(k))
+    doubled = smith_normal_form([{j: 2 * x for j, x in r.items()} for r in rows], len(rows), data.size(k))
+    assert doubled.diag == [2 * d for d in plain.diag]
+    assert doubled._row_moves == plain._row_moves
+    assert doubled._col_moves == plain._col_moves
+
+
 def _held_at_refusal(matrix, budget, monkeypatch) -> Optional[int]:
     """The entries the elimination reports holding when it refuses under
     ``budget``, or None when it runs to the end."""
@@ -614,7 +631,7 @@ def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
     assert [sum(rows == data.gf2_corows(k) for rows in calls) for k in range(top + 1)] == [1] * (top + 1)
     # and the chain data keeps no other Z/2 form or elimination
     assert {f.name for f in fields(ChainComplexData) if f.name.startswith("_")} == {
-        "_index", "_gf2_coreduction", "_smith", "_integral_bases"}
+        "_index", "_gf2_coreduction", "_smith", "_integral_bases", "_orientability"}
     assert set(data._gf2_coreduction) == set(range(-1, top + 1))
 
 

@@ -10,7 +10,7 @@ from hypothesis.strategies import integers, just, lists, tuples
 
 from cuspforge import characteristic, gf2, moment_angle
 from cuspforge.chains import chain_complex_of, homology, propagate_signs, subcomplex_selection
-from cuspforge.characteristic import orientability
+from cuspforge.characteristic import orientability, spin_obstruction
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices, resolve_choice
 from cuspforge.isomorphism import cubical_isomorphism
@@ -367,6 +367,7 @@ def test_every_orientation_reaches_the_one_sign_propagation(monkeypatch):
     t3 = colour_manifold(cube, Colouring.distinct(6))
     data = chain_complex_of(t3, "Z")
     assert count(lambda: orientability(t3, data)) == 1
+    assert count(lambda: spin_obstruction(t3, data)) == 0  # kept on the data
 
 
 def test_proposition_isomorphism_holds_even_after_relabelling():

@@ -538,8 +538,8 @@ def is_cocycle(data: ChainComplexData, phi: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _splittings(data: ChainComplexData, k: int, l: int) -> List[Tuple[int, int, int]]:
-    """(top cell, front cell, back cell) indices of the cubical cup product.
+def _splittings(data: ChainComplexData, k: int, l: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top, front and back cell index arrays of the cubical cup product's splittings.
 
     Each (k+l)-cell splits its support into a front set A (|A| = k) and
     its complement; the front face freezes the complement at -1, the back
@@ -552,7 +552,7 @@ def _splittings(data: ChainComplexData, k: int, l: int) -> List[Tuple[int, int, 
         raise ValidationError("cup products need cubical chain data")
     j = k + l
     if j > data.top_dim:
-        return []
+        return (np.zeros(0, dtype=np.int64),) * 3
     rows: Dict[int, np.ndarray] = {}
     for d in range(1, j + 1):
         ptr, faces, _ = data.incidences[d]
@@ -567,8 +567,8 @@ def _splittings(data: ChainComplexData, k: int, l: int) -> List[Tuple[int, int, 
         return cells
 
     splits = [(face(set(range(j)) - set(front), 1), face(front, 0)) for front in combinations(range(j), k)]
-    fronts, backs = (np.stack(side, axis=1).ravel().tolist() for side in zip(*splits))
-    return list(zip(np.repeat(np.arange(data.size(j)), len(splits)).tolist(), fronts, backs))
+    fronts, backs = (np.stack(side, axis=1).ravel() for side in zip(*splits))
+    return np.repeat(np.arange(data.size(j)), len(splits)), fronts, backs
 
 
 def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:
@@ -588,7 +588,7 @@ def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:
     if not is_cocycle(data, b, l):
         warnings.warn("cup factor of degree %d is not a cocycle" % l, stacklevel=2)
     out = 0
-    for c, fi, bi in splittings:
+    for c, fi, bi in zip(*(side.tolist() for side in splittings)):
         if (a >> fi) & 1 and (b >> bi) & 1:
             out ^= 1 << c
     return out

@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import gf2
 from .chains import (
     ChainComplexData,
@@ -107,13 +109,15 @@ def intersection_form(data: ChainComplexData) -> Tuple[List[int], List[int]]:
     cells; class-level well-definedness holds because the arguments are
     cocycles and the complex is closed.
     """
-    splittings = _splittings(data, 2, 2)
+    _, fronts, backs = _splittings(data, 2, 2)
     reps = cohomology_z2_basis(data, 2).representatives
     b2 = len(reps)
     # bit-sliced: bit s of front[i] (back[i]) is reps[i] on splitting s's front (back) face
-    cols = gf2.transpose_rows(reps, data.size(2))
-    front = gf2.transpose_rows([cols[fi] for _, fi, _ in splittings], b2)
-    back = gf2.transpose_rows([cols[bi] for _, _, bi in splittings], b2)
+    nbytes = -(-data.size(2) // 8)
+    bits = np.unpackbits(np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in reps), np.uint8),
+                         bitorder="little").reshape(b2, 8 * nbytes)
+    front, back = ([int.from_bytes(row.tobytes(), "little") for row in
+                    np.packbits(np.take(bits, c, axis=1), 1, bitorder="little")] for c in (fronts, backs))
     rows = [0] * b2
     diag = [0] * b2
     for i in range(b2):

@@ -1,8 +1,8 @@
 """cuspforge command-line interface.
 
-Exit codes: 0 success, 2 validation failure, 3 cell budget exceeded,
-4 certificate failure.  CUSPFORGE_BUDGET overrides the cell cap and
-CUSPFORGE_DATA points at a directory of ingested lattice files.
+Exit codes: 0 success, 2 validation failure, 3 cell budget exceeded or out
+of memory, 4 certificate failure.  CUSPFORGE_BUDGET overrides the cell cap
+and CUSPFORGE_DATA points at a directory of ingested lattice files.
 """
 
 from __future__ import annotations
@@ -304,12 +304,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CuspforgeError as exc:
-        print(json.dumps({"error": str(exc), "code": exc.exit_code},
-                         sort_keys=True), file=sys.stderr)
+    except (CuspforgeError, MemoryError) as exc:
+        code = getattr(exc, "exit_code", BudgetError.exit_code)  # out of memory: a budget overrun
+        print(json.dumps({"error": str(exc) or "out of memory", "code": code}, sort_keys=True), file=sys.stderr)
         if hasattr(exc, "stage"):
             print(json.dumps({"stage": exc.stage}, sort_keys=True), file=sys.stderr)
-        return exc.exit_code
+        return code
 
 
 if __name__ == "__main__":

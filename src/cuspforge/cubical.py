@@ -6,26 +6,27 @@ an int whose bit i gives the frozen value of coordinate i (1 for +1);
 bits inside the support are kept at zero so keys are canonical.
 
 The support runs are the only cell store.  The constructor groups the
-cells by sorted support, and each support becomes one run: (support,
-index of its first cell, sorted sign array), int64 up to ambient 62 and
-exact Python ints (dtype object) above; every input check runs once per
-run.  Cells of one dimension are ordered by support, then signs.  The
-faces of a run on one axis all lie in the run of the smaller support,
-so ``face_table(k)`` finds every face index of the k-cells with one
-sorted search per (support, axis), and it is the one routine that finds
-cube faces: the closure check, the cubical chain complex (and through
-its rows the cup-product splittings), the preimage merges and the
-vertex links all read it.  The tables, the links and the per-cell view
-``cells_of_dim`` are cached on the complex and ignored by ``==``,
-``hash`` and pickle, which read the runs.  ``relabel`` permutes the
-ambient axes; it is the image ``isomorphism.cubical_isomorphism`` checks.
+cells by sorted support, ``from_supports`` builds each support's signs
+as one array, and both hand them to one adoption routine: each support
+becomes a run (support, index of its first cell, sorted sign array),
+int64 up to ambient 62 and exact Python ints (dtype object) above, and
+every input check runs once per run.  Cells of one dimension are ordered
+by support, then signs.  The faces of a run on one axis all lie in the
+run of the smaller support, so ``face_table(k)`` finds every face index
+of the k-cells with one sorted search per (support, axis), and it is the
+one routine that finds cube faces: the closure check, the cubical chain
+complex (and through its rows the cup-product splittings), the preimage
+merges and the vertex links all read it.  The tables, the links and the
+per-cell view ``cells_of_dim`` are cached on the complex and ignored by
+``==``, ``hash``, pickle and both writers, which read the runs.
+``relabel`` permutes the ambient axes; it is the image
+``cubical_isomorphism`` checks.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,15 +50,37 @@ class CubicalComplex:
     __slots__ = ("ambient", "_runs", "_cells", "_face_tables", "_links")
 
     def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
-        if ambient < 0:
-            raise ValidationError("ambient rank must be nonnegative")
-        self.ambient = ambient
         given: Dict[Tuple[int, ...], List[int]] = {}
         for support, signs in cells:
             given.setdefault(tuple(support), []).append(signs)
         by_support: Dict[Tuple[int, ...], List[int]] = {}
         for support, signs in given.items():
             by_support.setdefault(tuple(sorted(support)), []).extend(signs)
+        self._adopt(ambient, by_support, budget, validate)
+
+    @classmethod
+    def from_supports(cls, ambient: int, supports: Sequence[Tuple[int, ...]], budget: Optional[int] = None):
+        """Every cell of [-1,1]^ambient on the given sorted supports, one run
+        per support: the bits of 0, 1, ..., 2^r - 1 written onto its r free
+        axes.  Their count meets the budget before any sign array is built."""
+        check_budget(sum(1 << (ambient - len(sup)) for sup in supports), budget)
+        self = cls.__new__(cls)
+        self.ambient, runs = ambient, {}
+        for sup in supports:
+            free = [i for i in range(ambient) if i not in sup]
+            patterns = np.arange(1 << len(free)).astype(self._sign_dtype)
+            runs[sup] = np.zeros(len(patterns), dtype=self._sign_dtype)
+            for j, axis in enumerate(free):
+                runs[sup] |= (patterns >> j & 1) << axis
+        self._adopt(ambient, runs, budget, True)
+        return self
+
+    def _adopt(self, ambient: int, by_support: Dict[Tuple[int, ...], Sequence[int]], budget, validate) -> None:
+        """One run per sorted support, after its range, repeat and sign-bit
+        checks; then the budget, duplicate and (if ``validate``) closure checks."""
+        if ambient < 0:
+            raise ValidationError("ambient rank must be nonnegative")
+        self.ambient = ambient
         self._runs: Dict[int, List[Run]] = {}
         for sup in sorted(by_support, key=lambda s: (len(s), s)):
             if sup and (sup[0] < 0 or sup[-1] >= ambient):
@@ -65,14 +88,14 @@ class CubicalComplex:
             if len(set(sup)) != len(sup):
                 raise ValidationError(f"repeated index in support {sup}")
             try:
-                signs = np.sort(np.array(by_support[sup], dtype=self._sign_dtype))
+                signs = np.sort(np.asarray(by_support[sup], dtype=self._sign_dtype))
             except OverflowError:  # beyond int64, so beyond an ambient rank of 62
                 signs = None
             if signs is None or (signs >> ambient).any() or (signs & gf2.vector_from_indices(sup)).any():
                 raise ValidationError("sign bits overlap the support or exceed ambient")
             runs = self._runs.setdefault(len(sup), [])
             runs.append((sup, runs[-1][1] + len(runs[-1][2]) if runs else 0, signs))
-        check_budget(sum(len(signs) for signs in by_support.values()), budget)
+        check_budget(self.num_cells(), budget)
         for runs in self._runs.values():
             if any((signs[1:] == signs[:-1]).any() for _, _, signs in runs):
                 raise ValidationError("duplicate cells")
@@ -111,7 +134,7 @@ class CubicalComplex:
             return table
         lower = {sup: (start, signs) for sup, start, signs in self.support_runs(k - 1)}
         empty = (0, np.zeros(0, dtype=self._sign_dtype))
-        table = np.empty((len(self.cells_of_dim(k)), 2 * k), dtype=np.int64)
+        table = np.empty((sum(len(signs) for _, _, signs in self.support_runs(k)), 2 * k), dtype=np.int64)
         for sup, start, signs in self.support_runs(k):
             rows = table[start:start + len(signs)]
             found = np.empty(rows.shape, dtype=bool)
@@ -145,9 +168,6 @@ class CubicalComplex:
             cells = self._cells[d] = tuple((sup, sg) for sup, _, signs in self.support_runs(d)
                                            for sg in signs.tolist())
         return cells
-
-    def cell_set(self) -> FrozenSet[Cell]:
-        return frozenset(c for d in range(self.dim + 1) for c in self.cells_of_dim(d))
 
     def num_cells(self) -> int:
         return sum(self.cell_counts())
@@ -233,13 +253,10 @@ class CubicalComplex:
     # -- io --------------------------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {
-            "type": "cubical",
-            "ambient": self.ambient,
-            "cells": [[list(sup), sg] for d in range(self.dim + 1)
-                      for sup, sg in self.cells_of_dim(d)],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Sorted keys, no spaces; one text prefix per run, joined over its signs."""
+        runs = [(f"[[{','.join(map(str, sup))}],", signs) for rs in self._runs.values() for sup, _, signs in rs]
+        cells = ",".join(p + ("]," + p).join(map(str, signs.tolist())) + "]" for p, signs in runs)
+        return f'{{"ambient":{self.ambient},"cells":[{cells}],"type":"cubical"}}'
 
     @classmethod
     def from_json(cls, text: str, budget: Optional[int] = None) -> "CubicalComplex":
@@ -256,9 +273,11 @@ class CubicalComplex:
         if self.ambient > 32:
             raise ValidationError("RZK1 format caps the ambient rank at 32")
         out = [RZK1_MAGIC, struct.pack("<II", self.ambient, self.num_cells())]
-        for d in range(self.dim + 1):
-            for sup, sg in self.cells_of_dim(d):
-                out.append(RZK1_CELL.pack(gf2.vector_from_indices(sup), sg))
+        for runs in self._runs.values():
+            for sup, _, signs in runs:
+                table = np.empty(len(signs), dtype="<u4,<u8")  # one RZK1_CELL per row
+                table["f0"], table["f1"] = gf2.vector_from_indices(sup), signs
+                out.append(table.tobytes())
         return b"".join(out)
 
     @classmethod

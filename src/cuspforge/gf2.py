@@ -11,9 +11,7 @@ over them.  Every routine is deterministic for a fixed input ordering.
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import Container, Dict, Iterable, Iterator, List, Tuple
 
 
 def lowbit(x: int) -> int:
@@ -78,17 +76,6 @@ def normal_form(v: int, pivots: Dict[int, int]) -> int:
         if (v >> q) & 1:
             v ^= pivots[q]
     return v
-
-
-def transpose_rows(rows: Sequence[int], ncols: int) -> List[int]:
-    """Transpose a bit-row matrix through numpy's bit packing."""
-    nbytes = (ncols + 7) // 8
-    buf = np.frombuffer(
-        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
-    ).reshape(len(rows), nbytes)
-    bits = np.unpackbits(buf, axis=1, bitorder="little")[:, :ncols]
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(packed[j].tobytes(), "little") for j in range(ncols)]
 
 
 def vector_from_indices(indices: Iterable[int]) -> int:

@@ -51,21 +51,10 @@ VertexKey = FrozenSet[int]
 # ---------------------------------------------------------------------------
 
 
-def _cube_complex(m: int, supports: Sequence[Tuple[int, ...]], budget: Optional[int]) -> CubicalComplex:
-    """The cells (sup, signs) of [-1,1]^m on the given supports, every sign
-    pattern off each support.  Their count meets the budget before any
-    cell is listed."""
-    check_budget(sum(1 << (m - len(sup)) for sup in supports), budget)
-    full = (1 << m) - 1
-    return CubicalComplex(m, [(sup, signs) for sup in supports
-                              for signs in gf2.submasks(full & ~gf2.vector_from_indices(sup))],
-                          budget=budget)
-
-
 def real_moment_angle(K: SimplicialComplex, budget: Optional[int] = None) -> CubicalComplex:
     """The cube subcomplex of [-1,1]^m with one cell (sigma, signs) per
     face sigma of K (empty face included) and sign pattern off sigma."""
-    return _cube_complex(K.vertex_count, [()] + K.all_faces(), budget)
+    return CubicalComplex.from_supports(K.vertex_count, [()] + K.all_faces(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +231,7 @@ def colour_manifold(P: FaceLattice, colouring: Colouring, budget: Optional[int] 
         raise ValidationError("colouring quotients need a simple polytope")
     if not P.is_complete():
         raise ValidationError("colouring quotients need a complete lattice")
-    return _cube_complex(P.num_facets, [tuple(sorted(s)) for _, s in P.faces] + [()], budget)
+    return CubicalComplex.from_supports(P.num_facets, [tuple(sorted(s)) for _, s in P.faces] + [()], budget)
 
 
 # ---------------------------------------------------------------------------

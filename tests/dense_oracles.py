@@ -27,7 +27,11 @@ on that form, verbatim, as oracles.
 The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
 replaced are kept verbatim: the untagged elimination, the rref pass with
 its coset representative, the kernel, solve and identity helpers, and the
-per-bit transpose of small matrices.
+per-bit transpose of small matrices.  ``transpose_rows``, the bit-packing
+transpose, left the library when the intersection form began to gather
+its bit slices; it is kept verbatim, and so is the transpose-based form,
+``intersection_form_oracle``, but for reading its splittings off the
+key-lookup ``splittings_oracle`` (the library's are index arrays now).
 
 The library finds each cusp torus of the cusped model as a coset of the
 colour span at its ideal vertex, and fills or truncates an ideal vertex
@@ -40,7 +44,8 @@ A cube complex keeps its cells as support runs only, and every cube face
 is read off its face tables.  The parent forms are kept verbatim as
 well: ``CubicalCellsOracle`` holds the per-cell constructor (a dict of
 sorted cell tuples and their frozenset) with the face tables it derived
-from them, ``splittings_oracle`` finds the cup-product faces by key
+from them and the per-cell JSON and RZK1 writers, ``cell_set`` is the
+complex's cells as a frozenset, ``splittings_oracle`` finds the cup-product faces by key
 lookup, and ``preimage_components_oracle`` scans the cells for copies
 and merges.  ``maximal_facets_oracle`` is the quadratic maximality
 filter of the simplicial constructor.
@@ -76,6 +81,7 @@ O(F^3) meet and join check of face lattices as ``lattice_check_oracle``.
 from __future__ import annotations
 
 import json
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,7 +93,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from cuspforge import gf2
-from cuspforge.cubical import INT64_AMBIENT, Cell, CubicalComplex, Run
+from cuspforge.chains import cohomology_z2_basis
+from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
 from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, cube_faces
@@ -512,6 +519,17 @@ def identity_rows(n: int) -> List[int]:
     return [1 << i for i in range(n)]
 
 
+def transpose_rows(rows: Sequence[int], ncols: int) -> List[int]:
+    """Transpose a bit-row matrix through numpy's bit packing."""
+    nbytes = (ncols + 7) // 8
+    buf = np.frombuffer(
+        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
+    ).reshape(len(rows), nbytes)
+    bits = np.unpackbits(buf, axis=1, bitorder="little")[:, :ncols]
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(packed[j].tobytes(), "little") for j in range(ncols)]
+
+
 def transpose_rows_by_bits(rows: Sequence[int], ncols: int) -> List[int]:
     """Transpose a bit-row matrix one set bit at a time."""
     out = [0] * ncols
@@ -648,8 +666,8 @@ def truncate_ideal_oracle(P: IdealPolytope) -> TruncatedPolytope:
 
 
 class CubicalCellsOracle:
-    """The per-cell cube-complex store: its constructor, cell view and face
-    tables, verbatim; serialisation is the library's, read off the view."""
+    """The per-cell cube-complex store: its constructor, cell view, face
+    tables and JSON and RZK1 writers, verbatim."""
 
     def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
         if ambient < 0:
@@ -748,8 +766,29 @@ class CubicalCellsOracle:
     def num_cells(self) -> int:
         return len(self._cell_set)
 
-    to_json = CubicalComplex.to_json
-    to_rzk1 = CubicalComplex.to_rzk1
+    def to_json(self) -> str:
+        payload = {
+            "type": "cubical",
+            "ambient": self.ambient,
+            "cells": [[list(sup), sg] for d in range(self.dim + 1)
+                      for sup, sg in self.cells_of_dim(d)],
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def to_rzk1(self) -> bytes:
+        """Compact binary cell table: u32 support mask, u64 sign mask per cell."""
+        if self.ambient > 32:
+            raise ValidationError("RZK1 format caps the ambient rank at 32")
+        out = [RZK1_MAGIC, struct.pack("<II", self.ambient, self.num_cells())]
+        for d in range(self.dim + 1):
+            for sup, sg in self.cells_of_dim(d):
+                out.append(RZK1_CELL.pack(gf2.vector_from_indices(sup), sg))
+        return b"".join(out)
+
+
+def cell_set(Z) -> FrozenSet[Cell]:
+    """Every cell of a cube complex, as a set of (support, signs) pairs."""
+    return frozenset(c for d in range(Z.dim + 1) for c in Z.cells_of_dim(d))
 
 
 def splittings_oracle(data, k: int, l: int) -> List[Tuple[int, int, int]]:
@@ -778,6 +817,33 @@ def splittings_oracle(data, k: int, l: int) -> List[Tuple[int, int, int]]:
             if fi is not None and bi is not None:
                 out.append((c, fi, bi))
     return out
+
+
+def intersection_form_oracle(data) -> Tuple[List[int], List[int]]:
+    """Mod-2 intersection form on H^2 of a closed 4-complex.
+
+    Returns (rows of the Gram matrix as bitmasks, diagonal entries).
+    Pairings are evaluated at cochain level against the sum of all top
+    cells; class-level well-definedness holds because the arguments are
+    cocycles and the complex is closed.
+    """
+    splittings = splittings_oracle(data, 2, 2)
+    reps = cohomology_z2_basis(data, 2).representatives
+    b2 = len(reps)
+    # bit-sliced: bit s of front[i] (back[i]) is reps[i] on splitting s's front (back) face
+    cols = transpose_rows(reps, data.size(2))
+    front = transpose_rows([cols[fi] for _, fi, _ in splittings], b2)
+    back = transpose_rows([cols[bi] for _, _, bi in splittings], b2)
+    rows = [0] * b2
+    diag = [0] * b2
+    for i in range(b2):
+        for j in range(i, b2):
+            if (front[i] & back[j]).bit_count() & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                if i == j:
+                    diag[i] = 1
+    return rows, diag
 
 
 def preimage_components_oracle(

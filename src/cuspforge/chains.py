@@ -24,6 +24,10 @@ homology replays V once per degree from 2 up, an integral H_k basis reads
 the eliminations of degrees k and k+1 and runs none of its own, and is
 cached per degree as well.  The one integral budget check is in
 ``smith_normal_form``, on the entries each elimination holds as it runs.
+Equal sections of one parent share one elimination: ``subcomplex_selection``
+keys each section's chain data by its exact arrays, and a section equal to
+an earlier one gets that one's caches, so the tori of a cusped quotient,
+usually identical as chain data, are eliminated once per class.
 
 ``propagate_signs`` is the one sign propagation: it orients a closed
 pseudomanifold given as (top cell, ridge, incidence) triples, for
@@ -75,7 +79,8 @@ class ChainComplexData:
     one per degree, each on the relations left by the one below,
     ``gf2_coreduction(k)`` over Z/2, the integral H_k bases built on
     ``smith(k)`` and ``smith(k + 1)``, and the ``OrientabilityResult`` of
-    ``characteristic.orientability``.
+    ``characteristic.orientability``.  ``_sections`` holds, per class of
+    equal subcomplex selections, the three elimination caches they share.
     """
 
     coeff: str
@@ -86,6 +91,7 @@ class ChainComplexData:
     _smith: Dict[int, SNFResult] = field(default_factory=dict, repr=False)
     _integral_bases: Dict[int, IntegralHomologyBasis] = field(default_factory=dict, repr=False)
     _orientability: Optional[object] = field(default=None, repr=False)
+    _sections: Dict[Hashable, Tuple[dict, dict, dict]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.coeff not in ("Z", "Z2"):
@@ -633,10 +639,20 @@ class SubcomplexSelection:
         return out
 
 
+def _chain_key(coeff: str, incidences: Sequence[Incidence]) -> Hashable:
+    """Exact key of chain data: the ring and, per degree, each CSR array's
+    dtype, shape and contents; object coefficients by value, since the
+    bytes of an object array are pointers."""
+    return coeff, tuple((a.dtype.str, a.shape, tuple(a.tolist()) if a.dtype == object else a.tobytes())
+                        for incidence in incidences for a in incidence)
+
+
 def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequence[Hashable]]) -> SubcomplexSelection:
     """Validate closure of a cell selection and reindex its chain data: the
     parent's rows of d_k are gathered, and their faces sent through one
-    lookup array (parent index -> sub index, -1 off the selection)."""
+    lookup array (parent index -> sub index, -1 off the selection).  A
+    section whose arrays equal an earlier section's of the same parent
+    shares its elimination caches; its cell keys and indices stay its own."""
     if len(keys_per_dim) > parent.top_dim + 1:
         raise ValidationError("selection has more degrees than the complex")
     indices: List[List[int]] = []
@@ -663,6 +679,8 @@ def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequen
         lookup[rows] = np.arange(len(idx))
     cell_keys = [tuple(parent.cell_keys[k][i] for i in idx) for k, idx in enumerate(indices)]
     data = ChainComplexData(parent.coeff, cell_keys, incidences)
+    data._gf2_coreduction, data._smith, data._integral_bases = parent._sections.setdefault(
+        _chain_key(parent.coeff, incidences), (data._gf2_coreduction, data._smith, data._integral_bases))
     return SubcomplexSelection(parent=parent, indices=indices, data=data)
 
 

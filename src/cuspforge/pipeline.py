@@ -27,7 +27,7 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology, subcomplex_selection
 from .cubical import CubicalComplex
-from .errors import CuspforgeError, ValidationError
+from .errors import BudgetError, CuspforgeError, ValidationError
 from .filling import (
     DehnFilling,
     dehn_fill,
@@ -146,6 +146,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             return fn()
         except CuspforgeError as exc:
             raise StageError(name, exc) from exc
+        except MemoryError as exc:  # out of memory: a budget overrun, named by its stage
+            raise StageError(name, BudgetError(str(exc) or "out of memory")) from exc
 
     n = cfg.n
     G = stage("gosset", lambda: gosset(n))

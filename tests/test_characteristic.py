@@ -1,8 +1,12 @@
 """Orientability, spin obstruction, certificates, spectrum labels."""
 
+import random
+
 import pytest
 
 from cuspforge.chains import (
+    ChainComplexData,
+    SubcomplexSelection,
     chain_complex_of,
     cohomology_z2_basis,
     cup_product,
@@ -310,23 +314,60 @@ def test_summand_and_lie_on_subtorus_of_t3():
     assert lie.ok and lie.target_dim == 2
 
 
-def test_every_cusp_of_the_cusped_p4_quotient_is_a_lie_summand():
+def test_every_cusp_of_the_cusped_p4_quotient_is_a_lie_summand(monkeypatch):
     """The cusped P^4 quotient (distinct colours) through the public API:
     H_*(Z) = (Z, Z^55, Z^197, Z^79, 0), and each of its 80 cusp 3-tori
     injects into H_1 as a summand (invariant factors 1, 1, 1) whose Z/2
-    cohomology restriction is onto (rank 3 of 3)."""
+    cohomology restriction is onto (rank 3 of 3).  The 80 sections are
+    equal as chain data, so all of them together run one smith(1) and one
+    smith(2)."""
     cusped = truncated_quotient(ideal_dual(gosset(4)))
     data = chain_complex_of(cusped.quotient, "Z")
     result = homology(data)
     assert result.betti == (1, 55, 197, 79, 0) and result.torsion == ((),) * 5
     ph1, pcoh = integral_homology_basis(data, 1), cohomology_z2_basis(data, 1)
     assert len(cusped.components) == 80
+    built = []
+    smith = ChainComplexData.smith
+
+    def counting(self, k):
+        if k not in self._smith:
+            built.append(k)
+        return smith(self, k)
+
+    monkeypatch.setattr(ChainComplexData, "smith", counting)
     for comp in cusped.components:
         sel = subcomplex_selection(data, comp.keys_per_dim)
         cert = summand_certificate(sel, expected_rank=3, parent_basis=ph1)
         assert cert.ok and cert.invariant_factors == (1, 1, 1)
         lie = lie_cusp_certificate(sel, parent_basis=pcoh)
         assert lie.ok and (lie.restriction_rank, lie.target_dim) == (3, 3)
+    assert sorted(built) == [1, 2]
+
+
+@pytest.mark.parametrize("seed, classes", [(0, 1), (1, 3), (3, 3)])
+def test_sections_that_share_eliminations_certify_like_fresh_ones(seed, classes):
+    """Every cusp certificate of the cusped P^3 quotient, colours permuted
+    by the seed, equals the one computed on a fresh copy of its section's
+    chain data, which shares no cache; and the sections hold one set of
+    elimination caches per class of equal CSR arrays."""
+    P = ideal_dual(gosset(3))
+    perm = list(range(P.num_facets))
+    if seed:
+        random.Random(seed).shuffle(perm)
+    cusped = truncated_quotient(P, Colouring(P.num_facets, tuple(1 << p for p in perm)))
+    data = chain_complex_of(cusped.quotient, "Z")
+    ph1, pcoh = integral_homology_basis(data, 1), cohomology_z2_basis(data, 1)
+    caches, arrays = set(), set()
+    for comp in cusped.components:
+        sel = subcomplex_selection(data, comp.keys_per_dim)
+        own = sel.data
+        fresh = SubcomplexSelection(data, sel.indices, ChainComplexData(own.coeff, own.cell_keys, own.incidences))
+        assert summand_certificate(sel, parent_basis=ph1) == summand_certificate(fresh, parent_basis=ph1)
+        assert lie_cusp_certificate(sel, parent_basis=pcoh) == lie_cusp_certificate(fresh, parent_basis=pcoh)
+        caches.add((id(own._smith), id(own._gf2_coreduction), id(own._integral_bases)))
+        arrays.add(tuple(tuple(a.tolist()) for incidence in own.incidences for a in incidence))
+    assert len(caches) == len(arrays) == classes
 
 
 def test_summand_fails_on_mobius_boundary():

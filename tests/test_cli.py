@@ -196,6 +196,23 @@ def test_chain_complex_build_is_a_named_stage(monkeypatch, error):
     assert isinstance(info.value.__cause__, error)
 
 
+def test_out_of_memory_is_a_budget_overrun_of_its_named_stage(monkeypatch, capsys):
+    def exhausted(P):
+        raise MemoryError()
+
+    monkeypatch.setattr(pipeline, "cusp_census", exhausted)
+    with pytest.raises(StageError) as info:
+        run_pipeline(PipelineConfig(n=3))
+    assert info.value.stage == "census"
+    assert info.value.exit_code == BudgetError.exit_code == 3
+    capsys.readouterr()
+    assert run(["pipeline", "--n", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"code": 3, "error": "stage census: out of memory"}, {"stage": "census"}]
+
+
 def test_pipeline_n8_census_artifacts_match_recorded_digests(tmp_path):
     result = run_pipeline(PipelineConfig(n=8, census_only=True, outdir=str(tmp_path)))
     digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -629,26 +629,58 @@ def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
     assert spin_obstruction(t4, data).vanishes is True
     assert [restriction_map_z2(sel, 1).rank() for sel in selections] == [2, 2]
     assert [sum(rows == data.gf2_corows(k) for rows in calls) for k in range(top + 1)] == [1] * (top + 1)
-    # and the chain data keeps no other Z/2 form or elimination
+    # and the chain data keeps no other Z/2 form or elimination; _sections
+    # only hands equal subcomplex selections the same three caches
     assert {f.name for f in fields(ChainComplexData) if f.name.startswith("_")} == {
-        "_index", "_gf2_coreduction", "_smith", "_integral_bases", "_orientability"}
+        "_index", "_gf2_coreduction", "_smith", "_integral_bases", "_orientability", "_sections"}
     assert set(data._gf2_coreduction) == set(range(-1, top + 1))
 
 
 def test_induced_maps_on_one_parent_eliminate_its_boundaries_once(monkeypatch):
     """Restrictions to two cusp tori of one parent: the parent's delta^0 and
     delta^1 are eliminated once each, and the second restriction reads them
-    off the cache."""
+    off the cache.  The two tori are equal as chain data, so the second
+    also reads the first one's eliminations of delta^0 and delta^1."""
     cusped = truncated_quotient(ideal_dual(gosset(3)))
     parent = chain_complex_of(cusped.quotient, "Z2")
     first, second = (subcomplex_selection(parent, c.keys_per_dim) for c in cusped.components[:2])
+    assert second.data.cell_keys != first.data.cell_keys
+    assert second.data._gf2_coreduction is first.data._gf2_coreduction
     seen = []
     reduce = gf2._tagged_pivots
     monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: seen.append(a[0]) or reduce(*a))
-    maps = [restriction_map_z2(sel, 1) for sel in (first, second)]
+    maps = [restriction_map_z2(first, 1)]
+    section_rows = [second.data.gf2_corows(k) for k in (0, 1)]
+    assert [sum(rows == r for r in seen) for rows in section_rows] == [1, 1]
+    seen_first = len(seen)
+    maps.append(restriction_map_z2(second, 1))
+    assert seen[seen_first:] == []  # neither the section's nor the parent's coboundaries again
     parent_rows = [parent.gf2_corows(k) for k in (0, 1)]
     assert [sum(rows == r for r in seen) for rows in parent_rows] == [1, 1]  # delta^0, delta^1 once each
     assert all((m.dim_domain, m.dim_target, m.rank()) == (12, 2, 2) for m in maps)
+
+
+def test_sections_share_eliminations_by_coefficient_value_past_int64():
+    """Coefficients past int64 sit in object arrays, whose bytes are
+    pointers: equal sections are keyed by value, and a section differing
+    in one such coefficient gets eliminations of its own."""
+    big = 2 ** 64
+    edges = [(big, -big), (int(str(big)), -int(str(big))), (big + 1, -big)]
+    keys = [[(v,) for v in range(6)], [(2 * e, 2 * e + 1) for e in range(3)]]
+    data = ChainComplexData.from_entries(
+        "Z", keys, [[[] for _ in range(6)], [[(2 * e, a), (2 * e + 1, b)] for e, (a, b) in enumerate(edges)]])
+    assert data.incidences[1][2].dtype == object
+    first, equal, other = (subcomplex_selection(data, [[(2 * e,), (2 * e + 1,)], [(2 * e, 2 * e + 1)]])
+                           for e in range(3))
+    assert first.data.incidences[1][2].tobytes() != equal.data.incidences[1][2].tobytes()
+    assert first.data._smith is equal.data._smith
+    assert first.data._gf2_coreduction is equal.data._gf2_coreduction
+    assert first.data._integral_bases is equal.data._integral_bases
+    assert first.data.smith(1) is equal.data.smith(1)
+    assert first.data.smith(1).diag == [big]
+    assert other.data._smith is not first.data._smith
+    assert other.data.smith(1).diag == [1]
+    assert equal.data.cell_keys != first.data.cell_keys and equal.indices != first.indices
 
 
 def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):

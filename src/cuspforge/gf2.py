@@ -39,15 +39,24 @@ def _tagged_pivots(
 ) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
     """Row reduce with tags (bit i = input row i): the pivots, in input
     order, and the tags of the rows that reduced to zero.  Rows whose index
-    is in ``skip`` are left out, as if absent."""
+    is in ``skip`` are left out, as if absent.  The loop is
+    ``reduce_tagged``'s, inlined so that each step finds the row's lowest
+    bit once, and that bit keys the new pivot."""
     pivots: Dict[int, Tuple[int, int]] = {}
     kernel: List[int] = []
+    get = pivots.get
     for i, row in enumerate(rows):
         if i in skip:
             continue
-        row, tag = reduce_tagged(row, pivots, 1 << i)
-        if row:
-            pivots[lowbit(row)] = (row, tag)
+        tag = 1 << i
+        while row:
+            low = (row & -row).bit_length() - 1
+            hit = get(low)
+            if hit is None:
+                pivots[low] = (row, tag)
+                break
+            row ^= hit[0]
+            tag ^= hit[1]
         else:
             kernel.append(tag)
     return pivots, kernel

@@ -6,10 +6,11 @@ prism, rectified 4-simplex, 5-demicube).  For n in {6,7,8} the facets
 come from Wythoff's construction: the facets of one type are the orbit
 of one seed facet under the reflection group.  The vertices are the
 orbit of a fundamental weight, and each simple reflection permutes
-them.  One closure enumerates the orbit of another fundamental weight, a
-facet normal, and carries each normal's facet along as a row of vertex
-indices: reflecting a normal maps its row through that reflection's
-vertex permutation.  Only the seed facet is found by maximizing an inner
+them.  A reverse search lists the orbit of another fundamental weight, a
+facet normal, as a tree: each orbit vector is found once, from its one
+parent, and carries its normal's facet along as a row of vertex indices
+(reflecting a normal maps its row through that reflection's vertex
+permutation).  Only the seed facet is found by maximizing an inner
 product.  All arithmetic is exact integer arithmetic on scaled root
 coordinates; the full reflection group is never materialized.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product, repeat
 from math import gcd, isqrt
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -248,34 +248,29 @@ _BUILTIN = {3: _prism_data, 4: _rectified_simplex_data, 5: _demicube_data}
 def _fundamental_weight_vector(roots: Sequence[Tuple[int, ...]], node: int) -> Tuple[int, ...]:
     """Integer vector positively proportional to a fundamental weight.
 
-    Solves the Gram system <w, alpha_j> = delta_{ij} exactly and clears
-    denominators without reducing, so the result stays in twice the
-    weight lattice and reflections remain integral.
+    With C the Cartan matrix (<alpha_i, alpha_j> / 4), the weight is
+    sum_j C^-1[j][node - 1] alpha_j, that is w / det C for w = sum_j
+    adj(C)[j][node - 1] alpha_j.  Fraction-free Gauss-Jordan elimination
+    (Bareiss) of [C | e_node] leaves det C on the diagonal and that column
+    of adj(C) on the right; C is positive definite, so no pivot is zero.
+    The result is w / gcd(det C, w): the weight with its denominators
+    cleared but not reduced, so it stays in twice the weight lattice and
+    reflections remain integral.
     """
     k = len(roots)
-    gram = [[_dot(roots[i], roots[j]) // 4 for j in range(k)] for i in range(k)]
-    rhs = [Fraction(1 if j == node - 1 else 0) for j in range(k)]
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [[_dot(roots[i], roots[j]) // 4 for j in range(k)] + [int(i == node - 1)] for i in range(k)]
+    prev = 1
     for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        rhs[col] *= inv
+        p = a[col]
         for r in range(k):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                rhs[r] -= f * rhs[col]
-    coeffs = rhs
-    weight = [sum(coeffs[j] * roots[j][t] for j in range(k)) for t in range(8)]
-    denom = 1
-    for x in weight:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in weight)
-
-
+                a[r] = [(p[col] * x - f * y) // prev for x, y in zip(a[r], p)]
+        prev = p[col]
+    adj = [row[k] for row in a]
+    w = [sum(adj[j] * roots[j][t] for j in range(k)) for t in range(8)]
+    g = gcd(prev, *w)
+    return tuple(x // g for x in w)
 
 
 def _key_places(bound: int, dim: int) -> np.ndarray:
@@ -288,47 +283,57 @@ def _key_places(bound: int, dim: int) -> np.ndarray:
     return base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
 
 
-def _reflections(X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Every row of X reflected in every simple root: row i * len(R) + j
-    is X[i] reflected in R[j], that is X[i] - <X[i], R[j]> / 4 * R[j]
-    (the roots have norm^2 8)."""
+def _root_products(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """<X[i], R[j]> for every row and simple root, each a multiple of 4
+    (the roots have norm^2 8, so X[i] - <X[i], R[j]> / 4 * R[j] is X[i]
+    reflected in R[j])."""
     D = X @ R.T
     if (D % 4).any():
         raise ValidationError("orbit vector left the reflection lattice")
-    return (X[:, None, :] - (D // 4)[:, :, None] * R).reshape(-1, X.shape[1])
+    return D
 
 
 def _orbit(start: Sequence[int], R: np.ndarray, seed: Sequence[int] = (),
            perms: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """The orbit of ``start`` under the simple reflections ``R``, by
-    closure, as int64 rows in key order, and the row that each orbit
-    vector carries: ``seed`` at ``start``, taken through ``perms[j]`` by
-    reflection j (an empty row without ``perms``).
+    """The orbit of the dominant vector ``start`` under the simple
+    reflections ``R``, by reverse search, as int64 rows in key order, and
+    the row that each orbit vector carries: ``seed`` at ``start``, taken
+    through ``perms[j]`` by reflection j (an empty row without ``perms``).
 
-    Each round reflects the whole frontier in every simple root at once,
-    in int64.  Reflections preserve the norm, so every entry lies within
-    ``bound`` = isqrt(norm) of zero, the arithmetic is exact, and the
-    frontiers are deduplicated on packed keys.
+    The orbit is a tree rooted at ``start``: the parent of any other
+    vector y is y reflected in the first simple root alpha_j with
+    <y, alpha_j> < 0.  Each round lists the children of the whole
+    frontier at once, in int64: x reflected in every alpha_j with
+    <x, alpha_j> > 0, kept when j is that child's first negative root.
+    So every orbit vector is listed once, from its one parent, and no
+    round deduplicates.  Reflections preserve the norm, so every entry
+    lies within ``bound`` = isqrt(norm) of zero, the arithmetic is exact,
+    and one sort of packed keys orders the orbit.
     """
     bound = isqrt(_dot(start, start))
     place = _key_places(bound, R.shape[1])
+    cartan = (R @ R.T) // 4
     frontier = np.array([start], dtype=np.int64)
     carried = np.array([seed], dtype=np.intp)
-    parts, rows, keys = [frontier], [carried], [(frontier + bound) @ place]
+    D = _root_products(frontier, R)
+    if (D < 0).any():
+        raise ValidationError("orbit start is not dominant")
+    parts, rows = [frontier], [carried]
     while len(frontier):
-        Y = _reflections(frontier, R)
-        k, first = np.unique((Y + bound) @ place, return_index=True)
-        # reflections are involutions: a frontier's images lie in the
-        # frontier, the one before it, or the next one
-        new = ~np.isin(k, np.concatenate(keys[-2:]))
-        src, root = np.divmod(first[new], len(R))
-        frontier = Y[first[new]]
+        src, root = np.nonzero(D > 0)
+        step = D[src, root]
+        # <y, R> for each child y = x - step / 4 * R[root] is
+        # D[src] - step * cartan[root]; its root-th entry is -step < 0
+        keep = np.argmax(D[src] - step[:, None] * cartan[root] < 0, axis=1) == root
+        src, root, step = src[keep], root[keep], step[keep]
+        frontier = frontier[src] - (step // 4)[:, None] * R[root]
         carried = carried[src] if perms is None else perms[root[:, None], carried[src]]
         parts.append(frontier)
         rows.append(carried)
-        keys.append(k[new])
-    order = np.argsort(np.concatenate(keys))
-    return np.concatenate(parts)[order], np.concatenate(rows)[order]
+        D = _root_products(frontier, R)
+    X = np.concatenate(parts)
+    order = np.argsort((X + bound) @ place)
+    return X[order], np.concatenate(rows)[order]
 
 
 def _reflection_perms(V: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -339,7 +344,8 @@ def _reflection_perms(V: np.ndarray, R: np.ndarray) -> np.ndarray:
     place = _key_places(bound, V.shape[1])
     keys = (V + bound) @ place
     order = np.argsort(keys)
-    Y = _reflections(V, R)
+    # row i * len(R) + j of Y is V[i] reflected in R[j]
+    Y = (V[:, None, :] - (_root_products(V, R) // 4)[:, :, None] * R).reshape(-1, V.shape[1])
     at = order[np.searchsorted(keys[order], (Y + bound) @ place).clip(max=len(V) - 1)]
     if not np.array_equal(V[at], Y):
         raise ValidationError("vertex set not closed under the reflections")

@@ -25,7 +25,8 @@ builders once stored, and the per-entry readers the library replaced
 on that form, verbatim, as oracles.
 
 The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
-replaced are kept verbatim: the untagged elimination, the rref pass with
+replaced are kept verbatim, and so is that elimination as it was before
+it inlined ``reduce_tagged``'s loop (``tagged_pivots_oracle``): the untagged elimination, the rref pass with
 its coset representative, the kernel, solve and identity helpers, and the
 per-bit transpose of small matrices.  ``transpose_rows``, the bit-packing
 transpose, left the library when the intersection form began to gather
@@ -75,7 +76,10 @@ off its chain complex.  The ridge count over a dict and the depth-first
 search over the 1-skeleton it ran before are kept verbatim as
 ``closed_pseudomanifold_oracle`` and ``connected_oracle``, and the
 O(F^3) meet and join check of face lattices as ``lattice_check_oracle``.
-``weyl_orbit`` lists the orbit closure of ``polytopes._orbit`` as tuples.
+``weyl_orbit`` lists the orbit that ``polytopes._orbit`` finds by reverse
+search as tuples.  ``fundamental_weight_oracle`` is the generator's
+former weight solve, exact Gauss-Jordan elimination over ``Fraction``,
+kept verbatim.
 """
 
 from __future__ import annotations
@@ -84,11 +88,12 @@ import json
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, groupby
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -102,7 +107,7 @@ from cuspforge.moment_angle import (
     CuspComponent, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
 )
 from cuspforge.polytopes import (
-    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _fundamental_weight_vector, _orbit,
+    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _dot, _fundamental_weight_vector, _orbit,
 )
 from cuspforge.simplicial import SimplicialComplex
 from cuspforge.snf import Move, SNFResult, _add_sparse
@@ -502,6 +507,25 @@ def rref_normal_form(v: int, rref: Dict[int, int]) -> int:
         if (v >> q) & 1:
             v ^= rref[q]
     return v
+
+
+def tagged_pivots_oracle(
+    rows: Iterable[int], skip: Container[int] = ()
+) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+    """Row reduce with tags (bit i = input row i): the pivots, in input
+    order, and the tags of the rows that reduced to zero.  Rows whose index
+    is in ``skip`` are left out, as if absent."""
+    pivots: Dict[int, Tuple[int, int]] = {}
+    kernel: List[int] = []
+    for i, row in enumerate(rows):
+        if i in skip:
+            continue
+        row, tag = gf2.reduce_tagged(row, pivots, 1 << i)
+        if row:
+            pivots[gf2.lowbit(row)] = (row, tag)
+        else:
+            kernel.append(tag)
+    return pivots, kernel
 
 
 def left_kernel_basis(rows: Sequence[int]) -> List[int]:
@@ -991,8 +1015,40 @@ def facets_by_maximization(
     return [frozenset(rows[a:b]) for a, b in zip([0] + ends, ends)]
 
 
+def fundamental_weight_oracle(roots: Sequence[Tuple[int, ...]], node: int) -> Tuple[int, ...]:
+    """Integer vector positively proportional to a fundamental weight.
+
+    Solves the Gram system <w, alpha_j> = delta_{ij} exactly and clears
+    denominators without reducing, so the result stays in twice the
+    weight lattice and reflections remain integral.
+    """
+    k = len(roots)
+    gram = [[_dot(roots[i], roots[j]) // 4 for j in range(k)] for i in range(k)]
+    rhs = [Fraction(1 if j == node - 1 else 0) for j in range(k)]
+    a = [[Fraction(x) for x in row] for row in gram]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        rhs[col] *= inv
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                rhs[r] -= f * rhs[col]
+    coeffs = rhs
+    weight = [sum(coeffs[j] * roots[j][t] for j in range(k)) for t in range(8)]
+    denom = 1
+    for x in weight:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    return tuple(int(x * denom) for x in weight)
+
+
 def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Orbit of a vector under the simple reflections, by closure, sorted."""
+    """Orbit of a dominant vector under the simple reflections, by reverse
+    search, sorted."""
     orbit, _ = _orbit(start, np.array(roots, dtype=np.int64))
     return list(map(tuple, orbit.tolist()))
 

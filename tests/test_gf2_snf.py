@@ -28,7 +28,8 @@ from cuspforge.snf import SNFResult, smith_normal_form
 
 from dense_oracles import (
     DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, left_kernel_basis, logged_transforms, matmul,
-    reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, transpose_rows, transpose_rows_by_bits,
+    reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, tagged_pivots_oracle, transpose_rows,
+    transpose_rows_by_bits,
 )
 
 
@@ -169,6 +170,23 @@ def test_one_elimination_matches_the_oracles(case, nrows, ncols):
     columns = transpose_rows(matrix, ncols)
     assert columns == transpose_rows_by_bits(matrix, ncols)
     assert transpose_rows(columns, nrows) == matrix
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pivot_loop_matches_the_reduce_tagged_loop(seed):
+    """Same pivots, in the same insertion order, with the same tags and
+    kernel tags, on rows past 64 bits with zero rows, repeated rows and
+    skipped indices."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        width = rng.choice([1, 7, 64, 65, 130, 300])
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 40))]
+        rows += [0] * rng.randint(0, 3) + rng.choices(rows, k=rng.randint(0, 5)) if rows else []
+        rng.shuffle(rows)
+        for skip in ((), set(rng.sample(range(len(rows)), len(rows) // 3)), range(0, len(rows), 2)):
+            got, want = gf2._tagged_pivots(rows, skip), tagged_pivots_oracle(rows, skip)
+            assert got == want
+            assert list(got[0]) == list(want[0])
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):

@@ -30,7 +30,8 @@ from cuspforge.polytopes import (
 )
 
 from dense_oracles import (
-    FaceLatticeOracle, lattice_check_oracle, orbit_facet_data, validate_links_oracle, weyl_orbit,
+    FaceLatticeOracle, facets_by_maximization, fundamental_weight_oracle, lattice_check_oracle,
+    orbit_facet_data, validate_links_oracle, weyl_orbit,
 )
 
 
@@ -337,6 +338,40 @@ def test_vectorised_orbit_matches_scalar_closure(n):
         orbit = weyl_orbit(start, roots)
         assert orbit == _orbit_oracle(start, roots)
         assert all(type(x) is int for x in orbit[0])
+        X, _ = polytopes._orbit(start, np.array(roots))
+        assert len(np.unique(X, axis=0)) == len(X)  # each vector listed once
+
+
+def test_integer_fundamental_weights_match_the_fraction_solve():
+    nodes = [(n, node) for n in (6, 7, 8) for node in range(1, n + 1)]
+    assert len(nodes) == 21
+    for n, node in nodes:
+        assert _fundamental_weight_vector(_E_ROOTS_2X[:n], node) == fundamental_weight_oracle(_E_ROOTS_2X[:n], node)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_carried_facet_rows_match_the_maximization_route(n):
+    """Each normal's carried row, sorted, is the vertex set maximizing it."""
+    roots = _E_ROOTS_2X[:n]
+    R = np.array(roots)
+    v_node, c_node, s_node = _WEIGHT_NODES[n]
+    V, _ = polytopes._orbit(_fundamental_weight_vector(roots, v_node), R)
+    perms = polytopes._reflection_perms(V, R)
+    for node, width in ((c_node, 2 * (n - 1)), (s_node, n)):
+        normal = _fundamental_weight_vector(roots, node)
+        height = V @ np.array(normal)
+        normals, rows = polytopes._orbit(normal, R, np.flatnonzero(height == height.max()), perms)
+        assert rows.shape[1] == width
+        facets = facets_by_maximization(list(map(tuple, V.tolist())), list(map(tuple, normals.tolist())))
+        assert np.sort(rows, axis=1).tolist() == [sorted(f) for f in facets]
+
+
+def test_orbit_start_off_the_dominant_chamber_is_refused():
+    # s_8 applied to the dominant weight omega_8 = (0, 0, 0, 0, 0, 0, 2, 2)
+    start = (0, 0, 0, 0, 0, 2, 0, 2)
+    assert [_dot(start, a) for a in _E_ROOTS_2X][-2:] == [4, -4]
+    with pytest.raises(ValidationError, match="^orbit start is not dominant$"):
+        weyl_orbit(start, _E_ROOTS_2X)
 
 
 def test_orbit_off_the_reflection_lattice_is_refused():

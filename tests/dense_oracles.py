@@ -61,8 +61,8 @@ checks prove the vertex links.  ``validate_links_oracle`` is the second
 link check they ran before, on the lattice alone: each vertex's link
 counted through a facet-to-face incidence.
 
-The Gosset generator carries each facet's vertex row through the orbit
-closure of its normal.  The route it replaced, one orbit of normals and
+The Gosset generator carries each facet's vertex row through the reverse
+search of its normal's orbit.  The route it replaced, one orbit of normals and
 then the vertices maximizing each normal, is kept verbatim as
 ``orbit_facet_data`` and ``facets_by_maximization``.
 

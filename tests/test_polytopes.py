@@ -342,10 +342,9 @@ def test_vectorised_orbit_matches_scalar_closure(n):
         assert len(np.unique(X, axis=0)) == len(X)  # each vector listed once
 
 
-def test_integer_fundamental_weights_match_the_fraction_solve():
-    nodes = [(n, node) for n in (6, 7, 8) for node in range(1, n + 1)]
-    assert len(nodes) == 21
-    for n, node in nodes:
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_integer_fundamental_weights_match_the_fraction_solve(n):
+    for node in range(1, n + 1):
         assert _fundamental_weight_vector(_E_ROOTS_2X[:n], node) == fundamental_weight_oracle(_E_ROOTS_2X[:n], node)
 
 

@@ -158,11 +158,17 @@ class ChainComplexData:
     def gf2_corows(self, k: int) -> List[int]:
         """Coboundary of each k-cell as a bitset over (k+1)-cells: bit i of
         row j is set when (k+1)-cell i has an odd number of odd entries on j.
-        The one Z/2 form of the chain data."""
+        The one Z/2 form of the chain data, as ``gf2_coreduction`` reduces
+        it: the rows at the pivots of degree k-1, which it skips, are left
+        0, their entries dropped before the XOR loop."""
         cells, faces, coeffs = self._entries(k + 1)
-        odd = coeffs & 1 != 0
+        keep = coeffs & 1 != 0
+        if k > 0 and keep.any():
+            skipped = np.zeros(self.size(k), dtype=bool)
+            skipped[list(self.gf2_coreduction(k - 1)[0])] = True
+            keep &= ~skipped[faces]
         out = [0] * self.size(k)
-        for j, i in zip(faces[odd].tolist(), cells[odd].tolist()):
+        for j, i in zip(faces[keep].tolist(), cells[keep].tolist()):
             out[j] ^= 1 << i
         return out
 

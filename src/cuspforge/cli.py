@@ -88,7 +88,7 @@ def _cmd_gosset(args) -> int:
 def _parse_choice_spec(spec: str, P) -> FillingChoice:
     if spec == "auto":
         return resolve_choice(P, "auto")
-    verts = sorted(P.ideal_vertices, key=sorted)
+    verts = P.ideal_vertices
     pairs = _spec_pairs(spec, "filling choice", len(verts), prefix="v")
     return FillingChoice({frozenset(verts[i]): axis for i, axis in pairs.items()})
 

@@ -48,8 +48,9 @@ class DehnFilling:
 
 
 def enumerate_filling_choices(P: IdealPolytope) -> Iterator[FillingChoice]:
-    """All filling choices, in lexicographic order over sorted ideal vertices."""
-    verts = sorted(P.ideal_vertices, key=sorted)
+    """All filling choices, in lexicographic order over the ideal vertices
+    in row order, which is sorted order."""
+    verts = P.ideal_vertices
     counts = [len(P.axes_of(v)) for v in verts]
     for combo in product(*(range(c) for c in counts)):
         yield FillingChoice(dict(zip(verts, combo)))
@@ -86,7 +87,7 @@ def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     """
     if not P.lattice.is_complete():
         raise ValidationError("dehn_fill needs a complete face lattice")
-    verts = sorted(P.ideal_vertices, key=sorted)
+    verts = P.ideal_vertices
     for v in verts:
         if frozenset(v) not in choice.axis_index:
             raise ValidationError(f"missing filling choice at ideal vertex {sorted(v)}")

@@ -13,11 +13,13 @@ with faces in canonical order (by rank, then by sorted facet tuple) and
 one ideal flag per face.  Producers that hold rows hand them over as
 arrays (``FaceLattice.from_arrays``); the constructor converts (rank,
 facet set) pairs to the same arrays, and both end in one check that runs
-each test once over the arrays.  The JSON document is written from the
-arrays.  Readers take the rows of one rank (``rows_of_rank``) or every
-face at once; no face is looked up by its facet set.  The per-face view
-``faces`` is built on first use and kept out of ``==``, ``hash`` and
-pickles.
+each test once over the arrays.  A rank block whose rows already ascend
+is adopted in its order after one pass over neighbouring rows, which
+also proves it free of repeats; only other blocks are sorted.  The JSON
+document is written from the arrays.  Readers take the rows of one rank
+(``rows_of_rank``) or every face at once; no face is looked up by its
+facet set.  The per-face view ``faces`` is built on first use and kept
+out of ``==``, ``hash`` and pickles.
 
 Duality runs one way: ``dualize`` reads the dual simplicial complex of a
 simple lattice off its vertex rows.  Meets and joins of face pairs are
@@ -297,19 +299,32 @@ def _refuse_repeats(rows: np.ndarray) -> None:
         raise ValidationError(f"duplicate facet set {row[row >= 0].tolist()}")
 
 
+def _ascending(rows: np.ndarray) -> bool:
+    """True iff each row is lexicographically above the one before it:
+    at the first column where two neighbours differ, the later is larger."""
+    differ = rows[1:] != rows[:-1]
+    first = np.argmax(differ, axis=1)[:, None]
+    above = np.take_along_axis(rows[1:], first, 1) > np.take_along_axis(rows[:-1], first, 1)
+    return bool((np.take_along_axis(differ, first, 1) & above).all())
+
+
 def _canonical_order(ranks: np.ndarray, ptr: np.ndarray, facets: np.ndarray) -> np.ndarray:
     """The face order by rank, then by sorted facet tuple (padding with -1
-    sorts a prefix first).  A facet set listed twice is refused: within a
-    rank it sorts next to itself, and across ranks it can only occur at a
-    width that several ranks share, whose rows are sorted once more."""
+    sorts a prefix first).  A rank block whose rows already ascend, each
+    above the one before it, is in order and holds no repeat; any other is
+    sorted.  A facet set listed twice is refused: within a rank it sorts
+    next to itself, and across ranks it can only occur at a width that
+    several ranks share, whose rows are sorted once more."""
     widths = np.diff(ptr)
     by_rank = np.argsort(ranks, kind="stable")
     order, ranks_of_width = [], Counter()
     for sel in np.split(by_rank, np.flatnonzero(np.diff(ranks[by_rank])) + 1):
         rows = _padded_rows(ptr, facets, sel)
-        by_row = np.lexsort(rows.T[::-1])
-        _refuse_repeats(rows[by_row])
-        order.append(sel[by_row])
+        if not _ascending(rows):
+            by_row = np.lexsort(rows.T[::-1])
+            _refuse_repeats(rows[by_row])
+            sel = sel[by_row]
+        order.append(sel)
         ranks_of_width.update(set(widths[sel].tolist()))
     for w in [w for w, count in ranks_of_width.items() if count > 1]:
         rows = facets[ptr[:-1][widths == w][:, None] + np.arange(w)]

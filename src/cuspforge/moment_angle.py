@@ -18,7 +18,9 @@ Three manifold models appear here:
 
 Cusps are cosets: the cusps over an ideal vertex v are the cosets of
 (Z/2)^k modulo the span of the colours on v's facets.  ``cusp_census``
-counts them and names each section a torus or not, and
+counts them and names each section a torus or not, walking P's ideal
+rows and keeping one span and one torus flag per row (the per-vertex
+``entries`` are a view), and
 ``truncated_quotient`` puts each boundary cell on the section of its
 coset representative.  The union-find of ``preimage_components`` counts
 the same cusps independently, as the components of the filling cubes'
@@ -40,7 +42,7 @@ from .errors import BudgetError, ValidationError, cell_budget, check_budget
 from .isomorphism import find_isomorphism
 from .filling import replace_ideal_vertices
 from .lattice import FaceLattice
-from .polytopes import IdealPolytope
+from .polytopes import IdealPolytope, RowStore
 from .simplicial import SimplicialComplex, build_simplicial
 
 VertexKey = FrozenSet[int]
@@ -317,10 +319,36 @@ class CuspEntry:
     section: str
 
 
-@dataclass(frozen=True)
-class CuspCensus:
-    entries: Tuple[CuspEntry, ...]
-    total: int
+class CuspCensus(RowStore):
+    """Cusps of a coloured quotient of P^n, one row per ideal vertex.
+
+    ``vertex_rows[j]`` holds the facets of ideal vertex j, ``spans[j]``
+    the rank of the colour span there, so that 2^(k - spans[j]) cusps lie
+    over it, and ``torus[j]`` whether their section is an (n-1)-torus.
+    ``total`` is summed once per distinct span.  The per-vertex view
+    ``entries`` is built on first read and kept out of ``==``, ``hash``
+    and pickles.
+    """
+
+    __slots__ = ("n", "k", "vertex_rows", "spans", "torus", "total", "_views")
+
+    def __init__(self, n: int, k: int, vertex_rows: np.ndarray, spans: Tuple[int, ...],
+                 torus: Tuple[bool, ...]):
+        self.n, self.k, self.vertex_rows, self.spans, self.torus = n, k, vertex_rows, spans, torus
+        self.total = sum(count << (k - span) for span, count in Counter(spans).items())
+        self._views: Dict[str, tuple] = {}
+
+    def _fields(self) -> tuple:
+        return self.n, self.k, self.vertex_rows, self.spans, self.torus
+
+    def section(self, torus: bool) -> str:
+        return f"{self.n - 1}-torus" if torus else f"flat {self.n - 1}-manifold, not a torus"
+
+    @property
+    def entries(self) -> Tuple[CuspEntry, ...]:
+        return self._view("entries", lambda: tuple(
+            CuspEntry(tuple(row), len(row), 1 << (self.k - span), self.section(torus))
+            for row, span, torus in zip(self.vertex_rows.tolist(), self.spans, self.torus)))
 
     def magnitude(self) -> str:
         """The total to three digits, truncated: "2.32e71", "1.0e1", "3e0"."""
@@ -334,37 +362,29 @@ class CuspCensus:
         cap = cell_budget(budget)
         if self.total > cap:
             raise BudgetError(f"listing {self.total} cusps exceeds the cell budget {cap}")
-        return [f"v{e.vertex}#{i}" for e in self.entries for i in range(e.components)]
+        return [f"v{tuple(row)}#{i}" for row, span in zip(self.vertex_rows.tolist(), self.spans)
+                for i in range(1 << (self.k - span))]
 
 
 def cusp_census(P: IdealPolytope, colouring: Optional[Colouring] = None) -> CuspCensus:
     """Cusp count of the coloured quotient: one cusp per coset of the
-    colour span at each ideal vertex.  Totals are exact integers.  A cusp
-    section is a flat (n-1)-manifold, a torus iff b_1 = n-1 (Bieberbach): iff
-    the colour span at v exceeds that of the axis sums lambda_a + lambda_b,
-    (a, b) in ``P.axes_of(v)``, by n-1, as it does for independent colours."""
+    colour span at each ideal vertex, read off ``P.ideal_rows``.  Totals
+    are exact integers.  A cusp section is a flat (n-1)-manifold, a torus
+    iff b_1 = n-1 (Bieberbach): iff the colour span at v exceeds that of
+    the axis sums lambda_a + lambda_b, (a, b) in v's row of
+    ``P.axis_rows``, by n-1, as it does for independent colours."""
     if colouring is None:
         colouring = Colouring.distinct(P.num_facets)
     if len(colouring.vectors) != P.num_facets:
         raise ValidationError("colouring size does not match the facet count")
     colours = colouring.vectors
-    names = {True: f"{P.n - 1}-torus", False: f"flat {P.n - 1}-manifold, not a torus"}
-    entries = []
-    total = 0
-    for v in P.ideal_vertices:
-        m_v = len(v)
-        span = gf2.rank_of_rows([colours[i] for i in v])
-        torus = span == m_v or span - gf2.rank_of_rows(
-            [colours[a] ^ colours[b] for a, b in P.axes_of(v)]) == P.n - 1
-        count = 1 << (colouring.k - span)
-        entries.append(CuspEntry(
-            vertex=tuple(sorted(v)),
-            incident_facets=m_v,
-            components=count,
-            section=names[torus],
-        ))
-        total += count
-    return CuspCensus(entries=tuple(entries), total=total)
+    spans, torus = [], []
+    for j, row in enumerate(P.ideal_rows.tolist()):
+        span = gf2.rank_of_rows([colours[i] for i in row])
+        spans.append(span)
+        torus.append(span == len(row) or span - gf2.rank_of_rows(
+            [colours[a] ^ colours[b] for a, b in P.axis_rows[j].tolist()]) == P.n - 1)
+    return CuspCensus(P.n, colouring.k, P.ideal_rows, tuple(spans), tuple(torus))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +467,7 @@ def truncate_ideal(P: IdealPolytope) -> TruncatedPolytope:
     if not P.lattice.is_complete():
         raise ValidationError("truncation needs a complete lattice")
     f = P.lattice.num_facets
-    verts = sorted(P.ideal_vertices, key=sorted)
+    verts = P.ideal_vertices
     trunc = {v: f + t for t, v in enumerate(verts)}
     cubes = [(frozenset({trunc[v]}), P.axes_of(v)) for v in verts]
     lattice = replace_ideal_vertices(P, f + len(verts), cubes, "truncated")

@@ -111,24 +111,23 @@ def _write(outdir: Optional[str], name: str, render: Callable[[], str | bytes],
     artifacts[name] = path
 
 
-def census_json(census) -> str:
-    return json.dumps(
-        {
-            "total": str(census.total),
-            "magnitude": census.magnitude(),
-            "entries": [
-                {
-                    "vertex": list(e.vertex),
-                    "incident_facets": e.incident_facets,
-                    "components": str(e.components),
-                    "section": e.section,
-                }
-                for e in census.entries
-            ],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def census_json(census: CuspCensus) -> str:
+    """The census document, byte for byte as ``json.dumps`` writes it with
+    sorted keys and compact separators.  The text before an ideal
+    vertex's row depends only on its span and section, so it is written
+    once per distinct pair; each row is one join of its facets."""
+    heads: Dict[Tuple[int, bool], str] = {}
+    width = census.vertex_rows.shape[1]
+    entries = []
+    for row, key in zip(census.vertex_rows.tolist(), zip(census.spans, census.torus)):
+        head = heads.get(key)
+        if head is None:
+            span, torus = key
+            head = heads[key] = (f'{{"components":"{1 << (census.k - span)}","incident_facets":{width},'
+                                 f'"section":{json.dumps(census.section(torus))},"vertex":[')
+        entries.append(head + ",".join(map(str, row)) + "]}")
+    return (f'{{"entries":[{",".join(entries)}],"magnitude":{json.dumps(census.magnitude())},'
+            f'"total":"{census.total}"}}')
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -158,7 +157,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     _write(cfg.outdir, "census.json", lambda: census_json(census), artifacts)
     facts["cusp_total"] = census.total
     facts["facets"] = P.num_facets
-    facts["ideal_vertices"] = len(P.ideal_vertices)
+    facts["ideal_vertices"] = len(P.ideal_rows)
 
     if cfg.census_only:
         return PipelineResult(cfg, census, None, facts, artifacts)

@@ -21,6 +21,12 @@ of the cross facets, one sort of packed ridge keys checks that each
 ridge lies on exactly two facets, and the full face lattice is listed as
 one row array per dimension from the vertex subsets that those checks
 prove to be faces.
+
+The ideal dual P^n adopts G's facet order: P's vertices are G's facets,
+numbered in order of their sorted vertex tuples, which is the lattice's
+canonical vertex order, so no block of P's lattice is sorted again.  P
+keeps its ideal vertices as rows, G's cross rows and their diagonals;
+the facet sets and the axis dict are views built on first read.
 """
 
 from __future__ import annotations
@@ -64,7 +70,50 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-class GossetPolytope:
+def _by_value(x):
+    """An array by its bytes, a tuple by its items' values, anything else as it is."""
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(_by_value, x))
+    return x
+
+
+class RowStore:
+    """A store of fields and row arrays, with views built on first read.
+
+    ``_fields()`` lists the stored fields in the order ``__init__`` takes
+    them; ``==``, ``hash`` and pickles read those fields (arrays by their
+    bytes), never the views in ``_views``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def _view(self, name: str, build: Callable[[], object]):
+        if name not in self._views:
+            self._views[name] = build()
+        return self._views[name]
+
+    def _key(self) -> tuple:
+        return _by_value(self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __getstate__(self):
+        return self._fields()
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
+
+class GossetPolytope(RowStore):
     """Combinatorics of G^n: facet rows, facet types, face lattice.
 
     Facets are numbered in order of their sorted vertex tuples, and
@@ -94,6 +143,9 @@ class GossetPolytope:
         self.lattice, self.face_rows, self.vertex_coordinates = lattice, face_rows, vertex_coordinates
         self._views: Dict[str, tuple] = {}
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
     def cross_facet_ids(self) -> List[int]:
         return np.flatnonzero(self.cross).tolist()
 
@@ -101,11 +153,6 @@ class GossetPolytope:
         return np.flatnonzero(~self.cross).tolist()
 
     # -- views, built on first read ------------------------------------------
-
-    def _view(self, name: str, build: Callable[[], tuple]) -> tuple:
-        if name not in self._views:
-            self._views[name] = build()
-        return self._views[name]
 
     def _per_facet(self, simplex_items, cross_items) -> tuple:
         """One item per facet, from the items of the simplex facets and of
@@ -138,44 +185,40 @@ class GossetPolytope:
             (frozenset(row), d) for d, rows in enumerate(self.face_rows) for row in rows.tolist()
         ) + tuple((f, self.n - 1) for f in self.facet_vertex_sets))
 
-    # -- value semantics: the stored fields, never the views ---------------
 
-    def _key(self):
-        rows = (self.cross, self.simplex_rows, self.cross_rows, self.pair_rows, *(self.face_rows or ()))
-        return (self.n, self.num_vertices, self.lattice, self.vertex_coordinates,
-                tuple(r.tobytes() for r in rows))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GossetPolytope) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __getstate__(self):
-        # every slot but the views, in the order __init__ takes them
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
-
-
-@dataclass(frozen=True)
-class IdealPolytope:
+class IdealPolytope(RowStore):
     """P^n: facet-incidence lattice with ideal vertices and their cube-link axes.
 
-    Facet i of P is dual to vertex i of G; the facet set of an ideal
-    vertex is the vertex set of the dual cross-polytope facet, and its
-    axes are that facet's diagonals.
+    Facet i of P is dual to vertex i of G, and P's vertices are G's
+    facets.  ``ideal_rows`` holds the facet rows of the ideal vertices,
+    G's cross rows, in order, and ``axis_rows[j]`` the axes of ideal
+    vertex j, the diagonals of that cross facet.  The views
+    ``ideal_vertices`` (the rows as facet sets, in row order) and ``axes``
+    ({ideal vertex: its axes}) are built on first read and kept out of
+    ``==``, ``hash`` and pickles.
     """
 
-    n: int
-    lattice: FaceLattice
-    ideal_vertices: Tuple[FrozenSet[int], ...]
-    axes: Dict[FrozenSet[int], Tuple[Tuple[int, int], ...]]
+    __slots__ = ("n", "lattice", "ideal_rows", "axis_rows", "_views")
+
+    def __init__(self, n: int, lattice: FaceLattice, ideal_rows: np.ndarray, axis_rows: np.ndarray):
+        self.n, self.lattice, self.ideal_rows, self.axis_rows = n, lattice, ideal_rows, axis_rows
+        self._views: Dict[str, object] = {}
+
+    def _fields(self) -> tuple:
+        return self.n, self.lattice, self.ideal_rows, self.axis_rows
 
     @property
     def num_facets(self) -> int:
         return self.lattice.num_facets
+
+    @property
+    def ideal_vertices(self) -> Tuple[FrozenSet[int], ...]:
+        return self._view("ideal_vertices", lambda: tuple(map(frozenset, self.ideal_rows.tolist())))
+
+    @property
+    def axes(self) -> Dict[FrozenSet[int], Tuple[Tuple[int, int], ...]]:
+        return self._view("axes", lambda: dict(zip(
+            self.ideal_vertices, (tuple(map(tuple, p)) for p in self.axis_rows.tolist()))))
 
     def axes_of(self, vertex: FrozenSet[int]) -> Tuple[Tuple[int, int], ...]:
         return self.axes[frozenset(vertex)]
@@ -643,30 +686,33 @@ def ideal_dual(G: GossetPolytope) -> IdealPolytope:
     """P^n: the dual with cross-polytope facets of G^n read as ideal vertices.
 
     The lattice is built from G's row arrays: the vertices of P are G's
-    simplex facets and, marked ideal, its cross facets; the other faces
-    are G's vertices as facet singletons or, on a full lattice, G's lower
-    faces, one array per dimension.  The cross rows are sorted, so the
-    ideal vertices come out in order.
+    facets in G's facet order, n or 2(n-1) wide, marked ideal where G's
+    facet is a cross facet; the other faces are G's vertices as facet
+    singletons or, on a full lattice, G's lower faces, one array per
+    dimension.  G's facets are numbered in order of their sorted vertex
+    tuples, which is the lattice's canonical vertex order, so every block
+    arrives in order and none is sorted again.  The ideal rows are G's
+    cross rows, already in that order.
     """
     n = G.n
     if G.cross_rows.shape[1] != 2 * (n - 1):
         raise ValidationError("ideal vertex without a cube link")
-    ideal = list(map(frozenset, G.cross_rows.tolist()))
-    axes = dict(zip(ideal, (tuple(map(tuple, p)) for p in G.pair_rows.tolist())))
-    blocks = [(0, G.simplex_rows, False), (0, G.cross_rows, True)]
-    if G.face_rows is None:
-        blocks.append((n - 1, np.arange(G.num_vertices).reshape(-1, 1), False))
-    else:
-        blocks += [(n - 1 - d, rows, False) for d, rows in enumerate(G.face_rows)]
-    sizes = [len(rows) for _, rows, _ in blocks]
-    widths = np.repeat([rows.shape[1] for _, rows, _ in blocks], sizes)
+    width = np.where(G.cross, 2 * (n - 1), n)
+    padded = np.zeros((len(G.cross), 2 * (n - 1)), dtype=G.cross_rows.dtype)
+    padded[~G.cross, :n] = G.simplex_rows
+    padded[G.cross] = G.cross_rows
+    blocks = ([(n - 1, np.arange(G.num_vertices).reshape(-1, 1))] if G.face_rows is None
+              else [(n - 1 - d, rows) for d, rows in enumerate(G.face_rows)])
+    sizes = [len(G.cross)] + [len(rows) for _, rows in blocks]
+    widths = np.concatenate([width, *(np.full(len(rows), rows.shape[1]) for _, rows in blocks)])
     lattice = FaceLattice.from_arrays(
-        n, G.num_vertices, np.repeat([k for k, _, _ in blocks], sizes),
+        n, G.num_vertices, np.repeat([0] + [k for k, _ in blocks], sizes),
         np.concatenate(([0], np.cumsum(widths))),
-        np.concatenate([rows.ravel() for _, rows, _ in blocks]),
-        np.repeat([mark for _, _, mark in blocks], sizes),
+        np.concatenate([padded[np.arange(padded.shape[1]) < width[:, None]],
+                        *(rows.ravel() for _, rows in blocks)]),
+        np.concatenate([G.cross, np.zeros(len(widths) - len(G.cross), dtype=bool)]),
     )
-    return IdealPolytope(n=n, lattice=lattice, ideal_vertices=tuple(ideal), axes=axes)
+    return IdealPolytope(n, lattice, G.cross_rows, G.pair_rows)
 
 
 def ideal_polytope_from_lattice(lattice: FaceLattice) -> IdealPolytope:

@@ -80,6 +80,14 @@ O(F^3) meet and join check of face lattices as ``lattice_check_oracle``.
 search as tuples.  ``fundamental_weight_oracle`` is the generator's
 former weight solve, exact Gauss-Jordan elimination over ``Fraction``,
 kept verbatim.
+
+The cusp census is read off P's ideal rows and keeps one span and one
+torus flag per ideal vertex; its JSON is written from those rows.  The
+per-vertex loop it replaced, one ``CuspEntry`` per ideal vertex, is kept
+verbatim as ``cusp_census_oracle`` (with the census it returned,
+``CuspCensusOracle``), and so is ``census_json_oracle``, the
+``json.dumps`` writer.  ``gf2_corows_array_oracle`` is the chain data's
+coboundary reader before it left the rows its elimination skips unbuilt.
 """
 
 from __future__ import annotations
@@ -104,7 +112,8 @@ from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
 from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, cube_faces
 from cuspforge.moment_angle import (
-    CuspComponent, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey, _component_roots,
+    Colouring, CuspComponent, CuspEntry, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey,
+    _component_roots,
 )
 from cuspforge.polytopes import (
     _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _dot, _fundamental_weight_vector, _orbit,
@@ -413,6 +422,19 @@ def gf2_corows_oracle(rows: Entries, n_faces: int) -> List[int]:
         for idx, coeff in entries:
             if coeff & 1:
                 out[idx] ^= 1 << j
+    return out
+
+
+def gf2_corows_array_oracle(data, k: int) -> List[int]:
+    """Coboundary of each k-cell as a bitset over (k+1)-cells: bit i of
+    row j is set when (k+1)-cell i has an odd number of odd entries on j.
+    The chain data's reader before it left the rows its elimination skips
+    unbuilt: every row, read off the arrays."""
+    cells, faces, coeffs = data._entries(k + 1)
+    odd = coeffs & 1 != 0
+    out = [0] * data.size(k)
+    for j, i in zip(faces[odd].tolist(), cells[odd].tolist()):
+        out[j] ^= 1 << i
     return out
 
 
@@ -1207,3 +1229,70 @@ def lattice_check_oracle(L: FaceLattice, max_pairs: Optional[int] = None) -> boo
         if any(not (join >= s) for s in upper):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the per-vertex cusp census and its json.dumps writer
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CuspCensusOracle:
+    entries: Tuple[CuspEntry, ...]
+    total: int
+
+    def magnitude(self) -> str:
+        """The total to three digits, truncated: "2.32e71", "1.0e1", "3e0"."""
+        digits = str(self.total)
+        lead = f"{digits[0]}.{digits[1:3]}" if len(digits) > 1 else digits
+        return f"{lead}e{len(digits) - 1}"
+
+
+def cusp_census_oracle(P: IdealPolytope, colouring: Optional[Colouring] = None) -> CuspCensusOracle:
+    """Cusp count of the coloured quotient: one cusp per coset of the
+    colour span at each ideal vertex.  Totals are exact integers.  A cusp
+    section is a flat (n-1)-manifold, a torus iff b_1 = n-1 (Bieberbach): iff
+    the colour span at v exceeds that of the axis sums lambda_a + lambda_b,
+    (a, b) in ``P.axes_of(v)``, by n-1, as it does for independent colours."""
+    if colouring is None:
+        colouring = Colouring.distinct(P.num_facets)
+    if len(colouring.vectors) != P.num_facets:
+        raise ValidationError("colouring size does not match the facet count")
+    colours = colouring.vectors
+    names = {True: f"{P.n - 1}-torus", False: f"flat {P.n - 1}-manifold, not a torus"}
+    entries = []
+    total = 0
+    for v in P.ideal_vertices:
+        m_v = len(v)
+        span = gf2.rank_of_rows([colours[i] for i in v])
+        torus = span == m_v or span - gf2.rank_of_rows(
+            [colours[a] ^ colours[b] for a, b in P.axes_of(v)]) == P.n - 1
+        count = 1 << (colouring.k - span)
+        entries.append(CuspEntry(
+            vertex=tuple(sorted(v)),
+            incident_facets=m_v,
+            components=count,
+            section=names[torus],
+        ))
+        total += count
+    return CuspCensusOracle(entries=tuple(entries), total=total)
+
+
+def census_json_oracle(census) -> str:
+    return json.dumps(
+        {
+            "total": str(census.total),
+            "magnitude": census.magnitude(),
+            "entries": [
+                {
+                    "vertex": list(e.vertex),
+                    "incident_facets": e.incident_facets,
+                    "components": str(e.components),
+                    "section": e.section,
+                }
+                for e in census.entries
+            ],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )

@@ -47,6 +47,7 @@ from dense_oracles import (
     dense_boundary,
     dense_snf,
     entry_rows,
+    gf2_corows_array_oracle,
     gf2_corows_oracle,
     gf2_rows_oracle,
     kernel_basis,
@@ -780,6 +781,22 @@ def test_cohomology_bases_match_oracle(name):
         assert [cohomology_z2_basis(data, k).dimension for k in range(5)] == [1, 30, 122, 30, 1]
 
 
+@pytest.mark.parametrize("name", ["cusped P^3 quotient", "filled P^4"])
+def test_coreduction_matches_the_elimination_of_every_coboundary_row(name):
+    """gf2_coreduction leaves the rows it skips unbuilt: its pivots, their
+    order and its kernel tags are those of the elimination of all of
+    delta^k's rows, as the array reader built them, with the same skips."""
+    data = chain_complex_of(COHOMOLOGY_FIXTURES[name](), "Z2")
+    skipped = 0
+    for k in range(-1, data.top_dim + 2):
+        skip = data.gf2_coreduction(k - 1)[0] if k > 0 else {}
+        pivots, kernel = gf2.pivot_rows(gf2_corows_array_oracle(data, k), skip)
+        reduced = data.gf2_coreduction(k)
+        assert list(reduced[0].items()) == list(pivots.items()) and reduced[1] == kernel, k
+        skipped += len(skip)
+    assert skipped
+
+
 COBOUNDARY_FIXTURES = {
     name: COHOMOLOGY_FIXTURES[name] for name in ("3-torus", "klein bottle", "cusped P^3 quotient")}
 # one vertex, a loop whose two ends cancel, and 2-cells on it twice and three times
@@ -917,7 +934,10 @@ def test_builders_and_readers_match_the_per_cell_entry_oracles(name):
     for k in range(-1, top + 2):
         rows = entries[k] if 0 <= k <= top else ()
         upper = entries[k + 1] if 0 <= k + 1 <= top else ()
-        assert data.gf2_corows(k) == gf2_corows_oracle(upper, data.size(k)), k
+        # the rows that gf2_coreduction(k) skips, at the pivots of degree k - 1, stay 0
+        skip = data.gf2_coreduction(k - 1)[0] if k > 0 else {}
+        want = gf2_corows_oracle(upper, data.size(k))
+        assert data.gf2_corows(k) == [0 if j in skip else row for j, row in enumerate(want)], k
         # the same entries in the same insertion order, which the elimination sees
         assert ([list(r.items()) for r in data._sparse_rows(k)]
                 == [list(r.items()) for r in sparse_rows_oracle(rows, data.size(k - 1))]), k

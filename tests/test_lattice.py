@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import random
+import re
 from collections import Counter
 from math import comb
 
@@ -298,6 +300,55 @@ def test_a_repeated_index_collapses():
     L = FaceLattice(*args)
     assert_matches_oracle(L, FaceLatticeOracle(*args))
     assert L.faces == polygon_lattice(4).faces and L.ideal_vertices() == [frozenset({0, 1})]
+
+
+# -- canonical order: rank blocks already in order are read, not sorted --------
+
+
+def _random_faces(seed):
+    """Faces (rank, facet tuple) on distinct facet sets of 1 to 6 of 12
+    facets, in canonical order: by rank, then by tuple, a prefix first."""
+    rng = random.Random(seed)
+    by_set = {tuple(sorted(rng.sample(range(12), rng.randint(1, 6)))): rng.randrange(4) for _ in range(300)}
+    return sorted((k, s) for s, k in by_set.items())
+
+
+def _face_arrays(faces):
+    ranks = np.array([k for k, _ in faces])
+    ptr = np.cumsum([0] + [len(s) for _, s in faces])
+    return ranks, ptr, np.array([i for _, s in faces for i in s])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_canonical_order_reads_ascending_blocks_and_sorts_the_rest(monkeypatch, seed):
+    faces = _random_faces(seed)
+    shuffled = random.Random(seed).sample(faces, len(faces))
+    ascending = lattice._ascending
+    seen = []
+    monkeypatch.setattr(lattice, "_ascending", lambda rows: seen.append(ascending(rows)) or seen[-1])
+    order = lattice._canonical_order(*_face_arrays(faces))
+    assert order.tolist() == list(range(len(faces))) and seen == [True] * 4
+    seen.clear()
+    assert [shuffled[i] for i in lattice._canonical_order(*_face_arrays(shuffled))] == faces
+    assert seen == [False] * 4
+    # the sorting branch gives the same order on the ascending blocks
+    monkeypatch.setattr(lattice, "_ascending", lambda rows: False)
+    assert lattice._canonical_order(*_face_arrays(faces)).tolist() == order.tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_repeat_in_sorted_position_gets_the_sorted_message(monkeypatch, seed):
+    faces = _random_faces(seed)
+    at = random.Random(seed).randrange(len(faces))
+    repeated = faces[:at + 1] + faces[at:]
+    message = f"duplicate facet set {list(faces[at][1])}"
+    shuffled = random.Random(seed).sample(repeated, len(repeated))
+    for rows in (repeated, shuffled):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            lattice._canonical_order(*_face_arrays(rows))
+    monkeypatch.setattr(lattice, "_ascending", lambda rows: False)
+    with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+        lattice._canonical_order(*_face_arrays(repeated))
 
 
 def test_from_json_refuses_an_unknown_mark():

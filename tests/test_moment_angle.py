@@ -1,5 +1,6 @@
 """Moment-angle and colouring constructions, censuses, preimages, cusps."""
 
+import pickle
 import random
 import re
 from itertools import combinations, product
@@ -26,6 +27,7 @@ from cuspforge.moment_angle import (
     real_moment_angle,
     truncated_quotient,
 )
+from cuspforge.pipeline import census_json
 from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import (
     build_simplicial,
@@ -35,7 +37,12 @@ from cuspforge.simplicial import (
     two_points,
 )
 
-from dense_oracles import closed_pseudomanifold_oracle, connected_oracle
+from dense_oracles import (
+    census_json_oracle,
+    closed_pseudomanifold_oracle,
+    connected_oracle,
+    cusp_census_oracle,
+)
 
 
 def test_two_points_give_the_square_boundary():
@@ -451,13 +458,20 @@ def _section_labels(P, colouring):
             for c in cusped.components]
 
 
-def test_cusp_sections_are_tori_exactly_when_b1_is_n_minus_1():
+def _drawn_colourings():
+    """Seeded colourings of P^3 into (Z/2)^3 and of P^4 into (Z/2)^5, with
+    spans below the facet count and sections that are not tori."""
     P3, P4 = ideal_dual(gosset(3)), ideal_dual(gosset(4))
     drawn = [(P3, Colouring(3, vec))
              for vec in random.Random(0).sample(list(product(range(1, 8), repeat=6)), 300)]
     for seed in range(60):
         rng = random.Random(seed)
         drawn.append((P4, Colouring(5, tuple(rng.randrange(1, 32) for _ in range(P4.num_facets)))))
+    return drawn
+
+
+def test_cusp_sections_are_tori_exactly_when_b1_is_n_minus_1():
+    drawn = _drawn_colourings()
     pairs = [pair for P, colouring in drawn for pair in _section_labels(P, colouring) or ()]
     assert all(label == name for label, name in pairs)
     # the sample holds tori and other flat manifolds (Klein bottles and their kin) in both dimensions
@@ -473,6 +487,44 @@ def test_distinct_census_ranks_each_ideal_vertex_once(monkeypatch):
     census = cusp_census(P)
     assert len(calls) == len(P.ideal_vertices) == len(census.entries)
     assert {e.section for e in census.entries} == {"3-torus"}
+
+
+def _assert_census_matches_the_per_vertex_oracle(P, colouring=None):
+    census = cusp_census(P, colouring)
+    oracle = cusp_census_oracle(P, colouring)
+    assert census.entries == oracle.entries
+    assert census.total == oracle.total and census.magnitude() == oracle.magnitude()
+    text = census_json(census)
+    assert text == census_json_oracle(oracle) == census_json_oracle(census)
+    return census
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_distinct_census_matches_the_per_vertex_oracle(n):
+    census = _assert_census_matches_the_per_vertex_oracle(ideal_dual(gosset(n)))
+    assert set(census.spans) == {2 * (n - 1)} and all(census.torus)
+
+
+def test_drawn_census_matches_the_per_vertex_oracle():
+    sections = set()
+    for P, colouring in _drawn_colourings():
+        census = _assert_census_matches_the_per_vertex_oracle(P, colouring)
+        sections.update(e.section for e in census.entries)
+    assert sections == {"2-torus", "flat 2-manifold, not a torus", "3-torus", "flat 3-manifold, not a torus"}
+
+
+def test_census_views_stay_out_of_equality_hash_and_pickles():
+    P = ideal_dual(gosset(4))
+    census = cusp_census(P)
+    blob, h = pickle.dumps(census), hash(census)
+    assert not census._views
+    census.entries
+    assert census._views
+    assert pickle.dumps(census) == blob and hash(census) == h
+    back = pickle.loads(blob)
+    assert not back._views and back == census and hash(back) == h
+    assert back.entries == census.entries and back.total == census.total == 80
+    assert cusp_census(P) == census and cusp_census(P, Colouring(10, (1, 2, 4, 8, 16, 3, 5, 6, 9, 10))) != census
 
 
 def _assert_cusps_are_cosets(P, colouring, cusped):

@@ -11,6 +11,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from cuspforge import PipelineConfig, pipeline, polytopes, run_pipeline
+from cuspforge import lattice as lattice_module
 from cuspforge.cli import main
 from cuspforge.errors import ValidationError
 from cuspforge.lattice import IDEAL, REAL, FaceLattice, simplex_lattice
@@ -612,6 +613,50 @@ def test_gosset_views_stay_out_of_equality_hash_and_pickles(n):
     assert not back._views and back == G and hash(back) == h
     assert back.facet_vertex_sets == G.facet_vertex_sets and back.graded_faces == G.graded_faces
     assert gosset(n) == G and G != gosset(n + 1)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_ideal_polytope_views_stay_out_of_equality_hash_and_pickles(n):
+    P = ideal_dual(gosset(n))
+    blob, h = pickle.dumps(P), hash(P)
+    assert not P._views
+    P.ideal_vertices, P.axes
+    assert set(P._views) == {"ideal_vertices", "axes"}
+    assert pickle.dumps(P) == blob and hash(P) == h
+    back = pickle.loads(blob)
+    assert not back._views and back == P and hash(back) == h
+    assert back.ideal_vertices == P.ideal_vertices and back.axes == P.axes
+    # the views read the rows in order, which is sorted order
+    assert P.ideal_vertices == tuple(sorted(P.ideal_vertices, key=sorted))
+    assert list(P.axes.values()) == [tuple(map(tuple, p)) for p in P.axis_rows.tolist()]
+    assert ideal_dual(gosset(n)) == P and P != ideal_dual(gosset(n + 1))
+
+
+@pytest.mark.parametrize("n,full", [(3, None), (5, None), (6, None), (7, True), (8, None)])
+def test_ideal_dual_adopts_the_facet_order_without_sorting(monkeypatch, n, full):
+    G = gosset(n, full_lattice=full)
+    seen = []
+    ascending = lattice_module._ascending
+    monkeypatch.setattr(lattice_module, "_ascending", lambda rows: seen.append(ascending(rows)) or seen[-1])
+    P = ideal_dual(G)
+    assert seen and all(seen)  # every rank block arrived in order
+    monkeypatch.setattr(lattice_module, "_ascending", lambda rows: False)
+    assert ideal_dual(G) == P
+    assert P.ideal_rows is G.cross_rows and P.axis_rows is G.pair_rows
+
+
+def test_census_pipeline_builds_no_per_vertex_view(tmp_path, monkeypatch):
+    built = []
+
+    def spy(make):
+        return lambda *args: built.append(make(*args)) or built[-1]
+
+    monkeypatch.setattr(pipeline, "ideal_dual", spy(ideal_dual))
+    monkeypatch.setattr(pipeline, "cusp_census", spy(pipeline.cusp_census))
+    result = run_pipeline(PipelineConfig(n=8, census_only=True, outdir=str(tmp_path)))
+    P, census = built
+    assert result.facts["ideal_vertices"] == 2160 and result.census is census
+    assert not P._views and not census._views
 
 
 def test_census_pipeline_builds_no_per_facet_view(tmp_path, monkeypatch):

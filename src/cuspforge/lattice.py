@@ -16,10 +16,11 @@ facet set) pairs to the same arrays, and both end in one check that runs
 each test once over the arrays.  A rank block whose rows already ascend
 is adopted in its order after one pass over neighbouring rows, which
 also proves it free of repeats; only other blocks are sorted.  The JSON
-document is written from the arrays.  Readers take the rows of one rank
-(``rows_of_rank``) or every face at once; no face is looked up by its
-facet set.  The per-face view ``faces`` is built on first use and kept
-out of ``==``, ``hash`` and pickles.
+document is written from the arrays by ``rows_text``, the one writer of
+index rows as text, which also writes the census document.  Readers take
+the rows of one rank (``rows_of_rank``) or every face at once; no face
+is looked up by its facet set.  The per-face view ``faces`` is built on
+first use and kept out of ``==``, ``hash`` and pickles.
 
 Duality runs one way: ``dualize`` reads the dual simplicial complex of a
 simple lattice off its vertex rows.  Meets and joins of face pairs are
@@ -28,8 +29,6 @@ not checked here: that O(F^3) check is a test oracle.
 
 from __future__ import annotations
 
-import operator
-from collections import Counter
 from itertools import chain, combinations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -199,24 +198,23 @@ class FaceLattice:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        """The compact sorted-key JSON document, written from the store.
-        Each facet index is written with the text that follows it: a comma,
-        or after the last index of a face the rest of that face's object,
-        which depends only on the face's rank and mark."""
-        digits = list(map(str, range(self.num_facets)))
-        tokens = [d + "," for d in digits]
-        tokens = list(map(tokens.__getitem__, self._facets.tolist()))
-        present = self.ranks_present()
-        rest = [f'],"mark":"{m}","rank":{k}}},{{"facet_set":[' for k in present for m in (REAL, IDEAL)]
-        code = 2 * np.searchsorted(present, self._ranks) + self._ideal
-        last = self._ptr[1:] - 1
-        ends = map(operator.add, map(digits.__getitem__, self._facets[last].tolist()),
-                   map(rest.__getitem__, code.tolist()))
-        for j, token in zip(last.tolist(), ends):
-            tokens[j] = token
-        body = "".join(tokens)[:-len(',{"facet_set":[')]
-        return (f'{{"faces":[{{"facet_set":[{body}],"facets":{self.num_facets},'
-                f'"rank":{self.rank},"type":"face_lattice"}}')
+        """The compact sorted-key JSON document, written from the store by
+        ``rows_text``, one rank block per call.  A face's row ends in the
+        rest of its object, which depends only on its rank and mark, and
+        the head of the next face's object, or after the last face the
+        tail of the document."""
+        tail = f'],"facets":{self.num_facets},"rank":{self.rank},"type":"face_lattice"}}'
+        parts = ['{"faces":[{"facet_set":[']
+        for k in self.ranks_present():
+            lo, hi = np.searchsorted(self._ranks, [k, k + 1]).tolist()
+            rest = [f'],"mark":"{m}","rank":{k}}}' for m in (REAL, IDEAL)]
+            ends = self._ideal[lo:hi].astype(np.int64)
+            end_texts = [r + ',{"facet_set":[' for r in rest]
+            if hi == len(self._ranks):
+                end_texts.append(rest[ends[-1]] + tail)
+                ends[-1] = 2
+            parts.append(rows_text(self._facets, self._ptr[lo:hi + 1], ends, end_texts))
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "FaceLattice":
@@ -230,7 +228,7 @@ class FaceLattice:
                 k = json_int(item["rank"])
                 rows.append(list(map(json_int, item["facet_set"])))
                 ranks.append(k)
-                labels.append(item.get("mark", REAL) if k == 0 else REAL)
+                labels.append(item.get("mark", REAL))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed face_lattice document: {exc!r}") from exc
         return cls.from_arrays(rank, num_facets, *_face_arrays(ranks, rows), _ideal_flags(labels))
@@ -283,10 +281,39 @@ def _ideal_flags(labels: Iterable) -> List[bool]:
     return flags
 
 
+def rows_text(values: np.ndarray, ptr: np.ndarray, ends: np.ndarray, end_texts: Sequence[str]) -> str:
+    """Rows of non-negative integers as text: row i, ``values[ptr[i]:ptr[i + 1]]``
+    (non-empty), written as its indices joined by commas and then
+    ``end_texts[ends[i]]``.  Each number up to the largest has one slot of
+    fixed width, its digits right-aligned behind zero bytes and then a
+    comma; the rows' slots are gathered, each row's last comma becomes the
+    marker byte of its end text, the zero bytes are dropped and each
+    marker is replaced by its text.  Markers are the bytes 128 and up, so
+    they never occur in digits, commas or the ASCII end texts."""
+    if len(end_texts) > 128:
+        raise ValueError("rows_text takes at most 128 end texts")
+    lo, hi = int(ptr[0]), int(ptr[-1])
+    numbers = np.arange(int(values[lo:hi].max()) + 1)
+    width = len(str(len(numbers) - 1))
+    slots = np.full((len(numbers), width + 1), ord(","), dtype=np.uint8)
+    for place in range(width):
+        scale = 10 ** (width - 1 - place)
+        slots[:, place] = (numbers // scale % 10 + ord("0")) * (numbers >= scale)
+    slots[0, width - 1] = ord("0")
+    text = slots[values[lo:hi]].ravel()
+    text[(ptr[1:] - lo) * (width + 1) - 1] = 128 + ends
+    data = text[text != 0].tobytes()
+    for marker, end in enumerate(end_texts):
+        data = data.replace(bytes((128 + marker,)), end.encode("ascii"))
+    return data.decode("ascii")
+
+
 def _padded_rows(ptr: np.ndarray, facets: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """The facet rows of the faces ``sel``, padded with -1 to the widest."""
     width = ptr[sel + 1] - ptr[sel]
     cols = np.arange(width.max())
+    if width.min() == len(cols):
+        return facets[ptr[sel][:, None] + cols]
     inside = cols < width[:, None]
     return np.where(inside, facets[np.where(inside, ptr[sel][:, None] + cols, 0)], -1)
 
@@ -317,7 +344,7 @@ def _canonical_order(ranks: np.ndarray, ptr: np.ndarray, facets: np.ndarray) -> 
     several ranks share, whose rows are sorted once more."""
     widths = np.diff(ptr)
     by_rank = np.argsort(ranks, kind="stable")
-    order, ranks_of_width = [], Counter()
+    order, ranks_of_width = [], np.zeros(widths.max() + 1, dtype=np.int64)
     for sel in np.split(by_rank, np.flatnonzero(np.diff(ranks[by_rank])) + 1):
         rows = _padded_rows(ptr, facets, sel)
         if not _ascending(rows):
@@ -325,8 +352,8 @@ def _canonical_order(ranks: np.ndarray, ptr: np.ndarray, facets: np.ndarray) -> 
             _refuse_repeats(rows[by_row])
             sel = sel[by_row]
         order.append(sel)
-        ranks_of_width.update(set(widths[sel].tolist()))
-    for w in [w for w, count in ranks_of_width.items() if count > 1]:
+        ranks_of_width += np.bincount(widths[sel], minlength=len(ranks_of_width)) > 0
+    for w in np.flatnonzero(ranks_of_width > 1).tolist():
         rows = facets[ptr[:-1][widths == w][:, None] + np.arange(w)]
         _refuse_repeats(rows[np.lexsort(rows.T[::-1])])
     return np.concatenate(order)

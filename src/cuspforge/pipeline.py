@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .characteristic import (
     SpinReport,
     WuReport,
@@ -38,7 +40,7 @@ from .filling import (
     subdivide_cross_facets,
 )
 from .isomorphism import find_isomorphism
-from .lattice import cube_lattice, polygon_lattice
+from .lattice import cube_lattice, polygon_lattice, rows_text
 from .moment_angle import (
     Colouring,
     CuspCensus,
@@ -113,21 +115,23 @@ def _write(outdir: Optional[str], name: str, render: Callable[[], str | bytes],
 
 def census_json(census: CuspCensus) -> str:
     """The census document, byte for byte as ``json.dumps`` writes it with
-    sorted keys and compact separators.  The text before an ideal
-    vertex's row depends only on its span and section, so it is written
-    once per distinct pair; each row is one join of its facets."""
-    heads: Dict[Tuple[int, bool], str] = {}
-    width = census.vertex_rows.shape[1]
-    entries = []
-    for row, key in zip(census.vertex_rows.tolist(), zip(census.spans, census.torus)):
-        head = heads.get(key)
-        if head is None:
-            span, torus = key
-            head = heads[key] = (f'{{"components":"{1 << (census.k - span)}","incident_facets":{width},'
-                                 f'"section":{json.dumps(census.section(torus))},"vertex":[')
-        entries.append(head + ",".join(map(str, row)) + "]}")
-    return (f'{{"entries":[{",".join(entries)}],"magnitude":{json.dumps(census.magnitude())},'
-            f'"total":"{census.total}"}}')
+    sorted keys and compact separators, its vertex rows written by
+    ``rows_text``.  The head of an entry depends only on its span and
+    section, so each row ends in the head of the next entry, one of at
+    most 2 (w + 1) texts for rows of width w, or in the document's tail."""
+    rows = census.vertex_rows
+
+    def head(key: int) -> str:
+        span, torus = divmod(key, 2)
+        return (f'{{"components":"{1 << (census.k - span)}","incident_facets":{rows.shape[1]},'
+                f'"section":{json.dumps(census.section(bool(torus)))},"vertex":[')
+
+    keys = 2 * np.array(census.spans, dtype=np.int64) + np.array(census.torus, dtype=np.int64)
+    end_texts = [']},' + head(key) if used else "" for key, used in enumerate(np.bincount(keys).tolist())]
+    end_texts.append(f']}}],"magnitude":{json.dumps(census.magnitude())},"total":"{census.total}"}}')
+    ends = np.append(keys[1:], len(end_texts) - 1)
+    ptr = np.arange(0, rows.size + 1, rows.shape[1])
+    return '{"entries":[' + head(int(keys[0])) + rows_text(rows.ravel(), ptr, ends, end_texts)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:

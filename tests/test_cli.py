@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 
-from cuspforge import characteristic, cli, pipeline
+from cuspforge import characteristic, cli, lattice, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice, simplex_lattice
@@ -175,7 +175,8 @@ def test_pipeline_without_outdir_serializes_nothing(tmp_path, monkeypatch):
         raise AssertionError("serialized without an outdir")
 
     for owner, attr in ((FaceLattice, "to_json"), (CubicalComplex, "to_json"), (CubicalComplex, "to_rzk1"),
-                        (SimplicialComplex, "to_json"), (SpinReport, "to_json"), (pipeline, "census_json")):
+                        (SimplicialComplex, "to_json"), (SpinReport, "to_json"), (pipeline, "census_json"),
+                        (lattice, "rows_text"), (pipeline, "rows_text")):
         monkeypatch.setattr(owner, attr, refuse)
     result = run_pipeline(PipelineConfig(n=3))
     assert result.artifacts == {}
@@ -464,6 +465,19 @@ def test_face_lattice_readers_refuse_every_face_deletion(tmp_path, capsys, n):
         for command in ("census", "fill"):
             _assert_validation_exit([command, "--in", str(bad), "--out", str(tmp_path / "out.json")], capsys)
     assert parsed == len(doc["faces"]) - doc["facets"]  # all but the facet singletons parse
+
+
+def test_face_lattice_readers_refuse_an_unknown_mark_above_rank_0(p3_files, capsys):
+    doc = json.loads((p3_files / "p3.json").read_text())
+    face = next(f for f in doc["faces"] if f["rank"] == 1)
+    face["mark"] = "bogus"
+    bad = p3_files / "bogus-mark.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("census", "fill"):
+        assert run([command, "--in", str(bad), "--out", str(p3_files / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {"code": 2, "error": "unknown vertex mark 'bogus'"}
 
 
 def test_colour_refuses_a_face_boundary_that_is_not_a_pseudomanifold(tmp_path, capsys):

@@ -360,8 +360,67 @@ def test_from_json_refuses_an_unknown_mark():
     marks = {frozenset(doc["faces"][0]["facet_set"]): ["bogus"]}
     assert str(err.value) == refusal(FaceLatticeOracle, (2, 4, faces, marks))
     doc["faces"][0]["mark"] = IDEAL
-    doc["faces"][-1]["mark"] = "bogus"  # marks off rank 0 are not read
+    doc["faces"][-1]["mark"] = "bogus"  # a rank-1 face: its mark is checked too
+    with pytest.raises(ValidationError) as err:
+        FaceLattice.from_json(json.dumps(doc))
+    assert str(err.value) == "unknown vertex mark 'bogus'" == refusal(
+        FaceLatticeOracle, (2, 4, faces, {frozenset(doc["faces"][-1]["facet_set"]): "bogus"}))
+    doc["faces"][-1]["mark"] = IDEAL  # ideal flags are read at rank 0 only
     assert FaceLattice.from_json(json.dumps(doc)).ideal_vertices() == [frozenset(doc["faces"][0]["facet_set"])]
+
+
+# -- the one writer: rows_text against json.dumps ----------------------------
+
+
+def json_oracle(L):
+    """L's document as the per-face constructor's ``json.dumps`` writes it."""
+    return FaceLatticeOracle(L.rank, L.num_facets, L.faces, {s: IDEAL for s in L.ideal_vertices()}).to_json()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_text_joins_each_row_and_appends_its_end_text(seed):
+    rng = random.Random(seed)
+    top = [0, 9, 10, 12345][seed]
+    rows = [[rng.randint(0, top) for _ in range(rng.randint(1, 5))] for _ in range(40)]
+    rows += [[0], [top], [0, top], [top] * 3]
+    end_texts = [f"<{i}>" for i in range(rng.choice([1, 3, 128]))]
+    ends = [rng.randrange(len(end_texts)) for _ in rows]
+    values = np.array([0] * 3 + [i for row in rows for i in row])  # rows start at offset 3
+    ptr = 3 + np.cumsum([0] + [len(row) for row in rows])
+    want = "".join(",".join(map(str, row)) + end_texts[e] for row, e in zip(rows, ends))
+    assert lattice.rows_text(values, ptr, np.array(ends), end_texts) == want
+    with pytest.raises(ValueError):
+        lattice.rows_text(values, ptr, np.array(ends), end_texts * 129)
+
+
+DIGIT_BOUNDARIES = [FaceLattice(1, 1, [(0, {0})], {frozenset({0}): IDEAL})]
+DIGIT_BOUNDARIES += [FaceLattice(2, m, polygon_lattice(m).faces, {frozenset({0, m - 1}): IDEAL})
+                     for m in (10, 11, 100, 101, 1001)]
+
+
+@pytest.mark.parametrize("L", DIGIT_BOUNDARIES, ids=lambda L: f"{L.num_facets} facets")
+def test_json_at_digit_width_boundaries_matches_json_dumps(L):
+    # rows {0} and {m - 1} hold only the least and the largest index
+    assert L.to_json() == json_oracle(L)
+    assert FaceLattice.from_json(L.to_json()) == L
+
+
+def test_json_of_a_rank_40_lattice_matches_json_dumps():
+    # 40 ranks present: the singletons at rank 39 and {0, k + 1} at rank k
+    faces = [(39, {i}) for i in range(40)] + [(k, {0, k + 1}) for k in range(39)]
+    marks = {frozenset({0, 1}): IDEAL}
+    L = FaceLattice(40, 40, faces, marks)
+    assert L.ranks_present() == list(range(40)) and L.ideal_vertices() == [frozenset({0, 1})]
+    assert L.to_json() == FaceLatticeOracle(40, 40, faces, marks).to_json()
+    assert FaceLattice.from_json(L.to_json()) == L
+
+
+def test_json_of_full_and_filled_lattices_matches_json_dumps():
+    G = gosset(7, full_lattice=True)
+    P4 = ideal_dual(gosset(4))
+    filled = dehn_fill(P4, filling.resolve_choice(P4, "auto"))
+    for L in (G.lattice, ideal_dual(G).lattice, filled.lattice):
+        assert L.to_json() == json_oracle(L)
 
 
 # -- views: lookups, and kept out of the lattice's state -------------------

@@ -19,6 +19,7 @@ from cuspforge.isomorphism import cubical_isomorphism
 from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice
 from cuspforge.moment_angle import (
     Colouring,
+    CuspCensus,
     QuotientCellComplex,
     colour_manifold,
     cusp_census,
@@ -511,6 +512,20 @@ def test_drawn_census_matches_the_per_vertex_oracle():
         census = _assert_census_matches_the_per_vertex_oracle(P, colouring)
         sections.update(e.section for e in census.entries)
     assert sections == {"2-torus", "flat 2-manifold, not a torus", "3-torus", "flat 3-manifold, not a torus"}
+
+
+def test_census_json_writes_every_span_and_section_pair():
+    # rows of P^8's width w = 14 taking all 2 (w + 1) (span, section) pairs
+    # in a seeded order: each row ends in one of 31 texts, the last in the tail
+    rows = ideal_dual(gosset(8)).ideal_rows[:90]
+    keys = [(span, torus) for span in range(15) for torus in (False, True)] * 3
+    random.Random(0).shuffle(keys)
+    spans, torus = zip(*keys)
+    census = CuspCensus(8, 14, rows, spans, torus)
+    assert census_json(census) == census_json_oracle(census)
+    for size in (1, 2):
+        cut = CuspCensus(8, 14, rows[:size], spans[:size], torus[:size])
+        assert census_json(cut) == census_json_oracle(cut)
 
 
 def test_census_views_stay_out_of_equality_hash_and_pickles():

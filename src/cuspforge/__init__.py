@@ -27,10 +27,8 @@ from .chains import (
     chain_complex_of,
     coboundary,
     cohomology_z2_basis,
-    cup_product,
     homology,
     integral_homology_basis,
-    pair_with_fundamental_class,
     restriction_map_z2,
     subcomplex_selection,
 )
@@ -52,7 +50,6 @@ from .lattice import (
     cube_lattice,
     dualize,
     polygon_lattice,
-    simplex_lattice,
 )
 from .moment_angle import (
     Colouring,

@@ -1,5 +1,5 @@
-"""Cellular chain complexes, exact homology, cubical cup products,
-and inclusion-induced maps.
+"""Cellular chain complexes, exact homology, cubical cup-product
+splittings, and inclusion-induced maps.
 
 One ``ChainComplexData`` carries integer incidence data for any of the
 cell-complex types in this library, each d_k once, as a flat CSR triple
@@ -25,8 +25,8 @@ the eliminations of degrees k and k+1 and runs none of its own, and is
 cached per degree as well.  The one integral budget check is in
 ``smith_normal_form``, on the entries each elimination holds as it runs.
 Equal sections of one parent share one elimination: ``subcomplex_selection``
-keys each section's chain data by its exact arrays, and a section equal to
-an earlier one gets that one's caches, so the tori of a cusped quotient,
+keys each section's chain data by ``store.by_value`` of its exact arrays,
+and a section equal to an earlier one gets that one's caches, so the tori of a cusped quotient,
 usually identical as chain data, are eliminated once per class.
 
 ``propagate_signs`` is the one sign propagation: it orients a closed
@@ -36,7 +36,6 @@ pseudomanifold given as (top cell, ridge, incidence) triples, for
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
@@ -49,6 +48,7 @@ from .cubical import CubicalComplex
 from .errors import ValidationError
 from .simplicial import SimplicialComplex
 from .snf import SNFResult, smith_normal_form
+from .store import by_value
 
 # d_k as (ptr, faces, coeffs), see ChainComplexData
 Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -546,7 +546,7 @@ def is_cocycle(data: ChainComplexData, phi: int, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cubical cup product
+# cubical cup-product splittings
 # ---------------------------------------------------------------------------
 
 
@@ -583,35 +583,6 @@ def _splittings(data: ChainComplexData, k: int, l: int) -> Tuple[np.ndarray, np.
     return np.repeat(np.arange(data.size(j)), len(splits)), fronts, backs
 
 
-def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:
-    """Cochain-level cup product on a cube complex.
-
-    On each (k+l)-cell the product sums, over the splittings of the
-    support into a front set A (|A| = k) and its complement, the value
-    of ``a`` on the front face (complement frozen at -1) times ``b`` on
-    the back face (A frozen at +1).  Satisfies the Leibniz rule; graded
-    commutativity holds only after passing to cohomology classes.
-    """
-    splittings = _splittings(data, k, l)
-    if k + l > data.top_dim:
-        return 0
-    if not is_cocycle(data, a, k):
-        warnings.warn("cup factor of degree %d is not a cocycle" % k, stacklevel=2)
-    if not is_cocycle(data, b, l):
-        warnings.warn("cup factor of degree %d is not a cocycle" % l, stacklevel=2)
-    out = 0
-    for c, fi, bi in zip(*(side.tolist() for side in splittings)):
-        if (a >> fi) & 1 and (b >> bi) & 1:
-            out ^= 1 << c
-    return out
-
-
-def pair_with_fundamental_class(data: ChainComplexData, phi: int) -> int:
-    """Evaluate a top-degree cochain on the sum of all top cells, mod 2."""
-    mask = (1 << data.size(data.top_dim)) - 1
-    return (phi & mask).bit_count() & 1
-
-
 # ---------------------------------------------------------------------------
 # subcomplexes and the maps their inclusions induce
 # ---------------------------------------------------------------------------
@@ -643,14 +614,6 @@ class SubcomplexSelection:
         for sub_i, par_i in enumerate(self.indices[k]):
             out[par_i] = vec[sub_i]
         return out
-
-
-def _chain_key(coeff: str, incidences: Sequence[Incidence]) -> Hashable:
-    """Exact key of chain data: the ring and, per degree, each CSR array's
-    dtype, shape and contents; object coefficients by value, since the
-    bytes of an object array are pointers."""
-    return coeff, tuple((a.dtype.str, a.shape, tuple(a.tolist()) if a.dtype == object else a.tobytes())
-                        for incidence in incidences for a in incidence)
 
 
 def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequence[Hashable]]) -> SubcomplexSelection:
@@ -686,7 +649,7 @@ def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequen
     cell_keys = [tuple(parent.cell_keys[k][i] for i in idx) for k, idx in enumerate(indices)]
     data = ChainComplexData(parent.coeff, cell_keys, incidences)
     data._gf2_coreduction, data._smith, data._integral_bases = parent._sections.setdefault(
-        _chain_key(parent.coeff, incidences), (data._gf2_coreduction, data._smith, data._integral_bases))
+        by_value((parent.coeff, incidences)), (data._gf2_coreduction, data._smith, data._integral_bases))
     return SubcomplexSelection(parent=parent, indices=indices, data=data)
 
 

@@ -17,8 +17,8 @@ of the k-cells with one sorted search per (support, axis), and it is the
 one routine that finds cube faces: the closure check, the cubical chain
 complex (and through its rows the cup-product splittings), the preimage
 merges and the vertex links all read it.  The tables, the links and the
-per-cell view ``cells_of_dim`` are cached on the complex and ignored by
-``==``, ``hash``, pickle and both writers, which read the runs.
+per-cell view ``cells_of_dim`` are store views (``store.Store``), ignored
+by ``==``, ``hash``, pickles and both writers, which read the runs.
 ``relabel`` permutes the ambient axes; it is the image
 ``cubical_isomorphism`` checks.
 """
@@ -33,6 +33,7 @@ import numpy as np
 from . import gf2
 from .errors import ValidationError, check_budget, json_document, json_int
 from .simplicial import SimplicialComplex, build_simplicial
+from .store import Store
 
 Cell = Tuple[Tuple[int, ...], int]
 Run = Tuple[Tuple[int, ...], int, np.ndarray]  # (support, first index, sorted signs)
@@ -44,10 +45,10 @@ RZK1_MAGIC = b"RZK1"
 RZK1_CELL = struct.Struct("<IQ")
 
 
-class CubicalComplex:
+class CubicalComplex(Store):
     """Immutable cube subcomplex, closed under the two face maps per axis."""
 
-    __slots__ = ("ambient", "_runs", "_cells", "_face_tables", "_links")
+    __slots__ = ("ambient", "_runs", "_views")
 
     def __init__(self, ambient: int, cells: Iterable[Cell], budget: Optional[int] = None, validate: bool = True):
         given: Dict[Tuple[int, ...], List[int]] = {}
@@ -99,14 +100,8 @@ class CubicalComplex:
         for runs in self._runs.values():
             if any((signs[1:] == signs[:-1]).any() for _, _, signs in runs):
                 raise ValidationError("duplicate cells")
-        self._clear_caches()
         if validate:
             self._check_closure()
-
-    def _clear_caches(self) -> None:
-        self._cells: Dict[int, Tuple[Cell, ...]] = {}
-        self._face_tables: Dict[int, np.ndarray] = {}
-        self._links: Optional[Dict[int, FrozenSet[Tuple[int, ...]]]] = None
 
     def _check_closure(self) -> None:
         """Every face table builds; the first missing face is reported in
@@ -129,9 +124,9 @@ class CubicalComplex:
         """Face indices of the k-cells (k >= 1) into ``cells_of_dim(k - 1)``,
         shape (n_k, 2k): column 2p holds the +1 face on the p-th axis of the
         support, column 2p + 1 the -1 face.  Refuses a missing face."""
-        table = self._face_tables.get(k)
-        if table is not None:
-            return table
+        return self._view(("face_table", k), lambda: self._face_table(k))
+
+    def _face_table(self, k: int) -> np.ndarray:
         lower = {sup: (start, signs) for sup, start, signs in self.support_runs(k - 1)}
         empty = (0, np.zeros(0, dtype=self._sign_dtype))
         table = np.empty((sum(len(signs) for _, _, signs in self.support_runs(k)), 2 * k), dtype=np.int64)
@@ -151,7 +146,6 @@ class CubicalComplex:
                 p = int(np.flatnonzero(~found[r])[0]) // 2
                 side = "-1" if not found[r, 2 * p + 1] else "+1"
                 raise ValidationError(f"missing {side} face of {(sup, int(signs[r]))} at {sup[p]}")
-        self._face_tables[k] = table
         return table
 
     # -- queries -----------------------------------------------------------
@@ -163,11 +157,8 @@ class CubicalComplex:
     def cells_of_dim(self, d: int) -> Tuple[Cell, ...]:
         """The d-cells in order, as (support, signs) pairs: a view of the
         runs, built on first use and cached."""
-        cells = self._cells.get(d)
-        if cells is None:
-            cells = self._cells[d] = tuple((sup, sg) for sup, _, signs in self.support_runs(d)
-                                           for sg in signs.tolist())
-        return cells
+        return self._view(("cells", d), lambda: tuple(
+            (sup, sg) for sup, _, signs in self.support_runs(d) for sg in signs.tolist()))
 
     def num_cells(self) -> int:
         return sum(self.cell_counts())
@@ -201,8 +192,9 @@ class CubicalComplex:
 
     def _link_map(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
         """The vertex links, computed on first use and cached."""
-        if self._links is not None:
-            return self._links
+        return self._view("links", self._links)
+
+    def _links(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
         runs = [run for d in range(1, self.dim + 1) for run in self.support_runs(d)]
         vertices = self.support_runs(0)[0][2] if self.support_runs(0) else np.zeros(0, self._sign_dtype)
         corner_runs = [np.zeros(0, dtype=np.int64)]
@@ -220,14 +212,14 @@ class CubicalComplex:
         run_ids = np.concatenate(corner_runs)[np.argsort(vertex, kind="stable")]
         ends = np.cumsum(np.bincount(vertex, minlength=len(vertices))).tolist()
         shared: Dict[bytes, FrozenSet[Tuple[int, ...]]] = {}
-        self._links = {}
+        links = {}
         for signs, begin, end in zip(vertices.tolist(), [0] + ends, ends):
             ids = run_ids[begin:end]
             link = shared.get(ids.tobytes())
             if link is None:
                 link = shared[ids.tobytes()] = frozenset(runs[r][0] for r in ids.tolist())
-            self._links[signs] = link
-        return self._links
+            links[signs] = link
+        return links
 
     def link_of_vertex(self, vertex: Cell) -> SimplicialComplex:
         """Supports of the cells incident to a vertex, as a complex."""
@@ -297,24 +289,6 @@ class CubicalComplex:
         cells = [(tuple(gf2.indices_of_vector(mask)), sg)
                  for mask, sg in RZK1_CELL.iter_unpack(blob[12:])]
         return cls(ambient, cells, budget=budget)
-
-    def __getstate__(self):
-        return self.ambient, self._runs
-
-    def __setstate__(self, state) -> None:
-        self.ambient, self._runs = state
-        self._clear_caches()
-
-    def _key(self):
-        """The runs by value, as ``==`` and ``hash`` read them."""
-        return self.ambient, tuple((sup, tuple(signs.tolist())) for runs in self._runs.values()
-                                   for sup, _, signs in runs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CubicalComplex) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"CubicalComplex(ambient={self.ambient}, cells={self.num_cells()}, dim={self.dim})"

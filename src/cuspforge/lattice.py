@@ -19,8 +19,8 @@ also proves it free of repeats; only other blocks are sorted.  The JSON
 document is written from the arrays by ``rows_text``, the one writer of
 index rows as text, which also writes the census document.  Readers take
 the rows of one rank (``rows_of_rank``) or every face at once; no face
-is looked up by its facet set.  The per-face view ``faces`` is built on
-first use and kept out of ``==``, ``hash`` and pickles.
+is looked up by its facet set.  The per-face view ``faces`` is a store
+view (``store.Store``), kept out of ``==``, ``hash`` and pickles.
 
 Duality runs one way: ``dualize`` reads the dual simplicial complex of a
 simple lattice off its vertex rows.  Meets and joins of face pairs are
@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import ValidationError, json_document, json_int
 from .simplicial import SimplicialComplex, build_simplicial
+from .store import Store
 
 REAL = "real"
 IDEAL = "ideal"
@@ -43,7 +44,7 @@ IDEAL = "ideal"
 Face = Tuple[int, FrozenSet[int]]
 
 
-class FaceLattice:
+class FaceLattice(Store):
     """Ranked face list of an abstract polytope boundary.
 
     The store is ``_ranks`` (per face), ``_ptr`` (row offsets), ``_facets``
@@ -54,7 +55,7 @@ class FaceLattice:
     distinguishes.
     """
 
-    __slots__ = ("rank", "num_facets", "_ranks", "_ptr", "_facets", "_ideal", "_face_view")
+    __slots__ = ("rank", "num_facets", "_ranks", "_ptr", "_facets", "_ideal", "_views")
 
     def __init__(
         self,
@@ -133,10 +134,6 @@ class FaceLattice:
             raise ValidationError("rank n-1 faces must be exactly the facet singletons")
         self._ideal = np.zeros(len(order), dtype=bool) if ideal is None else np.asarray(ideal, dtype=bool)[order]
         self._ideal &= self._ranks == 0
-        self._clear_caches()
-
-    def _clear_caches(self) -> None:
-        self._face_view: Optional[Tuple[Face, ...]] = None
 
     # -- views -------------------------------------------------------------
 
@@ -149,9 +146,7 @@ class FaceLattice:
     @property
     def faces(self) -> Tuple[Face, ...]:
         """(rank, facet set) per face, in order; built on first use."""
-        if self._face_view is None:
-            self._face_view = tuple(zip(self._ranks.tolist(), self._sets(0, len(self._ranks))))
-        return self._face_view
+        return self._view("faces", lambda: tuple(zip(self._ranks.tolist(), self._sets(0, len(self._ranks)))))
 
     @property
     def marks(self) -> Tuple[str, ...]:
@@ -232,24 +227,6 @@ class FaceLattice:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed face_lattice document: {exc!r}") from exc
         return cls.from_arrays(rank, num_facets, *_face_arrays(ranks, rows), _ideal_flags(labels))
-
-    def __getstate__(self):
-        return self.rank, self.num_facets, self._ranks, self._ptr, self._facets, self._ideal
-
-    def __setstate__(self, state) -> None:
-        self.rank, self.num_facets, self._ranks, self._ptr, self._facets, self._ideal = state
-        self._clear_caches()
-
-    def _key(self):
-        """The store by value, as ``==`` and ``hash`` read it."""
-        return (self.rank, self.num_facets, self._ranks.tobytes(), self._ptr.tobytes(),
-                self._facets.tobytes(), self._ideal.tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FaceLattice) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"FaceLattice(rank={self.rank}, facets={self.num_facets}, faces={len(self._ranks)})"
@@ -405,12 +382,3 @@ def cube_lattice(n: int) -> FaceLattice:
         raise ValidationError("cube dimension must be positive")
     axes = [(2 * a, 2 * a + 1) for a in range(n)]
     return FaceLattice(n, 2 * n, [(n - c, fs) for c, fs in cube_faces(axes)])
-
-
-def simplex_lattice(n: int) -> FaceLattice:
-    """Boundary lattice of the n-simplex with n+1 facets."""
-    faces: List[Tuple[int, Iterable[int]]] = []
-    for size in range(1, n + 1):
-        for chosen in combinations(range(n + 1), size):
-            faces.append((n - size, set(chosen)))
-    return FaceLattice(n, n + 1, faces)

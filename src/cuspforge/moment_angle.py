@@ -42,8 +42,9 @@ from .errors import BudgetError, ValidationError, cell_budget, check_budget
 from .isomorphism import find_isomorphism
 from .filling import replace_ideal_vertices
 from .lattice import FaceLattice
-from .polytopes import IdealPolytope, RowStore
+from .polytopes import IdealPolytope
 from .simplicial import SimplicialComplex, build_simplicial
+from .store import Store
 
 VertexKey = FrozenSet[int]
 
@@ -319,27 +320,27 @@ class CuspEntry:
     section: str
 
 
-class CuspCensus(RowStore):
+class CuspCensus(Store):
     """Cusps of a coloured quotient of P^n, one row per ideal vertex.
 
     ``vertex_rows[j]`` holds the facets of ideal vertex j, ``spans[j]``
     the rank of the colour span there, so that 2^(k - spans[j]) cusps lie
     over it, and ``torus[j]`` whether their section is an (n-1)-torus.
-    ``total`` is summed once per distinct span.  The per-vertex view
-    ``entries`` is built on first read and kept out of ``==``, ``hash``
-    and pickles.
+    The views ``total``, summed once per distinct span, and ``entries``,
+    one per vertex, are built on first read and kept out of ``==``,
+    ``hash`` and pickles.
     """
 
-    __slots__ = ("n", "k", "vertex_rows", "spans", "torus", "total", "_views")
+    __slots__ = ("n", "k", "vertex_rows", "spans", "torus", "_views")
 
     def __init__(self, n: int, k: int, vertex_rows: np.ndarray, spans: Tuple[int, ...],
                  torus: Tuple[bool, ...]):
         self.n, self.k, self.vertex_rows, self.spans, self.torus = n, k, vertex_rows, spans, torus
-        self.total = sum(count << (k - span) for span, count in Counter(spans).items())
-        self._views: Dict[str, tuple] = {}
 
-    def _fields(self) -> tuple:
-        return self.n, self.k, self.vertex_rows, self.spans, self.torus
+    @property
+    def total(self) -> int:
+        return self._view("total", lambda: sum(
+            count << (self.k - span) for span, count in Counter(self.spans).items()))
 
     def section(self, torus: bool) -> str:
         return f"{self.n - 1}-torus" if torus else f"flat {self.n - 1}-manifold, not a torus"

@@ -29,7 +29,7 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology, subcomplex_selection
 from .cubical import CubicalComplex
-from .errors import BudgetError, CuspforgeError, ValidationError
+from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget
 from .filling import (
     DehnFilling,
     dehn_fill,
@@ -70,7 +70,7 @@ class StageError(CuspforgeError):
 
 @dataclass
 class PipelineConfig:
-    """Preset parameters: dimension, choice seeds, budget."""
+    """Preset parameters: dimension, choice seeds, budget; the dimension and budget are checked here."""
 
     n: int
     choices: str | Dict[Tuple[int, ...], int] = "auto"
@@ -81,6 +81,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not 3 <= self.n <= 8:
             raise ValidationError("pipeline dimension must be 3..8")
+        cell_budget(self.budget)
         if self.n >= 5:
             self.census_only = True
 

@@ -26,7 +26,7 @@ The ideal dual P^n adopts G's facet order: P's vertices are G's facets,
 numbered in order of their sorted vertex tuples, which is the lattice's
 canonical vertex order, so no block of P's lattice is sorted again.  P
 keeps its ideal vertices as rows, G's cross rows and their diagonals;
-the facet sets and the axis dict are views built on first read.
+G's facet sets and P's axis dict are store views (``store.Store``).
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from math import gcd, isqrt
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, read_file
 from .lattice import IDEAL, FaceLattice
+from .store import Store
 
 SIMPLEX = "simplex"
 CROSS = "cross"
@@ -70,50 +71,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _by_value(x):
-    """An array by its bytes, a tuple by its items' values, anything else as it is."""
-    if isinstance(x, np.ndarray):
-        return x.tobytes()
-    if isinstance(x, tuple):
-        return tuple(map(_by_value, x))
-    return x
-
-
-class RowStore:
-    """A store of fields and row arrays, with views built on first read.
-
-    ``_fields()`` lists the stored fields in the order ``__init__`` takes
-    them; ``==``, ``hash`` and pickles read those fields (arrays by their
-    bytes), never the views in ``_views``.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        raise NotImplementedError
-
-    def _view(self, name: str, build: Callable[[], object]):
-        if name not in self._views:
-            self._views[name] = build()
-        return self._views[name]
-
-    def _key(self) -> tuple:
-        return _by_value(self._fields())
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __getstate__(self):
-        return self._fields()
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
-
-
-class GossetPolytope(RowStore):
+class GossetPolytope(Store):
     """Combinatorics of G^n: facet rows, facet types, face lattice.
 
     Facets are numbered in order of their sorted vertex tuples, and
@@ -141,10 +99,6 @@ class GossetPolytope(RowStore):
         self.n, self.num_vertices, self.cross = n, num_vertices, cross
         self.simplex_rows, self.cross_rows, self.pair_rows = simplex_rows, cross_rows, pair_rows
         self.lattice, self.face_rows, self.vertex_coordinates = lattice, face_rows, vertex_coordinates
-        self._views: Dict[str, tuple] = {}
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
     def cross_facet_ids(self) -> List[int]:
         return np.flatnonzero(self.cross).tolist()
@@ -186,7 +140,7 @@ class GossetPolytope(RowStore):
         ) + tuple((f, self.n - 1) for f in self.facet_vertex_sets))
 
 
-class IdealPolytope(RowStore):
+class IdealPolytope(Store):
     """P^n: facet-incidence lattice with ideal vertices and their cube-link axes.
 
     Facet i of P is dual to vertex i of G, and P's vertices are G's
@@ -202,10 +156,6 @@ class IdealPolytope(RowStore):
 
     def __init__(self, n: int, lattice: FaceLattice, ideal_rows: np.ndarray, axis_rows: np.ndarray):
         self.n, self.lattice, self.ideal_rows, self.axis_rows = n, lattice, ideal_rows, axis_rows
-        self._views: Dict[str, object] = {}
-
-    def _fields(self) -> tuple:
-        return self.n, self.lattice, self.ideal_rows, self.axis_rows
 
     @property
     def num_facets(self) -> int:

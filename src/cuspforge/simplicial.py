@@ -1,8 +1,9 @@
 """Finite abstract simplicial complexes.
 
-A complex is stored by its inclusion-maximal faces (facets) over vertices
-0..vertex_count-1; all lower faces are generated by downward closure and
-kept in sorted order so that derived data is reproducible byte for byte.
+A complex is a store (``store.Store``) of its inclusion-maximal faces
+(facets) over vertices 0..vertex_count-1; all lower faces are a view,
+generated by downward closure on first read and kept in sorted order so
+that derived data is reproducible byte for byte.
 Connectedness and closedness are read off the chain complex
 (``chains.chain_complex_of``), as b_0 and the ridge count of d_top.
 """
@@ -14,16 +15,17 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError, json_document, json_int
+from .store import Store
 
 
-class SimplicialComplex:
+class SimplicialComplex(Store):
     """Immutable abstract simplicial complex.
 
     Faces of dimension k are exposed as sorted tuples of k+1 vertex
     indices.  The empty face is implicit and never listed.
     """
 
-    __slots__ = ("vertex_count", "facets", "_faces_by_dim", "_face_set")
+    __slots__ = ("vertex_count", "facets", "_views")
 
     def __init__(self, vertex_count: int, facets: Sequence[Iterable[int]]):
         if vertex_count < 0:
@@ -49,25 +51,30 @@ class SimplicialComplex:
             len(g) > len(f) and fs < distinct[g] for g in min(map(containing.get, f), key=len))]
         self.vertex_count = vertex_count
         self.facets: Tuple[Tuple[int, ...], ...] = tuple(sorted(maximal))
+
+    # -- basic queries -------------------------------------------------
+
+    def _faces_by_dim(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+        return self._view("faces_by_dim", self._closure)
+
+    def _closure(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+        """The faces of each dimension, sorted: the downward closure of the facets."""
         by_dim: Dict[int, set] = {}
         for f in self.facets:
             for k in range(1, len(f) + 1):
                 by_dim.setdefault(k - 1, set()).update(combinations(f, k))
-        self._faces_by_dim: Dict[int, Tuple[Tuple[int, ...], ...]] = {
-            d: tuple(sorted(faces)) for d, faces in by_dim.items()
-        }
-        self._face_set: FrozenSet[Tuple[int, ...]] = frozenset(
-            face for faces in self._faces_by_dim.values() for face in faces
-        )
+        return {d: tuple(sorted(faces)) for d, faces in by_dim.items()}
 
-    # -- basic queries -------------------------------------------------
+    def _face_set(self) -> FrozenSet[Tuple[int, ...]]:
+        return self._view("face_set", lambda: frozenset(
+            face for faces in self._faces_by_dim().values() for face in faces))
 
     @property
     def dim(self) -> int:
-        return max(self._faces_by_dim) if self._faces_by_dim else -1
+        return max(map(len, self.facets)) - 1
 
     def faces_of_dim(self, k: int) -> Tuple[Tuple[int, ...], ...]:
-        return self._faces_by_dim.get(k, ())
+        return self._faces_by_dim().get(k, ())
 
     def all_faces(self) -> List[Tuple[int, ...]]:
         out: List[Tuple[int, ...]] = []
@@ -76,7 +83,7 @@ class SimplicialComplex:
         return out
 
     def has_face(self, face: Iterable[int]) -> bool:
-        return tuple(sorted(face)) in self._face_set
+        return tuple(sorted(face)) in self._face_set()
 
     def vertices(self) -> Tuple[int, ...]:
         return tuple(v for (v,) in self.faces_of_dim(0))
@@ -88,13 +95,13 @@ class SimplicialComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
     def is_pure(self) -> bool:
-        return all(len(f) == self.dim + 1 for f in self.facets)
+        return len(set(map(len, self.facets))) == 1
 
     # -- derived complexes ---------------------------------------------
 
     def link_of_vertex(self, v: int) -> "SimplicialComplex":
         """Link of v: faces tau with v not in tau and tau + {v} a face."""
-        if (v,) not in self._face_set:
+        if (v,) not in self._face_set():
             raise ValidationError(f"vertex {v} not in complex")
         candidates = [tuple(x for x in f if x != v) for f in self.facets if v in f]
         candidates = [c for c in candidates if c]
@@ -114,17 +121,7 @@ class SimplicialComplex:
             return None
         return SimplicialComplex(self.vertex_count, faces)
 
-    # -- equality and io -----------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertex_count == other.vertex_count
-            and self.facets == other.facets
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.facets))
+    # -- io ------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(vertices={self.vertex_count}, facets={len(self.facets)}, dim={self.dim})"

@@ -88,12 +88,17 @@ verbatim as ``cusp_census_oracle`` (with the census it returned,
 ``CuspCensusOracle``), and so is ``census_json_oracle``, the
 ``json.dumps`` writer.  ``gf2_corows_array_oracle`` is the chain data's
 coboundary reader before it left the rows its elimination skips unbuilt.
+
+The cochain-level cup product (``cup_product``, read off the library's
+splittings), ``pair_with_fundamental_class`` and ``simplex_lattice`` are
+reached only by the tests and live here, verbatim.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,7 +111,7 @@ from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequenc
 import numpy as np
 
 from cuspforge import gf2
-from cuspforge.chains import cohomology_z2_basis
+from cuspforge.chains import ChainComplexData, _splittings, cohomology_z2_basis, is_cocycle
 from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
@@ -1296,3 +1301,46 @@ def census_json_oracle(census) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
+
+
+# ---------------------------------------------------------------------------
+# API that only the tests reach
+# ---------------------------------------------------------------------------
+
+
+def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:
+    """Cochain-level cup product on a cube complex.
+
+    On each (k+l)-cell the product sums, over the splittings of the
+    support into a front set A (|A| = k) and its complement, the value
+    of ``a`` on the front face (complement frozen at -1) times ``b`` on
+    the back face (A frozen at +1).  Satisfies the Leibniz rule; graded
+    commutativity holds only after passing to cohomology classes.
+    """
+    splittings = _splittings(data, k, l)
+    if k + l > data.top_dim:
+        return 0
+    if not is_cocycle(data, a, k):
+        warnings.warn("cup factor of degree %d is not a cocycle" % k, stacklevel=2)
+    if not is_cocycle(data, b, l):
+        warnings.warn("cup factor of degree %d is not a cocycle" % l, stacklevel=2)
+    out = 0
+    for c, fi, bi in zip(*(side.tolist() for side in splittings)):
+        if (a >> fi) & 1 and (b >> bi) & 1:
+            out ^= 1 << c
+    return out
+
+
+def pair_with_fundamental_class(data: ChainComplexData, phi: int) -> int:
+    """Evaluate a top-degree cochain on the sum of all top cells, mod 2."""
+    mask = (1 << data.size(data.top_dim)) - 1
+    return (phi & mask).bit_count() & 1
+
+
+def simplex_lattice(n: int) -> FaceLattice:
+    """Boundary lattice of the n-simplex with n+1 facets."""
+    faces: List[Tuple[int, Iterable[int]]] = []
+    for size in range(1, n + 1):
+        for chosen in combinations(range(n + 1), size):
+            faces.append((n - size, set(chosen)))
+    return FaceLattice(n, n + 1, faces)

@@ -16,12 +16,10 @@ from cuspforge.chains import (
     chain_complex_of,
     coboundary,
     cohomology_z2_basis,
-    cup_product,
     homology,
     inclusion_free_h1_matrix,
     integral_homology_basis,
     is_cocycle,
-    pair_with_fundamental_class,
     restriction_map_z2,
     subcomplex_selection,
 )
@@ -44,6 +42,7 @@ from dense_oracles import (
     DenseSNF,
     apply_matrix,
     cubical_entry_oracle,
+    cup_product,
     dense_boundary,
     dense_snf,
     entry_rows,
@@ -52,6 +51,7 @@ from dense_oracles import (
     gf2_rows_oracle,
     kernel_basis,
     left_kernel_basis,
+    pair_with_fundamental_class,
     quotient_entry_oracle,
     reduce_rows,
     relation_rows,

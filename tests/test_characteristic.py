@@ -9,7 +9,6 @@ from cuspforge.chains import (
     SubcomplexSelection,
     chain_complex_of,
     cohomology_z2_basis,
-    cup_product,
     homology,
     integral_homology_basis,
     subcomplex_selection,
@@ -40,7 +39,7 @@ from cuspforge.simplicial import (
     octahedron_boundary,
 )
 
-from dense_oracles import entry_rows, gf2_rows_oracle, intersection_form_oracle
+from dense_oracles import cup_product, entry_rows, gf2_rows_oracle, intersection_form_oracle
 
 
 def klein_complex():

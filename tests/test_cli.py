@@ -13,10 +13,12 @@ from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 from cuspforge import characteristic, cli, lattice, pipeline
 from cuspforge.cli import main
 from cuspforge.errors import BudgetError, ValidationError
-from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice, simplex_lattice
+from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex, octahedron_boundary
+
+from dense_oracles import simplex_lattice
 
 # sha256 of every n=3 preset artifact: refactors must keep them byte-identical
 N3_ARTIFACT_SHA256 = {
@@ -561,6 +563,21 @@ def test_gosset_env_budget_smoke(tmp_path, monkeypatch):
     run(["gosset", "--n", "3", "--out", str(g3)])
     run(["subdivide", "--in", str(g3), "--out", str(k2)])
     assert run(["rzk", "--in", str(k2)]) == 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+@pytest.mark.parametrize("env,option", [("abc", []), ("-1", []), (None, ["--budget", "0"])])
+def test_pipeline_refuses_an_invalid_budget_before_any_stage(tmp_path, monkeypatch, capsys, n, env, option):
+    if env is None:
+        monkeypatch.delenv("CUSPFORGE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CUSPFORGE_BUDGET", env)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["pipeline", "--n", str(n), "--outdir", str(out)] + option) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["code"] == 2  # no stage line: nothing ran
+    assert "budget" in json.loads(err[0])["error"].lower() and not out.exists()
 
 
 def test_pipeline_refuses_a_data_lattice_that_is_not_gosset(tmp_path, monkeypatch, capsys):

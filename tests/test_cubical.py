@@ -393,7 +393,7 @@ def test_caches_stay_out_of_equality_hash_and_pickle():
     assert Z == fresh
     W = pickle.loads(blob)
     assert W == Z and hash(W) == digest
-    assert W._links is None and not W._face_tables and not W._cells
+    assert not W._views
     assert W.vertex_links() == links
     assert all((W.face_table(k) == t).all() for k, t in enumerate(tables, 1))
 

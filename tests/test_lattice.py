@@ -24,7 +24,6 @@ from cuspforge.lattice import (
     cube_lattice,
     dualize,
     polygon_lattice,
-    simplex_lattice,
 )
 from cuspforge.moment_angle import cusp_census
 from cuspforge.polytopes import CROSS, gosset, ideal_dual
@@ -36,7 +35,8 @@ from cuspforge.simplicial import (
     octahedron_boundary,
 )
 
-from dense_oracles import FaceLatticeOracle, lattice_check_oracle
+import dense_oracles
+from dense_oracles import FaceLatticeOracle, lattice_check_oracle, simplex_lattice
 
 
 def test_cube_lattice_counts():
@@ -181,13 +181,13 @@ def test_census_path_builds_no_per_face_view():
     G.lattice.to_json()
     P.lattice.to_json()
     for L in (G.lattice, P.lattice):
-        assert L._face_view is None
+        assert "faces" not in L._views
 
 
 @pytest.fixture
 def twin(monkeypatch):
-    """Every FaceLattice built by the constructor in ``lattice`` and
-    ``filling`` is checked against the per-face constructor on the same
+    """Every FaceLattice built by the constructor in ``lattice``,
+    ``filling`` and the test-only ``simplex_lattice`` is checked against the per-face constructor on the same
     input; returns the list of checked lattices."""
     checked = []
 
@@ -200,6 +200,7 @@ def twin(monkeypatch):
 
     monkeypatch.setattr(lattice, "FaceLattice", build)
     monkeypatch.setattr(filling, "FaceLattice", build)
+    monkeypatch.setattr(dense_oracles, "FaceLattice", build)
     return checked
 
 
@@ -430,10 +431,10 @@ def test_views_stay_out_of_equality_hash_and_pickles():
     for L in (cube_lattice(3), ideal_dual(gosset(4)).lattice):
         blob, h = pickle.dumps(L), hash(L)
         L.faces
-        assert L._face_view is not None
+        assert "faces" in L._views
         assert pickle.dumps(L) == blob and hash(L) == h
         M = FaceLattice.from_json(L.to_json())
-        assert M._face_view is None and M == L and hash(M) == h
+        assert not M._views and M == L and hash(M) == h
         back = pickle.loads(blob)
         assert back == L and hash(back) == h and back.to_json() == L.to_json()
     assert cube_lattice(3) != cube_lattice(4)
@@ -446,4 +447,4 @@ def test_g8_lattice_pickles_without_views():
     L = gosset(8).lattice
     back = pickle.loads(pickle.dumps(L))
     assert back == L and hash(back) == hash(L)
-    assert back._face_view is None
+    assert not back._views

@@ -9,7 +9,11 @@ reindex their parent's arrays.  Every reader works on the arrays: GF(2)
 work reads them mod 2 as bit-packed coboundary rows, ``coboundary``
 reads the odd entries directly, and d(d(x)) = 0 is verified at build
 time by composing d_(k-1) d_k exactly in int64 arrays, a fixed block of
-k-cells at a time.
+k-cells at a time.  The coboundary rows are laid out top-first (coface
+c of a k-cell at bit n_(k+1) - 1 - c), so the one GF(2) elimination reads
+each row's lowest coface, its pivot column, as the row's highest bit;
+cochains, cocycles and representatives keep the natural layout (bit c
+for cell c), and ``Z2QuotientBasis`` mirrors them across.
 
 Each degree is eliminated once per coefficient ring and cached on the
 data: over Z one Smith normal form per degree, chained through the cycle
@@ -156,11 +160,12 @@ class ChainComplexData:
         return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), faces, coeffs
 
     def gf2_corows(self, k: int) -> List[int]:
-        """Coboundary of each k-cell as a bitset over (k+1)-cells: bit i of
-        row j is set when (k+1)-cell i has an odd number of odd entries on j.
-        The one Z/2 form of the chain data, as ``gf2_coreduction`` reduces
-        it: the rows at the pivots of degree k-1, which it skips, are left
-        0, their entries dropped before the XOR loop."""
+        """Coboundary of each k-cell as a top-first bitset over the n_(k+1)
+        (k+1)-cells: bit n_(k+1) - 1 - i of row j is set when (k+1)-cell i
+        has an odd number of odd entries on j.  The one Z/2 form of the
+        chain data, as ``gf2_coreduction`` reduces it: the rows at the
+        pivots of degree k-1, which it skips, are left 0, their entries
+        dropped before the XOR loop."""
         cells, faces, coeffs = self._entries(k + 1)
         keep = coeffs & 1 != 0
         if k > 0 and keep.any():
@@ -168,23 +173,26 @@ class ChainComplexData:
             skipped[list(self.gf2_coreduction(k - 1)[0])] = True
             keep &= ~skipped[faces]
         out = [0] * self.size(k)
-        for j, i in zip(faces[keep].tolist(), cells[keep].tolist()):
-            out[j] ^= 1 << i
+        for j, b in zip(faces[keep].tolist(), (self.size(k + 1) - 1 - cells[keep]).tolist()):
+            out[j] ^= 1 << b
         return out
 
     def gf2_coreduction(self, k: int) -> Tuple[Dict[int, int], List[int]]:
         """The one Z/2 elimination of delta^k, computed once: the reduced
-        coboundaries {lowest bit: row} and a basis of the cocycles.
+        coboundaries {lowest coface: top-first row} and a basis of the
+        cocycles (natural bitsets over the k-cells).
 
         Rows at the pivots of degree k-1 are cleared (skipped): each is the
-        lowest bit of a coboundary b with delta(b) = 0, so its row is a sum
-        of rows of higher index.  The cocycles found are then supported off
-        every coboundary's lowest bit, so they are b_k classes independent
-        modulo the coboundaries.  Below degree 0 both are empty.
+        lowest k-cell of a coboundary b with delta(b) = 0, so its row is a
+        sum of rows of higher index.  The cocycles found are then supported
+        off every coboundary's lowest k-cell, so they are b_k classes
+        independent modulo the coboundaries.  The rows are handed to the
+        elimination at width n_(k+1), so each pivot is read off a row's
+        highest bit.  Below degree 0 both are empty.
         """
         if k not in self._gf2_coreduction:
             skip = self.gf2_coreduction(k - 1)[0] if k > 0 else {}
-            self._gf2_coreduction[k] = gf2.pivot_rows(self.gf2_corows(k), skip)
+            self._gf2_coreduction[k] = gf2.pivot_rows(self.gf2_corows(k), skip, self.size(k + 1))
         return self._gf2_coreduction[k]
 
     def gf2_rank(self, k: int) -> int:
@@ -494,39 +502,42 @@ def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyB
 class Z2QuotientBasis:
     """Basis of a Z/2 quotient space cocycles / coboundaries.
 
-    Representatives are bitsets over the k-cells; ``coordinates`` writes
-    any cocycle of the same complex in this basis modulo the image.
-    The image comes in reduced, as pivot rows of the one GF(2) elimination.
-    Built by ``cohomology_z2_basis``.
+    Representatives are natural bitsets over the ``width`` k-cells;
+    ``coordinates`` writes any cocycle of the same complex in this basis
+    modulo the image.  The image comes in reduced, as pivot rows of the
+    one GF(2) elimination, top-first at ``width``: cycles are mirrored in
+    and representatives out.  Built by ``cohomology_z2_basis``.
     """
 
-    def __init__(self, k: int, cycles: Sequence[int], image: Dict[int, int]):
+    def __init__(self, k: int, cycles: Sequence[int], image: Dict[int, int], width: int):
         self.degree = k
-        # the image as reduced rows {lowest bit: row}, tagged 0; each cycle
+        self._width = width
+        # the image as reduced rows {lowest column: row}, tagged 0; each cycle
         # left non-zero by it and the earlier representatives is the next
         # representative, tagged by its place so coordinates() is dual to it
         self._pivots: Dict[int, Tuple[int, int]] = {p: (row, 0) for p, row in image.items()}
         reps: List[int] = []
         for vec in cycles:
-            red = gf2.reduce_tagged(vec, self._pivots)[0]
+            red = gf2.reduce_tagged(gf2.mirror(vec, width), self._pivots, 0, width)[0]
             if red:
-                self._pivots[gf2.lowbit(red)] = (red, 1 << len(reps))
-                reps.append(red)
+                self._pivots[width - red.bit_length()] = (red, 1 << len(reps))
+                reps.append(gf2.mirror(red, width))
         self.representatives = reps
         self.dimension = len(reps)
 
     def coordinates(self, cycle: int) -> int:
         """Coefficient bitmask of a cocycle in this basis, mod the image."""
-        red, tag = gf2.reduce_tagged(cycle, self._pivots)
-        if red:
-            raise ValidationError("vector is not a (co)cycle of this complex")
-        return tag
+        if 0 <= cycle < 1 << self._width:
+            red, tag = gf2.reduce_tagged(gf2.mirror(cycle, self._width), self._pivots, 0, self._width)
+            if not red:
+                return tag
+        raise ValidationError("vector is not a (co)cycle of this complex")
 
 
 def cohomology_z2_basis(data: ChainComplexData, k: int) -> Z2QuotientBasis:
     """H^k(-; Z/2): cocycles modulo coboundaries, both read off the cached
     reductions of delta^k and delta^(k-1)."""
-    return Z2QuotientBasis(k, data.gf2_coreduction(k)[1], data.gf2_coreduction(k - 1)[0])
+    return Z2QuotientBasis(k, data.gf2_coreduction(k)[1], data.gf2_coreduction(k - 1)[0], data.size(k))
 
 
 def coboundary(data: ChainComplexData, phi: int, k: int) -> int:

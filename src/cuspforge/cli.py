@@ -23,7 +23,8 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology
 from .cubical import CubicalComplex
-from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget, json_document, read_file
+from .errors import (BudgetError, CuspforgeError, ValidationError, cell_budget, json_document, read_file,
+                     write_file)
 from .filling import (
     DiagonalChoice,
     FillingChoice,
@@ -54,9 +55,7 @@ def _write_out(path: Optional[str], payload: str) -> None:
     if path is None or path == "-":
         print(payload)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        fh.write("\n")
+    write_file(path, payload)
 
 
 def _load_cubical(path: str) -> CubicalComplex:
@@ -120,8 +119,7 @@ def _cmd_rzk(args) -> int:
     if args.binary:
         if args.out is None or args.out == "-":
             raise ValidationError("--binary needs an output path")
-        with open(args.out, "wb") as fh:
-            fh.write(Z.to_rzk1())
+        write_file(args.out, Z.to_rzk1())
         return 0
     _write_out(args.out, Z.to_json())
     return 0

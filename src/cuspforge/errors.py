@@ -70,6 +70,21 @@ def read_file(path: str, mode: str = "r"):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+def write_file(path: str, payload: str | bytes) -> None:
+    """Write ``payload`` to ``path``, making its missing directories: text
+    as UTF-8 with a trailing newline, bytes as they are.  A path that
+    cannot be written raises ValidationError."""
+    binary = isinstance(payload, bytes)
+    try:
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        with open(path, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            fh.write(payload)
+            if not binary:
+                fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def json_document(text: str, *kinds: str) -> dict:
     """Parse a JSON object whose "type" is one of ``kinds``.
 

@@ -29,7 +29,7 @@ from .characteristic import (
 )
 from .chains import chain_complex_of, homology, subcomplex_selection
 from .cubical import CubicalComplex
-from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget
+from .errors import BudgetError, CuspforgeError, ValidationError, cell_budget, write_file
 from .filling import (
     DehnFilling,
     dehn_fill,
@@ -102,15 +102,8 @@ def _write(outdir: Optional[str], name: str, render: Callable[[], str | bytes],
     if outdir is None:
         return
     payload = render()
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    if isinstance(payload, bytes):
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
+    write_file(path, payload)
     artifacts[name] = path
 
 

@@ -28,7 +28,9 @@ The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
 replaced are kept verbatim, and so is that elimination as it was before
 it inlined ``reduce_tagged``'s loop (``tagged_pivots_oracle``): the untagged elimination, the rref pass with
 its coset representative, the kernel, solve and identity helpers, and the
-per-bit transpose of small matrices.  ``transpose_rows``, the bit-packing
+per-bit transpose of small matrices.  ``quotient_representatives_oracle``
+is the cohomology basis's reduction as it ran on natural rows, before the
+chain data's coboundary rows were laid out top-first.  ``transpose_rows``, the bit-packing
 transpose, left the library when the intersection form began to gather
 its bit slices; it is kept verbatim, and so is the transpose-based form,
 ``intersection_form_oracle``, but for reading its splittings off the
@@ -553,6 +555,20 @@ def tagged_pivots_oracle(
         else:
             kernel.append(tag)
     return pivots, kernel
+
+
+def quotient_representatives_oracle(cycles: Sequence[int], image: Dict[int, int]) -> List[int]:
+    """The representatives of ``Z2QuotientBasis`` as it read natural rows:
+    each cycle reduced at its lowest bit against the image {lowest bit:
+    row} and the earlier representatives, kept when non-zero."""
+    pivots = {p: (row, 0) for p, row in image.items()}
+    reps: List[int] = []
+    for vec in cycles:
+        red = gf2.reduce_tagged(vec, pivots)[0]
+        if red:
+            pivots[gf2.lowbit(red)] = (red, 1 << len(reps))
+            reps.append(red)
+    return reps
 
 
 def left_kernel_basis(rows: Sequence[int]) -> List[int]:

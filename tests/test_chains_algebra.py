@@ -53,6 +53,7 @@ from dense_oracles import (
     left_kernel_basis,
     pair_with_fundamental_class,
     quotient_entry_oracle,
+    quotient_representatives_oracle,
     reduce_rows,
     relation_rows,
     replay_project,
@@ -710,10 +711,13 @@ def _odd_rows(entries, k: int) -> List[int]:
 
 
 def _cohomology_basis_oracle(data: ChainComplexData, k: int, entries) -> Z2QuotientBasis:
-    """H^k(-; Z/2): the same quotient on the transposed boundary maps."""
-    cocycles = _right_kernel_basis(_odd_rows(entries, k + 1), data.size(k))
+    """H^k(-; Z/2): the same quotient on the transposed boundary maps, its
+    natural image rows mirrored into the basis's top-first layout."""
+    n = data.size(k)
+    cocycles = _right_kernel_basis(_odd_rows(entries, k + 1), n)
     coboundaries = transpose_rows(_odd_rows(entries, k), data.size(k - 1))
-    return Z2QuotientBasis(k, cocycles, reduce_rows(coboundaries))
+    image = {p: gf2.mirror(row, n) for p, row in reduce_rows(coboundaries).items()}
+    return Z2QuotientBasis(k, cocycles, image, n)
 
 
 def test_right_kernel_annihilated_by_matrix():
@@ -763,6 +767,9 @@ def test_cohomology_bases_match_oracle(name):
         basis = cohomology_z2_basis(data, k)
         oracle = _cohomology_basis_oracle(data, k, entries)
         assert basis.dimension == oracle.dimension, k
+        # the representatives of the natural-layout reduction, int for int
+        image = {p: gf2.mirror(row, data.size(k)) for p, row in data.gf2_coreduction(k - 1)[0].items()}
+        assert basis.representatives == quotient_representatives_oracle(data.gf2_coreduction(k)[1], image), k
         assert all(is_cocycle(data, rep, k) for rep in basis.representatives)
         # the oracle's classes in the new basis: an invertible change of basis
         a = [basis.coordinates(rep) for rep in oracle.representatives]
@@ -781,6 +788,21 @@ def test_cohomology_bases_match_oracle(name):
         assert [cohomology_z2_basis(data, k).dimension for k in range(5)] == [1, 30, 122, 30, 1]
 
 
+@pytest.mark.parametrize("name,k", [("3-torus", 1), ("filled P^4", 2)])
+def test_quotient_coordinates_refuse_what_is_not_a_cocycle_of_the_complex(name, k):
+    """coordinates() writes each representative as its own unit vector and
+    refuses a non-cocycle, a cocycle with a bit at n_k + 2, and -1."""
+    data = chain_complex_of(COHOMOLOGY_FIXTURES[name](), "Z2")
+    basis = cohomology_z2_basis(data, k)
+    n = data.size(k)
+    assert [basis.coordinates(rep) for rep in basis.representatives] == [1 << i for i in range(basis.dimension)]
+    rep = basis.representatives[0]
+    off = next(1 << j for j in range(n) if not is_cocycle(data, 1 << j, k))
+    for vec in (off, rep | 1 << (n + 2), -1):
+        with pytest.raises(ValidationError, match=r"^vector is not a \(co\)cycle of this complex$"):
+            basis.coordinates(vec)
+
+
 @pytest.mark.parametrize("name", ["cusped P^3 quotient", "filled P^4"])
 def test_coreduction_matches_the_elimination_of_every_coboundary_row(name):
     """gf2_coreduction leaves the rows it skips unbuilt: its pivots, their
@@ -792,7 +814,8 @@ def test_coreduction_matches_the_elimination_of_every_coboundary_row(name):
         skip = data.gf2_coreduction(k - 1)[0] if k > 0 else {}
         pivots, kernel = gf2.pivot_rows(gf2_corows_array_oracle(data, k), skip)
         reduced = data.gf2_coreduction(k)
-        assert list(reduced[0].items()) == list(pivots.items()) and reduced[1] == kernel, k
+        natural = [(p, gf2.mirror(row, data.size(k + 1))) for p, row in reduced[0].items()]
+        assert natural == list(pivots.items()) and reduced[1] == kernel, k
         skipped += len(skip)
     assert skipped
 
@@ -937,7 +960,8 @@ def test_builders_and_readers_match_the_per_cell_entry_oracles(name):
         # the rows that gf2_coreduction(k) skips, at the pivots of degree k - 1, stay 0
         skip = data.gf2_coreduction(k - 1)[0] if k > 0 else {}
         want = gf2_corows_oracle(upper, data.size(k))
-        assert data.gf2_corows(k) == [0 if j in skip else row for j, row in enumerate(want)], k
+        natural = [gf2.mirror(row, data.size(k + 1)) for row in data.gf2_corows(k)]
+        assert natural == [0 if j in skip else row for j, row in enumerate(want)], k
         # the same entries in the same insertion order, which the elimination sees
         assert ([list(r.items()) for r in data._sparse_rows(k)]
                 == [list(r.items()) for r in sparse_rows_oracle(rows, data.size(k - 1))]), k

@@ -395,6 +395,30 @@ def test_cli_specs_and_unreadable_inputs_exit_2(p3_files, capsys, command, infil
     _assert_validation_exit(argv + ([option] if option else []), capsys)
 
 
+@pytest.mark.parametrize("command", ["pipeline", "gosset", "rzk"])
+def test_unwritable_output_paths_exit_2_with_one_json_error_line(p3_files, tmp_path, capsys, command):
+    """An output path under a regular file is refused as a validation
+    failure naming the path, not a traceback: the pipeline's --outdir, a
+    text --out and rzk's binary --out."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "out"
+    if command == "pipeline":
+        argv = ["pipeline", "--n", "3", "--outdir", str(target)]
+    elif command == "gosset":
+        argv = ["gosset", "--n", "3", "--out", str(target)]
+    else:
+        k2 = tmp_path / "k2.json"
+        assert run(["subdivide", "--in", str(p3_files / "g3.json"), "--out", str(k2)]) == 0
+        argv = ["rzk", "--in", str(k2), "--binary", "--out", str(target)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = [json.loads(text) for text in err.splitlines()]
+    assert line["code"] == 2 and line["error"].startswith(f"cannot write {target}")
+
+
 def test_colour_rank_beyond_the_budget_exits_3(p3_files):
     # refused from the bit index alone, before any 2^k-sized integer is built
     argv = ["colour", "--in", str(p3_files / "p3bar.json"), "--colours=[[0], [999999999999]]"]

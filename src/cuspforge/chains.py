@@ -518,7 +518,7 @@ class Z2QuotientBasis:
         self._pivots: Dict[int, Tuple[int, int]] = {p: (row, 0) for p, row in image.items()}
         reps: List[int] = []
         for vec in cycles:
-            red = gf2.reduce_tagged(gf2.mirror(vec, width), self._pivots, 0, width)[0]
+            red = gf2.reduce_tagged(gf2.mirror(vec, width), self._pivots, width=width)[0]
             if red:
                 self._pivots[width - red.bit_length()] = (red, 1 << len(reps))
                 reps.append(gf2.mirror(red, width))
@@ -528,7 +528,7 @@ class Z2QuotientBasis:
     def coordinates(self, cycle: int) -> int:
         """Coefficient bitmask of a cocycle in this basis, mod the image."""
         if 0 <= cycle < 1 << self._width:
-            red, tag = gf2.reduce_tagged(gf2.mirror(cycle, self._width), self._pivots, 0, self._width)
+            red, tag = gf2.reduce_tagged(gf2.mirror(cycle, self._width), self._pivots, width=self._width)
             if not red:
                 return tag
         raise ValidationError("vector is not a (co)cycle of this complex")

@@ -101,9 +101,8 @@ def _write(outdir: Optional[str], name: str, render: Callable[[], str | bytes],
     bytes as they are.  Without an outdir nothing is rendered."""
     if outdir is None:
         return
-    payload = render()
     path = os.path.join(outdir, name)
-    write_file(path, payload)
+    write_file(path, render())
     artifacts[name] = path
 
 

@@ -30,11 +30,12 @@ it inlined ``reduce_tagged``'s loop (``tagged_pivots_oracle``): the untagged eli
 its coset representative, the kernel, solve and identity helpers, and the
 per-bit transpose of small matrices.  ``quotient_representatives_oracle``
 is the cohomology basis's reduction as it ran on natural rows, before the
-chain data's coboundary rows were laid out top-first.  ``transpose_rows``, the bit-packing
-transpose, left the library when the intersection form began to gather
-its bit slices; it is kept verbatim, and so is the transpose-based form,
-``intersection_form_oracle``, but for reading its splittings off the
-key-lookup ``splittings_oracle`` (the library's are index arrays now).
+chain data's coboundary rows were laid out top-first.  ``transpose_rows``,
+the bit-packing transpose, left the library when the intersection form
+began to gather its bit slices; it is kept verbatim, and so is the
+transpose-based form, ``intersection_form_oracle``, but for reading its
+splittings off the key-lookup ``splittings_oracle`` (the library's are
+index arrays now).
 
 The library finds each cusp torus of the cusped model as a coset of the
 colour span at its ideal vertex, and fills or truncates an ideal vertex

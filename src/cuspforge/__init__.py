@@ -17,6 +17,7 @@ from .characteristic import (
     lie_cusp_certificate,
     orientability,
     spin_obstruction,
+    spin_report,
     spin_structures,
     summand_certificate,
 )

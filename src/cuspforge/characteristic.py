@@ -346,3 +346,26 @@ class SpinReport:
         if self.filling_summary is not None:
             payload["filling"] = self.filling_summary
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def spin_report(Z, cusp_ids: Sequence[str], data: Optional[ChainComplexData] = None,
+                **summary) -> SpinReport:
+    """The all-Bounding report of a filling Z: its orientability, spin
+    obstruction and spin structures, read off one Z/2 chain complex
+    (``data``, built here when not given), back the labels of ``cusp_ids``.
+    The filling summary holds Z's cell count, its orientability, the w2
+    provenance and the ``summary`` fields."""
+    if data is None:
+        data = chain_complex_of(Z, "Z2")
+    orient = orientability(Z, data)
+    wu = spin_obstruction(Z, data)
+    spin = spin_structures(Z, data, orient, wu)
+    labels = bounding_filling_certificate(cusp_ids, orient, wu)
+    return SpinReport(
+        spinnable=True,
+        structure_count=spin.structure_count,
+        cusps=labels,
+        dirac=dirac_label([c.label for c in labels]),
+        filling_summary={"cells": Z.num_cells(), "orientable": orient.orientable, "w2": wu.provenance,
+                         **summary},
+    )

@@ -13,18 +13,11 @@ import re
 import sys
 from typing import Dict, Optional
 
-from .characteristic import (
-    SpinReport,
-    bounding_filling_certificate,
-    dirac_label,
-    orientability,
-    spin_obstruction,
-    spin_structures,
-)
+from .characteristic import spin_report
 from .chains import chain_complex_of, homology
 from .cubical import CubicalComplex
-from .errors import (BudgetError, CuspforgeError, ValidationError, cell_budget, json_document, read_file,
-                     write_file)
+from .errors import (BudgetError, CertificateError, CuspforgeError, ValidationError, cell_budget, json_document,
+                     read_file, write_file)
 from .filling import (
     DiagonalChoice,
     FillingChoice,
@@ -179,24 +172,33 @@ def _cmd_census(args) -> int:
     return 0
 
 
+def _check_filling_of(P, Z: CubicalComplex) -> None:
+    """Refuse Z unless it is the colour manifold of a Dehn filling of P.
+
+    A filled axis pair of an ideal row is an edge of the filling's sphere,
+    so it supports 2-cells of Z; no other axis pair of the row does, since
+    a diagonal lies in one cross facet only.  The choice read off Z's
+    2-cell supports must rebuild Z exactly."""
+    supports = {sup for sup, _, _ in Z.support_runs(2)}
+    axis_index = {}
+    for v in P.ideal_vertices:
+        hits = [i for i, axis in enumerate(P.axes_of(v)) if tuple(sorted(axis)) in supports]
+        if len(hits) != 1:
+            raise CertificateError(f"the filling is not a filling of this manifold: ideal vertex {sorted(v)} "
+                                   f"has {len(hits)} filled axes, not one")
+        axis_index[v] = hits[0]
+    filled = dehn_fill(P, FillingChoice(axis_index))
+    if Z != colour_manifold(filled.lattice, Colouring.distinct(P.num_facets)):
+        raise CertificateError("the filling is not the colour manifold of this manifold's Dehn filling")
+
+
 def _cmd_spin_report(args) -> int:
     lattice = FaceLattice.from_json(read_file(args.manifold))
     P = ideal_polytope_from_lattice(lattice)
     cusp_ids = cusp_census(P).cusp_ids()
     Z = _load_cubical(args.filling)
-    data = chain_complex_of(Z, "Z2")
-    orient = orientability(Z, data)
-    wu = spin_obstruction(Z, data)
-    spin = spin_structures(Z, data, orient, wu)
-    labels = bounding_filling_certificate(cusp_ids, orient, wu)
-    report = SpinReport(
-        spinnable=True,
-        structure_count=spin.structure_count,
-        cusps=tuple(labels),
-        dirac=dirac_label([c.label for c in labels]),
-        filling_summary={"cells": Z.num_cells(), "orientable": orient.orientable,
-                         "w2": wu.provenance},
-    )
+    report = spin_report(Z, cusp_ids)
+    _check_filling_of(P, Z)
     _write_out(args.out, report.to_json())
     return 0
 

@@ -1,20 +1,14 @@
 """GF(2) linear algebra on int bitsets.
 
-A matrix is a list of rows; each row is a Python int.  Rows come in one
-of two layouts, named by a width: at width 0 (natural) bit j is the entry
-in column j; at width w > 0 (top-first) the entry in column j is bit
-w - 1 - j, so that the lowest column is the highest bit, which
-``int.bit_length`` reads in O(1) where the lowest bit costs a copy of the
-row.  ``mirror`` turns one layout into the other.
-
-One elimination builds every set of pivots: ``_tagged_pivots`` reduces
-the rows in order at their lowest column, in either layout, keys each
-pivot by that column, and tags each reduced row with the input rows it
-sums.  Ranks are its pivot counts, kernels its zero rows' tags, a solve
-is one ``reduce_tagged`` against its pivots, and a coset representative
-one ``normal_form`` sweep over natural rows.  Every routine is
-deterministic for a fixed input ordering, and both layouts give the same
-pivot columns, order, tags and kernel, with rows equal through ``mirror``.
+A matrix is a list of rows; each row is a Python int whose bit j is the
+entry in column j.  One elimination builds every set of pivots:
+``_tagged_pivots`` reduces the rows in order at their highest set bit,
+which ``int.bit_length`` reads in O(1), keys each pivot by that column,
+and tags each reduced row with the input rows it sums.  Every stored
+pivot row has its highest bit at its key.  Ranks are its pivot counts,
+kernels its zero rows' tags, a solve is one ``reduce_tagged`` against its
+pivots, and a coset representative one ``normal_form`` sweep over them.
+Every routine is deterministic for a fixed input ordering.
 """
 
 from __future__ import annotations
@@ -27,28 +21,14 @@ def lowbit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-# each byte with its eight bits reversed
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def mirror(x: int, width: int) -> int:
-    """x with its bits 0 .. width - 1 reversed: bit i moves to bit
-    width - 1 - i, between the natural and top-first layouts of rows of
-    that width (0 <= x < 2**width)."""
-    size = -(-width // 8)
-    return int.from_bytes(x.to_bytes(size, "big").translate(_REVERSED_BYTES), "little") >> (8 * size - width)
-
-
-def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0,
-                  width: int = 0) -> Tuple[int, int]:
-    """Reduce v against {pivot column: (row, tag)}, rows laid out at
-    ``width`` (0: natural).
+def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0) -> Tuple[int, int]:
+    """Reduce v against {pivot column: (row, tag)} (highest-bit pivots).
 
     Returns (residue, tag xor the tags of every row used), so a tag
     records which combination of inputs the residue differs from v by.
     """
     while v:
-        hit = pivots.get(width - v.bit_length() if width else lowbit(v))
+        hit = pivots.get(v.bit_length() - 1)
         if hit is None:
             break
         v ^= hit[0]
@@ -57,14 +37,13 @@ def reduce_tagged(v: int, pivots: Dict[int, Tuple[int, int]], tag: int = 0,
 
 
 def _tagged_pivots(
-    rows: Iterable[int], skip: Container[int] = (), width: int = 0
+    rows: Iterable[int], skip: Container[int] = ()
 ) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
     """Row reduce with tags (bit i = input row i): the pivots, in input
     order, and the tags of the rows that reduced to zero.  Rows whose index
-    is in ``skip`` are left out, as if absent.  Rows are laid out at
-    ``width`` (0: natural).  The loop is ``reduce_tagged``'s, inlined so
-    that each step finds the row's lowest column once, and that column
-    keys the new pivot."""
+    is in ``skip`` are left out, as if absent.  The loop is
+    ``reduce_tagged``'s, inlined so that each step reads the row's highest
+    bit once, and that bit keys the new pivot."""
     pivots: Dict[int, Tuple[int, int]] = {}
     kernel: List[int] = []
     get = pivots.get
@@ -73,10 +52,10 @@ def _tagged_pivots(
             continue
         tag = 1 << i
         while row:
-            low = width - row.bit_length() if width else (row & -row).bit_length() - 1
-            hit = get(low)
+            top = row.bit_length() - 1
+            hit = get(top)
             if hit is None:
-                pivots[low] = (row, tag)
+                pivots[top] = (row, tag)
                 break
             row ^= hit[0]
             tag ^= hit[1]
@@ -85,11 +64,10 @@ def _tagged_pivots(
     return pivots, kernel
 
 
-def pivot_rows(rows: Iterable[int], skip: Container[int] = (),
-               width: int = 0) -> Tuple[Dict[int, int], List[int]]:
+def pivot_rows(rows: Iterable[int], skip: Container[int] = ()) -> Tuple[Dict[int, int], List[int]]:
     """``_tagged_pivots`` with the pivots' tags dropped: {pivot column: row}
     and the kernel tags."""
-    pivots, kernel = _tagged_pivots(rows, skip, width)
+    pivots, kernel = _tagged_pivots(rows, skip)
     return {p: row for p, (row, _) in pivots.items()}, kernel
 
 
@@ -98,15 +76,14 @@ def rank_of_rows(rows: Iterable[int]) -> int:
 
 
 def normal_form(v: int, pivots: Dict[int, int]) -> int:
-    """Canonical representative of v modulo the span of {pivot column: row}
-    (natural rows).
+    """Canonical representative of v modulo the span of {pivot column: row}.
 
-    One sweep in increasing column order clears each pivot column of v,
-    and no row touches a column below its own pivot.  The pivot columns
+    One sweep in decreasing column order clears each pivot column of v,
+    and no row touches a column above its own pivot.  The pivot columns
     of a span do not depend on which basis was reduced, so neither does
     the result.
     """
-    for q in sorted(pivots):
+    for q in sorted(pivots, reverse=True):
         if (v >> q) & 1:
             v ^= pivots[q]
     return v

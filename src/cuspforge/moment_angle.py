@@ -22,7 +22,10 @@ counts them and names each section a torus or not, walking P's ideal
 rows and keeping one span and one torus flag per row (the per-vertex
 ``entries`` are a view), and
 ``truncated_quotient`` puts each boundary cell on the section of its
-coset representative.  The union-find of ``preimage_components`` counts
+coset representative.  A coset is named by its normal form, the member
+with every pivot column of the span cleared, where the span's rows
+pivot on their highest set bit, as every GF(2) elimination here does.
+The union-find of ``preimage_components`` counts
 the same cusps independently, as the components of the filling cubes'
 preimages in the filled manifold.
 """

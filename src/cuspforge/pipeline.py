@@ -18,13 +18,11 @@ import numpy as np
 
 from .characteristic import (
     SpinReport,
-    WuReport,
-    bounding_filling_certificate,
     dirac_label,
     lie_cusp_certificate,
     orientability,
     spin_obstruction,
-    spin_structures,
+    spin_report,
     summand_certificate,
 )
 from .chains import chain_complex_of, homology, subcomplex_selection
@@ -191,11 +189,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     betti = stage("homology", lambda: homology(data_z2)).betti
     facts["filling_betti_z2"] = betti
 
-    orient = stage("orientability", lambda: orientability(Z, data_z2))
-    wu: WuReport = stage("spin_obstruction", lambda: spin_obstruction(Z, data_z2))
-    spin = stage("spin_structures", lambda: spin_structures(Z, data_z2, orient, wu))
-    facts["filling_spin_structures"] = spin.structure_count
-
     def check_preimages():
         pairs = list(filled.filling_faces.values())
         total = 0
@@ -213,23 +206,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     stage("preimage_check", check_preimages)
 
-    labels = stage(
-        "bounding_certificate",
-        lambda: bounding_filling_certificate(census.cusp_ids(cfg.budget), orient, wu),
-    )
-    label_values = [c.label for c in labels]
-    report = SpinReport(
-        spinnable=True,
-        structure_count=spin.structure_count,
-        cusps=tuple(labels),
-        dirac=dirac_label(label_values),
-        filling_summary={
-            "cells": Z.num_cells(),
-            "betti_z2": list(betti),
-            "orientable": orient.orientable,
-            "w2": wu.provenance,
-        },
-    )
+    report = stage("spin_report", lambda: spin_report(Z, census.cusp_ids(cfg.budget), data_z2,
+                                                      betti_z2=list(betti)))
+    facts["filling_spin_structures"] = report.structure_count
     _write(cfg.outdir, "report.json", report.to_json, artifacts)
     return PipelineResult(cfg, census, report, facts, artifacts)
 

@@ -25,12 +25,14 @@ builders once stored, and the per-entry readers the library replaced
 on that form, verbatim, as oracles.
 
 The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
-replaced are kept verbatim, and so is that elimination as it was before
-it inlined ``reduce_tagged``'s loop (``tagged_pivots_oracle``): the untagged elimination, the rref pass with
-its coset representative, the kernel, solve and identity helpers, and the
-per-bit transpose of small matrices.  ``quotient_representatives_oracle``
-is the cohomology basis's reduction as it ran on natural rows, before the
-chain data's coboundary rows were laid out top-first.  ``transpose_rows``,
+replaced are kept, and so is that elimination as it was before it
+inlined ``reduce_tagged``'s loop (``tagged_pivots_oracle``): the untagged
+elimination, the rref pass with its coset representative, the kernel,
+solve and identity helpers, and the per-bit transpose of small matrices.
+``quotient_representatives_oracle`` is the cohomology basis's reduction,
+written out on its own.  Each pivots on the highest set bit, the
+library's one rule, and the rref pass inter-reduces in increasing pivot
+order; they are otherwise verbatim.  ``transpose_rows``,
 the bit-packing transpose, left the library when the intersection form
 began to gather its bit slices; it is kept verbatim, and so is the
 transpose-based form, ``intersection_form_oracle``, but for reading its
@@ -504,14 +506,14 @@ def reduce_rows(rows: Iterable[int]) -> Dict[int, int]:
     for row in rows:
         row = reduce_vector(row, pivots)
         if row:
-            pivots[gf2.lowbit(row)] = row
+            pivots[row.bit_length() - 1] = row
     return pivots
 
 
 def reduce_vector(v: int, pivots: Dict[int, int]) -> int:
-    """Reduce v against a pivot dict (lowest-bit pivots)."""
+    """Reduce v against a pivot dict (highest-bit pivots)."""
     while v:
-        p = gf2.lowbit(v)
+        p = v.bit_length() - 1
         row = pivots.get(p)
         if row is None:
             return v
@@ -522,9 +524,9 @@ def reduce_vector(v: int, pivots: Dict[int, int]) -> int:
 def rref_pivots(pivots: Dict[int, int]) -> Dict[int, int]:
     """Inter-reduce pivot rows so each pivot bit appears in one row only."""
     out: Dict[int, int] = {}
-    for p in sorted(pivots, reverse=True):
+    for p in sorted(pivots):
         row = pivots[p]
-        for q in sorted(out):
+        for q in sorted(out, reverse=True):
             if q != p and (row >> q) & 1:
                 row ^= out[q]
         out[p] = row
@@ -552,22 +554,22 @@ def tagged_pivots_oracle(
             continue
         row, tag = gf2.reduce_tagged(row, pivots, 1 << i)
         if row:
-            pivots[gf2.lowbit(row)] = (row, tag)
+            pivots[row.bit_length() - 1] = (row, tag)
         else:
             kernel.append(tag)
     return pivots, kernel
 
 
 def quotient_representatives_oracle(cycles: Sequence[int], image: Dict[int, int]) -> List[int]:
-    """The representatives of ``Z2QuotientBasis`` as it read natural rows:
-    each cycle reduced at its lowest bit against the image {lowest bit:
-    row} and the earlier representatives, kept when non-zero."""
+    """The representatives of ``Z2QuotientBasis``: each cycle reduced at
+    its highest bit against the image {highest bit: row} and the earlier
+    representatives, kept when non-zero."""
     pivots = {p: (row, 0) for p, row in image.items()}
     reps: List[int] = []
     for vec in cycles:
         red = gf2.reduce_tagged(vec, pivots)[0]
         if red:
-            pivots[gf2.lowbit(red)] = (red, 1 << len(reps))
+            pivots[red.bit_length() - 1] = (red, 1 << len(reps))
             reps.append(red)
     return reps
 

@@ -711,13 +711,10 @@ def _odd_rows(entries, k: int) -> List[int]:
 
 
 def _cohomology_basis_oracle(data: ChainComplexData, k: int, entries) -> Z2QuotientBasis:
-    """H^k(-; Z/2): the same quotient on the transposed boundary maps, its
-    natural image rows mirrored into the basis's top-first layout."""
-    n = data.size(k)
-    cocycles = _right_kernel_basis(_odd_rows(entries, k + 1), n)
+    """H^k(-; Z/2): the same quotient on the transposed boundary maps."""
+    cocycles = _right_kernel_basis(_odd_rows(entries, k + 1), data.size(k))
     coboundaries = transpose_rows(_odd_rows(entries, k), data.size(k - 1))
-    image = {p: gf2.mirror(row, n) for p, row in reduce_rows(coboundaries).items()}
-    return Z2QuotientBasis(k, cocycles, image, n)
+    return Z2QuotientBasis(k, cocycles, reduce_rows(coboundaries))
 
 
 def test_right_kernel_annihilated_by_matrix():
@@ -767,8 +764,8 @@ def test_cohomology_bases_match_oracle(name):
         basis = cohomology_z2_basis(data, k)
         oracle = _cohomology_basis_oracle(data, k, entries)
         assert basis.dimension == oracle.dimension, k
-        # the representatives of the natural-layout reduction, int for int
-        image = {p: gf2.mirror(row, data.size(k)) for p, row in data.gf2_coreduction(k - 1)[0].items()}
+        # the representatives of the oracle's reduction, int for int
+        image = data.gf2_coreduction(k - 1)[0]
         assert basis.representatives == quotient_representatives_oracle(data.gf2_coreduction(k)[1], image), k
         assert all(is_cocycle(data, rep, k) for rep in basis.representatives)
         # the oracle's classes in the new basis: an invertible change of basis
@@ -803,6 +800,16 @@ def test_quotient_coordinates_refuse_what_is_not_a_cocycle_of_the_complex(name, 
             basis.coordinates(vec)
 
 
+def test_quotient_basis_refuses_an_image_row_keyed_off_its_highest_bit():
+    """Such a row would never clear the keyed bit, so the reduction would
+    not end: it is refused before any reduction runs."""
+    for image in ({1: 0b01}, {0: 0b11}, {0: 0}):
+        with pytest.raises(ValidationError, match="^image rows must be keyed at their highest bit$") as info:
+            Z2QuotientBasis(1, [0b10], image)
+        assert info.value.exit_code == 2
+    assert Z2QuotientBasis(1, [0b10, 0b11], {0: 0b01}).representatives == [0b10]
+
+
 @pytest.mark.parametrize("name", ["cusped P^3 quotient", "filled P^4"])
 def test_coreduction_matches_the_elimination_of_every_coboundary_row(name):
     """gf2_coreduction leaves the rows it skips unbuilt: its pivots, their
@@ -814,8 +821,8 @@ def test_coreduction_matches_the_elimination_of_every_coboundary_row(name):
         skip = data.gf2_coreduction(k - 1)[0] if k > 0 else {}
         pivots, kernel = gf2.pivot_rows(gf2_corows_array_oracle(data, k), skip)
         reduced = data.gf2_coreduction(k)
-        natural = [(p, gf2.mirror(row, data.size(k + 1))) for p, row in reduced[0].items()]
-        assert natural == list(pivots.items()) and reduced[1] == kernel, k
+        assert list(reduced[0].items()) == list(pivots.items()) and reduced[1] == kernel, k
+        assert all(row.bit_length() - 1 == p for p, row in reduced[0].items()), k
         skipped += len(skip)
     assert skipped
 
@@ -960,8 +967,7 @@ def test_builders_and_readers_match_the_per_cell_entry_oracles(name):
         # the rows that gf2_coreduction(k) skips, at the pivots of degree k - 1, stay 0
         skip = data.gf2_coreduction(k - 1)[0] if k > 0 else {}
         want = gf2_corows_oracle(upper, data.size(k))
-        natural = [gf2.mirror(row, data.size(k + 1)) for row in data.gf2_corows(k)]
-        assert natural == [0 if j in skip else row for j, row in enumerate(want)], k
+        assert data.gf2_corows(k) == [0 if j in skip else row for j, row in enumerate(want)], k
         # the same entries in the same insertion order, which the elimination sees
         assert ([list(r.items()) for r in data._sparse_rows(k)]
                 == [list(r.items()) for r in sparse_rows_oracle(rows, data.size(k - 1))]), k

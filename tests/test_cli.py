@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -12,9 +13,12 @@ from hypothesis.strategies import integers, lists, sampled_from, text, tuples
 
 from cuspforge import characteristic, cli, lattice, pipeline
 from cuspforge.cli import main
-from cuspforge.errors import BudgetError, ValidationError
+from cuspforge.cubical import CubicalComplex
+from cuspforge.errors import BudgetError, CertificateError, ValidationError
+from cuspforge.filling import dehn_fill, enumerate_filling_choices, resolve_choice
 from cuspforge.lattice import FaceLattice, cube_lattice, polygon_lattice
 from cuspforge.moment_angle import Colouring, colour_manifold, real_moment_angle
+from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.simplicial import boundary_of_simplex, octahedron_boundary
 
@@ -143,6 +147,38 @@ def test_spin_report_refuses_more_cusps_than_the_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.splitlines()[0])["code"] == 3
+
+
+def _filling(P, choice) -> CubicalComplex:
+    return colour_manifold(dehn_fill(P, choice).lattice, Colouring.distinct(P.num_facets))
+
+
+def test_spin_report_refuses_a_filling_of_another_manifold(tmp_path, capsys):
+    """P^3 with the n=4 preset's filling, and with an n=3 filling moved
+    into a larger cube, exits 4 with nothing written; each filling of P^3
+    is certified through the choice read off its 2-cells."""
+    p3 = tmp_path / "p3.json"
+    run(["gosset", "--n", "3", "--dual", "--out", str(p3)])
+    P3, P4 = ideal_dual(gosset(3)), ideal_dual(gosset(4))
+    m4bar = tmp_path / "m4bar.rzk1"
+    m4bar.write_bytes(_filling(P4, resolve_choice(P4, "auto")).to_rzk1())
+    Z3 = _filling(P3, resolve_choice(P3, "auto"))
+    wider = tmp_path / "wider.json"
+    cells = [c for d in range(Z3.dim + 1) for c in Z3.cells_of_dim(d)]
+    wider.write_text(CubicalComplex(Z3.ambient + 1, cells).to_json())
+    for filling, message in ((m4bar, r"has 2 filled axes, not one$"),
+                             (wider, r"^the filling is not the colour manifold")):
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert run(["spin-report", "--manifold", str(p3), "--filling", str(filling), "--out", str(out)]) == 4
+        line = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert line["code"] == CertificateError.exit_code == 4
+        assert re.search(message, line["error"]) and not out.exists()
+    for choice in enumerate_filling_choices(P3):
+        filling = tmp_path / "m3bar.json"
+        filling.write_text(_filling(P3, choice).to_json())
+        assert run(["spin-report", "--manifold", str(p3), "--filling", str(filling)]) == 0
+        assert json.loads(capsys.readouterr().out)["dirac"] == "Discrete"
 
 
 def test_pipeline_determinism(tmp_path):

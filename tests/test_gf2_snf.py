@@ -189,31 +189,6 @@ def test_pivot_loop_matches_the_reduce_tagged_loop(seed):
             assert list(got[0]) == list(want[0])
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 200])
-def test_top_first_rows_reduce_as_their_natural_mirrors(width):
-    """The one loop on top-first rows at ``width`` against the natural
-    oracle on their mirrors: the same pivot columns in the same order, the
-    same tags and kernel, rows equal through ``mirror``; ``reduce_tagged``
-    the same way.  ``mirror`` round-trips and moves bit width - 1 to 0."""
-    rng = random.Random(width)
-    for _ in range(30):
-        natural = [rng.getrandbits(width) for _ in range(rng.randint(0, 40))]
-        natural += [0] * rng.randint(0, 3) + rng.choices(natural, k=rng.randint(0, 5)) if natural else []
-        rng.shuffle(natural)
-        rows = [gf2.mirror(row, width) for row in natural]
-        assert [gf2.mirror(row, width) for row in rows] == natural
-        for skip in ((), set(rng.sample(range(len(rows)), len(rows) // 3))):
-            got, kernel = gf2._tagged_pivots(rows, skip, width)
-            want, want_kernel = tagged_pivots_oracle(natural, skip)
-            assert list(got) == list(want) and kernel == want_kernel
-            assert {p: (gf2.mirror(row, width), tag) for p, (row, tag) in got.items()} == want
-            for v in [rng.getrandbits(width), _xor_of(natural, rng.getrandbits(len(natural)))]:
-                residue, tag = gf2.reduce_tagged(gf2.mirror(v, width), got, 5, width)
-                assert (gf2.mirror(residue, width), tag) == gf2.reduce_tagged(v, want, 5)
-    if width:
-        assert gf2.mirror(1 << (width - 1), width) == 1 and gf2.mirror(1, width) == 1 << (width - 1)
-
-
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 

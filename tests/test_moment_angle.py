@@ -366,6 +366,16 @@ def test_truncated_incidences_match_the_per_face_walk(n, seed):
     _assert_incidences_match_oracle(truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_colour_spans_pivot_on_the_highest_bit(seed):
+    """Every colour span's pivot row has its highest bit at its key, and
+    each cell is named by its coset's normal form."""
+    P = ideal_dual(gosset(3))
+    Q = truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient
+    assert all(row.bit_length() - 1 == p for span in Q._pivots for p, row in span.items())
+    assert all(Q.rep_of(gid, rep) == rep for bucket in Q.cells for gid, rep in bucket)
+
+
 def test_every_orientation_reaches_the_one_sign_propagation(monkeypatch):
     calls = []
     for module in (characteristic, moment_angle):

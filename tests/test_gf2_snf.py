@@ -189,6 +189,36 @@ def test_pivot_loop_matches_the_reduce_tagged_loop(seed):
             assert list(got[0]) == list(want[0])
 
 
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 200])
+def test_natural_rows_pivot_on_their_highest_bit(width):
+    """At widths on both sides of byte and word boundaries, every stored
+    pivot row has its highest set bit at its key, its tag xors the inputs
+    to that row, the pivots count the brute-force rank, and a residue of
+    ``reduce_tagged`` or ``normal_form`` carries no pivot column.  Bit c is
+    column c: the unit row of column c is keyed at c."""
+    rng = random.Random(width)
+    for _ in range(30):
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 40))]
+        rows += [0] * rng.randint(0, 3) + rng.choices(rows, k=rng.randint(0, 5)) if rows else []
+        rng.shuffle(rows)
+        for skip in ((), set(rng.sample(range(len(rows)), len(rows) // 3))):
+            pivots, kernel = gf2._tagged_pivots(rows, skip)
+            kept = [0 if i in skip else row for i, row in enumerate(rows)]
+            assert len(pivots) == brute_rank_mod2(kept, width)
+            assert len(kernel) == len(rows) - len(skip) - len(pivots)
+            for p, (row, tag) in pivots.items():
+                assert row.bit_length() - 1 == p < width and _xor_of(rows, tag) == row
+            assert all(_xor_of(rows, tag) == 0 for tag in kernel)
+            untagged = {p: row for p, (row, _) in pivots.items()}
+            for v in [rng.getrandbits(width), _xor_of(kept, rng.getrandbits(len(rows)))]:
+                residue, tag = gf2.reduce_tagged(v, pivots)
+                assert residue.bit_length() - 1 not in pivots
+                assert residue ^ _xor_of(rows, tag) == v
+                assert not any((gf2.normal_form(v, untagged) >> p) & 1 for p in pivots)
+    for col in range(width):
+        assert list(gf2._tagged_pivots([1 << col])[0]) == [col]
+
+
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 

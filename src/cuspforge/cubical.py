@@ -11,14 +11,16 @@ as one array, and both hand them to one adoption routine: each support
 becomes a run (support, index of its first cell, sorted sign array),
 int64 up to ambient 62 and exact Python ints (dtype object) above, and
 every input check runs once per run.  Cells of one dimension are ordered
-by support, then signs.  The faces of a run on one axis all lie in the
-run of the smaller support, so ``face_table(k)`` finds every face index
-of the k-cells with one sorted search per (support, axis), and it is the
-one routine that finds cube faces: the closure check, the cubical chain
-complex (and through its rows the cup-product splittings), the preimage
-merges and the vertex links all read it.  The tables, the links and the
-per-cell view ``cells_of_dim`` are store views (``store.Store``), ignored
-by ``==``, ``hash``, pickles and both writers, which read the runs.
+by support, then signs, so keying a cell by (its run, its signs) gives
+keys that ascend in cell order, and ``face_table(k)`` finds every face
+index of the k-cells with one sorted search of those keys per dimension.
+It is the one routine that finds cube faces or corners: the closure
+check, the cubical chain complex (and through its rows the cup-product
+splittings), the preimage merges and the vertex links all read it; a
+k-cell's vertices are those of its two faces on its first axis.  The
+tables, the links and the per-cell view ``cells_of_dim`` are store views
+(``store.Store``), ignored by ``==``, ``hash``, pickles and both writers,
+which read the runs.
 ``relabel`` permutes the ambient axes; it is the image
 ``cubical_isomorphism`` checks.
 """
@@ -63,16 +65,18 @@ class CubicalComplex(Store):
     def from_supports(cls, ambient: int, supports: Sequence[Tuple[int, ...]], budget: Optional[int] = None):
         """Every cell of [-1,1]^ambient on the given sorted supports, one run
         per support: the bits of 0, 1, ..., 2^r - 1 written onto its r free
-        axes.  Their count meets the budget before any sign array is built."""
+        axes, one shift and mask per block of consecutive free axes.  Their
+        count meets the budget before any sign array is built."""
         check_budget(sum(1 << (ambient - len(sup)) for sup in supports), budget)
         self = cls.__new__(cls)
         self.ambient, runs = ambient, {}
         for sup in supports:
-            free = [i for i in range(ambient) if i not in sup]
-            patterns = np.arange(1 << len(free)).astype(self._sign_dtype)
+            patterns = np.arange(1 << (ambient - len(sup))).astype(self._sign_dtype)
             runs[sup] = np.zeros(len(patterns), dtype=self._sign_dtype)
-            for j, axis in enumerate(free):
-                runs[sup] |= (patterns >> j & 1) << axis
+            # the free axes lo + 1 .. hi - 1 after j support axes read pattern bits lo + 1 - j on
+            for j, (lo, hi) in enumerate(zip((-1,) + sup, sup + (ambient,))):
+                if hi > lo + 1:
+                    runs[sup] |= (patterns >> (lo + 1 - j) & (1 << (hi - lo - 1)) - 1) << (lo + 1)
         self._adopt(ambient, runs, budget, True)
         return self
 
@@ -127,26 +131,52 @@ class CubicalComplex(Store):
         return self._view(("face_table", k), lambda: self._face_table(k))
 
     def _face_table(self, k: int) -> np.ndarray:
-        lower = {sup: (start, signs) for sup, start, signs in self.support_runs(k - 1)}
-        empty = (0, np.zeros(0, dtype=self._sign_dtype))
-        table = np.empty((sum(len(signs) for _, _, signs in self.support_runs(k)), 2 * k), dtype=np.int64)
-        for sup, start, signs in self.support_runs(k):
-            rows = table[start:start + len(signs)]
-            found = np.empty(rows.shape, dtype=bool)
-            for p, i in enumerate(sup):
-                first, face_signs = lower.get(sup[:p] + sup[p + 1:], empty)
-                for col, target in ((2 * p, signs | (1 << i)), (2 * p + 1, signs)):
-                    pos = np.searchsorted(face_signs, target)
-                    hit = pos < len(face_signs)
-                    hit[hit] = face_signs[pos[hit]] == target[hit]
-                    rows[:, col] = first + pos
-                    found[:, col] = hit
-            if not found.all():
-                r = int(np.flatnonzero(~found.all(axis=1))[0])
-                p = int(np.flatnonzero(~found[r])[0]) // 2
-                side = "-1" if not found[r, 2 * p + 1] else "+1"
-                raise ValidationError(f"missing {side} face of {(sup, int(signs[r]))} at {sup[p]}")
+        # One search of every face of every k-cell among the (k-1)-cells, keyed
+        # (face run, signs): the keys of the (k-1)-cells ascend in cell order,
+        # so a hit's position is the face index.  Column by column, the
+        # targets ascend within each run.
+        lower, upper = self.support_runs(k - 1), self.support_runs(k)
+        run_of = {sup: r for r, (sup, _, _) in enumerate(lower)}
+        # per run, columns 2p and 2p + 1: the face run on its p-th axis (-1 if
+        # absent) and the bit that the +1 face sets; then the same per k-cell,
+        # one row per column
+        face_runs = np.array([run_of.get(sup[:p] + sup[p + 1:], -1) for sup, _, _ in upper
+                              for p in range(k) for _ in "+-"], dtype=np.int64).reshape(-1, 2 * k)
+        bits = np.array([b for sup, _, _ in upper for i in sup for b in (1 << i, 0)],
+                        dtype=self._sign_dtype).reshape(-1, 2 * k)
+        lengths = [len(signs) for _, _, signs in upper]
+        # the kept table before the temporaries, so that it does not sit on top of them in the heap
+        table = np.empty((sum(lengths), 2 * k), dtype=np.int64)
+        signs = self._signs(k)
+        wanted, targets = np.repeat(face_runs.T, lengths, axis=1), np.repeat(bits.T, lengths, axis=1)
+        targets |= signs
+        low_runs = np.repeat(np.arange(len(lower)), [len(low) for _, _, low in lower])
+        low_signs = self._signs(k - 1)
+        if self._sign_dtype is np.int64 and len(lower) << self.ambient < 1 << 63:
+            keys = low_runs << self.ambient | low_signs
+            wanted <<= self.ambient
+            wanted |= targets
+        else:  # the signs' ranks among every sign involved keep the keys int64
+            values, rank = np.unique(np.concatenate((low_signs, targets.ravel())), return_inverse=True)
+            keys = low_runs * len(values) + rank[:len(low_signs)]
+            wanted *= len(values)
+            wanted += rank[len(low_signs):].reshape(targets.shape)
+        pos = np.searchsorted(keys, wanted.ravel()).reshape(wanted.shape)
+        # past the last key, the last key is less than the target
+        found = np.take(keys, pos, mode="clip") == wanted if len(keys) else np.zeros(pos.shape, dtype=bool)
+        if not found.all():
+            missing = ~found.T
+            r = int(np.flatnonzero(missing.any(axis=1))[0])
+            p = int(np.flatnonzero(missing[r])[0]) // 2
+            sup = next(sup for sup, start, _ in reversed(upper) if start <= r)
+            side = "-1" if missing[r, 2 * p + 1] else "+1"
+            raise ValidationError(f"missing {side} face of {(sup, int(signs[r]))} at {sup[p]}")
+        table[...] = pos.T
         return table
+
+    def _signs(self, k: int) -> np.ndarray:
+        """The signs of the k-cells in cell order, as one array."""
+        return np.concatenate([signs for _, _, signs in self.support_runs(k)] + [np.zeros(0, self._sign_dtype)])
 
     # -- queries -----------------------------------------------------------
 
@@ -182,11 +212,12 @@ class CubicalComplex(Store):
     def vertex_links(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
         """Sign pattern of each vertex -> supports of the cells incident to it.
 
-        The cells of a support run are incident to the vertices signs | t
-        for every t inside the support, so one pass over the runs of every
-        positive dimension gives all labelled links, pure or not.  Vertices
-        with equal links share one frozenset; an isolated vertex maps to
-        the empty set.
+        The vertex indices of each k-cell are read off the face tables,
+        those of its +1 and -1 faces on its first axis, and one stable sort
+        groups every (vertex, run) incidence by vertex, so one pass gives
+        all labelled links, pure or not.  A missing face is refused with the
+        face table's message.  Vertices with equal links share one
+        frozenset; an isolated vertex maps to the empty set.
         """
         return dict(self._link_map())
 
@@ -195,21 +226,20 @@ class CubicalComplex(Store):
         return self._view("links", self._links)
 
     def _links(self) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
+        vertices = self._signs(0)
         runs = [run for d in range(1, self.dim + 1) for run in self.support_runs(d)]
-        vertices = self.support_runs(0)[0][2] if self.support_runs(0) else np.zeros(0, self._sign_dtype)
-        corner_runs = [np.zeros(0, dtype=np.int64)]
-        corner_vertices = [np.zeros(0, dtype=np.int64)]
-        for r, (sup, _, signs) in enumerate(runs):
-            t = np.array(list(gf2.submasks(gf2.vector_from_indices(sup))), dtype=signs.dtype)
-            corners = (signs[:, None] | t[None, :]).ravel()
-            idx = np.searchsorted(vertices, corners)
-            if not (idx < len(vertices)).all() or not (vertices[idx] == corners).all():
-                raise ValidationError(f"a vertex of a cell on support {sup} is missing")
-            corner_vertices.append(idx)
-            corner_runs.append(np.full(len(idx), r))
+        # each k-cell's vertex indices: those of its two faces on its first axis
+        corners = np.arange(len(vertices), dtype=np.min_scalar_type(max(len(vertices) - 1, 0)))[:, None]
+        vertex, counts = [corners[:0, 0]], []
+        for k in range(1, self.dim + 1):
+            table = self.face_table(k)
+            corners = np.concatenate((corners[table[:, 0]], corners[table[:, 1]]), axis=1)
+            vertex.append(corners.ravel())
+            counts += [len(signs) << k for _, _, signs in self.support_runs(k)]
         # run ids grouped by vertex, in run order within each vertex
-        vertex = np.concatenate(corner_vertices)
-        run_ids = np.concatenate(corner_runs)[np.argsort(vertex, kind="stable")]
+        vertex = np.concatenate(vertex)
+        run_ids = np.repeat(np.arange(len(runs), dtype=np.min_scalar_type(len(runs))), counts)
+        run_ids = run_ids[np.argsort(vertex, kind="stable")]
         ends = np.cumsum(np.bincount(vertex, minlength=len(vertices))).tolist()
         shared: Dict[bytes, FrozenSet[Tuple[int, ...]]] = {}
         links = {}
@@ -274,7 +304,8 @@ class CubicalComplex(Store):
 
     @classmethod
     def from_rzk1(cls, blob: bytes, budget: Optional[int] = None) -> "CubicalComplex":
-        """Read a cell table; its length must be exactly 12 + 12 * count."""
+        """Read a cell table; its length must be exactly 12 + 12 * count.  The
+        records are read as one array and grouped by support mask."""
         if blob[:4] != RZK1_MAGIC:
             raise ValidationError("bad magic; not an RZK1 cell table")
         if len(blob) < 12:
@@ -286,9 +317,15 @@ class CubicalComplex(Store):
                 f"RZK1 table of {count} cells needs {expected} bytes, got {len(blob)}")
         if ambient > 32:
             raise ValidationError("RZK1 format caps the ambient rank at 32")
-        cells = [(tuple(gf2.indices_of_vector(mask)), sg)
-                 for mask, sg in RZK1_CELL.iter_unpack(blob[12:])]
-        return cls(ambient, cells, budget=budget)
+        # one run per support mask; a sign of 2^63 or more turns negative and exceeds ambient
+        table = np.frombuffer(blob, dtype="<u4,<u8", offset=12, count=count)
+        order = np.argsort(table["f0"], kind="stable")
+        masks, firsts = np.unique(table["f0"][order], return_index=True)
+        runs = np.split(table["f1"][order].astype(np.int64), firsts[1:])
+        self = cls.__new__(cls)
+        self._adopt(ambient, {tuple(gf2.indices_of_vector(m)): run for m, run in zip(masks.tolist(), runs)},
+                    budget, True)
+        return self
 
     def __repr__(self) -> str:
         return f"CubicalComplex(ambient={self.ambient}, cells={self.num_cells()}, dim={self.dim})"

@@ -19,8 +19,11 @@ non-zero, and a row that comes to the top with its least entry above
 its bound is pushed back with that value, so no step rescans every row.
 Column t is cleared below the pivot, then row t right of it, and a pivot
 that does not divide every entry left has the first offending row folded
-into its row; a unit pivot divides every entry, so no divisibility scan
-follows it.
+into its row.  The moves only add integer multiples of entries, so every
+entry left after a step stays a multiple of that step's pivot: the scan
+for an offender runs only when the pivot differs from the last completed
+step's, taken as 1 before the first step, so no scan follows a unit
+pivot or a repeated one.
 
 The transforms are not tracked during the elimination, and are never
 built.  Row moves and column moves go to two logs, which are the only
@@ -258,6 +261,7 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
         return None
 
     limit = min(m, n)
+    last = 1  # the last completed step's pivot, which divides every entry left
     while t < limit:
         held = nnz + len(row_moves) + len(col_moves)
         if held > cap:
@@ -297,12 +301,13 @@ def smith_normal_form(matrix: Sequence[Union[Sequence[int], Dict[int, int]]],
             row_negate(t)
         # enforce divisibility: fold any non-multiple into row t and redo
         p = rows[t][t]
-        offender = None if p == 1 else next(
+        offender = None if p == last else next(
             (i for i in compress(range(t + 1, m), islice(rows, t + 1, None))
              if any(x % p for x in rows[i].values())), None)
         if offender is not None:
             row_add(offender, t, 1)
             continue
+        last = p
         t += 1
 
     diag = [rows[k].get(k, 0) for k in range(limit)]

@@ -53,7 +53,13 @@ sorted cell tuples and their frozenset) with the face tables it derived
 from them and the per-cell JSON and RZK1 writers, ``cell_set`` is the
 complex's cells as a frozenset, ``splittings_oracle`` finds the cup-product faces by key
 lookup, and ``preimage_components_oracle`` scans the cells for copies
-and merges.  ``maximal_facets_oracle`` is the quadratic maximality
+and merges.  The library searches the faces of one dimension all at
+once and reads the vertex links off the face tables; the parent forms are
+kept verbatim: ``face_table_per_run_oracle`` (one search per support,
+axis and side), ``links_by_corner_scan_oracle`` (every run's corners
+enumerated and searched among the vertices) and
+``from_rzk1_per_cell_oracle`` (the RZK1 reader that decoded one record
+per cell).  ``maximal_facets_oracle`` is the quadratic maximality
 filter of the simplicial constructor.
 
 A face lattice is one store of flat arrays, checked, ordered and written
@@ -117,7 +123,7 @@ import numpy as np
 
 from cuspforge import gf2
 from cuspforge.chains import ChainComplexData, _splittings, cohomology_z2_basis, is_cocycle
-from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, Run
+from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, CubicalComplex, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
 from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, cube_faces
@@ -859,6 +865,81 @@ class CubicalCellsOracle:
 def cell_set(Z) -> FrozenSet[Cell]:
     """Every cell of a cube complex, as a set of (support, signs) pairs."""
     return frozenset(c for d in range(Z.dim + 1) for c in Z.cells_of_dim(d))
+
+
+def face_table_per_run_oracle(Z, k: int) -> np.ndarray:
+    """The face table of the k-cells found one sorted search per (support,
+    axis, side) in the face run's own signs, verbatim."""
+    lower = {sup: (start, signs) for sup, start, signs in Z.support_runs(k - 1)}
+    empty = (0, np.zeros(0, dtype=Z._sign_dtype))
+    table = np.empty((sum(len(signs) for _, _, signs in Z.support_runs(k)), 2 * k), dtype=np.int64)
+    for sup, start, signs in Z.support_runs(k):
+        rows = table[start:start + len(signs)]
+        found = np.empty(rows.shape, dtype=bool)
+        for p, i in enumerate(sup):
+            first, face_signs = lower.get(sup[:p] + sup[p + 1:], empty)
+            for col, target in ((2 * p, signs | (1 << i)), (2 * p + 1, signs)):
+                pos = np.searchsorted(face_signs, target)
+                hit = pos < len(face_signs)
+                hit[hit] = face_signs[pos[hit]] == target[hit]
+                rows[:, col] = first + pos
+                found[:, col] = hit
+        if not found.all():
+            r = int(np.flatnonzero(~found.all(axis=1))[0])
+            p = int(np.flatnonzero(~found[r])[0]) // 2
+            side = "-1" if not found[r, 2 * p + 1] else "+1"
+            raise ValidationError(f"missing {side} face of {(sup, int(signs[r]))} at {sup[p]}")
+    return table
+
+
+def links_by_corner_scan_oracle(Z) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
+    """The vertex links found by enumerating each run's corners signs | t,
+    t inside the support, and searching them among the vertices, verbatim;
+    it needs the vertices only, not the faces between."""
+    runs = [run for d in range(1, Z.dim + 1) for run in Z.support_runs(d)]
+    vertices = Z.support_runs(0)[0][2] if Z.support_runs(0) else np.zeros(0, Z._sign_dtype)
+    corner_runs = [np.zeros(0, dtype=np.int64)]
+    corner_vertices = [np.zeros(0, dtype=np.int64)]
+    for r, (sup, _, signs) in enumerate(runs):
+        t = np.array(list(gf2.submasks(gf2.vector_from_indices(sup))), dtype=signs.dtype)
+        corners = (signs[:, None] | t[None, :]).ravel()
+        idx = np.searchsorted(vertices, corners)
+        if not (idx < len(vertices)).all() or not (vertices[idx] == corners).all():
+            raise ValidationError(f"a vertex of a cell on support {sup} is missing")
+        corner_vertices.append(idx)
+        corner_runs.append(np.full(len(idx), r))
+    # run ids grouped by vertex, in run order within each vertex
+    vertex = np.concatenate(corner_vertices)
+    run_ids = np.concatenate(corner_runs)[np.argsort(vertex, kind="stable")]
+    ends = np.cumsum(np.bincount(vertex, minlength=len(vertices))).tolist()
+    shared: Dict[bytes, FrozenSet[Tuple[int, ...]]] = {}
+    links = {}
+    for signs, begin, end in zip(vertices.tolist(), [0] + ends, ends):
+        ids = run_ids[begin:end]
+        link = shared.get(ids.tobytes())
+        if link is None:
+            link = shared[ids.tobytes()] = frozenset(runs[r][0] for r in ids.tolist())
+        links[signs] = link
+    return links
+
+
+def from_rzk1_per_cell_oracle(blob: bytes, budget: Optional[int] = None):
+    """The RZK1 reader that unpacks one record and decodes one support mask
+    per cell before the per-cell constructor, verbatim."""
+    if blob[:4] != RZK1_MAGIC:
+        raise ValidationError("bad magic; not an RZK1 cell table")
+    if len(blob) < 12:
+        raise ValidationError("truncated RZK1 header")
+    ambient, count = struct.unpack_from("<II", blob, 4)
+    expected = 12 + RZK1_CELL.size * count
+    if len(blob) != expected:
+        raise ValidationError(
+            f"RZK1 table of {count} cells needs {expected} bytes, got {len(blob)}")
+    if ambient > 32:
+        raise ValidationError("RZK1 format caps the ambient rank at 32")
+    cells = [(tuple(gf2.indices_of_vector(mask)), sg)
+             for mask, sg in RZK1_CELL.iter_unpack(blob[12:])]
+    return CubicalComplex(ambient, cells, budget=budget)
 
 
 def splittings_oracle(data, k: int, l: int) -> List[Tuple[int, int, int]]:

@@ -1,18 +1,22 @@
 """Cube subcomplexes: closure, symmetries, links, serialization."""
 
+import ast
+import inspect
 import json
 import pickle
+import struct
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import composite, integers, lists, permutations, randoms, sampled_from
+from hypothesis.strategies import composite, integers, lists, permutations, randoms, sampled_from, tuples
 
-from cuspforge import cubical, gf2
+from cuspforge import cubical
 from cuspforge.chains import ChainComplexData, chain_complex_of
 from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, CuspforgeError, ValidationError
+from cuspforge.filling import dehn_fill, enumerate_filling_choices
 from cuspforge.gf2 import submasks, vector_from_indices
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import polygon_lattice
@@ -22,6 +26,7 @@ from cuspforge.moment_angle import (
     manifold_check,
     real_moment_angle,
 )
+from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import (
     boundary_of_simplex,
     build_simplicial,
@@ -30,7 +35,16 @@ from cuspforge.simplicial import (
     two_points,
 )
 
-from dense_oracles import CubicalCellsOracle, cell_set, cubical_entry_oracle, entry_rows, verify_dd_zero_oracle
+from dense_oracles import (
+    CubicalCellsOracle,
+    cell_set,
+    cubical_entry_oracle,
+    entry_rows,
+    face_table_per_run_oracle,
+    from_rzk1_per_cell_oracle,
+    links_by_corner_scan_oracle,
+    verify_dd_zero_oracle,
+)
 
 
 def _link_by_scan(Z, vertex):
@@ -98,6 +112,43 @@ LINK_CASES = {
     "3-torus": (real_moment_angle(octahedron_boundary()), octahedron_boundary()),
     "torus vertex star": (_t2_vertex_star(), cycle_complex(4)),
 }
+
+
+def _filled_p4():
+    P = ideal_dual(gosset(4))
+    filled = dehn_fill(P, next(enumerate_filling_choices(P)))
+    return colour_manifold(filled.lattice, Colouring.distinct(P.num_facets))
+
+
+def _sharing(links):
+    """Each vertex's link, named by the first vertex holding the same object."""
+    first = {}
+    return [first.setdefault(id(link), v) for v, link in links.items()]
+
+
+def _assert_per_run_oracles_agree(Z):
+    """The per-dimension face tables and the links read off them equal the
+    per-run search and the corner scan: dtype, shape, entries, the links in
+    vertex order and which vertices share one frozenset."""
+    for k in range(1, Z.dim + 1):
+        table, oracle = Z.face_table(k), face_table_per_run_oracle(Z, k)
+        assert (table.dtype, table.shape) == (oracle.dtype, oracle.shape)
+        assert np.array_equal(table, oracle)
+    links, oracle = Z.vertex_links(), links_by_corner_scan_oracle(Z)
+    assert list(links.items()) == list(oracle.items())
+    assert _sharing(links) == _sharing(oracle)
+
+
+def _assert_refusals_agree(Z):
+    """On a complex built without the closure check, each face table refuses
+    as the per-run search does, and the links with the first refusal in
+    dimension order; with none, the links equal the corner scan's."""
+    refusals = [_refusal(face_table_per_run_oracle, Z, k) for k in range(1, Z.dim + 1)]
+    assert [_refusal(Z.face_table, k) for k in range(1, Z.dim + 1)] == refusals
+    first = next((r for r in refusals if r), None)
+    assert _refusal(Z.vertex_links) == first
+    if first is None:
+        _assert_per_run_oracles_agree(Z)
 
 
 def test_closure_validation():
@@ -194,6 +245,16 @@ def test_vertex_star_has_differing_links():
     assert len({Z.link_of_vertex(v).f_vector() for v in Z.vertices()}) == 3
 
 
+@pytest.mark.parametrize("name", sorted(LINK_CASES) + ["filled P^4"])
+def test_face_tables_and_links_match_the_per_run_oracles(name):
+    Z = _filled_p4() if name == "filled P^4" else LINK_CASES[name][0]
+    _assert_per_run_oracles_agree(Z)
+    cells = [c for d in range(Z.dim + 1) for c in Z.cells_of_dim(d)]
+    for d in range(Z.dim):  # one cell of each dimension below the top taken out
+        gone = Z.cells_of_dim(d)[len(Z.cells_of_dim(d)) // 2]
+        _assert_refusals_agree(CubicalComplex(Z.ambient, [c for c in cells if c != gone], validate=False))
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetError):
         real_moment_angle(octahedron_boundary(), budget=100)
@@ -235,6 +296,7 @@ def test_complexes_born_as_runs_match_the_per_cell_constructor(monkeypatch, name
         assert np.array_equal(Z.face_table(k), oracle.face_table(k))
     assert Z.to_json() == per_cell.to_json() == oracle.to_json()
     assert Z.to_rzk1() == per_cell.to_rzk1() == oracle.to_rzk1()
+    _assert_per_run_oracles_agree(Z)
 
 
 class _Untouchable:
@@ -266,6 +328,66 @@ def test_json_and_rzk1_roundtrip():
 def test_rzk1_rejects_garbage():
     with pytest.raises(ValidationError):
         CubicalComplex.from_rzk1(b"NOPE" + b"\0" * 16)
+
+
+RZK1_CUBE = real_moment_angle(boundary_of_simplex(2)).to_rzk1()  # ambient 3, 26 cells
+
+
+def _with_cell(blob, index, mask, signs):
+    """An RZK1 table with record ``index`` replaced."""
+    at = 12 + cubical.RZK1_CELL.size * index
+    return blob[:at] + cubical.RZK1_CELL.pack(mask, signs) + blob[at + cubical.RZK1_CELL.size:]
+
+
+RZK1_FAULTS = {
+    "magic": (b"RZK2" + RZK1_CUBE[4:], None),
+    "header": (RZK1_CUBE[:9], None),
+    "length": (RZK1_CUBE[:-1], None),
+    "ambient cap": (b"RZK1" + struct.pack("<II", 33, 26) + RZK1_CUBE[12:], None),
+    "range": (_with_cell(RZK1_CUBE, 25, 0b1001, 0), None),
+    "sign on the support": (_with_cell(RZK1_CUBE, 25, 0b011, 0b001), None),
+    "sign past ambient": (_with_cell(RZK1_CUBE, 25, 0b011, 0b1000), None),
+    "sign past int64": (_with_cell(RZK1_CUBE, 0, 0, 1 << 63), None),
+    "duplicates": (_with_cell(RZK1_CUBE, 1, *struct.unpack_from("<IQ", RZK1_CUBE, 12)), None),
+    "closure": (_with_cell(RZK1_CUBE, 0, 0b111, 0), None),
+    "budget": (RZK1_CUBE, 25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RZK1_FAULTS))
+def test_rzk1_refusals_match_the_per_cell_reader(name):
+    blob, budget = RZK1_FAULTS[name]
+    refusal = _outcome(CubicalComplex.from_rzk1, blob, budget=budget)
+    assert isinstance(refusal, tuple)
+    assert refusal == _outcome(from_rzk1_per_cell_oracle, blob, budget=budget)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(flips=lists(tuples(integers(0, len(RZK1_CUBE) - 1), integers(0, 7)), min_size=1, max_size=3),
+       budget=sampled_from((None, 25, 26)))
+def test_rzk1_byte_flips_match_the_per_cell_reader(flips, budget):
+    blob = bytearray(RZK1_CUBE)
+    for at, bit in flips:
+        blob[at] ^= 1 << bit
+    outcome = _outcome(CubicalComplex.from_rzk1, bytes(blob), budget=budget)
+    assert outcome == _outcome(from_rzk1_per_cell_oracle, bytes(blob), budget=budget)
+
+
+def test_only_the_face_table_finds_faces_or_corners():
+    """No sorted search, membership test or submask enumeration in
+    ``cubical.py`` outside ``_face_table``: the face tables are the one
+    place where faces and corners are found."""
+    tree = ast.parse(inspect.getsource(cubical))
+    searches = ("searchsorted", "submasks", "isin", "in1d", "intersect1d", "bisect", "bisect_left", "bisect_right")
+
+    def found(node):
+        return {id(n): n.lineno for n in ast.walk(node)
+                if (n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", None)) in searches}
+
+    face_table = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_face_table")
+    inside = found(face_table)
+    assert inside
+    assert [line for node, line in found(tree).items() if node not in inside] == []
 
 
 def test_relabel_permutes_structure():
@@ -314,8 +436,9 @@ def _closure(cells):
 def closed_cube_complexes(draw):
     """Closure of up to five random cells on at most six active axes; the
     frozen signs of the other axes are one random pattern.  Ambient ranks
-    of 64 and more give sign masks beyond int64."""
-    ambient = draw(sampled_from((1, 2, 3, 4, 5, 6) * 3 + (63, 64, 70)))
+    of 63 and more give sign masks beyond int64; at 62 the face search keys
+    (face run, signs) by the signs' ranks once a dimension has two runs."""
+    ambient = draw(sampled_from((1, 2, 3, 4, 5, 6) * 3 + (62, 63, 64, 70)))
     axes = draw(permutations(range(ambient)))[:6]
     base = draw(integers(0, (1 << ambient) - 1)) & ~vector_from_indices(axes)
     cells = []
@@ -362,23 +485,37 @@ def test_face_tables_match_the_per_cell_oracles(complex_, pick):
             with pytest.raises(ValidationError):
                 Z.link_of_vertex(v)
 
+    _assert_per_run_oracles_agree(Z)
+
     rest = cells[:pick % len(cells)] + cells[pick % len(cells) + 1:]
     expected = _refusal(_check_closure_oracle, CubicalComplex(ambient, rest, validate=False))
     assert _refusal(CubicalComplex, ambient, rest) == expected
+    _assert_refusals_agree(CubicalComplex(ambient, rest, validate=False))
 
 
 def test_links_are_computed_once(monkeypatch):
-    Z = real_moment_angle(octahedron_boundary())
-    masks = []
-    original = gf2.submasks
-    monkeypatch.setattr(gf2, "submasks", lambda mask: masks.append(mask) or original(mask))
+    Z = real_moment_angle(octahedron_boundary())  # validated, so every face table is cached
+    calls = []
+    for name in ("_links", "_face_table"):
+        original = getattr(CubicalComplex, name)
+        monkeypatch.setattr(CubicalComplex, name,
+                            lambda self, *args, _f=original, _n=name: calls.append(_n) or _f(self, *args))
     Z.link_of_vertex(Z.vertices()[0])
-    # one pass: one submask enumeration per support run of positive dimension
-    assert len(masks) == sum(len(Z.support_runs(d)) for d in range(1, Z.dim + 1)) == 26
+    # one pass, reading the cached tables: no face table is built again
+    assert calls == ["_links"]
     for v in Z.vertices():
         assert find_isomorphism(Z.link_of_vertex(v), octahedron_boundary()) is not None
     assert len({id(link) for link in Z.vertex_links().values()}) == 1
-    assert len(masks) == 26
+    assert calls == ["_links"]
+
+
+def test_links_refuse_a_missing_face_with_the_face_table_message():
+    # the square without its edge ((1,), 1); every vertex is still there
+    Z = CubicalComplex(2, [c for c in SQUARE if c != ((1,), 1)], validate=False)
+    with pytest.raises(ValidationError, match=r"^missing \+1 face of \(\(0, 1\), 0\) at 0$"):
+        Z.vertex_links()
+    with pytest.raises(ValidationError, match=r"^missing \+1 face of \(\(0, 1\), 0\) at 0$"):
+        Z.link_of_vertex(((), 0))
 
 
 def test_caches_stay_out_of_equality_hash_and_pickle():

@@ -552,6 +552,16 @@ def test_non_unit_pivots_limit_fill_on_the_doubled_cusped_quotient(k):
     assert doubled._col_moves == plain._col_moves
 
 
+def test_a_pivot_that_grows_is_still_scanned_and_folds():
+    """The divisibility scan is skipped only after a repeated pivot: the
+    second 2 repeats the first, so no scan follows it, but the next pivot,
+    4, differs and its scan folds the row holding 6 into its own."""
+    matrix = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 6]]
+    got = _assert_matches_oracle(matrix)
+    assert got.diag == [2, 2, 2, 12]
+    assert smith_normal_form(matrix)._row_moves[0] == (3, 2, 1)  # the fold
+
+
 def _held_at_refusal(matrix, budget, monkeypatch) -> Optional[int]:
     """The entries the elimination reports holding when it refuses under
     ``budget``, or None when it runs to the end."""

@@ -2,8 +2,9 @@
 
 Filling rewrites the face lattice directly: every ideal vertex is
 removed and replaced by the face poset of an (n-2)-cube spanned by the
-non-chosen axes of its cube link.  The dual route subdivides each
-cross-polytope facet of the Gosset polytope along a chosen diagonal;
+non-chosen axes of its cube link, in one rewrite of P's face and axis
+rows that truncation shares.  The dual route subdivides each cross facet
+of the Gosset polytope, read off G's rows, along a chosen diagonal;
 ``duality_check`` verifies that the two routes produce dual objects.
 """
 
@@ -11,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import ValidationError
 from .isomorphism import find_isomorphism
-from .lattice import FaceLattice, cube_faces, dualize
-from .polytopes import CROSS, GossetPolytope, IdealPolytope, ideal_dual
+from .lattice import FaceLattice, cube_face_rows, dualize
+from .polytopes import GossetPolytope, IdealPolytope, ideal_dual
 from .simplicial import SimplicialComplex, build_simplicial, octahedron_boundary
 
 VertexKey = FrozenSet[int]
@@ -51,31 +54,61 @@ def enumerate_filling_choices(P: IdealPolytope) -> Iterator[FillingChoice]:
     """All filling choices, in lexicographic order over the ideal vertices
     in row order, which is sorted order."""
     verts = P.ideal_vertices
-    counts = [len(P.axes_of(v)) for v in verts]
-    for combo in product(*(range(c) for c in counts)):
+    for combo in product(range(P.axis_rows.shape[1]), repeat=len(verts)):
         yield FillingChoice(dict(zip(verts, combo)))
 
 
 def replace_ideal_vertices(
-    P: IdealPolytope, num_facets: int,
-    cubes: Sequence[Tuple[FrozenSet[int], Sequence[Tuple[int, int]]]], name: str,
+    P: IdealPolytope, num_facets: int, base: np.ndarray, axes: np.ndarray, name: str,
 ) -> FaceLattice:
-    """P's lattice with every ideal vertex dropped and, per (base, axes) in
-    ``cubes``, the face on the facet set ``base`` added with the faces of
-    the cube spanned by ``axes`` below it.  The result must be simple, so
-    a face in j facets has rank n - j."""
+    """P's lattice with every ideal vertex dropped and, for ideal row j, the
+    face on the facets ``base[j]`` added with the faces of the cube that the
+    axis pairs ``axes[j]`` span below it, each the base joined to one cube
+    face.  The result must be simple, so a face on w facets has rank n - w."""
     n = P.lattice.rank
-    ideal = set(P.ideal_vertices)
-    faces: List[Tuple[int, Iterable[int]]] = [
-        (k, s) for k, s in P.lattice.faces if not (k == 0 and s in ideal)
-    ]
-    for base, axes in cubes:
-        faces.append((n - len(base), base))
-        faces.extend((n - len(base) - t, base | fs) for t, fs in cube_faces(axes))
-    lattice = FaceLattice(n, num_facets, faces)
+    ranks, ptr, facets, ideal = P.lattice.arrays()
+    new = [_joined(base, axes, t) for t in range(axes.shape[1] + 1)]
+    widths = np.concatenate([np.diff(ptr)[~ideal], *(np.full(len(rows), rows.shape[1]) for rows in new)])
+    lattice = FaceLattice.from_arrays(
+        n, num_facets, np.concatenate([ranks[~ideal], n - widths[np.count_nonzero(~ideal):]]),
+        np.concatenate(([0], np.cumsum(widths))),
+        np.concatenate([facets[np.repeat(~ideal, np.diff(ptr))], *(rows.ravel() for rows in new)]))
     if not lattice.is_simple():
         raise ValidationError(f"{name} lattice failed the simplicity check")
     return lattice
+
+
+def _joined(base: np.ndarray, axes: np.ndarray, t: int) -> np.ndarray:
+    """Rows ``base[j]`` joined to each codimension-t face of the cube on the
+    axis pairs ``axes[j]``, for each j in turn, in ``cube_face_rows`` order."""
+    cube = cube_face_rows(axes, t)
+    rows = np.concatenate([np.broadcast_to(base[:, None], cube.shape[:2] + base.shape[1:]), cube], axis=2)
+    return rows.reshape(-1, rows.shape[2])
+
+
+def _choices_at(choice: FillingChoice, rows: np.ndarray) -> list:
+    """The axis index that ``choice`` gives each ideal vertex, a facet row of
+    ``rows``, in row order; a vertex without one is refused."""
+    keys = list(map(frozenset, rows.tolist()))
+    missing = [v for v in keys if v not in choice.axis_index]
+    if missing:
+        raise ValidationError(f"missing filling choice at ideal vertex {sorted(missing[0])}")
+    return [choice.axis_index[v] for v in keys]
+
+
+def _split(pairs: np.ndarray, idx: List, what: str, where: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair ``idx[j]`` of each row j of ``pairs`` (m, a, 2), and the other
+    a - 1 pairs of the row in order.  An index that is not an int in
+    0..a-1 is refused, booleans and integral floats included, as the
+    ``what`` index ``where[j]``."""
+    m, a = pairs.shape[:2]
+    for i, at in zip(idx, where):
+        if type(i) is not int:
+            raise ValidationError(f"{what} index {i!r} {at} is not an integer")
+        if not 0 <= i < a:
+            raise ValidationError(f"{what} index {i} out of range {at}")
+    idx = np.array(idx, dtype=np.intp)
+    return pairs[np.arange(m), idx], pairs[np.arange(a) != idx[:, None]].reshape(m, a - 1, 2)
 
 
 def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
@@ -88,20 +121,10 @@ def dehn_fill(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     if not P.lattice.is_complete():
         raise ValidationError("dehn_fill needs a complete face lattice")
     verts = P.ideal_vertices
-    for v in verts:
-        if frozenset(v) not in choice.axis_index:
-            raise ValidationError(f"missing filling choice at ideal vertex {sorted(v)}")
-    filling_faces: Dict[VertexKey, FrozenSet[int]] = {}
-    cubes = []
-    for v in verts:
-        axes = P.axes_of(v)
-        idx = choice.axis_of(v)
-        if not 0 <= idx < len(axes):
-            raise ValidationError(f"axis index {idx} out of range at {sorted(v)}")
-        filling_faces[v] = frozenset(axes[idx])
-        cubes.append((filling_faces[v], axes[:idx] + axes[idx + 1:]))
-    lattice = replace_ideal_vertices(P, P.lattice.num_facets, cubes, "filled")
-    return DehnFilling(lattice=lattice, filling_faces=filling_faces)
+    chosen, others = _split(P.axis_rows, _choices_at(choice, P.ideal_rows), "axis",
+                            [f"at {sorted(v)}" for v in verts])
+    lattice = replace_ideal_vertices(P, P.num_facets, chosen, others, "filled")
+    return DehnFilling(lattice=lattice, filling_faces=dict(zip(verts, map(frozenset, chosen.tolist()))))
 
 
 def resolve_choice(P: IdealPolytope, spec) -> FillingChoice:
@@ -138,36 +161,24 @@ def diagonals_from_filling(G: GossetPolytope, choice: FillingChoice) -> Diagonal
     literally a diagonal (antipodal vertex pair); the shared pair index
     fixes the bijection.
     """
-    pair_index = {}
-    for i, (fv, kind) in enumerate(zip(G.facet_vertex_sets, G.facet_types)):
-        if kind == CROSS:
-            pair_index[i] = choice.axis_of(fv)
-    return DiagonalChoice(pair_index)
+    return DiagonalChoice(dict(zip(np.flatnonzero(G.cross).tolist(), _choices_at(choice, G.cross_rows))))
 
 
 def subdivide_cross_facets(G: GossetPolytope, d: DiagonalChoice) -> SimplicialComplex:
     """The sphere K^{n-1}: simplex facets kept, each cross facet split
-    into 2^(n-2) simplexes sharing its chosen diagonal."""
+    into 2^(n-2) simplexes sharing its chosen diagonal, one per choice of
+    an end of each other diagonal."""
     n = G.n
-    tops: List[Tuple[int, ...]] = []
-    for i, (fv, kind) in enumerate(zip(G.facet_vertex_sets, G.facet_types)):
-        if kind != CROSS:
-            tops.append(tuple(sorted(fv)))
-            continue
-        if i not in d.pair_index:
-            raise ValidationError(f"missing diagonal for cross facet {i}")
-        pairs = G.antipodal_pairs[i]
-        idx = d.pair_index[i]
-        if not 0 <= idx < len(pairs):
-            raise ValidationError(f"diagonal index {idx} out of range for facet {i}")
-        diagonal = pairs[idx]
-        others = [p for j, p in enumerate(pairs) if j != idx]
-        for signs in product(*others):
-            tops.append(tuple(sorted(diagonal + signs)))
     for i in d.pair_index:
-        if G.facet_types[i] != CROSS:
+        if type(i) is not int or not 0 <= i < len(G.cross) or not G.cross[i]:
             raise ValidationError(f"facet {i} is not a cross-polytope")
-    K = build_simplicial(tops, G.num_vertices)
+    cross = np.flatnonzero(G.cross).tolist()
+    missing = [i for i in cross if i not in d.pair_index]
+    if missing:
+        raise ValidationError(f"missing diagonal for cross facet {missing[0]}")
+    diagonal, others = _split(G.pair_rows, [d.pair_index[i] for i in cross], "diagonal",
+                              [f"for facet {i}" for i in cross])
+    K = build_simplicial(G.simplex_rows.tolist() + _joined(diagonal, others, n - 2).tolist(), G.num_vertices)
     if not K.is_pure() or K.dim != n - 1:
         raise ValidationError("subdivision did not produce a pure (n-1)-complex")
     return K

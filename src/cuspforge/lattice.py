@@ -18,9 +18,11 @@ is adopted in its order after one pass over neighbouring rows, which
 also proves it free of repeats; only other blocks are sorted.  The JSON
 document is written from the arrays by ``rows_text``, the one writer of
 index rows as text, which also writes the census document.  Readers take
-the rows of one rank (``rows_of_rank``) or every face at once; no face
-is looked up by its facet set.  The per-face view ``faces`` is a store
-view (``store.Store``), kept out of ``==``, ``hash`` and pickles.
+the rows of one rank (``rows_of_rank``) or every face at once
+(``arrays``, the arrays ``from_arrays`` takes); no face is looked up by
+its facet set.  The per-face view ``faces`` is a store view
+(``store.Store``), kept out of ``==``, ``hash`` and pickles.
+``cube_face_rows`` is the one enumeration of cube faces, for every reader.
 
 Duality runs one way: ``dualize`` reads the dual simplicial complex of a
 simple lattice off its vertex rows.  Meets and joins of face pairs are
@@ -29,8 +31,9 @@ not checked here: that O(F^3) check is a test oracle.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from math import comb
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,6 +166,11 @@ class FaceLattice(Store):
         ``facets[ptr[i]:ptr[i + 1]]``, ascending."""
         lo, hi = np.searchsorted(self._ranks, [k, k + 1])
         return self._ptr[lo:hi + 1] - self._ptr[lo], self._facets[self._ptr[lo]:self._ptr[hi]]
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every face as the arrays ``from_arrays`` takes: (ranks, ptr,
+        facets, ideal), in canonical order."""
+        return self._ranks, self._ptr, self._facets, self._ideal
 
     def vertex_faces(self) -> List[FrozenSet[int]]:
         return self.faces_of_rank(0)
@@ -367,18 +375,22 @@ def polygon_lattice(k: int) -> FaceLattice:
     return FaceLattice(2, k, faces)
 
 
-def cube_faces(axes: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, FrozenSet[int]]]:
-    """Every proper face of a cube whose opposite facet pairs are ``axes``,
-    as (codimension, set of the facets containing it)."""
-    for size in range(1, len(axes) + 1):
-        for chosen in combinations(axes, size):
-            for facets in product(*chosen):
-                yield size, frozenset(facets)
+def cube_face_rows(pairs: np.ndarray, k: int) -> np.ndarray:
+    """The codimension-k faces of the cubes whose axes (opposite facet
+    pairs) are the rows of ``pairs``, (m, a, 2): k axes in ``combinations``
+    order, one side of each in ``product`` order, as the chosen entries,
+    shape (m, C(a, k) 2^k, k)."""
+    a = pairs.shape[1]
+    axes = np.array(list(combinations(range(a), k)), dtype=np.intp).reshape(comb(a, k), k)
+    sides = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return pairs[:, np.repeat(axes, 1 << k, axis=0), np.tile(sides, (len(axes), 1))]
 
 
 def cube_lattice(n: int) -> FaceLattice:
     """Boundary lattice of the n-cube; facet 2i+b is the wall x_i = (-1)^(1-b)."""
     if n < 1:
         raise ValidationError("cube dimension must be positive")
-    axes = [(2 * a, 2 * a + 1) for a in range(n)]
-    return FaceLattice(n, 2 * n, [(n - c, fs) for c, fs in cube_faces(axes)])
+    rows = [cube_face_rows(np.arange(2 * n).reshape(1, n, 2), c)[0] for c in range(1, n + 1)]
+    widths = np.repeat(np.arange(1, n + 1), [len(r) for r in rows])
+    return FaceLattice.from_arrays(n, 2 * n, n - widths, np.concatenate(([0], np.cumsum(widths))),
+                                   np.concatenate([r.ravel() for r in rows]))

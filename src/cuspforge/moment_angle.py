@@ -470,11 +470,9 @@ class TruncatedPolytope:
 def truncate_ideal(P: IdealPolytope) -> TruncatedPolytope:
     if not P.lattice.is_complete():
         raise ValidationError("truncation needs a complete lattice")
-    f = P.lattice.num_facets
-    verts = P.ideal_vertices
-    trunc = {v: f + t for t, v in enumerate(verts)}
-    cubes = [(frozenset({trunc[v]}), P.axes_of(v)) for v in verts]
-    lattice = replace_ideal_vertices(P, f + len(verts), cubes, "truncated")
+    f, m = P.num_facets, len(P.ideal_rows)
+    trunc = {v: f + t for t, v in enumerate(P.ideal_vertices)}
+    lattice = replace_ideal_vertices(P, f + m, np.arange(f, f + m).reshape(m, 1), P.axis_rows, "truncated")
     return TruncatedPolytope(lattice=lattice, truncation_facet=trunc)
 
 

@@ -25,22 +25,23 @@ prove to be faces.
 The ideal dual P^n adopts G's facet order: P's vertices are G's facets,
 numbered in order of their sorted vertex tuples, which is the lattice's
 canonical vertex order, so no block of P's lattice is sorted again.  P
-keeps its ideal vertices as rows, G's cross rows and their diagonals;
-G's facet sets and P's axis dict are store views (``store.Store``).
+keeps its ideal vertices as rows, G's cross rows and their diagonals, and
+readers take the rows; G's facet types and P's ideal vertex sets and axis
+dict are store views (``store.Store``).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import gcd, isqrt
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, read_file
-from .lattice import IDEAL, FaceLattice
+from .lattice import IDEAL, FaceLattice, cube_face_rows
 from .store import Store
 
 SIMPLEX = "simplex"
@@ -80,13 +81,9 @@ class GossetPolytope(Store):
     the simplex and of the cross facets, each in facet order, and
     ``pair_rows[j]`` lists the diagonals of cross facet j, sorted.  On a
     complete lattice ``face_rows[d]`` holds the sorted vertex rows of the
-    d-faces for d < n - 1, in sorted order.
-
-    The per-facet views ``facet_vertex_sets``, ``facet_types``,
-    ``antipodal_pairs`` (an empty tuple for a simplex facet) and
-    ``graded_faces`` (every face as a vertex set with its dimension, or
-    None when the lattice is partial) are built on first read and kept
-    out of ``==``, ``hash`` and pickles.
+    d-faces for d < n - 1, in sorted order.  Readers take these rows; the
+    one per-facet view, ``facet_types`` (simplex or cross, per facet), is
+    built on first read and kept out of ``==``, ``hash`` and pickles.
     """
 
     __slots__ = ("n", "num_vertices", "cross", "simplex_rows", "cross_rows", "pair_rows",
@@ -100,44 +97,9 @@ class GossetPolytope(Store):
         self.simplex_rows, self.cross_rows, self.pair_rows = simplex_rows, cross_rows, pair_rows
         self.lattice, self.face_rows, self.vertex_coordinates = lattice, face_rows, vertex_coordinates
 
-    def cross_facet_ids(self) -> List[int]:
-        return np.flatnonzero(self.cross).tolist()
-
-    def simplex_facet_ids(self) -> List[int]:
-        return np.flatnonzero(~self.cross).tolist()
-
-    # -- views, built on first read ------------------------------------------
-
-    def _per_facet(self, simplex_items, cross_items) -> tuple:
-        """One item per facet, from the items of the simplex facets and of
-        the cross facets, each in facet order."""
-        out = [None] * len(self.cross)
-        for ids, items in ((self.simplex_facet_ids(), simplex_items), (self.cross_facet_ids(), cross_items)):
-            for i, item in zip(ids, items):
-                out[i] = item
-        return tuple(out)
-
-    @property
-    def facet_vertex_sets(self) -> Tuple[FrozenSet[int], ...]:
-        return self._view("facet_vertex_sets", lambda: self._per_facet(
-            map(frozenset, self.simplex_rows.tolist()), map(frozenset, self.cross_rows.tolist())))
-
     @property
     def facet_types(self) -> Tuple[str, ...]:
         return self._view("facet_types", lambda: tuple((SIMPLEX, CROSS)[c] for c in self.cross.tolist()))
-
-    @property
-    def antipodal_pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        return self._view("antipodal_pairs", lambda: self._per_facet(
-            repeat(()), (tuple(map(tuple, p)) for p in self.pair_rows.tolist())))
-
-    @property
-    def graded_faces(self) -> Optional[Tuple[Tuple[FrozenSet[int], int], ...]]:
-        if self.face_rows is None:
-            return None
-        return self._view("graded_faces", lambda: tuple(
-            (frozenset(row), d) for d, rows in enumerate(self.face_rows) for row in rows.tolist()
-        ) + tuple((f, self.n - 1) for f in self.facet_vertex_sets))
 
 
 class IdealPolytope(Store):
@@ -455,13 +417,12 @@ def _ridge_check(simplex_rows: np.ndarray, pair_rows: np.ndarray) -> int:
         return key
 
     keys = [pack([S[:, j] for j in range(k + 1) if j != i]) for i in range(k + 1)]
-    if len(P):
-        side = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-        cols = [P[:, i, side[:, i]].ravel() for i in range(k)]
-        for r in range(k):
-            for i in range(r % 2, k - 1, 2):
-                cols[i], cols[i + 1] = np.minimum(cols[i], cols[i + 1]), np.maximum(cols[i], cols[i + 1])
-        keys.append(pack(cols))
+    ends = cube_face_rows(P, k)  # one end of each diagonal
+    cols = [ends[:, :, i].ravel() for i in range(k)]
+    for r in range(k):
+        for i in range(r % 2, k - 1, 2):
+            cols[i], cols[i + 1] = np.minimum(cols[i], cols[i + 1]), np.maximum(cols[i], cols[i + 1])
+    keys.append(pack(cols))
     keys = np.sort(np.concatenate(keys))
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
@@ -500,11 +461,9 @@ def _graded_faces(
     rows, widths, owners = [], [], []
     for k in range(1, n):
         pick = np.array(list(combinations(range(n), k)))
-        axes = np.repeat(np.array(list(combinations(range(n - 1), k))), 1 << k, axis=0)
-        side = np.tile(np.array(list(product((0, 1), repeat=k))), (len(axes) >> k, 1))
-        R = np.concatenate([simplex_rows[:, pick].reshape(-1, k),
-                            np.sort(pair_rows[:, axes, side], axis=2).reshape(-1, k)])
-        owner = np.concatenate([np.repeat(simplex, len(pick)), np.repeat(cross_ids, len(axes))])
+        ends = np.sort(cube_face_rows(pair_rows, k), axis=2)
+        R = np.concatenate([simplex_rows[:, pick].reshape(-1, k), ends.reshape(-1, k)])
+        owner = np.concatenate([np.repeat(simplex, len(pick)), np.repeat(cross_ids, ends.shape[1])])
         order, starts = _row_runs(R, owner)
         rows.append(R[order[starts]])
         widths.append(np.diff(np.append(starts, len(R))))

@@ -44,7 +44,13 @@ colour span at its ideal vertex, and fills or truncates an ideal vertex
 through one lattice rewrite.  The parent forms are kept verbatim at the
 end: the cusp grouping that rescans the quotient per truncation facet and
 joins cube copies with a union-find, and the separate ``dehn_fill`` and
-``truncate_ideal`` rewrites.
+``truncate_ideal`` rewrites.  Cube faces have one enumeration in the
+library, ``lattice.cube_face_rows`` on row arrays; the per-face generator
+it replaced (``cube_faces``), the per-face ideal-vertex rewrite
+(``replace_ideal_vertices_oracle``) and the per-facet subdivision
+(``subdivide_cross_facets_oracle``) are kept verbatim, with G's per-facet
+views that they read (``facet_vertex_sets``, ``antipodal_pairs``,
+``graded_faces``) as functions of G's rows.
 
 A cube complex keeps its cells as support runs only, and every cube face
 is read off its face tables.  The parent forms are kept verbatim as
@@ -114,7 +120,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, groupby
+from itertools import combinations, compress, groupby, product
 from math import comb, gcd, isqrt
 from operator import itemgetter
 from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -126,7 +132,7 @@ from cuspforge.chains import ChainComplexData, _splittings, cohomology_z2_basis,
 from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, CubicalComplex, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
-from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, cube_faces
+from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice
 from cuspforge.moment_angle import (
     Colouring, CuspComponent, CuspEntry, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey,
     _component_roots,
@@ -675,6 +681,91 @@ def cusp_components_oracle(Q: QuotientCellComplex, trunc: TruncatedPolytope) -> 
                 keys_per_dim=tuple(tuple(sorted(b)) for b in buckets[comp_id]),
             ))
     return tuple(components)
+
+
+def cube_faces(axes: Sequence[Tuple[int, int]]) -> Iterable[Tuple[int, FrozenSet[int]]]:
+    """Every proper face of a cube whose opposite facet pairs are ``axes``,
+    as (codimension, set of the facets containing it)."""
+    for size in range(1, len(axes) + 1):
+        for chosen in combinations(axes, size):
+            for facets in product(*chosen):
+                yield size, frozenset(facets)
+
+
+def replace_ideal_vertices_oracle(
+    P: IdealPolytope, num_facets: int,
+    cubes: Sequence[Tuple[FrozenSet[int], Sequence[Tuple[int, int]]]], name: str,
+) -> FaceLattice:
+    """P's lattice with every ideal vertex dropped and, per (base, axes) in
+    ``cubes``, the face on the facet set ``base`` added with the faces of
+    the cube spanned by ``axes`` below it.  The result must be simple, so
+    a face in j facets has rank n - j."""
+    n = P.lattice.rank
+    ideal = set(P.ideal_vertices)
+    faces: List[Tuple[int, Iterable[int]]] = [
+        (k, s) for k, s in P.lattice.faces if not (k == 0 and s in ideal)
+    ]
+    for base, axes in cubes:
+        faces.append((n - len(base), base))
+        faces.extend((n - len(base) - t, base | fs) for t, fs in cube_faces(axes))
+    lattice = FaceLattice(n, num_facets, faces)
+    if not lattice.is_simple():
+        raise ValidationError(f"{name} lattice failed the simplicity check")
+    return lattice
+
+
+def facet_vertex_sets(G) -> Tuple[FrozenSet[int], ...]:
+    """G's facets as vertex sets, in facet order."""
+    out: List[FrozenSet[int]] = [frozenset()] * len(G.cross)
+    for rows, ids in ((G.simplex_rows, np.flatnonzero(~G.cross)), (G.cross_rows, np.flatnonzero(G.cross))):
+        for i, row in zip(ids.tolist(), rows.tolist()):
+            out[i] = frozenset(row)
+    return tuple(out)
+
+
+def antipodal_pairs(G) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The diagonals of each facet of G, in facet order: an empty tuple
+    for a simplex facet."""
+    out: List[Tuple[Tuple[int, int], ...]] = [()] * len(G.cross)
+    for i, pairs in zip(np.flatnonzero(G.cross).tolist(), G.pair_rows.tolist()):
+        out[i] = tuple(map(tuple, pairs))
+    return tuple(out)
+
+
+def graded_faces(G) -> Optional[Tuple[Tuple[FrozenSet[int], int], ...]]:
+    """Every face of G as a vertex set with its dimension, the facets
+    last; None when the lattice is partial."""
+    if G.face_rows is None:
+        return None
+    return tuple((frozenset(row), d) for d, rows in enumerate(G.face_rows) for row in rows.tolist()) + tuple(
+        (f, G.n - 1) for f in facet_vertex_sets(G))
+
+
+def subdivide_cross_facets_oracle(G, d) -> SimplicialComplex:
+    """The sphere K^{n-1}: simplex facets kept, each cross facet split
+    into 2^(n-2) simplexes sharing its chosen diagonal."""
+    n = G.n
+    tops: List[Tuple[int, ...]] = []
+    for i, (fv, kind, pairs) in enumerate(zip(facet_vertex_sets(G), G.facet_types, antipodal_pairs(G))):
+        if kind != CROSS:
+            tops.append(tuple(sorted(fv)))
+            continue
+        if i not in d.pair_index:
+            raise ValidationError(f"missing diagonal for cross facet {i}")
+        idx = d.pair_index[i]
+        if not 0 <= idx < len(pairs):
+            raise ValidationError(f"diagonal index {idx} out of range for facet {i}")
+        diagonal = pairs[idx]
+        others = [p for j, p in enumerate(pairs) if j != idx]
+        for signs in product(*others):
+            tops.append(tuple(sorted(diagonal + signs)))
+    for i in d.pair_index:
+        if G.facet_types[i] != CROSS:
+            raise ValidationError(f"facet {i} is not a cross-polytope")
+    K = SimplicialComplex(G.num_vertices, tops)
+    if not K.is_pure() or K.dim != n - 1:
+        raise ValidationError("subdivision did not produce a pure (n-1)-complex")
+    return K
 
 
 def dehn_fill_oracle(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:

@@ -59,6 +59,8 @@ from cuspforge.polytopes import (
 )
 from cuspforge.simplicial import build_simplicial, octahedron_boundary
 
+from dense_oracles import facet_vertex_sets
+
 
 def report(criterion, elapsed, detail):
     print(f"criterion {criterion:>2}: PASS ({elapsed:.2f}s) {detail}")
@@ -146,10 +148,11 @@ def test_criterion_02_subdivision_counts():
     counts = {}
     for n in (3, 4, 5):
         G = gosset(n)
-        facet = G.cross_facet_ids()[0]
-        d = DiagonalChoice({i: 0 for i in G.cross_facet_ids()})
+        cross = np.flatnonzero(G.cross).tolist()
+        facet = cross[0]
+        d = DiagonalChoice({i: 0 for i in cross})
         K = subdivide_cross_facets(G, d)
-        fv = G.facet_vertex_sets[facet]
+        fv = facet_vertex_sets(G)[facet]
         counts[n] = len([f for f in K.facets if set(f) <= fv])
     assert counts == {3: 2, 4: 4, 5: 8}
     # independent enumeration oracle for the 16-cell: sign patterns on the
@@ -376,7 +379,7 @@ def test_criterion_11_gosset_generators():
         coords = np.array(G.vertex_coordinates)
         if n == 4:
             coords = coords[:, :4]
-        assert _hull_facets(coords) == sorted(sorted(f) for f in G.facet_vertex_sets)
+        assert _hull_facets(coords) == sorted(sorted(f) for f in facet_vertex_sets(G))
     G6 = gosset(6)
     assert (G6.facet_types.count(SIMPLEX), G6.facet_types.count(CROSS)) == (72, 27)
     small = time.monotonic() - t0

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from cuspforge.errors import ValidationError
@@ -15,13 +16,21 @@ from cuspforge.filling import (
     diagonals_from_filling,
     duality_check,
     enumerate_filling_choices,
+    replace_ideal_vertices,
     subdivide_cross_facets,
 )
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import dualize
 from cuspforge.moment_angle import truncate_ideal
+from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.polytopes import gosset, ideal_dual
 from cuspforge.simplicial import octahedron_boundary
+
+from dense_oracles import facet_vertex_sets, subdivide_cross_facets_oracle
+
+
+def cross_ids(G):
+    return np.flatnonzero(G.cross).tolist()
 
 
 def test_bipyramid_has_eight_choices_two_cubes():
@@ -71,7 +80,7 @@ def test_missing_and_invalid_choices_rejected():
         dehn_fill(P, bad)
 
 
-@pytest.mark.parametrize("n, count", [(3, 8), (4, 16)])
+@pytest.mark.parametrize("n, count", [(3, 8), (4, 16), (5, 1)])
 def test_one_rewrite_fills_and_truncates_as_the_separate_rewrites_did(n, count):
     from dense_oracles import dehn_fill_oracle, truncate_ideal_oracle
 
@@ -85,16 +94,36 @@ def test_one_rewrite_fills_and_truncates_as_the_separate_rewrites_did(n, count):
     assert trunc.truncation_facet == want.truncation_facet
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_array_rewrite_matches_the_per_face_rewrite(n):
+    """Both callers' inputs: a filling's chosen pairs with the other pairs,
+    and the truncation's new facets with every pair."""
+    from dense_oracles import replace_ideal_vertices_oracle
+
+    P = ideal_dual(gosset(n))
+    f, m = P.num_facets, len(P.ideal_rows)
+    chosen, others = P.axis_rows[:, -1], P.axis_rows[:, :-1]
+    cases = [
+        (f, chosen, others, [(frozenset(p), [tuple(q) for q in rest])
+                             for p, rest in zip(chosen.tolist(), others.tolist())]),
+        (f + m, np.arange(f, f + m).reshape(m, 1), P.axis_rows,
+         [(frozenset({f + j}), P.axes_of(v)) for j, v in enumerate(P.ideal_vertices)]),
+    ]
+    for num_facets, base, axes, cubes in cases:
+        L = replace_ideal_vertices(P, num_facets, base, axes, "test")
+        assert L.to_json() == replace_ideal_vertices_oracle(P, num_facets, cubes, "test").to_json()
+
+
 def cross_subdivision_tops(G, facet_id, pair_idx):
-    d = DiagonalChoice({i: (pair_idx if i == facet_id else 0) for i in G.cross_facet_ids()})
+    d = DiagonalChoice({i: (pair_idx if i == facet_id else 0) for i in cross_ids(G)})
     K = subdivide_cross_facets(G, d)
-    fv = G.facet_vertex_sets[facet_id]
+    fv = facet_vertex_sets(G)[facet_id]
     return [f for f in K.facets if set(f) <= fv]
 
 
 def test_square_splits_into_two_triangles():
     G = gosset(3)
-    facet = G.cross_facet_ids()[0]
+    facet = cross_ids(G)[0]
     tris = cross_subdivision_tops(G, facet, 0)
     assert len(tris) == 2
     assert all(len(t) == 3 for t in tris)
@@ -102,7 +131,7 @@ def test_square_splits_into_two_triangles():
 
 def test_octahedron_splits_into_four_tetrahedra():
     G = gosset(4)
-    facet = G.cross_facet_ids()[0]
+    facet = cross_ids(G)[0]
     tets = cross_subdivision_tops(G, facet, 0)
     assert len(tets) == 4
     assert all(len(t) == 4 for t in tets)
@@ -154,7 +183,7 @@ def test_16_cell_splits_into_eight_simplexes_volume_oracle():
     assert len({frozenset(p) for p in pieces}) == 8
     # the library's subdivision of a 16-cell facet of G^5 gives 8 simplexes
     G = gosset(5)
-    facet = G.cross_facet_ids()[0]
+    facet = cross_ids(G)[0]
     tops = cross_subdivision_tops(G, facet, 0)
     assert len(tops) == 8
     assert all(len(t) == 5 for t in tops)
@@ -162,10 +191,10 @@ def test_16_cell_splits_into_eight_simplexes_volume_oracle():
 
 def test_subdivision_shares_chosen_diagonal():
     G = gosset(4)
-    for facet in G.cross_facet_ids():
+    for facet, pairs in zip(cross_ids(G), G.pair_rows.tolist()):
         for idx in range(3):
             tops = cross_subdivision_tops(G, facet, idx)
-            diag = set(G.antipodal_pairs[facet][idx])
+            diag = set(pairs[idx])
             assert all(diag <= set(t) for t in tops)
 
 
@@ -177,7 +206,7 @@ def test_duality_grid_for_bipyramid():
     for c in choices:
         filled = dehn_fill(P, c)
         for combo in product(range(2), repeat=3):
-            d = DiagonalChoice(dict(zip(sorted(G.cross_facet_ids()), combo)))
+            d = DiagonalChoice(dict(zip(cross_ids(G), combo)))
             K = subdivide_cross_facets(G, d)
             if duality_check(filled.lattice, K):
                 hits += 1
@@ -218,8 +247,76 @@ def test_all_p4_fillings_simple():
 def test_auto_diagonals_cover_cross_facets():
     G = gosset(4)
     d = auto_diagonals(G)
-    assert sorted(d.pair_index) == G.cross_facet_ids()
+    assert sorted(d.pair_index) == cross_ids(G)
     subdivide_cross_facets(G, d)
-    bad = DiagonalChoice({G.simplex_facet_ids()[0]: 0})
+    bad = DiagonalChoice({int(np.flatnonzero(~G.cross)[0]): 0})
     with pytest.raises(ValidationError):
         subdivide_cross_facets(G, bad)
+
+
+@pytest.mark.parametrize("n, count", [(3, 8), (4, 16), (5, 1), (6, 1), (7, 1)])
+def test_subdivision_matches_the_per_facet_oracle(n, count):
+    G = gosset(n)
+    P = ideal_dual(G)
+    for choice in islice(enumerate_filling_choices(P), count):
+        d = diagonals_from_filling(G, choice)
+        K, want = subdivide_cross_facets(G, d), subdivide_cross_facets_oracle(G, d)
+        assert K == want and K.to_json() == want.to_json()
+
+
+# -- typed refusals at the filling inputs ------------------------------------
+
+
+def refused(fn, *args, match):
+    with pytest.raises(ValidationError, match=match) as exc:
+        fn(*args)
+    assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1", None])
+def test_an_axis_index_that_is_not_an_int_is_refused(index):
+    P = ideal_dual(gosset(3))
+    choice = FillingChoice({v: 0 for v in P.ideal_vertices} | {P.ideal_vertices[1]: index})
+    refused(dehn_fill, P, choice, match=re.escape(f"axis index {index!r} at {sorted(P.ideal_vertices[1])} is not"))
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_a_diagonal_index_that_is_not_an_int_is_refused(index):
+    G = gosset(4)
+    facet = cross_ids(G)[2]
+    d = DiagonalChoice({i: index if i == facet else 0 for i in cross_ids(G)})
+    refused(subdivide_cross_facets, G, d, match=re.escape(f"diagonal index {index!r} for facet {facet} is not"))
+
+
+def test_diagonals_from_a_choice_missing_a_vertex_are_refused():
+    G = gosset(4)
+    P = ideal_dual(G)
+    last = P.ideal_vertices[-1]
+    choice = FillingChoice({v: 0 for v in P.ideal_vertices[:-1]})
+    refused(diagonals_from_filling, G, choice, match=re.escape(f"missing filling choice at ideal vertex {sorted(last)}"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_diagonal_key_past_the_facet_count_is_refused(n):
+    G = gosset(n)
+    for key in (len(G.cross), len(G.cross) + 7):
+        d = DiagonalChoice({i: 0 for i in cross_ids(G)} | {key: 0})
+        refused(subdivide_cross_facets, G, d, match=f"facet {key} is not a cross-polytope")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_negative_diagonal_key_is_refused_where_the_last_facet_is_a_cross_facet(n):
+    G = gosset(n)
+    assert G.cross[-1]
+    d = DiagonalChoice({i: 0 for i in cross_ids(G)} | {-1: 0})
+    refused(subdivide_cross_facets, G, d, match="facet -1 is not a cross-polytope")
+
+
+def test_a_float_choice_fails_the_fill_stage_with_a_validation_exit():
+    P = ideal_dual(gosset(3))
+    choices = {tuple(sorted(v)): 0 for v in P.ideal_vertices}
+    choices[tuple(sorted(P.ideal_vertices[0]))] = 0.0
+    with pytest.raises(StageError) as exc:
+        run_pipeline(PipelineConfig(n=3, choices=choices))
+    assert exc.value.stage == "fill" and exc.value.exit_code == 2
+    assert isinstance(exc.value.__cause__, ValidationError)

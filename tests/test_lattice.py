@@ -1,11 +1,13 @@
 """Face lattices, duality, and the stock polytope lattices."""
 
+import ast
 import json
 import pickle
 import random
 import re
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +22,12 @@ from cuspforge.lattice import (
     IDEAL,
     REAL,
     FaceLattice,
-    cube_faces,
+    cube_face_rows,
     cube_lattice,
     dualize,
     polygon_lattice,
 )
-from cuspforge.moment_angle import cusp_census
+from cuspforge.moment_angle import cusp_census, truncate_ideal
 from cuspforge.polytopes import CROSS, gosset, ideal_dual
 from cuspforge.simplicial import (
     boundary_of_simplex,
@@ -35,8 +37,9 @@ from cuspforge.simplicial import (
     octahedron_boundary,
 )
 
-import dense_oracles
-from dense_oracles import FaceLatticeOracle, lattice_check_oracle, simplex_lattice
+from dense_oracles import (
+    FaceLatticeOracle, cube_faces, facet_vertex_sets, graded_faces, lattice_check_oracle, simplex_lattice,
+)
 
 
 def test_cube_lattice_counts():
@@ -49,12 +52,68 @@ def test_cube_lattice_counts():
 
 def test_cube_faces_give_the_cube_f_vector():
     for n in range(1, 6):
-        axes = [(2 * a, 2 * a + 1) for a in range(n)]
-        faces = list(cube_faces(axes))
+        axes = np.array([[(2 * a, 2 * a + 1) for a in range(n)]])
+        faces = [(c, frozenset(row)) for c in range(1, n + 1) for row in cube_face_rows(axes, c)[0].tolist()]
         assert len(set(fs for _, fs in faces)) == len(faces)
         # an n-cube has C(n, k) 2^(n-k) faces of dimension k, i.e. codimension n-k
         assert Counter(c for c, _ in faces) == {c: comb(n, c) << c for c in range(1, n + 1)}
         assert all(len(fs) == c for c, fs in faces)
+
+
+def test_cube_face_rows_match_the_per_face_generator():
+    """For a = 0..7 axes and k = 0..a, each row's codimension-k faces are
+    the generator's, in combinations order of the axes and product order
+    of the sides."""
+    rng = np.random.default_rng(0)
+    for a in range(8):
+        pairs = rng.permutation(3 * 2 * a).reshape(3, a, 2)
+        for k in range(a + 1):
+            rows = cube_face_rows(pairs, k)
+            assert rows.shape == (3, comb(a, k) << k, k)
+            for pair_row, faces in zip(pairs.tolist(), rows.tolist()):
+                want = [fs for c, fs in cube_faces([tuple(p) for p in pair_row]) if c == k] if k else [frozenset()]
+                assert list(map(frozenset, faces)) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cube_lattice_matches_the_per_face_constructor(n):
+    axes = [(2 * a, 2 * a + 1) for a in range(n)]
+    want = FaceLatticeOracle(n, 2 * n, [(n - c, fs) for c, fs in cube_faces(axes)])
+    assert_matches_oracle(cube_lattice(n), want)
+
+
+def _side_tables(tree):
+    """The cube side tables built in ``tree``: ``product((0, 1), ...)``,
+    ``product(*pairs)`` over a named sequence of pairs, and bit tables
+    ``... >> np.arange(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "product":
+            first = node.args[0] if node.args else None
+            if (isinstance(first, ast.Tuple) and [getattr(e, "value", None) for e in first.elts] == [0, 1]
+                    or isinstance(first, ast.Starred) and isinstance(first.value, ast.Name)):
+                yield node
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift) and isinstance(node.right, ast.Call)
+                and getattr(node.right.func, "attr", None) == "arange"):
+            yield node
+
+
+def test_cube_face_rows_is_the_one_cube_face_enumeration():
+    """No function in ``src/cuspforge`` but ``lattice.cube_face_rows``
+    builds a cube side table, the per-face generator and the per-facet
+    views are gone, and the filling reads no per-face view."""
+    sources = {path.name: ast.parse(path.read_text()) for path in Path(lattice.__file__).parent.glob("*.py")}
+    one = next(node for node in ast.walk(sources["lattice.py"])
+               if isinstance(node, ast.FunctionDef) and node.name == "cube_face_rows")
+    allowed = {id(node) for node in _side_tables(one)}
+    assert allowed
+    stray = [(name, node.lineno) for name, tree in sources.items()
+             for node in _side_tables(tree) if id(node) not in allowed]
+    assert stray == []
+    defined = {node.name for tree in sources.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"cube_faces", "_per_facet"}
+    assert [node.lineno for node in ast.walk(sources["filling.py"])
+            if isinstance(node, ast.Attribute) and node.attr == "faces"] == []
 
 
 def test_polygon_and_simplex():
@@ -141,15 +200,15 @@ def gosset_oracle(G):
     """G's lattice as the per-face producer listed it: each vertex by the
     facets through it (partial), or each listed face by the facets that
     hold its vertex set (full)."""
-    fv = G.facet_vertex_sets
-    if G.graded_faces is None:
+    fv = facet_vertex_sets(G)
+    if G.face_rows is None:
         at = [set() for _ in range(G.num_vertices)]
         for i, f in enumerate(fv):
             for v in f:
                 at[v].add(i)
         faces = [(0, s) for s in at] + [(G.n - 1, {i}) for i in range(len(fv))]
     else:
-        faces = [(d, frozenset(i for i, f in enumerate(fv) if vs <= f)) for vs, d in G.graded_faces]
+        faces = [(d, frozenset(i for i, f in enumerate(fv) if vs <= f)) for vs, d in graded_faces(G)]
     return FaceLatticeOracle(G.n, len(fv), faces)
 
 
@@ -157,12 +216,12 @@ def dual_oracle(G):
     """P's lattice as the per-face producer listed it, marked by a dict
     keyed by facet vertex sets."""
     n = G.n
-    if G.graded_faces is None:
-        faces = [(0, fv) for fv in G.facet_vertex_sets]
+    if G.face_rows is None:
+        faces = [(0, fv) for fv in facet_vertex_sets(G)]
         faces += [(n - 1, frozenset({v})) for v in range(G.num_vertices)]
     else:
-        faces = [(n - 1 - d, vs) for vs, d in G.graded_faces]
-    marks = {fv: IDEAL if kind == CROSS else REAL for fv, kind in zip(G.facet_vertex_sets, G.facet_types)}
+        faces = [(n - 1 - d, vs) for vs, d in graded_faces(G)]
+    marks = {fv: IDEAL if kind == CROSS else REAL for fv, kind in zip(facet_vertex_sets(G), G.facet_types)}
     return FaceLatticeOracle(n, G.num_vertices, faces, marks)
 
 
@@ -186,21 +245,23 @@ def test_census_path_builds_no_per_face_view():
 
 @pytest.fixture
 def twin(monkeypatch):
-    """Every FaceLattice built by the constructor in ``lattice``,
-    ``filling`` and the test-only ``simplex_lattice`` is checked against the per-face constructor on the same
-    input; returns the list of checked lattices."""
+    """Every FaceLattice built while the fixture is active, by the
+    constructor or by ``from_arrays``, is checked against the per-face
+    constructor on the same face sets and marks; returns the list of
+    checked lattices."""
     checked = []
+    adopt = FaceLattice._adopt
 
-    def build(rank, num_facets, faces, marks=None):
-        faces = list(faces)
-        L = FaceLattice(rank, num_facets, faces, marks)
-        assert_matches_oracle(L, FaceLatticeOracle(rank, num_facets, faces, marks))
-        checked.append(L)
-        return L
+    def checked_adopt(self, rank, num_facets, ranks, ptr, facets, ideal):
+        adopt(self, rank, num_facets, ranks, ptr, facets, ideal)
+        bounds, flat = np.asarray(ptr).tolist(), np.asarray(facets).tolist()
+        rows = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+        flags = [False] * len(rows) if ideal is None else np.asarray(ideal, dtype=bool).tolist()
+        marks = {s: IDEAL for s, flag in zip(rows, flags) if flag}
+        assert_matches_oracle(self, FaceLatticeOracle(rank, num_facets, zip(np.asarray(ranks).tolist(), rows), marks))
+        checked.append(self)
 
-    monkeypatch.setattr(lattice, "FaceLattice", build)
-    monkeypatch.setattr(filling, "FaceLattice", build)
-    monkeypatch.setattr(dense_oracles, "FaceLattice", build)
+    monkeypatch.setattr(FaceLattice, "_adopt", checked_adopt)
     return checked
 
 
@@ -216,9 +277,12 @@ def test_stock_lattices_match_the_per_face_constructor(twin):
 @pytest.mark.parametrize("n, count", [(3, 8), (4, 243)])
 def test_every_filled_lattice_matches_the_per_face_constructor(twin, n, count):
     P = ideal_dual(gosset(n))
+    before = len(twin)
     for choice in enumerate_filling_choices(P):
         dehn_fill(P, choice)
-    assert len(twin) == count
+    assert len(twin) - before == count
+    truncate_ideal(P)
+    assert len(twin) - before == count + 1
 
 
 STOCK = [cube_lattice(n) for n in (1, 2, 3, 4)] + [simplex_lattice(n) for n in (1, 2, 3, 4)]
@@ -244,7 +308,7 @@ def relabelled_lattices(draw):
 def test_relabelled_lattices_match_the_per_face_constructor(args):
     L = FaceLattice(*args)
     assert_matches_oracle(L, FaceLatticeOracle(*args))
-    assert FaceLattice.from_arrays(L.rank, L.num_facets, L._ranks, L._ptr, L._facets, L._ideal) == L
+    assert FaceLattice.from_arrays(L.rank, L.num_facets, *L.arrays()) == L
 
 
 def test_nested_rows_sort_as_tuples_and_marks_stay_at_rank_0():

@@ -31,8 +31,8 @@ from cuspforge.polytopes import (
 )
 
 from dense_oracles import (
-    FaceLatticeOracle, facets_by_maximization, fundamental_weight_oracle, lattice_check_oracle,
-    orbit_facet_data, simplex_lattice, validate_links_oracle, weyl_orbit,
+    FaceLatticeOracle, antipodal_pairs, facet_vertex_sets, facets_by_maximization, fundamental_weight_oracle,
+    graded_faces, lattice_check_oracle, orbit_facet_data, simplex_lattice, validate_links_oracle, weyl_orbit,
 )
 
 
@@ -50,7 +50,7 @@ def hull_facets(points):
 def test_prism_matches_hull_oracle():
     G = gosset(3)
     assert hull_facets(G.vertex_coordinates) == sorted(
-        sorted(f) for f in G.facet_vertex_sets
+        sorted(f) for f in facet_vertex_sets(G)
     )
     assert sorted(G.facet_types) == [CROSS] * 3 + [SIMPLEX] * 2
 
@@ -58,7 +58,7 @@ def test_prism_matches_hull_oracle():
 def test_rectified_simplex_matches_hull_oracle():
     G = gosset(4)
     assert hull_facets(np.array(G.vertex_coordinates)[:, :4]) == sorted(
-        sorted(f) for f in G.facet_vertex_sets
+        sorted(f) for f in facet_vertex_sets(G)
     )
     assert G.facet_types.count(SIMPLEX) == 5
     assert G.facet_types.count(CROSS) == 5
@@ -67,7 +67,7 @@ def test_rectified_simplex_matches_hull_oracle():
 def test_demicube_matches_hull_oracle():
     G = gosset(5)
     assert hull_facets(G.vertex_coordinates) == sorted(
-        sorted(f) for f in G.facet_vertex_sets
+        sorted(f) for f in facet_vertex_sets(G)
     )
     assert G.facet_types.count(SIMPLEX) == 16
     assert G.facet_types.count(CROSS) == 10
@@ -76,7 +76,7 @@ def test_demicube_matches_hull_oracle():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_facet_sizes_and_ideal_links(n):
     G = gosset(n)
-    for fv, kind in zip(G.facet_vertex_sets, G.facet_types):
+    for fv, kind in zip(facet_vertex_sets(G), G.facet_types):
         assert len(fv) == (n if kind == SIMPLEX else 2 * (n - 1))
     P = ideal_dual(G)
     for v in P.ideal_vertices:
@@ -102,7 +102,7 @@ def test_dual_reconstructs_gosset_facets():
     # vertices of P, read back as vertex sets over the facets of P,
     # are exactly the facets of G
     recovered = sorted(sorted(s) for s in P.lattice.vertex_faces())
-    assert recovered == sorted(sorted(f) for f in G.facet_vertex_sets)
+    assert recovered == sorted(sorted(f) for f in facet_vertex_sets(G))
 
 
 def test_abelianization_ranks():
@@ -227,7 +227,7 @@ def test_ideal_dual_of_the_full_e7_lattice_keeps_its_output():
 def test_e7_full_lattice():
     G = gosset(7, full_lattice=True)
     assert G.lattice.f_vector() == (56, 756, 4032, 10080, 12096, 6048, 702)
-    assert all(d == len(v) - 1 for v, d in G.graded_faces if d < 6)
+    assert all(d == len(v) - 1 for v, d in graded_faces(G) if d < 6)
 
 
 # Set-based assembly checks, the scalar orbit closure and the face
@@ -321,13 +321,13 @@ def _orbit_oracle(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> L
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_bitset_assembly_checks_match_set_oracles(n):
     G = gosset(n)
-    fv, types = G.facet_vertex_sets, G.facet_types
+    fv, types = facet_vertex_sets(G), G.facet_types
     rows = polytopes._antipodal_pairs(G.simplex_rows, G.cross_rows, G.cross)
     pairs = [()] * len(types)
-    for i, p in zip(G.cross_facet_ids(), rows.tolist()):
+    for i, p in zip(np.flatnonzero(G.cross).tolist(), rows.tolist()):
         pairs[i] = tuple(map(tuple, p))
     assert pairs == _antipodal_oracle(fv, types, G.num_vertices)
-    assert tuple(pairs) == G.antipodal_pairs
+    assert tuple(pairs) == antipodal_pairs(G)
     assert polytopes._ridge_check(G.simplex_rows, rows) == _ridge_oracle(n, fv, types, pairs)
 
 
@@ -430,9 +430,9 @@ def faces_from_facet_vertex_sets(
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_listed_faces_match_intersection_closure(n):
     G = gosset(n)
-    graded = faces_from_facet_vertex_sets(G.facet_vertex_sets)
-    assert G.graded_faces == tuple(graded)
-    fv = G.facet_vertex_sets
+    graded = faces_from_facet_vertex_sets(facet_vertex_sets(G))
+    assert graded_faces(G) == tuple(graded)
+    fv = facet_vertex_sets(G)
     faces = [(d, frozenset(i for i, f in enumerate(fv) if vset <= f)) for vset, d in graded]
     assert G.lattice == FaceLattice(n, len(fv), faces)
 
@@ -449,7 +449,7 @@ def test_full_lattice_refuses_two_facets_on_one_vertex_set():
     # checks; no face lies on one of them alone
     G = gosset(4)
     pillow = frozenset(range(G.num_vertices, G.num_vertices + 4))
-    facets = list(zip(G.facet_vertex_sets, G.facet_types)) + [(pillow, SIMPLEX)] * 2
+    facets = list(zip(facet_vertex_sets(G), G.facet_types)) + [(pillow, SIMPLEX)] * 2
     for full in (False, True):
         with pytest.raises(ValidationError):
             _assemble_sets(4, G.num_vertices + 4, facets, full)
@@ -459,7 +459,7 @@ def test_full_lattice_refuses_two_facets_on_one_vertex_set():
 
 def _g5_facets():
     G = gosset(5)
-    return list(zip(G.facet_vertex_sets, G.facet_types))
+    return list(zip(facet_vertex_sets(G), G.facet_types))
 
 
 def _without_first(facets):
@@ -560,13 +560,13 @@ def test_wythoff_facets_match_the_maximization_route(n):
     G = gosset(n)
     assert G.vertex_coordinates == tuple(vertices)
     assert G.facet_types == tuple(types)
-    assert G.facet_vertex_sets == tuple(fv)
+    assert facet_vertex_sets(G) == tuple(fv)
     assert G.simplex_rows.tolist() == [sorted(f) for f, t in facets if t == SIMPLEX]
     assert G.cross_rows.tolist() == [sorted(f) for f, t in facets if t == CROSS]
-    assert G.antipodal_pairs == tuple(_antipodal_oracle(fv, types, len(vertices)))
+    assert antipodal_pairs(G) == tuple(_antipodal_oracle(fv, types, len(vertices)))
     P = ideal_dual(G)
     assert P.ideal_vertices == tuple(sorted((f for f, t in facets if t == CROSS), key=sorted))
-    assert P.axes == {f: p for f, p in zip(fv, G.antipodal_pairs) if p}
+    assert P.axes == {f: p for f, p in zip(fv, antipodal_pairs(G)) if p}
     assert (G.lattice.to_json(), P.lattice.to_json()) == _facet_lattices_oracle(n, facets, len(vertices))
 
 
@@ -606,12 +606,13 @@ def test_gosset_views_stay_out_of_equality_hash_and_pickles(n):
     G = gosset(n)
     blob, h = pickle.dumps(G), hash(G)
     assert not G._views
-    G.facet_vertex_sets, G.facet_types, G.antipodal_pairs, G.graded_faces
+    G.facet_types
     assert G._views
     assert pickle.dumps(G) == blob and hash(G) == h
     back = pickle.loads(blob)
     assert not back._views and back == G and hash(back) == h
-    assert back.facet_vertex_sets == G.facet_vertex_sets and back.graded_faces == G.graded_faces
+    assert back.facet_types == G.facet_types
+    assert facet_vertex_sets(back) == facet_vertex_sets(G) and graded_faces(back) == graded_faces(G)
     assert gosset(n) == G and G != gosset(n + 1)
 
 
@@ -669,7 +670,7 @@ def test_census_pipeline_builds_no_per_facet_view(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "gosset", spy)
     run_pipeline(PipelineConfig(n=8, census_only=True, outdir=str(tmp_path)))
     (G,) = built
-    assert "facet_vertex_sets" not in G._views and not G._views
+    assert "facet_types" not in G._views and not G._views
 
 
 def test_ingestion_refuses_a_lattice_with_other_counts():

@@ -410,7 +410,7 @@ def _ridge_check(simplex_rows: np.ndarray, pair_rows: np.ndarray) -> int:
         raise ValidationError("ridge rows too long for int64 keys")
 
     def pack(cols: List[np.ndarray]) -> np.ndarray:
-        key = np.zeros(len(cols[0]), dtype=np.int64)
+        key = np.zeros(cols[0].shape, dtype=np.int64)
         for col in cols:
             key *= nv
             key += col
@@ -418,11 +418,11 @@ def _ridge_check(simplex_rows: np.ndarray, pair_rows: np.ndarray) -> int:
 
     keys = [pack([S[:, j] for j in range(k + 1) if j != i]) for i in range(k + 1)]
     ends = cube_face_rows(P, k)  # one end of each diagonal
-    cols = [ends[:, :, i].ravel() for i in range(k)]
+    cols = [ends[:, :, i] for i in range(k)]
     for r in range(k):
         for i in range(r % 2, k - 1, 2):
             cols[i], cols[i + 1] = np.minimum(cols[i], cols[i + 1]), np.maximum(cols[i], cols[i + 1])
-    keys.append(pack(cols))
+    keys.append(pack(cols).ravel())
     keys = np.sort(np.concatenate(keys))
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]

@@ -417,8 +417,7 @@ def _ridge_check(simplex_rows: np.ndarray, pair_rows: np.ndarray) -> int:
         return key
 
     keys = [pack([S[:, j] for j in range(k + 1) if j != i]) for i in range(k + 1)]
-    ends = cube_face_rows(P, k)  # one end of each diagonal
-    cols = [ends[:, :, i] for i in range(k)]
+    cols = list(np.moveaxis(cube_face_rows(P, k), 2, 0))  # one end of each diagonal, as columns
     for r in range(k):
         for i in range(r % 2, k - 1, 2):
             cols[i], cols[i + 1] = np.minimum(cols[i], cols[i + 1]), np.maximum(cols[i], cols[i + 1])

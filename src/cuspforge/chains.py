@@ -48,7 +48,7 @@ import numpy as np
 from . import gf2
 from .cubical import CubicalComplex
 from .errors import ValidationError
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, drop_one, row_keys
 from .snf import SNFResult, smith_normal_form
 from .store import by_value
 
@@ -328,16 +328,18 @@ def chain_complex_of(X, coeff: str = "Z2") -> ChainComplexData:
 
 
 def _simplicial_chain_data(K: SimplicialComplex, coeff: str) -> ChainComplexData:
-    cell_keys: List[Tuple] = []
-    entries: List[List[Tuple]] = []
-    index_prev: Dict = {}
-    for k in range(K.dim + 1):
-        faces = K.faces_of_dim(k)
-        entries.append([[(index_prev[f[:j] + f[j + 1:]], (-1) ** j) for j in range(len(f))] if k else []
-                        for f in faces])
-        cell_keys.append(tuple(faces))
-        index_prev = {f: i for i, f in enumerate(faces)}
-    return ChainComplexData.from_entries(coeff, cell_keys, entries)
+    """d_k read off K's face rows: on the j-th vertex of a sorted k-simplex
+    the face without it, with sign (-1)^j, found by one sorted search per
+    dimension among the exact keys (``row_keys``) of the (k-1)-faces."""
+    cell_keys = [K.faces_of_dim(k) for k in range(K.dim + 1)]
+    empty = np.zeros(0, dtype=np.int64)
+    incidences = [(np.zeros(len(cell_keys[0]) + 1, dtype=np.int64), empty, empty)]
+    for k in range(1, K.dim + 1):
+        n = len(cell_keys[k])
+        faces, drops = row_keys(K.rows_of_dim(k - 1), drop_one(K.rows_of_dim(k)).reshape(n * (k + 1), k))
+        incidences.append((np.arange(n + 1, dtype=np.int64) * (k + 1), np.searchsorted(faces, drops),
+                           np.tile((-1) ** np.arange(k + 1, dtype=np.int64), n)))
+    return ChainComplexData(coeff, cell_keys, incidences)
 
 
 def _cubical_chain_data(Z: CubicalComplex, coeff: str) -> ChainComplexData:
@@ -545,10 +547,6 @@ def coboundary(data: ChainComplexData, phi: int, k: int) -> int:
                          bitorder="little")
     parity = np.bincount(cells[(coeffs & 1 != 0) & (held[faces] != 0)], minlength=data.size(k + 1)) & 1
     return int.from_bytes(np.packbits(parity.astype(np.uint8), bitorder="little").tobytes(), "little")
-
-
-def is_cocycle(data: ChainComplexData, phi: int, k: int) -> bool:
-    return coboundary(data, phi, k) == 0
 
 
 # ---------------------------------------------------------------------------

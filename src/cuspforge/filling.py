@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .isomorphism import find_isomorphism
 from .lattice import FaceLattice, cube_face_rows, dualize
 from .polytopes import GossetPolytope, IdealPolytope, ideal_dual
-from .simplicial import SimplicialComplex, build_simplicial, octahedron_boundary
+from .simplicial import SimplicialComplex, octahedron_boundary
 
 VertexKey = FrozenSet[int]
 
@@ -30,9 +30,6 @@ class FillingChoice:
     """One filling axis per ideal vertex, as an index into its axis list."""
 
     axis_index: Dict[VertexKey, int]
-
-    def axis_of(self, vertex: VertexKey) -> int:
-        return self.axis_index[frozenset(vertex)]
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,8 @@ def subdivide_cross_facets(G: GossetPolytope, d: DiagonalChoice) -> SimplicialCo
         raise ValidationError(f"missing diagonal for cross facet {missing[0]}")
     diagonal, others = _split(G.pair_rows, [d.pair_index[i] for i in cross], "diagonal",
                               [f"for facet {i}" for i in cross])
-    K = build_simplicial(G.simplex_rows.tolist() + _joined(diagonal, others, n - 2).tolist(), G.num_vertices)
+    tops = np.concatenate((G.simplex_rows, _joined(diagonal, others, n - 2)))
+    K = SimplicialComplex.from_arrays(G.num_vertices, np.arange(len(tops) + 1) * n, tops.ravel())
     if not K.is_pure() or K.dim != n - 1:
         raise ValidationError("subdivision did not produce a pure (n-1)-complex")
     return K

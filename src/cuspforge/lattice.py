@@ -17,28 +17,31 @@ each test once over the arrays.  A rank block whose rows already ascend
 is adopted in its order after one pass over neighbouring rows, which
 also proves it free of repeats; only other blocks are sorted.  The JSON
 document is written from the arrays by ``rows_text``, the one writer of
-index rows as text, which also writes the census document.  Readers take
+index rows as text, which also writes the census and simplicial
+documents.  Readers take
 the rows of one rank (``rows_of_rank``) or every face at once
 (``arrays``, the arrays ``from_arrays`` takes); no face is looked up by
 its facet set.  The per-face view ``faces`` is a store view
 (``store.Store``), kept out of ``==``, ``hash`` and pickles.
-``cube_face_rows`` is the one enumeration of cube faces, for every reader.
+``cube_face_rows``, the one enumeration of cube faces, and the other row
+helpers live in ``simplicial``, below this module.
 
-Duality runs one way: ``dualize`` reads the dual simplicial complex of a
-simple lattice off its vertex rows.  Meets and joins of face pairs are
-not checked here: that O(F^3) check is a test oracle.
+Duality runs one way: ``dualize`` builds the dual simplicial complex on
+a simple lattice's vertex rows and looks up the facet rows of every rank
+among its faces of the same width by exact row keys, with no per-face
+view.  Meets and joins of face pairs are not checked here: that O(F^3)
+check is a test oracle.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from math import comb
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, json_document, json_int
-from .simplicial import SimplicialComplex, build_simplicial
+from .simplicial import SimplicialComplex, cube_face_rows, row_keys, rows_text, sorted_rows
 from .store import Store
 
 REAL = "real"
@@ -113,17 +116,8 @@ class FaceLattice(Store):
             ranks, facets = ranks.astype(np.int64), facets.astype(np.int64)
         except OverflowError:
             raise ValidationError(f"face ranks of a rank-{rank} lattice exceed int64") from None
-        owner = np.repeat(np.arange(len(ranks)), widths)
-        fresh = np.ones(len(facets), dtype=bool)
-        fresh[1:] = owner[1:] != owner[:-1]
-        if not (fresh[1:] | (facets[1:] > facets[:-1])).all():
-            # sort within each face; a repeated index collapses
-            facets = facets[np.lexsort((facets, owner))]
-            keep = fresh.copy()
-            keep[1:] |= facets[1:] != facets[:-1]
-            facets, owner = facets[keep], owner[keep]
-            widths = np.bincount(owner, minlength=len(ranks))
-            ptr = np.concatenate(([0], np.cumsum(widths)))
+        ptr, facets = sorted_rows(ptr, facets)  # a repeated index collapses
+        widths = np.diff(ptr)
         order = _canonical_order(ranks, ptr, facets)
         widths = widths[order]
         start = np.concatenate(([0], np.cumsum(widths)))
@@ -171,9 +165,6 @@ class FaceLattice(Store):
         """Every face as the arrays ``from_arrays`` takes: (ranks, ptr,
         facets, ideal), in canonical order."""
         return self._ranks, self._ptr, self._facets, self._ideal
-
-    def vertex_faces(self) -> List[FrozenSet[int]]:
-        return self.faces_of_rank(0)
 
     def ideal_vertices(self) -> List[FrozenSet[int]]:
         flat, ptr = self._facets.tolist(), self._ptr.tolist()
@@ -266,33 +257,6 @@ def _ideal_flags(labels: Iterable) -> List[bool]:
     return flags
 
 
-def rows_text(values: np.ndarray, ptr: np.ndarray, ends: np.ndarray, end_texts: Sequence[str]) -> str:
-    """Rows of non-negative integers as text: row i, ``values[ptr[i]:ptr[i + 1]]``
-    (non-empty), written as its indices joined by commas and then
-    ``end_texts[ends[i]]``.  Each number up to the largest has one slot of
-    fixed width, its digits right-aligned behind zero bytes and then a
-    comma; the rows' slots are gathered, each row's last comma becomes the
-    marker byte of its end text, the zero bytes are dropped and each
-    marker is replaced by its text.  Markers are the bytes 128 and up, so
-    they never occur in digits, commas or the ASCII end texts."""
-    if len(end_texts) > 128:
-        raise ValueError("rows_text takes at most 128 end texts")
-    lo, hi = int(ptr[0]), int(ptr[-1])
-    numbers = np.arange(int(values[lo:hi].max()) + 1)
-    width = len(str(len(numbers) - 1))
-    slots = np.full((len(numbers), width + 1), ord(","), dtype=np.uint8)
-    for place in range(width):
-        scale = 10 ** (width - 1 - place)
-        slots[:, place] = (numbers // scale % 10 + ord("0")) * (numbers >= scale)
-    slots[0, width - 1] = ord("0")
-    text = slots[values[lo:hi]].ravel()
-    text[(ptr[1:] - lo) * (width + 1) - 1] = 128 + ends
-    data = text[text != 0].tobytes()
-    for marker, end in enumerate(end_texts):
-        data = data.replace(bytes((128 + marker,)), end.encode("ascii"))
-    return data.decode("ascii")
-
-
 def _padded_rows(ptr: np.ndarray, facets: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """The facet rows of the faces ``sel``, padded with -1 to the widest."""
     width = ptr[sel + 1] - ptr[sel]
@@ -350,16 +314,21 @@ def _canonical_order(ranks: np.ndarray, ptr: np.ndarray, facets: np.ndarray) -> 
 def dualize(P: FaceLattice) -> SimplicialComplex:
     """Dual simplicial complex of a simple polytope boundary.
 
-    Facets of P become vertices; the facet set of each P-vertex becomes a
-    top simplex.  Requires P simple (vertices in exactly n facets).
+    Facets of P become vertices; the facet row of each P-vertex becomes a
+    top simplex.  Requires P simple (a rank-k face in exactly n - k
+    facets); each rank's facet rows are then looked up by exact keys among
+    the dual's faces of the same width, and a row that is not one is
+    refused.
     """
     if not P.is_simple():
         raise ValidationError("dualize needs a simple lattice")
-    tops = [tuple(sorted(s)) for s in P.vertex_faces()]
-    K = build_simplicial(tops, P.num_facets)
-    for k, s in P.faces:
-        if not K.has_face(tuple(sorted(s))):
-            raise ValidationError(f"face {sorted(s)} has no dual simplex")
+    K = SimplicialComplex.from_arrays(P.num_facets, *P.rows_of_rank(0))
+    for k in P.ranks_present():
+        rows = P.rows_of_rank(k)[1].reshape(-1, P.rank - k)
+        have, want = row_keys(K.rows_of_dim(P.rank - k - 1), rows)
+        missing = np.flatnonzero(have[np.searchsorted(have, want).clip(max=len(have) - 1)] != want)
+        if len(missing):
+            raise ValidationError(f"face {rows[missing[0]].tolist()} has no dual simplex")
     return K
 
 
@@ -373,17 +342,6 @@ def polygon_lattice(k: int) -> FaceLattice:
     faces: List[Tuple[int, Iterable[int]]] = [(1, {i}) for i in range(k)]
     faces += [(0, {(i - 1) % k, i}) for i in range(k)]
     return FaceLattice(2, k, faces)
-
-
-def cube_face_rows(pairs: np.ndarray, k: int) -> np.ndarray:
-    """The codimension-k faces of the cubes whose axes (opposite facet
-    pairs) are the rows of ``pairs``, (m, a, 2): k axes in ``combinations``
-    order, one side of each in ``product`` order, as the chosen entries,
-    shape (m, C(a, k) 2^k, k)."""
-    a = pairs.shape[1]
-    axes = np.array(list(combinations(range(a), k)), dtype=np.intp).reshape(comb(a, k), k)
-    sides = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return pairs[:, np.repeat(axes, 1 << k, axis=0), np.tile(sides, (len(axes), 1))]
 
 
 def cube_lattice(n: int) -> FaceLattice:

@@ -68,6 +68,13 @@ enumerated and searched among the vertices) and
 per cell).  ``maximal_facets_oracle`` is the quadratic maximality
 filter of the simplicial constructor.
 
+A simplicial complex is one store of facet rows, cleaned, filtered for
+maximality and closed in one pass over its rows.
+``SimplicialComplexOracle`` keeps the per-facet constructor it replaced
+(a sorted set and a frozenset per facet, a scan of the rarest vertex's
+facets, the closure as tuple sets and ``has_face`` on their frozenset),
+with its links, full subcomplexes and ``json.dumps`` writer, verbatim.
+
 A face lattice is one store of flat arrays, checked, ordered and written
 once per face.  ``FaceLatticeOracle`` keeps the parent's constructor
 (frozenset faces, a sort key per face, a mark per face and the facet-set
@@ -107,8 +114,9 @@ verbatim as ``cusp_census_oracle`` (with the census it returned,
 coboundary reader before it left the rows its elimination skips unbuilt.
 
 The cochain-level cup product (``cup_product``, read off the library's
-splittings), ``pair_with_fundamental_class`` and ``simplex_lattice`` are
-reached only by the tests and live here, verbatim.
+splittings), ``is_cocycle``, ``pair_with_fundamental_class`` and
+``simplex_lattice`` are reached only by the tests and live here,
+verbatim.
 """
 
 from __future__ import annotations
@@ -128,7 +136,7 @@ from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequenc
 import numpy as np
 
 from cuspforge import gf2
-from cuspforge.chains import ChainComplexData, _splittings, cohomology_z2_basis, is_cocycle
+from cuspforge.chains import ChainComplexData, _splittings, coboundary, cohomology_z2_basis
 from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, CubicalComplex, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
@@ -141,6 +149,7 @@ from cuspforge.polytopes import (
     _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _dot, _fundamental_weight_vector, _orbit,
 )
 from cuspforge.simplicial import SimplicialComplex
+from cuspforge.store import Store
 from cuspforge.snf import Move, SNFResult, _add_sparse
 
 Matrix = List[List[int]]
@@ -787,7 +796,7 @@ def dehn_fill_oracle(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     filling_faces: Dict[VertexKey, FrozenSet[int]] = {}
     for v in sorted(ideal, key=sorted):
         axes = P.axes_of(v)
-        idx = choice.axis_of(v)
+        idx = choice.axis_index[frozenset(v)]
         if not 0 <= idx < len(axes):
             raise ValidationError(f"axis index {idx} out of range at {sorted(v)}")
         chosen = frozenset(axes[idx])
@@ -1127,6 +1136,96 @@ def maximal_facets_oracle(cleaned: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int
     return tuple(sorted(set(maximal)))
 
 
+class SimplicialComplexOracle(Store):
+    """The per-facet SimplicialComplex: facets cleaned one at a time, the
+    rarest vertex's facets scanned for a larger one, the closure a dict of
+    tuple sets and ``has_face`` a frozenset lookup."""
+
+    __slots__ = ("vertex_count", "facets", "_views")
+
+    def __init__(self, vertex_count: int, facets: Sequence[Iterable[int]]):
+        if vertex_count < 0:
+            raise ValidationError("vertex_count must be nonnegative")
+        if not facets:
+            raise ValidationError("facet list is empty")
+        cleaned: List[Tuple[int, ...]] = []
+        for f in facets:
+            fs = tuple(sorted(set(f)))
+            if not fs:
+                raise ValidationError("empty facet")
+            if fs[0] < 0 or fs[-1] >= vertex_count:
+                raise ValidationError(f"facet {fs} out of range for {vertex_count} vertices")
+            cleaned.append(fs)
+        # deduplicate, then drop each facet inside a strictly larger one,
+        # which contains the facet's rarest vertex
+        distinct = {f: frozenset(f) for f in cleaned}
+        containing: Dict[int, List[Tuple[int, ...]]] = {}
+        for f in distinct:
+            for v in f:
+                containing.setdefault(v, []).append(f)
+        maximal = [f for f, fs in distinct.items() if not any(
+            len(g) > len(f) and fs < distinct[g] for g in min(map(containing.get, f), key=len))]
+        self.vertex_count = vertex_count
+        self.facets: Tuple[Tuple[int, ...], ...] = tuple(sorted(maximal))
+
+    def _faces_by_dim(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+        return self._view("faces_by_dim", self._closure)
+
+    def _closure(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+        """The faces of each dimension, sorted: the downward closure of the facets."""
+        by_dim: Dict[int, set] = {}
+        for f in self.facets:
+            for k in range(1, len(f) + 1):
+                by_dim.setdefault(k - 1, set()).update(combinations(f, k))
+        return {d: tuple(sorted(faces)) for d, faces in by_dim.items()}
+
+    def _face_set(self) -> FrozenSet[Tuple[int, ...]]:
+        return self._view("face_set", lambda: frozenset(
+            face for faces in self._faces_by_dim().values() for face in faces))
+
+    @property
+    def dim(self) -> int:
+        return max(map(len, self.facets)) - 1
+
+    def faces_of_dim(self, k: int) -> Tuple[Tuple[int, ...], ...]:
+        return self._faces_by_dim().get(k, ())
+
+    def has_face(self, face: Iterable[int]) -> bool:
+        return tuple(sorted(face)) in self._face_set()
+
+    def vertices(self) -> Tuple[int, ...]:
+        return tuple(v for (v,) in self.faces_of_dim(0))
+
+    def link_of_vertex(self, v: int) -> "SimplicialComplexOracle":
+        """Link of v: faces tau with v not in tau and tau + {v} a face."""
+        if (v,) not in self._face_set():
+            raise ValidationError(f"vertex {v} not in complex")
+        candidates = [tuple(x for x in f if x != v) for f in self.facets if v in f]
+        candidates = [c for c in candidates if c]
+        if not candidates:
+            raise ValidationError(f"vertex {v} is isolated; its link is empty")
+        return SimplicialComplexOracle(self.vertex_count, candidates)
+
+    def full_subcomplex(self, subset: Iterable[int]) -> Optional["SimplicialComplexOracle"]:
+        """Restriction to a vertex subset; None if no face survives."""
+        sub = set(subset)
+        faces = []
+        for f in self.facets:
+            g = tuple(x for x in f if x in sub)
+            if g:
+                faces.append(g)
+        if not faces:
+            return None
+        return SimplicialComplexOracle(self.vertex_count, faces)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"type": "simplicial", "vertices": self.vertex_count,
+             "facets": [list(f) for f in self.facets]},
+            sort_keys=True, separators=(",", ":"),
+        )
+
+
 class FaceLatticeOracle:
     """The per-face FaceLattice constructor and JSON writer."""
 
@@ -1195,7 +1294,7 @@ def validate_links_oracle(lattice: FaceLattice, ideal: set) -> None:
     ids = np.repeat(np.arange(len(widths)), widths)[order]
     ptr = np.concatenate(([0], np.cumsum(np.bincount(lattice._facets, minlength=lattice.num_facets))))
     faces = lattice.faces
-    for s in lattice.vertex_faces():
+    for s in lattice.faces_of_rank(0):
         # the faces above s, itself included, are named once for each of their facets
         hits = np.bincount(np.concatenate([ids[ptr[f]:ptr[f + 1]] for f in s]), minlength=len(widths))
         above = [faces[i][1] for i in np.flatnonzero(hits == widths).tolist() if faces[i][1] != s]
@@ -1497,6 +1596,10 @@ def census_json_oracle(census) -> str:
 # ---------------------------------------------------------------------------
 # API that only the tests reach
 # ---------------------------------------------------------------------------
+
+
+def is_cocycle(data: ChainComplexData, phi: int, k: int) -> bool:
+    return coboundary(data, phi, k) == 0
 
 
 def cup_product(data: ChainComplexData, a: int, b: int, k: int, l: int) -> int:

@@ -19,7 +19,6 @@ from cuspforge.chains import (
     homology,
     inclusion_free_h1_matrix,
     integral_homology_basis,
-    is_cocycle,
     restriction_map_z2,
     subcomplex_selection,
 )
@@ -49,6 +48,7 @@ from dense_oracles import (
     gf2_corows_array_oracle,
     gf2_corows_oracle,
     gf2_rows_oracle,
+    is_cocycle,
     kernel_basis,
     left_kernel_basis,
     pair_with_fundamental_class,

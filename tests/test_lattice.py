@@ -84,9 +84,15 @@ def test_cube_lattice_matches_the_per_face_constructor(n):
 
 def _side_tables(tree):
     """The cube side tables built in ``tree``: ``product((0, 1), ...)``,
-    ``product(*pairs)`` over a named sequence of pairs, and bit tables
-    ``... >> np.arange(...)``."""
+    ``product(*pairs)`` over a named sequence of pairs, bit tables
+    ``... >> np.arange(...)`` and bit loops ``... >> i`` with ``i`` running
+    over a ``range``, in a loop or a comprehension."""
     for node in ast.walk(tree):
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        bits = {loop.target.id for loop in loops if isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", None) == "range"}
+        yield from (shift for shift in ast.walk(node) if isinstance(shift, ast.BinOp)
+                    and isinstance(shift.op, ast.RShift) and getattr(shift.right, "id", None) in bits)
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "product":
             first = node.args[0] if node.args else None
             if (isinstance(first, ast.Tuple) and [getattr(e, "value", None) for e in first.elts] == [0, 1]
@@ -98,11 +104,14 @@ def _side_tables(tree):
 
 
 def test_cube_face_rows_is_the_one_cube_face_enumeration():
-    """No function in ``src/cuspforge`` but ``lattice.cube_face_rows``
-    builds a cube side table, the per-face generator and the per-facet
-    views are gone, and the filling reads no per-face view."""
+    """No function in ``src/cuspforge`` but ``cube_face_rows`` (in
+    ``simplicial``, below ``lattice``) builds a cube side table, the
+    per-face generator and the per-facet views are gone, and the filling
+    reads no per-face view."""
     sources = {path.name: ast.parse(path.read_text()) for path in Path(lattice.__file__).parent.glob("*.py")}
-    one = next(node for node in ast.walk(sources["lattice.py"])
+    assert {"lattice.py", "simplicial.py", "polytopes.py", "filling.py"} <= set(sources)
+    assert list(_side_tables(ast.parse("[(s >> i) & 1 for s in range(8) for i in range(3)]")))
+    one = next(node for node in ast.walk(sources["simplicial.py"])
                if isinstance(node, ast.FunctionDef) and node.name == "cube_face_rows")
     allowed = {id(node) for node in _side_tables(one)}
     assert allowed
@@ -156,6 +165,14 @@ def test_dualize_requires_simple():
     assert not P.lattice.is_simple()
     with pytest.raises(ValidationError):
         dualize(P.lattice)
+
+
+def test_dualize_refuses_a_face_on_no_vertex():
+    # a triangle's vertices and a fourth edge that no vertex lies on
+    L = FaceLattice(2, 4, [(0, {0, 1}), (0, {1, 2}), (0, {0, 2})] + [(1, {i}) for i in range(4)])
+    assert L.is_simple()
+    with pytest.raises(ValidationError, match=r"^face \[3\] has no dual simplex$"):
+        dualize(L)
 
 
 def test_bipyramid_simplicity_fails_exactly_at_ideal_vertices():

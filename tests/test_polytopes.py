@@ -93,7 +93,7 @@ def test_fvector_symmetry_between_g_and_p(n):
     pf = P.lattice.f_vector()
     assert pf == tuple(reversed(gf))
     assert pf[-1] == G.num_vertices
-    assert gf[-1] == len(P.lattice.vertex_faces())
+    assert gf[-1] == len(P.lattice.faces_of_rank(0))
 
 
 def test_dual_reconstructs_gosset_facets():
@@ -101,7 +101,7 @@ def test_dual_reconstructs_gosset_facets():
     P = ideal_dual(G)
     # vertices of P, read back as vertex sets over the facets of P,
     # are exactly the facets of G
-    recovered = sorted(sorted(s) for s in P.lattice.vertex_faces())
+    recovered = sorted(sorted(s) for s in P.lattice.faces_of_rank(0))
     assert recovered == sorted(sorted(f) for f in facet_vertex_sets(G))
 
 

@@ -212,17 +212,22 @@ class FaceLattice(Store):
 
     @classmethod
     def from_json(cls, text: str) -> "FaceLattice":
+        """The ranks and facet indices are type-checked once over the
+        document; a failing one is read face by face to name the first
+        offender."""
         data = json_document(text, "face_lattice")
-        ranks: List[int] = []
-        rows: List[List[int]] = []
-        labels = []
+        try:
+            ranks = [item["rank"] for item in data["faces"]]
+            rows = [item["facet_set"] for item in data["faces"]]
+            labels = [item.get("mark", REAL) for item in data["faces"]]
+            ints = set(map(type, ranks)) | set(map(type, chain.from_iterable(rows))) <= {int}
+        except (KeyError, TypeError):
+            ints = False
         try:
             rank, num_facets = json_int(data["rank"]), json_int(data["facets"])
-            for item in data["faces"]:
-                k = json_int(item["rank"])
-                rows.append(list(map(json_int, item["facet_set"])))
-                ranks.append(k)
-                labels.append(item.get("mark", REAL))
+            for item in [] if ints else data["faces"]:
+                json_int(item["rank"])
+                list(map(json_int, item["facet_set"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed face_lattice document: {exc!r}") from exc
         return cls.from_arrays(rank, num_facets, *_face_arrays(ranks, rows), _ideal_flags(labels))

@@ -103,7 +103,9 @@ O(F^3) meet and join check of face lattices as ``lattice_check_oracle``.
 ``weyl_orbit`` lists the orbit that ``polytopes._orbit`` finds by reverse
 search as tuples.  ``fundamental_weight_oracle`` is the generator's
 former weight solve, exact Gauss-Jordan elimination over ``Fraction``,
-kept verbatim.
+kept verbatim.  ``orbit_per_round_oracle`` is the reverse search before
+it read each child's root products off its parent's: it recomputes them
+with one matrix product and a lattice check per round, kept verbatim.
 
 The cusp census is read off P's ideal rows and keeps one span and one
 torus flag per ideal vertex; its JSON is written from those rows.  The
@@ -146,7 +148,8 @@ from cuspforge.moment_angle import (
     _component_roots,
 )
 from cuspforge.polytopes import (
-    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _dot, _fundamental_weight_vector, _orbit,
+    _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _dot, _fundamental_weight_vector, _key_places,
+    _orbit, _root_products,
 )
 from cuspforge.simplicial import SimplicialComplex
 from cuspforge.store import Store
@@ -1368,6 +1371,36 @@ def weyl_orbit(start: Tuple[int, ...], roots: Sequence[Tuple[int, ...]]) -> List
     search, sorted."""
     orbit, _ = _orbit(start, np.array(roots, dtype=np.int64))
     return list(map(tuple, orbit.tolist()))
+
+
+def orbit_per_round_oracle(start: Sequence[int], R: np.ndarray, seed: Sequence[int] = (),
+                           perms: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """``polytopes._orbit`` with the products of every round recomputed
+    as ``X @ R.T`` and checked to be multiples of 4."""
+    bound = isqrt(_dot(start, start))
+    place = _key_places(bound, R.shape[1])
+    cartan = (R @ R.T) // 4
+    frontier = np.array([start], dtype=np.int64)
+    carried = np.array([seed], dtype=np.intp)
+    D = _root_products(frontier, R)
+    if (D < 0).any():
+        raise ValidationError("orbit start is not dominant")
+    parts, rows = [frontier], [carried]
+    while len(frontier):
+        src, root = np.nonzero(D > 0)
+        step = D[src, root]
+        # <y, R> for each child y = x - step / 4 * R[root] is
+        # D[src] - step * cartan[root]; its root-th entry is -step < 0
+        keep = np.argmax(D[src] - step[:, None] * cartan[root] < 0, axis=1) == root
+        src, root, step = src[keep], root[keep], step[keep]
+        frontier = frontier[src] - (step // 4)[:, None] * R[root]
+        carried = carried[src] if perms is None else perms[root[:, None], carried[src]]
+        parts.append(frontier)
+        rows.append(carried)
+        D = _root_products(frontier, R)
+    X = np.concatenate(parts)
+    order = np.argsort((X + bound) @ place)
+    return X[order], np.concatenate(rows)[order]
 
 
 def orbit_facet_data(n: int):

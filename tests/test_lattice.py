@@ -451,6 +451,31 @@ def test_from_json_refuses_an_unknown_mark():
     assert FaceLattice.from_json(json.dumps(doc)).ideal_vertices() == [frozenset(doc["faces"][0]["facet_set"])]
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+@pytest.mark.parametrize("field", ["facet_set", "rank"])
+def test_from_json_names_the_first_non_integer(value, field):
+    """The document's ranks and indices are type-checked at once; the
+    refusal names the first offender a face-by-face read meets, also when
+    later faces hold other offenders or miss a key."""
+    doc = json.loads(gosset(4).lattice.to_json())
+    faces = doc["faces"]
+    deep = 2 * len(faces) // 3
+    if field == "rank":
+        faces[deep]["rank"] = value
+    else:
+        faces[deep]["facet_set"][-1] = value
+    message = rf"^expected an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        FaceLattice.from_json(json.dumps(doc))
+    faces[deep + 1]["facet_set"][0] = 2.5
+    del faces[deep + 2]["rank"]
+    with pytest.raises(ValidationError, match=message):
+        FaceLattice.from_json(json.dumps(doc))
+    del faces[deep - 1]["facet_set"]  # a missing key before the offenders
+    with pytest.raises(ValidationError, match=r"^malformed face_lattice document: KeyError\('facet_set'\)$"):
+        FaceLattice.from_json(json.dumps(doc))
+
+
 # -- the one writer: rows_text against json.dumps ----------------------------
 
 

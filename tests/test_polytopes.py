@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pickle
+import tracemalloc
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -32,7 +33,8 @@ from cuspforge.polytopes import (
 
 from dense_oracles import (
     FaceLatticeOracle, antipodal_pairs, facet_vertex_sets, facets_by_maximization, fundamental_weight_oracle,
-    graded_faces, lattice_check_oracle, orbit_facet_data, simplex_lattice, validate_links_oracle, weyl_orbit,
+    graded_faces, lattice_check_oracle, orbit_facet_data, orbit_per_round_oracle, simplex_lattice,
+    validate_links_oracle, weyl_orbit,
 )
 
 
@@ -387,6 +389,40 @@ def test_orbit_keys_refuse_entries_past_int64():
         weyl_orbit((200, 0, 0, 0, 0, 0, 0, 0), _E_ROOTS_2X)
 
 
+def test_orbit_root_set_off_the_reflection_lattice_is_refused():
+    # (2, 2, 0, ...) halved has products -2 with its neighbours, but every
+    # product with the dominant start omega_8 is still a multiple of 4, so
+    # only the Gram check before the first round sees it
+    roots = list(_E_ROOTS_2X)
+    roots[1] = (1, 1, 0, 0, 0, 0, 0, 0)
+    start = (0, 0, 0, 0, 0, 0, 2, 2)
+    assert all(_dot(start, a) % 4 == 0 and _dot(start, a) >= 0 for a in roots)
+    with pytest.raises(ValidationError, match="^orbit vector left the reflection lattice$"):
+        weyl_orbit(start, roots)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_orbit_reuses_exact_root_products(n):
+    """Each round's products, read off the parents', are X @ R.T, and the
+    orbit and its carried rows are the per-round recomputation's."""
+    roots = _E_ROOTS_2X[:n]
+    R = np.array(roots)
+    V, _ = polytopes._orbit(_fundamental_weight_vector(roots, _WEIGHT_NODES[n][0]), R)
+    perms = polytopes._reflection_perms(V, R)
+    for node in _WEIGHT_NODES[n]:
+        start = _fundamental_weight_vector(roots, node)
+        height = V @ np.array(start)
+        seed = np.flatnonzero(height == height.max())
+        sizes = []
+        for X, rows, D in polytopes._orbit_rounds(start, R, seed, perms):
+            assert np.array_equal(D, X @ R.T) and len(rows) == len(X)
+            sizes.append(len(X))
+        X, rows = polytopes._orbit(start, R, seed, perms)
+        assert sum(sizes) == len(X)
+        want_X, want_rows = orbit_per_round_oracle(start, R, seed, perms)
+        assert np.array_equal(X, want_X) and np.array_equal(rows, want_rows)
+
+
 def faces_from_facet_vertex_sets(
     facet_vertex_sets: Sequence[Iterable[int]],
 ) -> List[Tuple[FrozenSet[int], int]]:
@@ -599,6 +635,39 @@ def test_ridge_keys_refuse_rows_past_int64():
     S = np.array([[0, 1, 2, 3, 4, 5, 6, 1000]])
     with pytest.raises(ValidationError, match="^ridge rows too long for int64 keys$"):
         polytopes._ridge_check(S, np.zeros((0, 7, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("copies", [0, 2, 3], ids=["dropped", "twice", "thrice"])
+def test_ridge_check_counts_ridges_off_two_facets(copies):
+    """G^5 with its first simplex facet listed ``copies`` times: its five
+    ridges lie on 1, 3 or 4 facets.  At 4 the key count stays even and the
+    keys pair up, so only unequal neighbouring pairs catch it."""
+    G = gosset(5)
+    S = np.concatenate([G.simplex_rows[:1]] * copies + [G.simplex_rows[1:]])
+    fv = [frozenset(r) for r in S.tolist() + G.cross_rows.tolist()]
+    types = [SIMPLEX] * len(S) + [CROSS] * len(G.cross_rows)
+    antipodal = [()] * len(S) + [tuple(map(tuple, p)) for p in G.pair_rows.tolist()]
+    with pytest.raises(ValidationError) as want:
+        _ridge_oracle(5, fv, types, antipodal)
+    assert str(want.value) == "5 ridges not shared by exactly two facets"
+    if copies == 3:
+        assert (len(S) * 5 + len(G.pair_rows) * 16) % 2 == 0
+    with pytest.raises(ValidationError) as err:
+        polytopes._ridge_check(S, G.pair_rows)
+    assert str(err.value) == str(want.value)
+
+
+def test_gosset8_traced_peak_stays_under_9_mib(monkeypatch):
+    monkeypatch.delenv("CUSPFORGE_DATA", raising=False)
+    gosset(8)  # lazy imports and numpy set-up outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gosset(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 7])

@@ -3,8 +3,8 @@ splittings, and inclusion-induced maps.
 
 One ``ChainComplexData`` carries integer incidence data for any of the
 cell-complex types in this library, each d_k once, as a flat CSR triple
-of arrays: the cubical builder reads it off its face tables, the others
-pass per-cell entry lists through one converter, and subcomplexes
+of arrays that every builder hands over: cubical data off face tables,
+simplicial off face rows, the quotient off place tables, and subcomplexes
 reindex their parent's arrays.  Every reader works on the arrays: GF(2)
 work reads them mod 2 as bit-packed coboundary rows, ``coboundary``
 reads the odd entries directly, and d(d(x)) = 0 is verified at build
@@ -109,23 +109,6 @@ class ChainComplexData:
             if faces.size and (faces.min() < 0 or faces.max() >= self.size(k - 1)):
                 raise ValidationError(f"d_{k} names a face outside the "
                                       f"{self.size(k - 1)} ({k - 1})-cells")
-
-    @classmethod
-    def from_entries(cls, coeff: str, cell_keys: List[Tuple[Hashable, ...]],
-                     entries: Sequence[Sequence[Sequence[Tuple[int, int]]]]) -> ChainComplexData:
-        """Chain data from per-cell entry lists: ``entries[k][i]`` lists the
-        (face index, incidence number) pairs of the i-th k-cell.  The one
-        converter from entries to arrays."""
-        incidences = []
-        for rows in entries:
-            ptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)))))
-            faces = np.fromiter((idx for row in rows for idx, _ in row), np.int64, int(ptr[-1]))
-            try:
-                coeffs = np.fromiter((c for row in rows for _, c in row), np.int64, int(ptr[-1]))
-            except OverflowError:
-                coeffs = np.array([c for row in rows for _, c in row], dtype=object)
-            incidences.append((ptr, faces, coeffs))
-        return cls(coeff, cell_keys, incidences)
 
     @property
     def top_dim(self) -> int:

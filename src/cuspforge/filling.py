@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .isomorphism import find_isomorphism
-from .lattice import FaceLattice, cube_face_rows, dualize
+from .lattice import FaceLattice, cube_face_rows, dualize, missing_dual_face
 from .polytopes import GossetPolytope, IdealPolytope, ideal_dual
 from .simplicial import SimplicialComplex, octahedron_boundary
+from .store import by_value
 
 VertexKey = FrozenSet[int]
 
@@ -188,12 +189,10 @@ def duality_check(pbar: FaceLattice, K: SimplicialComplex) -> bool:
     Facet i of the filled polytope corresponds to vertex i of K by
     construction (both index the dual pair through the Gosset polytope),
     so the comparison is on labelled complexes; abstractly isomorphic
-    complexes from non-corresponding choices still return False.
+    complexes from non-corresponding choices still return False.  K equals
+    ``dualize(pbar)``, whose store is pbar's vertex rows, iff its store is
+    too and every face of pbar is in K's own closure: no second is built.
     """
-    if pbar.num_facets != K.vertex_count:
+    if not pbar.is_simple() or by_value(K.__getstate__()) != by_value((pbar.num_facets, *pbar.rows_of_rank(0))):
         return False
-    try:
-        dual = dualize(pbar)
-    except ValidationError:
-        return False
-    return dual == K
+    return missing_dual_face(pbar, K) is None

@@ -13,7 +13,7 @@ Every routine is deterministic for a fixed input ordering.
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, Iterator, List, Tuple
+from typing import Container, Dict, Iterable, List, Tuple
 
 
 def lowbit(x: int) -> int:
@@ -94,16 +94,6 @@ def vector_from_indices(indices: Iterable[int]) -> int:
     for i in indices:
         acc |= 1 << i
     return acc
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """Every v with v & ~mask == 0, in increasing order from 0 to mask."""
-    v = 0
-    while True:
-        yield v
-        if v == mask:
-            return
-        v = (v - mask) & mask
 
 
 def indices_of_vector(v: int) -> List[int]:

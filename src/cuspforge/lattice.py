@@ -29,7 +29,8 @@ helpers live in ``simplicial``, below this module.
 Duality runs one way: ``dualize`` builds the dual simplicial complex on
 a simple lattice's vertex rows and looks up the facet rows of every rank
 among its faces of the same width by exact row keys, with no per-face
-view.  Meets and joins of face pairs are not checked here: that O(F^3)
+view (``missing_dual_face``, also run by ``filling.duality_check``).
+Meets and joins of face pairs are not checked here: that O(F^3)
 check is a test oracle.
 """
 
@@ -77,7 +78,7 @@ class FaceLattice(Store):
             rows.append(tuple(fs))
         ideal = None
         if marks:
-            wanted = {frozenset(s) for s, flag in zip(marks, _ideal_flags(marks.values())) if flag}
+            wanted = {frozenset(s) for s, flag in zip(marks, _ideal_flags(list(marks.values()))) if flag}
             if wanted:
                 ideal = [k == 0 and frozenset(fs) in wanted for k, fs in zip(ranks, rows)]
         self._adopt(rank, num_facets, *_face_arrays(ranks, rows), ideal)
@@ -252,14 +253,15 @@ def _face_arrays(ranks: List[int], rows: Sequence[Sequence[int]]) -> Tuple[np.nd
     return _int_array(ranks), ptr, _int_array(list(chain.from_iterable(rows)))
 
 
-def _ideal_flags(labels: Iterable) -> List[bool]:
-    """True for each ideal mark; a mark other than real or ideal is refused."""
-    flags = []
-    for label in labels:
-        if label not in (REAL, IDEAL):
-            raise ValidationError(f"unknown vertex mark {label!r}")
-        flags.append(label == IDEAL)
-    return flags
+def _ideal_flags(labels: Sequence) -> np.ndarray:
+    """True for each ideal mark.  The marks are checked at once, as a set;
+    the first other mark, hashable or not, is refused by name."""
+    try:
+        if set(labels) <= {REAL, IDEAL}:
+            return np.array(labels, dtype=object) == IDEAL
+    except TypeError:  # an unhashable mark
+        pass
+    raise ValidationError(f"unknown vertex mark {next(x for x in labels if x not in (REAL, IDEAL))!r}")
 
 
 def _padded_rows(ptr: np.ndarray, facets: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -321,20 +323,26 @@ def dualize(P: FaceLattice) -> SimplicialComplex:
 
     Facets of P become vertices; the facet row of each P-vertex becomes a
     top simplex.  Requires P simple (a rank-k face in exactly n - k
-    facets); each rank's facet rows are then looked up by exact keys among
-    the dual's faces of the same width, and a row that is not one is
-    refused.
+    facets); a facet row that is no face of the dual is refused.
     """
     if not P.is_simple():
         raise ValidationError("dualize needs a simple lattice")
     K = SimplicialComplex.from_arrays(P.num_facets, *P.rows_of_rank(0))
+    if (missing := missing_dual_face(P, K)) is not None:
+        raise ValidationError(f"face {missing} has no dual simplex")
+    return K
+
+
+def missing_dual_face(P: FaceLattice, K: SimplicialComplex) -> Optional[List[int]]:
+    """The first facet row of the simple lattice P, by rank, that is no
+    face of K (which has faces of every width P's rows have), or None."""
     for k in P.ranks_present():
         rows = P.rows_of_rank(k)[1].reshape(-1, P.rank - k)
         have, want = row_keys(K.rows_of_dim(P.rank - k - 1), rows)
         missing = np.flatnonzero(have[np.searchsorted(have, want).clip(max=len(have) - 1)] != want)
         if len(missing):
-            raise ValidationError(f"face {rows[missing[0]].tolist()} has no dual simplex")
-    return K
+            return rows[missing[0]].tolist()
+    return None
 
 
 # -- stock lattices ----------------------------------------------------------

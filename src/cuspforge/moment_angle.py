@@ -10,7 +10,8 @@ Three manifold models appear here:
   comparable with a real moment-angle complex; a general colouring
   yields the polytopal quotient cell structure (``QuotientCellComplex``)
   of the same manifold, its incidence numbers signed by one
-  ``chains.propagate_signs`` per face rank.
+  ``chains.propagate_signs`` per face rank, its cells placed by one
+  GF(2)-linear table per face and its chain data gathered as arrays.
 * ``truncated_quotient(P, colouring)``: the compact cusped model, the
   colouring quotient of the vertex-truncated polytope with uncoloured
   truncation facets; its boundary components are the cusp sections,
@@ -20,26 +21,26 @@ Cusps are cosets: the cusps over an ideal vertex v are the cosets of
 (Z/2)^k modulo the span of the colours on v's facets.  ``cusp_census``
 counts them and names each section a torus or not, walking P's ideal
 rows and keeping one span and one torus flag per row (the per-vertex
-``entries`` are a view), and
-``truncated_quotient`` puts each boundary cell on the section of its
-coset representative.  A coset is named by its normal form, the member
-with every pivot column of the span cleared, where the span's rows
-pivot on their highest set bit, as every GF(2) elimination here does.
-The union-find of ``preimage_components`` counts
-the same cusps independently, as the components of the filling cubes'
-preimages in the filled manifold.
+``entries`` are a view), and ``truncated_quotient`` puts each boundary
+cell on the section of its coset, placed by the span's table as the
+cells are.  A coset is named by its normal form, the member with every
+pivot column of the span cleared, where the span's rows pivot on their
+highest set bit, as every GF(2) elimination here does.  The union-find
+of ``preimage_components`` counts the same cusps independently, as the
+components of the filling cubes' preimages in the filled manifold.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2
-from .chains import ChainComplexData, chain_complex_of, homology, propagate_signs
+from .chains import ChainComplexData, _spans, chain_complex_of, homology, propagate_signs
 from .cubical import Cell, CubicalComplex
 from .errors import BudgetError, ValidationError, cell_budget, check_budget
 from .isomorphism import find_isomorphism
@@ -142,56 +143,74 @@ def _lattice_incidences(lattice: FaceLattice) -> Tuple[Dict[int, List[int]], Dic
     return children, incidence
 
 
+def _places(pivots: Dict[int, int], k: int) -> List[int]:
+    """The place of each e_0 .. e_(k-1) among the normal forms modulo the
+    span of {pivot column: row}, ascending: its normal form with the pivot
+    bits dropped, which keeps their order.  Places are GF(2)-linear."""
+    free = [c for c in range(k) if c not in pivots]
+    forms = [gf2.normal_form(1 << i, pivots) for i in range(k)]
+    return [sum(1 << j for j, c in enumerate(free) if form & (1 << c)) for form in forms]
+
+
+def _xor_rows(table: np.ndarray, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The XOR of ``table[rows[i], b]`` over the set bits b of ``vectors[i]``."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for b, column in enumerate(table.T):
+        out ^= np.where(vectors & (1 << b), column[rows], 0)
+    return out
+
+
 class QuotientCellComplex:
     """Colouring quotient of a simple polytope, in polytopal cells.
 
     A cell is (face id, coset) where the coset of the face's colour
     span is named by its canonical (fully reduced) representative; the
     top face contributes the 2^k polytope copies.  Facets with colour
-    ``None`` are mirrors left unglued, so they become boundary.
+    ``None`` are mirrors left unglued, so they become boundary.  Face F's
+    cells, from cell ``_first[F]`` of its rank on, are 0 .. 2^(k - r) - 1
+    laid onto F's non-pivot columns; (F, g) is ``_first[F]`` + g's place.
     """
 
-    def __init__(
-        self,
-        lattice: FaceLattice,
-        colours: Sequence[Optional[int]],
-        k: int,
-        budget: Optional[int] = None,
-    ):
+    def __init__(self, lattice: FaceLattice, colours: Sequence[Optional[int]], k: int,
+                 budget: Optional[int] = None):
         if len(colours) != lattice.num_facets:
             raise ValidationError("one colour slot per facet required")
         if not lattice.is_complete():
             raise ValidationError("quotient needs a complete lattice")
         if not lattice.is_simple():
             raise ValidationError("quotient needs a simple lattice")
-        self.lattice = lattice
-        self.colours = tuple(colours)
-        self.k = k
+        self.lattice, self.colours, self.k = lattice, tuple(colours), k
         self.top_id = len(lattice.faces)
         self._children, self._incidence = _lattice_incidences(lattice)
-        # colour-span pivots per face id, for canonical reps
+        # colour-span pivots per face id, the top face's empty
         self._pivots: List[Dict[int, int]] = []
-        total = 0
         for _, s in lattice.faces:
             vecs = [colours[i] for i in s if colours[i] is not None]
             piv = gf2.pivot_rows(vecs)[0]
             if len(piv) != len(vecs):
                 raise ValidationError("improper colouring: dependent colours at a face")
             self._pivots.append(piv)
-            total += 1 << (k - len(piv))
-        self._pivots.append({})  # top face: no facets contain it
-        total += 1 << k
-        check_budget(total, budget)
-        self.cells: List[List[Tuple[int, int]]] = [[] for _ in range(lattice.rank + 1)]
-        for gid, (rank, _) in enumerate(lattice.faces):
-            self.cells[rank].extend(self._cells_of_face(gid))
-        self.cells[lattice.rank].extend(self._cells_of_face(self.top_id))
-        for bucket in self.cells:
-            bucket.sort()
-
-    def _cells_of_face(self, gid: int) -> List[Tuple[int, int]]:
-        free = ((1 << self.k) - 1) & ~gf2.vector_from_indices(self._pivots[gid])
-        return [(gid, rep) for rep in gf2.submasks(free)]
+        self._pivots.append({})
+        check_budget(sum(1 << (k - len(piv)) for piv in self._pivots), budget)
+        pairs = sorted(self._incidence)  # (face, child), children ascending
+        self._kid_ptr = np.cumsum([0] + [len(self._children[gid]) for gid in range(self.top_id + 1)])
+        self._kids = np.array([c for _, c in pairs], dtype=np.int64)
+        self._kid_signs = np.array([self._incidence[p] for p in pairs], dtype=np.int64)
+        self._places = np.array([_places(piv, k) for piv in self._pivots], dtype=np.int64).reshape(-1, k)
+        # the unit vector of each face's j-th non-pivot column
+        spread = np.array([[1 << c for c in range(k) if c not in piv] + [0] * len(piv) for piv in self._pivots],
+                          dtype=np.int64).reshape(-1, k)
+        ranks = np.append(lattice.arrays()[0], lattice.rank)
+        counts = 1 << (k - np.array([len(piv) for piv in self._pivots], dtype=np.int64))
+        self._first = np.zeros(len(ranks), dtype=np.int64)
+        self._gids, self._reps = [], []
+        for d in range(lattice.rank + 1):
+            ids = np.flatnonzero(ranks == d)
+            self._first[ids] = np.cumsum(counts[ids]) - counts[ids]
+            gids = np.repeat(ids, counts[ids])
+            self._gids.append(gids)
+            self._reps.append(_xor_rows(spread, gids, np.arange(len(gids)) - self._first[gids]))
+        self.cells = [list(zip(gids.tolist(), reps.tolist())) for gids, reps in zip(self._gids, self._reps)]
 
     def rep_of(self, gid: int, g: int) -> int:
         return gf2.normal_form(g, self._pivots[gid])
@@ -210,14 +229,15 @@ class QuotientCellComplex:
         return sum((-1) ** d * len(b) for d, b in enumerate(self.cells))
 
     def to_chain_data(self, coeff: str = "Z2") -> ChainComplexData:
-        index: List[Dict[Tuple[int, int], int]] = [
-            {cell: i for i, cell in enumerate(bucket)} for bucket in self.cells
-        ]
-        entries = [[[(index[d - 1][(child, self.rep_of(child, rep))], self._incidence[(gid, child)])
-                     for child in self._children[gid]] if d else []
-                    for gid, rep in bucket]
-                   for d, bucket in enumerate(self.cells)]
-        return ChainComplexData.from_entries(coeff, [tuple(b) for b in self.cells], entries)
+        """Cell (F, g) meets each child c of F at c's cell of g."""
+        incidences = []
+        for gids, reps in zip(self._gids, self._reps):
+            counts = self._kid_ptr[gids + 1] - self._kid_ptr[gids]
+            at = _spans(self._kid_ptr[gids], counts)
+            kids = self._kids[at]
+            faces = self._first[kids] + _xor_rows(self._places, kids, np.repeat(reps, counts))
+            incidences.append((np.concatenate(([0], np.cumsum(counts))), faces, self._kid_signs[at]))
+        return ChainComplexData(coeff, [tuple(b) for b in self.cells], incidences)
 
 
 def colour_manifold(P: FaceLattice, colouring: Colouring, budget: Optional[int] = None):
@@ -503,31 +523,30 @@ def truncated_quotient(
     truncation facet of an ideal vertex v lie the 2^k copies of v's cube
     link, glued along the colours of v's facets: the cusps over v are the
     cosets of (Z/2)^k modulo their span, as ``cusp_census`` counts them.
-    So one pass puts each boundary cell (face, rep) on the section
-    ``gf2.normal_form(rep, span)``, a closed flat manifold that is a torus
-    only where ``cusp_census`` says so.  Sections are listed by vertex,
-    then by their first top cell.
+    So each boundary cell (face, rep) lies on the section of rep's coset,
+    placed by the ``_places`` table of v's span (possibly dependent), a
+    closed flat manifold that is a torus only where ``cusp_census`` says so.
+    Sections are listed by vertex, then by normal form, their least member.
     """
     if colouring is None:
         colouring = Colouring.distinct(P.num_facets)
-    trunc = truncate_ideal(P)
-    colours: List[Optional[int]] = list(colouring.vectors) + [None] * len(trunc.truncation_facet)
-    Q = QuotientCellComplex(trunc.lattice, colours, colouring.k, budget=budget)
-    # truncation facet -> (its ideal vertex, the colour span there)
-    over = {cid: (v, gf2.pivot_rows([colours[i] for i in v])[0])
-            for v, cid in trunc.truncation_facet.items()}
-    face_over = [next((over[x] for x in s if x in over), None) for _, s in trunc.lattice.faces]
-    tori: Dict[Tuple[VertexKey, int], List[List[Tuple[int, int]]]] = {}
-    for d, bucket in enumerate(Q.cells[:-1]):
-        for gid, rep in bucket:
-            hit = face_over[gid]
-            if hit is not None:
-                key = (hit[0], gf2.normal_form(rep, hit[1]))
-                if key not in tori:
-                    tori[key] = [[] for _ in Q.cells[:-1]]
-                tori[key][d].append((gid, rep))
-    order = sorted(tori, key=lambda key: (sorted(key[0]), tori[key][-1][0]))
-    components = tuple(CuspComponent(ideal_vertex=tuple(sorted(key[0])),
-                                     keys_per_dim=tuple(map(tuple, tori[key])))
-                       for key in order)
-    return CuspedComplex(quotient=Q, truncated=trunc, components=components)
+    trunc, k = truncate_ideal(P), colouring.k
+    colours = list(colouring.vectors) + [None] * len(trunc.truncation_facet)
+    Q = QuotientCellComplex(trunc.lattice, colours, k, budget=budget)
+    vertices = [tuple(sorted(row)) for row in P.ideal_rows.tolist()]
+    spans = [gf2.pivot_rows([colours[i] for i in row])[0] for row in vertices]
+    places = np.array([_places(span, k) for span in spans], dtype=np.int64).reshape(-1, k)
+    first, sections = np.zeros(len(vertices), dtype=np.int64), []
+    for j in sorted(range(len(vertices)), key=vertices.__getitem__):
+        first[j] = len(sections)
+        sections += [(vertices[j], [[] for _ in Q.cells[:-1]]) for _ in range(1 << (k - len(spans[j])))]
+    # the ideal row whose truncation facet, a face's last facet, holds the face, or < 0
+    _, ptr, facets, _ = trunc.lattice.arrays()
+    over = facets[ptr[1:] - 1] - P.num_facets
+    for d, (bucket, gids, reps) in enumerate(zip(Q.cells[:-1], Q._gids, Q._reps)):
+        rows = over[gids]
+        hit = rows >= 0
+        at = first[rows[hit]] + _xor_rows(places, rows[hit], reps[hit])
+        for s, cell in zip(at.tolist(), compress(bucket, hit.tolist())):
+            sections[s][1][d].append(cell)
+    return CuspedComplex(Q, trunc, tuple(CuspComponent(vertex, tuple(map(tuple, cells))) for vertex, cells in sections))

@@ -90,6 +90,10 @@ search of its normal's orbit.  The route it replaced, one orbit of normals and
 then the vertices maximizing each normal, is kept verbatim as
 ``orbit_facet_data`` and ``facets_by_maximization``.
 
+``filling.duality_check`` compares a complex with a lattice's vertex rows
+and looks the lattice's faces up in the complex's own closure; the
+parent, which built the dual and compared, is ``duality_check_oracle``.
+
 The quotient's incidence numbers come from one sign propagation per rank
 of the lattice, on the disjoint union of the boundaries of the faces of
 that rank.  ``lattice_incidences_oracle`` is the parent's walk, which
@@ -124,6 +128,7 @@ verbatim.
 from __future__ import annotations
 
 import json
+import random
 import struct
 import warnings
 from collections import Counter
@@ -142,14 +147,14 @@ from cuspforge.chains import ChainComplexData, _splittings, coboundary, cohomolo
 from cuspforge.cubical import INT64_AMBIENT, RZK1_CELL, RZK1_MAGIC, Cell, CubicalComplex, Run
 from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
-from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice
+from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, dualize
 from cuspforge.moment_angle import (
     Colouring, CuspComponent, CuspEntry, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey,
     _component_roots,
 )
 from cuspforge.polytopes import (
     _E_ROOTS_2X, _WEIGHT_NODES, CROSS, SIMPLEX, IdealPolytope, _dot, _fundamental_weight_vector, _key_places,
-    _orbit, _root_products,
+    _orbit, _root_products, gosset, ideal_dual,
 )
 from cuspforge.simplicial import SimplicialComplex
 from cuspforge.store import Store
@@ -362,6 +367,24 @@ def dense_boundary(data, k: int) -> Matrix:
 Entries = Tuple[Tuple[Tuple[int, int], ...], ...]  # per cell, (face index, incidence)
 
 
+def chain_data_from_entries(coeff: str, cell_keys: List[Tuple], entries: Sequence[Sequence[Sequence[Tuple[int, int]]]]
+                            ) -> ChainComplexData:
+    """Chain data from per-cell entry lists: ``entries[k][i]`` lists the
+    (face index, incidence number) pairs of the i-th k-cell.  The
+    library's converter from entries to arrays, kept verbatim for
+    hand-built and deliberately broken chain data."""
+    incidences = []
+    for rows in entries:
+        ptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)))))
+        faces = np.fromiter((idx for row in rows for idx, _ in row), np.int64, int(ptr[-1]))
+        try:
+            coeffs = np.fromiter((c for row in rows for _, c in row), np.int64, int(ptr[-1]))
+        except OverflowError:
+            coeffs = np.array([c for row in rows for _, c in row], dtype=object)
+        incidences.append((ptr, faces, coeffs))
+    return ChainComplexData(coeff, cell_keys, incidences)
+
+
 def entry_rows(data) -> List[Entries]:
     """Every d_k of the chain data as per-cell (face, incidence) tuples."""
     out = []
@@ -565,6 +588,16 @@ def rref_normal_form(v: int, rref: Dict[int, int]) -> int:
     return v
 
 
+def submasks(mask: int) -> Iterable[int]:
+    """Every v with v & ~mask == 0, in increasing order from 0 to mask."""
+    v = 0
+    while True:
+        yield v
+        if v == mask:
+            return
+        v = (v - mask) & mask
+
+
 def tagged_pivots_oracle(
     rows: Iterable[int], skip: Container[int] = ()
 ) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
@@ -648,6 +681,28 @@ def cells_over_facet(Q: QuotientCellComplex, facet: int) -> List[List[Tuple[int,
             if gid != Q.top_id and facet in Q.lattice.faces[gid][1]:
                 out[d].append((gid, rep))
     return out
+
+
+def drawn_colourings() -> List[Tuple[IdealPolytope, Colouring]]:
+    """Seeded colourings of P^3 into (Z/2)^3 and of P^4 into (Z/2)^5, with
+    spans below the facet count and sections that are not tori."""
+    P3, P4 = ideal_dual(gosset(3)), ideal_dual(gosset(4))
+    drawn = [(P3, Colouring(3, vec))
+             for vec in random.Random(0).sample(list(product(range(1, 8), repeat=6)), 300)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        drawn.append((P4, Colouring(5, tuple(rng.randrange(1, 32) for _ in range(P4.num_facets)))))
+    return drawn
+
+
+def axis_paired_colouring(P: IdealPolytope, j: int = 0) -> Colouring:
+    """The distinct colouring of P with the second facet of each axis pair
+    at ideal vertex j given the first one's colour: k = m - n + 1 unit
+    vectors, in facet order of the facets that keep their own."""
+    same = {b: a for a, b in P.axis_rows[j].tolist()}
+    kept = [i for i in range(P.num_facets) if i not in same]
+    unit = {i: 1 << p for p, i in enumerate(kept)}
+    return Colouring(len(kept), tuple(unit[same.get(i, i)] for i in range(P.num_facets)))
 
 
 def cusp_components_oracle(Q: QuotientCellComplex, trunc: TruncatedPolytope) -> Tuple[CuspComponent, ...]:
@@ -778,6 +833,18 @@ def subdivide_cross_facets_oracle(G, d) -> SimplicialComplex:
     if not K.is_pure() or K.dim != n - 1:
         raise ValidationError("subdivision did not produce a pure (n-1)-complex")
     return K
+
+
+def duality_check_oracle(pbar: FaceLattice, K: SimplicialComplex) -> bool:
+    """Whether K is the dual of pbar, by building the dual and comparing,
+    verbatim."""
+    if pbar.num_facets != K.vertex_count:
+        return False
+    try:
+        dual = dualize(pbar)
+    except ValidationError:
+        return False
+    return dual == K
 
 
 def dehn_fill_oracle(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
@@ -1004,7 +1071,7 @@ def links_by_corner_scan_oracle(Z) -> Dict[int, FrozenSet[Tuple[int, ...]]]:
     corner_runs = [np.zeros(0, dtype=np.int64)]
     corner_vertices = [np.zeros(0, dtype=np.int64)]
     for r, (sup, _, signs) in enumerate(runs):
-        t = np.array(list(gf2.submasks(gf2.vector_from_indices(sup))), dtype=signs.dtype)
+        t = np.array(list(submasks(gf2.vector_from_indices(sup))), dtype=signs.dtype)
         corners = (signs[:, None] | t[None, :]).ravel()
         idx = np.searchsorted(vertices, corners)
         if not (idx < len(vertices)).all() or not (vertices[idx] == corners).all():

@@ -40,10 +40,13 @@ from cuspforge.snf import smith_normal_form
 from dense_oracles import (
     DenseSNF,
     apply_matrix,
+    axis_paired_colouring,
+    chain_data_from_entries,
     cubical_entry_oracle,
     cup_product,
     dense_boundary,
     dense_snf,
+    drawn_colourings,
     entry_rows,
     gf2_corows_array_oracle,
     gf2_corows_oracle,
@@ -83,7 +86,7 @@ class _HandBuilt:
         self.boundaries = boundaries
 
     def to_chain_data(self, coeff):
-        return ChainComplexData.from_entries(coeff, self.cell_keys, self.boundaries)
+        return chain_data_from_entries(coeff, self.cell_keys, self.boundaries)
 
 
 def _tetrahedron(signs):
@@ -660,7 +663,7 @@ def test_integral_eliminations_refuse_over_the_budget_on_what_they_hold(monkeypa
     monkeypatch.delenv("CUSPFORGE_BUDGET")
     # 2001 x 2001 zero maps, refused by shape before: nothing to hold
     n = 2001
-    data = ChainComplexData.from_entries("Z", [tuple((i,) for i in range(n)), tuple((i, 0) for i in range(n))],
+    data = chain_data_from_entries("Z", [tuple((i,) for i in range(n)), tuple((i, 0) for i in range(n))],
                                          [((),) * n, ((),) * n])
     assert homology(data).betti == (n, n)
     assert integral_homology_basis(data, 1).free_rank == n
@@ -669,7 +672,7 @@ def test_integral_eliminations_refuse_over_the_budget_on_what_they_hold(monkeypa
 def test_integral_eliminations_refuse_dd_nonzero():
     # chain data built without the d(d) check: a 2-cell bounded by one edge
     for consumer in (homology, lambda d: integral_homology_basis(d, 1)):
-        data = ChainComplexData.from_entries("Z", [(("a",), ("b",)), (("e",),), (("f",),)],
+        data = chain_data_from_entries("Z", [(("a",), ("b",)), (("e",),), (("f",),)],
                                              [((), ()), (((0, -1), (1, 1)),), (((0, 1),),)])
         with pytest.raises(ValidationError, match=r"^dd != 0 in dimension 2$"):
             consumer(data)
@@ -933,6 +936,22 @@ def _permuted_p3_quotient(seed):
     return truncated_quotient(P, Colouring(P.num_facets, tuple(1 << p for p in perm))).quotient
 
 
+def _axis_paired_p4_quotient():
+    P = ideal_dual(gosset(4))
+    return truncated_quotient(P, axis_paired_colouring(P)).quotient
+
+
+def _drawn_p4_quotient():
+    """The first seeded P^4 colouring into (Z/2)^5 that the truncation
+    accepts: colour spans that are no coordinate subspaces."""
+    for P, colouring in drawn_colourings():
+        if P.n == 4:
+            try:
+                return truncated_quotient(P, colouring).quotient
+            except ValidationError:
+                continue
+
+
 ENTRY_FIXTURES = {
     "3-simplex boundary": (lambda: boundary_of_simplex(3), simplicial_entry_oracle),
     "octahedron": (octahedron_boundary, simplicial_entry_oracle),
@@ -944,6 +963,8 @@ ENTRY_FIXTURES = {
     "RP^2": (COHOMOLOGY_FIXTURES["RP^2"], quotient_entry_oracle),
     "cusped P^3 quotient": (COHOMOLOGY_FIXTURES["cusped P^3 quotient"], quotient_entry_oracle),
     "cusped P^3 quotient, colours shuffled": (lambda: _permuted_p3_quotient(1), quotient_entry_oracle),
+    "cusped P^4 quotient, axis pairs sharing colours": (_axis_paired_p4_quotient, quotient_entry_oracle),
+    "cusped P^4 quotient, drawn colours": (_drawn_p4_quotient, quotient_entry_oracle),
     # RP^2 on two vertices, its 2-cell running twice around a + b: repeated entries
     "RP^2, repeated entries": (lambda: _HandBuilt([("v", "w"), ("a", "b"), ("f",)], [
         ((), ()), (((0, -1), (1, 1)), ((1, -1), (0, 1))), (((0, 1), (1, 1), (0, 1), (1, 1)),)]),
@@ -975,7 +996,7 @@ def test_builders_and_readers_match_the_per_cell_entry_oracles(name):
         # one flipped incidence: the array check and the oracle agree
         bad = list(entries[top])
         bad[-1] = ((bad[-1][0][0], -bad[-1][0][1]),) + bad[-1][1:]
-        broken = ChainComplexData.from_entries("Z", data.cell_keys, entries[:top] + [tuple(bad)])
+        broken = chain_data_from_entries("Z", data.cell_keys, entries[:top] + [tuple(bad)])
         with pytest.raises(ValidationError, match=rf"^dd != 0 in dimension {top}$"):
             broken.verify_dd_zero()
         with pytest.raises(ValidationError, match=rf"^dd != 0 in dimension {top}$"):

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis.strategies import composite, integers, lists, permutations, randoms, sampled_from, tuples
 
 from cuspforge import cubical
-from cuspforge.chains import ChainComplexData, chain_complex_of
+from cuspforge.chains import chain_complex_of
 from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, CuspforgeError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices
-from cuspforge.gf2 import submasks, vector_from_indices
+from cuspforge.gf2 import vector_from_indices
 from cuspforge.isomorphism import find_isomorphism
 from cuspforge.lattice import polygon_lattice
 from cuspforge.moment_angle import (
@@ -38,11 +38,13 @@ from cuspforge.simplicial import (
 from dense_oracles import (
     CubicalCellsOracle,
     cell_set,
+    chain_data_from_entries,
     cubical_entry_oracle,
     entry_rows,
     face_table_per_run_oracle,
     from_rzk1_per_cell_oracle,
     links_by_corner_scan_oracle,
+    submasks,
     verify_dd_zero_oracle,
 )
 
@@ -467,7 +469,7 @@ def test_face_tables_match_the_per_cell_oracles(complex_, pick):
         boundaries = entry_rows(data)
         bad = list(boundaries[k])
         bad[row] = ((bad[row][0][0], -bad[row][0][1]),) + bad[row][1:]
-        broken = ChainComplexData.from_entries("Z", data.cell_keys, boundaries[:k] + [tuple(bad)])
+        broken = chain_data_from_entries("Z", data.cell_keys, boundaries[:k] + [tuple(bad)])
         assert _refusal(broken.verify_dd_zero) == _refusal(verify_dd_zero_oracle, broken)
         assert _refusal(broken.verify_dd_zero) == f"dd != 0 in dimension {k}"
 

@@ -20,13 +20,13 @@ from cuspforge.filling import (
     subdivide_cross_facets,
 )
 from cuspforge.isomorphism import find_isomorphism
-from cuspforge.lattice import dualize
+from cuspforge.lattice import FaceLattice, cube_lattice, dualize
 from cuspforge.moment_angle import truncate_ideal
 from cuspforge.pipeline import PipelineConfig, StageError, run_pipeline
 from cuspforge.polytopes import gosset, ideal_dual
-from cuspforge.simplicial import octahedron_boundary
+from cuspforge.simplicial import cross_polytope_boundary, octahedron_boundary
 
-from dense_oracles import facet_vertex_sets, subdivide_cross_facets_oracle
+from dense_oracles import duality_check_oracle, facet_vertex_sets, subdivide_cross_facets_oracle
 
 
 def cross_ids(G):
@@ -211,6 +211,23 @@ def test_duality_grid_for_bipyramid():
             if duality_check(filled.lattice, K):
                 hits += 1
     assert hits == 8  # exactly the corresponding pairs
+
+
+def test_duality_check_matches_building_the_dual():
+    """The check reads the given complex's facets and closure; building the
+    dual and comparing gives the same verdict, true or false."""
+    G = gosset(3)
+    P = ideal_dual(G)
+    cases = [(dehn_fill(P, c).lattice, subdivide_cross_facets(G, DiagonalChoice(dict(zip(cross_ids(G), combo)))))
+             for c in islice(enumerate_filling_choices(P), 3) for combo in product(range(2), repeat=3)]
+    cube, octahedron = cube_lattice(3), cross_polytope_boundary(3)
+    # facets 0 and 1 are opposite walls: their edge has the right vertex rows but no dual simplex
+    fake_edge = FaceLattice(3, 6, list(cube.faces) + [(1, {0, 1})])
+    cases += [(cube, octahedron), (fake_edge, octahedron), (P.lattice, dualize(cube)),
+              (cube, cross_polytope_boundary(4)), (cube_lattice(4), octahedron)]
+    verdicts = [duality_check(pbar, K) for pbar, K in cases]
+    assert verdicts == [duality_check_oracle(pbar, K) for pbar, K in cases]
+    assert verdicts[-5:] == [True, False, False, False, False] and 0 < sum(verdicts) < len(verdicts) - 4
 
 
 def test_duality_vertex_facet_count_identity():

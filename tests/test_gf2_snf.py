@@ -27,9 +27,9 @@ from cuspforge.simplicial import octahedron_boundary
 from cuspforge.snf import SNFResult, smith_normal_form
 
 from dense_oracles import (
-    DenseSNF, apply_matrix, dense_boundary, dense_snf, det_bareiss, left_kernel_basis, logged_transforms, matmul,
-    reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, tagged_pivots_oracle, transpose_rows,
-    transpose_rows_by_bits,
+    DenseSNF, apply_matrix, chain_data_from_entries, dense_boundary, dense_snf, det_bareiss, left_kernel_basis,
+    logged_transforms, matmul, reduce_rows, relation_rows, rref_normal_form, rref_pivots, solve_rows, submasks,
+    tagged_pivots_oracle, transpose_rows, transpose_rows_by_bits,
 )
 
 
@@ -100,7 +100,7 @@ def test_normal_form_is_canonical_on_cosets():
 def test_submasks_walk_every_submask_once():
     rng = random.Random(5)
     for mask in [0, 1, 0b1011, 0b110100] + [rng.getrandbits(12) for _ in range(10)]:
-        subs = list(gf2.submasks(mask))
+        subs = list(submasks(mask))
         assert len(subs) == len(set(subs)) == 1 << bin(mask).count("1")
         assert all(v & ~mask == 0 for v in subs)
         assert 0 in subs and mask in subs
@@ -725,7 +725,7 @@ def test_sections_share_eliminations_by_coefficient_value_past_int64():
     big = 2 ** 64
     edges = [(big, -big), (int(str(big)), -int(str(big))), (big + 1, -big)]
     keys = [[(v,) for v in range(6)], [(2 * e, 2 * e + 1) for e in range(3)]]
-    data = ChainComplexData.from_entries(
+    data = chain_data_from_entries(
         "Z", keys, [[[] for _ in range(6)], [[(2 * e, a), (2 * e + 1, b)] for e, (a, b) in enumerate(edges)]])
     assert data.incidences[1][2].dtype == object
     first, equal, other = (subcomplex_selection(data, [[(2 * e,), (2 * e + 1,)], [(2 * e, 2 * e + 1)]])

@@ -451,6 +451,26 @@ def test_from_json_refuses_an_unknown_mark():
     assert FaceLattice.from_json(json.dumps(doc)).ideal_vertices() == [frozenset(doc["faces"][0]["facet_set"])]
 
 
+@pytest.mark.parametrize("first", [["bogus"], "bogus", 0])
+def test_from_json_names_the_first_unknown_mark_deep_in_a_document(first):
+    """The document's marks are checked at once; the refusal names the
+    first offender in document order, hashable or not, also when later
+    faces hold other offenders."""
+    doc = json.loads(gosset(4).lattice.to_json())
+    faces = doc["faces"]
+    deep = 2 * len(faces) // 3
+    faces[deep]["mark"] = first
+    faces[deep + 1]["mark"] = {"mark": IDEAL}
+    faces[-1]["mark"] = "other"
+    with pytest.raises(ValidationError, match=rf"^unknown vertex mark {re.escape(repr(first))}$"):
+        FaceLattice.from_json(json.dumps(doc))
+    faces[deep]["mark"] = faces[deep + 1]["mark"] = REAL
+    with pytest.raises(ValidationError, match=r"^unknown vertex mark 'other'$"):
+        FaceLattice.from_json(json.dumps(doc))
+    faces[-1]["mark"] = REAL
+    assert FaceLattice.from_json(json.dumps(doc)) == gosset(4).lattice
+
+
 @pytest.mark.parametrize("value", [True, 1.0, "1"])
 @pytest.mark.parametrize("field", ["facet_set", "rank"])
 def test_from_json_names_the_first_non_integer(value, field):

@@ -1,9 +1,11 @@
 """Moment-angle and colouring constructions, censuses, preimages, cusps."""
 
+import ast
 import pickle
 import random
 import re
-from itertools import combinations, product
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,10 +41,12 @@ from cuspforge.simplicial import (
 )
 
 from dense_oracles import (
+    axis_paired_colouring,
     census_json_oracle,
     closed_pseudomanifold_oracle,
     connected_oracle,
     cusp_census_oracle,
+    drawn_colourings,
 )
 
 
@@ -366,6 +370,36 @@ def test_truncated_incidences_match_the_per_face_walk(n, seed):
     _assert_incidences_match_oracle(truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient)
 
 
+def _named(tree, names):
+    """Line numbers of the names, attributes, definitions and imports in
+    ``tree`` called one of ``names``."""
+    return [node.lineno for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) in names]
+
+
+def _reductions(tree, functions):
+    """Line numbers of ``normal_form`` and ``rep_of`` calls inside the
+    functions named ``functions``."""
+    bodies = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in functions]
+    assert len(bodies) == len(functions)
+    return [node.lineno for body in bodies for node in ast.walk(body) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("normal_form", "rep_of")]
+
+
+def test_quotient_cells_are_placed_not_looked_up():
+    """No entry-list converter or submask walk is left in ``src/cuspforge``,
+    and neither ``to_chain_data`` nor ``truncated_quotient`` reduces a
+    vector: every cell is placed by its face's table."""
+    assert _named(ast.parse("from x import submasks\nChainComplexData.from_entries(0)"),
+                  {"from_entries", "submasks"}) == [1, 2]
+    assert _reductions(ast.parse("def f(q):\n    return q.rep_of(0, 1) or normal_form(1, {})"), ("f",)) == [2, 2]
+    sources = {path.name: ast.parse(path.read_text()) for path in Path(moment_angle.__file__).parent.glob("*.py")}
+    assert {"moment_angle.py", "chains.py", "gf2.py"} <= set(sources)
+    assert {name: lines for name, tree in sources.items()
+            if (lines := _named(tree, {"from_entries", "submasks"}))} == {}
+    assert _reductions(sources["moment_angle.py"], ("to_chain_data", "truncated_quotient")) == []
+
+
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_colour_spans_pivot_on_the_highest_bit(seed):
     """Every colour span's pivot row has its highest bit at its key, and
@@ -468,20 +502,8 @@ def _section_labels(P, colouring):
             for c in cusped.components]
 
 
-def _drawn_colourings():
-    """Seeded colourings of P^3 into (Z/2)^3 and of P^4 into (Z/2)^5, with
-    spans below the facet count and sections that are not tori."""
-    P3, P4 = ideal_dual(gosset(3)), ideal_dual(gosset(4))
-    drawn = [(P3, Colouring(3, vec))
-             for vec in random.Random(0).sample(list(product(range(1, 8), repeat=6)), 300)]
-    for seed in range(60):
-        rng = random.Random(seed)
-        drawn.append((P4, Colouring(5, tuple(rng.randrange(1, 32) for _ in range(P4.num_facets)))))
-    return drawn
-
-
 def test_cusp_sections_are_tori_exactly_when_b1_is_n_minus_1():
-    drawn = _drawn_colourings()
+    drawn = drawn_colourings()
     pairs = [pair for P, colouring in drawn for pair in _section_labels(P, colouring) or ()]
     assert all(label == name for label, name in pairs)
     # the sample holds tori and other flat manifolds (Klein bottles and their kin) in both dimensions
@@ -517,7 +539,7 @@ def test_distinct_census_matches_the_per_vertex_oracle(n):
 
 def test_drawn_census_matches_the_per_vertex_oracle():
     sections = set()
-    for P, colouring in _drawn_colourings():
+    for P, colouring in drawn_colourings():
         census = _assert_census_matches_the_per_vertex_oracle(P, colouring)
         sections.update(e.section for e in census.entries)
     assert sections == {"2-torus", "flat 2-manifold, not a torus", "3-torus", "flat 3-manifold, not a torus"}
@@ -578,6 +600,16 @@ def test_p4_cusp_tori_are_the_union_find_components(seed):
     P = ideal_dual(gosset(4))
     colouring = _permuted_colouring(P.num_facets, seed)
     _assert_cusps_are_cosets(P, colouring, truncated_quotient(P, colouring))
+
+
+def test_axis_paired_p4_cusps_are_the_union_find_components():
+    # k = 7: three colours shared across the axis pairs of one ideal vertex
+    P = ideal_dual(gosset(4))
+    colouring = axis_paired_colouring(P)
+    assert colouring.k == 7
+    cusped = truncated_quotient(P, colouring)
+    assert cusped.quotient.cell_counts() == (680, 2400, 2880, 1280, 128)
+    _assert_cusps_are_cosets(P, colouring, cusped)
 
 
 def test_truncated_quotient_needs_no_union_find(monkeypatch):

@@ -143,7 +143,7 @@ def _lattice_incidences(lattice: FaceLattice) -> Tuple[Dict[int, List[int]], Dic
     return children, incidence
 
 
-def _places(pivots: Dict[int, int], k: int) -> List[int]:
+def _place_row(pivots: Dict[int, int], k: int) -> List[int]:
     """The place of each e_0 .. e_(k-1) among the normal forms modulo the
     span of {pivot column: row}, ascending: its normal form with the pivot
     bits dropped, which keeps their order.  Places are GF(2)-linear."""
@@ -196,7 +196,7 @@ class QuotientCellComplex:
         self._kid_ptr = np.cumsum([0] + [len(self._children[gid]) for gid in range(self.top_id + 1)])
         self._kids = np.array([c for _, c in pairs], dtype=np.int64)
         self._kid_signs = np.array([self._incidence[p] for p in pairs], dtype=np.int64)
-        self._places = np.array([_places(piv, k) for piv in self._pivots], dtype=np.int64).reshape(-1, k)
+        self._places = np.array([_place_row(piv, k) for piv in self._pivots], dtype=np.int64).reshape(-1, k)
         # the unit vector of each face's j-th non-pivot column
         spread = np.array([[1 << c for c in range(k) if c not in piv] + [0] * len(piv) for piv in self._pivots],
                           dtype=np.int64).reshape(-1, k)
@@ -524,7 +524,7 @@ def truncated_quotient(
     link, glued along the colours of v's facets: the cusps over v are the
     cosets of (Z/2)^k modulo their span, as ``cusp_census`` counts them.
     So each boundary cell (face, rep) lies on the section of rep's coset,
-    placed by the ``_places`` table of v's span (possibly dependent), a
+    placed by the ``_place_row`` of v's span (possibly dependent), a
     closed flat manifold that is a torus only where ``cusp_census`` says so.
     Sections are listed by vertex, then by normal form, their least member.
     """
@@ -535,7 +535,7 @@ def truncated_quotient(
     Q = QuotientCellComplex(trunc.lattice, colours, k, budget=budget)
     vertices = [tuple(sorted(row)) for row in P.ideal_rows.tolist()]
     spans = [gf2.pivot_rows([colours[i] for i in row])[0] for row in vertices]
-    places = np.array([_places(span, k) for span in spans], dtype=np.int64).reshape(-1, k)
+    places = np.array([_place_row(span, k) for span in spans], dtype=np.int64).reshape(-1, k)
     first, sections = np.zeros(len(vertices), dtype=np.int64), []
     for j in sorted(range(len(vertices)), key=vertices.__getitem__):
         first[j] = len(sections)

@@ -22,7 +22,10 @@ The chain data keeps each boundary map as flat arrays.  ``entry_rows``
 reads them back as per-cell (face, incidence) tuples, the form the
 builders once stored, and the per-entry readers the library replaced
 (Z/2 rows and corows, sparse rows, subcomplex reindexing) are kept here
-on that form, verbatim, as oracles.
+on that form, verbatim, as oracles.  ``chain_data_from_entries`` is the
+library's former converter from that form to arrays, kept for hand-built
+and deliberately broken chain data, and ``submasks`` the submask walk
+the quotient listed its cells by before it placed them by table.
 
 The GF(2) helpers that the one tagged elimination (``gf2._tagged_pivots``)
 replaced are kept, and so is that elimination as it was before it
@@ -38,6 +41,10 @@ began to gather its bit slices; it is kept verbatim, and so is the
 transpose-based form, ``intersection_form_oracle``, but for reading its
 splittings off the key-lookup ``splittings_oracle`` (the library's are
 index arrays now).
+
+``drawn_colourings`` and ``axis_paired_colouring`` are the colourings
+the cusp and chain tests share, the latter the distinct one with each
+axis pair at one ideal vertex sharing a colour (k = m - n + 1).
 
 The library finds each cusp torus of the cusped model as a coset of the
 colour span at its ideal vertex, and fills or truncates an ideal vertex

@@ -9,9 +9,9 @@ Three manifold models appear here:
   the dual cube complex in (support, signs) form, cell-for-cell
   comparable with a real moment-angle complex; a general colouring
   yields the polytopal quotient cell structure (``QuotientCellComplex``)
-  of the same manifold, its incidence numbers signed by one
-  ``chains.propagate_signs`` per face rank, its cells placed by one
-  GF(2)-linear table per face and its chain data gathered as arrays.
+  of the same manifold, its incidences found by one row-key search and
+  signed by one ``chains.propagate_signs`` per face rank, its cells placed
+  by one GF(2)-linear table per face and its chain data gathered as arrays.
 * ``truncated_quotient(P, colouring)``: the compact cusped model, the
   colouring quotient of the vertex-truncated polytope with uncoloured
   truncation facets; its boundary components are the cusp sections,
@@ -47,7 +47,7 @@ from .isomorphism import find_isomorphism
 from .filling import replace_ideal_vertices
 from .lattice import FaceLattice
 from .polytopes import IdealPolytope
-from .simplicial import SimplicialComplex, build_simplicial
+from .simplicial import SimplicialComplex, build_simplicial, drop_one, row_keys
 from .store import Store
 
 VertexKey = FrozenSet[int]
@@ -100,47 +100,51 @@ class Colouring:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_incidences(lattice: FaceLattice) -> Tuple[Dict[int, List[int]], Dict[Tuple[int, int], int]]:
-    """Children and incidence numbers of a complete simple lattice; the top
-    face gets id len(faces).  An edge runs from its first endpoint (-1) to
-    its second (+1).  The signs of rank k >= 2 come from one
+def _lattice_incidences(lattice: FaceLattice) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Children and incidence numbers of a complete simple lattice as CSR
+    arrays (kid_ptr, kids, signs); the top face, id len(faces), has the
+    facets.  A rank-(k - 1) face is a child of the rank-k faces that are
+    its row less one column, found by one sorted search among the rank-k
+    rows' exact keys (``row_keys``).  An edge runs from its first endpoint
+    (-1) to its second (+1).  The signs of rank k >= 2 come from one
     ``propagate_signs`` over the boundaries of all rank-k faces side by
-    side: cells (face, child) in that order, so each face's first child is
-    seeded +1, and ridges (face, grandchild).
+    side: cells (face, child) in CSR order, so each face's first child is
+    seeded +1, and ridges (face, grandchild), numbered by ``np.unique``.
     """
-    n = lattice.rank
-    faces = lattice.faces
-    top_id = len(faces)
-    by_set = {s: i for i, (k, s) in enumerate(faces)}
-    children: Dict[int, List[int]] = {}
-    for gid, (k, s) in enumerate(faces):
-        kids = [by_set.get(s | {x}) for x in range(lattice.num_facets) if x not in s] if k else []
-        children[gid] = sorted(j for j in kids if j is not None and faces[j][0] == k - 1)
-    children[top_id] = sorted(by_set[frozenset({i})] for i in range(lattice.num_facets))
-    by_rank = [[gid for gid, (r, _) in enumerate(faces) if r == k] for k in range(n)] + [[top_id]]
-    incidence: Dict[Tuple[int, int], int] = {}
-    for gid in by_rank[1]:
-        if len(children[gid]) != 2:
-            raise ValidationError("edge without exactly two endpoints")
-        first, second = children[gid]
-        incidence[(gid, first)], incidence[(gid, second)] = -1, 1
+    n, top_id = lattice.rank, len(lattice.arrays()[0])
+    block = np.append(np.searchsorted(lattice.arrays()[0], np.arange(n + 1)), top_id + 1)  # rank k's ids start here
+    parents, kids = [np.full(top_id - block[n - 1], top_id)], [np.arange(block[n - 1], top_id)]
+    for k in range(1, n):
+        below = lattice.rows_of_rank(k - 1)[1].reshape(-1, n - k + 1)
+        have, want = row_keys(lattice.rows_of_rank(k)[1].reshape(-1, n - k), drop_one(below).reshape(-1, n - k))
+        at = np.searchsorted(have, want).clip(max=len(have) - 1)
+        hit = np.flatnonzero(have[at] == want)
+        parents.append(block[k] + at[hit])
+        kids.append(block[k - 1] + hit // (n - k + 1))
+    order = np.argsort(np.concatenate(parents), kind="stable")  # each rank's children ascend already
+    parent, kids = np.concatenate(parents)[order], np.concatenate(kids)[order]
+    counts = np.bincount(parent, minlength=top_id + 1)
+    kid_ptr = np.concatenate(([0], np.cumsum(counts)))
+    if (counts[block[1]:block[2]] != 2).any():
+        raise ValidationError("edge without exactly two endpoints")
+    signs = np.zeros(len(kids), dtype=np.int64)
+    signs[:kid_ptr[block[2]]] = np.tile([-1, 1], block[2] - block[1])  # the edges' children come first
     for k in range(2, n + 1):
-        cells = [(gid, c) for gid in by_rank[k] for c in children[gid]]
-        ridge_ids: Dict[Tuple[int, int], int] = {}
-        triples = [(i, ridge_ids.setdefault((gid, gc), len(ridge_ids)), incidence[(c, gc)])
-                   for i, (gid, c) in enumerate(cells) for gc in children[c]]
-        cell, ridge, coeff = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        lo, hi = kid_ptr[block[k]], kid_ptr[block[k + 1]]
+        at = _spans(kid_ptr[kids[lo:hi]], counts[kids[lo:hi]])
+        cell = np.repeat(np.arange(hi - lo), counts[kids[lo:hi]])
+        ridges, ridge = np.unique(parent[lo + cell] * (top_id + 1) + kids[at], return_inverse=True)
         try:
-            signs, components = propagate_signs(cell, ridge, coeff, len(cells), len(ridge_ids))
+            rank_signs, components = propagate_signs(cell, ridge, signs[at], hi - lo, len(ridges))
         except ValidationError:
             raise ValidationError("boundary of a face is not a pseudomanifold") from None
-        if signs is None:
+        if rank_signs is None:
             raise ValidationError("inconsistent orientation on a face boundary")
         # one component per face, and none without a boundary
-        if components != len(by_rank[k]) or not all(children[gid] for gid in by_rank[k]):
+        if components != block[k + 1] - block[k] or not counts[block[k]:block[k + 1]].all():
             raise ValidationError("face boundary is not connected")
-        incidence.update(zip(cells, signs))
-    return children, incidence
+        signs[lo:hi] = rank_signs
+    return kid_ptr, kids, signs
 
 
 def _place_row(pivots: Dict[int, int], k: int) -> List[int]:
@@ -180,22 +184,19 @@ class QuotientCellComplex:
         if not lattice.is_simple():
             raise ValidationError("quotient needs a simple lattice")
         self.lattice, self.colours, self.k = lattice, tuple(colours), k
-        self.top_id = len(lattice.faces)
-        self._children, self._incidence = _lattice_incidences(lattice)
+        self.top_id = len(lattice.arrays()[0])
+        self._kid_ptr, self._kids, self._kid_signs = _lattice_incidences(lattice)
         # colour-span pivots per face id, the top face's empty
         self._pivots: List[Dict[int, int]] = []
-        for _, s in lattice.faces:
-            vecs = [colours[i] for i in s if colours[i] is not None]
+        flat, bounds = lattice.arrays()[2].tolist(), lattice.arrays()[1].tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            vecs = [colours[i] for i in flat[a:b] if colours[i] is not None]
             piv = gf2.pivot_rows(vecs)[0]
             if len(piv) != len(vecs):
                 raise ValidationError("improper colouring: dependent colours at a face")
             self._pivots.append(piv)
         self._pivots.append({})
         check_budget(sum(1 << (k - len(piv)) for piv in self._pivots), budget)
-        pairs = sorted(self._incidence)  # (face, child), children ascending
-        self._kid_ptr = np.cumsum([0] + [len(self._children[gid]) for gid in range(self.top_id + 1)])
-        self._kids = np.array([c for _, c in pairs], dtype=np.int64)
-        self._kid_signs = np.array([self._incidence[p] for p in pairs], dtype=np.int64)
         self._places = np.array([_place_row(piv, k) for piv in self._pivots], dtype=np.int64).reshape(-1, k)
         # the unit vector of each face's j-th non-pivot column
         spread = np.array([[1 << c for c in range(k) if c not in piv] + [0] * len(piv) for piv in self._pivots],
@@ -211,9 +212,6 @@ class QuotientCellComplex:
             self._gids.append(gids)
             self._reps.append(_xor_rows(spread, gids, np.arange(len(gids)) - self._first[gids]))
         self.cells = [list(zip(gids.tolist(), reps.tolist())) for gids, reps in zip(self._gids, self._reps)]
-
-    def rep_of(self, gid: int, g: int) -> int:
-        return gf2.normal_form(g, self._pivots[gid])
 
     @property
     def dim(self) -> int:
@@ -257,7 +255,9 @@ def colour_manifold(P: FaceLattice, colouring: Colouring, budget: Optional[int] 
         raise ValidationError("colouring quotients need a simple polytope")
     if not P.is_complete():
         raise ValidationError("colouring quotients need a complete lattice")
-    return CubicalComplex.from_supports(P.num_facets, [tuple(sorted(s)) for _, s in P.faces] + [()], budget)
+    flat, bounds = P.arrays()[2].tolist(), P.arrays()[1].tolist()
+    supports = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return CubicalComplex.from_supports(P.num_facets, supports + [()], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError, read_file
-from .lattice import IDEAL, FaceLattice, cube_face_rows
+from .lattice import FaceLattice, cube_face_rows
 from .store import Store
 
 SIMPLEX = "simplex"
@@ -148,8 +148,8 @@ class RACGData:
 def racg_data(P: IdealPolytope) -> RACGData:
     """Facets commute where they meet, at the rank n-2 faces of a complete
     lattice; a partial lattice gives None."""
-    complete = P.lattice.is_complete()
-    return RACGData(P.num_facets, frozenset(P.lattice.faces_of_rank(P.n - 2)) if complete else None)
+    ridges = P.lattice.rows_of_rank(P.n - 2)[1].reshape(-1, 2).tolist()
+    return RACGData(P.num_facets, frozenset(map(frozenset, ridges)) if P.lattice.is_complete() else None)
 
 
 def abelianization_rank(R: RACGData) -> int:
@@ -647,7 +647,7 @@ def ideal_polytope_from_lattice(lattice: FaceLattice) -> IdealPolytope:
         raise ValidationError("ideal polytopes P^n exist for 3 <= n <= 8 only")
     ptr, facets = lattice.rows_of_rank(0)
     widths = np.diff(ptr)
-    ideal = np.array([m == IDEAL for m in lattice.marks[:len(widths)]], dtype=bool)  # vertices come first
+    ideal = lattice.arrays()[3][:len(widths)]  # vertices come first
     if (widths[ideal] != 2 * (n - 1)).any():
         raise ValidationError("ideal vertex has wrong facet count")
     if (widths[~ideal] != n).any():

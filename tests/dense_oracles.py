@@ -101,10 +101,13 @@ then the vertices maximizing each normal, is kept verbatim as
 and looks the lattice's faces up in the complex's own closure; the
 parent, which built the dual and compared, is ``duality_check_oracle``.
 
-The quotient's incidence numbers come from one sign propagation per rank
-of the lattice, on the disjoint union of the boundaries of the faces of
-that rank.  ``lattice_incidences_oracle`` is the parent's walk, which
-orients one face boundary at a time, kept verbatim.
+The quotient's children are found by one row-key search per rank of the
+lattice and its incidence numbers by one sign propagation per rank, on
+the disjoint union of the boundaries of the faces of that rank, and kept
+as CSR arrays.  ``lattice_incidences_oracle`` is the parent's walk, which
+looks each child up by its facet set and orients one face boundary at a
+time, kept verbatim; ``quotient_entry_oracle`` reads its children and
+signs from that walk, not from the CSR it checks.
 
 ``manifold_check`` reads closedness and connectedness of the link target
 off its chain complex.  The ridge count over a dict and the depth-first
@@ -440,15 +443,18 @@ def cubical_entry_oracle(Z) -> Tuple[List[Tuple], List[Entries]]:
 
 def quotient_entry_oracle(Q) -> Tuple[List[Tuple], List[Entries]]:
     """Cell keys and per-cell entries of a quotient cell complex: each child
-    face at its representative, with the lattice incidence."""
+    face at its representative, with the incidence of the per-face walk
+    (``lattice_incidences_oracle``), not the CSR the complex holds."""
+    children, incidence = lattice_incidences_oracle(Q.lattice)
     index = [{cell: i for i, cell in enumerate(bucket)} for bucket in Q.cells]
     out: List[Entries] = []
     for d, bucket in enumerate(Q.cells):
         rows = []
         for gid, rep in bucket:
             entries = []
-            for child in Q._children[gid] if d else ():
-                entries.append((index[d - 1][(child, Q.rep_of(child, rep))], Q._incidence[(gid, child)]))
+            for child in children[gid] if d else ():
+                entries.append((index[d - 1][(child, gf2.normal_form(rep, Q._pivots[child]))],
+                                incidence[(gid, child)]))
             rows.append(tuple(entries))
         out.append(tuple(rows))
     return [tuple(b) for b in Q.cells], out
@@ -735,8 +741,8 @@ def cusp_components_oracle(Q: QuotientCellComplex, trunc: TruncatedPolytope) -> 
             if len(coloured) != 1:
                 continue
             lam = Q.colours[coloured[0]]
-            a = index[(cube_gid, Q.rep_of(cube_gid, rep))]
-            b = index[(cube_gid, Q.rep_of(cube_gid, rep ^ lam))]
+            a = index[(cube_gid, gf2.normal_form(rep, Q._pivots[cube_gid]))]
+            b = index[(cube_gid, gf2.normal_form(rep ^ lam, Q._pivots[cube_gid]))]
             merges.append((a, b))
         root_of = _component_roots(len(tops), merges)
         roots: Dict[int, int] = {}
@@ -747,7 +753,7 @@ def cusp_components_oracle(Q: QuotientCellComplex, trunc: TruncatedPolytope) -> 
         ]
         for d in range(top_dim + 1):
             for gid, rep in cells[d]:
-                comp = roots[root_of[index[(cube_gid, Q.rep_of(cube_gid, rep))]]]
+                comp = roots[root_of[index[(cube_gid, gf2.normal_form(rep, Q._pivots[cube_gid]))]]]
                 buckets[comp][d].append((gid, rep))
         for comp_id in range(len(roots)):
             components.append(CuspComponent(

@@ -7,6 +7,7 @@ import re
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import integers, just, lists, tuples
@@ -27,7 +28,9 @@ from cuspforge.moment_angle import (
     cusp_census,
     manifold_check,
     preimage_components,
+    _lattice_incidences,
     real_moment_angle,
+    truncate_ideal,
     truncated_quotient,
 )
 from cuspforge.pipeline import census_json
@@ -341,17 +344,26 @@ def _permuted_colouring(f, seed):
     return Colouring(f, tuple(1 << p for p in perm))
 
 
-def _assert_incidences_match_oracle(Q):
+def _assert_incidences_match_oracle(lattice, kid_ptr, kids, signs):
+    """The CSR incidences, int64 and read back as dicts, are the per-face walk's."""
     from dense_oracles import lattice_incidences_oracle
 
-    children, incidence = lattice_incidences_oracle(Q.lattice)
-    assert Q._children == children
-    assert Q._incidence == incidence
+    children, incidence = lattice_incidences_oracle(lattice)
+    assert kid_ptr.dtype == kids.dtype == signs.dtype == np.int64
+    assert len(kid_ptr) == len(children) + 1 and len(kids) == len(signs) == kid_ptr[-1]
+    ptr, kids, signs = kid_ptr.tolist(), kids.tolist(), signs.tolist()
+    spans = list(enumerate(zip(ptr, ptr[1:])))
+    assert {gid: kids[a:b] for gid, (a, b) in spans} == children
+    assert {(gid, kids[i]): signs[i] for gid, (a, b) in spans for i in range(a, b)} == incidence
+
+
+def _assert_quotient_incidences_match_oracle(Q):
+    _assert_incidences_match_oracle(Q.lattice, Q._kid_ptr, Q._kids, Q._kid_signs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cube_incidences_match_the_per_face_walk(n):
-    _assert_incidences_match_oracle(
+    _assert_quotient_incidences_match_oracle(
         QuotientCellComplex(cube_lattice(n), tuple(1 << (i // 2) for i in range(2 * n)), n))
 
 
@@ -359,15 +371,26 @@ def test_cube_incidences_match_the_per_face_walk(n):
 def test_filled_incidences_match_the_per_face_walk(n):
     P = ideal_dual(gosset(n))
     filled = dehn_fill(P, resolve_choice(P, "auto")).lattice
-    _assert_incidences_match_oracle(QuotientCellComplex(filled, Colouring.distinct(P.num_facets).vectors,
-                                                        P.num_facets))
+    _assert_quotient_incidences_match_oracle(QuotientCellComplex(filled, Colouring.distinct(P.num_facets).vectors,
+                                                                 P.num_facets))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_truncated_incidences_match_the_per_face_walk(n, seed):
     P = ideal_dual(gosset(n))
-    _assert_incidences_match_oracle(truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient)
+    _assert_quotient_incidences_match_oracle(
+        truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient)
+
+
+@pytest.mark.parametrize("kind,n", [("truncated", 5), ("truncated", 6), ("filled", 5)])
+def test_large_lattice_incidences_match_the_per_face_walk(kind, n):
+    """Past n = 4, where the quotients themselves are out of reach, the
+    incidences of the lattices alone."""
+    P = ideal_dual(gosset(n))
+    choice = next(enumerate_filling_choices(P))
+    lattice = truncate_ideal(P).lattice if kind == "truncated" else dehn_fill(P, choice).lattice
+    _assert_incidences_match_oracle(lattice, *_lattice_incidences(lattice))
 
 
 def _named(tree, names):
@@ -386,18 +409,44 @@ def _reductions(tree, functions):
             and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("normal_form", "rep_of")]
 
 
+def _per_face_reads(tree):
+    """Line numbers of reads of a lattice's per-face views: the attributes
+    ``faces``, ``marks`` and ``faces_of_rank``, and ``ideal_vertices()``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("faces", "marks", "faces_of_rank")
+                  or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ideal_vertices")
+
+
+def _lookups(tree, function):
+    """Line numbers of ``frozenset`` and ``dict`` calls and of dict literals
+    and comprehensions inside the function named ``function``."""
+    (body,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
+    return sorted(node.lineno for node in ast.walk(body) if isinstance(node, (ast.Dict, ast.DictComp))
+                  or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("frozenset", "dict"))
+
+
 def test_quotient_cells_are_placed_not_looked_up():
     """No entry-list converter or submask walk is left in ``src/cuspforge``,
     and neither ``to_chain_data`` nor ``truncated_quotient`` reduces a
-    vector: every cell is placed by its face's table."""
+    vector: every cell is placed by its face's table.  No face is looked
+    up by its facet set either: outside ``lattice.py`` no module reads a
+    lattice's per-face views, and ``_lattice_incidences`` builds no
+    frozenset and no dict."""
     assert _named(ast.parse("from x import submasks\nChainComplexData.from_entries(0)"),
                   {"from_entries", "submasks"}) == [1, 2]
     assert _reductions(ast.parse("def f(q):\n    return q.rep_of(0, 1) or normal_form(1, {})"), ("f",)) == [2, 2]
+    assert _per_face_reads(ast.parse("L.faces\nL.marks[0]\nL.faces_of_rank(1)\nL.ideal_vertices()\n"
+                                     "P.ideal_vertices\nL.rows_of_rank(1)")) == [1, 2, 3, 4]
+    assert _lookups(ast.parse("def f(s):\n    return {s: 1}, {x: 1 for x in s}, frozenset(s), dict(), set()"),
+                    "f") == [2, 2, 2, 2]
     sources = {path.name: ast.parse(path.read_text()) for path in Path(moment_angle.__file__).parent.glob("*.py")}
-    assert {"moment_angle.py", "chains.py", "gf2.py"} <= set(sources)
+    assert {"moment_angle.py", "chains.py", "gf2.py", "lattice.py", "polytopes.py"} <= set(sources)
     assert {name: lines for name, tree in sources.items()
             if (lines := _named(tree, {"from_entries", "submasks"}))} == {}
     assert _reductions(sources["moment_angle.py"], ("to_chain_data", "truncated_quotient")) == []
+    assert {name: lines for name, tree in sources.items()
+            if name != "lattice.py" and (lines := _per_face_reads(tree))} == {}
+    assert _lookups(sources["moment_angle.py"], "_lattice_incidences") == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
@@ -407,7 +456,7 @@ def test_colour_spans_pivot_on_the_highest_bit(seed):
     P = ideal_dual(gosset(3))
     Q = truncated_quotient(P, _permuted_colouring(P.num_facets, seed)).quotient
     assert all(row.bit_length() - 1 == p for span in Q._pivots for p, row in span.items())
-    assert all(Q.rep_of(gid, rep) == rep for bucket in Q.cells for gid, rep in bucket)
+    assert all(gf2.normal_form(rep, Q._pivots[gid]) == rep for bucket in Q.cells for gid, rep in bucket)
 
 
 def test_every_orientation_reaches_the_one_sign_propagation(monkeypatch):

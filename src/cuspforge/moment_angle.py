@@ -100,42 +100,49 @@ class Colouring:
 # ---------------------------------------------------------------------------
 
 
+def _key_ids(keys: np.ndarray) -> np.ndarray:
+    """``np.unique``'s inverse by one stable sort, which loads no numpy code the quotient does not run already."""
+    order = np.argsort(keys, kind="stable")
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(np.concatenate(([False], keys[order[1:]] != keys[order[:-1]])))
+    return ids
+
+
 def _lattice_incidences(lattice: FaceLattice) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Children and incidence numbers of a complete simple lattice as CSR
     arrays (kid_ptr, kids, signs); the top face, id len(faces), has the
-    facets.  A rank-(k - 1) face is a child of the rank-k faces that are
-    its row less one column, found by one sorted search among the rank-k
-    rows' exact keys (``row_keys``).  An edge runs from its first endpoint
-    (-1) to its second (+1).  The signs of rank k >= 2 come from one
-    ``propagate_signs`` over the boundaries of all rank-k faces side by
-    side: cells (face, child) in CSR order, so each face's first child is
-    seeded +1, and ridges (face, grandchild), numbered by ``np.unique``.
-    """
-    n, top_id = lattice.rank, len(lattice.arrays()[0])
-    block = np.append(np.searchsorted(lattice.arrays()[0], np.arange(n + 1)), top_id + 1)  # rank k's ids start here
+    facets.  A rank-(k - 1) face is a child of the rank-k faces that are its
+    row less one column, found among their exact keys (``row_keys``).  An
+    edge runs from its first endpoint (-1) to its second (+1).  The signs of
+    rank k >= 2 come from one ``propagate_signs`` over the boundaries of all
+    rank-k faces side by side: cells (face, child) in CSR order, so each
+    face's first child is seeded +1, and ridges (face, grandchild)."""
+    ranks, ptr, facets, _ = lattice.arrays()
+    n, top_id = lattice.rank, len(ranks)
+    block = np.concatenate(([0], np.cumsum(np.bincount(ranks, minlength=n)), [top_id + 1]))  # rank k's first id
     parents, kids = [np.full(top_id - block[n - 1], top_id)], [np.arange(block[n - 1], top_id)]
     for k in range(1, n):
-        below = lattice.rows_of_rank(k - 1)[1].reshape(-1, n - k + 1)
-        have, want = row_keys(lattice.rows_of_rank(k)[1].reshape(-1, n - k), drop_one(below).reshape(-1, n - k))
-        at = np.searchsorted(have, want).clip(max=len(have) - 1)
-        hit = np.flatnonzero(have[at] == want)
-        parents.append(block[k] + at[hit])
-        kids.append(block[k - 1] + hit // (n - k + 1))
+        rows, below = (facets[ptr[block[r]]:ptr[block[r + 1]]].reshape(-1, n - r) for r in (k, k - 1))
+        ids = _key_ids(np.concatenate(row_keys(rows, drop_one(below).reshape(-1, n - k))))
+        face_of = np.full(len(ids), -1)
+        face_of[ids[:len(rows)]] = np.arange(block[k], block[k + 1])
+        at = face_of[ids[len(rows):]]
+        parents.append(at[at >= 0])
+        kids.append(block[k - 1] + np.flatnonzero(at >= 0) // (n - k + 1))
     order = np.argsort(np.concatenate(parents), kind="stable")  # each rank's children ascend already
     parent, kids = np.concatenate(parents)[order], np.concatenate(kids)[order]
     counts = np.bincount(parent, minlength=top_id + 1)
     kid_ptr = np.concatenate(([0], np.cumsum(counts)))
     if (counts[block[1]:block[2]] != 2).any():
         raise ValidationError("edge without exactly two endpoints")
-    signs = np.zeros(len(kids), dtype=np.int64)
-    signs[:kid_ptr[block[2]]] = np.tile([-1, 1], block[2] - block[1])  # the edges' children come first
+    signs = np.resize(np.array([-1, 1], dtype=np.int64), len(kids))  # the edges' children first, then set below
     for k in range(2, n + 1):
         lo, hi = kid_ptr[block[k]], kid_ptr[block[k + 1]]
         at = _spans(kid_ptr[kids[lo:hi]], counts[kids[lo:hi]])
         cell = np.repeat(np.arange(hi - lo), counts[kids[lo:hi]])
-        ridges, ridge = np.unique(parent[lo + cell] * (top_id + 1) + kids[at], return_inverse=True)
+        ridge = _key_ids(parent[lo + cell] * (top_id + 1) + kids[at])
         try:
-            rank_signs, components = propagate_signs(cell, ridge, signs[at], hi - lo, len(ridges))
+            rank_signs, components = propagate_signs(cell, ridge, signs[at], hi - lo, int(ridge.max(initial=-1)) + 1)
         except ValidationError:
             raise ValidationError("boundary of a face is not a pseudomanifold") from None
         if rank_signs is None:
@@ -255,9 +262,8 @@ def colour_manifold(P: FaceLattice, colouring: Colouring, budget: Optional[int] 
         raise ValidationError("colouring quotients need a simple polytope")
     if not P.is_complete():
         raise ValidationError("colouring quotients need a complete lattice")
-    flat, bounds = P.arrays()[2].tolist(), P.arrays()[1].tolist()
-    supports = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return CubicalComplex.from_supports(P.num_facets, supports + [()], budget)
+    flat, ptr = P.arrays()[2].tolist(), P.arrays()[1].tolist()
+    return CubicalComplex.from_supports(P.num_facets, [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])] + [()], budget)
 
 
 # ---------------------------------------------------------------------------

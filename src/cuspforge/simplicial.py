@@ -245,15 +245,16 @@ def sorted_rows(ptr: np.ndarray, flat: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 
 def row_keys(*blocks: np.ndarray) -> List[np.ndarray]:
     """Exact keys of the rows of equal-width blocks of non-negative ints:
-    two rows share a key iff they are equal, and keys ascend as the rows
-    do in tuple order.  A row is read as digits in base (largest entry + 1)
-    while base^width < 2^64, packed into uint64; past that, its key is its
-    rank among the distinct rows of all the blocks (``np.unique``)."""
+    two rows share a key iff they are equal, and keys ascend as the rows do
+    in tuple order.  A row is read as digits in base (largest entry + 1)
+    while base^width < 2^64, packed into uint64 by ``np.dot`` (``@`` would
+    load an integer loop just for this); past that, its key is its rank
+    among the distinct rows of all the blocks (``np.unique``)."""
     width = blocks[0].shape[1]
     base = 1 + max((int(rows.max()) for rows in blocks if rows.size), default=0)
     if base ** width < 1 << 64:
-        weights = np.uint64(base) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
-        return [rows.astype(np.int64, copy=False).view(np.uint64) @ weights for rows in blocks]
+        weights = np.array([base ** p for p in range(width - 1, -1, -1)], dtype=np.uint64)
+        return [np.dot(rows.astype(np.int64, copy=False).view(np.uint64), weights) for rows in blocks]
     ranks = np.unique(np.concatenate(blocks), axis=0, return_inverse=True)[1].reshape(-1)
     return np.split(ranks, np.cumsum([len(rows) for rows in blocks])[:-1])
 

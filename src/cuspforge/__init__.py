@@ -30,7 +30,6 @@ from .chains import (
     cohomology_z2_basis,
     homology,
     integral_homology_basis,
-    restriction_map_z2,
     subcomplex_selection,
 )
 from .cubical import CubicalComplex

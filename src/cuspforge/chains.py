@@ -1,5 +1,5 @@
 """Cellular chain complexes, exact homology, cubical cup-product
-splittings, and inclusion-induced maps.
+splittings, and subcomplex selections.
 
 One ``ChainComplexData`` carries integer incidence data for any of the
 cell-complex types in this library, each d_k once, as a flat CSR triple
@@ -17,7 +17,7 @@ Each degree is eliminated once per coefficient ring and cached on the
 data: over Z one Smith normal form per degree, chained through the cycle
 coordinates, over Z/2 one cleared reduction per coboundary map delta^k,
 the only Z/2 elimination of chain data, which every Z/2 rank, cocycle
-basis, restriction map and coboundary pivot is read from.
+basis, cusp restriction and coboundary pivot is read from.
 The Smith normal form of degree k is fed the relations of d_k, its
 sparse rows put through V of degree k-1 with the rows on the boundaries
 of degree k-1 dropped, and keeps its transforms as move logs, which are
@@ -398,9 +398,6 @@ class IntegralHomologyBasis:
     _relation_snf: SNFResult  # smith(k + 1) = U' D' V', on the relations
     _quotient: List[Tuple[int, int]]  # (row of U'^-1 y, its order) for orders != 1
 
-    def project(self, cycle: Sequence[int]) -> Tuple[List[int], List[int]]:
-        return self._project([cycle])[0]
-
     @cached_property
     def _covectors(self) -> List[Dict[int, int]]:
         """The coordinate functionals, held by k-cell: entry c of row j is
@@ -413,32 +410,29 @@ class IntegralHomologyBasis:
         tail = self._relation_snf._replay("uinvT", units)
         return self._boundary_snf._replay("vT", [{} for _ in range(self._boundary_snf.rank)] + tail)
 
-    def _project(self, cycles: Sequence[Sequence[int]]) -> List[Tuple[List[int], List[int]]]:
-        """(free coords, torsion coords) of each cycle: d_k x = 0 is checked
+    def project(self, cycle: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """(free coords, torsion coords) of a cycle: d_k x = 0 is checked
         exactly on the incidences, then each coordinate is the sparse dot
         product of x with its covector, over the non-zero entries of x,
         taken mod its order on a torsion coordinate."""
         ptr, faces, coeffs = self._boundary
         n = len(ptr) - 1
+        if len(cycle) != n:
+            raise ValidationError(f"chain has length {len(cycle)}, expected {n}")
+        support = list(compress(range(n), cycle))
+        image: Dict[int, int] = {}
+        for j in support:
+            for p in range(ptr[j], ptr[j + 1]):
+                image[faces[p]] = image.get(faces[p], 0) + coeffs[p] * cycle[j]
+        if any(image.values()):
+            raise ValidationError("vector is not an integral cycle")
+        coords = [0] * len(self._quotient)
         covectors = self._covectors
-        out = []
-        for cycle in cycles:
-            if len(cycle) != n:
-                raise ValidationError(f"chain has length {len(cycle)}, expected {n}")
-            support = list(compress(range(n), cycle))
-            image: Dict[int, int] = {}
-            for j in support:
-                for p in range(ptr[j], ptr[j + 1]):
-                    image[faces[p]] = image.get(faces[p], 0) + coeffs[p] * cycle[j]
-            if any(image.values()):
-                raise ValidationError("vector is not an integral cycle")
-            coords = [0] * len(self._quotient)
-            for j in support:
-                for c, x in covectors[j].items():
-                    coords[c] += x * cycle[j]
-            out.append(([y for y, (_, d) in zip(coords, self._quotient) if d == 0],
-                        [y % d for y, (_, d) in zip(coords, self._quotient) if d]))
-        return out
+        for j in support:
+            for c, x in covectors[j].items():
+                coords[c] += x * cycle[j]
+        return ([y for y, (_, d) in zip(coords, self._quotient) if d == 0],
+                [y % d for y, (_, d) in zip(coords, self._quotient) if d])
 
 
 def integral_homology_basis(data: ChainComplexData, k: int) -> IntegralHomologyBasis:
@@ -571,7 +565,7 @@ def _splittings(data: ChainComplexData, k: int, l: int) -> Tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# subcomplexes and the maps their inclusions induce
+# subcomplex selections
 # ---------------------------------------------------------------------------
 
 
@@ -584,22 +578,22 @@ class SubcomplexSelection:
     data: ChainComplexData
 
     def gather_cochain(self, phi: int, k: int) -> int:
-        """Restrict a parent k-cochain to the subcomplex."""
-        out = 0
-        if k >= len(self.indices):
-            return 0
-        for sub_i, par_i in enumerate(self.indices[k]):
-            if (phi >> par_i) & 1:
-                out |= 1 << sub_i
-        return out
+        """Restrict a parent k-cochain to the subcomplex: phi's bits are
+        read once, as text with bit c at place c, at the selected cells."""
+        if phi < 0:
+            raise ValidationError("cochain must be a non-negative bitset")
+        idx = self.indices[k] if k < len(self.indices) else []
+        bits = format(phi, "b")[::-1].ljust(self.parent.size(k), "0")
+        return int("".join([bits[i] for i in reversed(idx)]) or "0", 2)
 
     def scatter_chain(self, vec: Sequence[int], k: int) -> List[int]:
         """Push a subcomplex k-chain into the parent's basis."""
+        idx = self.indices[k] if k < len(self.indices) else []
+        if len(vec) != len(idx):
+            raise ValidationError(f"chain has length {len(vec)}, expected {len(idx)}")
         out = [0] * self.parent.size(k)
-        if k >= len(self.indices):
-            return out
-        for sub_i, par_i in enumerate(self.indices[k]):
-            out[par_i] = vec[sub_i]
+        for par_i, x in zip(idx, vec):
+            out[par_i] = x
         return out
 
 
@@ -638,47 +632,3 @@ def subcomplex_selection(parent: ChainComplexData, keys_per_dim: Sequence[Sequen
     data._gf2_coreduction, data._smith, data._integral_bases = parent._sections.setdefault(
         by_value((parent.coeff, incidences)), (data._gf2_coreduction, data._smith, data._integral_bases))
     return SubcomplexSelection(parent=parent, indices=indices, data=data)
-
-
-@dataclass(frozen=True)
-class RestrictionMap:
-    """H^k(X; Z/2) -> H^k(A; Z/2) in explicit bases.
-
-    ``rows[i]`` is the coefficient bitmask of the image of the i-th
-    X-basis vector in the A-basis.
-    """
-
-    rows: Tuple[int, ...]
-    dim_domain: int
-    dim_target: int
-
-    def rank(self) -> int:
-        return gf2.rank_of_rows(self.rows)
-
-
-def restriction_map_z2(
-    selection: SubcomplexSelection, k: int, parent_basis: Optional[Z2QuotientBasis] = None
-) -> RestrictionMap:
-    """Matrix of the restriction H^k(X) -> H^k(A) over Z/2."""
-    basis_x = parent_basis if parent_basis is not None else cohomology_z2_basis(selection.parent, k)
-    basis_a = cohomology_z2_basis(selection.data, k)
-    rows = tuple(
-        basis_a.coordinates(selection.gather_cochain(rep, k))
-        for rep in basis_x.representatives
-    )
-    return RestrictionMap(rows=rows, dim_domain=basis_x.dimension, dim_target=basis_a.dimension)
-
-
-def inclusion_free_h1_matrix(
-    selection: SubcomplexSelection,
-    k: int = 1,
-    parent_basis: Optional[IntegralHomologyBasis] = None,
-) -> Tuple[List[List[int]], IntegralHomologyBasis, IntegralHomologyBasis]:
-    """Free part of H_k(A; Z) -> H_k(X; Z): columns are images of A's
-    free generators in X's free coordinates."""
-    ha = integral_homology_basis(selection.data, k)
-    hx = parent_basis if parent_basis is not None else integral_homology_basis(selection.parent, k)
-    cols = [free for free, _ in hx._project([selection.scatter_chain(g, k) for g in ha.free_generators])]
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(hx.free_rank)]
-    return matrix, ha, hx
-

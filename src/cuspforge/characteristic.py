@@ -27,9 +27,8 @@ from .chains import (
     _splittings,
     chain_complex_of,
     cohomology_z2_basis,
-    inclusion_free_h1_matrix,
+    integral_homology_basis,
     propagate_signs,
-    restriction_map_z2,
 )
 from .errors import CertificateError, ValidationError
 from .snf import smith_normal_form
@@ -235,18 +234,22 @@ def summand_certificate(
     free parts has full rank with all invariant factors 1; homomorphisms
     from finite groups to Z vanish, so torsion plays no role.
     """
-    matrix, ha, _hx = inclusion_free_h1_matrix(selection, 1, parent_basis=parent_basis)
+    ha = integral_homology_basis(selection.data, 1)
     if ha.torsion:
         raise ValidationError("subcomplex does not have torsion-free H_1")
     if expected_rank is not None and ha.free_rank != expected_rank:
         raise ValidationError(
             f"subcomplex H_1 has rank {ha.free_rank}, expected {expected_rank}"
         )
+    hx = parent_basis if parent_basis is not None else integral_homology_basis(selection.parent, 1)
+    # column j: T's free generator j pushed into M, in M's free coordinates
+    cols = [hx.project(selection.scatter_chain(g, 1))[0] for g in ha.free_generators]
+    matrix = tuple(tuple(col[i] for col in cols) for i in range(hx.free_rank))
     snf = smith_normal_form(matrix, nrows=len(matrix), ncols=ha.free_rank)
     ok = snf.rank == ha.free_rank and all(d == 1 for d in snf.diag[: snf.rank])
     return SummandCertificate(
         ok=ok,
-        matrix=tuple(tuple(r) for r in matrix),
+        matrix=matrix,
         invariant_factors=tuple(snf.diag[: snf.rank]),
         torus_rank=ha.free_rank,
         torus_torsion=ha.torsion,
@@ -273,13 +276,16 @@ def lie_cusp_certificate(
     """
     if spinnable is False:
         raise CertificateError("Lie certificate needs a spinnable ambient manifold")
-    rmap = restriction_map_z2(selection, 1, parent_basis=parent_basis)
-    rank = rmap.rank()  # one elimination: onto exactly when it is the target's dimension
+    basis_m = parent_basis if parent_basis is not None else cohomology_z2_basis(selection.parent, 1)
+    basis_t = cohomology_z2_basis(selection.data, 1)
+    # row i: M's basis class i restricted to T, as a coefficient bitmask in T's basis
+    rows = tuple(basis_t.coordinates(selection.gather_cochain(rep, 1)) for rep in basis_m.representatives)
+    rank = gf2.rank_of_rows(rows)  # one elimination: onto exactly when it is the target's dimension
     return LieCertificate(
-        ok=rank == rmap.dim_target,
+        ok=rank == basis_t.dimension,
         restriction_rank=rank,
-        target_dim=rmap.dim_target,
-        matrix_rows=rmap.rows,
+        target_dim=basis_t.dimension,
+        matrix_rows=rows,
     )
 
 

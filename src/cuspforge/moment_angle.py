@@ -15,7 +15,8 @@ Three manifold models appear here:
 * ``truncated_quotient(P, colouring)``: the compact cusped model, the
   colouring quotient of the vertex-truncated polytope with uncoloured
   truncation facets; its boundary components are the cusp sections,
-  closed flat manifolds that need not be tori.
+  closed flat manifolds that need not be tori.  ``truncate_ideal`` gives
+  the truncated lattice: ideal row t is cut off by facet num_facets + t.
 
 Cusps are cosets: the cusps over an ideal vertex v are the cosets of
 (Z/2)^k modulo the span of the colours on v's facets.  ``cusp_census``
@@ -49,8 +50,6 @@ from .lattice import FaceLattice
 from .polytopes import IdealPolytope
 from .simplicial import SimplicialComplex, build_simplicial, drop_one, row_keys
 from .store import Store
-
-VertexKey = FrozenSet[int]
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +483,13 @@ def preimage_components(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedPolytope:
-    """Vertex truncation of an ideal polytope: every ideal vertex is cut
-    off by a new cube facet; the result is simple."""
-
-    lattice: FaceLattice
-    truncation_facet: Dict[VertexKey, int]  # ideal vertex -> new facet id
-
-
-def truncate_ideal(P: IdealPolytope) -> TruncatedPolytope:
+def truncate_ideal(P: IdealPolytope) -> FaceLattice:
+    """Vertex truncation of an ideal polytope, a simple polytope's lattice:
+    ideal row t is cut off by the new cube facet ``P.num_facets + t``."""
     if not P.lattice.is_complete():
         raise ValidationError("truncation needs a complete lattice")
     f, m = P.num_facets, len(P.ideal_rows)
-    trunc = {v: f + t for t, v in enumerate(P.ideal_vertices)}
-    lattice = replace_ideal_vertices(P, f + m, np.arange(f, f + m).reshape(m, 1), P.axis_rows, "truncated")
-    return TruncatedPolytope(lattice=lattice, truncation_facet=trunc)
+    return replace_ideal_vertices(P, f + m, np.arange(f, f + m).reshape(m, 1), P.axis_rows, "truncated")
 
 
 @dataclass
@@ -515,7 +505,6 @@ class CuspedComplex:
     """Compact cusped manifold model with its cusp sections."""
 
     quotient: QuotientCellComplex
-    truncated: TruncatedPolytope
     components: Tuple[CuspComponent, ...]
 
 
@@ -536,9 +525,9 @@ def truncated_quotient(
     """
     if colouring is None:
         colouring = Colouring.distinct(P.num_facets)
-    trunc, k = truncate_ideal(P), colouring.k
-    colours = list(colouring.vectors) + [None] * len(trunc.truncation_facet)
-    Q = QuotientCellComplex(trunc.lattice, colours, k, budget=budget)
+    lattice, k = truncate_ideal(P), colouring.k
+    colours = list(colouring.vectors) + [None] * len(P.ideal_rows)
+    Q = QuotientCellComplex(lattice, colours, k, budget=budget)
     vertices = [tuple(sorted(row)) for row in P.ideal_rows.tolist()]
     spans = [gf2.pivot_rows([colours[i] for i in row])[0] for row in vertices]
     places = np.array([_place_row(span, k) for span in spans], dtype=np.int64).reshape(-1, k)
@@ -547,7 +536,7 @@ def truncated_quotient(
         first[j] = len(sections)
         sections += [(vertices[j], [[] for _ in Q.cells[:-1]]) for _ in range(1 << (k - len(spans[j])))]
     # the ideal row whose truncation facet, a face's last facet, holds the face, or < 0
-    _, ptr, facets, _ = trunc.lattice.arrays()
+    _, ptr, facets, _ = lattice.arrays()
     over = facets[ptr[1:] - 1] - P.num_facets
     for d, (bucket, gids, reps) in enumerate(zip(Q.cells[:-1], Q._gids, Q._reps)):
         rows = over[gids]
@@ -555,4 +544,4 @@ def truncated_quotient(
         at = first[rows[hit]] + _xor_rows(places, rows[hit], reps[hit])
         for s, cell in zip(at.tolist(), compress(bucket, hit.tolist())):
             sections[s][1][d].append(cell)
-    return CuspedComplex(Q, trunc, tuple(CuspComponent(vertex, tuple(map(tuple, cells))) for vertex, cells in sections))
+    return CuspedComplex(Q, tuple(CuspComponent(vertex, tuple(map(tuple, cells))) for vertex, cells in sections))

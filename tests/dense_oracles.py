@@ -22,8 +22,11 @@ The chain data keeps each boundary map as flat arrays.  ``entry_rows``
 reads them back as per-cell (face, incidence) tuples, the form the
 builders once stored, and the per-entry readers the library replaced
 (Z/2 rows and corows, sparse rows, subcomplex reindexing) are kept here
-on that form, verbatim, as oracles.  ``chain_data_from_entries`` is the
-library's former converter from that form to arrays, kept for hand-built
+on that form, verbatim, as oracles.  A selection restricts a parent
+cochain by reading its bits once; ``gather_cochain_oracle`` is the loop
+it replaced, one shift per selected cell, kept verbatim.
+``chain_data_from_entries`` is the library's former converter from that
+form to arrays, kept for hand-built
 and deliberately broken chain data, and ``submasks`` the submask walk
 the quotient listed its cells by before it placed them by table.
 
@@ -159,7 +162,7 @@ from cuspforge.errors import ValidationError, check_budget
 from cuspforge.filling import DehnFilling, FillingChoice
 from cuspforge.lattice import IDEAL, REAL, Face, FaceLattice, dualize
 from cuspforge.moment_angle import (
-    Colouring, CuspComponent, CuspEntry, PreimageReport, QuotientCellComplex, TruncatedPolytope, VertexKey,
+    Colouring, CuspComponent, CuspEntry, PreimageReport, QuotientCellComplex,
     _component_roots,
 )
 from cuspforge.polytopes import (
@@ -555,6 +558,17 @@ def subcomplex_oracle(parent, keys_per_dim) -> Tuple[List[List[int]], List[Tuple
     return indices, cell_keys, out
 
 
+def gather_cochain_oracle(selection, phi: int, k: int) -> int:
+    """Restrict a parent k-cochain to the subcomplex."""
+    out = 0
+    if k >= len(selection.indices):
+        return 0
+    for sub_i, par_i in enumerate(selection.indices[k]):
+        if (phi >> par_i) & 1:
+            out |= 1 << sub_i
+    return out
+
+
 # ---------------------------------------------------------------------------
 # GF(2): the helpers the one tagged elimination replaced
 # ---------------------------------------------------------------------------
@@ -718,25 +732,29 @@ def axis_paired_colouring(P: IdealPolytope, j: int = 0) -> Colouring:
     return Colouring(len(kept), tuple(unit[same.get(i, i)] for i in range(P.num_facets)))
 
 
-def cusp_components_oracle(Q: QuotientCellComplex, trunc: TruncatedPolytope) -> Tuple[CuspComponent, ...]:
+def cusp_components_oracle(
+    Q: QuotientCellComplex, lattice: FaceLattice, ideal_rows: np.ndarray
+) -> Tuple[CuspComponent, ...]:
     """The cusp tori of a truncated quotient: per truncation facet, the cube
     copies over it joined along the codimension-1 cells with one coloured
-    facet, by union-find."""
+    facet, by union-find.  Ideal row t of the polytope was cut off by the
+    truncated lattice's facet ``num_facets - len(ideal_rows) + t``."""
     components: List[CuspComponent] = []
-    for v in sorted(trunc.truncation_facet, key=sorted):
-        cid = trunc.truncation_facet[v]
+    rows = [frozenset(row) for row in ideal_rows.tolist()]
+    for t in sorted(range(len(rows)), key=lambda t: sorted(rows[t])):
+        v, cid = rows[t], lattice.num_facets - len(rows) + t
         cells = cells_over_facet(Q, cid)
         top_dim = Q.dim - 1
         tops = cells[top_dim]
         index = {c: i for i, c in enumerate(tops)}
         # two cube copies meet along each codim-1 boundary cell
         cube_gid = next(
-            gid for gid, (k, s) in enumerate(trunc.lattice.faces)
+            gid for gid, (k, s) in enumerate(lattice.faces)
             if k == Q.dim - 1 and s == frozenset({cid})
         )
         merges = []
         for gid, rep in cells[top_dim - 1]:
-            s = trunc.lattice.faces[gid][1]
+            s = lattice.faces[gid][1]
             coloured = [x for x in s if Q.colours[x] is not None]
             if len(coloured) != 1:
                 continue
@@ -876,7 +894,7 @@ def dehn_fill_oracle(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
             continue
         faces.append((k, s))
 
-    filling_faces: Dict[VertexKey, FrozenSet[int]] = {}
+    filling_faces: Dict[FrozenSet[int], FrozenSet[int]] = {}
     for v in sorted(ideal, key=sorted):
         axes = P.axes_of(v)
         idx = choice.axis_index[frozenset(v)]
@@ -894,8 +912,9 @@ def dehn_fill_oracle(P: IdealPolytope, choice: FillingChoice) -> DehnFilling:
     return DehnFilling(lattice=lattice, filling_faces=filling_faces)
 
 
-def truncate_ideal_oracle(P: IdealPolytope) -> TruncatedPolytope:
-    """Cut every ideal vertex off by a new cube facet."""
+def truncate_ideal_oracle(P: IdealPolytope) -> FaceLattice:
+    """Cut every ideal vertex off by a new cube facet, the t-th in sorted
+    vertex order by facet ``P.num_facets + t``."""
     if not P.lattice.is_complete():
         raise ValidationError("truncation needs a complete lattice")
     n = P.lattice.rank
@@ -906,17 +925,15 @@ def truncate_ideal_oracle(P: IdealPolytope) -> TruncatedPolytope:
         if k == 0 and s in ideal:
             continue
         faces.append((k, s))
-    trunc: Dict[VertexKey, int] = {}
     for t, v in enumerate(sorted(ideal, key=sorted)):
         cid = f + t
-        trunc[v] = cid
         axes = P.axes_of(v)
         faces.append((n - 1, {cid}))
         faces.extend((n - 1 - c, fs | {cid}) for c, fs in cube_faces(axes))
     lattice = FaceLattice(n, f + len(ideal), faces)
     if not lattice.is_simple():
         raise ValidationError("truncated lattice failed the simplicity check")
-    return TruncatedPolytope(lattice=lattice, truncation_facet=trunc)
+    return lattice
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,10 @@ from cuspforge.chains import (
     coboundary,
     cohomology_z2_basis,
     homology,
-    inclusion_free_h1_matrix,
     integral_homology_basis,
-    restriction_map_z2,
     subcomplex_selection,
 )
-from cuspforge.characteristic import intersection_form
+from cuspforge.characteristic import intersection_form, lie_cusp_certificate, summand_certificate
 from cuspforge.cubical import CubicalComplex
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.filling import dehn_fill, enumerate_filling_choices
@@ -48,6 +46,7 @@ from dense_oracles import (
     dense_snf,
     drawn_colourings,
     entry_rows,
+    gather_cochain_oracle,
     gf2_corows_array_oracle,
     gf2_corows_oracle,
     gf2_rows_oracle,
@@ -304,11 +303,10 @@ def test_restriction_identity_and_point():
     data = chain_complex_of(Z, "Z2")
     keys = [list(data.cell_keys[k]) for k in range(data.top_dim + 1)]
     sel = subcomplex_selection(data, keys)
-    rmap = restriction_map_z2(sel, 1)
-    assert rmap.rows == (0b01, 0b10)
+    assert lie_cusp_certificate(sel).matrix_rows == (0b01, 0b10)
     point = subcomplex_selection(data, [[data.cell_keys[0][0]]])
-    h0map = restriction_map_z2(point, 1)
-    assert h0map.dim_target == 0 and all(r == 0 for r in h0map.rows)
+    h0map = lie_cusp_certificate(point)
+    assert h0map.target_dim == 0 and all(r == 0 for r in h0map.matrix_rows)
 
 
 def test_selection_must_be_closed():
@@ -327,6 +325,45 @@ def test_selection_must_be_closed():
             assert info.value.exit_code == 2
 
 
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 3), (4, 0)])
+def test_gathered_cochains_match_the_per_cell_shifts_on_every_cusp(n, seed):
+    """A selection reads a parent cochain's bits once; the per-cell shifts
+    it replaced give the same restriction on every cusp section of the
+    cusped P^n quotient, colours permuted by the seed, in every degree:
+    the parent's H^1 representatives, the empty and full cochains, and
+    random ones with bits past the parent's cells."""
+    P = ideal_dual(gosset(n))
+    perm = list(range(P.num_facets))
+    if seed:
+        random.Random(seed).shuffle(perm)
+    cusped = truncated_quotient(P, Colouring(P.num_facets, tuple(1 << p for p in perm)))
+    data = chain_complex_of(cusped.quotient, "Z2")
+    reps = cohomology_z2_basis(data, 1).representatives
+    rng = random.Random(seed)
+    for comp in cusped.components:
+        sel = subcomplex_selection(data, comp.keys_per_dim)
+        for k in range(data.top_dim + 2):
+            size = data.size(k)
+            for phi in [0, (1 << size) - 1, rng.getrandbits(size + 3)] + list(reps if k == 1 else []):
+                assert sel.gather_cochain(phi, k) == gather_cochain_oracle(sel, phi, k)
+
+
+def test_selections_refuse_negative_cochains_and_chains_of_the_wrong_length():
+    data = chain_complex_of(real_moment_angle(cycle_complex(4)), "Z")
+    point = subcomplex_selection(data, [[data.cell_keys[0][1]]])
+    whole = subcomplex_selection(data, data.cell_keys)
+    assert point.scatter_chain([5], 0) == [0, 5] + [0] * (data.size(0) - 2)
+    assert whole.scatter_chain(list(range(data.size(1))), 1) == list(range(data.size(1)))
+    for sel in (point, whole):
+        for k in range(data.top_dim + 2):
+            n = sel.data.size(k)
+            for length in (n - 1, n + 1) if n else (1,):
+                with pytest.raises(ValidationError, match=f"^chain has length {length}, expected {n}$"):
+                    sel.scatter_chain([0] * length, k)
+            with pytest.raises(ValidationError, match="^cochain must be a non-negative bitset$"):
+                sel.gather_cochain(-1, k)
+
+
 def mobius_strip_complex():
     return build_simplicial([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)])
 
@@ -340,10 +377,10 @@ def test_mobius_boundary_is_index_two():
                       if sum(1 for f in M.facets if set(e) <= set(f)) == 1]
     verts = sorted({(v,) for e in boundary_edges for v in e})
     sel = subcomplex_selection(data, [verts, sorted(boundary_edges)])
-    matrix, ha, hx = inclusion_free_h1_matrix(sel, 1)
-    assert ha.free_rank == 1 and hx.free_rank == 1
-    snf = smith_normal_form(matrix)
-    assert snf.diag == [2]
+    cert = summand_certificate(sel)
+    assert cert.torus_rank == 1 and len(cert.matrix) == 1  # H_1 of the band has rank 1
+    snf = smith_normal_form(cert.matrix)
+    assert snf.diag == [2] and cert.invariant_factors == (2,) and not cert.ok
 
 
 def test_induced_map_both_directions():
@@ -357,13 +394,13 @@ def test_induced_map_both_directions():
             if set(sup) <= allowed and all((sg >> i) & 1 for i in frozen):
                 keys[d].append((sup, sg))
     # H^1(T^3; Z/2) -> H^1(T^2; Z/2) is onto
-    rmap = restriction_map_z2(subcomplex_selection(data, keys), 1)
-    assert (rmap.dim_domain, rmap.dim_target) == (3, 2)
-    assert rmap.rank() == rmap.dim_target == 2
+    lie = lie_cusp_certificate(subcomplex_selection(data, keys))
+    assert (len(lie.matrix_rows), lie.target_dim) == (3, 2)
+    assert gf2.rank_of_rows(lie.matrix_rows) == lie.restriction_rank == lie.target_dim == 2 and lie.ok
     # H_1(T^2; Z) -> H_1(T^3; Z) on the free parts: a split injection
-    matrix, ha, hx = inclusion_free_h1_matrix(subcomplex_selection(chain_complex_of(Z, "Z"), keys), 1)
-    assert (ha.free_rank, hx.free_rank) == (2, 3)
-    assert smith_normal_form(matrix).diag == [1, 1]
+    cert = summand_certificate(subcomplex_selection(chain_complex_of(Z, "Z"), keys))
+    assert (cert.torus_rank, len(cert.matrix)) == (2, 3)
+    assert smith_normal_form(cert.matrix).diag == [1, 1] and cert.ok
 
 
 def test_full_subcomplex_oracle_on_the_filled_4_manifold():
@@ -585,9 +622,9 @@ def _cycles_and_boundaries(data, k, hb, rng, count=10):
 
 def _assert_projection_matches_replay(data, k, hb, rng):
     cycles, boundaries = _cycles_and_boundaries(data, k, hb, rng)
-    assert hb._project(cycles) == replay_project(hb, cycles)
+    assert [hb.project(x) for x in cycles] == replay_project(hb, cycles)
     zero = ([0] * hb.free_rank, [0] * len(hb.torsion))
-    assert hb._project(boundaries) == replay_project(hb, boundaries) == [zero] * len(boundaries)
+    assert [hb.project(b) for b in boundaries] == replay_project(hb, boundaries) == [zero] * len(boundaries)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_FIXTURES))
@@ -601,7 +638,7 @@ def test_covector_projection_matches_the_replay(name):
         assert hb.torsion == (2,)
         # the torsion coordinate is reached, and taken mod 2
         cycles = _cycles_and_boundaries(data, 1, hb, rng)[0]
-        assert {t for _, (t,) in hb._project(cycles)} == {0, 1}
+        assert {hb.project(x)[1][0] for x in cycles} == {0, 1}
 
 
 def test_covector_projection_matches_the_replay_on_the_cusp_tori():
@@ -627,7 +664,7 @@ def test_covector_projection_matches_the_replay_on_the_cusp_tori():
             for j in rng.sample(range(parent.size(2)), 3):
                 x = [xi + row[j] for xi, row in zip(x, boundaries)]
             cycles.append(x)
-        assert ph1._project(cycles) == replay_project(ph1, cycles)
+        assert [ph1.project(x) for x in cycles] == replay_project(ph1, cycles)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_FIXTURES))

@@ -90,8 +90,11 @@ def test_one_rewrite_fills_and_truncates_as_the_separate_rewrites_did(n, count):
         assert filled.lattice.to_json() == want.lattice.to_json()
         assert filled.filling_faces == want.filling_faces
     trunc, want = truncate_ideal(P), truncate_ideal_oracle(P)
-    assert trunc.lattice.to_json() == want.lattice.to_json()
-    assert trunc.truncation_facet == want.truncation_facet
+    assert trunc.to_json() == want.to_json()
+    # ideal row t is cut off by facet num_facets + t: the facets meeting it are the row's
+    for t, row in enumerate(P.ideal_rows.tolist()):
+        cid = P.num_facets + t
+        assert set().union(*(s for _, s in trunc.faces if cid in s)) == {cid, *row}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

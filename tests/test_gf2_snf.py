@@ -13,10 +13,12 @@ from hypothesis.strategies import booleans, composite, floats, integers, permuta
 
 from cuspforge import chains, gf2
 from cuspforge.chains import (
-    ChainComplexData, chain_complex_of, cohomology_z2_basis, homology, inclusion_free_h1_matrix,
-    integral_homology_basis, restriction_map_z2, subcomplex_selection,
+    ChainComplexData, chain_complex_of, cohomology_z2_basis, homology, integral_homology_basis,
+    subcomplex_selection,
 )
-from cuspforge.characteristic import spin_obstruction, spin_structures
+from cuspforge.characteristic import (
+    lie_cusp_certificate, spin_obstruction, spin_structures, summand_certificate,
+)
 from cuspforge.errors import BudgetError, ValidationError
 from cuspforge.lattice import cube_lattice, polygon_lattice
 from cuspforge.moment_angle import (
@@ -685,7 +687,7 @@ def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
     assert [cohomology_z2_basis(data, k).dimension for k in range(top + 1)] == [1, 4, 6, 4, 1]
     assert spin_structures(t4, data).structure_count == 16
     assert spin_obstruction(t4, data).vanishes is True
-    assert [restriction_map_z2(sel, 1).rank() for sel in selections] == [2, 2]
+    assert [lie_cusp_certificate(sel).restriction_rank for sel in selections] == [2, 2]
     assert [sum(rows == data.gf2_corows(k) for rows in calls) for k in range(top + 1)] == [1] * (top + 1)
     # and the chain data keeps no other Z/2 form or elimination; _sections
     # only hands equal subcomplex selections the same three caches
@@ -695,10 +697,12 @@ def test_every_z2_reader_reaches_the_one_elimination(monkeypatch):
 
 
 def test_induced_maps_on_one_parent_eliminate_its_boundaries_once(monkeypatch):
-    """Restrictions to two cusp tori of one parent: the parent's delta^0 and
-    delta^1 are eliminated once each, and the second restriction reads them
-    off the cache.  The two tori are equal as chain data, so the second
-    also reads the first one's eliminations of delta^0 and delta^1."""
+    """Lie certificates of two cusp tori of one parent: the parent's delta^0
+    and delta^1 are eliminated once each, and the second certificate reads
+    them off the cache.  The two tori are equal as chain data, so the second
+    also reads the first one's eliminations of delta^0 and delta^1.  Each
+    certificate adds one elimination of its own, the rank of its
+    restriction rows."""
     cusped = truncated_quotient(ideal_dual(gosset(3)))
     parent = chain_complex_of(cusped.quotient, "Z2")
     first, second = (subcomplex_selection(parent, c.keys_per_dim) for c in cusped.components[:2])
@@ -707,15 +711,17 @@ def test_induced_maps_on_one_parent_eliminate_its_boundaries_once(monkeypatch):
     seen = []
     reduce = gf2._tagged_pivots
     monkeypatch.setattr(gf2, "_tagged_pivots", lambda *a: seen.append(a[0]) or reduce(*a))
-    maps = [restriction_map_z2(first, 1)]
+    certs = [lie_cusp_certificate(first)]
     section_rows = [second.data.gf2_corows(k) for k in (0, 1)]
     assert [sum(rows == r for r in seen) for rows in section_rows] == [1, 1]
+    assert seen[-1] == certs[0].matrix_rows
     seen_first = len(seen)
-    maps.append(restriction_map_z2(second, 1))
-    assert seen[seen_first:] == []  # neither the section's nor the parent's coboundaries again
+    certs.append(lie_cusp_certificate(second))
+    # the restriction rows' rank alone: neither the section's nor the parent's coboundaries again
+    assert seen[seen_first:] == [certs[1].matrix_rows]
     parent_rows = [parent.gf2_corows(k) for k in (0, 1)]
     assert [sum(rows == r for r in seen) for rows in parent_rows] == [1, 1]  # delta^0, delta^1 once each
-    assert all((m.dim_domain, m.dim_target, m.rank()) == (12, 2, 2) for m in maps)
+    assert all((len(c.matrix_rows), c.target_dim, c.restriction_rank) == (12, 2, 2) for c in certs)
 
 
 def test_sections_share_eliminations_by_coefficient_value_past_int64():
@@ -774,7 +780,7 @@ def test_integral_work_builds_only_the_transforms_it_reads(monkeypatch):
     for sel, rank in zip(selections, (2, 0, 12)):
         assert integral_homology_basis(sel.data, 1).free_rank == rank
         replayed.clear()
-        inclusion_free_h1_matrix(sel, 1, parent_basis=basis)
+        assert summand_certificate(sel, parent_basis=basis).torus_rank == rank
         assert replayed == []
 
 

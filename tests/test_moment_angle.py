@@ -389,7 +389,7 @@ def test_large_lattice_incidences_match_the_per_face_walk(kind, n):
     incidences of the lattices alone."""
     P = ideal_dual(gosset(n))
     choice = next(enumerate_filling_choices(P))
-    lattice = truncate_ideal(P).lattice if kind == "truncated" else dehn_fill(P, choice).lattice
+    lattice = truncate_ideal(P) if kind == "truncated" else dehn_fill(P, choice).lattice
     _assert_incidences_match_oracle(lattice, *_lattice_incidences(lattice))
 
 
@@ -625,7 +625,7 @@ def test_census_views_stay_out_of_equality_hash_and_pickles():
 def _assert_cusps_are_cosets(P, colouring, cusped):
     from dense_oracles import cusp_components_oracle
 
-    oracle = cusp_components_oracle(cusped.quotient, cusped.truncated)
+    oracle = cusp_components_oracle(cusped.quotient, cusped.quotient.lattice, P.ideal_rows)
     assert cusped.components == oracle
     assert len(cusped.components) == cusp_census(P, colouring).total
 
